@@ -4,19 +4,26 @@ dense matrices, and diagonal operators on a truncated monomial basis.
 Elements are immutable values sharing one duck-typed contract: ``+``, ``-``,
 ``*`` (algebra product, or scaling when the other operand is a plain
 number), ``scale``, ``unit``/``zero`` companions of the same shape, and a
-``distance`` metric feeding approximate equality.  Diagonal operators keep
-their entries as whatever scalar type they were built from (int, Fraction,
-complex), so exact inputs stay exact through arithmetic.
+``distance`` metric feeding approximate equality.  A diagonal operator
+holds its entries in one numpy array: int64 while every value fits,
+complex128 for complex input, and object (exact Python int or Fraction)
+for anything else, including integer results that would overflow int64.
+Exact inputs therefore stay exact through arithmetic, and ``entries``
+returns the values as Python scalars.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# int64 entries stay within +-(2**63 - 1), so negation never wraps
+_INT64_MAX = 2**63 - 1
 
 __all__ = [
     "DEFAULT_TOL",
@@ -101,28 +108,85 @@ class Scalar:
         return f"Scalar({self.value!r})"
 
 
+class _Stored(NamedTuple):
+    """Entries already in storage form: a fresh 1-D array of a storage
+    dtype, and the bound on |entry| of an int64 array (None otherwise)."""
+
+    values: np.ndarray
+    bound: int | None
+
+
+def _store(entries) -> _Stored:
+    """Copy entries into storage form: int64 when every value is an integer
+    of modulus <= 2**63 - 1, complex128 for complex input, and object
+    (the Python scalars as given) for anything else.
+    """
+    if not isinstance(entries, np.ndarray):
+        entries = list(entries)
+    values = np.array(entries)
+    if values.ndim != 1:
+        raise ValueError("DiagonalOperator entries must be one-dimensional")
+    kind = values.dtype.kind
+    if kind in "biu" and values.size:
+        bound = max(-int(values.min()), int(values.max()))
+        if bound <= _INT64_MAX:
+            return _Stored(values.astype(np.int64, copy=False), bound)
+    elif kind == "c":
+        return _Stored(values.astype(np.complex128, copy=False), None)
+    # numpy infers float64 for ints beyond int64 mixed with negatives
+    return _Stored(values if kind == "O" else np.array(entries, dtype=object), None)
+
+
 class DiagonalOperator:
     """Diagonal operator on the monomial basis e_offset..e_{offset+N-1}.
 
     The algebra product of two diagonals of equal shape is the entrywise
-    product.  Entries may be int, Fraction, or complex; arithmetic follows
-    Python's numeric tower, so integer inputs give exact integer results.
+    product.  Entries are held in one numpy array whose dtype follows the
+    input: int64 while every value fits, complex128 for complex input, and
+    object (exact Python int / Fraction, or whatever scalars were given)
+    otherwise.  An int64 array carries a bound on its entries' modulus; an
+    operation whose result could leave the int64 range is computed on
+    Python ints instead, so integer inputs give exact integer results.
+    ``entries`` returns the values as a tuple of Python scalars.
     """
 
-    __slots__ = ("entries", "offset")
+    __slots__ = ("_values", "_bound", "offset")
 
     def __init__(self, entries, offset: int = 0):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("DiagonalOperator needs at least one entry")
         if offset not in (0, 1):
             raise ValueError("offset must be 0 or 1")
-        self.entries = entries
+        values, bound = entries if isinstance(entries, _Stored) else _store(entries)
+        if not values.size:
+            raise ValueError("DiagonalOperator needs at least one entry")
+        values.flags.writeable = False
+        self._values = values
+        self._bound = bound
         self.offset = offset
+
+    @classmethod
+    def periodic(cls, period, n: int, shift: int, dim: int, offset: int = 0):
+        """The diagonal on e_offset..e_{offset+dim-1} whose entry at e_m is
+        period((m - shift) mod n): an n-periodic (n-even) sequence.
+
+        ``period`` maps an int64 array of residues mod n to their values.
+        It is called once, on the at most min(n, dim) residues the window
+        meets, and the window repeats them.
+        """
+        if n < 1:
+            raise ValueError("period n must be positive")
+        start = (offset - shift) % n
+        values, bound = _store(period(np.arange(start, start + min(n, dim)) % n))
+        rows = np.repeat(values[np.newaxis], -(-dim // values.size), axis=0)
+        return cls(_Stored(rows.reshape(-1)[:dim], bound), offset)
+
+    @property
+    def entries(self) -> tuple:
+        """The diagonal entries as a tuple of Python scalars."""
+        return tuple(self._values.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self._values.size
 
     @property
     def basis_indices(self) -> range:
@@ -140,28 +204,39 @@ class DiagonalOperator:
                 f"(n={other.n}, offset={other.offset})"
             )
 
-    def __add__(self, other):
+    def _operands(self, other, bound_of):
+        """Both value arrays for an entrywise operation, and the bound on
+        its result when that is int64.  Two int64 operands whose result
+        might leave the int64 range are lifted to exact Python ints.
+        """
         self._check(other)
-        return DiagonalOperator(
-            (a + b for a, b in zip(self.entries, other.entries)), self.offset
-        )
+        a, b = self._values, other._values
+        if self._bound is None or other._bound is None:
+            return a, b, None
+        bound = bound_of(self._bound, other._bound)
+        if bound > _INT64_MAX:
+            return a.astype(object), b.astype(object), None
+        return a, b, bound
+
+    def _new(self, values, bound):
+        return DiagonalOperator(_Stored(values, bound), self.offset)
+
+    def __add__(self, other):
+        a, b, bound = self._operands(other, operator.add)
+        return self._new(a + b, bound)
 
     def __sub__(self, other):
-        self._check(other)
-        return DiagonalOperator(
-            (a - b for a, b in zip(self.entries, other.entries)), self.offset
-        )
+        a, b, bound = self._operands(other, operator.add)
+        return self._new(a - b, bound)
 
     def __neg__(self):
-        return DiagonalOperator((-a for a in self.entries), self.offset)
+        return self._new(-self._values, self._bound)
 
     def __mul__(self, other):
         if _is_number(other):
             return self.scale(other)
-        self._check(other)
-        return DiagonalOperator(
-            (a * b for a, b in zip(self.entries, other.entries)), self.offset
-        )
+        a, b, bound = self._operands(other, operator.mul)
+        return self._new(a * b, bound)
 
     def __rmul__(self, c):
         if _is_number(c):
@@ -169,23 +244,32 @@ class DiagonalOperator:
         return NotImplemented
 
     def scale(self, c):
-        return DiagonalOperator((c * a for a in self.entries), self.offset)
+        a, bound = self._values, None
+        if self._bound is not None:
+            if isinstance(c, numbers.Integral):
+                c = int(c)
+                bound = abs(c) * self._bound
+                if abs(c) > _INT64_MAX or bound > _INT64_MAX:
+                    a, bound = a.astype(object), None
+            elif not isinstance(c, (complex, np.complexfloating)):
+                a = a.astype(object)  # Python scalar arithmetic, so Fractions stay exact
+        return self._new(a * c, bound)
 
     def unit(self):
-        return DiagonalOperator((1,) * self.n, self.offset)
+        return self._new(np.ones(self.n, dtype=np.int64), 1)
 
     def zero(self):
-        return DiagonalOperator((0,) * self.n, self.offset)
+        return self._new(np.zeros(self.n, dtype=np.int64), 0)
 
     def distance(self, other) -> float:
-        self._check(other)
-        return float(max(abs(a - b) for a, b in zip(self.entries, other.entries)))
+        a, b, _ = self._operands(other, operator.add)
+        return float(np.max(np.abs(a - b)))
 
     def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
         return self.distance(other) <= tol
 
     def to_dense(self) -> "DenseMatrix":
-        return DenseMatrix(np.diag(np.array(self.entries, dtype=complex)))
+        return DenseMatrix(np.diag(self._values.astype(complex)))
 
     def __repr__(self):
         return f"DiagonalOperator(n={self.n}, offset={self.offset})"
@@ -339,15 +423,15 @@ def operator_norm(x) -> float:
     if isinstance(x, Scalar):
         return float(abs(complex(x.value)))
     if isinstance(x, DiagonalOperator):
-        return float(max(abs(a) for a in x.entries))
+        return float(np.max(np.abs(x._values)))
     if isinstance(x, DenseMatrix):
         return float(np.max(np.sum(np.abs(x.array), axis=1)))
     raise TypeError(f"operator_norm not defined for {type(x).__name__}")
 
 
-def _pair(v) -> list[float]:
-    c = complex(v)
-    return [c.real, c.imag]
+def _pairs(values: np.ndarray) -> list[list[float]]:
+    c = values.astype(np.complex128)
+    return np.stack((c.real, c.imag), axis=-1).tolist()
 
 
 def element_to_json(x) -> dict:
@@ -359,13 +443,13 @@ def element_to_json(x) -> dict:
             "kind": "diag",
             "n": x.n,
             "offset": x.offset,
-            "entries": [_pair(v) for v in x.entries],
+            "entries": _pairs(x._values),
         }
     if isinstance(x, DenseMatrix):
         return {
             "kind": "dense",
             "n": x.n,
-            "entries": [_pair(v) for v in x.array.reshape(-1)],
+            "entries": _pairs(x.array.reshape(-1)),
         }
     raise TypeError(f"no JSON form for {type(x).__name__}")
 

@@ -20,6 +20,8 @@ import numpy as np
 from .algebra import DEFAULT_TOL, DenseMatrix, DiagonalOperator
 from .arith import divisors, factorize, jordan_totient, mobius, nu, omega, ramanujan_sum
 from .convolution import scalar_dirichlet, scalar_lcm, scalar_table
+from .idempotents import IdempotentSystem
+from .ramanujan_ops import OperatorFamily
 
 __all__ = [
     "GrowthDiagnostic",
@@ -60,11 +62,8 @@ def c0_t0_diagonals(n: int, space: TruncatedSpace) -> tuple[DiagonalOperator, Di
     """(C_0(n), T_0(n)) on the space: entries c_n(m) and the coprimality
     indicator of gcd(n, m), exact integers.
     """
-    c0 = DiagonalOperator((ramanujan_sum(n, m) for m in space.indices), space.offset)
-    t0 = DiagonalOperator(
-        (1 if math.gcd(n, m) == 1 else 0 for m in space.indices), space.offset
-    )
-    return c0, t0
+    family = OperatorFamily(IdempotentSystem(space.dim, space.offset))
+    return family.c_operator(0, n), family.t_operator(n, 0, n)
 
 
 def det_c0(n: int, n_dim: int) -> tuple[int, int]:

@@ -63,6 +63,8 @@ def _table_function(name: str):
         k = int(arg)
     except ValueError:
         raise click.UsageError(f"bad parameter in {name!r}")
+    if head in ("jordan", "ramanujan", "lcm-count") and k < 1:
+        raise click.UsageError(f"parameter in {name!r} must be >= 1")
     if head == "jordan":
         return lambda n: arith.jordan_totient(k, n)
     if head == "ramanujan":
@@ -115,7 +117,7 @@ def cmd_table(function, range_, format_, out):
 
 @main.command("check")
 @click.argument("suite", type=click.Choice(SUITES))
-@click.option("--n-max", type=int, default=60, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--dim", type=int, default=None,
               help=f"Truncation dimension (default IDEMARITH_DIM or {DEFAULT_DIM}).")
 @click.option("--tolerance", type=float, default=1e-9, show_default=True)
@@ -126,8 +128,8 @@ def cmd_check(suite, n_max, dim, tolerance, out):
     Exits 0 iff every check passes; documented errata are reported in a
     separate section and never fail the run.
     """
-    if tolerance < 0:
-        raise click.UsageError("tolerance must be >= 0")
+    if not tolerance >= 0:  # also rejects nan
+        raise click.UsageError("tolerance must be a number >= 0")
     dim = dim if dim is not None else _default_dim()
     if dim < 1:
         raise click.UsageError("dim must be positive")
@@ -161,6 +163,13 @@ def cmd_export(spec, dim, offset, out):
         except ValueError:
             raise click.UsageError(f"non-integer index in {spec!r}")
 
+    def _level(n: int) -> int:
+        if n < 1:
+            raise click.UsageError(f"level {n} must be >= 1")
+        if dim < n:
+            raise click.UsageError(f"dim {dim} is smaller than level {n}")
+        return n
+
     if kind == "THETA":
         element = analytic.shift_operators(analytic.TruncatedSpace(dim, 1))["theta"]
     elif kind == "IU*":
@@ -169,28 +178,21 @@ def cmd_export(spec, dim, offset, out):
         element = ops["integration"] * ops["U_star"]
     elif kind == "P":
         j, n = _ints(2)
-        if dim < n:
-            raise click.UsageError(f"dim {dim} is smaller than level {n}")
-        element = IdempotentSystem(dim, offset).projection(j, n)
+        element = IdempotentSystem(dim, offset).projection(j, _level(n))
     elif kind in ("C", "S", "T"):
-        family_for = lambda n: OperatorFamily(IdempotentSystem(dim, offset))
+        family = OperatorFamily(IdempotentSystem(dim, offset))
         if kind == "S":
             (n,) = _ints(1)
-            if dim < n:
-                raise click.UsageError(f"dim {dim} is smaller than level {n}")
-            element = family_for(n).s_operator(n)
+            element = family.s_operator(_level(n))
         elif kind == "C":
             j, n = _ints(2)
-            if dim < n:
-                raise click.UsageError(f"dim {dim} is smaller than level {n}")
-            element = family_for(n).c_operator(j, n)
+            element = family.c_operator(j, _level(n))
         else:
             r, j, n = _ints(3)
-            if dim < n:
-                raise click.UsageError(f"dim {dim} is smaller than level {n}")
-            if n % r != 0:
-                raise click.UsageError(f"r={r} does not divide n={n}")
-            element = family_for(n).t_operator(r, j, n)
+            _level(n)
+            if r < 1 or n % r != 0:
+                raise click.UsageError(f"r={r} is not a positive divisor of n={n}")
+            element = family.t_operator(r, j, n)
     else:
         raise click.UsageError(f"unknown operator spec {spec!r}")
     _emit(json.dumps(element_to_json(element), sort_keys=True) + "\n", out)

@@ -50,18 +50,15 @@ class IdempotentSystem:
         self._indices = np.arange(offset, offset + dim)
 
     def unit(self) -> DiagonalOperator:
-        return DiagonalOperator((1,) * self.dim, self.offset)
+        return DiagonalOperator.periodic(np.ones_like, 1, 0, self.dim, self.offset)
 
     def projection(self, j: int, n: int) -> DiagonalOperator:
         """P_j(n); j is any integer, reduced mod n."""
         if n < 1:
             raise ValueError("level n must be positive")
         if self.mode == "congruence-exact":
-            r = j % n
-            return DiagonalOperator(
-                (1 if k % n == r else 0 for k in range(self.offset, self.offset + self.dim)),
-                self.offset,
-            )
+            # entry at e_m is 1 iff m - j = 0 (mod n)
+            return DiagonalOperator.periodic(lambda k: k == 0, n, j, self.dim, self.offset)
         # entry k: (1/n) sum_l eps_n^{-lj} eps_n^{lk}, float noise ~1e-16
         phases = np.exp(2j * np.pi * (np.arange(n)[:, None] * (self._indices - j)[None, :]) / n)
         return DiagonalOperator(np.mean(phases, axis=0), self.offset)

@@ -56,9 +56,9 @@ class OperatorFamily:
 
     def c_operator(self, j: int, n: int) -> DiagonalOperator:
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""
-        return DiagonalOperator(
-            (ramanujan_sum(n, m - j) for m in self.system._indices),
-            self.system.offset,
+        return DiagonalOperator.periodic(
+            lambda k: [ramanujan_sum(n, x) for x in k.tolist()],
+            n, j, self.dim, self.system.offset,
         )
 
     def c_operator_constructions(self, j: int, n: int) -> dict:
@@ -110,10 +110,8 @@ class OperatorFamily:
         if n % r != 0:
             raise ValueError(f"t_operator requires r | n, got r={r}, n={n}")
         target = n // r
-        return DiagonalOperator(
-            (1 if math.gcd((m - j) % n, n) == target else 0
-             for m in self.system._indices),
-            self.system.offset,
+        return DiagonalOperator.periodic(
+            lambda k: np.gcd(k, n) == target, n, j, self.dim, self.system.offset
         )
 
     def t_top_identities(self, j: int, n: int, tol: float = DEFAULT_TOL) -> dict:

@@ -156,3 +156,55 @@ def test_json_roundtrip():
     assert element_to_json(dense)["kind"] == "dense"
     with pytest.raises(ValueError):
         element_from_json({"kind": "sparse"})
+
+
+def test_product_past_int64_stays_exact():
+    product = DiagonalOperator((2**62, -3)) * DiagonalOperator((4, 5))
+    assert product.entries == (2**64, -15)
+
+
+def test_sum_crossing_int64_stays_exact():
+    a = DiagonalOperator((2**62 + 2**61, 1))
+    b = DiagonalOperator((2**62, 1))
+    assert (a + b).entries == (2**63 + 2**61, 2)
+    assert (-a - b).entries == (-(2**63 + 2**61), -2)
+    assert a.distance(-b) == float(2**63 + 2**61)
+
+
+def test_scale_past_int64_stays_exact():
+    assert DiagonalOperator((3, -1)).scale(2**70).entries == (3 * 2**70, -(2**70))
+    assert DiagonalOperator((0, 0)).scale(2**70).entries == (0, 0)
+
+
+def test_entries_beyond_int64_kept_exact():
+    for values in ((2**63, -(2**63), 2**100), (2**63, -1), (2**64 - 1, 5)):
+        diag = DiagonalOperator(values)
+        assert diag.entries == values
+        assert all(type(v) is int for v in diag.entries)
+        assert (diag * diag.unit()).entries == values
+
+
+def test_scale_by_fraction_yields_fractions():
+    for p in (2, 3, 7):
+        scaled = DiagonalOperator((1, p, 2 * p + 1)).scale(Fraction(1, p))
+        assert all(isinstance(v, (int, Fraction)) for v in scaled.entries)
+        assert scaled.entries == (Fraction(1, p), 1, Fraction(2 * p + 1, p))
+        assert isinstance(scaled.entries[0], Fraction)
+
+
+def test_entries_are_python_scalars():
+    assert all(type(v) is int for v in DiagonalOperator((1, 2, 3)).entries)
+    assert all(type(v) is complex for v in DiagonalOperator((1j, 2)).entries)
+
+
+def test_determinant_of_long_ramanujan_diagonal_is_exact():
+    from idemarith.analytic import TruncatedSpace, c0_t0_diagonals
+    from idemarith.arith import ramanujan_sum
+
+    c0, _ = c0_t0_diagonals(30, TruncatedSpace(3000, 1))
+    expected = 1
+    for m in range(1, 3001):
+        expected *= ramanujan_sum(30, m)
+    assert c0.n == 3000
+    assert determinant(c0) == expected
+    assert abs(expected) > 2**63  # 30 is squarefree, so no factor c_30(m) is 0

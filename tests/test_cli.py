@@ -58,6 +58,12 @@ class TestTable:
         result = runner.invoke(main, ["table", "mobius", "--range", "5..2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("function", ["ramanujan:0", "jordan:0"])
+    def test_parameter_below_one_is_usage_error(self, runner, function):
+        result = runner.invoke(main, ["table", function])
+        assert result.exit_code == 2
+        assert "must be >= 1" in result.output
+
 
 class TestCheck:
     def test_product_law_passes(self, runner):
@@ -97,6 +103,17 @@ class TestCheck:
             main, ["check", "ramanujan", "--tolerance", "-1"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_is_usage_error(self, runner, n_max):
+        result = runner.invoke(main, ["check", "axioms", "--n-max", n_max])
+        assert result.exit_code == 2
+        assert "--n-max" in result.output
+
+    def test_nan_tolerance_is_usage_error(self, runner):
+        result = runner.invoke(main, ["check", "all", "--tolerance", "nan"])
+        assert result.exit_code == 2
+        assert "tolerance" in result.output
 
     def test_report_to_file(self, runner, tmp_path):
         path = tmp_path / "report.json"
@@ -161,6 +178,18 @@ class TestExport:
     def test_dim_smaller_than_level_is_usage_error(self, runner):
         result = runner.invoke(main, ["export", "P:0:8", "--dim", "4"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("spec", ["P:0:0", "C:0:-2", "S:0", "T:1:0:0"])
+    def test_level_below_one_is_usage_error(self, runner, spec):
+        result = runner.invoke(main, ["export", spec, "--dim", "12"])
+        assert result.exit_code == 2
+        assert "must be >= 1" in result.output
+
+    @pytest.mark.parametrize("spec", ["T:0:0:6", "T:-2:0:6"])
+    def test_r_below_one_is_usage_error(self, runner, spec):
+        result = runner.invoke(main, ["export", spec, "--dim", "12"])
+        assert result.exit_code == 2
+        assert "positive divisor" in result.output
 
     def test_unknown_spec_is_usage_error(self, runner):
         result = runner.invoke(main, ["export", "Q:1:2", "--dim", "4"])

@@ -4,9 +4,10 @@ convolution identities."""
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from idemarith.algebra import DiagonalOperator, is_idempotent
-from idemarith.arith import lcm_tuple_count, omega, totient
+from idemarith.arith import divisors, lcm_tuple_count, omega, ramanujan_sum, totient
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import (
     IdempotentSystem,
@@ -16,6 +17,7 @@ from idemarith.idempotents import (
     verify_axioms,
     weighted_product_identities,
 )
+from idemarith.ramanujan_ops import OperatorFamily
 
 
 class TestProjection:
@@ -44,6 +46,38 @@ class TestProjection:
         for n in range(1, 25):
             for j in range(n):
                 assert exact.projection(j, n).distance(dft.projection(j, n)) < 1e-9
+
+
+class TestPeriodRowBuilders:
+    """P, C and T are built from one period of values; the per-entry
+    formulas over every basis exponent are the oracle."""
+
+    @staticmethod
+    def window(dim, offset):
+        return range(offset, offset + dim)
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 80), st.integers(1, 300),
+           st.integers(0, 1))
+    def test_projection(self, j, n, dim, offset):
+        built = IdempotentSystem(dim, offset).projection(j, n)
+        expected = tuple(1 if k % n == j % n else 0 for k in self.window(dim, offset))
+        assert built.entries == expected and built.offset == offset
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 80), st.integers(1, 300),
+           st.integers(0, 1))
+    def test_c_operator(self, j, n, dim, offset):
+        built = OperatorFamily(IdempotentSystem(dim, offset)).c_operator(j, n)
+        expected = tuple(ramanujan_sum(n, m - j) for m in self.window(dim, offset))
+        assert built.entries == expected and built.offset == offset
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 80), st.integers(1, 300),
+           st.integers(0, 1), st.data())
+    def test_t_operator(self, j, n, dim, offset, data):
+        r = data.draw(st.sampled_from(divisors(n)))
+        built = OperatorFamily(IdempotentSystem(dim, offset)).t_operator(r, j, n)
+        expected = tuple(1 if math.gcd((m - j) % n, n) == n // r else 0
+                         for m in self.window(dim, offset))
+        assert built.entries == expected and built.offset == offset
 
 
 class TestVerifyAxioms:
