@@ -188,11 +188,6 @@ class DiagonalOperator:
     def n(self) -> int:
         return self._values.size
 
-    @property
-    def basis_indices(self) -> range:
-        """Basis exponents m attached to the diagonal entries, in order."""
-        return range(self.offset, self.offset + self.n)
-
     def _check(self, other):
         if not isinstance(other, DiagonalOperator):
             raise ShapeMismatchError(

@@ -25,7 +25,11 @@ DEFAULT_DIM = 2520
 
 
 def _default_dim() -> int:
-    return int(os.environ.get("IDEMARITH_DIM", DEFAULT_DIM))
+    text = os.environ.get("IDEMARITH_DIM", str(DEFAULT_DIM))
+    try:
+        return int(text)
+    except ValueError:
+        raise click.UsageError(f"IDEMARITH_DIM must be an integer, got {text!r}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:

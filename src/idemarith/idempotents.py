@@ -9,26 +9,21 @@ P_j(n) = (1/n) sum_l eps_n^{-lj} S^l(n) and exists purely as an oracle.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+import operator
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, DiagonalOperator
-from .arith import crt_solve, divisors, euclid, lcm_tuple_count, omega
+from .algebra import DiagonalOperator
+from .arith import crt_solve, euclid, lcm_tuple_count, omega
 
 __all__ = [
     "IdempotentSystem",
-    "IdentityCheckError",
     "divisor_product_law",
     "product_law",
     "verify_axioms",
     "weighted_product_identities",
 ]
-
-
-class IdentityCheckError(AssertionError):
-    """A numerically evaluated identity disagreed with its prediction."""
 
 
 class IdempotentSystem:
@@ -64,54 +59,43 @@ class IdempotentSystem:
         return DiagonalOperator(np.mean(phases, axis=0), self.offset)
 
 
-def verify_axioms(system: IdempotentSystem, n_limit: int, r_max: int = 6,
-                  tol: float = DEFAULT_TOL) -> dict:
-    """Check orthogonality (I), periodicity (II), refinement (III), and the
-    completeness sum for all levels n <= n_limit; returns a JSON-ready
-    report enumerating violations.
+def verify_axioms(system: IdempotentSystem, n_limit: int,
+                  r_max: int = 6) -> tuple[float, tuple | None]:
+    """Residuals of orthogonality (I), periodicity (II), refinement (III),
+    and the completeness sum for all levels n <= n_limit.
+
+    Returns the worst residual, 0 on the exact provider, and the first
+    place it occurs as (axiom, n, j, r).
     """
-    checks = []
-
-    def record(axiom, n, j, r, ok):
-        checks.append({"axiom": axiom, "n": n, "j": j, "r": r, "pass": bool(ok)})
-
-    for n in range(1, n_limit + 1):
-        projs = [system.projection(j, n) for j in range(n)]
-        for i in range(n):
+    def instances():  # (computed, expected, where) for every axiom instance
+        for n in range(1, n_limit + 1):
+            projs = [system.projection(j, n) for j in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    expected = projs[i] if i == j else projs[i].zero()
+                    yield projs[i] * projs[j], expected, ("I", n, (i, j), None)
             for j in range(n):
-                expected = projs[i] if i == j else projs[i].zero()
-                record("I", n, (i, j), None, (projs[i] * projs[j]).isclose(expected, tol))
-        for j in range(n):
-            record("II", n, j, None, system.projection(j + n, n).isclose(projs[j], tol))
-        total = projs[0].zero()
-        for p in projs:
-            total = total + p
-        record("completeness", n, None, None, total.isclose(system.unit(), tol))
-        for r in range(1, r_max + 1):
-            for j in range(n):
-                acc = projs[0].zero()
-                for k in range(1, r + 1):
-                    acc = acc + system.projection(j + k * n, n * r)
-                record("III", n, j, r, acc.isclose(projs[j], tol))
-    failures = [c for c in checks if not c["pass"]]
-    return {
-        "dim": system.dim,
-        "offset": system.offset,
-        "mode": system.mode,
-        "n_limit": n_limit,
-        "r_max": r_max,
-        "checks": checks,
-        "failures": failures,
-        "summary": {"total": len(checks), "failed": len(failures)},
-        "pass": not failures,
-    }
+                yield system.projection(j + n, n), projs[j], ("II", n, j, None)
+            total = projs[0].zero()
+            for p in projs:
+                total = total + p
+            yield total, system.unit(), ("completeness", n, None, None)
+            for r in range(1, r_max + 1):
+                for j in range(n):
+                    acc = projs[0].zero()
+                    for k in range(1, r + 1):
+                        acc = acc + system.projection(j + k * n, n * r)
+                    yield acc, projs[j], ("III", n, j, r)
+
+    return max(((lhs.distance(rhs), where) for lhs, rhs, where in instances()),
+               key=operator.itemgetter(0), default=(0.0, None))
 
 
-def product_law(system: IdempotentSystem, k: int, n: int, l: int, m: int,
-                tol: float = DEFAULT_TOL) -> tuple[DiagonalOperator, dict]:
+def product_law(system: IdempotentSystem, k: int, n: int, l: int,
+                m: int) -> tuple[DiagonalOperator, dict]:
     """P_k(n) P_l(m): returns the multiplied diagonal together with the
-    symbolic verdict (zero, or P_j(lcm(n, m)) with j from the CRT), after
-    asserting the two agree within tol.
+    symbolic verdict (zero, or P_j(lcm(n, m)) with j from the CRT) and its
+    residual against the product, 0 when the law holds.
     """
     product = system.projection(k, n) * system.projection(l, m)
     j = crt_solve(k, n, l, m)
@@ -122,28 +106,21 @@ def product_law(system: IdempotentSystem, k: int, n: int, l: int, m: int,
     else:
         verdict = {"kind": "projection", "j": j, "level": lcm}
         predicted = system.projection(j, lcm)
-    residual = product.distance(predicted)
-    if residual > tol:
-        raise IdentityCheckError(
-            f"product law failed at (k={k}, n={n}, l={l}, m={m}): residual {residual}"
-        )
-    verdict["residual"] = residual
+    verdict["residual"] = product.distance(predicted)
     return product, verdict
 
 
-def divisor_product_law(system: IdempotentSystem, j: int, n: int, k: int, m: int,
-                        tol: float = DEFAULT_TOL) -> DiagonalOperator:
-    """P_j(n) P_k(m) for n | m: P_k(m) when k = j (mod n), else zero."""
+def divisor_product_law(system: IdempotentSystem, j: int, n: int, k: int,
+                        m: int) -> tuple[DiagonalOperator, float]:
+    """P_j(n) P_k(m) for n | m, and its residual against the prediction:
+    P_k(m) when k = j (mod n), else zero.  The residual is 0 when the law
+    holds.
+    """
     if m % n != 0:
         raise ValueError(f"divisor product law requires n | m, got n={n}, m={m}")
     product = system.projection(j, n) * system.projection(k, m)
     predicted = system.projection(k, m) if (k - j) % n == 0 else product.zero()
-    residual = product.distance(predicted)
-    if residual > tol:
-        raise IdentityCheckError(
-            f"divisor product law failed at (j={j}, n={n}, k={k}, m={m}): residual {residual}"
-        )
-    return product
+    return product, product.distance(predicted)
 
 
 def weighted_product_identities(
@@ -152,11 +129,12 @@ def weighted_product_identities(
     system: IdempotentSystem,
     j: int,
     n_max: int | None = None,
-    tol: float = DEFAULT_TOL,
-) -> dict:
-    """Verify (alpha P_j [] beta P_j)(n) = (alpha [] beta)(n) P_j(n) and the
-    unitary analogue for n <= n_max, plus the particular cases with
+) -> float:
+    """Residual of (alpha P_j [] beta P_j)(n) = (alpha [] beta)(n) P_j(n) and
+    the unitary analogue for n <= n_max, plus the particular cases with
     alpha = beta = 1: M_2(n) P_j(n) and 2^omega(n) P_j(n).
+
+    Returns the worst of the four residuals, 0 on exact tables.
     """
     from .convolution import AlgFunction, lcm_convolve, scalar_lcm, scalar_unitary, unitary_convolve
 
@@ -186,18 +164,4 @@ def weighted_product_identities(
         unitary_convolve(ones, ones)(n).distance(proj[n - 1].scale(2 ** omega(n)))
         for n in range(1, n_max + 1)
     )
-    residuals = {
-        "lcm_weighted": residual_box,
-        "unitary_weighted": residual_cup,
-        "lcm_tuple_count_particular": residual_m2,
-        "two_omega_particular": residual_omega,
-    }
-    return {
-        "identity": "weighted convolution identities for alpha,beta against P_j",
-        "j": j,
-        "n_max": n_max,
-        "dim": system.dim,
-        "residuals": residuals,
-        "max_residual": max(residuals.values()),
-        "pass": max(residuals.values()) <= tol,
-    }
+    return max(residual_box, residual_cup, residual_m2, residual_omega)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, DiagonalOperator
+from .algebra import DiagonalOperator
 from .arith import (
     EvenFunction,
     divisors,
@@ -62,8 +62,8 @@ class OperatorFamily:
         )
 
     def c_operator_constructions(self, j: int, n: int) -> dict:
-        """The three independent constructions of C_j(n) and their residuals
-        against the exact entrywise form:
+        """Residuals of the three independent constructions of C_j(n)
+        against the exact entrywise form, keyed by construction:
 
         root_of_unity  sum over gcd(k, n) = 1 of eps_n^{-jk} S^k(n) (float)
         moebius_sum    (mu * nu1 P_j)(n), exact
@@ -92,15 +92,9 @@ class OperatorFamily:
         prime_product = prime_product.scale(n)
 
         return {
-            "exact": exact,
-            "root_of_unity": root_of_unity,
-            "moebius_sum": moebius_sum,
-            "prime_product": prime_product,
-            "residuals": {
-                "root_of_unity": exact.distance(root_of_unity),
-                "moebius_sum": exact.distance(moebius_sum),
-                "prime_product": exact.distance(prime_product),
-            },
+            "root_of_unity": exact.distance(root_of_unity),
+            "moebius_sum": exact.distance(moebius_sum),
+            "prime_product": exact.distance(prime_product),
         }
 
     def t_operator(self, r: int, j: int, n: int) -> DiagonalOperator:
@@ -114,8 +108,10 @@ class OperatorFamily:
             lambda k: np.gcd(k, n) == target, n, j, self.dim, self.system.offset
         )
 
-    def t_top_identities(self, j: int, n: int, tol: float = DEFAULT_TOL) -> dict:
-        """T_{n,j}(n) = sum_{d|n} mu(d) P_j(d) = prod_{p|n} (e - P_j(p))."""
+    def t_top_identities(self, j: int, n: int) -> float:
+        """Residual of T_{n,j}(n) = sum_{d|n} mu(d) P_j(d) = prod_{p|n} (e - P_j(p));
+        0 when both forms agree exactly.
+        """
         top = self.t_operator(n, j, n)
         moebius_sum = top.zero()
         for d in divisors(n):
@@ -123,48 +119,28 @@ class OperatorFamily:
         prime_product = self.system.unit()
         for p, _ in factorize(n):
             prime_product = prime_product * (self.system.unit() - self.system.projection(j, p))
-        residuals = {
-            "moebius_sum": top.distance(moebius_sum),
-            "prime_product": top.distance(prime_product),
-        }
-        return {
-            "identity": "coprime selector via Moebius sum and prime product",
-            "j": j,
-            "n": n,
-            "dim": self.dim,
-            "residuals": residuals,
-            "max_residual": max(residuals.values()),
-            "pass": max(residuals.values()) <= tol,
-        }
+        return max(top.distance(moebius_sum), top.distance(prime_product))
 
-    def t_decomposition(self, j: int, n: int, tol: float = DEFAULT_TOL) -> dict:
-        """{T_{r,j}(n): r | n} is a family of tau(n) orthogonal idempotents
-        summing to the identity.
+    def t_decomposition(self, j: int, n: int) -> float:
+        """Residual of {T_{r,j}(n): r | n} being a family of tau(n)
+        orthogonal idempotents summing to the identity; a member count
+        other than tau(n) enters as their difference.
         """
         divs = divisors(n)
         ops = {r: self.t_operator(r, j, n) for r in divs}
         total = ops[divs[0]].zero()
         for r in divs:
             total = total + ops[r]
-        residual = total.distance(self.system.unit())
+        residual = max(total.distance(self.system.unit()), abs(len(divs) - tau(n)))
         for r in divs:
             for rp in divs:
                 expected = ops[r] if r == rp else ops[r].zero()
                 residual = max(residual, (ops[r] * ops[rp]).distance(expected))
-        return {
-            "identity": "divisor-indexed orthogonal idempotent partition",
-            "j": j,
-            "n": n,
-            "dim": self.dim,
-            "members": len(divs),
-            "expected_members": tau(n),
-            "max_residual": residual,
-            "pass": residual <= tol and len(divs) == tau(n),
-        }
+        return residual
 
-    def c_t_transforms(self, j: int, n: int, tol: float = DEFAULT_TOL) -> dict:
-        """Both transform directions between C_j and the T_{r,j} family:
-        C_j(n) = sum_{r|n} c_n(n/r) T_{r,j}(n) and
+    def c_t_transforms(self, j: int, n: int) -> float:
+        """Residual of both transform directions between C_j and the T_{r,j}
+        family: C_j(n) = sum_{r|n} c_n(n/r) T_{r,j}(n) and
         T_{n,j}(n) = (1/n) sum_{r|n} c_n(n/r) C_j(r).
         """
         divs = divisors(n)
@@ -175,39 +151,19 @@ class OperatorFamily:
         for r in divs:
             backward = backward + self.c_operator(j, r).scale(ramanujan_sum(n, n // r))
         backward = backward.scale(Fraction(1, n))
-        residuals = {
-            "c_from_t": self.c_operator(j, n).distance(forward),
-            "t_from_c": self.t_operator(n, j, n).distance(backward),
-        }
-        return {
-            "identity": "transforms between Ramanujan operator and divisor idempotents",
-            "j": j,
-            "n": n,
-            "dim": self.dim,
-            "residuals": residuals,
-            "max_residual": max(residuals.values()),
-            "pass": max(residuals.values()) <= tol,
-        }
+        return max(self.c_operator(j, n).distance(forward),
+                   self.t_operator(n, j, n).distance(backward))
 
-    def even_function_identity(self, alpha: EvenFunction, j: int, n: int,
-                               tol: float = DEFAULT_TOL) -> dict:
-        """sum_{r|n} alpha(n/r) C_j(r) = sum_{r|n} R(alpha)(r) T_{r,j}(n),
+    def even_function_identity(self, alpha: EvenFunction, j: int, n: int) -> float:
+        """Residual of sum_{r|n} alpha(n/r) C_j(r) = sum_{r|n} R(alpha)(r) T_{r,j}(n),
         with R in the un-normalized (double-sum) form.
         """
         if alpha.modulus != n:
             raise ValueError(f"alpha must be even mod n={n}, got modulus {alpha.modulus}")
-        coeffs = rf_transform(alpha, tol).unnormalized
+        coeffs = rf_transform(alpha).unnormalized
         lhs = self.c_operator(j, n).zero()
         rhs = lhs
         for r in divisors(n):
             lhs = lhs + self.c_operator(j, r).scale(alpha(n // r))
             rhs = rhs + self.t_operator(r, j, n).scale(coeffs[r])
-        residual = lhs.distance(rhs)
-        return {
-            "identity": "even-function expansion over Ramanujan operators",
-            "j": j,
-            "n": n,
-            "dim": self.dim,
-            "max_residual": residual,
-            "pass": residual <= tol,
-        }
+        return lhs.distance(rhs)

@@ -1,5 +1,10 @@
 """Identity suites: each runner re-verifies one family of results against
-independent oracles and returns a JSON-ready report.
+independent oracles and returns its report rows and errata.
+
+``_check`` alone decides whether a row passes: at least one case was
+evaluated, no case raised a check error, and the worst residual is a
+number <= tol.  A failed row names its worst case ("counterexample"), or
+carries an "error" and a null "max_residual".
 
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
@@ -8,20 +13,23 @@ data but never count as failures.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import operator
 
 import numpy as np
 
-from . import analytic, arith, convolution as conv
-from .algebra import DenseMatrix, operator_norm
+from . import analytic
+from .algebra import DenseMatrix, NonInvertibleError, Scalar, operator_norm
 from .arith import (
     EvenFunction,
+    ReconstructionError,
     divisors,
     epsilon,
     jordan_totient,
     lcm_tuple_count,
     mobius,
-    omega,
     ramanujan_orthogonality,
     ramanujan_sum,
     rf_transform,
@@ -29,6 +37,7 @@ from .arith import (
 )
 from .convolution import (
     AlgFunction,
+    InverseCheckError,
     dirichlet_convolve,
     dirichlet_identity,
     dirichlet_inverse,
@@ -41,356 +50,372 @@ from .convolution import (
     scalar_unitary,
     unitary_convolve,
 )
-from .idempotents import IdempotentSystem, product_law, verify_axioms, weighted_product_identities
+from .idempotents import (IdempotentSystem, divisor_product_law, product_law, verify_axioms,
+                          weighted_product_identities)
 from .ramanujan_ops import OperatorFamily, default_dim_for
-
-SUITES = ("axioms", "product-law", "ramanujan", "transforms", "even-identity", "analytic", "all")
 
 __all__ = ["SUITES", "run_suite"]
 
+_CHECK_ERRORS = (InverseCheckError, NonInvertibleError, ReconstructionError)
 
-def _check(checks: list, identity: str, params: dict, residual, tol: float,
-           extra_ok: bool = True):
-    checks.append(
-        {
-            "identity": identity,
-            "params": params,
-            "max_residual": float(residual),
-            "pass": bool(float(residual) <= tol and extra_ok),
-        }
-    )
+
+def _check(identity: str, params: dict, cases, residual, tol: float) -> dict:
+    """One report row: the worst of residual(*case) over cases, against tol.
+
+    residual returns a number, or (number, location) when it can place its
+    worst value more finely than the case; the location then joins the
+    counterexample under "at".
+    """
+    worst = where = None
+    try:
+        for case in cases:
+            value, at = residual(*case), None
+            if isinstance(value, tuple):
+                value, at = value
+            value = float(value)
+            if worst is None or value > worst or math.isnan(value):
+                worst, where = value, (case, at)
+    except _CHECK_ERRORS as exc:
+        return {"identity": identity, "params": params, "max_residual": None,
+                "pass": False, "error": str(exc)}
+    row = {"identity": identity, "params": params, "max_residual": worst,
+           "pass": worst is not None and worst <= tol}
+    if worst is None:
+        row["error"] = "no case evaluated"
+    elif not row["pass"]:
+        case, at = where
+        row["counterexample"] = dict(zip(inspect.signature(residual).parameters, case))
+        if at is not None:
+            row["counterexample"]["at"] = at
+    return row
+
+
+def _multiplicativity(f: AlgFunction, tol: float):
+    """is_multiplicative as a residual: the distance of f(nm) from f(n) f(m)
+    at its counterexample (n, m), or 0 when it finds none.
+    """
+    ok, where = is_multiplicative(f, tol)
+    if ok:
+        return 0.0
+    n, m = where
+    return f(n * m).distance(f(n) * f(m)), {"n": n, "m": m}
+
+
+def _table_distance(a, b):
+    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def _random_even(rng: np.random.Generator, d: int) -> EvenFunction:
     return EvenFunction(d, {r: int(rng.integers(-9, 10)) for r in divisors(d)})
 
 
-def _suite_axioms(checks, errata, n_max, dim, tol, seed):
+def _suite_axioms(n_max, dim, tol, seed):
     system = IdempotentSystem(dim)
     n_limit = min(n_max, 12)
-    report = verify_axioms(system, n_limit)
-    _check(checks, "idempotent system axioms I/II/III + completeness",
-           {"dim": dim, "n_limit": n_limit}, 0.0 if report["pass"] else 1.0, tol)
     exact_small = IdempotentSystem(min(dim, 64))
     dft = IdempotentSystem(min(dim, 64), mode="dft-float")
-    worst = 0.0
-    for n in range(1, min(n_max, 24) + 1):
-        for j in range(n):
-            worst = max(worst, exact_small.projection(j, n).distance(dft.projection(j, n)))
-    _check(checks, "congruence-exact vs dft-float provider",
-           {"dim": min(dim, 64), "n_limit": min(n_max, 24)}, worst, tol)
-    proj_mult_max = min(n_max, min(dim, 64) // 2)
+    rows = [
+        _check("idempotent system axioms I/II/III + completeness",
+               {"dim": dim, "n_limit": n_limit}, [()],
+               lambda: verify_axioms(system, n_limit), tol),
+        _check("congruence-exact vs dft-float provider",
+               {"dim": exact_small.dim, "n_limit": min(n_max, 24)},
+               [(j, n) for n in range(1, min(n_max, 24) + 1) for j in range(n)],
+               lambda j, n: exact_small.projection(j, n).distance(dft.projection(j, n)),
+               tol),
+    ]
+    proj_mult_max = max(min(n_max, exact_small.dim // 2), 2)
     for j in (0, 1, 5):
-        fam = AlgFunction([exact_small.projection(j, n) for n in range(1, max(proj_mult_max, 2) + 1)])
-        ok, ce = is_multiplicative(fam, tol)
-        _check(checks, "projection family multiplicativity",
-               {"j": j, "n_max": fam.n_max, "dim": exact_small.dim},
-               0.0 if ok else 1.0, tol)
+        fam = AlgFunction([exact_small.projection(j, n) for n in range(1, proj_mult_max + 1)])
+        rows.append(_check("projection family multiplicativity",
+                           {"j": j, "n_max": fam.n_max, "dim": exact_small.dim}, [()],
+                           lambda: _multiplicativity(fam, tol), tol))
+    return rows, []
 
 
-def _suite_product_law(checks, errata, n_max, dim, tol, seed):
+def _suite_product_law(n_max, dim, tol, seed):
     n_cap = min(n_max, 12)
-    cases = 0
-    worst = 0.0
-    for n in range(1, n_cap + 1):
-        for m in range(1, n_cap + 1):
-            lcm = n * m // math.gcd(n, m)
-            pair_dim = dim if dim % lcm == 0 else 3 * lcm
-            system = IdempotentSystem(pair_dim)
-            for k in range(n):
-                for l in range(m):
-                    _, verdict = product_law(system, k, n, l, m, tol)
-                    worst = max(worst, verdict["residual"])
-                    cases += 1
-    _check(checks, "projection product law with CRT index",
-           {"n_max": n_cap, "cases": cases}, worst, tol)
+    systems = functools.cache(IdempotentSystem)
+
+    def crt_law(k, n, l, m):
+        lcm = n * m // math.gcd(n, m)
+        system = systems(dim if dim % lcm == 0 else 3 * lcm)
+        return product_law(system, k, n, l, m)[1]["residual"]
+
+    cases = [(k, n, l, m) for n in range(1, n_cap + 1) for m in range(1, n_cap + 1)
+             for k in range(n) for l in range(m)]
     system = IdempotentSystem(dim if dim % 12 == 0 else 24)
-    worst = 0.0
-    for n in (1, 2, 3, 4, 6):
-        for m in (n * 2, n * 3):
-            for j in range(n):
-                for k in range(m):
-                    product = system.projection(j, n) * system.projection(k, m)
-                    predicted = (
-                        system.projection(k, m)
-                        if (k - j) % n == 0
-                        else product.zero()
-                    )
-                    worst = max(worst, product.distance(predicted))
-    _check(checks, "divisor-level product law", {"dim": system.dim}, worst, tol)
+    return [
+        _check("projection product law with CRT index",
+               {"n_max": n_cap, "cases": len(cases)}, cases, crt_law, tol),
+        _check("divisor-level product law", {"dim": system.dim},
+               [(j, n, k, m) for n in (1, 2, 3, 4, 6) for m in (n * 2, n * 3)
+                for j in range(n) for k in range(m)],
+               lambda j, n, k, m: divisor_product_law(system, j, n, k, m)[1], tol),
+    ], []
 
 
-def _suite_ramanujan(checks, errata, n_max, dim, tol, seed):
+def _scalar_ramanujan(n):
+    k_cop = np.array([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+    j_arr = np.arange(n)
+    sums = np.exp(2j * np.pi * np.outer(j_arr, k_cop) / n).sum(axis=1)
+    exact = np.array([ramanujan_sum(n, j) for j in range(n)], dtype=complex)
+    return max(float(np.max(np.abs(sums - exact))),
+               abs(ramanujan_sum(n, 1) - mobius(n)), abs(ramanujan_sum(n, n) - totient(n)))
+
+
+def _operator_identities(n, j):
+    family = OperatorFamily(IdempotentSystem(default_dim_for(n)))
+    return max(*family.c_operator_constructions(j, n).values(),
+               family.t_top_identities(j, n), family.t_decomposition(j, n),
+               family.c_t_transforms(j, n))
+
+
+def _suite_ramanujan(n_max, dim, tol, seed):
     n_cap = min(n_max, 30)
-    worst_scalar = 0.0
-    for n in range(1, min(n_max, 200) + 1):
-        k_cop = np.array([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
-        j_arr = np.arange(n)
-        sums = np.exp(2j * np.pi * np.outer(j_arr, k_cop) / n).sum(axis=1)
-        exact = np.array([ramanujan_sum(n, j) for j in range(n)], dtype=complex)
-        worst_scalar = max(worst_scalar, float(np.max(np.abs(sums - exact))))
-        if ramanujan_sum(n, 1) != mobius(n) or ramanujan_sum(n, n) != totient(n):
-            worst_scalar = max(worst_scalar, 1.0)
-    _check(checks, "scalar Ramanujan sums vs root-of-unity oracle",
-           {"n_max": min(n_max, 200)}, worst_scalar, tol)
-
-    worst_ops = 0.0
-    for n in range(1, n_cap + 1):
-        family = OperatorFamily(IdempotentSystem(default_dim_for(n)))
-        for j in (0, 1, 2):
-            res = family.c_operator_constructions(j, n)["residuals"]
-            worst_ops = max(worst_ops, max(res.values()))
-            for rep in (family.t_top_identities(j, n, tol),
-                        family.t_decomposition(j, n, tol),
-                        family.c_t_transforms(j, n, tol)):
-                worst_ops = max(worst_ops, rep["max_residual"])
-                if not rep["pass"]:
-                    worst_ops = max(worst_ops, 1.0)
-    _check(checks, "operator Ramanujan identities (three constructions, "
-                   "partitions, transforms)",
-           {"n_max": n_cap, "j": [0, 1, 2]}, worst_ops, tol)
-
-    mult_dim = dim
-    family = OperatorFamily(IdempotentSystem(mult_dim))
-    mult_max = min(n_max, 30)
-    ok_all = True
-    for j in (0, 1, 5):
-        c_fam = AlgFunction([family.c_operator(j, n) for n in range(1, mult_max + 1)])
-        t_fam = AlgFunction([family.t_operator(n, j, n) for n in range(1, mult_max + 1)])
-        for fam_ in (c_fam, t_fam):
-            ok, _ = is_multiplicative(fam_, tol)
-            ok_all = ok_all and ok
-    _check(checks, "multiplicativity of operator families",
-           {"n_max": mult_max, "dim": mult_dim, "j": [0, 1, 5]},
-           0.0 if ok_all else 1.0, tol)
+    family = OperatorFamily(IdempotentSystem(dim))
+    builders = {"C": lambda j, n: family.c_operator(j, n),
+                "T": lambda j, n: family.t_operator(n, j, n)}
+    return [
+        _check("scalar Ramanujan sums vs root-of-unity oracle",
+               {"n_max": min(n_max, 200)}, [(n,) for n in range(1, min(n_max, 200) + 1)],
+               _scalar_ramanujan, tol),
+        _check("operator Ramanujan identities (three constructions, "
+               "partitions, transforms)",
+               {"n_max": n_cap, "j": [0, 1, 2]},
+               [(n, j) for n in range(1, n_cap + 1) for j in (0, 1, 2)],
+               _operator_identities, tol),
+        _check("multiplicativity of operator families",
+               {"n_max": n_cap, "dim": dim, "j": [0, 1, 5]},
+               [(j, kind) for j in (0, 1, 5) for kind in builders],
+               lambda j, kind: _multiplicativity(
+                   AlgFunction([builders[kind](j, n) for n in range(1, n_cap + 1)]), tol),
+               tol),
+    ], []
 
 
-def _suite_transforms(checks, errata, n_max, dim, tol, seed):
+def _suite_transforms(n_max, dim, tol, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    factor_ok = True
     moduli = [d for d in (1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 40, 48) if d <= max(n_max, 48)]
-    for _ in range(20):
-        d = int(rng.choice(moduli))
-        alpha = _random_even(rng, d)
-        coeffs = rf_transform(alpha, tol)  # raises on reconstruction failure
-        for r in divisors(d):
-            if abs(coeffs.unnormalized[r] - d * coeffs.orthogonal[r]) > tol:
-                factor_ok = False
-    _check(checks, "even-function Fourier coefficients: reconstruction and "
-                   "factor-of-d between normalizations",
-           {"samples": 20, "max_modulus": max(moduli)}, 0.0 if factor_ok else 1.0, tol)
-    errata.append({
+    alphas = [_random_even(rng, int(rng.choice(moduli))) for _ in range(20)]
+
+    def reconstructs(sample):
+        rf_transform(alphas[sample], tol)  # raises ReconstructionError past tol
+        return 0
+
+    rows = [
+        _check("even-function Fourier coefficients: reconstruction and "
+               "factor-of-d between normalizations",
+               {"samples": len(alphas), "max_modulus": max(moduli)},
+               [(sample,) for sample in range(len(alphas))], reconstructs, tol),
+        _check("Ramanujan sum orthogonality", {"n_max": min(n_max, 100)},
+               [(n, l) for n in range(1, min(n_max, 100) + 1) for l in range(1, n + 1)],
+               lambda n, l: abs(ramanujan_orthogonality(n, l) - (n if math.gcd(l, n) == 1 else 0)),
+               tol),
+        _check("operator/idempotent transform pair",
+               {"n_max": min(n_max, 30), "j": [0, 1, 2]},
+               [(n, j) for n in range(1, min(n_max, 30) + 1) for j in (0, 1, 2)],
+               lambda n, j: OperatorFamily(IdempotentSystem(default_dim_for(n))).c_t_transforms(j, n),
+               tol),
+    ]
+    errata = [{
         "id": "rf-normalization",
         "claim": "the displayed coefficient formula is paired with the expansion as-is",
         "observed": "the double-sum coefficients are d times the reconstructing ones; "
                     "both normalizations are exposed",
-    })
-
-    ortho_worst = 0
-    for n in range(1, min(n_max, 100) + 1):
-        for l in range(1, n + 1):
-            expected = n if math.gcd(l, n) == 1 else 0
-            ortho_worst = max(ortho_worst, abs(ramanujan_orthogonality(n, l) - expected))
-    _check(checks, "Ramanujan sum orthogonality", {"n_max": min(n_max, 100)},
-           ortho_worst, tol)
-
-    worst = 0.0
-    for n in range(1, min(n_max, 30) + 1):
-        family = OperatorFamily(IdempotentSystem(default_dim_for(n)))
-        for j in (0, 1, 2):
-            rep = family.c_t_transforms(j, n, tol)
-            worst = max(worst, rep["max_residual"])
-    _check(checks, "operator/idempotent transform pair",
-           {"n_max": min(n_max, 30), "j": [0, 1, 2]}, worst, tol)
+    }]
+    return rows, errata
 
 
-def _suite_even_identity(checks, errata, n_max, dim, tol, seed):
+def _suite_even_identity(n_max, dim, tol, seed):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    samples = 0
-    for n in (4, 6, 12, 24):
-        family = OperatorFamily(IdempotentSystem(2 * n))
-        for _ in range(5):
-            alpha = _random_even(rng, n)
-            for j in (0, 1, 2):
-                rep = family.even_function_identity(alpha, j, n, tol)
-                worst = max(worst, rep["max_residual"])
-            samples += 1
-    _check(checks, "even-function expansion over Ramanujan operators",
-           {"moduli": [4, 6, 12, 24], "samples": samples, "j": [0, 1, 2]},
-           worst, tol)
+    moduli = [4, 6, 12, 24]
+    alphas = {(n, sample): _random_even(rng, n) for n in moduli for sample in range(5)}
+    return [
+        _check("even-function expansion over Ramanujan operators",
+               {"moduli": moduli, "samples": len(alphas), "j": [0, 1, 2]},
+               [(n, sample, j) for n, sample in alphas for j in (0, 1, 2)],
+               lambda n, sample, j: OperatorFamily(IdempotentSystem(2 * n))
+               .even_function_identity(alphas[n, sample], j, n),
+               tol),
+    ], []
 
 
-def _suite_convolution(checks, errata, n_max, dim, tol, seed):
+def _suite_convolution(n_max, dim, tol, seed):
     rng = np.random.default_rng(seed)
     n_assoc = min(n_max, 60)
-    worst = 0
-    for _ in range(3):
-        a = [int(v) for v in rng.integers(-5, 6, n_assoc)]
-        b = [int(v) for v in rng.integers(-5, 6, n_assoc)]
-        c = [int(v) for v in rng.integers(-5, 6, n_assoc)]
-        for prod in (scalar_dirichlet, scalar_lcm, scalar_unitary):
-            lhs = prod(prod(a, b), c)
-            rhs = prod(a, prod(b, c))
-            worst = max(worst, max(abs(x - y) for x, y in zip(lhs, rhs)))
-            worst = max(worst, max(abs(x - y) for x, y in zip(prod(a, b), prod(b, a))))
-    _check(checks, "associativity and commutativity of the three products",
-           {"n_max": n_assoc}, worst, tol)
+    triples = [[[int(v) for v in rng.integers(-5, 6, n_assoc)] for _ in range(3)]
+               for _ in range(3)]
+    scalar_products = {"dirichlet": scalar_dirichlet, "lcm": scalar_lcm,
+                       "unitary": scalar_unitary}
 
-    from .algebra import Scalar
+    def algebra_laws(sample, product):
+        prod = scalar_products[product]
+        a, b, c = triples[sample]
+        return max(_table_distance(prod(prod(a, b), c), prod(a, prod(b, c))),
+                   _table_distance(prod(a, b), prod(b, a)))
 
     unit = Scalar(1)
     ident = dirichlet_identity(unit, n_assoc)
     f = AlgFunction.lift(totient, unit, n_assoc)
-    worst = 0.0
-    for prod in (dirichlet_convolve, lcm_convolve, unitary_convolve):
-        g = prod(f, ident)
-        h = prod(ident, f)
-        worst = max(worst, max(g(n).distance(f(n)) for n in range(1, n_assoc + 1)))
-        worst = max(worst, max(h(n).distance(f(n)) for n in range(1, n_assoc + 1)))
-    inv = dirichlet_inverse(f, tol)  # raises if the round trip fails
-    rt = dirichlet_convolve(f, inv)
-    worst = max(worst, max(rt(n).distance(ident(n)) for n in range(1, n_assoc + 1)))
-    _check(checks, "identity laws and Dirichlet inverse round trip",
-           {"n_max": n_assoc}, worst, tol)
+    products = {"dirichlet": dirichlet_convolve, "lcm": lcm_convolve,
+                "unitary": unitary_convolve}
+
+    def identity_laws(product):
+        if product == "dirichlet inverse":
+            inv = dirichlet_inverse(f, tol)  # raises InverseCheckError past tol
+            pairs = [(dirichlet_convolve(f, inv), ident)]
+        else:
+            prod = products[product]
+            pairs = [(prod(f, ident), f), (prod(ident, f), f)]
+        return max(g(n).distance(h(n)) for g, h in pairs for n in range(1, n_assoc + 1))
 
     lehmer_n = min(n_max if n_max > 60 else 200, 200)
-    worst = 0
-    for _ in range(10):
-        a = [int(v) for v in rng.integers(-5, 6, lehmer_n)]
-        b = [int(v) for v in rng.integers(-5, 6, lehmer_n)]
-        rep = lehmer_identity_check(a, b, tol=tol)
-        if not rep["pass"]:
-            worst = max(worst, 1.0)
-    _check(checks, "product identity linking the lcm and Dirichlet sums",
-           {"n_max": lehmer_n, "pairs": 10}, worst, tol)
-    errata.append({
-        "id": "lehmer-display",
-        "claim": "the displayed left side repeats the same factor twice",
-        "observed": "read as (nu0*alpha)(nu0*beta); verified in that form",
-    })
-    errata.append({
-        "id": "lcm-tuple-count-display",
-        "claim": "the displayed tuple-count product uses (a_s+1)^s in every factor",
-        "observed": "the brute-force count matches prod_k ((a_k+1)^s - a_k^s)",
-        "data": {"n": 12, "s": 2, "value": lcm_tuple_count(2, 12)},
-    })
+    lehmer_pairs = [tuple([int(v) for v in rng.integers(-5, 6, lehmer_n)] for _ in range(2))
+                    for _ in range(10)]
+
+    def lehmer(pair):
+        report = lehmer_identity_check(*lehmer_pairs[pair], tol=tol)
+        return max((abs(e["lhs"] - e["rhs"]) for e in report["scalar_failures"]), default=0)
 
     system = IdempotentSystem(min(dim, 72))
-    wrep = weighted_product_identities(
-        scalar_table(lambda n: 1, 30), scalar_table(totient, 30), system, 1, 30, tol
-    )
-    _check(checks, wrep["identity"], {"j": 1, "n_max": 30, "dim": system.dim},
-           wrep["max_residual"], tol)
-
+    rows = [
+        _check("associativity and commutativity of the three products",
+               {"n_max": n_assoc},
+               [(sample, product) for sample in range(3) for product in scalar_products],
+               algebra_laws, tol),
+        _check("identity laws and Dirichlet inverse round trip", {"n_max": n_assoc},
+               [(product,) for product in (*products, "dirichlet inverse")],
+               identity_laws, tol),
+        _check("product identity linking the lcm and Dirichlet sums",
+               {"n_max": lehmer_n, "pairs": len(lehmer_pairs)},
+               [(pair,) for pair in range(len(lehmer_pairs))], lehmer, tol),
+        _check("weighted convolution identities for alpha,beta against P_j",
+               {"j": 1, "n_max": 30, "dim": system.dim}, [()],
+               lambda: weighted_product_identities(
+                   scalar_table(lambda n: 1, 30), scalar_table(totient, 30), system, 1, 30),
+               tol),
+    ]
     # the norm-multiplicativity claim fails for the max-row-sum norm
     f2 = DenseMatrix([[1, 1], [0, 1]])
     f3 = DenseMatrix([[1, 0], [1, 1]])
-    errata.append({
-        "id": "norm-multiplicativity",
-        "claim": "n -> ||f(n)|| is multiplicative for any norm",
-        "observed": "submultiplicative only; counterexample with the max-row-sum norm",
-        "data": {
-            "norm_f2": operator_norm(f2),
-            "norm_f3": operator_norm(f3),
-            "norm_f6": operator_norm(f2 * f3),
+    errata = [
+        {
+            "id": "lehmer-display",
+            "claim": "the displayed left side repeats the same factor twice",
+            "observed": "read as (nu0*alpha)(nu0*beta); verified in that form",
         },
-    })
+        {
+            "id": "lcm-tuple-count-display",
+            "claim": "the displayed tuple-count product uses (a_s+1)^s in every factor",
+            "observed": "the brute-force count matches prod_k ((a_k+1)^s - a_k^s)",
+            "data": {"n": 12, "s": 2, "value": lcm_tuple_count(2, 12)},
+        },
+        {
+            "id": "norm-multiplicativity",
+            "claim": "n -> ||f(n)|| is multiplicative for any norm",
+            "observed": "submultiplicative only; counterexample with the max-row-sum norm",
+            "data": {
+                "norm_f2": operator_norm(f2),
+                "norm_f3": operator_norm(f3),
+                "norm_f6": operator_norm(f2 * f3),
+            },
+        },
+    ]
+    return rows, errata
 
 
-def _suite_analytic(checks, errata, n_max, dim, tol, seed):
-    worst = 0
-    for n in range(2, min(n_max, 30) + 1):
-        for big_n in range(1, 65):
-            direct, closed = analytic.det_c0(n, big_n)
-            worst = max(worst, abs(direct - closed))
-    _check(checks, "determinant of the Ramanujan diagonal: direct vs closed form",
-           {"n_max": min(n_max, 30), "dim_max": 64}, worst, tol)
-    errata.append({
-        "id": "determinant-sign",
-        "claim": "the determinant equals the bare product of (1-p)^floor(N/p)",
-        "observed": "a sign prefactor (-1)^(N*omega(n)) is required; the bare "
-                    "product flips sign when N and omega(n) are both odd",
-        "data": {
-            "n": 2, "dim": 3,
-            "direct": analytic.det_c0(2, 3)[0],
-            "unsigned_form": analytic.det_c0_unsigned_form(2, 3),
-        },
-    })
+def _trace_residual(n, dim):
+    rep = analytic.trace_identities(n, dim)
+    return max(abs(rep["trace_c0"] - rep["trace_c0_closed"]),
+               abs(rep["trace_t0"] - rep["trace_t0_closed"]))
 
-    worst = 0
-    sample = None
-    for n in range(2, min(n_max, 60) + 1):
-        for big_n in range(1, 201, 7):
-            rep = analytic.trace_identities(n, big_n)
-            if not rep["pass"]:
-                worst = max(worst, 1)
-            if (n, big_n) == (6, 10) or sample is None:
-                sample = rep
-    _check(checks, "trace identities for both diagonals",
-           {"n_max": min(n_max, 60), "dim_max": 200}, worst, tol)
-    chain = analytic.trace_identities(6, 10)["erratum"]
-    errata.append({
-        "id": "trace-floor-chain",
-        "claim": "coprime floor sum = N*omega(n) - sum floor(N/p) = sum mu(r) floor(N/r)",
-        "observed": "the three expressions disagree at (n, N) = (6, 10)",
-        "data": {
-            "coprime_floor_sum": chain["coprime_floor_sum"],
-            "omega_expression": chain["omega_expression"],
-            "mu_floor_sum": analytic.trace_identities(6, 10)["trace_t0_closed"],
-        },
-    })
-    c7 = analytic.trace_identities(6, 7)
-    errata.append({
-        "id": "trace-prime-power-sum",
-        "claim": "sum over prime powers equals the Ramanujan diagonal trace",
-        "observed": "disagrees off multiples of n, e.g. (n, N) = (6, 7)",
-        "data": {
-            "prime_power_sum": c7["erratum"]["prime_power_sum_for_trace_c0"],
-            "trace": c7["trace_c0"],
-        },
-    })
 
+def _suite_analytic(n_max, dim, tol, seed):
     euler_n = 512
-    phi_transform = scalar_dirichlet([1] * euler_n, scalar_table(totient, euler_n))
-    worst = max(abs(phi_transform[m - 1] - m) for m in range(1, euler_n + 1))
-    for r in (2, 3):
-        jr = scalar_dirichlet([1] * euler_n,
-                              scalar_table(lambda n, r=r: jordan_totient(r, n), euler_n))
-        worst = max(worst, max(abs(jr[m - 1] - m**r) for m in range(1, euler_n + 1)))
-    mu_transform = scalar_dirichlet([1] * euler_n, scalar_table(mobius, euler_n))
-    worst = max(worst, max(abs(mu_transform[m - 1] - epsilon(m)) for m in range(1, euler_n + 1)))
-    _check(checks, "Euler-operator representation of totient and Jordan powers",
-           {"m_max": euler_n, "r_max": 3}, worst, tol)
+    euler = {  # alpha: the diagonal nu0 * alpha should equal
+        "totient": (totient, lambda m: m),
+        "jordan:2": (lambda n: jordan_totient(2, n), lambda m: m**2),
+        "jordan:3": (lambda n: jordan_totient(3, n), lambda m: m**3),
+        "mobius": (mobius, epsilon),
+    }
 
-    space = analytic.TruncatedSpace(128, 1)
-    iu = analytic.iu_star_representation(space, 128)
-    _check(checks, iu["identity"], {"n_max": 128},
-           0.0 if iu["pass"] else 1.0, tol)
-    errata.append({
-        "id": "iu-star-candidate",
-        "claim": "the diagonal map of mu * nu_1 equals integration-compose-backward-shift",
-        "observed": "mu * nu_1 gives the Euler diagonal m; mu * nu_{-1} gives 1/m, "
-                    "matching away from the m = 1 truncation edge",
-        "data": iu["matches"],
-    })
+    def euler_representation(alpha):
+        fn, expected = euler[alpha]
+        return _table_distance(scalar_dirichlet([1] * euler_n, scalar_table(fn, euler_n)),
+                               scalar_table(expected, euler_n))
 
+    iu = analytic.iu_star_representation(analytic.TruncatedSpace(128, 1), 128)
     prep = analytic.p_operator_identities(analytic.TruncatedSpace(64, 1), 64,
-                                          pairs=20, seed=seed, tol=tol)
-    _check(checks, prep["identity"], {"n_max": 64, "pairs": 20},
-           max(prep["algebra_map_max_residual"], prep["euler_power_max_residual"]), tol)
-
-    ok = True
-    for table, expected in (
-        (scalar_table(totient, 64), "plausibly-continuous"),
-        (scalar_table(epsilon, 64), "plausibly-continuous"),
-        (scalar_table(lambda n: 2**n, 64), "not-continuous"),
-    ):
-        diag = analytic.growth_indicator(table, 64)
-        ok = ok and diag.classification == expected
-    _check(checks, "finite-prefix growth diagnostic classification",
-           {"prefix": 64}, 0.0 if ok else 1.0, tol)
+                                          pairs=20, seed=seed)
+    growth = {"totient": totient, "epsilon": epsilon, "2**n": lambda n: 2**n}
+    rows = [
+        _check("determinant of the Ramanujan diagonal: direct vs closed form",
+               {"n_max": min(n_max, 30), "dim_max": 64},
+               [(n, d) for n in range(2, min(n_max, 30) + 1) for d in range(1, 65)],
+               lambda n, dim: abs(operator.sub(*analytic.det_c0(n, dim))), tol),
+        _check("trace identities for both diagonals",
+               {"n_max": min(n_max, 60), "dim_max": 200},
+               [(n, d) for n in range(2, min(n_max, 60) + 1) for d in range(1, 201, 7)],
+               _trace_residual, tol),
+        _check("Euler-operator representation of totient and Jordan powers",
+               {"m_max": euler_n, "r_max": 3}, [(alpha,) for alpha in euler],
+               euler_representation, tol),
+        _check(iu["identity"], {"n_max": 128},
+               [("mu*nu_minus1", True), ("mu*nu_1", False)],
+               lambda candidate, matches: float(iu["matches"][candidate] != matches), tol),
+        _check(prep["identity"], {"n_max": 64, "pairs": 20}, [()],
+               lambda: max(prep["algebra_map_max_residual"], prep["euler_power_max_residual"]),
+               tol),
+        _check("finite-prefix growth diagnostic classification", {"prefix": 64},
+               [("totient", "plausibly-continuous"), ("epsilon", "plausibly-continuous"),
+                ("2**n", "not-continuous")],
+               lambda alpha, expected: float(analytic.growth_indicator(
+                   scalar_table(growth[alpha], 64), 64).classification != expected),
+               tol),
+    ]
+    chain = analytic.trace_identities(6, 10)["erratum"]
+    c7 = analytic.trace_identities(6, 7)
+    errata = [
+        {
+            "id": "determinant-sign",
+            "claim": "the determinant equals the bare product of (1-p)^floor(N/p)",
+            "observed": "a sign prefactor (-1)^(N*omega(n)) is required; the bare "
+                        "product flips sign when N and omega(n) are both odd",
+            "data": {
+                "n": 2, "dim": 3,
+                "direct": analytic.det_c0(2, 3)[0],
+                "unsigned_form": analytic.det_c0_unsigned_form(2, 3),
+            },
+        },
+        {
+            "id": "trace-floor-chain",
+            "claim": "coprime floor sum = N*omega(n) - sum floor(N/p) = sum mu(r) floor(N/r)",
+            "observed": "the three expressions disagree at (n, N) = (6, 10)",
+            "data": {
+                "coprime_floor_sum": chain["coprime_floor_sum"],
+                "omega_expression": chain["omega_expression"],
+                "mu_floor_sum": analytic.trace_identities(6, 10)["trace_t0_closed"],
+            },
+        },
+        {
+            "id": "trace-prime-power-sum",
+            "claim": "sum over prime powers equals the Ramanujan diagonal trace",
+            "observed": "disagrees off multiples of n, e.g. (n, N) = (6, 7)",
+            "data": {
+                "prime_power_sum": c7["erratum"]["prime_power_sum_for_trace_c0"],
+                "trace": c7["trace_c0"],
+            },
+        },
+        {
+            "id": "iu-star-candidate",
+            "claim": "the diagonal map of mu * nu_1 equals integration-compose-backward-shift",
+            "observed": "mu * nu_1 gives the Euler diagonal m; mu * nu_{-1} gives 1/m, "
+                        "matching away from the m = 1 truncation edge",
+            "data": iu["matches"],
+        },
+    ]
+    return rows, errata
 
 
 _RUNNERS = {
@@ -399,10 +424,13 @@ _RUNNERS = {
     "ramanujan": (_suite_ramanujan,),
     "transforms": (_suite_transforms,),
     "even-identity": (_suite_even_identity,),
+    "convolution": (_suite_convolution,),
     "analytic": (_suite_analytic,),
     "all": (_suite_axioms, _suite_product_law, _suite_ramanujan, _suite_transforms,
             _suite_even_identity, _suite_convolution, _suite_analytic),
 }
+
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, n_max: int = 60, dim: int = 2520, tol: float = 1e-9,
@@ -417,7 +445,9 @@ def run_suite(name: str, n_max: int = 60, dim: int = 2520, tol: float = 1e-9,
     checks: list[dict] = []
     errata: list[dict] = []
     for runner in _RUNNERS[name]:
-        runner(checks, errata, n_max, dim, tol, seed)
+        rows, notes = runner(n_max, dim, tol, seed)
+        checks += rows
+        errata += notes
     failed = [c for c in checks if not c["pass"]]
     return {
         "suite": name,

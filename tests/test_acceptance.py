@@ -73,7 +73,7 @@ def test_criterion_2_product_law_exhaustive():
                 systems[dim] = IdempotentSystem(dim)
             for k in range(n):
                 for l in range(m):
-                    _, verdict = product_law(systems[dim], k, n, l, m, 0)
+                    _, verdict = product_law(systems[dim], k, n, l, m)
                     worst = max(worst, verdict["residual"])
                     cases += 1
     _report(
@@ -110,25 +110,23 @@ def test_criterion_3_multiplicative_families():
 def test_criterion_4_operator_identity_suite():
     worst_float = 0.0
     worst_exact = 0
-    ok = True
     for n in range(1, 31):
         family = OperatorFamily(IdempotentSystem(default_dim_for(n)))
         for j in (0, 1, 2):
-            res = family.c_operator_constructions(j, n)["residuals"]
+            res = family.c_operator_constructions(j, n)
             worst_float = max(worst_float, res["root_of_unity"])
             worst_exact = max(worst_exact, res["moebius_sum"], res["prime_product"])
-            for rep in (
-                family.t_top_identities(j, n, 0),
-                family.t_decomposition(j, n, 0),
-                family.c_t_transforms(j, n, 0),
-            ):
-                worst_exact = max(worst_exact, rep["max_residual"])
-                ok = ok and rep["pass"]
+            worst_exact = max(
+                worst_exact,
+                family.t_top_identities(j, n),
+                family.t_decomposition(j, n),
+                family.c_t_transforms(j, n),
+            )
     _report(
         4,
         f"operator constructions/partitions/transforms, n <= 30, j in {{0, 1, 2}} "
         f"(float residual {worst_float:.2e}, exact residual {worst_exact})",
-        ok and worst_float <= 1e-9 and worst_exact == 0,
+        worst_float <= 1e-9 and worst_exact == 0,
     )
 
 
@@ -140,8 +138,7 @@ def test_criterion_5_even_function_identity():
         n = moduli[i % len(moduli)]
         alpha = EvenFunction(n, {r: int(rng.integers(-9, 10)) for r in divisors(n)})
         family = OperatorFamily(IdempotentSystem(2 * n))
-        rep = family.even_function_identity(alpha, j=int(rng.integers(0, n)), n=n)
-        worst = max(worst, rep["max_residual"])
+        worst = max(worst, family.even_function_identity(alpha, j=int(rng.integers(0, n)), n=n))
     _report(
         5,
         f"even-function expansion identity, 20 random samples, dim 2n "

@@ -83,7 +83,28 @@ class TestCheck:
             ["check", "axioms", "--n-max", "6", "--dim", "24", "--tolerance", "0"],
         )
         assert result.exit_code == 1
-        assert json.loads(result.output)["pass"] is False
+        report = json.loads(result.output)
+        assert report["pass"] is False
+        (failed,) = [c for c in report["checks"] if not c["pass"]]
+        assert failed["identity"] == "congruence-exact vs dft-float provider"
+        assert set(failed["counterexample"]) == {"j", "n"}
+
+    def test_convolution_suite(self, runner):
+        result = runner.invoke(
+            main, ["check", "convolution", "--n-max", "8", "--dim", "60"]
+        )
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["suite"] == "convolution"
+        assert report["summary"] == {"total": 4, "passed": 4, "failed": 0}
+
+    def test_check_without_cases_fails(self, runner):
+        # n-max 1 leaves the determinant and trace checks nothing to evaluate
+        result = runner.invoke(main, ["check", "analytic", "--n-max", "1"])
+        assert result.exit_code == 1
+        report = json.loads(result.output)
+        errors = [c["error"] for c in report["checks"] if not c["pass"]]
+        assert errors == ["no case evaluated"] * 2
 
     def test_errata_reported_but_never_fail(self, runner):
         result = runner.invoke(
@@ -200,3 +221,10 @@ class TestExport:
             main, ["export", "S:2"], env={"IDEMARITH_DIM": "6"}
         )
         assert json.loads(result.output)["n"] == 6
+
+    def test_bad_env_dim_is_usage_error(self, runner):
+        result = runner.invoke(
+            main, ["export", "S:2"], env={"IDEMARITH_DIM": "abc"}
+        )
+        assert result.exit_code == 2
+        assert "IDEMARITH_DIM" in result.output

@@ -1,0 +1,111 @@
+"""Identity suites called directly: row contract, suite composition, and
+how a row fails (worst case named, check errors and empty checks)."""
+
+import json
+import math
+
+import pytest
+
+from idemarith.algebra import NonInvertibleError
+from idemarith.arith import ReconstructionError
+from idemarith.convolution import InverseCheckError
+from idemarith.idempotents import IdempotentSystem
+from idemarith.suites import SUITES, _check, run_suite
+
+SMALL = {"n_max": 7, "dim": 60}
+
+
+@pytest.fixture(scope="module")
+def report_all():
+    return run_suite("all", **SMALL)
+
+
+class TestRunSuite:
+    def test_single_suites_concatenate_to_all(self, report_all):
+        singles = [run_suite(name, **SMALL) for name in SUITES if name != "all"]
+        assert [r["suite"] for r in singles] == [
+            "axioms", "product-law", "ramanujan", "transforms", "even-identity",
+            "convolution", "analytic",
+        ]
+        assert [row for r in singles for row in r["checks"]] == report_all["checks"]
+        assert [e for r in singles for e in r["errata"]] == report_all["errata"]
+
+    def test_all_has_24_passing_rows(self, report_all):
+        assert report_all["pass"] is True
+        assert report_all["summary"] == {"total": 24, "passed": 24, "failed": 0}
+        for row in report_all["checks"]:
+            assert row["pass"] is True
+            assert set(row) == {"identity", "params", "max_residual", "pass"}
+
+    def test_nan_tolerance_fails_every_row_without_raising(self):
+        report = run_suite("all", **SMALL, tol=float("nan"))
+        assert report["pass"] is False
+        assert report["summary"]["failed"] == 24
+        errors = [row for row in report["checks"] if "error" in row]
+        assert [row["identity"] for row in errors] == [
+            "identity laws and Dirichlet inverse round trip"]
+        assert errors[0]["max_residual"] is None
+        assert "differs from I" in errors[0]["error"]
+        json.dumps(report)  # every counterexample is JSON-ready
+
+    def test_check_without_cases_fails(self):
+        report = run_suite("analytic", n_max=1)
+        assert report["pass"] is False
+        empty = [row for row in report["checks"] if not row["pass"]]
+        assert [row["identity"] for row in empty] == [
+            "determinant of the Ramanujan diagonal: direct vs closed form",
+            "trace identities for both diagonals",
+        ]
+        for row in empty:
+            assert row["error"] == "no case evaluated"
+            assert row["max_residual"] is None
+
+    def test_failed_row_names_its_worst_case(self):
+        report = run_suite("axioms", n_max=6, dim=24, tol=0)
+        (row,) = [row for row in report["checks"] if not row["pass"]]
+        assert row["identity"] == "congruence-exact vs dft-float provider"
+        where = row["counterexample"]
+        assert set(where) == {"j", "n"}
+        exact, dft = IdempotentSystem(24), IdempotentSystem(24, mode="dft-float")
+        residual = exact.projection(where["j"], where["n"]).distance(
+            dft.projection(where["j"], where["n"]))
+        assert residual == row["max_residual"] > 0
+
+
+class TestCheck:
+    @pytest.mark.parametrize("error", [InverseCheckError, NonInvertibleError,
+                                       ReconstructionError])
+    def test_check_error_becomes_failed_row(self, error):
+        def residual(n):
+            if n == 2:
+                raise error(f"broken at n={n}")
+            return 0
+
+        row = _check("probe", {}, [(1,), (2,), (3,)], residual, 1e-9)
+        assert row == {"identity": "probe", "params": {}, "max_residual": None,
+                       "pass": False, "error": "broken at n=2"}
+
+    def test_other_exceptions_propagate(self):
+        def residual(n):
+            raise ValueError("a bug, not a failed identity")
+
+        with pytest.raises(ValueError):
+            _check("probe", {}, [(1,)], residual, 1e-9)
+
+    def test_nan_residual_fails_and_is_kept_as_worst(self):
+        row = _check("probe", {}, [(1,), (2,), (3,)],
+                     lambda n: math.nan if n == 2 else n, 10)
+        assert row["pass"] is False
+        assert math.isnan(row["max_residual"])
+        assert row["counterexample"] == {"n": 2}
+
+    def test_location_joins_counterexample(self):
+        row = _check("probe", {}, [(1,), (2,)], lambda n: (n, ("I", n)), 1)
+        assert row["pass"] is False
+        assert row["max_residual"] == 2.0
+        assert row["counterexample"] == {"n": 2, "at": ("I", 2)}
+
+    def test_passing_row_has_no_extra_keys(self):
+        row = _check("probe", {"k": 1}, [(1,), (2,)], lambda n: 0, 0)
+        assert row == {"identity": "probe", "params": {"k": 1}, "max_residual": 0.0,
+                       "pass": True}
