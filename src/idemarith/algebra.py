@@ -449,17 +449,32 @@ def element_to_json(x) -> dict:
     raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
+def _json_int(data: dict, key: str, low: int, high: float = float("inf")) -> int:
+    value = data.get(key)
+    if type(value) is not int or not low <= value <= high:  # type() rejects bool and float
+        raise ValueError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
+def _json_entries(data: dict, count: int) -> list[complex]:
+    entries = data.get("entries")
+    if not isinstance(entries, list) or len(entries) != count:
+        raise ValueError(f"entries must be a list of {count} [re, im] pairs")
+    for pair in entries:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(type(v) in (int, float) for v in pair)):
+            raise ValueError(f"entry {pair!r} is not an [re, im] pair of numbers")
+    return [complex(re, im) for re, im in entries]
+
+
 def element_from_json(data: dict):
+    """Inverse of element_to_json; raises ValueError on malformed input."""
+    if not isinstance(data, dict):
+        raise ValueError(f"element must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
+    if kind not in ("diag", "dense"):
+        raise ValueError(f"unknown element kind {kind!r}")
+    n = _json_int(data, "n", 1)
     if kind == "diag":
-        entries = [complex(re, im) for re, im in data["entries"]]
-        if len(entries) != data["n"]:
-            raise ValueError("entry count does not match n")
-        return DiagonalOperator(entries, data["offset"])
-    if kind == "dense":
-        n = data["n"]
-        entries = [complex(re, im) for re, im in data["entries"]]
-        if len(entries) != n * n:
-            raise ValueError("entry count does not match n*n")
-        return DenseMatrix(np.array(entries).reshape(n, n))
-    raise ValueError(f"unknown element kind {kind!r}")
+        return DiagonalOperator(_json_entries(data, n), _json_int(data, "offset", 0, 1))
+    return DenseMatrix(np.array(_json_entries(data, n * n)).reshape(n, n))

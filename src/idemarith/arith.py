@@ -25,7 +25,6 @@ __all__ = [
     "epsilon",
     "euclid",
     "factorize",
-    "is_prime",
     "jordan_totient",
     "lcm_tuple_count",
     "mobius",
@@ -38,22 +37,6 @@ __all__ = [
     "tau",
     "totient",
 ]
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,10 @@ operator exports.
 
 Exit codes: 0 all checks pass, 1 identity failure, 2 usage error.  The
 default truncation dimension is 2520 and can be overridden with the
-IDEMARITH_DIM environment variable or --dim.
+IDEMARITH_DIM environment variable or --dim.  For ``check`` it sets the
+window of the axioms and family-multiplicativity checks; the other
+operator checks run on one period of their levels.  For ``export`` it is
+the length of the exported operator.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise click.UsageError(f"range must look like A..B, got {text!r}")
     if lo < 1 or hi < lo:
         raise click.UsageError(f"range {text!r} is empty or starts below 1")
+    if hi > arith.MAX_FACTOR_INPUT:
+        raise click.UsageError(f"range {text!r} ends above {arith.MAX_FACTOR_INPUT}")
     return lo, hi
 
 
@@ -123,7 +128,8 @@ def cmd_table(function, range_, format_, out):
 @click.argument("suite", type=click.Choice(SUITES))
 @click.option("--n-max", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--dim", type=int, default=None,
-              help=f"Truncation dimension (default IDEMARITH_DIM or {DEFAULT_DIM}).")
+              help="Truncation dimension of the axioms and family-multiplicativity "
+                   f"checks (default IDEMARITH_DIM or {DEFAULT_DIM}).")
 @click.option("--tolerance", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Report path (default stdout).")
 def cmd_check(suite, n_max, dim, tolerance, out):

@@ -18,7 +18,6 @@ from .arith import divisors, factorize
 __all__ = [
     "AlgFunction",
     "InverseCheckError",
-    "conjugate",
     "dirichlet_convolve",
     "dirichlet_identity",
     "dirichlet_inverse",
@@ -193,12 +192,6 @@ def is_multiplicative(
             if not f(n).isclose(acc, tol):
                 return False, (fac[0][0] ** fac[0][1], n // fac[0][0] ** fac[0][1])
     return True, None
-
-
-def conjugate(f: AlgFunction, b) -> AlgFunction:
-    """n -> b f(n) b^{-1}; preserves multiplicativity."""
-    b_inv = invert(b)
-    return AlgFunction([b * v * b_inv for v in f.values])
 
 
 def lehmer_identity_check(

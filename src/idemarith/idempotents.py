@@ -156,12 +156,12 @@ def weighted_product_identities(
         cup_ops(n).distance(proj[n - 1].scale(cup_scalar[n - 1])) for n in range(1, n_max + 1)
     )
     ones = AlgFunction(proj)
+    box_ones = lcm_convolve(ones, ones)
+    cup_ones = unitary_convolve(ones, ones)
     residual_m2 = max(
-        lcm_convolve(ones, ones)(n).distance(proj[n - 1].scale(lcm_tuple_count(2, n)))
-        for n in range(1, n_max + 1)
+        box_ones(n).distance(proj[n - 1].scale(lcm_tuple_count(2, n))) for n in range(1, n_max + 1)
     )
     residual_omega = max(
-        unitary_convolve(ones, ones)(n).distance(proj[n - 1].scale(2 ** omega(n)))
-        for n in range(1, n_max + 1)
+        cup_ones(n).distance(proj[n - 1].scale(2 ** omega(n))) for n in range(1, n_max + 1)
     )
     return max(residual_box, residual_cup, residual_m2, residual_omega)

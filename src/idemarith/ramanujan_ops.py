@@ -26,12 +26,7 @@ from .arith import (
 )
 from .idempotents import IdempotentSystem
 
-__all__ = ["OperatorFamily", "default_dim_for"]
-
-
-def default_dim_for(n: int, minimum: int = 32) -> int:
-    """Smallest multiple of n that is >= minimum (the report truncation)."""
-    return n * max(1, -(-minimum // n))
+__all__ = ["OperatorFamily"]
 
 
 class OperatorFamily:

@@ -6,6 +6,14 @@ evaluated, no case raised a check error, and the worst residual is a
 number <= tol.  A failed row names its worst case ("counterexample"), or
 carries an "error" and a null "max_residual".
 
+Every operator check on P_j(n), C_j(n) or T_{r,j}(n) runs on a window of
+one period: all entries depend only on the basis index mod the level, so
+a window as long as the largest level a check touches (lcm(n, m) for a
+product) decides the identity on the whole basis.  The requested dim is
+the window only of the checks that test the realization at a given
+truncation: the axioms and the projection- and operator-family
+multiplicativity.  Each operator row reports its window under "dim".
+
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
 data but never count as failures.
@@ -13,7 +21,6 @@ data but never count as failures.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 import operator
@@ -52,7 +59,7 @@ from .convolution import (
 )
 from .idempotents import (IdempotentSystem, divisor_product_law, product_law, verify_axioms,
                           weighted_product_identities)
-from .ramanujan_ops import OperatorFamily, default_dim_for
+from .ramanujan_ops import OperatorFamily
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -112,46 +119,40 @@ def _random_even(rng: np.random.Generator, d: int) -> EvenFunction:
 def _suite_axioms(n_max, dim, tol, seed):
     system = IdempotentSystem(dim)
     n_limit = min(n_max, 12)
-    exact_small = IdempotentSystem(min(dim, 64))
-    dft = IdempotentSystem(min(dim, 64), mode="dft-float")
+    n_dft = min(n_max, 24)
+    exact, dft = IdempotentSystem(n_dft), IdempotentSystem(n_dft, mode="dft-float")
     rows = [
         _check("idempotent system axioms I/II/III + completeness",
                {"dim": dim, "n_limit": n_limit}, [()],
                lambda: verify_axioms(system, n_limit), tol),
         _check("congruence-exact vs dft-float provider",
-               {"dim": exact_small.dim, "n_limit": min(n_max, 24)},
-               [(j, n) for n in range(1, min(n_max, 24) + 1) for j in range(n)],
-               lambda j, n: exact_small.projection(j, n).distance(dft.projection(j, n)),
-               tol),
+               {"dim": n_dft, "n_limit": n_dft},
+               [(j, n) for n in range(1, n_dft + 1) for j in range(n)],
+               lambda j, n: exact.projection(j, n).distance(dft.projection(j, n)), tol),
     ]
-    proj_mult_max = max(min(n_max, exact_small.dim // 2), 2)
+    proj_mult_max = max(min(n_max, 32), 2)
     for j in (0, 1, 5):
-        fam = AlgFunction([exact_small.projection(j, n) for n in range(1, proj_mult_max + 1)])
+        fam = AlgFunction([system.projection(j, n) for n in range(1, proj_mult_max + 1)])
         rows.append(_check("projection family multiplicativity",
-                           {"j": j, "n_max": fam.n_max, "dim": exact_small.dim}, [()],
+                           {"j": j, "n_max": fam.n_max, "dim": dim}, [()],
                            lambda: _multiplicativity(fam, tol), tol))
     return rows, []
 
 
 def _suite_product_law(n_max, dim, tol, seed):
     n_cap = min(n_max, 12)
-    systems = functools.cache(IdempotentSystem)
-
-    def crt_law(k, n, l, m):
-        lcm = n * m // math.gcd(n, m)
-        system = systems(dim if dim % lcm == 0 else 3 * lcm)
-        return product_law(system, k, n, l, m)[1]["residual"]
-
-    cases = [(k, n, l, m) for n in range(1, n_cap + 1) for m in range(1, n_cap + 1)
-             for k in range(n) for l in range(m)]
-    system = IdempotentSystem(dim if dim % 12 == 0 else 24)
+    crt_cases = [(k, n, l, m) for n in range(1, n_cap + 1) for m in range(1, n_cap + 1)
+                 for k in range(n) for l in range(m)]
+    crt = IdempotentSystem(max(math.lcm(n, m) for _, n, _, m in crt_cases))
+    divisor_cases = [(j, n, k, m) for n in (1, 2, 3, 4, 6) for m in (n * 2, n * 3)
+                     for j in range(n) for k in range(m)]
+    divisor = IdempotentSystem(max(m for _, _, _, m in divisor_cases))
     return [
         _check("projection product law with CRT index",
-               {"n_max": n_cap, "cases": len(cases)}, cases, crt_law, tol),
-        _check("divisor-level product law", {"dim": system.dim},
-               [(j, n, k, m) for n in (1, 2, 3, 4, 6) for m in (n * 2, n * 3)
-                for j in range(n) for k in range(m)],
-               lambda j, n, k, m: divisor_product_law(system, j, n, k, m)[1], tol),
+               {"n_max": n_cap, "cases": len(crt_cases), "dim": crt.dim}, crt_cases,
+               lambda k, n, l, m: product_law(crt, k, n, l, m)[1]["residual"], tol),
+        _check("divisor-level product law", {"dim": divisor.dim}, divisor_cases,
+               lambda j, n, k, m: divisor_product_law(divisor, j, n, k, m)[1], tol),
     ], []
 
 
@@ -164,27 +165,22 @@ def _scalar_ramanujan(n):
                abs(ramanujan_sum(n, 1) - mobius(n)), abs(ramanujan_sum(n, n) - totient(n)))
 
 
-def _operator_identities(n, j):
-    family = OperatorFamily(IdempotentSystem(default_dim_for(n)))
-    return max(*family.c_operator_constructions(j, n).values(),
-               family.t_top_identities(j, n), family.t_decomposition(j, n),
-               family.c_t_transforms(j, n))
-
-
 def _suite_ramanujan(n_max, dim, tol, seed):
     n_cap = min(n_max, 30)
     family = OperatorFamily(IdempotentSystem(dim))
+    period = OperatorFamily(IdempotentSystem(n_cap))
     builders = {"C": lambda j, n: family.c_operator(j, n),
                 "T": lambda j, n: family.t_operator(n, j, n)}
     return [
         _check("scalar Ramanujan sums vs root-of-unity oracle",
                {"n_max": min(n_max, 200)}, [(n,) for n in range(1, min(n_max, 200) + 1)],
                _scalar_ramanujan, tol),
-        _check("operator Ramanujan identities (three constructions, "
-               "partitions, transforms)",
-               {"n_max": n_cap, "j": [0, 1, 2]},
+        _check("operator Ramanujan identities (three constructions, partitions)",
+               {"n_max": n_cap, "j": [0, 1, 2], "dim": n_cap},
                [(n, j) for n in range(1, n_cap + 1) for j in (0, 1, 2)],
-               _operator_identities, tol),
+               lambda n, j: max(*period.c_operator_constructions(j, n).values(),
+                                period.t_top_identities(j, n), period.t_decomposition(j, n)),
+               tol),
         _check("multiplicativity of operator families",
                {"n_max": n_cap, "dim": dim, "j": [0, 1, 5]},
                [(j, kind) for j in (0, 1, 5) for kind in builders],
@@ -198,6 +194,8 @@ def _suite_transforms(n_max, dim, tol, seed):
     rng = np.random.default_rng(seed)
     moduli = [d for d in (1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 40, 48) if d <= max(n_max, 48)]
     alphas = [_random_even(rng, int(rng.choice(moduli))) for _ in range(20)]
+    n_cap = min(n_max, 30)
+    period = OperatorFamily(IdempotentSystem(n_cap))
 
     def reconstructs(sample):
         rf_transform(alphas[sample], tol)  # raises ReconstructionError past tol
@@ -213,10 +211,9 @@ def _suite_transforms(n_max, dim, tol, seed):
                lambda n, l: abs(ramanujan_orthogonality(n, l) - (n if math.gcd(l, n) == 1 else 0)),
                tol),
         _check("operator/idempotent transform pair",
-               {"n_max": min(n_max, 30), "j": [0, 1, 2]},
-               [(n, j) for n in range(1, min(n_max, 30) + 1) for j in (0, 1, 2)],
-               lambda n, j: OperatorFamily(IdempotentSystem(default_dim_for(n))).c_t_transforms(j, n),
-               tol),
+               {"n_max": n_cap, "j": [0, 1, 2], "dim": n_cap},
+               [(n, j) for n in range(1, n_cap + 1) for j in (0, 1, 2)],
+               lambda n, j: period.c_t_transforms(j, n), tol),
     ]
     errata = [{
         "id": "rf-normalization",
@@ -231,12 +228,12 @@ def _suite_even_identity(n_max, dim, tol, seed):
     rng = np.random.default_rng(seed)
     moduli = [4, 6, 12, 24]
     alphas = {(n, sample): _random_even(rng, n) for n in moduli for sample in range(5)}
+    periods = {n: OperatorFamily(IdempotentSystem(n)) for n in moduli}
     return [
         _check("even-function expansion over Ramanujan operators",
-               {"moduli": moduli, "samples": len(alphas), "j": [0, 1, 2]},
+               {"moduli": moduli, "samples": len(alphas), "j": [0, 1, 2], "dim": moduli},
                [(n, sample, j) for n, sample in alphas for j in (0, 1, 2)],
-               lambda n, sample, j: OperatorFamily(IdempotentSystem(2 * n))
-               .even_function_identity(alphas[n, sample], j, n),
+               lambda n, sample, j: periods[n].even_function_identity(alphas[n, sample], j, n),
                tol),
     ], []
 
@@ -278,7 +275,7 @@ def _suite_convolution(n_max, dim, tol, seed):
         report = lehmer_identity_check(*lehmer_pairs[pair], tol=tol)
         return max((abs(e["lhs"] - e["rhs"]) for e in report["scalar_failures"]), default=0)
 
-    system = IdempotentSystem(min(dim, 72))
+    weighted = IdempotentSystem(30)
     rows = [
         _check("associativity and commutativity of the three products",
                {"n_max": n_assoc},
@@ -291,9 +288,9 @@ def _suite_convolution(n_max, dim, tol, seed):
                {"n_max": lehmer_n, "pairs": len(lehmer_pairs)},
                [(pair,) for pair in range(len(lehmer_pairs))], lehmer, tol),
         _check("weighted convolution identities for alpha,beta against P_j",
-               {"j": 1, "n_max": 30, "dim": system.dim}, [()],
+               {"j": 1, "n_max": 30, "dim": weighted.dim}, [()],
                lambda: weighted_product_identities(
-                   scalar_table(lambda n: 1, 30), scalar_table(totient, 30), system, 1, 30),
+                   scalar_table(lambda n: 1, 30), scalar_table(totient, 30), weighted, 1, 30),
                tol),
     ]
     # the norm-multiplicativity claim fails for the max-row-sum norm

@@ -34,7 +34,7 @@ from idemarith.convolution import (
     scalar_unitary,
 )
 from idemarith.idempotents import IdempotentSystem, product_law
-from idemarith.ramanujan_ops import OperatorFamily, default_dim_for
+from idemarith.ramanujan_ops import OperatorFamily
 
 
 def _report(num: int, label: str, ok: bool):
@@ -111,7 +111,7 @@ def test_criterion_4_operator_identity_suite():
     worst_float = 0.0
     worst_exact = 0
     for n in range(1, 31):
-        family = OperatorFamily(IdempotentSystem(default_dim_for(n)))
+        family = OperatorFamily(IdempotentSystem(n))  # one period of every level used
         for j in (0, 1, 2):
             res = family.c_operator_constructions(j, n)
             worst_float = max(worst_float, res["root_of_unity"])

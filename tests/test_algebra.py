@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from idemarith.algebra import (
     DenseMatrix,
@@ -156,6 +157,44 @@ def test_json_roundtrip():
     assert element_to_json(dense)["kind"] == "dense"
     with pytest.raises(ValueError):
         element_from_json({"kind": "sparse"})
+
+
+_JSON_NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.complex_numbers(max_magnitude=1e12, allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(_JSON_NUMBERS, min_size=1, max_size=12), st.integers(0, 1))
+def test_json_roundtrip_diag(values, offset):
+    diag = DiagonalOperator(values, offset)
+    back = element_from_json(json.loads(json.dumps(element_to_json(diag))))
+    assert back.offset == offset and back.entries == diag.entries
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(_JSON_NUMBERS, min_size=n * n, max_size=n * n)))
+def test_json_roundtrip_dense(values):
+    n = int(len(values) ** 0.5)
+    dense = DenseMatrix(np.array(values, dtype=complex).reshape(n, n))
+    back = element_from_json(json.loads(json.dumps(element_to_json(dense))))
+    assert np.array_equal(back.array, dense.array)
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "diag", "n": 2.0, "offset": 0, "entries": [[1, 0], [2, 0]]},
+    {"kind": "diag", "n": 2, "offset": True, "entries": [[1, 0], [2, 0]]},
+    {"kind": "diag", "n": 2, "offset": 2, "entries": [[1, 0], [2, 0]]},
+    {"kind": "diag", "n": 2, "entries": [[1, 0], [2, 0]]},
+    {"kind": "diag", "n": 2, "offset": 0, "entries": [1, [2, 0]]},
+    {"kind": "diag", "n": 2, "offset": 0, "entries": [[1, 0]]},
+    {"kind": "dense", "n": 1, "entries": [["1", 0]]},
+    {"kind": "dense", "n": 0, "entries": []},
+    {"kind": "dense", "n": 1},
+    [[1, 0]],
+])
+def test_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        element_from_json(data)
 
 
 def test_product_past_int64_stays_exact():

@@ -15,7 +15,6 @@ from idemarith.arith import (
     epsilon,
     euclid,
     factorize,
-    is_prime,
     jordan_totient,
     lcm_tuple_count,
     mobius,
@@ -56,7 +55,7 @@ class TestFactorize:
         pairs = factorize(n)
         primes = [p for p, _ in pairs]
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
-        assert all(is_prime(p) for p in primes)
+        assert all(p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
         assert all(a >= 1 for _, a in pairs)
         assert math.prod(p**a for p, a in pairs) == n
 

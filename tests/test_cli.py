@@ -58,6 +58,16 @@ class TestTable:
         result = runner.invoke(main, ["table", "mobius", "--range", "5..2"])
         assert result.exit_code == 2
 
+    def test_range_above_factor_limit_is_usage_error(self, runner):
+        result = runner.invoke(
+            main, ["table", "mobius", "--range", "999999999999..1000000000001"])
+        assert result.exit_code == 2
+        assert "ends above 1000000000000" in result.output
+        result = runner.invoke(
+            main, ["table", "mobius", "--range", "999999999999..1000000000000"])
+        assert result.exit_code == 0
+        assert result.output == "n,value\n999999999999,0\n1000000000000,0\n"
+
     @pytest.mark.parametrize("function", ["ramanujan:0", "jordan:0"])
     def test_parameter_below_one_is_usage_error(self, runner, function):
         result = runner.invoke(main, ["table", function])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from idemarith.algebra import DiagonalOperator, NonInvertibleError, Scalar, is_idempotent
+from idemarith.algebra import NonInvertibleError, Scalar, is_idempotent
 from idemarith.arith import (
     epsilon,
     jordan_totient,
@@ -17,7 +17,6 @@ from idemarith.arith import (
 from idemarith.convolution import (
     AlgFunction,
     InverseCheckError,
-    conjugate,
     dirichlet_convolve,
     dirichlet_identity,
     dirichlet_inverse,
@@ -173,31 +172,6 @@ class TestMultiplicativity:
             h = dirichlet_convolve(lifted(a, 120), lifted(b, 120))
             ok, _ = is_multiplicative(h)
             assert ok
-
-
-class TestConjugate:
-    def test_unit_conjugation_fixes(self):
-        f = lifted(totient, 20)
-        g = conjugate(f, UNIT)
-        for n in range(1, 21):
-            assert g(n).value == f(n).value
-
-    def test_preserves_multiplicativity(self):
-        system = IdempotentSystem(16)
-        fam = AlgFunction([system.projection(0, n) for n in range(1, 17)])
-        rng = np.random.default_rng(5)
-        b = DiagonalOperator(rng.uniform(0.5, 2.0, 16))
-        g = conjugate(fam, b)
-        ok, _ = is_multiplicative(g)
-        assert ok
-
-    def test_identity_function_fixed(self):
-        system = IdempotentSystem(8)
-        ident = dirichlet_identity(system.unit(), 10)
-        b = DiagonalOperator(range(2, 10))
-        g = conjugate(ident, b)
-        for n in range(1, 11):
-            assert g(n).isclose(ident(n), 1e-9)
 
 
 class TestLehmerIdentity:

@@ -134,6 +134,20 @@ class TestProductLaw:
                         assert verdict["residual"] == 0, (k, n, l, m)
 
 
+class TestOnePeriodDecides:
+    """P_k(n) P_l(m) and its prediction depend only on the index mod
+    lcm(n, m), so a window of one period decides the law on every wider
+    window."""
+
+    @given(st.integers(-50, 50), st.integers(1, 15), st.integers(-50, 50), st.integers(1, 15),
+           st.integers(0, 1), st.integers(0, 300))
+    def test_product_law(self, k, n, l, m, offset, extra):
+        period = math.lcm(n, m)
+        _, at_period = product_law(IdempotentSystem(period, offset), k, n, l, m)
+        _, wider = product_law(IdempotentSystem(period + extra, offset), k, n, l, m)
+        assert wider == at_period
+
+
 class TestDivisorProductLaw:
     def test_congruent_index_keeps_finer_projection(self):
         system = IdempotentSystem(8)

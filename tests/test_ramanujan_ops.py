@@ -3,12 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from idemarith.algebra import is_idempotent
 from idemarith.arith import EvenFunction, divisors, ramanujan_sum
 from idemarith.convolution import AlgFunction, is_multiplicative
 from idemarith.idempotents import IdempotentSystem
-from idemarith.ramanujan_ops import OperatorFamily, default_dim_for
+from idemarith.ramanujan_ops import OperatorFamily
 
 
 def family(dim, offset=0):
@@ -53,7 +54,7 @@ class TestCOperator:
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12, 18, 30])
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_three_constructions_agree(self, n, j):
-        fam = family(default_dim_for(n))
+        fam = family(n)
         residuals = fam.c_operator_constructions(j, n)
         assert residuals["root_of_unity"] < 1e-9
         assert residuals["moebius_sum"] == 0
@@ -69,7 +70,7 @@ class TestCOperator:
             assert fam.c_operator(j, n).distance(expected) < 1e-9
 
     def test_multiplicative_family(self):
-        fam = family(default_dim_for(30, 60))
+        fam = family(60)
         for j in (0, 1, 5):
             alg = AlgFunction([fam.c_operator(j, n) for n in range(1, 31)])
             ok, ce = is_multiplicative(alg, 0)
@@ -116,14 +117,14 @@ class TestTOperator:
 class TestTopIdentities:
     @pytest.mark.parametrize("n,j", [(1, 0), (6, 0), (7, 1), (12, 2), (30, 1)])
     def test_moebius_and_prime_product(self, n, j):
-        fam = family(default_dim_for(n, 36))
+        fam = family(n)
         assert fam.t_top_identities(j, n) == 0
 
 
 class TestDecomposition:
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 24, 30])
     def test_partition_of_identity(self, n):
-        fam = family(default_dim_for(n, 24))
+        fam = family(2 * n)
         assert fam.t_decomposition(0, n) == 0  # includes the tau(n) member count
 
     def test_members_are_idempotent(self):
@@ -135,8 +136,19 @@ class TestDecomposition:
 class TestTransforms:
     @pytest.mark.parametrize("n,j", [(1, 0), (4, 2), (6, 0), (18, 1), (30, 2)])
     def test_both_directions(self, n, j):
-        fam = family(default_dim_for(n, 36))
+        fam = family(3 * n)
         assert fam.c_t_transforms(j, n) == 0
+
+
+class TestOnePeriodDecides:
+    """Every T_{r,j}(n) and C_j(r) with r | n has period n, so window n
+    gives the same residuals as a window of three periods."""
+
+    @given(st.integers(1, 40), st.integers(-50, 50), st.integers(0, 1))
+    def test_partitions_and_transforms(self, n, j, offset):
+        one, three = family(n, offset), family(3 * n, offset)
+        assert one.t_decomposition(j, n) == three.t_decomposition(j, n)
+        assert one.c_t_transforms(j, n) == three.c_t_transforms(j, n)
 
 
 class TestEvenFunctionIdentity:

@@ -37,6 +37,13 @@ class TestRunSuite:
             assert row["pass"] is True
             assert set(row) == {"identity", "params", "max_residual", "pass"}
 
+    def test_rows_report_their_windows(self, report_all):
+        # dim 60 sets the axioms, projection- and operator-family rows;
+        # every other operator row runs on the largest period of its levels
+        windows = [row["params"].get("dim") for row in report_all["checks"]]
+        assert windows == [60, 7, 60, 60, 60, 42, 18, None, 7, 60, None, None, 7,
+                           [4, 6, 12, 24], None, None, None, 30] + [None] * 6
+
     def test_nan_tolerance_fails_every_row_without_raising(self):
         report = run_suite("all", **SMALL, tol=float("nan"))
         assert report["pass"] is False
@@ -66,7 +73,8 @@ class TestRunSuite:
         assert row["identity"] == "congruence-exact vs dft-float provider"
         where = row["counterexample"]
         assert set(where) == {"j", "n"}
-        exact, dft = IdempotentSystem(24), IdempotentSystem(24, mode="dft-float")
+        window = row["params"]["dim"]  # the window the row reports it ran on
+        exact, dft = IdempotentSystem(window), IdempotentSystem(window, mode="dft-float")
         residual = exact.projection(where["j"], where["n"]).distance(
             dft.projection(where["j"], where["n"]))
         assert residual == row["max_residual"] > 0
