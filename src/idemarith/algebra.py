@@ -384,6 +384,8 @@ def _reciprocal(v):
     if isinstance(v, (int, Fraction)):
         if v == 0:
             raise NonInvertibleError("zero diagonal entry")
+        if isinstance(v, int) and v in (1, -1):
+            return v  # a unit of Z: keeps integer tables out of Fractions
         return Fraction(1, 1) / Fraction(v)
     if abs(v) <= 1e-12:
         raise NonInvertibleError("zero diagonal entry")

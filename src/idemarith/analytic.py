@@ -66,6 +66,15 @@ def c0_t0_diagonals(n: int, space: TruncatedSpace) -> tuple[DiagonalOperator, Di
     return family.c_operator(0, n), family.t_operator(n, 0, n)
 
 
+def _one_period(fn, n: int, n_dim: int) -> tuple[list, int, int]:
+    """(row, whole, rest) for a function fn of period n on k = 1..N:
+    row = [fn(1), ..., fn(min(n, N))], and k = 1..N runs through row
+    ``whole`` times, then through row[:rest].
+    """
+    whole, rest = divmod(n_dim, n)
+    return [fn(k) for k in range(1, min(n, n_dim) + 1)], whole, rest
+
+
 def det_c0(n: int, n_dim: int) -> tuple[int, int]:
     """det of C_0(n) restricted to e_1..e_N, two exact ways: the direct
     product prod_{k=1}^N c_n(k) and the closed form
@@ -80,9 +89,8 @@ def det_c0(n: int, n_dim: int) -> tuple[int, int]:
     """
     if n < 2:
         raise ValueError("det_c0 requires n >= 2")
-    direct = 1
-    for k in range(1, n_dim + 1):
-        direct *= ramanujan_sum(n, k)
+    row, whole, rest = _one_period(lambda k: ramanujan_sum(n, k), n, n_dim)
+    direct = math.prod(row) ** whole * math.prod(row[:rest])
     if mobius(n) == 0:
         closed = 0
     else:
@@ -109,13 +117,17 @@ def trace_identities(n: int, n_dim: int) -> dict:
     Logged only: the coprime floor sum sum_{gcd(k,n)=1} floor((N-k)/n) and
     N*omega(n) - sum_{p|n} floor(N/p), which disagree with the oracle.
     """
-    trace_c0 = sum(ramanujan_sum(n, k) for k in range(1, n_dim + 1))
+    if n < 1:
+        raise ValueError("trace_identities requires n >= 1")
+    c_row, whole, rest = _one_period(lambda k: ramanujan_sum(n, k), n, n_dim)
+    trace_c0 = sum(c_row) * whole + sum(c_row[:rest])
     c0_closed = sum(d * mobius(n // d) * (n_dim // d) for d in divisors(n))
     c0_prime_power_sum = sum(
         p**a * (n_dim // p**a) - p ** (a - 1) * (n_dim // p ** (a - 1))
         for p, a in factorize(n)
     )
-    trace_t0 = sum(1 for m in range(1, n_dim + 1) if math.gcd(m, n) == 1)
+    t_row, _, _ = _one_period(lambda m: math.gcd(m, n) == 1, n, n_dim)
+    trace_t0 = sum(t_row) * whole + sum(t_row[:rest])
     t0_closed = sum(mobius(r) * (n_dim // r) for r in divisors(n))
     coprime_floor_sum = sum(
         (n_dim - k) // n for k in range(1, n + 1) if math.gcd(k, n) == 1

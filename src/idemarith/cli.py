@@ -25,6 +25,7 @@ from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
 DEFAULT_DIM = 2520
+MAX_TABLE_VALUES = 10**6  # `table` holds every row before it writes one
 
 
 def _default_dim() -> int:
@@ -45,6 +46,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise click.UsageError(f"range {text!r} is empty or starts below 1")
     if hi > arith.MAX_FACTOR_INPUT:
         raise click.UsageError(f"range {text!r} ends above {arith.MAX_FACTOR_INPUT}")
+    if hi - lo + 1 > MAX_TABLE_VALUES:
+        raise click.UsageError(f"range {text!r} spans more than {MAX_TABLE_VALUES} values")
     return lo, hi
 
 

@@ -1,10 +1,19 @@
 """Algebra-valued arithmetic functions and the three convolution products
-(Dirichlet, lcm, unitary), with identity, inverse, multiplicativity
-testing, and conjugation.
+(Dirichlet, lcm, unitary), with identity, inverse and multiplicativity
+testing.
 
 Functions are finite tables over 1..n_max so every product is exact and
 brute-force checkable.  In the non-commutative case the order convention
 is fixed: (f . g)(n) sums f(k) * g(l) with k the left factor.
+
+Cost on a table of size N: the Dirichlet and unitary products visit the
+sum of tau(n) divisors (24,496 at N = 3000).  The lcm product visits the
+divisor pairs (k, l) of each n and keeps those with lcm(k, l) = n, the sum
+of tau(n)^2 pairs (320,698 at N = 3000, against N^2 = 9 M for all pairs).
+It is not computed by Lehmer's sieve mu * ((1*f)(1*g)): that is the
+identity ``lehmer_identity_check`` tests, and a product built from it
+would make that check, and the suite row that runs it, test the identity
+against itself.
 """
 
 from __future__ import annotations
@@ -53,13 +62,19 @@ def _dirichlet(a: Sequence, b: Sequence, zero):
 
 
 def _lcm(a: Sequence, b: Sequence, zero):
+    # For k, l | n, lcm(k, l) = n iff gcd(n/k, n/l) = 1.  Terms are added
+    # k ascending, then l ascending, as in the sum over all pairs (k, l),
+    # so float and matrix results equal that sum bit for bit.
     n_max = len(a)
-    out = [zero] * n_max
-    for k in range(1, n_max + 1):
-        for l in range(1, n_max + 1):
-            m = k * l // math.gcd(k, l)
-            if m <= n_max:
-                out[m - 1] = out[m - 1] + a[k - 1] * b[l - 1]
+    out = []
+    for n in range(1, n_max + 1):
+        acc = zero
+        divs = divisors(n)
+        for k in divs:
+            for l in divs:
+                if math.gcd(n // k, n // l) == 1:
+                    acc = acc + a[k - 1] * b[l - 1]
+        out.append(acc)
     return out
 
 

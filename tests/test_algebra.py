@@ -94,8 +94,13 @@ def test_invert_diag_exact():
     assert inv.entries == (Fraction(1, 2), Fraction(1, 4))
     ident = DiagonalOperator((1, 1))
     assert invert(ident).isclose(ident)
+    units = invert(DiagonalOperator((1, -1, 1)))
+    assert units.entries == (1, -1, 1) and all(type(v) is int for v in units.entries)
+    assert type(invert(Scalar(-1)).value) is int
     with pytest.raises(NonInvertibleError):
         invert(DiagonalOperator((1, 0)))
+    with pytest.raises(NonInvertibleError):
+        invert(Scalar(0))
 
 
 def test_invert_dense():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from idemarith.algebra import DiagonalOperator
 from idemarith.analytic import (
@@ -68,6 +69,13 @@ class TestDeterminant:
                 direct, closed = det_c0(n, big_n)
                 assert direct == closed, (n, big_n)
 
+    @given(st.integers(2, 400), st.integers(0, 1200))
+    def test_direct_is_the_product_of_the_entries(self, n, big_n):
+        direct = 1
+        for k in range(1, big_n + 1):
+            direct *= ramanujan_sum(n, k)
+        assert det_c0(n, big_n)[0] == direct
+
     def test_unsigned_display_fails_at_odd_dims(self):
         # documented erratum: the bare product drops a sign
         assert det_c0(2, 3)[0] == 1
@@ -87,6 +95,12 @@ class TestTrace:
         for n in range(2, 61):
             for big_n in range(1, 201, 3):
                 assert trace_identities(n, big_n)["pass"], (n, big_n)
+
+    @given(st.integers(1, 400), st.integers(0, 1200))
+    def test_direct_traces_sum_the_entries(self, n, big_n):
+        rep = trace_identities(n, big_n)
+        assert rep["trace_c0"] == sum(ramanujan_sum(n, k) for k in range(1, big_n + 1))
+        assert rep["trace_t0"] == sum(1 for m in range(1, big_n + 1) if math.gcd(m, n) == 1)
 
     def test_erratum_chain_values(self):
         # the commonly quoted chain of expressions disagrees with itself at (6, 10)

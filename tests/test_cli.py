@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from idemarith.cli import main
+from idemarith.cli import _parse_range, main
 
 
 @pytest.fixture()
@@ -67,6 +67,15 @@ class TestTable:
             main, ["table", "mobius", "--range", "999999999999..1000000000000"])
         assert result.exit_code == 0
         assert result.output == "n,value\n999999999999,0\n1000000000000,0\n"
+
+    def test_range_of_more_than_a_million_values_is_usage_error(self, runner):
+        # exactly 10^6 values pass the range check (not tabulated here)
+        assert _parse_range("1..1000000") == (1, 10**6)
+        assert _parse_range("999999000001..1000000000000") == (999999000001, 10**12)
+        for text in ("1..1000001", "1..1000000000000"):
+            result = runner.invoke(main, ["table", "mobius", "--range", text])
+            assert result.exit_code == 2
+            assert "spans more than 1000000 values" in result.output
 
     @pytest.mark.parametrize("function", ["ramanujan:0", "jordan:0"])
     def test_parameter_below_one_is_usage_error(self, runner, function):

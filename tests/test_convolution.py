@@ -1,11 +1,19 @@
 """Convolution products against number-theoretic oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from idemarith.algebra import NonInvertibleError, Scalar, is_idempotent
+from idemarith.algebra import (
+    DenseMatrix,
+    DiagonalOperator,
+    NonInvertibleError,
+    Scalar,
+    is_idempotent,
+)
 from idemarith.arith import (
     epsilon,
     jordan_totient,
@@ -36,6 +44,19 @@ UNIT = Scalar(1)
 
 def lifted(alpha, n_max):
     return AlgFunction.lift(alpha, UNIT, n_max)
+
+
+def lcm_all_pairs(a, b, zero):
+    """The lcm product from its definition over all pairs (k, l), k
+    ascending then l ascending: the reference for the divisor-pair kernel."""
+    n_max = len(a)
+    out = [zero] * n_max
+    for k in range(1, n_max + 1):
+        for l in range(1, n_max + 1):
+            m = k * l // math.gcd(k, l)
+            if m <= n_max:
+                out[m - 1] = out[m - 1] + a[k - 1] * b[l - 1]
+    return out
 
 
 class TestDirichlet:
@@ -71,6 +92,40 @@ class TestLcm:
         for n in range(1, 61):
             assert f(n).value == jordan_totient(2, n)
         assert f(6).value == 24
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=80), st.data())
+    def test_scalar_matches_all_pairs(self, a, data):
+        b = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(a), max_size=len(a)))
+        assert scalar_lcm(a, b) == lcm_all_pairs(a, b, 0)
+
+    def test_scalar_matches_all_pairs_at_3000(self):
+        rng = np.random.default_rng(3000)
+        a, b = (rng.integers(-9, 10, 3000).tolist() for _ in range(2))
+        assert scalar_lcm(a, b) == lcm_all_pairs(a, b, 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_dense_matches_all_pairs_exactly(self, n_max, seed):
+        # float entries of non-commuting matrices: equal arrays pin both
+        # the factor order and the summation order
+        rng = np.random.default_rng(seed)
+        f, g = (AlgFunction([DenseMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                             for _ in range(n_max)]) for _ in range(2))
+        assert any(not np.array_equal((x * y).array, (y * x).array)
+                   for x, y in zip(f.values, g.values))
+        got = lcm_convolve(f, g).values
+        want = lcm_all_pairs(f.values, g.values, f(1).zero())
+        assert all(np.array_equal(x.array, y.array) for x, y in zip(got, want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_diagonal_matches_all_pairs(self, n_max, seed):
+        rng = np.random.default_rng(seed)
+        f, g = (AlgFunction([DiagonalOperator(rng.integers(-9, 10, 3).tolist())
+                             for _ in range(n_max)]) for _ in range(2))
+        got = lcm_convolve(f, g).values
+        want = lcm_all_pairs(f.values, g.values, f(1).zero())
+        assert [x.entries for x in got] == [y.entries for y in want]
 
     def test_jordan_as_repeated_lcm_power(self):
         phi = lifted(totient, 40)
@@ -131,6 +186,21 @@ class TestInverse:
         for n in range(1, 13):
             assert dirichlet_convolve(f, inv)(n).isclose(ident(n), 1e-9)
             assert dirichlet_convolve(inv, f)(n).isclose(ident(n), 1e-9)
+
+    @pytest.mark.parametrize("lead", [1, -1])
+    def test_unit_lead_stays_integer(self, lead):
+        rng = np.random.default_rng(7)
+        f = AlgFunction([Scalar(lead)] + [Scalar(v) for v in rng.integers(-9, 10, 59).tolist()])
+        inv = dirichlet_inverse(f, tol=0)
+        assert all(type(v.value) is int for v in inv.values)
+        ident = dirichlet_identity(UNIT, 60)
+        for prod in (dirichlet_convolve(f, inv), dirichlet_convolve(inv, f)):
+            assert [v.value for v in prod.values] == [v.value for v in ident.values]
+
+    def test_non_unit_lead_gives_fractions(self):
+        inv = dirichlet_inverse(lifted(lambda n: n + 1, 20), tol=0)
+        assert inv(1).value == Fraction(1, 2)
+        assert all(type(v.value) is Fraction for v in inv.values)
 
     def test_non_invertible_leading_value(self):
         f = lifted(lambda n: n - 1, 10)  # f(1) = 0
