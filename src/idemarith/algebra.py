@@ -10,10 +10,18 @@ complex128 for complex input, and object (exact Python int or Fraction)
 for anything else, including integer results that would overflow int64.
 Exact inputs therefore stay exact through arithmetic, and ``entries``
 returns the values as Python scalars.
+
+``element_text`` serializes a diagonal or dense element to JSON text,
+byte-identical to ``json.dumps(..., sort_keys=True)`` of its [re, im]
+entry pairs.  The operators exported here are periodic or mostly zero, so
+it formats each distinct float and each distinct pair once and repeats
+the text; ``element_to_json`` parses that text, and ``element_from_json``
+inverts it.
 """
 
 from __future__ import annotations
 
+import json
 import numbers
 import operator
 from fractions import Fraction
@@ -34,6 +42,7 @@ __all__ = [
     "ShapeMismatchError",
     "determinant",
     "element_from_json",
+    "element_text",
     "element_to_json",
     "invert",
     "is_idempotent",
@@ -78,6 +87,8 @@ class Scalar:
         return Scalar(-self.value)
 
     def __mul__(self, other):
+        if type(other) is Scalar:  # the common case, before the slower ABC check
+            return Scalar(self.value * other.value)
         if _is_number(other):
             return self.scale(other)
         self._check(other)
@@ -426,29 +437,42 @@ def operator_norm(x) -> float:
     raise TypeError(f"operator_norm not defined for {type(x).__name__}")
 
 
-def _pairs(values: np.ndarray) -> list[list[float]]:
+def _entries_text(values: np.ndarray) -> str:
+    """The JSON text of the [re, im] pairs of values as complex128, with
+    each distinct float and each distinct pair formatted once.
+    """
     c = values.astype(np.complex128)
-    return np.stack((c.real, c.imag), axis=-1).tolist()
+    # unique by bits, not by value, so -0.0 and 0.0 keep their own text
+    (re_bits, re_of), (im_bits, im_of) = (
+        np.unique(part, return_inverse=True)
+        for part in np.stack((c.real, c.imag)).view(np.uint64))
+    # json's own float text (repr, NaN, Infinity); no float text holds ", "
+    re_text, im_text = (json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+                        for bits in (re_bits, im_bits))
+    width = im_bits.size
+    pairs, pair_of = np.unique(re_of * width + im_of, return_inverse=True)
+    pair_text = np.array([f"[{re_text[k // width]}, {im_text[k % width]}]"
+                          for k in pairs.tolist()], dtype=object)
+    return "[" + ", ".join(pair_text[pair_of].tolist()) + "]"
+
+
+def element_text(x) -> str:
+    """Serialize an element to JSON text: diagonal entries or row-major
+    dense entries as [re, im] pairs.  The text is exactly
+    ``json.dumps(..., sort_keys=True)`` of that object.
+    """
+    if isinstance(x, DiagonalOperator):
+        entries, tail = x._values, f', "kind": "diag", "n": {x.n}, "offset": {x.offset}}}'
+    elif isinstance(x, DenseMatrix):
+        entries, tail = x.array.reshape(-1), f', "kind": "dense", "n": {x.n}}}'
+    else:
+        raise TypeError(f"no JSON form for {type(x).__name__}")
+    return '{"entries": ' + _entries_text(entries) + tail
 
 
 def element_to_json(x) -> dict:
-    """Serialize an element: diagonal entries or row-major dense entries as
-    [re, im] pairs.
-    """
-    if isinstance(x, DiagonalOperator):
-        return {
-            "kind": "diag",
-            "n": x.n,
-            "offset": x.offset,
-            "entries": _pairs(x._values),
-        }
-    if isinstance(x, DenseMatrix):
-        return {
-            "kind": "dense",
-            "n": x.n,
-            "entries": _pairs(x.array.reshape(-1)),
-        }
-    raise TypeError(f"no JSON form for {type(x).__name__}")
+    """The JSON object of ``element_text(x)``."""
+    return json.loads(element_text(x))
 
 
 def _json_int(data: dict, key: str, low: int, high: float = float("inf")) -> int:

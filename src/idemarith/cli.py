@@ -19,7 +19,7 @@ from fractions import Fraction
 import click
 
 from . import analytic, arith
-from .algebra import element_to_json
+from .algebra import element_text
 from .idempotents import IdempotentSystem
 from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
@@ -208,7 +208,7 @@ def cmd_export(spec, dim, offset, out):
             element = family.t_operator(r, j, n)
     else:
         raise click.UsageError(f"unknown operator spec {spec!r}")
-    _emit(json.dumps(element_to_json(element), sort_keys=True) + "\n", out)
+    _emit(element_text(element) + "\n", out)
 
 
 if __name__ == "__main__":

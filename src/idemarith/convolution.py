@@ -126,10 +126,6 @@ class AlgFunction:
         return self.values[n - 1]
 
     @classmethod
-    def from_callable(cls, fn: Callable[[int], object], n_max: int) -> "AlgFunction":
-        return cls([fn(n) for n in range(1, n_max + 1)])
-
-    @classmethod
     def lift(cls, alpha: Callable[[int], object], unit, n_max: int) -> "AlgFunction":
         """Lift a scalar function to n -> alpha(n) * e."""
         return cls([unit.scale(alpha(n)) for n in range(1, n_max + 1)])

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from idemarith import analytic
 from idemarith.algebra import (
     DenseMatrix,
     DiagonalOperator,
@@ -15,12 +16,16 @@ from idemarith.algebra import (
     ShapeMismatchError,
     determinant,
     element_from_json,
+    element_text,
     element_to_json,
     invert,
     is_idempotent,
     operator_norm,
     trace,
 )
+from idemarith.arith import divisors
+from idemarith.idempotents import IdempotentSystem
+from idemarith.ramanujan_ops import OperatorFamily
 
 RNG = np.random.default_rng(42)
 
@@ -183,6 +188,73 @@ def test_json_roundtrip_dense(values):
     dense = DenseMatrix(np.array(values, dtype=complex).reshape(n, n))
     back = element_from_json(json.loads(json.dumps(element_to_json(dense))))
     assert np.array_equal(back.array, dense.array)
+
+
+def json_dumps_oracle(x) -> str:
+    """The encoder element_text replaces: every [re, im] pair through json."""
+    if isinstance(x, DiagonalOperator):
+        c = np.array([complex(v) for v in x.entries], dtype=np.complex128)
+        head = {"kind": "diag", "n": x.n, "offset": x.offset}
+    else:
+        c = x.array.reshape(-1)
+        head = {"kind": "dense", "n": x.n}
+    return json.dumps({"entries": np.stack((c.real, c.imag), -1).tolist(), **head},
+                      sort_keys=True)
+
+
+@st.composite
+def exported_operators(draw):
+    """One operator as `idemarith export` builds it: P, C, T or S at
+    dim <= 2520, or the dense theta / IU* at dim <= 60."""
+    kind = draw(st.sampled_from(["P", "C", "T", "S", "theta", "IU*"]))
+    if kind in ("theta", "IU*"):
+        ops = analytic.shift_operators(analytic.TruncatedSpace(draw(st.integers(1, 60)), 1))
+        return ops["theta"] if kind == "theta" else ops["integration"] * ops["U_star"]
+    dim = draw(st.integers(1, 2520))
+    system = IdempotentSystem(dim, draw(st.integers(0, 1)))
+    n = draw(st.integers(1, min(dim, 120)))
+    j = draw(st.integers(-n, 2 * n))
+    family = OperatorFamily(system)
+    if kind == "P":
+        return system.projection(j, n)
+    if kind == "C":
+        return family.c_operator(j, n)
+    if kind == "T":
+        return family.t_operator(draw(st.sampled_from(divisors(n))), j, n)
+    return family.s_operator(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exported_operators())
+def test_element_text_matches_json_dumps_on_exports(x):
+    assert element_text(x) == json_dumps_oracle(x)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("x", [
+    DiagonalOperator((0.0, -0.0, 1.0, -0.0)),
+    DiagonalOperator((complex(0.0, -0.0), complex(-0.0, 0.0), 0j, complex(-0.0, -0.0)), 1),
+    DiagonalOperator((_NAN, _INF, -_INF, complex(_NAN, -_INF), complex(-_INF, _NAN))),
+    DiagonalOperator((Fraction(1, 3), Fraction(-2, 7), 1, Fraction(1, 3))),
+    DiagonalOperator((2**70, -1, 2**70)),
+    DiagonalOperator((2**53 + 1, 2**53, -(2**53 + 1))),
+    DiagonalOperator((7,)),
+    DenseMatrix([[-0.0, 0.0], [complex(0.0, -0.0), _NAN]]),
+])
+def test_element_text_matches_json_dumps_by_hand(x):
+    assert element_text(x) == json_dumps_oracle(x)
+
+
+def test_element_text_keeps_signed_zeros_and_storage():
+    assert DiagonalOperator((2**70, -1))._values.dtype == object
+    assert DiagonalOperator((2**53 + 1,))._values.dtype == np.int64
+    text = element_text(DiagonalOperator((0.0, complex(-0.0, 0.0), complex(0.0, -0.0))))
+    assert text.startswith('{"entries": [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]]')
+    assert element_to_json(DiagonalOperator((1, 2)))["entries"] == [[1.0, 0.0], [2.0, 0.0]]
+    with pytest.raises(TypeError):
+        element_text(Scalar(1))
 
 
 @pytest.mark.parametrize("data", [

@@ -2,10 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from idemarith import analytic
+from idemarith.algebra import DenseMatrix, element_from_json
 from idemarith.cli import _parse_range, main
+from idemarith.idempotents import IdempotentSystem
+from idemarith.ramanujan_ops import OperatorFamily
 
 
 @pytest.fixture()
@@ -165,6 +170,16 @@ class TestCheck:
         assert json.loads(path.read_text())["pass"] is True
 
 
+def _exported(spec: str, dim: int, offset: int):
+    """The operator `export SPEC` prints, built through the library."""
+    system = IdempotentSystem(dim, offset)
+    family = OperatorFamily(system)
+    ops = analytic.shift_operators(analytic.TruncatedSpace(dim, 1))
+    return {"P:2:6": system.projection(2, 6), "C:1:12": family.c_operator(1, 12),
+            "T:3:1:12": family.t_operator(3, 1, 12), "S:7": family.s_operator(7),
+            "theta": ops["theta"], "IU*": ops["integration"] * ops["U_star"]}[spec]
+
+
 class TestExport:
     def test_projection(self, runner):
         result = runner.invoke(main, ["export", "P:1:2", "--dim", "4"])
@@ -206,6 +221,19 @@ class TestExport:
         payload = json.loads(result.output)
         assert payload["kind"] == "dense"
         assert abs(payload["entries"][5][0] - 0.5) < 1e-12  # diagonal entry at m = 2
+
+    @pytest.mark.parametrize("spec", ["P:2:6", "C:1:12", "T:3:1:12", "S:7", "theta", "IU*"])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_every_kind_round_trips(self, runner, spec, offset):
+        result = runner.invoke(main, ["export", spec, "--dim", "24", "--offset", str(offset)])
+        assert result.exit_code == 0
+        back, want = element_from_json(json.loads(result.output)), _exported(spec, 24, offset)
+        if isinstance(want, DenseMatrix):
+            assert np.array_equal(back.array, want.array)
+        else:
+            assert back.offset == want.offset
+            assert np.array_equal(np.array(back.entries, dtype=complex),
+                                  np.array(want.entries, dtype=complex))
 
     def test_export_determinism(self, runner):
         args = ["export", "C:1:12", "--dim", "24"]
