@@ -20,7 +20,6 @@ from .arith import (
     RFCoefficients,
     crt_solve,
     divisors,
-    euclid,
     factorize,
     jordan_totient,
     lcm_tuple_count,

@@ -3,9 +3,10 @@ C_0/T_0 diagonals with their determinant and trace identities, the
 diagonal map P(alpha) with entries (nu0 * alpha)(m), shift/integration
 matrices, and the finite-prefix growth diagnostic.
 
-Some commonly quoted closed-form expressions for these traces disagree
-with the coprime-count oracle; those are evaluated and reported as
-erratum data, never asserted.
+The identity functions return numbers, and the identity suites judge
+them.  Commonly quoted closed forms of the determinant and traces that
+disagree with the oracle are evaluated by ``det_c0_unsigned_form`` and
+``trace_erratum_forms`` for the errata section, never asserted.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "p_operator",
     "p_operator_identities",
     "shift_operators",
+    "trace_erratum_forms",
     "trace_identities",
 ]
 
@@ -109,30 +111,18 @@ def det_c0_unsigned_form(n: int, n_dim: int) -> int:
 
 
 def trace_identities(n: int, n_dim: int) -> dict:
-    """Exact trace identities on e_1..e_N, plus erratum evaluations of
-    alternative closed-form expressions that fail the oracle.
-
-    Asserted: trace C_0(n) = sum_{d|n} d mu(n/d) floor(N/d) and
+    """Exact trace identities on e_1..e_N, both sides of each:
+    trace C_0(n) = sum_{d|n} d mu(n/d) floor(N/d) and
     trace T_0(n) = #{m <= N : gcd(m, n) = 1} = sum_{r|n} mu(r) floor(N/r).
-    Logged only: the coprime floor sum sum_{gcd(k,n)=1} floor((N-k)/n) and
-    N*omega(n) - sum_{p|n} floor(N/p), which disagree with the oracle.
     """
     if n < 1:
         raise ValueError("trace_identities requires n >= 1")
     c_row, whole, rest = _one_period(lambda k: ramanujan_sum(n, k), n, n_dim)
     trace_c0 = sum(c_row) * whole + sum(c_row[:rest])
     c0_closed = sum(d * mobius(n // d) * (n_dim // d) for d in divisors(n))
-    c0_prime_power_sum = sum(
-        p**a * (n_dim // p**a) - p ** (a - 1) * (n_dim // p ** (a - 1))
-        for p, a in factorize(n)
-    )
     t_row, _, _ = _one_period(lambda m: math.gcd(m, n) == 1, n, n_dim)
     trace_t0 = sum(t_row) * whole + sum(t_row[:rest])
     t0_closed = sum(mobius(r) * (n_dim // r) for r in divisors(n))
-    coprime_floor_sum = sum(
-        (n_dim - k) // n for k in range(1, n + 1) if math.gcd(k, n) == 1
-    )
-    omega_expression = n_dim * omega(n) - sum(n_dim // p for p, _ in factorize(n))
     return {
         "n": n,
         "dim": n_dim,
@@ -141,13 +131,28 @@ def trace_identities(n: int, n_dim: int) -> dict:
         "trace_t0": trace_t0,
         "trace_t0_closed": t0_closed,
         "pass": trace_c0 == c0_closed and trace_t0 == t0_closed,
-        "erratum": {
-            "prime_power_sum_for_trace_c0": c0_prime_power_sum,
-            "prime_power_sum_matches": c0_prime_power_sum == trace_c0,
-            "coprime_floor_sum": coprime_floor_sum,
-            "omega_expression": omega_expression,
-            "floor_chain_matches": coprime_floor_sum == omega_expression == t0_closed,
-        },
+    }
+
+
+def trace_erratum_forms(n: int, n_dim: int) -> dict:
+    """Commonly quoted closed forms of the traces on e_1..e_N that disagree
+    with ``trace_identities``: the prime-power sum
+    sum_{p^a||n} (p^a floor(N/p^a) - p^(a-1) floor(N/p^(a-1))) for
+    trace C_0(n), and for trace T_0(n) the coprime floor sum
+    sum_{gcd(k,n)=1, k<=n} floor((N-k)/n) and N omega(n) - sum_{p|n} floor(N/p).
+    """
+    prime_power_sum = sum(
+        p**a * (n_dim // p**a) - p ** (a - 1) * (n_dim // p ** (a - 1))
+        for p, a in factorize(n)
+    )
+    coprime_floor_sum = sum(
+        (n_dim - k) // n for k in range(1, n + 1) if math.gcd(k, n) == 1
+    )
+    omega_expression = n_dim * omega(n) - sum(n_dim // p for p, _ in factorize(n))
+    return {
+        "prime_power_sum": prime_power_sum,
+        "coprime_floor_sum": coprime_floor_sum,
+        "omega_expression": omega_expression,
     }
 
 
@@ -233,33 +238,25 @@ def iu_star_diagonal(space: TruncatedSpace) -> list:
     ]
 
 
-def iu_star_representation(space: TruncatedSpace, n_max: int | None = None) -> dict:
+def iu_star_representation(space: TruncatedSpace) -> dict:
     """Which scalar function represents integration-compose-backward-shift:
     compares (nu0 * mu * nu_{-1})(m) (exact 1/m) and (nu0 * mu * nu_1)(m)
-    (exact m, the Euler diagonal) against the 1/m target, excluding the
-    truncation edge m = 1 where the backward shift kills e_1.
+    (exact m, the Euler diagonal) against the 1/m target on the space,
+    excluding the truncation edge m = 1 where the backward shift kills e_1.
+    Returns whether each candidate matches, keyed by candidate.
     """
     if space.offset != 1:
         raise ValueError("iu_star_representation requires the offset-1 model")
-    n_max = min(n_max or space.dim, space.dim)
+    n_max = space.dim
     ones = [1] * n_max
     mu_t = scalar_table(mobius, n_max)
     candidates = {
         "mu*nu_minus1": scalar_dirichlet(ones, scalar_dirichlet(mu_t, scalar_table(lambda n: nu(-1, n), n_max))),
         "mu*nu_1": scalar_dirichlet(ones, scalar_dirichlet(mu_t, scalar_table(lambda n: nu(1, n), n_max))),
     }
-    target = [Fraction(1, m) for m in range(1, n_max + 1)]
-    results = {
-        name: all(vals[m - 1] == target[m - 1] for m in range(2, n_max + 1))
-        for name, vals in candidates.items()
-    }
     return {
-        "identity": "diagonal of integration-compose-backward-shift",
-        "n_max": n_max,
-        "matches": results,
-        "edge_note": "basis edge m = 1 maps to 0 under the truncated backward shift",
-        "matching_candidate": [k for k, v in results.items() if v],
-        "pass": results["mu*nu_minus1"] and not results["mu*nu_1"],
+        name: all(vals[m - 1] == Fraction(1, m) for m in range(2, n_max + 1))
+        for name, vals in candidates.items()
     }
 
 

@@ -1,8 +1,9 @@
 """Exact scalar number theory: factorization, classical multiplicative
 functions, Ramanujan sums, the CRT solver, and even-function Fourier
-coefficients.
+coefficients with their reconstruction residual.
 
-Everything here is computed in exact integer or rational arithmetic.
+Everything here is computed in exact integer or rational arithmetic and
+compared with no tolerance: the identity suites judge ``rf_residual``.
 Complex floats only appear in callers that use root-of-unity oracles.
 """
 
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 MAX_FACTOR_INPUT = 10**12
 
@@ -23,16 +24,15 @@ __all__ = [
     "crt_solve",
     "divisors",
     "epsilon",
-    "euclid",
     "factorize",
     "jordan_totient",
     "lcm_tuple_count",
     "mobius",
     "nu",
     "omega",
-    "one",
     "ramanujan_orthogonality",
     "ramanujan_sum",
+    "rf_residual",
     "rf_transform",
     "tau",
     "totient",
@@ -82,14 +82,6 @@ def divisors(n: int) -> tuple[int, ...]:
     for p, a in factorize(n):
         divs = [d * p**k for d in divs for k in range(a + 1)]
     return tuple(sorted(divs))
-
-
-def euclid(a: int, b: int) -> tuple[int, int]:
-    """(gcd, lcm) of two positive integers."""
-    if a < 1 or b < 1:
-        raise ValueError("euclid requires positive integers")
-    g = math.gcd(a, b)
-    return g, a * b // g
 
 
 def mobius(n: int) -> int:
@@ -142,11 +134,6 @@ def nu(k: int, n: int):
 def epsilon(n: int) -> int:
     """Dirichlet unit: 1 at n = 1, else 0."""
     return 1 if n == 1 else 0
-
-
-def one(n: int) -> int:
-    """The constant-one function (nu_0)."""
-    return 1
 
 
 @lru_cache(maxsize=None)
@@ -229,8 +216,8 @@ class RFCoefficients:
     ``orthogonal`` reconstructs: alpha(n) = sum_{r|d} a(r) c_r(n).
     ``unnormalized`` is the double-sum form R(alpha)(r) = sum_{delta|d}
     alpha(d/delta) c_delta(d/r), which works out to d times the
-    orthogonal coefficients; both are exposed, and the factor-of-d
-    relationship is itself verified at construction.
+    orthogonal coefficients; both are exposed, and ``rf_residual``
+    measures both the factor of d and the reconstruction.
     """
 
     modulus: int
@@ -238,17 +225,8 @@ class RFCoefficients:
     orthogonal: dict = field(hash=False)
 
 
-class ReconstructionError(ValueError):
-    """The Ramanujan-Fourier reconstruction residual exceeded tolerance."""
-
-
-def rf_transform(alpha: EvenFunction, tol: float = 1e-9) -> RFCoefficients:
-    """Both Ramanujan-Fourier coefficient normalizations of an even function.
-
-    Verifies (a) unnormalized = d * orthogonal entrywise and (b) the
-    orthogonal coefficients reconstruct alpha on 1..d; raises
-    ReconstructionError if either residual exceeds tol.
-    """
+def rf_transform(alpha: EvenFunction) -> RFCoefficients:
+    """Both Ramanujan-Fourier coefficient normalizations of an even function."""
     d = alpha.modulus
     divs = divisors(d)
     unnormalized = {
@@ -260,15 +238,18 @@ def rf_transform(alpha: EvenFunction, tol: float = 1e-9) -> RFCoefficients:
         * sum(alpha(k) * ramanujan_sum(r, k) for k in range(1, d + 1))
         for r in divs
     }
-    for r in divs:
-        if abs(unnormalized[r] - d * orthogonal[r]) > tol:
-            raise ReconstructionError(
-                f"unnormalized/orthogonal mismatch at r={r}"
-            )
-    for n in range(1, d + 1):
-        recon = sum(orthogonal[r] * ramanujan_sum(r, n) for r in divs)
-        if abs(recon - alpha(n)) > tol:
-            raise ReconstructionError(
-                f"reconstruction residual {abs(recon - alpha(n))} at n={n}"
-            )
     return RFCoefficients(d, unnormalized, orthogonal)
+
+
+def rf_residual(alpha: EvenFunction):
+    """The worst of |unnormalized(r) - d * orthogonal(r)| over r | d and of
+    the reconstruction error |sum_{r|d} orthogonal(r) c_r(n) - alpha(n)|
+    over n = 1..d; exactly 0 on exact values.
+    """
+    coeffs = rf_transform(alpha)
+    d, divs = alpha.modulus, divisors(alpha.modulus)
+    return max(
+        max(abs(coeffs.unnormalized[r] - d * coeffs.orthogonal[r]) for r in divs),
+        max(abs(sum(coeffs.orthogonal[r] * ramanujan_sum(r, n) for r in divs) - alpha(n))
+            for n in range(1, d + 1)),
+    )

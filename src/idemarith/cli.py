@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 
 import click
 
@@ -49,12 +48,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     if hi - lo + 1 > MAX_TABLE_VALUES:
         raise click.UsageError(f"range {text!r} spans more than {MAX_TABLE_VALUES} values")
     return lo, hi
-
-
-def _format_value(v) -> str:
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return str(v.numerator)
-    return str(v)
 
 
 _TABLE_FUNCTIONS = {
@@ -118,11 +111,11 @@ def cmd_table(function, range_, format_, out):
     lo, hi = _parse_range(range_)
     rows = [(n, fn(n)) for n in range(lo, hi + 1)]
     if format_ == "csv":
-        text = "n,value\n" + "".join(f"{n},{_format_value(v)}\n" for n, v in rows)
+        text = "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows)
     else:
         text = json.dumps(
             {"function": function, "range": [lo, hi],
-             "values": {str(n): _format_value(v) for n, v in rows}},
+             "values": {str(n): str(v) for n, v in rows}},
             indent=2, sort_keys=True) + "\n"
     _emit(text, out)
 

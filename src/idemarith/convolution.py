@@ -217,7 +217,8 @@ def lehmer_identity_check(
     form (nu0 * alpha P_j)(nu0 * beta P_j) = nu0 * (alpha [] beta) P_j on
     the diagonal realization.
 
-    alpha and beta are scalar tables of equal length; returns a report dict.
+    alpha and beta are scalar tables of equal length; returns a report dict
+    whose "max_residual" is the worst scalar residual, within tol or not.
     """
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must share n_max")
@@ -225,15 +226,17 @@ def lehmer_identity_check(
     ones = [1] * n_max
     lhs = [a * b for a, b in zip(scalar_dirichlet(ones, alpha), scalar_dirichlet(ones, beta))]
     rhs = scalar_dirichlet(ones, scalar_lcm(alpha, beta))
+    residuals = [abs(x - y) for x, y in zip(lhs, rhs)]
     failures = [
         {"m": m, "lhs": lhs[m - 1], "rhs": rhs[m - 1]}
         for m in range(1, n_max + 1)
-        if abs(lhs[m - 1] - rhs[m - 1]) > tol
+        if residuals[m - 1] > tol
     ]
     report = {
         "identity": "(nu0*alpha)(nu0*beta) = nu0*(alpha lcm-prod beta)",
         "n_max": n_max,
         "scalar_failures": failures,
+        "max_residual": max(residuals, default=0),
         "pass": not failures,
     }
     if system is not None:

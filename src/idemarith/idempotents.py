@@ -9,13 +9,14 @@ P_j(n) = (1/n) sum_l eps_n^{-lj} S^l(n) and exists purely as an oracle.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import DiagonalOperator
-from .arith import crt_solve, euclid, lcm_tuple_count, omega
+from .arith import crt_solve, lcm_tuple_count, omega
 
 __all__ = [
     "IdempotentSystem",
@@ -59,10 +60,10 @@ class IdempotentSystem:
         return DiagonalOperator(np.mean(phases, axis=0), self.offset)
 
 
-def verify_axioms(system: IdempotentSystem, n_limit: int,
-                  r_max: int = 6) -> tuple[float, tuple | None]:
-    """Residuals of orthogonality (I), periodicity (II), refinement (III),
-    and the completeness sum for all levels n <= n_limit.
+def verify_axioms(system: IdempotentSystem, n_limit: int) -> tuple[float, tuple | None]:
+    """Residuals of orthogonality (I), periodicity (II), refinement (III)
+    by the factors r <= 6, and the completeness sum for all levels
+    n <= n_limit.
 
     Returns the worst residual, 0 on the exact provider, and the first
     place it occurs as (axiom, n, j, r).
@@ -80,7 +81,7 @@ def verify_axioms(system: IdempotentSystem, n_limit: int,
             for p in projs:
                 total = total + p
             yield total, system.unit(), ("completeness", n, None, None)
-            for r in range(1, r_max + 1):
+            for r in range(1, 7):
                 for j in range(n):
                     acc = projs[0].zero()
                     for k in range(1, r + 1):
@@ -99,7 +100,7 @@ def product_law(system: IdempotentSystem, k: int, n: int, l: int,
     """
     product = system.projection(k, n) * system.projection(l, m)
     j = crt_solve(k, n, l, m)
-    _, lcm = euclid(n, m)
+    lcm = math.lcm(n, m)
     if j is None:
         verdict = {"kind": "zero"}
         predicted = product.zero()
@@ -128,40 +129,28 @@ def weighted_product_identities(
     beta: Sequence,
     system: IdempotentSystem,
     j: int,
-    n_max: int | None = None,
 ) -> float:
     """Residual of (alpha P_j [] beta P_j)(n) = (alpha [] beta)(n) P_j(n) and
-    the unitary analogue for n <= n_max, plus the particular cases with
-    alpha = beta = 1: M_2(n) P_j(n) and 2^omega(n) P_j(n).
+    the unitary analogue for n up to the length of the tables, plus the
+    particular cases with alpha = beta = 1: M_2(n) P_j(n) and
+    2^omega(n) P_j(n).
 
     Returns the worst of the four residuals, 0 on exact tables.
     """
     from .convolution import AlgFunction, lcm_convolve, scalar_lcm, scalar_unitary, unitary_convolve
 
-    if n_max is None:
-        n_max = min(len(alpha), len(beta))
-    if len(alpha) < n_max or len(beta) < n_max:
-        raise ValueError("alpha and beta must be tabulated to n_max")
-    proj = [system.projection(j, n) for n in range(1, n_max + 1)]
-    f_a = AlgFunction([proj[n - 1].scale(alpha[n - 1]) for n in range(1, n_max + 1)])
-    f_b = AlgFunction([proj[n - 1].scale(beta[n - 1]) for n in range(1, n_max + 1)])
-    box_scalar = scalar_lcm(list(alpha[:n_max]), list(beta[:n_max]))
-    cup_scalar = scalar_unitary(list(alpha[:n_max]), list(beta[:n_max]))
-    box_ops = lcm_convolve(f_a, f_b)
-    cup_ops = unitary_convolve(f_a, f_b)
-    residual_box = max(
-        box_ops(n).distance(proj[n - 1].scale(box_scalar[n - 1])) for n in range(1, n_max + 1)
-    )
-    residual_cup = max(
-        cup_ops(n).distance(proj[n - 1].scale(cup_scalar[n - 1])) for n in range(1, n_max + 1)
-    )
+    if len(alpha) != len(beta):
+        raise ValueError("alpha and beta must share n_max")
+    levels = range(1, len(alpha) + 1)
+    proj = [system.projection(j, n) for n in levels]
+    f_a = AlgFunction([p.scale(a) for p, a in zip(proj, alpha)])
+    f_b = AlgFunction([p.scale(b) for p, b in zip(proj, beta)])
     ones = AlgFunction(proj)
-    box_ones = lcm_convolve(ones, ones)
-    cup_ones = unitary_convolve(ones, ones)
-    residual_m2 = max(
-        box_ones(n).distance(proj[n - 1].scale(lcm_tuple_count(2, n))) for n in range(1, n_max + 1)
-    )
-    residual_omega = max(
-        cup_ones(n).distance(proj[n - 1].scale(2 ** omega(n))) for n in range(1, n_max + 1)
-    )
-    return max(residual_box, residual_cup, residual_m2, residual_omega)
+    sides = [  # (operator-valued product, scalar table whose multiples of P_j it equals)
+        (lcm_convolve(f_a, f_b), scalar_lcm(alpha, beta)),
+        (unitary_convolve(f_a, f_b), scalar_unitary(alpha, beta)),
+        (lcm_convolve(ones, ones), [lcm_tuple_count(2, n) for n in levels]),
+        (unitary_convolve(ones, ones), [2 ** omega(n) for n in levels]),
+    ]
+    return max(ops(n).distance(proj[n - 1].scale(table[n - 1]))
+               for ops, table in sides for n in levels)

@@ -34,7 +34,6 @@ class OperatorFamily:
 
     def __init__(self, system: IdempotentSystem):
         self.system = system
-        self._s_cache: dict[int, DiagonalOperator] = {}
 
     @property
     def dim(self) -> int:
@@ -42,12 +41,8 @@ class OperatorFamily:
 
     def s_operator(self, n: int) -> DiagonalOperator:
         """Root-of-unity diagonal S(n) e_k = eps_n^k e_k; S(n)^n = e."""
-        if n not in self._s_cache:
-            k = np.arange(self.system.offset, self.system.offset + self.dim)
-            self._s_cache[n] = DiagonalOperator(
-                np.exp(2j * np.pi * k / n), self.system.offset
-            )
-        return self._s_cache[n]
+        k = np.arange(self.system.offset, self.system.offset + self.dim)
+        return DiagonalOperator(np.exp(2j * np.pi * k / n), self.system.offset)
 
     def c_operator(self, j: int, n: int) -> DiagonalOperator:
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""

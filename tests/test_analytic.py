@@ -21,6 +21,7 @@ from idemarith.analytic import (
     p_operator,
     p_operator_identities,
     shift_operators,
+    trace_erratum_forms,
     trace_identities,
 )
 from idemarith.arith import epsilon, mobius, ramanujan_sum, totient
@@ -104,11 +105,20 @@ class TestTrace:
 
     def test_erratum_chain_values(self):
         # the commonly quoted chain of expressions disagrees with itself at (6, 10)
-        err = trace_identities(6, 10)["erratum"]
+        err = trace_erratum_forms(6, 10)
         assert err["coprime_floor_sum"] == 1
         assert err["omega_expression"] == 12
         assert trace_identities(6, 10)["trace_t0_closed"] == 3
-        assert not err["floor_chain_matches"]
+        assert not (err["coprime_floor_sum"] == err["omega_expression"]
+                    == trace_identities(6, 10)["trace_t0_closed"])
+
+    def test_erratum_form_values(self):
+        # the two points the report's errata section evaluates
+        assert trace_erratum_forms(6, 10) == {
+            "prime_power_sum": -1, "coprime_floor_sum": 1, "omega_expression": 12}
+        assert trace_erratum_forms(6, 7) == {
+            "prime_power_sum": -2, "coprime_floor_sum": 1, "omega_expression": 9}
+        assert trace_identities(6, 7)["trace_c0"] == 1
 
 
 class TestPOperator:
@@ -160,10 +170,8 @@ class TestShiftOperators:
 
 class TestIuStarRepresentation:
     def test_candidate_search(self):
-        report = iu_star_representation(TruncatedSpace(128, 1), 128)
-        assert report["pass"]
-        assert report["matching_candidate"] == ["mu*nu_minus1"]
-        assert report["matches"]["mu*nu_1"] is False
+        report = iu_star_representation(TruncatedSpace(128, 1))
+        assert report == {"mu*nu_minus1": True, "mu*nu_1": False}
 
 
 class TestGrowthIndicator:

@@ -1,6 +1,7 @@
 """Scalar number theory against brute-force oracles."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,20 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from idemarith.arith import (
     EvenFunction,
-    ReconstructionError,
     crt_solve,
     divisors,
     epsilon,
-    euclid,
     factorize,
     jordan_totient,
     lcm_tuple_count,
     mobius,
     nu,
     omega,
-    one,
     ramanujan_orthogonality,
     ramanujan_sum,
+    rf_residual,
     rf_transform,
     tau,
     totient,
@@ -60,20 +59,6 @@ class TestFactorize:
         assert math.prod(p**a for p, a in pairs) == n
 
 
-class TestEuclid:
-    def test_examples(self):
-        assert euclid(4, 6) == (2, 12)
-        assert euclid(1, 17) == (1, 17)
-        assert euclid(7, 7) == (7, 7)
-
-    @given(st.integers(1, 200), st.integers(1, 200))
-    def test_against_divisor_scan(self, a, b):
-        g, l = euclid(a, b)
-        assert g == max(d for d in range(1, min(a, b) + 1) if a % d == 0 and b % d == 0)
-        assert g * l == a * b
-        assert l % a == 0 and l % b == 0
-
-
 class TestClassicalFunctions:
     def test_mobius_examples(self):
         assert mobius(1) == 1
@@ -109,7 +94,6 @@ class TestClassicalFunctions:
         assert nu(-1, 4) == Fraction(1, 4)
         assert isinstance(nu(-2, 3), Fraction)
         assert epsilon(1) == 1 and epsilon(7) == 0
-        assert one(99) == 1
 
     def test_mobius_inversion(self):
         for n in range(1, 1001):
@@ -201,7 +185,7 @@ class TestCrt:
         assert crt_solve(3, 5, 3, 5) == 3
 
     def scan(self, k, n, l, m):
-        _, lcm = euclid(n, m)
+        lcm = math.lcm(n, m)
         hits = [j for j in range(lcm) if (j - k) % n == 0 and (j - l) % m == 0]
         return hits[0] if hits else None
 
@@ -264,7 +248,7 @@ class TestEvenFunctions:
         for _ in range(50):
             d = int(rng.choice([1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 36, 48]))
             alpha = EvenFunction(d, {r: int(rng.integers(-9, 10)) for r in divisors(d)})
-            coeffs = rf_transform(alpha)  # raises ReconstructionError on failure
+            coeffs = rf_transform(alpha)
             for n in range(1, d + 1):
                 recon = sum(coeffs.orthogonal[r] * ramanujan_sum(r, n) for r in divisors(d))
                 assert abs(recon - alpha(n)) < 1e-9
@@ -275,3 +259,23 @@ class TestEvenFunctions:
             coeffs = rf_transform(alpha)
             for r in divisors(d):
                 assert coeffs.unnormalized[r] == d * coeffs.orthogonal[r]
+
+    @given(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 48]), st.data())
+    def test_rf_residual_is_zero_on_exact_values(self, d, data):
+        values = {r: data.draw(st.integers(-9, 9)) for r in divisors(d)}
+        assert rf_residual(EvenFunction(d, values)) == 0
+
+    @pytest.mark.parametrize("normalization", ["unnormalized", "orthogonal"])
+    def test_rf_residual_sees_a_dropped_divisor_term(self, monkeypatch, normalization):
+        # fault injection: rf_transform loses the r = 2 term of one
+        # normalization, as a sum that skips one divisor would
+        exact = rf_transform
+
+        def dropped(alpha):
+            coeffs = exact(alpha)
+            return dataclasses.replace(
+                coeffs, **{normalization: {**getattr(coeffs, normalization), 2: 0}})
+
+        monkeypatch.setattr("idemarith.arith.rf_transform", dropped)
+        alpha = EvenFunction.from_callable(lambda r: math.gcd(r, 4), 4)
+        assert rf_residual(alpha) > 0

@@ -266,6 +266,13 @@ class TestLehmerIdentity:
         summed = scalar_dirichlet([1] * 200, scalar_table(lambda n: jordan_totient(2, n), 200))
         assert summed == [m * m for m in range(1, 201)]
 
+    def test_max_residual_reports_rounding_within_tol(self):
+        # float tables: rounding leaves a nonzero residual that no failure lists
+        alpha = [0.1 * k for k in range(1, 61)]
+        report = lehmer_identity_check(alpha, [1 / 3] * 60)
+        assert report["scalar_failures"] == []
+        assert 0 < report["max_residual"] <= 1e-9
+
     def test_operator_form(self):
         system = IdempotentSystem(36)
         phi = scalar_table(totient, 30)

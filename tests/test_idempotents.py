@@ -177,7 +177,7 @@ class TestWeightedIdentities:
     def test_ones_pair(self):
         system = IdempotentSystem(24)
         ones = [1] * 12
-        assert weighted_product_identities(ones, ones, system, 1, 12) == 0
+        assert weighted_product_identities(ones, ones, system, 1) == 0
         # scalar shadows of the particular cases
         assert lcm_tuple_count(2, 4) == 5
         assert 2 ** omega(12) == 4
@@ -185,7 +185,7 @@ class TestWeightedIdentities:
     def test_mixed_pair(self):
         system = IdempotentSystem(30)
         residual = weighted_product_identities(
-            scalar_table(totient, 15), scalar_table(lambda n: n, 15), system, 2, 15
+            scalar_table(totient, 15), scalar_table(lambda n: n, 15), system, 2
         )
         assert residual == 0
 

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from idemarith.algebra import NonInvertibleError
-from idemarith.arith import ReconstructionError
 from idemarith.convolution import InverseCheckError
 from idemarith.idempotents import IdempotentSystem
 from idemarith.suites import SUITES, _check, run_suite
@@ -81,8 +80,7 @@ class TestRunSuite:
 
 
 class TestCheck:
-    @pytest.mark.parametrize("error", [InverseCheckError, NonInvertibleError,
-                                       ReconstructionError])
+    @pytest.mark.parametrize("error", [InverseCheckError, NonInvertibleError])
     def test_check_error_becomes_failed_row(self, error):
         def residual(n):
             if n == 2:
