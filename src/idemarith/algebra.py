@@ -76,11 +76,13 @@ class Scalar:
             raise ShapeMismatchError(f"cannot combine Scalar with {type(other).__name__}")
 
     def __add__(self, other):
-        self._check(other)
+        if type(other) is not Scalar:  # the common case skips the isinstance check
+            self._check(other)
         return Scalar(self.value + other.value)
 
     def __sub__(self, other):
-        self._check(other)
+        if type(other) is not Scalar:
+            self._check(other)
         return Scalar(self.value - other.value)
 
     def __neg__(self):

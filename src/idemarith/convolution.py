@@ -230,7 +230,7 @@ def lehmer_identity_check(
     failures = [
         {"m": m, "lhs": lhs[m - 1], "rhs": rhs[m - 1]}
         for m in range(1, n_max + 1)
-        if residuals[m - 1] > tol
+        if not residuals[m - 1] <= tol  # a NaN residual or tolerance fails
     ]
     report = {
         "identity": "(nu0*alpha)(nu0*beta) = nu0*(alpha lcm-prod beta)",

@@ -5,6 +5,12 @@ convolution identities.
 The congruence-exact provider is the production path (0/1 integer
 diagonals); the dft-float provider evaluates the discrete-Fourier formula
 P_j(n) = (1/n) sum_l eps_n^{-lj} S^l(n) and exists purely as an oracle.
+
+The CRT product law is checked one level pair (n, m) at a time:
+``product_law_residual`` multiplies the stacks of all P_k(n) and all
+P_l(m) in one broadcast and compares every product with its prediction.
+``product_law`` is the per-case form, P_k(n) P_l(m) built as diagonals,
+and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "IdempotentSystem",
     "divisor_product_law",
     "product_law",
+    "product_law_residual",
     "verify_axioms",
     "weighted_product_identities",
 ]
@@ -58,6 +65,17 @@ class IdempotentSystem:
         # entry k: (1/n) sum_l eps_n^{-lj} eps_n^{lk}, float noise ~1e-16
         phases = np.exp(2j * np.pi * (np.arange(n)[:, None] * (self._indices - j)[None, :]) / n)
         return DiagonalOperator(np.mean(phases, axis=0), self.offset)
+
+    def projections(self, js, n: int) -> np.ndarray:
+        """The read-only int64 stack (len(js), dim) whose row i is the
+        congruence indicator P_{js[i]}(n): 1 at e_m iff m - js[i] = 0 (mod n).
+        """
+        if n < 1:
+            raise ValueError("level n must be positive")
+        residues = np.array([j % n for j in js], dtype=np.int64).reshape(-1, 1)
+        stack = ((self._indices - residues) % n == 0).astype(np.int64)
+        stack.flags.writeable = False
+        return stack
 
 
 def verify_axioms(system: IdempotentSystem, n_limit: int) -> tuple[float, tuple | None]:
@@ -109,6 +127,26 @@ def product_law(system: IdempotentSystem, k: int, n: int, l: int,
         predicted = system.projection(j, lcm)
     verdict["residual"] = product.distance(predicted)
     return product, verdict
+
+
+def product_law_residual(system: IdempotentSystem, n: int,
+                         m: int) -> tuple[float, dict]:
+    """The worst residual of the CRT law over all P_k(n) P_l(m), k < n and
+    l < m, against P_j(lcm(n, m)) with j = crt_solve(k, n, l, m), or zero
+    when there is no such j; 0 when the law holds.
+
+    Returns the residual and its first place in (k, l) order as
+    {"k": k, "l": l}.
+    """
+    lcm = math.lcm(n, m)
+    products = system.projections(range(n), n)[:, None] * system.projections(range(m), m)
+    zero = np.zeros((1, system.dim), dtype=np.int64)
+    predictions = np.vstack((system.projections(range(lcm), lcm), zero))  # row lcm is zero
+    rows = [[lcm if j is None else j for j in (crt_solve(k, n, l, m) for l in range(m))]
+            for k in range(n)]
+    residuals = np.abs(products - predictions[rows]).max(axis=2)
+    k, l = np.unravel_index(np.argmax(residuals), residuals.shape)
+    return float(residuals[k, l]), {"k": int(k), "l": int(l)}
 
 
 def divisor_product_law(system: IdempotentSystem, j: int, n: int, k: int,

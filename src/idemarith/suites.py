@@ -56,8 +56,8 @@ from .convolution import (
     scalar_unitary,
     unitary_convolve,
 )
-from .idempotents import (IdempotentSystem, divisor_product_law, product_law, verify_axioms,
-                          weighted_product_identities)
+from .idempotents import (IdempotentSystem, divisor_product_law, product_law_residual,
+                          verify_axioms, weighted_product_identities)
 from .ramanujan_ops import OperatorFamily
 
 __all__ = ["SUITES", "run_suite"]
@@ -140,16 +140,15 @@ def _suite_axioms(n_max, dim, tol, seed):
 
 def _suite_product_law(n_max, dim, tol, seed):
     n_cap = min(n_max, 12)
-    crt_cases = [(k, n, l, m) for n in range(1, n_cap + 1) for m in range(1, n_cap + 1)
-                 for k in range(n) for l in range(m)]
-    crt = IdempotentSystem(max(math.lcm(n, m) for _, n, _, m in crt_cases))
+    levels = [(n, m) for n in range(1, n_cap + 1) for m in range(1, n_cap + 1)]
+    crt = IdempotentSystem(max(math.lcm(n, m) for n, m in levels))
     divisor_cases = [(j, n, k, m) for n in (1, 2, 3, 4, 6) for m in (n * 2, n * 3)
                      for j in range(n) for k in range(m)]
     divisor = IdempotentSystem(max(m for _, _, _, m in divisor_cases))
     return [
         _check("projection product law with CRT index",
-               {"n_max": n_cap, "cases": len(crt_cases), "dim": crt.dim}, crt_cases,
-               lambda k, n, l, m: product_law(crt, k, n, l, m)[1]["residual"], tol),
+               {"n_max": n_cap, "cases": sum(n * m for n, m in levels), "dim": crt.dim},
+               levels, lambda n, m: product_law_residual(crt, n, m), tol),
         _check("divisor-level product law", {"dim": divisor.dim}, divisor_cases,
                lambda j, n, k, m: divisor_product_law(divisor, j, n, k, m)[1], tol),
     ], []
@@ -431,6 +430,9 @@ def run_suite(name: str, n_max: int = 60, dim: int = 2520, tol: float = 1e-9,
     """
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    for param, value in (("n_max", n_max), ("dim", dim)):
+        if value < 1:
+            raise ValueError(f"{param} must be at least 1, got {value}")
     checks: list[dict] = []
     errata: list[dict] = []
     for runner in _RUNNERS[name]:

@@ -134,6 +134,14 @@ def test_shape_mismatch_is_hard_error():
         DiagonalOperator((1, 2)) * DenseMatrix(np.eye(2))
 
 
+@pytest.mark.parametrize("other", [2, 2.5, DiagonalOperator((1,)), DenseMatrix(np.eye(1))])
+def test_scalar_sum_needs_a_scalar(other):
+    with pytest.raises(ShapeMismatchError):
+        Scalar(1) + other
+    with pytest.raises(ShapeMismatchError):
+        Scalar(1) - other
+
+
 def test_diag_dense_consistency():
     a = random_diag(6)
     b = random_diag(6)

@@ -273,6 +273,13 @@ class TestLehmerIdentity:
         assert report["scalar_failures"] == []
         assert 0 < report["max_residual"] <= 1e-9
 
+    def test_nan_tolerance_fails(self):
+        ones = [1] * 30
+        report = lehmer_identity_check(ones, ones, tol=float("nan"))
+        assert report["max_residual"] == 0
+        assert report["pass"] is False
+        assert [f["m"] for f in report["scalar_failures"]] == list(range(1, 31))
+
     def test_operator_form(self):
         system = IdempotentSystem(36)
         phi = scalar_table(totient, 30)

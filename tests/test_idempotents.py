@@ -3,16 +3,19 @@ convolution identities."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from idemarith import idempotents
 from idemarith.algebra import DiagonalOperator, is_idempotent
-from idemarith.arith import divisors, lcm_tuple_count, omega, ramanujan_sum, totient
+from idemarith.arith import crt_solve, divisors, lcm_tuple_count, omega, ramanujan_sum, totient
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import (
     IdempotentSystem,
     divisor_product_law,
     product_law,
+    product_law_residual,
     verify_axioms,
     weighted_product_identities,
 )
@@ -146,6 +149,34 @@ class TestOnePeriodDecides:
         _, at_period = product_law(IdempotentSystem(period, offset), k, n, l, m)
         _, wider = product_law(IdempotentSystem(period + extra, offset), k, n, l, m)
         assert wider == at_period
+
+
+class TestProductLawResidual:
+    """The per-level-pair broadcast against the per-case product_law."""
+
+    def test_projection_stack(self):
+        system = IdempotentSystem(7, offset=1)
+        stack = system.projections([0, 4, -1], 3)
+        assert stack.shape == (3, 7) and stack.dtype == np.int64
+        assert not stack.flags.writeable
+        for row, j in zip(stack.tolist(), [0, 4, -1]):
+            assert tuple(row) == system.projection(j, 3).entries
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 1), st.integers(0, 150))
+    def test_matches_per_case_oracle(self, n, m, offset, extra):
+        system = IdempotentSystem(math.lcm(n, m) + extra, offset)
+        residual, at = product_law_residual(system, n, m)
+        per_case = {(k, l): product_law(system, k, n, l, m)[1]["residual"]
+                    for k in range(n) for l in range(m)}
+        assert residual == max(per_case.values()) == 0
+        assert at == {"k": 0, "l": 0}
+
+    def test_wrong_index_is_placed(self, monkeypatch):
+        def wrong(k, n, l, m):  # P_5(6) is P_1(2) P_2(3); predict P_0(6)
+            return 0 if (k, n, l, m) == (1, 2, 2, 3) else crt_solve(k, n, l, m)
+
+        monkeypatch.setattr(idempotents, "crt_solve", wrong)
+        assert product_law_residual(IdempotentSystem(6), 2, 3) == (1.0, {"k": 1, "l": 2})
 
 
 class TestDivisorProductLaw:

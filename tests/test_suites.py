@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from idemarith import idempotents
 from idemarith.algebra import NonInvertibleError
+from idemarith.arith import crt_solve
 from idemarith.convolution import InverseCheckError
 from idemarith.idempotents import IdempotentSystem
 from idemarith.suites import SUITES, _check, run_suite
@@ -65,6 +67,32 @@ class TestRunSuite:
         for row in empty:
             assert row["error"] == "no case evaluated"
             assert row["max_residual"] is None
+
+    @pytest.mark.parametrize("name", SUITES)
+    @pytest.mark.parametrize("param", ["n_max", "dim"])
+    def test_invalid_scale_is_rejected_up_front(self, name, param):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=f"^{param} must be at least 1, got {value}$"):
+                run_suite(name, **{**SMALL, param: value})
+
+    def test_product_law_rows_at_the_defaults(self):
+        assert run_suite("product-law")["checks"] == [
+            {"identity": "projection product law with CRT index",
+             "params": {"n_max": 12, "cases": 6084, "dim": 132},
+             "max_residual": 0.0, "pass": True},
+            {"identity": "divisor-level product law", "params": {"dim": 18},
+             "max_residual": 0.0, "pass": True},
+        ]
+
+    def test_wrong_crt_index_fails_the_product_law_row(self, monkeypatch):
+        def wrong(k, n, l, m):  # P_1(4) P_2(6) is zero (no CRT index); predict P_4(12)
+            return 4 if (k, n, l, m) == (1, 4, 2, 6) else crt_solve(k, n, l, m)
+
+        monkeypatch.setattr(idempotents, "crt_solve", wrong)
+        row = run_suite("product-law", **SMALL)["checks"][0]
+        assert row["identity"] == "projection product law with CRT index"
+        assert row["pass"] is False and row["max_residual"] == 1.0
+        assert row["counterexample"] == {"n": 4, "m": 6, "at": {"k": 1, "l": 2}}
 
     def test_failed_row_names_its_worst_case(self):
         report = run_suite("axioms", n_max=6, dim=24, tol=0)
