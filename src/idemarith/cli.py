@@ -24,7 +24,8 @@ from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
 DEFAULT_DIM = 2520
-MAX_TABLE_VALUES = 10**6  # `table` holds every row before it writes one
+# `table` holds every row, and `export` every entry, before it writes one
+MAX_TABLE_VALUES = 10**6
 
 
 def _default_dim() -> int:
@@ -81,6 +82,13 @@ def _table_function(name: str):
     raise click.UsageError(f"unknown function {name!r}")
 
 
+def _value_text(function: str, n: int, value) -> str:
+    try:
+        return str(value)
+    except ValueError:  # more digits than the interpreter converts to text
+        raise click.UsageError(f"{function} at n={n} has too many digits to print")
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -109,13 +117,13 @@ def cmd_table(function, range_, format_, out):
     """
     fn = _table_function(function)
     lo, hi = _parse_range(range_)
-    rows = [(n, fn(n)) for n in range(lo, hi + 1)]
+    rows = [(n, _value_text(function, n, fn(n))) for n in range(lo, hi + 1)]
     if format_ == "csv":
         text = "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows)
     else:
         text = json.dumps(
             {"function": function, "range": [lo, hi],
-             "values": {str(n): str(v) for n, v in rows}},
+             "values": {str(n): v for n, v in rows}},
             indent=2, sort_keys=True) + "\n"
     _emit(text, out)
 
@@ -160,6 +168,10 @@ def cmd_export(spec, dim, offset, out):
         raise click.UsageError("dim must be positive")
     parts = spec.split(":")
     kind = parts[0].upper()
+    size = dim * dim if kind in ("THETA", "IU*") else dim
+    if size > MAX_TABLE_VALUES:
+        raise click.UsageError(
+            f"{spec} at dim {dim} has {size} entries, more than {MAX_TABLE_VALUES}")
 
     def _ints(expected: int) -> list[int]:
         if len(parts) - 1 != expected:

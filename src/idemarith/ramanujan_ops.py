@@ -10,7 +10,6 @@ float oracles.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,9 +39,17 @@ class OperatorFamily:
         return self.system.dim
 
     def s_operator(self, n: int) -> DiagonalOperator:
-        """Root-of-unity diagonal S(n) e_k = eps_n^k e_k; S(n)^n = e."""
-        k = np.arange(self.system.offset, self.system.offset + self.dim)
-        return DiagonalOperator(np.exp(2j * np.pi * k / n), self.system.offset)
+        """Root-of-unity diagonal S(n) e_m = eps_n^m e_m; S(n)^n = e.
+
+        Built from one period like C and T: the entry at e_m is
+        exp(2 pi i (m mod n) / n), so entries at indices congruent mod n
+        are the same float.  The phase is a real float64 before it meets
+        1j, as in ``cmath.exp(2j * math.pi * (m % n) / n)``; dividing the
+        complex 2j * pi * k by n in numpy rounds differently.
+        """
+        return DiagonalOperator.periodic(
+            lambda k: np.exp(1j * (2 * np.pi * k / n)), n, 0, self.dim, self.system.offset
+        )
 
     def c_operator(self, j: int, n: int) -> DiagonalOperator:
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""
@@ -57,7 +64,8 @@ class OperatorFamily:
 
         root_of_unity  sum over gcd(k, n) = 1 of eps_n^{-jk} S^k(n) (float)
         moebius_sum    (mu * nu1 P_j)(n), exact
-        prime_product  n * prod over p^a || n of (P_j(p^a) - (1/p) P_j(p^{a-1}))
+        prime_product  n/rad(n) * prod over p^a || n of (p P_j(p^a) - P_j(p^{a-1})),
+                       the integer form of n * prod (P_j(p^a) - (1/p) P_j(p^{a-1}))
         """
         exact = self.c_operator(j, n)
         m_idx = np.arange(self.system.offset, self.system.offset + self.dim)
@@ -73,13 +81,13 @@ class OperatorFamily:
                 mobius(d) * (n // d)
             )
 
-        prime_product = self.system.unit()
+        prime_product, radical = self.system.unit(), 1
         for p, a in factorize(n):
-            factor = self.system.projection(j, p**a) - self.system.projection(
+            factor = self.system.projection(j, p**a).scale(p) - self.system.projection(
                 j, p ** (a - 1)
-            ).scale(Fraction(1, p))
-            prime_product = prime_product * factor
-        prime_product = prime_product.scale(n)
+            )
+            prime_product, radical = prime_product * factor, radical * p
+        prime_product = prime_product.scale(n // radical)
 
         return {
             "root_of_unity": exact.distance(root_of_unity),
@@ -131,7 +139,7 @@ class OperatorFamily:
     def c_t_transforms(self, j: int, n: int) -> float:
         """Residual of both transform directions between C_j and the T_{r,j}
         family: C_j(n) = sum_{r|n} c_n(n/r) T_{r,j}(n) and
-        T_{n,j}(n) = (1/n) sum_{r|n} c_n(n/r) C_j(r).
+        n T_{n,j}(n) = sum_{r|n} c_n(n/r) C_j(r), both in integers.
         """
         divs = divisors(n)
         forward = self.c_operator(j, n).zero()
@@ -140,9 +148,8 @@ class OperatorFamily:
         backward = forward.zero()
         for r in divs:
             backward = backward + self.c_operator(j, r).scale(ramanujan_sum(n, n // r))
-        backward = backward.scale(Fraction(1, n))
         return max(self.c_operator(j, n).distance(forward),
-                   self.t_operator(n, j, n).distance(backward))
+                   self.t_operator(n, j, n).scale(n).distance(backward))
 
     def even_function_identity(self, alpha: EvenFunction, j: int, n: int) -> float:
         """Residual of sum_{r|n} alpha(n/r) C_j(r) = sum_{r|n} R(alpha)(r) T_{r,j}(n),

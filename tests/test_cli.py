@@ -1,5 +1,6 @@
 """Command-line behaviour: tables, suite exit codes, exports, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -72,6 +73,14 @@ class TestTable:
             main, ["table", "mobius", "--range", "999999999999..1000000000000"])
         assert result.exit_code == 0
         assert result.output == "n,value\n999999999999,0\n1000000000000,0\n"
+
+    @pytest.mark.parametrize("function", ["jordan:100000", "nu:-100000", "lcm-count:100000"])
+    @pytest.mark.parametrize("format_", ["csv", "json"])
+    def test_value_with_too_many_digits_is_usage_error(self, runner, function, format_):
+        # 2^100000 - 1, 1/2^100000 and 2^100000 - 1 at n = 2: beyond the int-to-text limit
+        result = runner.invoke(main, ["table", function, "--range", "1..2", "--format", format_])
+        assert result.exit_code == 2
+        assert f"{function} at n=2 has too many digits to print" in result.output
 
     def test_range_of_more_than_a_million_values_is_usage_error(self, runner):
         # exactly 10^6 values pass the range check (not tabulated here)
@@ -234,6 +243,37 @@ class TestExport:
             assert back.offset == want.offset
             assert np.array_equal(np.array(back.entries, dtype=complex),
                                   np.array(want.entries, dtype=complex))
+
+    @pytest.mark.parametrize("args,sha256", [
+        (["P:-3:8", "--dim", "360", "--offset", "1"],
+         "6c7b272cf167f30b857ad9e0ed9204e5a6fa6ad0372f54425aca9401227c3721"),
+        (["C:5:12", "--dim", "360", "--offset", "1"],
+         "6bd83b3952100fa8efcb64e362919f82d646fbaed9c5ec0f28f4fbcffc43d4c6"),
+        (["T:3:1:12", "--dim", "360", "--offset", "1"],
+         "6bcf9fd1f72fc11247537ac5cde6218d5614ded67137efa9d0c22dfc56fd7d57"),
+        (["theta", "--dim", "24"],
+         "240509d92916220622660a829342a76e829c0601905b3d0950a0ad54619383b4"),
+        (["IU*", "--dim", "24"],
+         "651ba9c8cbe4d2de7c9f96084d23e9af68798d9755997d74c1fa092b17503e8d"),
+    ])
+    def test_export_text_is_pinned(self, runner, args, sha256):
+        result = runner.invoke(main, ["export", *args])
+        assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("n", [1, 7, 37, 60])
+    def test_s_export_repeats_one_period(self, runner, n):
+        result = runner.invoke(main, ["export", f"S:{n}", "--dim", "2520", "--offset", "1"])
+        assert len({tuple(pair) for pair in json.loads(result.output)["entries"]}) <= n
+
+    @pytest.mark.parametrize("spec,edge", [("P:1:2", 10**6), ("theta", 1000)])
+    def test_more_than_a_million_entries_is_usage_error(self, runner, spec, edge):
+        # a diagonal has dim entries, a dense matrix dim^2
+        result = runner.invoke(main, ["export", spec, "--dim", str(edge)])
+        assert result.exit_code == 0
+        assert f'"n": {edge}' in result.output[-40:]  # the tail after the entries
+        result = runner.invoke(main, ["export", spec, "--dim", str(edge + 1)])
+        assert result.exit_code == 2
+        assert "more than 1000000" in result.output
 
     def test_export_determinism(self, runner):
         args = ["export", "C:1:12", "--dim", "24"]

@@ -1,11 +1,13 @@
 """Operator-valued Ramanujan sums and the divisor-partition idempotents."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from idemarith.algebra import is_idempotent
+from idemarith.algebra import element_from_json, element_to_json, is_idempotent
 from idemarith.arith import EvenFunction, divisors, ramanujan_sum
 from idemarith.convolution import AlgFunction, is_multiplicative
 from idemarith.idempotents import IdempotentSystem
@@ -37,6 +39,26 @@ class TestSOperator:
         fam = family(8)
         s4 = fam.s_operator(4)
         assert (s4 * s4).distance(fam.s_operator(2)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7, 37, 60])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_entries_are_the_roots_of_unity_of_m_mod_n(self, n, offset):
+        values = np.array(family(2520, offset).s_operator(n).entries)
+        for m, v in zip(range(offset, offset + 2520), values.tolist()):
+            assert abs(v - cmath.exp(2j * math.pi * (m % n) / n)) <= 1e-15
+        assert values[:-n].tobytes() == values[n:].tobytes()  # bit-equal n apart
+
+    @pytest.mark.parametrize("n", [1, 7, 37, 60])
+    def test_nth_power_and_json_round_trip(self, n):
+        fam = family(2520, 1)
+        s = fam.s_operator(n)
+        power = fam.system.unit()
+        for _ in range(n):
+            power = power * s
+        assert power.distance(fam.system.unit()) <= 1e-12
+        back = element_from_json(element_to_json(s))
+        assert back.offset == 1
+        assert np.array(back.entries).tobytes() == np.array(s.entries).tobytes()
 
 
 class TestCOperator:

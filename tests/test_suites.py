@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from idemarith import idempotents
+from idemarith import idempotents, ramanujan_ops
 from idemarith.algebra import NonInvertibleError
-from idemarith.arith import crt_solve
+from idemarith.arith import crt_solve, factorize
 from idemarith.convolution import InverseCheckError
 from idemarith.idempotents import IdempotentSystem
 from idemarith.suites import SUITES, _check, run_suite
@@ -93,6 +93,18 @@ class TestRunSuite:
         assert row["identity"] == "projection product law with CRT index"
         assert row["pass"] is False and row["max_residual"] == 1.0
         assert row["counterexample"] == {"n": 4, "m": 6, "at": {"k": 1, "l": 2}}
+
+    def test_wrong_prime_power_factor_fails_the_ramanujan_row(self, monkeypatch):
+        def wrong(n):  # 12 read as 2 * 3: the prime product uses P_j(2), not P_j(4)
+            return [(2, 1), (3, 1)] if n == 12 else factorize(n)
+
+        monkeypatch.setattr(ramanujan_ops, "factorize", wrong)
+        assert ramanujan_ops.OperatorFamily(IdempotentSystem(12)).c_operator_constructions(
+            0, 12)["prime_product"] > 0
+        row = run_suite("ramanujan", n_max=12, dim=60)["checks"][1]
+        assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
+        assert row["pass"] is False and row["max_residual"] == 8.0
+        assert row["counterexample"] == {"n": 12, "j": 0}
 
     def test_failed_row_names_its_worst_case(self):
         report = run_suite("axioms", n_max=6, dim=24, tol=0)
