@@ -365,9 +365,9 @@ def trace(x):
     raise TypeError(f"trace not defined for {type(x).__name__}")
 
 
-def determinant(x, pivot_tol: float = 1e-12):
-    """Product of diagonal entries for diagonals; LU elimination with
-    partial pivoting for dense matrices (singular matrices give 0).
+def determinant(x):
+    """Product of diagonal entries for diagonals (exact for exact entries);
+    ``numpy.linalg.det`` for dense matrices.
     """
     if isinstance(x, DiagonalOperator):
         det = 1
@@ -377,19 +377,7 @@ def determinant(x, pivot_tol: float = 1e-12):
     if isinstance(x, Scalar):
         return x.value
     if isinstance(x, DenseMatrix):
-        a = np.array(x.array, dtype=complex)
-        n = x.n
-        det = 1.0 + 0j
-        for col in range(n):
-            pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-            if abs(a[pivot_row, col]) <= pivot_tol:
-                return 0j
-            if pivot_row != col:
-                a[[col, pivot_row]] = a[[pivot_row, col]]
-                det = -det
-            det *= a[col, col]
-            a[col + 1 :, :] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, :])
-        return det
+        return complex(np.linalg.det(x.array))
     raise TypeError(f"determinant not defined for {type(x).__name__}")
 
 

@@ -2,8 +2,7 @@
 operator exports.
 
 Exit codes: 0 all checks pass, 1 identity failure, 2 usage error.  The
-default truncation dimension is 2520 and can be overridden with the
-IDEMARITH_DIM environment variable or --dim.  For ``check`` it sets the
+truncation dimension is --dim, 2520 by default.  For ``check`` it sets the
 window of the axioms and family-multiplicativity checks; the other
 operator checks run on one period of their levels.  For ``export`` it is
 the length of the exported operator.
@@ -12,7 +11,7 @@ the length of the exported operator.
 from __future__ import annotations
 
 import json
-import os
+import math
 import sys
 
 import click
@@ -24,16 +23,9 @@ from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
 DEFAULT_DIM = 2520
-# `table` holds every row, and `export` every entry, before it writes one
+# `table` holds every row, and `export` every entry, before it writes one;
+# `check` builds diagonals of dim entries
 MAX_TABLE_VALUES = 10**6
-
-
-def _default_dim() -> int:
-    text = os.environ.get("IDEMARITH_DIM", str(DEFAULT_DIM))
-    try:
-        return int(text)
-    except ValueError:
-        raise click.UsageError(f"IDEMARITH_DIM must be an integer, got {text!r}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -59,7 +51,9 @@ _TABLE_FUNCTIONS = {
 }
 
 
-def _table_function(name: str):
+def _table_function(name: str, hi: int):
+    """The function NAME names, refused up front when a value on 1..hi
+    could not be computed or printed."""
     if name in _TABLE_FUNCTIONS:
         return _TABLE_FUNCTIONS[name]
     head, _, arg = name.partition(":")
@@ -71,6 +65,13 @@ def _table_function(name: str):
         raise click.UsageError(f"bad parameter in {name!r}")
     if head in ("jordan", "ramanujan", "lcm-count") and k < 1:
         raise click.UsageError(f"parameter in {name!r} must be >= 1")
+    if head == "ramanujan" and k > arith.MAX_FACTOR_INPUT:
+        raise click.UsageError(f"parameter in {name!r} is above {arith.MAX_FACTOR_INPUT}")
+    # J_R(n) < n^R, nu_K(n) = n^K and M_S(n) <= n^S, so a value on 1..hi has at
+    # most |k| log10(hi) + 1 digits; with no limit set, the default 4300 bounds memory
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if head in ("jordan", "nu", "lcm-count") and hi > 1 and abs(k) >= digits / math.log10(hi):
+        raise click.UsageError(f"{name} at n={hi} has too many digits to print")
     if head == "jordan":
         return lambda n: arith.jordan_totient(k, n)
     if head == "ramanujan":
@@ -80,13 +81,6 @@ def _table_function(name: str):
     if head == "lcm-count":
         return lambda n: arith.lcm_tuple_count(k, n)
     raise click.UsageError(f"unknown function {name!r}")
-
-
-def _value_text(function: str, n: int, value) -> str:
-    try:
-        return str(value)
-    except ValueError:  # more digits than the interpreter converts to text
-        raise click.UsageError(f"{function} at n={n} has too many digits to print")
 
 
 def _emit(text: str, out: str | None):
@@ -115,9 +109,9 @@ def cmd_table(function, range_, format_, out):
     FUNCTION is one of mobius, totient, tau, omega, jordan:R, ramanujan:N,
     nu:K, lcm-count:S.
     """
-    fn = _table_function(function)
     lo, hi = _parse_range(range_)
-    rows = [(n, _value_text(function, n, fn(n))) for n in range(lo, hi + 1)]
+    fn = _table_function(function, hi)
+    rows = [(n, str(fn(n))) for n in range(lo, hi + 1)]
     if format_ == "csv":
         text = "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows)
     else:
@@ -131,9 +125,8 @@ def cmd_table(function, range_, format_, out):
 @main.command("check")
 @click.argument("suite", type=click.Choice(SUITES))
 @click.option("--n-max", type=click.IntRange(min=1), default=60, show_default=True)
-@click.option("--dim", type=int, default=None,
-              help="Truncation dimension of the axioms and family-multiplicativity "
-                   f"checks (default IDEMARITH_DIM or {DEFAULT_DIM}).")
+@click.option("--dim", type=int, default=DEFAULT_DIM, show_default=True,
+              help="Truncation dimension of the axioms and family-multiplicativity checks.")
 @click.option("--tolerance", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Report path (default stdout).")
 def cmd_check(suite, n_max, dim, tolerance, out):
@@ -144,9 +137,8 @@ def cmd_check(suite, n_max, dim, tolerance, out):
     """
     if not tolerance >= 0:  # also rejects nan
         raise click.UsageError("tolerance must be a number >= 0")
-    dim = dim if dim is not None else _default_dim()
-    if dim < 1:
-        raise click.UsageError("dim must be positive")
+    if not 1 <= dim <= MAX_TABLE_VALUES:
+        raise click.UsageError(f"dim must be between 1 and {MAX_TABLE_VALUES}")
     report = run_suite(suite, n_max=n_max, dim=dim, tol=tolerance)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     sys.exit(0 if report["pass"] else 1)
@@ -154,8 +146,8 @@ def cmd_check(suite, n_max, dim, tolerance, out):
 
 @main.command("export")
 @click.argument("spec")
-@click.option("--dim", type=int, default=None,
-              help=f"Truncation dimension (default IDEMARITH_DIM or {DEFAULT_DIM}).")
+@click.option("--dim", type=int, default=DEFAULT_DIM, show_default=True,
+              help="Truncation dimension.")
 @click.option("--offset", type=click.IntRange(0, 1), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 def cmd_export(spec, dim, offset, out):
@@ -163,7 +155,6 @@ def cmd_export(spec, dim, offset, out):
 
     SPEC is one of P:j:n, C:j:n, T:r:j:n, S:n, theta, IU*.
     """
-    dim = dim if dim is not None else _default_dim()
     if dim < 1:
         raise click.UsageError("dim must be positive")
     parts = spec.split(":")

@@ -2,15 +2,16 @@
 diagonals, with axiom verification, the CRT product law, and the weighted
 convolution identities.
 
-The congruence-exact provider is the production path (0/1 integer
-diagonals); the dft-float provider evaluates the discrete-Fourier formula
-P_j(n) = (1/n) sum_l eps_n^{-lj} S^l(n) and exists purely as an oracle.
+The projections are exact 0/1 integer diagonals.  Their discrete-Fourier
+form P_j(n) = (1/n) sum_l eps_n^{-lj} S^l(n) is a float oracle,
+``OperatorFamily.dft_projection``.
 
 The CRT product law is checked one level pair (n, m) at a time:
 ``product_law_residual`` multiplies the stacks of all P_k(n) and all
 P_l(m) in one broadcast and compares every product with its prediction.
-``product_law`` is the per-case form, P_k(n) P_l(m) built as diagonals,
-and serves as its oracle.
+For n | m that prediction is the divisor rule: P_k(n) P_l(m) is P_l(m)
+when l = k (mod n), else zero.  ``product_law`` is the per-case form,
+P_k(n) P_l(m) built as diagonals, and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .arith import crt_solve, lcm_tuple_count, omega
 
 __all__ = [
     "IdempotentSystem",
-    "divisor_product_law",
     "product_law",
     "product_law_residual",
     "verify_axioms",
@@ -35,21 +35,15 @@ __all__ = [
 
 
 class IdempotentSystem:
-    """Provider of the projections P_j(n) on a truncated monomial basis.
-
-    modes: "congruence-exact" gives the 0/1 indicator of k = j (mod n)
-    over basis exponents k; "dft-float" averages powers of the root-of-
-    unity diagonal S(n).
+    """Provider of the projections P_j(n) on a truncated monomial basis:
+    P_j(n) is the 0/1 indicator of k = j (mod n) over basis exponents k.
     """
 
-    def __init__(self, dim: int, offset: int = 0, mode: str = "congruence-exact"):
+    def __init__(self, dim: int, offset: int = 0):
         if dim < 1:
             raise ValueError("dim must be positive")
-        if mode not in ("congruence-exact", "dft-float"):
-            raise ValueError(f"unknown provider mode {mode!r}")
         self.dim = dim
         self.offset = offset
-        self.mode = mode
         self._indices = np.arange(offset, offset + dim)
 
     def unit(self) -> DiagonalOperator:
@@ -59,12 +53,8 @@ class IdempotentSystem:
         """P_j(n); j is any integer, reduced mod n."""
         if n < 1:
             raise ValueError("level n must be positive")
-        if self.mode == "congruence-exact":
-            # entry at e_m is 1 iff m - j = 0 (mod n)
-            return DiagonalOperator.periodic(lambda k: k == 0, n, j, self.dim, self.offset)
-        # entry k: (1/n) sum_l eps_n^{-lj} eps_n^{lk}, float noise ~1e-16
-        phases = np.exp(2j * np.pi * (np.arange(n)[:, None] * (self._indices - j)[None, :]) / n)
-        return DiagonalOperator(np.mean(phases, axis=0), self.offset)
+        # entry at e_m is 1 iff m - j = 0 (mod n)
+        return DiagonalOperator.periodic(lambda k: k == 0, n, j, self.dim, self.offset)
 
     def projections(self, js, n: int) -> np.ndarray:
         """The read-only int64 stack (len(js), dim) whose row i is the
@@ -147,19 +137,6 @@ def product_law_residual(system: IdempotentSystem, n: int,
     residuals = np.abs(products - predictions[rows]).max(axis=2)
     k, l = np.unravel_index(np.argmax(residuals), residuals.shape)
     return float(residuals[k, l]), {"k": int(k), "l": int(l)}
-
-
-def divisor_product_law(system: IdempotentSystem, j: int, n: int, k: int,
-                        m: int) -> tuple[DiagonalOperator, float]:
-    """P_j(n) P_k(m) for n | m, and its residual against the prediction:
-    P_k(m) when k = j (mod n), else zero.  The residual is 0 when the law
-    holds.
-    """
-    if m % n != 0:
-        raise ValueError(f"divisor product law requires n | m, got n={n}, m={m}")
-    product = system.projection(j, n) * system.projection(k, m)
-    predicted = system.projection(k, m) if (k - j) % n == 0 else product.zero()
-    return product, product.distance(predicted)
 
 
 def weighted_product_identities(

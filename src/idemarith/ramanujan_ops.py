@@ -39,17 +39,29 @@ class OperatorFamily:
         return self.system.dim
 
     def s_operator(self, n: int) -> DiagonalOperator:
-        """Root-of-unity diagonal S(n) e_m = eps_n^m e_m; S(n)^n = e.
+        """Root-of-unity diagonal S(n) e_m = eps_n^m e_m; S(n)^n = e."""
+        return self.s_power_sum(0, n, [1])
 
-        Built from one period like C and T: the entry at e_m is
-        exp(2 pi i (m mod n) / n), so entries at indices congruent mod n
-        are the same float.  The phase is a real float64 before it meets
-        1j, as in ``cmath.exp(2j * math.pi * (m % n) / n)``; dividing the
-        complex 2j * pi * k by n in numpy rounds differently.
+    def s_power_sum(self, j: int, n: int, ks) -> DiagonalOperator:
+        """sum over k in ks of eps_n^{-jk} S(n)^k, built from one period.
+
+        The entry at e_m sums exp(2 pi i r / n) over the residues
+        r = k (m - j) mod n, so entries at indices congruent mod n are the
+        same float.  The phase is a real float64 before it meets 1j, as in
+        ``cmath.exp(2j * math.pi * r / n)``; dividing the complex
+        2j * pi * r by n in numpy rounds differently.
         """
+        ks = np.array(ks, dtype=np.int64).reshape(-1, 1) % n
         return DiagonalOperator.periodic(
-            lambda k: np.exp(1j * (2 * np.pi * k / n)), n, 0, self.dim, self.system.offset
+            lambda r: np.exp(1j * (2 * np.pi * (ks * r % n) / n)).sum(axis=0),
+            n, j, self.dim, self.system.offset,
         )
+
+    def dft_projection(self, j: int, n: int) -> DiagonalOperator:
+        """P_j(n) = (1/n) sum_{l < n} eps_n^{-lj} S(n)^l: the float oracle of
+        the exact ``IdempotentSystem.projection``.
+        """
+        return self.s_power_sum(j, n, range(n)).scale(1 / n)
 
     def c_operator(self, j: int, n: int) -> DiagonalOperator:
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""
@@ -68,12 +80,8 @@ class OperatorFamily:
                        the integer form of n * prod (P_j(p^a) - (1/p) P_j(p^{a-1}))
         """
         exact = self.c_operator(j, n)
-        m_idx = np.arange(self.system.offset, self.system.offset + self.dim)
-        acc = np.zeros(self.dim, dtype=complex)
-        for k in range(1, n + 1):
-            if math.gcd(k, n) == 1:
-                acc += np.exp(2j * np.pi * ((k * (m_idx - j)) % n) / n)
-        root_of_unity = DiagonalOperator(acc, self.system.offset)
+        root_of_unity = self.s_power_sum(j, n, [k for k in range(1, n + 1)
+                                                if math.gcd(k, n) == 1])
 
         moebius_sum = exact.zero()
         for d in divisors(n):

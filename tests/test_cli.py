@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from idemarith import analytic
+from idemarith import analytic, arith, cli
 from idemarith.algebra import DenseMatrix, element_from_json
 from idemarith.cli import _parse_range, main
 from idemarith.idempotents import IdempotentSystem
@@ -81,6 +82,36 @@ class TestTable:
         result = runner.invoke(main, ["table", function, "--range", "1..2", "--format", format_])
         assert result.exit_code == 2
         assert f"{function} at n=2 has too many digits to print" in result.output
+
+    @pytest.mark.parametrize("function", ["jordan:1000000000000", "nu:1000000000000",
+                                          "nu:-1000000000000", "lcm-count:1000000000000",
+                                          f"nu:{10**400}"])  # too large for a float
+    def test_too_many_digits_refused_before_any_value(self, runner, monkeypatch, function):
+        def refuse(*args):
+            raise AssertionError("a value was computed")
+
+        for name in ("jordan_totient", "nu", "lcm_tuple_count"):
+            monkeypatch.setattr(arith, name, refuse)
+        result = runner.invoke(main, ["table", function, "--range", "1..2"])
+        assert result.exit_code == 2
+        assert f"{function} at n=2 has too many digits to print" in result.output
+
+    def test_digit_bound_is_exact_for_powers_of_ten(self, runner):
+        # 10^K has K + 1 digits, within the limit exactly while K < limit
+        limit = sys.get_int_max_str_digits()
+        result = runner.invoke(main, ["table", f"nu:{limit - 1}", "--range", "10..10"])
+        assert result.exit_code == 0
+        assert result.output == f"n,value\n10,1{'0' * (limit - 1)}\n"
+        result = runner.invoke(main, ["table", f"nu:{limit}", "--range", "10..10"])
+        assert result.exit_code == 2
+        assert f"nu:{limit} at n=10 has too many digits to print" in result.output
+
+    def test_ramanujan_level_above_factor_limit_is_usage_error(self, runner):
+        result = runner.invoke(main, ["table", "ramanujan:10000000000000", "--range", "1..2"])
+        assert result.exit_code == 2
+        assert "above 1000000000000" in result.output
+        result = runner.invoke(main, ["table", "ramanujan:1000000000000", "--range", "1..2"])
+        assert result.output == "n,value\n1,0\n2,0\n"
 
     def test_range_of_more_than_a_million_values_is_usage_error(self, runner):
         # exactly 10^6 values pass the range check (not tabulated here)
@@ -168,6 +199,19 @@ class TestCheck:
         result = runner.invoke(main, ["check", "all", "--tolerance", "nan"])
         assert result.exit_code == 2
         assert "tolerance" in result.output
+
+    @pytest.mark.parametrize("dim,accepted", [(0, False), (1, True), (10**6, True),
+                                              (10**6 + 1, False)])
+    def test_dim_above_a_million_is_usage_error(self, runner, monkeypatch, dim, accepted):
+        runs = []
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda suite, **kw: runs.append(kw) or {"pass": True})
+        result = runner.invoke(main, ["check", "all", "--dim", str(dim)])
+        if accepted:
+            assert result.exit_code == 0 and runs[0]["dim"] == dim
+        else:
+            assert result.exit_code == 2 and not runs
+            assert "dim must be between 1 and 1000000" in result.output
 
     def test_report_to_file(self, runner, tmp_path):
         path = tmp_path / "report.json"
@@ -303,15 +347,8 @@ class TestExport:
         result = runner.invoke(main, ["export", "Q:1:2", "--dim", "4"])
         assert result.exit_code == 2
 
-    def test_env_var_sets_dim(self, runner):
-        result = runner.invoke(
-            main, ["export", "S:2"], env={"IDEMARITH_DIM": "6"}
-        )
-        assert json.loads(result.output)["n"] == 6
-
-    def test_bad_env_dim_is_usage_error(self, runner):
-        result = runner.invoke(
-            main, ["export", "S:2"], env={"IDEMARITH_DIM": "abc"}
-        )
-        assert result.exit_code == 2
-        assert "IDEMARITH_DIM" in result.output
+    @pytest.mark.parametrize("value", ["6", "abc"])
+    def test_dim_is_set_only_by_the_option(self, runner, value):
+        result = runner.invoke(main, ["export", "S:2"], env={"IDEMARITH_DIM": value})
+        assert result.exit_code == 0
+        assert json.loads(result.output)["n"] == 2520

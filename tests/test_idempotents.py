@@ -4,7 +4,6 @@ convolution identities."""
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from idemarith import idempotents
@@ -13,7 +12,6 @@ from idemarith.arith import crt_solve, divisors, lcm_tuple_count, omega, ramanuj
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import (
     IdempotentSystem,
-    divisor_product_law,
     product_law,
     product_law_residual,
     verify_axioms,
@@ -44,10 +42,10 @@ class TestProjection:
 
     def test_dft_agrees_with_exact(self):
         exact = IdempotentSystem(64)
-        dft = IdempotentSystem(64, mode="dft-float")
+        dft = OperatorFamily(exact)
         for n in range(1, 25):
             for j in range(n):
-                assert exact.projection(j, n).distance(dft.projection(j, n)) < 1e-9
+                assert exact.projection(j, n).distance(dft.dft_projection(j, n)) < 1e-9
 
 
 class TestPeriodRowBuilders:
@@ -180,28 +178,28 @@ class TestProductLawResidual:
 
 
 class TestDivisorProductLaw:
+    """For n | m the CRT law is the divisor rule: P_j(n) P_k(m) is P_k(m)
+    when k = j (mod n), else zero."""
+
     def test_congruent_index_keeps_finer_projection(self):
         system = IdempotentSystem(8)
-        result, residual = divisor_product_law(system, 1, 2, 3, 4)
+        result, verdict = product_law(system, 1, 2, 3, 4)
         assert result.isclose(system.projection(3, 4), 0)
-        assert residual == 0
+        assert verdict == {"kind": "projection", "j": 3, "level": 4, "residual": 0.0}
 
     def test_incongruent_index_kills(self):
         system = IdempotentSystem(8)
-        result, residual = divisor_product_law(system, 0, 2, 3, 4)
+        result, verdict = product_law(system, 0, 2, 3, 4)
         assert result.isclose(result.zero(), 0)
-        assert residual == 0
+        assert verdict == {"kind": "zero", "residual": 0.0}
 
     def test_level_one_absorbs(self):
         system = IdempotentSystem(10)
         for k in range(5):
-            result, residual = divisor_product_law(system, 3, 1, k, 5)
+            result, verdict = product_law(system, 3, 1, k, 5)
             assert result.isclose(system.projection(k, 5), 0)
-            assert residual == 0
-
-    def test_requires_divisibility(self):
-        with pytest.raises(ValueError):
-            divisor_product_law(IdempotentSystem(8), 0, 3, 1, 4)
+            assert verdict["residual"] == 0
+        assert product_law_residual(system, 1, 5) == (0.0, {"k": 0, "l": 0})
 
 
 class TestWeightedIdentities:

@@ -82,6 +82,14 @@ class TestCOperator:
         assert residuals["moebius_sum"] == 0
         assert residuals["prime_product"] == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 30, 60])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_coprime_power_sum_is_c(self, n, offset):
+        fam = family(2 * n + 5, offset)
+        coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        for j in (0, 1, n - 1, -3):
+            assert fam.s_power_sum(j, n, coprime).distance(fam.c_operator(j, n)) <= 1e-9
+
     def test_prime_power_case(self):
         # C_j(p^k) = p^k (P_j(p^k) - (1/p) P_j(p^{k-1}))
         fam = family(27)

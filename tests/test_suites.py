@@ -94,6 +94,16 @@ class TestRunSuite:
         assert row["pass"] is False and row["max_residual"] == 1.0
         assert row["counterexample"] == {"n": 4, "m": 6, "at": {"k": 1, "l": 2}}
 
+    def test_wrong_crt_index_fails_the_divisor_row(self, monkeypatch):
+        def wrong(k, n, l, m):  # P_1(2) P_2(4) is zero (2 != 1 mod 2); predict P_2(4)
+            return 2 if (k, n, l, m) == (1, 2, 2, 4) else crt_solve(k, n, l, m)
+
+        monkeypatch.setattr(idempotents, "crt_solve", wrong)
+        row = run_suite("product-law", n_max=1, dim=1)["checks"][1]
+        assert row["identity"] == "divisor-level product law"
+        assert row["pass"] is False and row["max_residual"] == 1.0
+        assert row["counterexample"] == {"n": 2, "m": 4, "at": {"k": 1, "l": 2}}
+
     def test_wrong_prime_power_factor_fails_the_ramanujan_row(self, monkeypatch):
         def wrong(n):  # 12 read as 2 * 3: the prime product uses P_j(2), not P_j(4)
             return [(2, 1), (3, 1)] if n == 12 else factorize(n)
@@ -113,9 +123,9 @@ class TestRunSuite:
         where = row["counterexample"]
         assert set(where) == {"j", "n"}
         window = row["params"]["dim"]  # the window the row reports it ran on
-        exact, dft = IdempotentSystem(window), IdempotentSystem(window, mode="dft-float")
+        exact = IdempotentSystem(window)
         residual = exact.projection(where["j"], where["n"]).distance(
-            dft.projection(where["j"], where["n"]))
+            ramanujan_ops.OperatorFamily(exact).dft_projection(where["j"], where["n"]))
         assert residual == row["max_residual"] > 0
 
 
