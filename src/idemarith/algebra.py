@@ -276,9 +276,6 @@ class DiagonalOperator:
     def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
         return self.distance(other) <= tol
 
-    def to_dense(self) -> "DenseMatrix":
-        return DenseMatrix(np.diag(self._values.astype(complex)))
-
     def __repr__(self):
         return f"DiagonalOperator(n={self.n}, offset={self.offset})"
 

@@ -30,7 +30,6 @@ __all__ = [
     "c0_t0_diagonals",
     "det_c0",
     "growth_indicator",
-    "iu_star_diagonal",
     "iu_star_representation",
     "p_operator",
     "p_operator_identities",
@@ -89,8 +88,8 @@ def det_c0(n: int, n_dim: int) -> tuple[int, int]:
     omega(n) are both odd.  ``det_c0_unsigned_form`` evaluates the bare
     product for erratum reporting.
     """
-    if n < 2:
-        raise ValueError("det_c0 requires n >= 2")
+    if n < 2 or n_dim < 1:
+        raise ValueError("det_c0 requires n >= 2 and N >= 1")
     row, whole, rest = _one_period(lambda k: ramanujan_sum(n, k), n, n_dim)
     direct = math.prod(row) ** whole * math.prod(row[:rest])
     if mobius(n) == 0:
@@ -115,8 +114,8 @@ def trace_identities(n: int, n_dim: int) -> dict:
     trace C_0(n) = sum_{d|n} d mu(n/d) floor(N/d) and
     trace T_0(n) = #{m <= N : gcd(m, n) = 1} = sum_{r|n} mu(r) floor(N/r).
     """
-    if n < 1:
-        raise ValueError("trace_identities requires n >= 1")
+    if n < 1 or n_dim < 1:
+        raise ValueError("trace_identities requires n >= 1 and N >= 1")
     c_row, whole, rest = _one_period(lambda k: ramanujan_sum(n, k), n, n_dim)
     trace_c0 = sum(c_row) * whole + sum(c_row[:rest])
     c0_closed = sum(d * mobius(n // d) * (n_dim // d) for d in divisors(n))
@@ -228,16 +227,6 @@ def shift_operators(space: TruncatedSpace) -> dict[str, DenseMatrix]:
     }
 
 
-def iu_star_diagonal(space: TruncatedSpace) -> list:
-    """Exact diagonal of integration composed with the backward shift:
-    0 at the bottom basis index, 1/m elsewhere.
-    """
-    return [
-        Fraction(0) if i == 0 else Fraction(1, m)
-        for i, m in enumerate(space.indices)
-    ]
-
-
 def iu_star_representation(space: TruncatedSpace) -> dict:
     """Which scalar function represents integration-compose-backward-shift:
     compares (nu0 * mu * nu_{-1})(m) (exact 1/m) and (nu0 * mu * nu_1)(m)
@@ -275,8 +264,8 @@ class GrowthDiagnostic:
     classification: str
 
 
-def growth_indicator(alpha: Sequence, prefix: int) -> GrowthDiagnostic:
-    """Growth diagnostic for the table alpha over m = 1..prefix.
+def growth_indicator(alpha: Sequence) -> GrowthDiagnostic:
+    """Growth diagnostic for the table alpha over m = 1..len(alpha).
 
     Classified plausibly-continuous when the upper-half max is <= 1 + 1e-6,
     or when the upper-half root sequence is non-increasing and its log
@@ -284,11 +273,10 @@ def growth_indicator(alpha: Sequence, prefix: int) -> GrowthDiagnostic:
     last root at most 3/4 of the log at the half-way point; a sequence
     with a genuine limit above 1 keeps the two logs equal).
     """
+    prefix = len(alpha)
     if prefix < 4:
-        raise ValueError("growth_indicator requires prefix >= 4")
-    if len(alpha) < prefix:
-        raise ValueError(f"alpha must be tabulated to {prefix}")
-    summed = scalar_dirichlet([1] * prefix, list(alpha[:prefix]))
+        raise ValueError("growth_indicator requires a table of length >= 4")
+    summed = scalar_dirichlet([1] * prefix, alpha)
     roots = tuple(float(abs(summed[m - 1])) ** (1.0 / m) for m in range(1, prefix + 1))
     half = -(-prefix // 2)
     upper = roots[half - 1 :]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 MAX_FACTOR_INPUT = 10**12
 
@@ -199,10 +199,6 @@ class EvenFunction:
             raise ValueError(
                 f"values must be keyed by exactly the divisors of {self.modulus}"
             )
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[int], complex], d: int) -> "EvenFunction":
-        return cls(d, {r: fn(r) for r in divisors(d)})
 
     def __call__(self, n: int):
         return self.values[math.gcd(n, self.modulus)]

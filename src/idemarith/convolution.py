@@ -13,7 +13,7 @@ of tau(n)^2 pairs (320,698 at N = 3000, against N^2 = 9 M for all pairs).
 It is not computed by Lehmer's sieve mu * ((1*f)(1*g)): that is the
 identity ``lehmer_identity_check`` tests, and a product built from it
 would make that check, and the suite row that runs it, test the identity
-against itself.
+against itself; its operator form on P_j(n) is checked in ``idempotents``.
 """
 
 from __future__ import annotations
@@ -208,17 +208,13 @@ def is_multiplicative(
 def lehmer_identity_check(
     alpha: Sequence,
     beta: Sequence,
-    system=None,
-    j: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> dict:
     """Verify (nu0 * alpha)(m) (nu0 * beta)(m) = (nu0 * (alpha [] beta))(m)
-    pointwise, and (when an idempotent system is supplied) the operator
-    form (nu0 * alpha P_j)(nu0 * beta P_j) = nu0 * (alpha [] beta) P_j on
-    the diagonal realization.
+    pointwise.
 
     alpha and beta are scalar tables of equal length; returns a report dict
-    whose "max_residual" is the worst scalar residual, within tol or not.
+    whose "max_residual" is the worst residual, within tol or not.
     """
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must share n_max")
@@ -232,25 +228,10 @@ def lehmer_identity_check(
         for m in range(1, n_max + 1)
         if not residuals[m - 1] <= tol  # a NaN residual or tolerance fails
     ]
-    report = {
+    return {
         "identity": "(nu0*alpha)(nu0*beta) = nu0*(alpha lcm-prod beta)",
         "n_max": n_max,
         "scalar_failures": failures,
         "max_residual": max(residuals, default=0),
         "pass": not failures,
     }
-    if system is not None:
-        unit = system.projection(0, 1)
-        proj = AlgFunction([system.projection(j, n) for n in range(1, n_max + 1)])
-        f_a = AlgFunction([proj(n).scale(alpha[n - 1]) for n in range(1, n_max + 1)])
-        f_b = AlgFunction([proj(n).scale(beta[n - 1]) for n in range(1, n_max + 1)])
-        nu0 = AlgFunction.lift(lambda n: 1, unit, n_max)
-        op_lhs = dirichlet_convolve(nu0, f_a)
-        op_rhs = dirichlet_convolve(nu0, f_b)
-        op_box = dirichlet_convolve(nu0, lcm_convolve(f_a, f_b))
-        residual = max(
-            (op_lhs(m) * op_rhs(m)).distance(op_box(m)) for m in range(1, n_max + 1)
-        )
-        report["operator_max_residual"] = residual
-        report["pass"] = report["pass"] and residual <= tol
-    return report

@@ -1,6 +1,6 @@
 """Arithmetic systems of idempotents realized as congruence-indicator
 diagonals, with axiom verification, the CRT product law, and the weighted
-convolution identities.
+convolution identities, Lehmer's lcm identity in operator form among them.
 
 The projections are exact 0/1 integer diagonals.  Their discrete-Fourier
 form P_j(n) = (1/n) sum_l eps_n^{-lj} S^l(n) is a float oracle,
@@ -24,6 +24,8 @@ import numpy as np
 
 from .algebra import DiagonalOperator
 from .arith import crt_solve, lcm_tuple_count, omega
+from .convolution import (AlgFunction, dirichlet_convolve, lcm_convolve, scalar_lcm,
+                          scalar_unitary, unitary_convolve)
 
 __all__ = [
     "IdempotentSystem",
@@ -42,6 +44,8 @@ class IdempotentSystem:
     def __init__(self, dim: int, offset: int = 0):
         if dim < 1:
             raise ValueError("dim must be positive")
+        if offset not in (0, 1):
+            raise ValueError("offset must be 0 or 1")
         self.dim = dim
         self.offset = offset
         self._indices = np.arange(offset, offset + dim)
@@ -146,14 +150,13 @@ def weighted_product_identities(
     j: int,
 ) -> float:
     """Residual of (alpha P_j [] beta P_j)(n) = (alpha [] beta)(n) P_j(n) and
-    the unitary analogue for n up to the length of the tables, plus the
+    the unitary analogue for n up to the length of the tables, the
     particular cases with alpha = beta = 1: M_2(n) P_j(n) and
-    2^omega(n) P_j(n).
+    2^omega(n) P_j(n), and Lehmer's identity in operator form:
+    (nu0 * alpha P_j)(m) (nu0 * beta P_j)(m) = (nu0 * (alpha P_j [] beta P_j))(m).
 
-    Returns the worst of the four residuals, 0 on exact tables.
+    Returns the worst of the five residuals, 0 on exact tables.
     """
-    from .convolution import AlgFunction, lcm_convolve, scalar_lcm, scalar_unitary, unitary_convolve
-
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must share n_max")
     levels = range(1, len(alpha) + 1)
@@ -161,11 +164,15 @@ def weighted_product_identities(
     f_a = AlgFunction([p.scale(a) for p, a in zip(proj, alpha)])
     f_b = AlgFunction([p.scale(b) for p, b in zip(proj, beta)])
     ones = AlgFunction(proj)
+    box = lcm_convolve(f_a, f_b)
     sides = [  # (operator-valued product, scalar table whose multiples of P_j it equals)
-        (lcm_convolve(f_a, f_b), scalar_lcm(alpha, beta)),
+        (box, scalar_lcm(alpha, beta)),
         (unitary_convolve(f_a, f_b), scalar_unitary(alpha, beta)),
         (lcm_convolve(ones, ones), [lcm_tuple_count(2, n) for n in levels]),
         (unitary_convolve(ones, ones), [2 ** omega(n) for n in levels]),
     ]
-    return max(ops(n).distance(proj[n - 1].scale(table[n - 1]))
-               for ops, table in sides for n in levels)
+    nu0 = AlgFunction([system.unit()] * len(alpha))
+    sum_a, sum_b, sum_box = (dirichlet_convolve(nu0, f) for f in (f_a, f_b, box))
+    return max(max(ops(n).distance(proj[n - 1].scale(table[n - 1]))
+                   for ops, table in sides for n in levels),
+               max((sum_a(m) * sum_b(m)).distance(sum_box(m)) for m in levels))

@@ -358,7 +358,7 @@ def _suite_analytic(n_max, dim, tol):
                [("totient", "plausibly-continuous"), ("epsilon", "plausibly-continuous"),
                 ("2**n", "not-continuous")],
                lambda alpha, expected: float(analytic.growth_indicator(
-                   scalar_table(growth[alpha], 64), 64).classification != expected),
+                   scalar_table(growth[alpha], 64)).classification != expected),
                tol),
     ]
     chain = analytic.trace_erratum_forms(6, 10)

@@ -16,7 +16,6 @@ from idemarith.analytic import (
     det_c0,
     det_c0_unsigned_form,
     growth_indicator,
-    iu_star_diagonal,
     iu_star_representation,
     p_operator,
     p_operator_identities,
@@ -70,7 +69,7 @@ class TestDeterminant:
                 direct, closed = det_c0(n, big_n)
                 assert direct == closed, (n, big_n)
 
-    @given(st.integers(2, 400), st.integers(0, 1200))
+    @given(st.integers(2, 400), st.integers(1, 1200))
     def test_direct_is_the_product_of_the_entries(self, n, big_n):
         direct = 1
         for k in range(1, big_n + 1):
@@ -81,6 +80,13 @@ class TestDeterminant:
         # documented erratum: the bare product drops a sign
         assert det_c0(2, 3)[0] == 1
         assert det_c0_unsigned_form(2, 3) == -1
+
+    @pytest.mark.parametrize("n, big_n", [(1, 5), (4, 0), (5, -3)])
+    def test_rejects_bad_level_or_window(self, n, big_n):
+        # at N = 0 the closed form read 0 for non-squarefree n against the
+        # empty product 1; at N < 0 both sides came out as floats
+        with pytest.raises(ValueError, match="n >= 2 and N >= 1"):
+            det_c0(n, big_n)
 
 
 class TestTrace:
@@ -97,7 +103,7 @@ class TestTrace:
             for big_n in range(1, 201, 3):
                 assert trace_identities(n, big_n)["pass"], (n, big_n)
 
-    @given(st.integers(1, 400), st.integers(0, 1200))
+    @given(st.integers(1, 400), st.integers(1, 1200))
     def test_direct_traces_sum_the_entries(self, n, big_n):
         rep = trace_identities(n, big_n)
         assert rep["trace_c0"] == sum(ramanujan_sum(n, k) for k in range(1, big_n + 1))
@@ -119,6 +125,11 @@ class TestTrace:
         assert trace_erratum_forms(6, 7) == {
             "prime_power_sum": -2, "coprime_floor_sum": 1, "omega_expression": 9}
         assert trace_identities(6, 7)["trace_c0"] == 1
+
+    @pytest.mark.parametrize("n, big_n", [(0, 5), (5, 0), (5, -3)])
+    def test_rejects_bad_level_or_window(self, n, big_n):
+        with pytest.raises(ValueError, match="n >= 1 and N >= 1"):
+            trace_identities(n, big_n)
 
 
 class TestPOperator:
@@ -165,7 +176,7 @@ class TestShiftOperators:
         assert abs(diag[0]) == 0
         for m in range(2, 11):
             assert abs(diag[m - 1] - 1 / m) < 1e-12
-        assert [complex(v) for v in iu_star_diagonal(space)] == list(diag)
+        assert list(diag) == [0] + [1 / m for m in range(2, 11)]
 
 
 class TestIuStarRepresentation:
@@ -176,22 +187,22 @@ class TestIuStarRepresentation:
 
 class TestGrowthIndicator:
     def test_totient_plausibly_continuous(self):
-        diag = growth_indicator(scalar_table(totient, 64), 64)
+        diag = growth_indicator(scalar_table(totient, 64))
         assert isinstance(diag, GrowthDiagnostic)
         assert abs(diag.indicator - 32 ** (1 / 32)) < 1e-9
         assert diag.trend_decreasing
         assert diag.classification == "plausibly-continuous"
 
     def test_epsilon_constant_one(self):
-        diag = growth_indicator(scalar_table(epsilon, 32), 32)
+        diag = growth_indicator(scalar_table(epsilon, 32))
         assert all(abs(r - 1) < 1e-12 for r in diag.roots)
         assert diag.classification == "plausibly-continuous"
 
     def test_exponential_not_continuous(self):
-        diag = growth_indicator(scalar_table(lambda n: 2**n, 48), 48)
+        diag = growth_indicator(scalar_table(lambda n: 2**n, 48))
         assert diag.indicator >= 2
         assert diag.classification == "not-continuous"
 
     def test_rejects_short_prefix(self):
         with pytest.raises(ValueError):
-            growth_indicator([1, 1, 1], 3)
+            growth_indicator([1, 1, 1])

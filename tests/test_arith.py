@@ -210,12 +210,12 @@ class TestEvenFunctions:
             EvenFunction(4, {1: 1, 2: 2})  # missing the divisor 4
 
     def test_evaluation_depends_on_gcd(self):
-        alpha = EvenFunction.from_callable(lambda r: r * r, 12)
+        alpha = EvenFunction(12, {r: r * r for r in divisors(12)})
         for n in range(1, 40):
             assert alpha(n) == math.gcd(n, 12) ** 2
 
     def test_rf_gcd4_orthogonal(self):
-        alpha = EvenFunction.from_callable(lambda r: math.gcd(r, 4), 4)
+        alpha = EvenFunction(4, {r: math.gcd(r, 4) for r in divisors(4)})
         coeffs = rf_transform(alpha)
         # frozen from solving the 3x3 divisor system by hand
         assert coeffs.orthogonal == {1: 2, 2: 1, 4: Fraction(1, 2)}
@@ -231,7 +231,7 @@ class TestEvenFunctions:
         import numpy as np
 
         d = 4
-        alpha = EvenFunction.from_callable(lambda r: math.gcd(r, d), d)
+        alpha = EvenFunction(d, {r: math.gcd(r, d) for r in divisors(d)})
         divs = divisors(d)
         a = np.array([[ramanujan_sum(r, n) for r in divs] for n in range(1, d + 1)],
                      dtype=float)
@@ -255,7 +255,7 @@ class TestEvenFunctions:
 
     def test_rf_unnormalized_is_d_times_orthogonal(self):
         for d in (6, 12, 30):
-            alpha = EvenFunction.from_callable(lambda r: r + 1, d)
+            alpha = EvenFunction(d, {r: r + 1 for r in divisors(d)})
             coeffs = rf_transform(alpha)
             for r in divisors(d):
                 assert coeffs.unnormalized[r] == d * coeffs.orthogonal[r]
@@ -277,5 +277,5 @@ class TestEvenFunctions:
                 coeffs, **{normalization: {**getattr(coeffs, normalization), 2: 0}})
 
         monkeypatch.setattr("idemarith.arith.rf_transform", dropped)
-        alpha = EvenFunction.from_callable(lambda r: math.gcd(r, 4), 4)
+        alpha = EvenFunction(4, {r: math.gcd(r, 4) for r in divisors(4)})
         assert rf_residual(alpha) > 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pathlib
 import sys
 
 import numpy as np
@@ -130,6 +131,24 @@ class TestTable:
 
 
 class TestCheck:
+    def test_default_report_matches_golden(self, runner):
+        # the committed `check all` report at the defaults; only the three
+        # rows whose oracle sums roots of unity in floats may move, by 1e-12
+        float_oracle_rows = {
+            "congruence-exact vs dft-float provider",
+            "scalar Ramanujan sums vs root-of-unity oracle",
+            "operator Ramanujan identities (three constructions, partitions)",
+        }
+        result = runner.invoke(main, ["check", "all"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        golden = json.loads(pathlib.Path(__file__).with_name("check_all_default.json").read_text())
+        for row, expected in zip(report["checks"], golden["checks"]):
+            if row["identity"] in float_oracle_rows:
+                assert abs(row["max_residual"] - expected["max_residual"]) <= 1e-12
+                row["max_residual"] = expected["max_residual"]
+        assert report == golden
+
     def test_product_law_passes(self, runner):
         result = runner.invoke(
             main, ["check", "product-law", "--n-max", "8", "--dim", "60"]

@@ -279,11 +279,3 @@ class TestLehmerIdentity:
         assert report["max_residual"] == 0
         assert report["pass"] is False
         assert [f["m"] for f in report["scalar_failures"]] == list(range(1, 31))
-
-    def test_operator_form(self):
-        system = IdempotentSystem(36)
-        phi = scalar_table(totient, 30)
-        ones = [1] * 30
-        report = lehmer_identity_check(phi, ones, system=system, j=1)
-        assert report["pass"]
-        assert report["operator_max_residual"] <= 1e-9

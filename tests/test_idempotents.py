@@ -4,12 +4,13 @@ convolution identities."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from idemarith import idempotents
 from idemarith.algebra import DiagonalOperator, is_idempotent
 from idemarith.arith import crt_solve, divisors, lcm_tuple_count, omega, ramanujan_sum, totient
-from idemarith.convolution import scalar_table
+from idemarith.convolution import AlgFunction, scalar_table
 from idemarith.idempotents import (
     IdempotentSystem,
     product_law,
@@ -28,6 +29,11 @@ class TestProjection:
     def test_congruence_indicator(self):
         system = IdempotentSystem(4, offset=0)
         assert system.projection(1, 2).entries == (0, 1, 0, 1)
+
+    @pytest.mark.parametrize("offset", [-1, 2, 7])
+    def test_rejects_offset_other_than_0_or_1(self, offset):
+        with pytest.raises(ValueError, match="offset"):
+            IdempotentSystem(5, offset)
 
     def test_periodicity(self):
         system = IdempotentSystem(12)
@@ -217,6 +223,21 @@ class TestWeightedIdentities:
             scalar_table(totient, 15), scalar_table(lambda n: n, 15), system, 2
         )
         assert residual == 0
+
+    def test_operator_lehmer_form(self, monkeypatch):
+        # (nu0 * phi P_1)(m) (nu0 * P_1)(m) = (nu0 * (phi P_1 [] P_1))(m), m <= 30
+        phi, ones = scalar_table(totient, 30), [1] * 30
+        system = IdempotentSystem(36)
+        assert weighted_product_identities(phi, ones, system, 1) == 0
+        # fault injection: every nu0 * f loses its d = 1 term at m = 6
+        exact = idempotents.dirichlet_convolve
+
+        def dropped(f, g):
+            h = exact(f, g)
+            return AlgFunction(h.values[:5] + (h(6) - f(1) * g(6),) + h.values[6:])
+
+        monkeypatch.setattr(idempotents, "dirichlet_convolve", dropped)
+        assert weighted_product_identities(phi, ones, system, 1) > 0
 
 
 class TestMultiplicativityOfProjections:

@@ -184,12 +184,12 @@ class TestOnePeriodDecides:
 class TestEvenFunctionIdentity:
     def test_gcd_mod_4(self):
         fam = family(16)
-        alpha = EvenFunction.from_callable(lambda r: math.gcd(r, 4), 4)
+        alpha = EvenFunction(4, {r: math.gcd(r, 4) for r in divisors(4)})
         assert fam.even_function_identity(alpha, 0, 4) == 0
 
     def test_constant_one_mod_6(self):
         fam = family(12)
-        alpha = EvenFunction.from_callable(lambda r: 1, 6)
+        alpha = EvenFunction(6, {r: 1 for r in divisors(6)})
         for j in (0, 1, 2):
             assert fam.even_function_identity(alpha, j, 6) == 0
 
@@ -200,6 +200,6 @@ class TestEvenFunctionIdentity:
 
     def test_modulus_mismatch_rejected(self):
         fam = family(12)
-        alpha = EvenFunction.from_callable(lambda r: r, 4)
+        alpha = EvenFunction(4, {r: r for r in divisors(4)})
         with pytest.raises(ValueError):
             fam.even_function_identity(alpha, 0, 6)
