@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import DEFAULT_TOL, DenseMatrix, DiagonalOperator
-from .arith import divisors, factorize, jordan_totient, mobius, nu, omega, ramanujan_sum
+from .arith import divisors, factorize, jordan_totient, mobius, nu, omega
 from .convolution import scalar_dirichlet, scalar_lcm, scalar_table
 from .idempotents import IdempotentSystem
 from .ramanujan_ops import OperatorFamily
@@ -67,13 +67,16 @@ def c0_t0_diagonals(n: int, space: TruncatedSpace) -> tuple[DiagonalOperator, Di
     return family.c_operator(0, n), family.t_operator(n, 0, n)
 
 
-def _one_period(fn, n: int, n_dim: int) -> tuple[list, int, int]:
-    """(row, whole, rest) for a function fn of period n on k = 1..N:
-    row = [fn(1), ..., fn(min(n, N))], and k = 1..N runs through row
-    ``whole`` times, then through row[:rest].
+def _one_period(n: int, n_dim: int) -> tuple[np.ndarray, int, int]:
+    """(row, whole, rest) for c_n on k = 1..N: row = [c_n(1), ...,
+    c_n(min(n, N))] as int64, built as the sum over d | n of d mu(n/d) at
+    every d-th k, and k = 1..N runs through row ``whole`` times, then
+    through row[:rest].
     """
-    whole, rest = divmod(n_dim, n)
-    return [fn(k) for k in range(1, min(n, n_dim) + 1)], whole, rest
+    row = np.zeros(min(n, n_dim), dtype=np.int64)
+    for d in divisors(n):
+        row[d - 1::d] += d * mobius(n // d)
+    return (row, *divmod(n_dim, n))
 
 
 def det_c0(n: int, n_dim: int) -> tuple[int, int]:
@@ -90,7 +93,8 @@ def det_c0(n: int, n_dim: int) -> tuple[int, int]:
     """
     if n < 2 or n_dim < 1:
         raise ValueError("det_c0 requires n >= 2 and N >= 1")
-    row, whole, rest = _one_period(lambda k: ramanujan_sum(n, k), n, n_dim)
+    row, whole, rest = _one_period(n, n_dim)
+    row = row.tolist()  # Python ints: the product leaves int64
     direct = math.prod(row) ** whole * math.prod(row[:rest])
     if mobius(n) == 0:
         closed = 0
@@ -116,11 +120,10 @@ def trace_identities(n: int, n_dim: int) -> dict:
     """
     if n < 1 or n_dim < 1:
         raise ValueError("trace_identities requires n >= 1 and N >= 1")
-    c_row, whole, rest = _one_period(lambda k: ramanujan_sum(n, k), n, n_dim)
-    trace_c0 = sum(c_row) * whole + sum(c_row[:rest])
+    c_row, whole, rest = _one_period(n, n_dim)
+    t_row = np.gcd(np.arange(1, c_row.size + 1), n) == 1
+    trace_c0, trace_t0 = (int(row.sum()) * whole + int(row[:rest].sum()) for row in (c_row, t_row))
     c0_closed = sum(d * mobius(n // d) * (n_dim // d) for d in divisors(n))
-    t_row, _, _ = _one_period(lambda m: math.gcd(m, n) == 1, n, n_dim)
-    trace_t0 = sum(t_row) * whole + sum(t_row[:rest])
     t0_closed = sum(mobius(r) * (n_dim // r) for r in divisors(n))
     return {
         "n": n,

@@ -6,23 +6,41 @@ Functions are finite tables over 1..n_max so every product is exact and
 brute-force checkable.  In the non-commutative case the order convention
 is fixed: (f . g)(n) sums f(k) * g(l) with k the left factor.
 
-Cost on a table of size N: the Dirichlet and unitary products visit the
-sum of tau(n) divisors (24,496 at N = 3000).  The lcm product visits the
-divisor pairs (k, l) of each n and keeps those with lcm(k, l) = n, the sum
-of tau(n)^2 pairs (320,698 at N = 3000, against N^2 = 9 M for all pairs).
-It is not computed by Lehmer's sieve mu * ((1*f)(1*g)): that is the
-identity ``lehmer_identity_check`` tests, and a product built from it
-would make that check, and the suite row that runs it, test the identity
-against itself; its operator form on P_j(n) is checked in ``idempotents``.
+Every product runs on one flat index of its terms over 1..N, cached for
+at most three (product, N) pairs: the 0-based table positions of each
+term's factors, ordered n ascending, then left factor, then right, and
+where each n's terms start.  The kernel gathers both tables at those
+positions, multiplies, and sums each n's terms with ``np.add.reduceat``,
+about 8k terms at a time.  It uses int64 only when both tables are
+integers of int64 size and max|a| max|b| (most terms at one n) <= 2^63 - 1,
+so no sum can wrap.  Anything else (floats, complex, Fractions, big ints,
+algebra elements) runs on object arrays, adding each n's terms in index
+order and then to zero, which gives zero + t_1 + t_2 + ... bit for bit.
+There is no float64 or complex128 reduction: numpy's pairwise summation
+would change the bits.
+
+Cost on a table of size N: the Dirichlet product has the sum of tau(n)
+terms (24,496 at N = 3000), the unitary product those with
+gcd(d, n/d) = 1 (16,961), and the lcm product the pairs with lcm <= N
+(86,212).  The lcm index takes each unitary split (x, y) of m times each
+g <= N/m, since each pair is g = gcd(k, l) times a split of lcm(k, l)/g,
+so it never forms the 320,698 divisor pairs of each n.  The lcm product
+is not computed by Lehmer's sieve mu * ((1*f)(1*g)): that is the identity
+``lehmer_identity_check`` tests, and a product built from it would make
+that check, and the suite row that runs it, test the identity against
+itself; its operator form on P_j(n) is checked in ``idempotents``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .algebra import DEFAULT_TOL, invert, is_idempotent
-from .arith import divisors, factorize
+import numpy as np
+
+from .algebra import _INT64_MAX, DEFAULT_TOL, Scalar, _store, invert, is_idempotent
+from .arith import factorize
 
 __all__ = [
     "AlgFunction",
@@ -40,6 +58,9 @@ __all__ = [
     "unitary_convolve",
 ]
 
+_BLOCK = 8192  # terms per kernel step
+_N_BLOCK = 256  # n per index block: about _BLOCK lcm terms at N = 3000
+
 
 class InverseCheckError(ArithmeticError):
     """The two-sided verification of a Dirichlet inverse failed."""
@@ -50,59 +71,97 @@ def scalar_table(fn: Callable[[int], object], n_max: int) -> list:
     return [fn(n) for n in range(1, n_max + 1)]
 
 
-def _dirichlet(a: Sequence, b: Sequence, zero):
-    n_max = len(a)
-    out = []
-    for n in range(1, n_max + 1):
-        acc = zero
-        for d in divisors(n):
-            acc = acc + a[d - 1] * b[n // d - 1]
-        out.append(acc)
-    return out
+def _cofactors(lo: int, hi: int, split_starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, first, last) for g = 1..hi-1: [first, last) holds the q with
+    lo <= g q < hi, or, given the unitary index's starts, the positions of
+    the unitary splits of those q."""
+    g = np.arange(1, hi)
+    first, last = -(-lo // g), (hi - 1) // g + 1
+    if split_starts is None:
+        return g, first, last
+    return g, split_starts[first - 1], split_starts[last - 1]
 
 
-def _lcm(a: Sequence, b: Sequence, zero):
-    # For k, l | n, lcm(k, l) = n iff gcd(n/k, n/l) = 1.  Terms are added
-    # k ascending, then l ascending, as in the sum over all pairs (k, l),
-    # so float and matrix results equal that sum bit for bit.
-    n_max = len(a)
-    out = []
-    for n in range(1, n_max + 1):
-        acc = zero
-        divs = divisors(n)
-        for k in divs:
-            for l in divs:
-                if math.gcd(n // k, n // l) == 1:
-                    acc = acc + a[k - 1] * b[l - 1]
-        out.append(acc)
-    return out
+@lru_cache(maxsize=3)
+def _index(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, starts) of the product ``kind`` on 1..n_max: the
+    0-based positions of each term's factors, and where each n's terms
+    start (n_max + 1 entries, the last one the term count).
+    """
+    counts = np.zeros(n_max + 1, dtype=np.int32)  # counts[n]: the terms at n
+    if kind == "unitary":  # the Dirichlet terms (d, n/d) with gcd(d, n/d) = 1
+        left, right, starts = _index("dirichlet", n_max)
+        keep = np.gcd(left + 1, right + 1) == 1
+        counts[1:] = np.bincount(np.repeat(np.arange(n_max), np.diff(starts))[keep],
+                                 minlength=n_max)
+        return left[keep], right[keep], np.cumsum(counts, dtype=np.int32)
+    # Dirichlet: the terms (g, q) at n = g q.  lcm: (g x, g y) at n = g x y
+    # for each unitary split (x, y) of each q, so g = gcd of the pair.
+    x, y, splits = _index("unitary", n_max) if kind == "lcm" else (None, None, None)
+    _, first, last = _cofactors(1, n_max + 1, splits)
+    terms = np.empty((2, int((last - first).sum())), dtype=np.int32)
+    for lo in range(1, n_max + 1, _N_BLOCK):
+        hi = min(lo + _N_BLOCK, n_max + 1)
+        g, first, last = _cofactors(lo, hi, splits)
+        count = last - first
+        g = np.repeat(g, count)  # q: the cofactor, or for lcm a split's position
+        q = np.arange(g.size) + np.repeat(first - np.cumsum(count) + count, count)
+        left, right = (g, q) if splits is None else (g * (x[q] + 1), g * (y[q] + 1))
+        n = left * right if splits is None else left * right // g
+        order = np.argsort(((n - lo) * (n_max + 1) + left) * (n_max + 1) + right)
+        at = counts.sum()
+        terms[:, at:at + g.size] = left[order] - 1, right[order] - 1
+        counts[lo:hi] = np.bincount(n - lo, minlength=hi - lo)
+    return terms[0], terms[1], np.cumsum(counts, dtype=np.int32)
 
 
-def _unitary(a: Sequence, b: Sequence, zero):
-    n_max = len(a)
-    out = []
-    for n in range(1, n_max + 1):
-        acc = zero
-        for d in divisors(n):
-            if math.gcd(d, n // d) == 1:
-                acc = acc + a[d - 1] * b[n // d - 1]
-        out.append(acc)
-    return out
+def _blocks(starts: np.ndarray, lo: int, hi: int):
+    """Consecutive ranges of positions lo..hi - 1 holding at most _BLOCK
+    terms each, or one position's terms when it has more."""
+    while lo < hi:
+        cut = int(np.searchsorted(starts, starts[lo] + _BLOCK, "right")) - 1
+        cut = min(max(cut, lo + 1), hi)
+        yield lo, cut
+        lo = cut
+
+
+def _objects(table, stored) -> np.ndarray:
+    """The table as an object array: Python ints for int input, else its own values."""
+    if stored.bound is not None:
+        return stored.values.astype(object)
+    return np.array(list(table), dtype=object)
+
+
+def _product(kind: str, a: Sequence, b: Sequence, zero) -> list:
+    """The product ``kind`` of two tables of equal length, as a list."""
+    if len(a) != len(b):
+        raise ValueError(f"table lengths differ: {len(a)} vs {len(b)}")
+    left, right, starts = _index(kind, len(a))
+    sa, sb = _store(a), _store(b)
+    exact = (sa.bound is not None and sb.bound is not None
+             and sa.bound * sb.bound * int(np.diff(starts).max(initial=0)) <= _INT64_MAX)
+    va, vb = (sa.values, sb.values) if exact else (_objects(a, sa), _objects(b, sb))
+    sums = []
+    for lo, hi in _blocks(starts, 0, len(a)):
+        terms = slice(starts[lo], starts[hi])
+        sums.append(np.add.reduceat(va[left[terms]] * vb[right[terms]], starts[lo:hi] - starts[lo]))
+    out = np.concatenate(sums or [[]]).tolist()
+    return out if exact else [zero + s for s in out]
 
 
 def scalar_dirichlet(a: Sequence, b: Sequence) -> list:
     """Dirichlet product of two scalar tables (1-indexed lists)."""
-    return _dirichlet(a, b, 0)
+    return _product("dirichlet", a, b, 0)
 
 
 def scalar_lcm(a: Sequence, b: Sequence) -> list:
     """lcm product of two scalar tables."""
-    return _lcm(a, b, 0)
+    return _product("lcm", a, b, 0)
 
 
 def scalar_unitary(a: Sequence, b: Sequence) -> list:
     """Unitary product of two scalar tables."""
-    return _unitary(a, b, 0)
+    return _product("unitary", a, b, 0)
 
 
 class AlgFunction:
@@ -135,41 +194,64 @@ class AlgFunction:
             raise ValueError(f"n_max mismatch: {self.n_max} vs {other.n_max}")
 
 
-def dirichlet_convolve(f: AlgFunction, g: AlgFunction) -> AlgFunction:
+def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
+    """The product ``kind`` of f and g; all-Scalar functions run on their
+    values, whose + and * are the Scalars' own."""
     f._check(g)
-    return AlgFunction(_dirichlet(f.values, g.values, f.values[0].zero()))
+    if all(type(v) is Scalar for v in f.values + g.values):
+        values = _product(kind, [v.value for v in f.values], [v.value for v in g.values], 0)
+        return AlgFunction(map(Scalar, values))
+    return AlgFunction(_product(kind, f.values, g.values, f.values[0].zero()))
+
+
+def dirichlet_convolve(f: AlgFunction, g: AlgFunction) -> AlgFunction:
+    return _convolve("dirichlet", f, g)
 
 
 def lcm_convolve(f: AlgFunction, g: AlgFunction) -> AlgFunction:
-    f._check(g)
-    return AlgFunction(_lcm(f.values, g.values, f.values[0].zero()))
+    return _convolve("lcm", f, g)
 
 
 def unitary_convolve(f: AlgFunction, g: AlgFunction) -> AlgFunction:
-    f._check(g)
-    return AlgFunction(_unitary(f.values, g.values, f.values[0].zero()))
+    return _convolve("unitary", f, g)
 
 
 def dirichlet_identity(unit, n_max: int) -> AlgFunction:
     """I(1) = e, I(n) = 0 otherwise."""
+    if n_max < 1:
+        raise ValueError(f"dirichlet_identity needs n_max >= 1, got {n_max}")
     zero = unit.zero()
     return AlgFunction([unit] + [zero] * (n_max - 1))
 
 
 def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
-    """Dirichlet inverse by the right-inverse recursion, then verified to
-    be two-sided within tol (InverseCheckError otherwise; the left check
-    is not a free consequence in a non-commutative algebra).
+    """Dirichlet inverse by the right-inverse recursion
+    g(n) = -f(1)^-1 sum_{d | n, d > 1} f(d) g(n/d), then verified to be
+    two-sided within tol (InverseCheckError otherwise; the left check is
+    not a free consequence in a non-commutative algebra).
+
+    Every proper divisor of an n in [2^k, 2^(k+1)) is below 2^k, so each
+    such range of n is one gather-reduce over its Dirichlet terms with
+    d > 1 (the first term of each n).
     """
     lead_inv = invert(f(1))  # raises NonInvertibleError when f(1) is singular
-    g = [lead_inv]
-    for n in range(2, f.n_max + 1):
-        acc = f(1).zero()
-        for d in divisors(n):
-            if d > 1:
-                acc = acc + f(d) * g[n // d - 1]
-        g.append(-(lead_inv * acc))
-    result = AlgFunction(g)
+    scalar = all(type(v) is Scalar for v in f.values)
+    if scalar:
+        values, lead_inv, zero = [v.value for v in f.values], lead_inv.value, 0
+    else:
+        values, zero = f.values, f(1).zero()
+    left, right, starts = _index("dirichlet", f.n_max)
+    fv = _objects(values, _store(values))
+    g = np.empty(f.n_max, dtype=object)
+    g[0] = lead_inv
+    for j in range(1, f.n_max.bit_length()):  # positions of n = 2^j .. 2^(j+1) - 1
+        for lo, hi in _blocks(starts, 2**j - 1, min(2 ** (j + 1) - 1, f.n_max)):
+            terms = slice(starts[lo], starts[hi])
+            keep = left[terms] > 0
+            sums = np.add.reduceat(fv[left[terms][keep]] * g[right[terms][keep]],
+                                   starts[lo:hi] - starts[lo] - np.arange(hi - lo))
+            g[lo:hi] = [-(lead_inv * (zero + s)) for s in sums.tolist()]
+    result = AlgFunction(map(Scalar, g.tolist()) if scalar else g.tolist())
     ident = dirichlet_identity(f(1).unit(), f.n_max)
     for name, prod in (("f*g", dirichlet_convolve(f, result)),
                        ("g*f", dirichlet_convolve(result, f))):

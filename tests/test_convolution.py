@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idemarith import convolution
 from idemarith.algebra import (
     DenseMatrix,
     DiagonalOperator,
     NonInvertibleError,
     Scalar,
+    invert,
     is_idempotent,
 )
 from idemarith.arith import (
+    divisors,
     epsilon,
     jordan_totient,
     lcm_tuple_count,
@@ -46,9 +49,74 @@ def lifted(alpha, n_max):
     return AlgFunction.lift(alpha, UNIT, n_max)
 
 
+def dirichlet_loop(a, b, zero):
+    """The Dirichlet product as a per-n loop over the divisors d of n,
+    ascending: the reference for the index kernel."""
+    out = []
+    for n in range(1, len(a) + 1):
+        acc = zero
+        for d in divisors(n):
+            acc = acc + a[d - 1] * b[n // d - 1]
+        out.append(acc)
+    return out
+
+
+def lcm_loop(a, b, zero):
+    """The lcm product as a per-n loop over the divisor pairs (k, l) of n
+    with gcd(n/k, n/l) = 1, k ascending then l ascending."""
+    out = []
+    for n in range(1, len(a) + 1):
+        acc = zero
+        for k in divisors(n):
+            for l in divisors(n):
+                if math.gcd(n // k, n // l) == 1:
+                    acc = acc + a[k - 1] * b[l - 1]
+        out.append(acc)
+    return out
+
+
+def unitary_loop(a, b, zero):
+    """The unitary product as a per-n loop over the divisors d of n with
+    gcd(d, n/d) = 1, ascending."""
+    out = []
+    for n in range(1, len(a) + 1):
+        acc = zero
+        for d in divisors(n):
+            if math.gcd(d, n // d) == 1:
+                acc = acc + a[d - 1] * b[n // d - 1]
+        out.append(acc)
+    return out
+
+
+def inverse_loop(f):
+    """The right-inverse recursion as a per-n loop over the divisors d > 1."""
+    lead_inv = invert(f(1))
+    g = [lead_inv]
+    for n in range(2, f.n_max + 1):
+        acc = f(1).zero()
+        for d in divisors(n)[1:]:
+            acc = acc + f(d) * g[n // d - 1]
+        g.append(-(lead_inv * acc))
+    return g
+
+
+# (scalar product, AlgFunction product, per-n loop) for each kind
+PRODUCTS = {
+    "dirichlet": (scalar_dirichlet, dirichlet_convolve, dirichlet_loop),
+    "lcm": (scalar_lcm, lcm_convolve, lcm_loop),
+    "unitary": (scalar_unitary, unitary_convolve, unitary_loop),
+}
+
+
+def bits(values):
+    """The float64 bit patterns of real or complex values."""
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
 def lcm_all_pairs(a, b, zero):
     """The lcm product from its definition over all pairs (k, l), k
-    ascending then l ascending: the reference for the divisor-pair kernel."""
+    ascending then l ascending: a reference for the lcm product that
+    shares no term enumeration with it."""
     n_max = len(a)
     out = [zero] * n_max
     for k in range(1, n_max + 1):
@@ -136,6 +204,107 @@ class TestLcm:
                 assert f(n).value == jordan_totient(r, n)
 
 
+def random_dense(rng, scale=1.0):
+    return DenseMatrix(scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))
+
+
+class TestIndexKernel:
+    """The index kernel against the per-n loops, on every value type."""
+
+    KINDS = sorted(PRODUCTS)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=120), st.data())
+    def test_ints(self, kind, a, data):
+        b = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(a), max_size=len(a)))
+        prod, _, loop = PRODUCTS[kind]
+        got = prod(a, b)
+        assert got == loop(a, b, 0)
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(st.lists(st.integers(2**31, 2**31 + 2**12), min_size=2, max_size=60))
+    def test_sums_past_int64_stay_exact(self, kind, a):
+        # every product lies in [2^62, 2^63) and fits int64, but n = 2 sums
+        # two of them: only the term-count factor of the bound sends this
+        # to exact ints
+        prod, _, loop = PRODUCTS[kind]
+        got = prod(a, a[::-1])
+        assert got == loop(a, a[::-1], 0)
+        assert max(got) > 2**63 - 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=50)
+    @given(st.lists(st.one_of(st.floats(-1e100, 1e100), st.sampled_from([-0.0, math.nan])),
+                    min_size=1, max_size=60), st.randoms(use_true_random=False))
+    def test_floats_bit_for_bit(self, kind, a, rnd):
+        # one NaN and no infinities: the sign of a NaN made from two NaNs, or
+        # from inf - inf, follows the processor's operand order, which even
+        # CPython's own float addition does not fix
+        b = a[:]
+        rnd.shuffle(b)
+        prod, _, loop = PRODUCTS[kind]
+        assert bits(prod(a, b)) == bits(loop(a, b, 0))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(st.lists(st.fractions(max_denominator=12), min_size=1, max_size=60), st.data())
+    def test_fractions(self, kind, a, data):
+        b = data.draw(st.lists(st.fractions(max_denominator=12), min_size=len(a),
+                               max_size=len(a)))
+        prod, _, loop = PRODUCTS[kind]
+        got = prod(a, b)
+        assert got == loop(a, b, 0)
+        assert all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_dense_bit_for_bit(self, kind, n_max, seed):
+        rng = np.random.default_rng(seed)
+        f, g = (AlgFunction([random_dense(rng) for _ in range(n_max)]) for _ in range(2))
+        _, convolve, loop = PRODUCTS[kind]
+        got = convolve(f, g).values
+        want = loop(f.values, g.values, f(1).zero())
+        assert bits([x.array for x in got]) == bits([y.array for y in want])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_diagonal(self, kind, n_max, seed):
+        rng = np.random.default_rng(seed)
+        f, g = (AlgFunction([DiagonalOperator(rng.integers(-9, 10, 3).tolist())
+                             for _ in range(n_max)]) for _ in range(2))
+        _, convolve, loop = PRODUCTS[kind]
+        got = convolve(f, g).values
+        assert [x.entries for x in got] == [y.entries for y in loop(f.values, g.values,
+                                                                     f(1).zero())]
+
+    @pytest.mark.parametrize("kind, terms, total", [
+        ("dirichlet", lambda n: len(divisors(n)), 24496),
+        ("lcm", lambda n: lcm_tuple_count(2, n), 86212),
+        ("unitary", lambda n: 2 ** omega(n), 16961),
+    ])
+    def test_index_holds_each_term_once(self, kind, terms, total):
+        left, right, starts = convolution._index(kind, 3000)
+        assert np.diff(starts).tolist() == [terms(n) for n in range(1, 3001)]
+        assert starts[-1] == left.size == right.size == total
+        assert left.dtype == right.dtype == starts.dtype == np.int32
+
+    def test_index_cache_is_bounded(self):
+        assert 1 <= convolution._index.cache_info().maxsize <= 3
+
+    @pytest.mark.parametrize("prod", [scalar_dirichlet, scalar_lcm, scalar_unitary])
+    @pytest.mark.parametrize("a, b", [([1], [1, 2, 3]), ([1, 2, 3], [1])])
+    def test_scalar_rejects_unequal_lengths(self, prod, a, b):
+        # the Dirichlet product returned [1] and the lcm product raised IndexError
+        with pytest.raises(ValueError, match=f"{len(a)} vs {len(b)}"):
+            prod(a, b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_tables(self, kind):
+        assert PRODUCTS[kind][0]([], []) == []
+
+
 class TestUnitary:
     def test_ones_counts_coprime_splits(self):
         f = unitary_convolve(lifted(lambda n: 1, 60), lifted(lambda n: 1, 60))
@@ -169,6 +338,12 @@ class TestInverse:
         for n in range(1, 101):
             assert inv(n).value == mobius(n)
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_identity_rejects_empty_range(self, n_max):
+        # n_max 0 and -1 gave a function with n_max 1
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            dirichlet_identity(UNIT, n_max)
+
     def test_identity_self_inverse(self):
         ident = dirichlet_identity(UNIT, 20)
         inv = dirichlet_inverse(ident)
@@ -201,6 +376,56 @@ class TestInverse:
         inv = dirichlet_inverse(lifted(lambda n: n + 1, 20), tol=0)
         assert inv(1).value == Fraction(1, 2)
         assert all(type(v.value) is Fraction for v in inv.values)
+
+    @given(st.sampled_from([1, -1]),
+           st.lists(st.integers(-9, 9), min_size=0, max_size=150))
+    def test_scalar_ints_match_loop(self, lead, rest):
+        f = AlgFunction(map(Scalar, [lead] + rest))
+        got = [v.value for v in dirichlet_inverse(f, tol=0).values]
+        assert got == [v.value for v in inverse_loop(f)]
+        assert all(type(v) is int for v in got)
+
+    @given(st.lists(st.integers(-9, 9), min_size=0, max_size=60))
+    def test_lead_two_matches_loop_in_fractions(self, rest):
+        f = AlgFunction(map(Scalar, [2] + rest))
+        got = [v.value for v in dirichlet_inverse(f, tol=0).values]
+        assert got == [v.value for v in inverse_loop(f)]
+        assert all(type(v) is Fraction for v in got)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_dense_matches_loop_bit_for_bit(self, n_max, seed):
+        rng = np.random.default_rng(seed)
+        f = AlgFunction([DenseMatrix(np.eye(2)) + random_dense(rng, 0.1)
+                         for _ in range(n_max)])
+        got = dirichlet_inverse(f, tol=1e-6).values
+        assert bits([x.array for x in got]) == bits([y.array for y in inverse_loop(f)])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_diagonal_matches_loop(self, n_max, seed):
+        rng = np.random.default_rng(seed)
+        f = AlgFunction([DiagonalOperator([1, -1, 2])]
+                        + [DiagonalOperator(rng.integers(-9, 10, 3).tolist())
+                           for _ in range(n_max - 1)])
+        got = dirichlet_inverse(f, tol=0).values
+        assert [x.entries for x in got] == [y.entries for y in inverse_loop(f)]
+
+    def test_wrong_term_in_recursion_is_caught(self, monkeypatch):
+        real = convolution._index
+
+        def recursion_index(kind, n_max):
+            # only the recursion's lookup is wrong: its last term, d = n_max,
+            # takes g(2) for g(1); the verification gets the true index
+            monkeypatch.setattr(convolution, "_index", real)
+            left, right, starts = real(kind, n_max)
+            right = right.copy()
+            right[-1] = 1
+            return left, right, starts
+
+        monkeypatch.setattr(convolution, "_index", recursion_index)
+        with pytest.raises(InverseCheckError, match="n=12"):
+            dirichlet_inverse(lifted(lambda n: 1, 12))
 
     def test_non_invertible_leading_value(self):
         f = lifted(lambda n: n - 1, 10)  # f(1) = 0
