@@ -4,9 +4,13 @@ diagonal map P(alpha) with entries (nu0 * alpha)(m), shift/integration
 matrices, and the finite-prefix growth diagnostic.
 
 The identity functions return numbers, and the identity suites judge
-them.  Commonly quoted closed forms of the determinant and traces that
-disagree with the oracle are evaluated by ``det_c0_unsigned_form`` and
-``trace_erratum_forms`` for the errata section, never asserted.
+them.  ``trace_table`` and ``det_table`` answer every window N of a level
+from one period of the c_n and coprimality rows, by prefix sums and
+Python-int prefix products; ``trace_identities`` and ``det_c0`` are their
+one-window calls.  Commonly quoted closed forms of the determinant and
+traces that disagree with the oracle are evaluated by
+``det_c0_unsigned_form`` and ``trace_erratum_forms`` for the errata
+section, never asserted.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "TruncatedSpace",
     "c0_t0_diagonals",
     "det_c0",
+    "det_table",
     "growth_indicator",
     "iu_star_representation",
     "p_operator",
@@ -36,6 +41,7 @@ __all__ = [
     "shift_operators",
     "trace_erratum_forms",
     "trace_identities",
+    "trace_table",
 ]
 
 
@@ -67,21 +73,22 @@ def c0_t0_diagonals(n: int, space: TruncatedSpace) -> tuple[DiagonalOperator, Di
     return family.c_operator(0, n), family.t_operator(n, 0, n)
 
 
-def _one_period(n: int, n_dim: int) -> tuple[np.ndarray, int, int]:
-    """(row, whole, rest) for c_n on k = 1..N: row = [c_n(1), ...,
-    c_n(min(n, N))] as int64, built as the sum over d | n of d mu(n/d) at
-    every d-th k, and k = 1..N runs through row ``whole`` times, then
-    through row[:rest].
-    """
-    row = np.zeros(min(n, n_dim), dtype=np.int64)
+def _c_period(n: int, n_max: int) -> np.ndarray:
+    """int64 c_n(k) for k = 1..min(n, n_max): d mu(n/d) at every d-th k, d | n."""
+    row = np.zeros(min(n, n_max), dtype=np.int64)
     for d in divisors(n):
         row[d - 1::d] += d * mobius(n // d)
-    return (row, *divmod(n_dim, n))
+    return row
 
 
-def det_c0(n: int, n_dim: int) -> tuple[int, int]:
-    """det of C_0(n) restricted to e_1..e_N, two exact ways: the direct
-    product prod_{k=1}^N c_n(k) and the closed form
+def _floor_sum(weights: dict, n_dims: np.ndarray) -> np.ndarray:
+    """sum over d of weights[d] floor(N/d), for every N in n_dims."""
+    return (n_dims[:, None] // np.array(list(weights))) @ np.array(list(weights.values()))
+
+
+def det_table(n: int, n_dims: Sequence[int]) -> list[tuple[int, int]]:
+    """det of C_0(n) restricted to e_1..e_N for every N in n_dims, two
+    exact ways: the direct product prod_{k=1}^N c_n(k) and the closed form
     (-1)^(N omega(n)) prod_{p|n} (1 - p)^{floor(N/p)} for squarefree n
     (0 otherwise).
 
@@ -91,16 +98,21 @@ def det_c0(n: int, n_dim: int) -> tuple[int, int]:
     omega(n) are both odd.  ``det_c0_unsigned_form`` evaluates the bare
     product for erratum reporting.
     """
-    if n < 2 or n_dim < 1:
+    if n < 2 or min(n_dims, default=0) < 1:
         raise ValueError("det_c0 requires n >= 2 and N >= 1")
-    row, whole, rest = _one_period(n, n_dim)
-    row = row.tolist()  # Python ints: the product leaves int64
-    direct = math.prod(row) ** whole * math.prod(row[:rest])
-    if mobius(n) == 0:
-        closed = 0
-    else:
-        closed = (-1) ** (n_dim * omega(n)) * det_c0_unsigned_form(n, n_dim)
-    return direct, closed
+    row = _c_period(n, max(n_dims)).tolist()  # Python ints: the products leave int64
+    prefix, start = {0: 1}, 0
+    for stop in sorted({big_n % n for big_n in n_dims} | {len(row)}):
+        prefix[stop] = prefix[start] * math.prod(row[start:stop])
+        start = stop
+    return [(prefix[len(row)] ** (big_n // n) * prefix[big_n % n],
+             (-1) ** (big_n * omega(n)) * det_c0_unsigned_form(n, big_n) if mobius(n) else 0)
+            for big_n in n_dims]
+
+
+def det_c0(n: int, n_dim: int) -> tuple[int, int]:
+    """``det_table`` at the one window e_1..e_N: (direct, closed)."""
+    return det_table(n, [n_dim])[0]
 
 
 def det_c0_unsigned_form(n: int, n_dim: int) -> int:
@@ -113,18 +125,29 @@ def det_c0_unsigned_form(n: int, n_dim: int) -> int:
     return result
 
 
-def trace_identities(n: int, n_dim: int) -> dict:
-    """Exact trace identities on e_1..e_N, both sides of each:
+def trace_table(n: int, n_dims: Sequence[int]) -> np.ndarray:
+    """Both sides of both trace identities on e_1..e_N for every N in
+    n_dims, one int64 row (trace C_0(n), its closed form, trace T_0(n),
+    its closed form) per N:
     trace C_0(n) = sum_{d|n} d mu(n/d) floor(N/d) and
     trace T_0(n) = #{m <= N : gcd(m, n) = 1} = sum_{r|n} mu(r) floor(N/r).
     """
-    if n < 1 or n_dim < 1:
+    dims = np.array(n_dims, dtype=np.int64)
+    if n < 1 or dims.size == 0 or dims.min() < 1:
         raise ValueError("trace_identities requires n >= 1 and N >= 1")
-    c_row, whole, rest = _one_period(n, n_dim)
-    t_row = np.gcd(np.arange(1, c_row.size + 1), n) == 1
-    trace_c0, trace_t0 = (int(row.sum()) * whole + int(row[:rest].sum()) for row in (c_row, t_row))
-    c0_closed = sum(d * mobius(n // d) * (n_dim // d) for d in divisors(n))
-    t0_closed = sum(mobius(r) * (n_dim // r) for r in divisors(n))
+    c_row = _c_period(n, int(dims.max()))
+    sums = np.zeros((2, c_row.size + 1), dtype=np.int64)
+    sums[:, 1:] = np.cumsum([c_row, np.gcd(np.arange(1, c_row.size + 1), n) == 1], axis=1)
+    whole, rest = np.divmod(dims, n)
+    trace_c0, trace_t0 = sums[:, -1:] * whole + sums[:, rest]
+    divs = divisors(n)
+    return np.column_stack((trace_c0, _floor_sum({d: d * mobius(n // d) for d in divs}, dims),
+                            trace_t0, _floor_sum({r: mobius(r) for r in divs}, dims)))
+
+
+def trace_identities(n: int, n_dim: int) -> dict:
+    """``trace_table`` at the one window e_1..e_N, as a report with a verdict."""
+    trace_c0, c0_closed, trace_t0, t0_closed = trace_table(n, [n_dim])[0].tolist()
     return {
         "n": n,
         "dim": n_dim,

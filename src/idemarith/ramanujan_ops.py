@@ -1,19 +1,24 @@
 """Operator-valued Ramanujan sums C_j(n), the divisor-partition idempotents
 T_{r,j}(n), and the identities connecting them.
 
-Every operator here is diagonal in the congruence realization, so each
-identity reduces entrywise to a scalar Ramanujan-sum identity; the exact
-integer path is primary and the root-of-unity sums are recomputed only as
-float oracles.
+Every operator here is diagonal in the congruence realization, and its
+entry at e_m depends only on the class g = gcd(m - j, n): T_{r,j}(n) is
+[g = n/r], P_j(r) is [r | g] and C_j(r) is c_r(g) for each r | n.  The
+identity checks gather one cached (r, g) table per level at each window
+entry's class, so each identity is a weighted sum or a broadcast product
+over the stacks of the whole divisor family, in exact integers.  The
+root-of-unity sums are float oracles from ``s_power_sum``; ``c_operator``
+and ``t_operator`` build one operator for export.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DiagonalOperator
+from .algebra import _INT64_MAX, DiagonalOperator
 from .arith import (
     EvenFunction,
     divisors,
@@ -26,6 +31,32 @@ from .arith import (
 from .idempotents import IdempotentSystem
 
 __all__ = ["OperatorFamily"]
+
+
+@lru_cache(maxsize=64)
+def _divisor_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, p, c): read-only int64 tables over the ascending divisors of n,
+    row i for r = divs[i] and column k for the class g = divs[k], where t
+    is [g = n/r], p is [r | g] and c is c_r(g).
+    """
+    divs = np.array(divisors(n))
+    t = (divs == n // divs[:, None]).astype(np.int64)
+    p = (divs % divs[:, None] == 0).astype(np.int64)
+    c = np.array([[ramanujan_sum(r, g) for g in divisors(n)] for r in divisors(n)])
+    for table in (t, p, c):
+        table.flags.writeable = False
+    return t, p, c
+
+
+def _weighted(weights: list, stack: np.ndarray) -> np.ndarray:
+    """weights @ stack, in int64 only when no sum can leave it, else exact in Python."""
+    w = np.array(weights)
+    fits = w.dtype == np.int64 and len(w) * int(abs(w).max()) * int(abs(stack).max()) <= _INT64_MAX
+    return (w if fits else np.array(weights, dtype=object)) @ stack
+
+
+def _distance(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 class OperatorFamily:
@@ -51,6 +82,8 @@ class OperatorFamily:
         ``cmath.exp(2j * math.pi * r / n)``; dividing the complex
         2j * pi * r by n in numpy rounds differently.
         """
+        if n < 1:
+            raise ValueError("level n must be positive")
         ks = np.array(ks, dtype=np.int64).reshape(-1, 1) % n
         return DiagonalOperator.periodic(
             lambda r: np.exp(1j * (2 * np.pi * (ks * r % n) / n)).sum(axis=0),
@@ -70,6 +103,17 @@ class OperatorFamily:
             n, j, self.dim, self.system.offset,
         )
 
+    def _stacks(self, j: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+        """(divs, t, p, c): the divisors r of n and the int64 stacks of
+        T_{r,j}(n), P_j(r) and C_j(r) on the window, row i for r = divs[i].
+        """
+        if n < 1:
+            raise ValueError("level n must be positive")
+        divs = divisors(n)
+        m = np.arange(self.system.offset, self.system.offset + self.dim)
+        at = np.searchsorted(divs, np.gcd((m - j) % n, n))
+        return (divs, *(table[:, at] for table in _divisor_tables(n)))
+
     def c_operator_constructions(self, j: int, n: int) -> dict:
         """Residuals of the three independent constructions of C_j(n)
         against the exact entrywise form, keyed by construction:
@@ -79,34 +123,27 @@ class OperatorFamily:
         prime_product  n/rad(n) * prod over p^a || n of (p P_j(p^a) - P_j(p^{a-1})),
                        the integer form of n * prod (P_j(p^a) - (1/p) P_j(p^{a-1}))
         """
-        exact = self.c_operator(j, n)
+        divs, _, p_stack, c_stack = self._stacks(j, n)
+        exact = c_stack[-1]
         root_of_unity = self.s_power_sum(j, n, [k for k in range(1, n + 1)
                                                 if math.gcd(k, n) == 1])
-
-        moebius_sum = exact.zero()
-        for d in divisors(n):
-            moebius_sum = moebius_sum + self.system.projection(j, n // d).scale(
-                mobius(d) * (n // d)
-            )
-
-        prime_product, radical = self.system.unit(), 1
+        moebius_sum = _weighted([d * mobius(n // d) for d in divs], p_stack)
+        p_of = dict(zip(divs, p_stack))
+        prime_product = np.full_like(exact, n // math.prod(p for p, _ in factorize(n)))
         for p, a in factorize(n):
-            factor = self.system.projection(j, p**a).scale(p) - self.system.projection(
-                j, p ** (a - 1)
-            )
-            prime_product, radical = prime_product * factor, radical * p
-        prime_product = prime_product.scale(n // radical)
-
+            prime_product = prime_product * (p * p_of[p**a] - p_of[p ** (a - 1)])
         return {
-            "root_of_unity": exact.distance(root_of_unity),
-            "moebius_sum": exact.distance(moebius_sum),
-            "prime_product": exact.distance(prime_product),
+            "root_of_unity": DiagonalOperator(exact, self.system.offset).distance(root_of_unity),
+            "moebius_sum": _distance(exact, moebius_sum),
+            "prime_product": _distance(exact, prime_product),
         }
 
     def t_operator(self, r: int, j: int, n: int) -> DiagonalOperator:
         """T_{r,j}(n): the 0/1 diagonal selecting basis indices m with
-        gcd(m - j, n) = n/r; requires r | n.
+        gcd(m - j, n) = n/r; requires n >= 1 and a divisor r >= 1 of n.
         """
+        if n < 1 or r < 1:
+            raise ValueError(f"t_operator requires r, n >= 1, got r={r}, n={n}")
         if n % r != 0:
             raise ValueError(f"t_operator requires r | n, got r={r}, n={n}")
         target = n // r
@@ -118,46 +155,31 @@ class OperatorFamily:
         """Residual of T_{n,j}(n) = sum_{d|n} mu(d) P_j(d) = prod_{p|n} (e - P_j(p));
         0 when both forms agree exactly.
         """
-        top = self.t_operator(n, j, n)
-        moebius_sum = top.zero()
-        for d in divisors(n):
-            moebius_sum = moebius_sum + self.system.projection(j, d).scale(mobius(d))
-        prime_product = self.system.unit()
-        for p, _ in factorize(n):
-            prime_product = prime_product * (self.system.unit() - self.system.projection(j, p))
-        return max(top.distance(moebius_sum), top.distance(prime_product))
+        divs, t, p_stack, _ = self._stacks(j, n)
+        top = t[-1]
+        moebius_sum = _weighted([mobius(d) for d in divs], p_stack)
+        prime_product = np.prod(1 - p_stack[[divs.index(p) for p, _ in factorize(n)]], axis=0)
+        return max(_distance(top, moebius_sum), _distance(top, prime_product))
 
     def t_decomposition(self, j: int, n: int) -> float:
         """Residual of {T_{r,j}(n): r | n} being a family of tau(n)
         orthogonal idempotents summing to the identity; a member count
         other than tau(n) enters as their difference.
         """
-        divs = divisors(n)
-        ops = {r: self.t_operator(r, j, n) for r in divs}
-        total = ops[divs[0]].zero()
-        for r in divs:
-            total = total + ops[r]
-        residual = max(total.distance(self.system.unit()), abs(len(divs) - tau(n)))
-        for r in divs:
-            for rp in divs:
-                expected = ops[r] if r == rp else ops[r].zero()
-                residual = max(residual, (ops[r] * ops[rp]).distance(expected))
-        return residual
+        t = self._stacks(j, n)[1]
+        products = t[:, None] * t  # T_r T_r' = T_r when r' = r, else zero
+        products[np.diag_indices(len(t))] -= t
+        return max(_distance(t.sum(axis=0), 1), abs(len(t) - tau(n)), _distance(products, 0))
 
     def c_t_transforms(self, j: int, n: int) -> float:
         """Residual of both transform directions between C_j and the T_{r,j}
         family: C_j(n) = sum_{r|n} c_n(n/r) T_{r,j}(n) and
         n T_{n,j}(n) = sum_{r|n} c_n(n/r) C_j(r), both in integers.
         """
-        divs = divisors(n)
-        forward = self.c_operator(j, n).zero()
-        for r in divs:
-            forward = forward + self.t_operator(r, j, n).scale(ramanujan_sum(n, n // r))
-        backward = forward.zero()
-        for r in divs:
-            backward = backward + self.c_operator(j, r).scale(ramanujan_sum(n, n // r))
-        return max(self.c_operator(j, n).distance(forward),
-                   self.t_operator(n, j, n).scale(n).distance(backward))
+        divs, t, _, c = self._stacks(j, n)
+        weights = [ramanujan_sum(n, n // r) for r in divs]
+        return max(_distance(c[-1], _weighted(weights, t)),
+                   _distance(n * t[-1], _weighted(weights, c)))
 
     def even_function_identity(self, alpha: EvenFunction, j: int, n: int) -> float:
         """Residual of sum_{r|n} alpha(n/r) C_j(r) = sum_{r|n} R(alpha)(r) T_{r,j}(n),
@@ -166,9 +188,6 @@ class OperatorFamily:
         if alpha.modulus != n:
             raise ValueError(f"alpha must be even mod n={n}, got modulus {alpha.modulus}")
         coeffs = rf_transform(alpha).unnormalized
-        lhs = self.c_operator(j, n).zero()
-        rhs = lhs
-        for r in divisors(n):
-            lhs = lhs + self.c_operator(j, r).scale(alpha(n // r))
-            rhs = rhs + self.t_operator(r, j, n).scale(coeffs[r])
-        return lhs.distance(rhs)
+        divs, t, _, c = self._stacks(j, n)
+        return _distance(_weighted([alpha(n // r) for r in divs], c),
+                         _weighted([coeffs[r] for r in divs], t))

@@ -312,10 +312,11 @@ def _suite_convolution(n_max, dim, tol):
     return rows, errata
 
 
-def _trace_residual(n, dim):
-    rep = analytic.trace_identities(n, dim)
-    return max(abs(rep["trace_c0"] - rep["trace_c0_closed"]),
-               abs(rep["trace_t0"] - rep["trace_t0_closed"]))
+def _trace_residuals(n, dims):
+    """{N: the worse residual of the two trace identities at (n, N)}."""
+    table = analytic.trace_table(n, dims)
+    worst = np.maximum(abs(table[:, 0] - table[:, 1]), abs(table[:, 2] - table[:, 3]))
+    return dict(zip(dims, worst.tolist()))
 
 
 def _suite_analytic(n_max, dim, tol):
@@ -336,15 +337,19 @@ def _suite_analytic(n_max, dim, tol):
     prep = analytic.p_operator_identities(analytic.TruncatedSpace(64, 1), 64,
                                           pairs=20, seed=SEED)
     growth = {"totient": totient, "epsilon": epsilon, "2**n": lambda n: 2**n}
+    det_dims, trace_dims = range(1, 65), range(1, 201, 7)
+    dets = {n: dict(zip(det_dims, analytic.det_table(n, det_dims)))
+            for n in range(2, min(n_max, 30) + 1)}
+    traces = {n: _trace_residuals(n, trace_dims) for n in range(2, min(n_max, 60) + 1)}
     rows = [
         _check("determinant of the Ramanujan diagonal: direct vs closed form",
                {"n_max": min(n_max, 30), "dim_max": 64},
-               [(n, d) for n in range(2, min(n_max, 30) + 1) for d in range(1, 65)],
-               lambda n, dim: abs(operator.sub(*analytic.det_c0(n, dim))), tol),
+               [(n, d) for n in dets for d in det_dims],
+               lambda n, dim: abs(operator.sub(*dets[n][dim])), tol),
         _check("trace identities for both diagonals",
                {"n_max": min(n_max, 60), "dim_max": 200},
-               [(n, d) for n in range(2, min(n_max, 60) + 1) for d in range(1, 201, 7)],
-               _trace_residual, tol),
+               [(n, d) for n in traces for d in trace_dims],
+               lambda n, dim: traces[n][dim], tol),
         _check("Euler-operator representation of totient and Jordan powers",
                {"m_max": euler_n, "r_max": 3}, [(alpha,) for alpha in euler],
                euler_representation, tol),

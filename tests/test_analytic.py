@@ -15,6 +15,7 @@ from idemarith.analytic import (
     c0_t0_diagonals,
     det_c0,
     det_c0_unsigned_form,
+    det_table,
     growth_indicator,
     iu_star_representation,
     p_operator,
@@ -22,8 +23,9 @@ from idemarith.analytic import (
     shift_operators,
     trace_erratum_forms,
     trace_identities,
+    trace_table,
 )
-from idemarith.arith import epsilon, mobius, ramanujan_sum, totient
+from idemarith.arith import divisors, epsilon, factorize, mobius, omega, ramanujan_sum, totient
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
@@ -132,6 +134,63 @@ class TestTrace:
     def test_rejects_bad_level_or_window(self, n, big_n):
         with pytest.raises(ValueError, match="n >= 1 and N >= 1"):
             trace_identities(n, big_n)
+
+
+def det_oracle(n, big_n):
+    """det_c0 one window at a time: the product of c_n(k) for k <= N, and
+    the signed closed form."""
+    direct = math.prod(ramanujan_sum(n, k) for k in range(1, big_n + 1))
+    closed = 0
+    if mobius(n):
+        closed = (-1) ** (big_n * omega(n)) * math.prod(
+            (1 - p) ** (big_n // p) for p, _ in factorize(n))
+    return direct, closed
+
+
+def trace_oracle(n, big_n):
+    """Both sides of both trace identities at one window, summed entry by entry."""
+    return (sum(ramanujan_sum(n, k) for k in range(1, big_n + 1)),
+            sum(d * mobius(n // d) * (big_n // d) for d in divisors(n)),
+            sum(1 for m in range(1, big_n + 1) if math.gcd(m, n) == 1),
+            sum(mobius(r) * (big_n // r) for r in divisors(n)))
+
+
+# a level and windows shorter and longer than it, in any order, repeats allowed
+level_windows = st.tuples(st.integers(1, 120), st.lists(st.integers(1, 400), min_size=1,
+                                                         max_size=12))
+
+
+class TestPerLevelTables:
+    """Every window of a level from one period, against the per-window oracles."""
+
+    @given(level_windows)
+    def test_trace_table(self, level):
+        n, dims = level
+        table = trace_table(n, dims)
+        assert table.shape == (len(dims), 4)
+        assert [tuple(row) for row in table.tolist()] == [trace_oracle(n, d) for d in dims]
+
+    @given(level_windows.filter(lambda level: level[0] >= 2))
+    def test_det_table(self, level):
+        n, dims = level
+        table = det_table(n, dims)
+        assert table == [det_oracle(n, d) for d in dims]
+        assert all(type(x) is int for pair in table for x in pair)
+
+    @given(st.integers(1, 120), st.integers(1, 400))
+    def test_one_window_wrappers(self, n, big_n):
+        rep = trace_identities(n, big_n)
+        assert (rep["trace_c0"], rep["trace_c0_closed"], rep["trace_t0"],
+                rep["trace_t0_closed"]) == trace_oracle(n, big_n)
+        if n >= 2:
+            assert det_c0(n, big_n) == det_oracle(n, big_n)
+
+    @pytest.mark.parametrize("dims", [[], [3, 0], [-1]])
+    def test_tables_reject_empty_or_bad_windows(self, dims):
+        with pytest.raises(ValueError, match="N >= 1"):
+            trace_table(6, dims)
+        with pytest.raises(ValueError, match="N >= 1"):
+            det_table(6, dims)
 
 
 class TestPOperator:

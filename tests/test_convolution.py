@@ -1,6 +1,7 @@
 """Convolution products against number-theoretic oracles."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -426,6 +427,32 @@ class TestInverse:
         monkeypatch.setattr(convolution, "_index", recursion_index)
         with pytest.raises(InverseCheckError, match="n=12"):
             dirichlet_inverse(lifted(lambda n: 1, 12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-3, 3), min_size=0, max_size=80),
+           st.sampled_from([0.0, 1e-16, 1e-14, 1e-12]))
+    def test_scalar_check_matches_per_n_loop(self, rest, tol):
+        # the array comparison raises where the per-n isclose loop first fails
+        f = AlgFunction(map(Scalar, [1.0] + rest))
+        g = AlgFunction(inverse_loop(f))
+        ident = dirichlet_identity(UNIT, f.n_max)
+        expected = None
+        for name, prod in (("f*g", dirichlet_convolve(f, g)), ("g*f", dirichlet_convolve(g, f))):
+            failing = [n for n in range(1, f.n_max + 1) if not prod(n).isclose(ident(n), tol)]
+            if failing:
+                expected = f"{name} differs from I at n={failing[0]}"
+                break
+        if expected is None:
+            got = dirichlet_inverse(f, tol).values
+            assert [v.value for v in got] == [v.value for v in g.values]
+        else:
+            with pytest.raises(InverseCheckError, match=f"^{re.escape(expected)}$"):
+                dirichlet_inverse(f, tol)
+
+    def test_nan_entry_fails_the_check(self):
+        f = AlgFunction([Scalar(1), Scalar(math.nan)] + [Scalar(0)] * 4)
+        with pytest.raises(InverseCheckError, match="^f\\*g differs from I at n=2$"):
+            dirichlet_inverse(f, tol=1.0)
 
     def test_non_invertible_leading_value(self):
         f = lifted(lambda n: n - 1, 10)  # f(1) = 0

@@ -2,10 +2,12 @@
 convolution identities."""
 
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from idemarith import idempotents
 from idemarith.algebra import DiagonalOperator, is_idempotent
@@ -86,6 +88,57 @@ class TestPeriodRowBuilders:
         assert built.entries == expected and built.offset == offset
 
 
+def axioms_oracle(system, n_limit):
+    """verify_axioms one operator at a time: every axiom instance built
+    from ``system.projection`` diagonals, in the order I, II,
+    completeness, III at each n; the first instance with the worst
+    residual wins."""
+    def instances():
+        for n in range(1, n_limit + 1):
+            projs = [system.projection(j, n) for j in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    expected = projs[i] if i == j else projs[i].zero()
+                    yield projs[i] * projs[j], expected, ("I", n, (i, j), None)
+            for j in range(n):
+                yield system.projection(j + n, n), projs[j], ("II", n, j, None)
+            total = projs[0].zero()
+            for p in projs:
+                total = total + p
+            yield total, system.unit(), ("completeness", n, None, None)
+            for r in range(1, 7):
+                for j in range(n):
+                    acc = projs[0].zero()
+                    for k in range(1, r + 1):
+                        acc = acc + system.projection(j + k * n, n * r)
+                    yield acc, projs[j], ("III", n, j, r)
+
+    return max(((lhs.distance(rhs), where) for lhs, rhs, where in instances()),
+               key=operator.itemgetter(0))
+
+
+class Flipped(IdempotentSystem):
+    """A wrong provider: the entry at window position ``column`` of every
+    P_j(n) with j = residue (mod level) is flipped between 0 and 1.  Its
+    ``projection`` reads the same stacks, so the per-operator oracle sees
+    the same fault."""
+
+    def __init__(self, dim, offset, level, residue, column):
+        super().__init__(dim, offset)
+        self.fault = level, residue, column
+
+    def projections(self, js, n):
+        stack = super().projections(js, n).copy()
+        level, residue, column = self.fault
+        if n == level and column < self.dim:
+            rows = [i for i, j in enumerate(js) if j % n == residue]
+            stack[rows, column] = 1 - stack[rows, column]
+        return stack
+
+    def projection(self, j, n):
+        return DiagonalOperator(self.projections([j], n)[0], self.offset)
+
+
 class TestVerifyAxioms:
     def test_congruence_realization_passes(self):
         worst, _ = verify_axioms(IdempotentSystem(64), n_limit=12)
@@ -97,17 +150,49 @@ class TestVerifyAxioms:
 
     def test_fault_injection_reported(self):
         class Corrupted(IdempotentSystem):
-            def projection(self, j, n):
-                p = super().projection(j, n)
-                if n == 3 and j % n == 1:
-                    return DiagonalOperator(
-                        tuple(2 if v == 1 else v for v in p.entries), p.offset
-                    )
-                return p
+            def projections(self, js, n):
+                stack = super().projections(js, n)
+                if n == 3:
+                    return np.where([[j % n == 1] for j in js], 2 * stack, stack)
+                return stack
 
         worst, (axiom, n, _, _) = verify_axioms(Corrupted(12), n_limit=4)
         assert worst > 0
         assert (axiom, n) == ("I", 3)
+
+    @pytest.mark.parametrize("n_limit", [0, -2])
+    def test_rejects_nothing_to_check(self, n_limit):
+        # these returned (0.0, None), a pass with no instance evaluated
+        with pytest.raises(ValueError, match="n_limit >= 1"):
+            verify_axioms(IdempotentSystem(8), n_limit)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 90), st.integers(0, 1), st.integers(1, 12))
+    def test_matches_per_operator_oracle(self, dim, offset, n_limit):
+        system = IdempotentSystem(dim, offset)
+        assert verify_axioms(system, n_limit) == axioms_oracle(system, n_limit) == (
+            0.0, ("I", 1, (0, 0), None))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 90), st.integers(0, 1), st.integers(1, 12), st.data())
+    def test_wrong_projection_is_placed_like_the_oracle(self, dim, offset, n_limit, data):
+        level = data.draw(st.integers(1, 6 * n_limit))
+        system = Flipped(dim, offset, level, data.draw(st.integers(0, level - 1)),
+                         data.draw(st.integers(0, dim - 1)))
+        assert verify_axioms(system, n_limit) == axioms_oracle(system, n_limit)
+
+    def test_memory_stays_near_a_few_level_stacks(self):
+        # each temporary is at most n x dim int64 (242 KB at n 12, dim 2520);
+        # the n x n x dim product of a whole level would be 2.9 MB alone
+        system = IdempotentSystem(2520)
+        verify_axioms(system, 12)
+        tracemalloc.start()
+        try:
+            verify_axioms(system, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestProductLaw:

@@ -2,13 +2,17 @@
 
 import cmath
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from idemarith import ramanujan_ops
 from idemarith.algebra import element_from_json, element_to_json, is_idempotent
-from idemarith.arith import EvenFunction, divisors, ramanujan_sum
+from idemarith.arith import (EvenFunction, divisors, factorize, mobius, ramanujan_sum,
+                             rf_transform, tau)
 from idemarith.convolution import AlgFunction, is_multiplicative
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
@@ -16,6 +20,78 @@ from idemarith.ramanujan_ops import OperatorFamily
 
 def family(dim, offset=0):
     return OperatorFamily(IdempotentSystem(dim, offset))
+
+
+# The divisor-family identities one operator at a time, from c_operator,
+# t_operator and projection diagonals: the oracles of the stacked forms.
+# They read c_n through the module, so a patched one reaches both forms.
+
+def constructions_oracle(fam, j, n):
+    exact = fam.c_operator(j, n)
+    root_of_unity = fam.s_power_sum(j, n, [k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+    moebius_sum = exact.zero()
+    for d in divisors(n):
+        moebius_sum = moebius_sum + fam.system.projection(j, n // d).scale(mobius(d) * (n // d))
+    prime_product, radical = fam.system.unit(), 1
+    for p, a in factorize(n):
+        factor = fam.system.projection(j, p**a).scale(p) - fam.system.projection(j, p ** (a - 1))
+        prime_product, radical = prime_product * factor, radical * p
+    return {"root_of_unity": exact.distance(root_of_unity),
+            "moebius_sum": exact.distance(moebius_sum),
+            "prime_product": exact.distance(prime_product.scale(n // radical))}
+
+
+def t_top_oracle(fam, j, n):
+    top = fam.t_operator(n, j, n)
+    moebius_sum = top.zero()
+    for d in divisors(n):
+        moebius_sum = moebius_sum + fam.system.projection(j, d).scale(mobius(d))
+    prime_product = fam.system.unit()
+    for p, _ in factorize(n):
+        prime_product = prime_product * (fam.system.unit() - fam.system.projection(j, p))
+    return max(top.distance(moebius_sum), top.distance(prime_product))
+
+
+def t_decomposition_oracle(fam, j, n):
+    divs = divisors(n)
+    ops = {r: fam.t_operator(r, j, n) for r in divs}
+    total = ops[divs[0]].zero()
+    for r in divs:
+        total = total + ops[r]
+    residual = max(total.distance(fam.system.unit()), abs(len(divs) - tau(n)))
+    for r in divs:
+        for rp in divs:
+            expected = ops[r] if r == rp else ops[r].zero()
+            residual = max(residual, (ops[r] * ops[rp]).distance(expected))
+    return residual
+
+
+def c_t_transforms_oracle(fam, j, n):
+    divs = divisors(n)
+    forward = fam.c_operator(j, n).zero()
+    for r in divs:
+        forward = forward + fam.t_operator(r, j, n).scale(ramanujan_ops.ramanujan_sum(n, n // r))
+    backward = forward.zero()
+    for r in divs:
+        backward = backward + fam.c_operator(j, r).scale(ramanujan_ops.ramanujan_sum(n, n // r))
+    return max(fam.c_operator(j, n).distance(forward),
+               fam.t_operator(n, j, n).scale(n).distance(backward))
+
+
+def even_identity_oracle(fam, alpha, j, n):
+    coeffs = rf_transform(alpha).unnormalized
+    lhs = fam.c_operator(j, n).zero()
+    rhs = lhs
+    for r in divisors(n):
+        lhs = lhs + fam.c_operator(j, r).scale(alpha(n // r))
+        rhs = rhs + fam.t_operator(r, j, n).scale(coeffs[r])
+    return lhs.distance(rhs)
+
+
+# a level, an index j in [-n, 2n], a basis offset and a window shorter or
+# longer than the level
+levels = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(-n, 2 * n), st.integers(0, 1), st.integers(1, 90)))
 
 
 class TestSOperator:
@@ -128,6 +204,25 @@ class TestTOperator:
         with pytest.raises(ValueError):
             family(8).t_operator(3, 0, 4)
 
+    @pytest.mark.parametrize("r, n", [(0, 6), (-3, 6), (-1, 1), (1, 0), (2, -4)])
+    def test_rejects_non_positive_r_or_n(self, r, n):
+        # r 0 raised ZeroDivisionError; r -3 gave an all-zero diagonal (6 % -3 == 0)
+        with pytest.raises(ValueError, match="r, n >= 1"):
+            family(8).t_operator(r, 0, n)
+
+    @pytest.mark.parametrize("method", ["t_top_identities", "t_decomposition",
+                                        "c_t_transforms", "c_operator_constructions"])
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_identities_reject_non_positive_level(self, method, n):
+        with pytest.raises(ValueError, match="level n must be positive"):
+            getattr(family(8), method)(0, n)
+
+    def test_s_power_sum_rejects_level_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="level n must be positive"):
+                family(8).s_power_sum(1, 0, [1, 2])
+
     def test_prime_power_top_cases(self):
         # the top coprime selector at level p^k only sees the prime:
         # T_{p^k, j}(p^k) = e - P_j(p)
@@ -168,6 +263,69 @@ class TestTransforms:
     def test_both_directions(self, n, j):
         fam = family(3 * n)
         assert fam.c_t_transforms(j, n) == 0
+
+
+class TestDivisorStacks:
+    """The stacked identities against the per-operator oracles above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(levels)
+    def test_stack_rows_are_the_operators(self, level):
+        n, j, offset, dim = level
+        fam = family(dim, offset)
+        divs, *stacks = fam._stacks(j, n)
+        assert divs == divisors(n)
+        for r, t, p, c in zip(divs, *stacks):
+            assert tuple(t.tolist()) == fam.t_operator(r, j, n).entries
+            assert tuple(p.tolist()) == fam.system.projection(j, r).entries
+            assert tuple(c.tolist()) == fam.c_operator(j, r).entries
+
+    @settings(max_examples=40, deadline=None)
+    @given(levels)
+    def test_residuals_match_the_oracles(self, level):
+        n, j, offset, dim = level
+        fam = family(dim, offset)
+        # the float construction is bit-equal, the exact ones are 0
+        assert fam.c_operator_constructions(j, n) == constructions_oracle(fam, j, n)
+        assert fam.t_top_identities(j, n) == t_top_oracle(fam, j, n) == 0
+        assert fam.t_decomposition(j, n) == t_decomposition_oracle(fam, j, n) == 0
+        assert fam.c_t_transforms(j, n) == c_t_transforms_oracle(fam, j, n) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 4, 6, 12, 18, 24, 30, 36]), st.integers(0, 1),
+           st.integers(1, 90), st.data())
+    def test_even_identity_matches_the_oracle(self, n, offset, dim, data):
+        alpha = EvenFunction(n, {r: data.draw(st.integers(-9, 9)) for r in divisors(n)})
+        j = data.draw(st.integers(-n, 2 * n))
+        fam = family(dim, offset)
+        assert fam.even_function_identity(alpha, j, n) == even_identity_oracle(
+            fam, alpha, j, n) == 0
+
+    def test_weighted_sum_stays_exact_past_int64(self):
+        # int64 would wrap 2^62 + 2^62 to -2^63
+        stack = np.ones((2, 3), dtype=np.int64)
+        assert ramanujan_ops._weighted([2**62, 2**62], stack).tolist() == [2**63] * 3
+        assert ramanujan_ops._weighted([2, -3], stack).dtype == np.int64
+
+    @settings(max_examples=30, deadline=None)
+    @given(levels, st.data())
+    def test_wrong_c_value_gives_the_oracles_residuals(self, level, data):
+        # c_r(g) off by one for one level r and gcd class g, wherever it is read
+        n, j, offset, dim = level
+        r = data.draw(st.sampled_from(divisors(n)))
+        g = data.draw(st.sampled_from(divisors(r)))
+
+        def wrong(q, x):
+            return ramanujan_sum(q, x) + ((q, math.gcd(x % q, q)) == (r, g))
+
+        fam = family(dim, offset)
+        ramanujan_ops._divisor_tables.cache_clear()  # tables built from the wrong c
+        try:
+            with mock.patch.object(ramanujan_ops, "ramanujan_sum", wrong):
+                assert fam.c_t_transforms(j, n) == c_t_transforms_oracle(fam, j, n)
+                assert fam.c_operator_constructions(j, n) == constructions_oracle(fam, j, n)
+        finally:
+            ramanujan_ops._divisor_tables.cache_clear()
 
 
 class TestOnePeriodDecides:

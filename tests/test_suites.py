@@ -4,11 +4,12 @@ how a row fails (worst case named, check errors and empty checks)."""
 import json
 import math
 
+import numpy as np
 import pytest
 
-from idemarith import idempotents, ramanujan_ops
+from idemarith import analytic, idempotents, ramanujan_ops
 from idemarith.algebra import NonInvertibleError
-from idemarith.arith import crt_solve, factorize
+from idemarith.arith import crt_solve, divisors, factorize
 from idemarith.convolution import InverseCheckError
 from idemarith.idempotents import IdempotentSystem
 from idemarith.suites import SUITES, _check, run_suite
@@ -115,6 +116,62 @@ class TestRunSuite:
         assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
         assert row["pass"] is False and row["max_residual"] == 8.0
         assert row["counterexample"] == {"n": 12, "j": 0}
+
+    def test_flipped_projection_entry_fails_the_axioms_row(self, monkeypatch):
+        real = IdempotentSystem.projections
+
+        def flipped(self, js, n):  # P_1(3) reads 1 at e_0
+            stack = real(self, js, n).copy()
+            if n == 3:
+                stack[[j % n == 1 for j in js], 0] = 1
+            return stack
+
+        monkeypatch.setattr(IdempotentSystem, "projections", flipped)
+        row = run_suite("axioms", n_max=12, dim=5)["checks"][0]
+        assert row["identity"] == "idempotent system axioms I/II/III + completeness"
+        assert row["pass"] is False and row["max_residual"] == 1.0
+        # level 3 is first met refining P_0(1) by r = 3: P_1 + P_2 + P_3(3) is 2 at e_0
+        assert row["counterexample"] == {"at": ("III", 1, 0, 3)}
+
+    def test_wrong_r_in_the_t_stack_fails_the_ramanujan_row(self, monkeypatch):
+        real = ramanujan_ops._divisor_tables.__wrapped__
+
+        def wrong(n):  # row r of T selects gcd class r instead of n/r
+            divs = np.array(divisors(n))
+            return ((divs == divs[:, None]).astype(np.int64), *real(n)[1:])
+
+        monkeypatch.setattr(ramanujan_ops, "_divisor_tables", wrong)
+        row = run_suite("ramanujan", n_max=12, dim=60)["checks"][1]
+        assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
+        assert row["pass"] is False and row["max_residual"] > 0
+        assert row["counterexample"]["n"] > 1  # level 1 has the one class r = n/r = 1
+
+    def test_closed_trace_dropping_a_divisor_fails_the_trace_row(self, monkeypatch):
+        real = analytic._floor_sum
+
+        def dropped(weights, n_dims):  # the term of d = n is lost
+            return real(dict(list(weights.items())[:-1]), n_dims)
+
+        monkeypatch.setattr(analytic, "_floor_sum", dropped)
+        row = run_suite("analytic", n_max=12)["checks"][1]
+        assert row["identity"] == "trace identities for both diagonals"
+        assert row["pass"] is False and row["max_residual"] > 0
+        n, dim = row["counterexample"]["n"], row["counterexample"]["dim"]
+        assert dim >= n  # floor(N/n) = 0 below the level
+
+    def test_det_prefix_product_off_by_one_entry_fails_the_det_row(self, monkeypatch):
+        real = analytic._c_period
+
+        def off(n, n_max):  # c_n(1) = mu(n) read as mu(n) + 1
+            row = real(n, n_max).copy()
+            row[0] += 1
+            return row
+
+        monkeypatch.setattr(analytic, "_c_period", off)
+        row = run_suite("analytic", n_max=12)["checks"][0]
+        assert row["identity"] == "determinant of the Ramanujan diagonal: direct vs closed form"
+        assert row["pass"] is False and row["max_residual"] > 0
+        assert set(row["counterexample"]) == {"n", "dim"}
 
     def test_failed_row_names_its_worst_case(self):
         report = run_suite("axioms", n_max=6, dim=24, tol=0)
