@@ -13,10 +13,11 @@ returns the values as Python scalars.
 
 ``element_text`` serializes a diagonal or dense element to JSON text,
 byte-identical to ``json.dumps(..., sort_keys=True)`` of its [re, im]
-entry pairs.  The operators exported here are periodic or mostly zero, so
-it formats each distinct float and each distinct pair once and repeats
-the text; ``element_to_json`` parses that text, and ``element_from_json``
-inverts it.
+entry pairs.  A diagonal built by ``DiagonalOperator.periodic`` keeps the
+length of the block it repeats, so its text formats one period and
+repeats it; any other element formats each distinct float and each
+distinct pair of all its entries once and repeats the text.
+``element_to_json`` parses that text, and ``element_from_json`` inverts it.
 """
 
 from __future__ import annotations
@@ -123,10 +124,12 @@ class Scalar:
 
 class _Stored(NamedTuple):
     """Entries already in storage form: a fresh 1-D array of a storage
-    dtype, and the bound on |entry| of an int64 array (None otherwise)."""
+    dtype, the bound on |entry| of an int64 array (None otherwise), and
+    the length of the leading block the array repeats (None: all of it)."""
 
     values: np.ndarray
     bound: int | None
+    block: int | None = None
 
 
 def _store(entries) -> _Stored:
@@ -163,17 +166,18 @@ class DiagonalOperator:
     ``entries`` returns the values as a tuple of Python scalars.
     """
 
-    __slots__ = ("_values", "_bound", "offset")
+    __slots__ = ("_values", "_bound", "_block", "offset")
 
     def __init__(self, entries, offset: int = 0):
         if offset not in (0, 1):
             raise ValueError("offset must be 0 or 1")
-        values, bound = entries if isinstance(entries, _Stored) else _store(entries)
+        values, bound, block = entries if isinstance(entries, _Stored) else _store(entries)
         if not values.size:
             raise ValueError("DiagonalOperator needs at least one entry")
         values.flags.writeable = False
         self._values = values
         self._bound = bound
+        self._block = block or values.size
         self.offset = offset
 
     @classmethod
@@ -183,14 +187,16 @@ class DiagonalOperator:
 
         ``period`` maps an int64 array of residues mod n to their values.
         It is called once, on the at most min(n, dim) residues the window
-        meets, and the window repeats them.
+        meets, and the window repeats them.  The operator keeps that block
+        length, so ``element_text`` formats one period and repeats its
+        text; arithmetic results keep no block.
         """
         if n < 1:
             raise ValueError("period n must be positive")
         start = (offset - shift) % n
-        values, bound = _store(period(np.arange(start, start + min(n, dim)) % n))
+        values, bound, _ = _store(period(np.arange(start, start + min(n, dim)) % n))
         rows = np.repeat(values[np.newaxis], -(-dim // values.size), axis=0)
-        return cls(_Stored(rows.reshape(-1)[:dim], bound), offset)
+        return cls(_Stored(rows.reshape(-1)[:dim], bound, values.size), offset)
 
     @property
     def entries(self) -> tuple:
@@ -424,11 +430,12 @@ def operator_norm(x) -> float:
     raise TypeError(f"operator_norm not defined for {type(x).__name__}")
 
 
-def _entries_text(values: np.ndarray) -> str:
-    """The JSON text of the [re, im] pairs of values as complex128, with
-    each distinct float and each distinct pair formatted once.
+def _entries_text(values: np.ndarray, block: int) -> str:
+    """The JSON text of the [re, im] pairs of values as complex128, where
+    values repeats its first block entries: each distinct float and each
+    distinct pair of the block is formatted once, and the block's text repeated.
     """
-    c = values.astype(np.complex128)
+    c = values[:block].astype(np.complex128)
     # unique by bits, not by value, so -0.0 and 0.0 keep their own text
     (re_bits, re_of), (im_bits, im_of) = (
         np.unique(part, return_inverse=True)
@@ -439,8 +446,9 @@ def _entries_text(values: np.ndarray) -> str:
     width = im_bits.size
     pairs, pair_of = np.unique(re_of * width + im_of, return_inverse=True)
     pair_text = np.array([f"[{re_text[k // width]}, {im_text[k % width]}]"
-                          for k in pairs.tolist()], dtype=object)
-    return "[" + ", ".join(pair_text[pair_of].tolist()) + "]"
+                          for k in pairs.tolist()], dtype=object)[pair_of].tolist()
+    repeats, rest = divmod(values.size, block)
+    return "[" + ", ".join([", ".join(pair_text)] * repeats + pair_text[:rest]) + "]"
 
 
 def element_text(x) -> str:
@@ -449,12 +457,12 @@ def element_text(x) -> str:
     ``json.dumps(..., sort_keys=True)`` of that object.
     """
     if isinstance(x, DiagonalOperator):
-        entries, tail = x._values, f', "kind": "diag", "n": {x.n}, "offset": {x.offset}}}'
+        entries, block, tail = x._values, x._block, f'"diag", "n": {x.n}, "offset": {x.offset}}}'
     elif isinstance(x, DenseMatrix):
-        entries, tail = x.array.reshape(-1), f', "kind": "dense", "n": {x.n}}}'
+        entries, block, tail = x.array.reshape(-1), x.array.size, f'"dense", "n": {x.n}}}'
     else:
         raise TypeError(f"no JSON form for {type(x).__name__}")
-    return '{"entries": ' + _entries_text(entries) + tail
+    return '{"entries": ' + _entries_text(entries, block) + ', "kind": ' + tail
 
 
 def element_to_json(x) -> dict:

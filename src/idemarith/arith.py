@@ -34,6 +34,7 @@ __all__ = [
     "ramanujan_sum",
     "rf_residual",
     "rf_transform",
+    "rf_unnormalized",
     "tau",
     "totient",
 ]
@@ -221,20 +222,23 @@ class RFCoefficients:
     orthogonal: dict = field(hash=False)
 
 
+def rf_unnormalized(alpha: EvenFunction) -> dict:
+    """The un-normalized coefficients R(alpha)(r), r | d, of ``rf_transform``."""
+    d = alpha.modulus
+    divs = divisors(d)
+    return {r: sum(alpha(d // delta) * ramanujan_sum(delta, d // r) for delta in divs)
+            for r in divs}
+
+
 def rf_transform(alpha: EvenFunction) -> RFCoefficients:
     """Both Ramanujan-Fourier coefficient normalizations of an even function."""
     d = alpha.modulus
-    divs = divisors(d)
-    unnormalized = {
-        r: sum(alpha(d // delta) * ramanujan_sum(delta, d // r) for delta in divs)
-        for r in divs
-    }
     orthogonal = {
         r: Fraction(1, d * totient(r))
         * sum(alpha(k) * ramanujan_sum(r, k) for k in range(1, d + 1))
-        for r in divs
+        for r in divisors(d)
     }
-    return RFCoefficients(d, unnormalized, orthogonal)
+    return RFCoefficients(d, rf_unnormalized(alpha), orthogonal)
 
 
 def rf_residual(alpha: EvenFunction):

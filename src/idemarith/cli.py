@@ -87,8 +87,9 @@ def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    else:  # not click.echo: it scans the text for ANSI codes and caches each stdout it sees
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 @click.group()

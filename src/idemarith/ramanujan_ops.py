@@ -25,7 +25,7 @@ from .arith import (
     factorize,
     mobius,
     ramanujan_sum,
-    rf_transform,
+    rf_unnormalized,
     tau,
 )
 from .idempotents import IdempotentSystem
@@ -187,7 +187,7 @@ class OperatorFamily:
         """
         if alpha.modulus != n:
             raise ValueError(f"alpha must be even mod n={n}, got modulus {alpha.modulus}")
-        coeffs = rf_transform(alpha).unnormalized
+        coeffs = rf_unnormalized(alpha)
         divs, t, _, c = self._stacks(j, n)
         return _distance(_weighted([alpha(n // r) for r in divs], c),
                          _weighted([coeffs[r] for r in divs], t))

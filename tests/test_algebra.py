@@ -216,8 +216,9 @@ def json_dumps_oracle(x) -> str:
 @st.composite
 def exported_operators(draw):
     """One operator as `idemarith export` builds it: P, C, T or S at
-    dim <= 2520, or the dense theta / IU* at dim <= 60."""
-    kind = draw(st.sampled_from(["P", "C", "T", "S", "theta", "IU*"]))
+    dim <= 2520, or the dense theta / IU* at dim <= 60; or the sum of
+    two congruence projections of different levels, which keeps no period."""
+    kind = draw(st.sampled_from(["P", "C", "T", "S", "theta", "IU*", "P+P"]))
     if kind in ("theta", "IU*"):
         ops = analytic.shift_operators(analytic.TruncatedSpace(draw(st.integers(1, 60)), 1))
         return ops["theta"] if kind == "theta" else ops["integration"] * ops["U_star"]
@@ -228,6 +229,9 @@ def exported_operators(draw):
     family = OperatorFamily(system)
     if kind == "P":
         return system.projection(j, n)
+    if kind == "P+P":
+        other = n + draw(st.integers(1, 60))
+        return system.projection(j, n) + system.projection(draw(st.integers(0, other)), other)
     if kind == "C":
         return family.c_operator(j, n)
     if kind == "T":
@@ -239,6 +243,36 @@ def exported_operators(draw):
 @given(exported_operators())
 def test_element_text_matches_json_dumps_on_exports(x):
     assert element_text(x) == json_dumps_oracle(x)
+
+
+def _periodic_family(dim, offset):
+    system = IdempotentSystem(dim, offset)
+    return system, OperatorFamily(system)
+
+
+@pytest.mark.parametrize("dim,offset", [(1, 0), (5, 1), (37, 0), (2520, 1)])
+@pytest.mark.parametrize("build", [
+    lambda s, f: s.projection(0, 2) + s.projection(0, 3),
+    lambda s, f: f.c_operator(1, 12) * f.t_operator(3, 1, 12),
+    lambda s, f: f.s_operator(7).scale(Fraction(1, 3)),
+    lambda s, f: f.c_operator(2, 5).scale(2**62),
+    lambda s, f: -f.s_operator(5),
+    lambda s, f: DiagonalOperator(f.c_operator(0, 6).entries, s.offset),
+    lambda s, f: f.s_operator(4).unit() - s.projection(1, 4),
+], ids=["P2+P3", "C*T", "scale", "scale-past-int64", "neg", "from-entries", "unit-P"])
+def test_arithmetic_results_encode_every_entry(dim, offset, build):
+    # a result keeps no period: P_0(2) + P_0(3) has neither operand's,
+    # so it must not be encoded as a repeat of one
+    x = build(*_periodic_family(dim, offset))
+    assert element_text(x) == json_dumps_oracle(x)
+
+
+@pytest.mark.parametrize("n,dim", [(7, 3), (60, 1), (2521, 2520), (40, 39)])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_periodic_longer_than_the_window_encodes_every_entry(n, dim, offset):
+    system, family = _periodic_family(dim, offset)
+    for x in (system.projection(1, n), family.c_operator(2, n), family.s_operator(n)):
+        assert element_text(x) == json_dumps_oracle(x)
 
 
 _NAN, _INF = float("nan"), float("inf")

@@ -1,9 +1,13 @@
 """Command-line behaviour: tables, suite exit codes, exports, determinism."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import pathlib
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -318,6 +322,17 @@ class TestExport:
          "240509d92916220622660a829342a76e829c0601905b3d0950a0ad54619383b4"),
         (["IU*", "--dim", "24"],
          "651ba9c8cbe4d2de7c9f96084d23e9af68798d9755997d74c1fa092b17503e8d"),
+        # 2520 = 68 * 37 + 4: the window ends inside a period
+        (["S:37", "--dim", "2520", "--offset", "1"],
+         "b3e87002c59bace84cba3e937a5fd269d6ea09546ebd2beefb48e6e7cbe46807"),
+        (["P:3:37", "--dim", "2520"],
+         "ec75fa588b2ed943da47d7851dea31e4bae1c4118227b239e571648c81ee6bbe"),
+        (["C:5:60", "--dim", "2520", "--offset", "1"],
+         "57b4bc231f1bf736943bbaffb27430a83634eef43edfea951aee6dcd6101a42b"),
+        (["S:1", "--dim", "2520"],  # a period of one entry
+         "ec9da61f256d044557be79322f4fd6940f24dee6127657c50403c6cfb04a1399"),
+        (["P:0:2520", "--dim", "2520"],  # one period fills the window
+         "263a091a762977f3bc388328e186da678aaa5aa07e796c09375bba022ade8cd8"),
     ])
     def test_export_text_is_pinned(self, runner, args, sha256):
         result = runner.invoke(main, ["export", *args])
@@ -337,6 +352,20 @@ class TestExport:
         result = runner.invoke(main, ["export", spec, "--dim", str(edge + 1)])
         assert result.exit_code == 2
         assert "more than 1000000" in result.output
+
+    def test_stdout_is_not_kept_after_export(self):
+        # an in-process caller's output buffer must die with its last reference
+        buf = io.StringIO()
+        ref = weakref.ref(buf)
+        with contextlib.redirect_stdout(buf):
+            try:
+                cli.main.main(["export", "S:7", "--dim", "60"], prog_name="idemarith")
+            except SystemExit as exc:
+                assert not exc.code
+        assert buf.getvalue().startswith('{"entries": ')
+        del buf
+        gc.collect()
+        assert ref() is None
 
     def test_export_determinism(self, runner):
         args = ["export", "C:1:12", "--dim", "24"]
