@@ -1,7 +1,8 @@
 """Truncated monomial-basis model of the analytic function spaces: the
 C_0/T_0 diagonals with their determinant and trace identities, the
 diagonal map P(alpha) with entries (nu0 * alpha)(m), shift/integration
-matrices, and the finite-prefix growth diagnostic.
+matrices, and the finite-prefix growth diagnostic, on the basis window
+e_offset..e_{offset+N-1} of an ``IdempotentSystem`` (offset 1: f(0) = 0).
 
 The identity functions return numbers, and the identity suites judge
 them.  ``trace_table`` and ``det_table`` answer every window N of a level
@@ -45,31 +46,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSpace:
-    """A finite window of the monomial basis: e_0..e_{N-1} (offset 0, the
-    full-space model) or e_1..e_N (offset 1, the f(0) = 0 subspace).
-    """
-
-    dim: int
-    offset: int = 1
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.offset not in (0, 1):
-            raise ValueError("offset must be 0 or 1")
-
-    @property
-    def indices(self) -> range:
-        return range(self.offset, self.offset + self.dim)
+TruncatedSpace = IdempotentSystem  # the window's former name, still used by bench/workloads.py
 
 
-def c0_t0_diagonals(n: int, space: TruncatedSpace) -> tuple[DiagonalOperator, DiagonalOperator]:
+def c0_t0_diagonals(n: int, space: IdempotentSystem) -> tuple[DiagonalOperator, DiagonalOperator]:
     """(C_0(n), T_0(n)) on the space: entries c_n(m) and the coprimality
     indicator of gcd(n, m), exact integers.
     """
-    family = OperatorFamily(IdempotentSystem(space.dim, space.offset))
+    family = OperatorFamily(space.dim, space.offset)
     return family.c_operator(0, n), family.t_operator(n, 0, n)
 
 
@@ -181,7 +165,7 @@ def trace_erratum_forms(n: int, n_dim: int) -> dict:
     }
 
 
-def p_operator(alpha: Sequence, space: TruncatedSpace) -> DiagonalOperator:
+def p_operator(alpha: Sequence, space: IdempotentSystem) -> DiagonalOperator:
     """The diagonal map built from a scalar table: entry (nu0 * alpha)(m)
     at index m = 1..N.  Rejects offset-0 spaces, where the constant-term
     action is a divergent series.
@@ -194,7 +178,7 @@ def p_operator(alpha: Sequence, space: TruncatedSpace) -> DiagonalOperator:
     return DiagonalOperator(summed, space.offset)
 
 
-def p_operator_identities(space: TruncatedSpace, n_max: int | None = None,
+def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
                           pairs: int = 20, seed: int = 7,
                           tol: float = DEFAULT_TOL) -> dict:
     """The algebra-map property P(alpha [] beta) = P(alpha) P(beta) on
@@ -202,7 +186,7 @@ def p_operator_identities(space: TruncatedSpace, n_max: int | None = None,
     (nu0 * J_r)(m) = m^r for r <= 3.
     """
     n_max = min(n_max or space.dim, space.dim)
-    sub = TruncatedSpace(n_max, 1)
+    sub = IdempotentSystem(n_max, 1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
@@ -227,7 +211,7 @@ def p_operator_identities(space: TruncatedSpace, n_max: int | None = None,
     }
 
 
-def shift_operators(space: TruncatedSpace) -> dict[str, DenseMatrix]:
+def shift_operators(space: IdempotentSystem) -> dict[str, DenseMatrix]:
     """Matrix actions on the monomial window: the shift U (e_m -> e_{m+1},
     top dropped), backward shift U* (e_m -> e_{m-1}, bottom killed),
     integration (e_m -> e_{m+1}/(m+1), top dropped), and the Euler
@@ -238,7 +222,7 @@ def shift_operators(space: TruncatedSpace) -> dict[str, DenseMatrix]:
     u_star = np.zeros((n, n), dtype=complex)
     integ = np.zeros((n, n), dtype=complex)
     theta = np.zeros((n, n), dtype=complex)
-    for i, m in enumerate(space.indices):
+    for i, m in enumerate(range(space.offset, space.offset + n)):
         theta[i, i] = m
         if i + 1 < n:
             u[i + 1, i] = 1
@@ -253,7 +237,7 @@ def shift_operators(space: TruncatedSpace) -> dict[str, DenseMatrix]:
     }
 
 
-def iu_star_representation(space: TruncatedSpace) -> dict:
+def iu_star_representation(space: IdempotentSystem) -> dict:
     """Which scalar function represents integration-compose-backward-shift:
     compares (nu0 * mu * nu_{-1})(m) (exact 1/m) and (nu0 * mu * nu_1)(m)
     (exact m, the Euler diagonal) against the 1/m target on the space,
@@ -262,6 +246,8 @@ def iu_star_representation(space: TruncatedSpace) -> dict:
     """
     if space.offset != 1:
         raise ValueError("iu_star_representation requires the offset-1 model")
+    if space.dim < 2:
+        raise ValueError("iu_star_representation requires dim >= 2: e_1 alone compares nothing")
     n_max = space.dim
     ones = [1] * n_max
     mu_t = scalar_table(mobius, n_max)

@@ -18,7 +18,6 @@ import click
 
 from . import analytic, arith
 from .algebra import element_text
-from .idempotents import IdempotentSystem
 from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
@@ -85,8 +84,11 @@ def _table_function(name: str, hi: int):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
     else:  # not click.echo: it scans the text for ANSI codes and caches each stdout it sees
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -180,29 +182,26 @@ def cmd_export(spec, dim, offset, out):
             raise click.UsageError(f"dim {dim} is smaller than level {n}")
         return n
 
-    if kind == "THETA":
-        element = analytic.shift_operators(analytic.TruncatedSpace(dim, 1))["theta"]
-    elif kind == "IU*":
-        space = analytic.TruncatedSpace(dim, 1)
-        ops = analytic.shift_operators(space)
-        element = ops["integration"] * ops["U_star"]
+    # theta and IU* act on e_1..e_dim, whatever the offset
+    family = OperatorFamily(dim, 1 if kind in ("THETA", "IU*") else offset)
+    if kind in ("THETA", "IU*"):
+        ops = analytic.shift_operators(family)
+        element = ops["theta"] if kind == "THETA" else ops["integration"] * ops["U_star"]
     elif kind == "P":
         j, n = _ints(2)
-        element = IdempotentSystem(dim, offset).projection(j, _level(n))
-    elif kind in ("C", "S", "T"):
-        family = OperatorFamily(IdempotentSystem(dim, offset))
-        if kind == "S":
-            (n,) = _ints(1)
-            element = family.s_operator(_level(n))
-        elif kind == "C":
-            j, n = _ints(2)
-            element = family.c_operator(j, _level(n))
-        else:
-            r, j, n = _ints(3)
-            _level(n)
-            if r < 1 or n % r != 0:
-                raise click.UsageError(f"r={r} is not a positive divisor of n={n}")
-            element = family.t_operator(r, j, n)
+        element = family.projection(j, _level(n))
+    elif kind == "S":
+        (n,) = _ints(1)
+        element = family.s_operator(_level(n))
+    elif kind == "C":
+        j, n = _ints(2)
+        element = family.c_operator(j, _level(n))
+    elif kind == "T":
+        r, j, n = _ints(3)
+        _level(n)
+        if r < 1 or n % r != 0:
+            raise click.UsageError(f"r={r} is not a positive divisor of n={n}")
+        element = family.t_operator(r, j, n)
     else:
         raise click.UsageError(f"unknown operator spec {spec!r}")
     _emit(element_text(element) + "\n", out)

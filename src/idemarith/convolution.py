@@ -305,6 +305,8 @@ def lehmer_identity_check(
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must share n_max")
     n_max = len(alpha)
+    if n_max < 1:
+        raise ValueError("lehmer_identity_check needs tables of length >= 1")
     ones = [1] * n_max
     lhs = [a * b for a, b in zip(scalar_dirichlet(ones, alpha), scalar_dirichlet(ones, beta))]
     rhs = scalar_dirichlet(ones, scalar_lcm(alpha, beta))

@@ -1,5 +1,6 @@
 """Operator-valued Ramanujan sums C_j(n), the divisor-partition idempotents
-T_{r,j}(n), and the identities connecting them.
+T_{r,j}(n), and the identities connecting them.  ``OperatorFamily(dim,
+offset)`` is an ``IdempotentSystem`` on the window e_offset..e_{offset+dim-1}.
 
 Every operator here is diagonal in the congruence realization, and its
 entry at e_m depends only on the class g = gcd(m - j, n): T_{r,j}(n) is
@@ -59,15 +60,8 @@ def _distance(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-class OperatorFamily:
-    """S(n), C_j(n), and T_{r,j}(n) over one idempotent system."""
-
-    def __init__(self, system: IdempotentSystem):
-        self.system = system
-
-    @property
-    def dim(self) -> int:
-        return self.system.dim
+class OperatorFamily(IdempotentSystem):
+    """S(n), C_j(n) and T_{r,j}(n) on an idempotent system's window, with its P_j(n)."""
 
     def s_operator(self, n: int) -> DiagonalOperator:
         """Root-of-unity diagonal S(n) e_m = eps_n^m e_m; S(n)^n = e."""
@@ -87,21 +81,19 @@ class OperatorFamily:
         ks = np.array(ks, dtype=np.int64).reshape(-1, 1) % n
         return DiagonalOperator.periodic(
             lambda r: np.exp(1j * (2 * np.pi * (ks * r % n) / n)).sum(axis=0),
-            n, j, self.dim, self.system.offset,
+            n, j, self.dim, self.offset,
         )
 
     def dft_projection(self, j: int, n: int) -> DiagonalOperator:
         """P_j(n) = (1/n) sum_{l < n} eps_n^{-lj} S(n)^l: the float oracle of
-        the exact ``IdempotentSystem.projection``.
+        the exact ``projection``.
         """
         return self.s_power_sum(j, n, range(n)).scale(1 / n)
 
     def c_operator(self, j: int, n: int) -> DiagonalOperator:
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""
-        return DiagonalOperator.periodic(
-            lambda k: [ramanujan_sum(n, x) for x in k.tolist()],
-            n, j, self.dim, self.system.offset,
-        )
+        return DiagonalOperator.periodic(lambda k: [ramanujan_sum(n, x) for x in k.tolist()],
+                                         n, j, self.dim, self.offset)
 
     def _stacks(self, j: int, n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
         """(divs, t, p, c): the divisors r of n and the int64 stacks of
@@ -110,8 +102,7 @@ class OperatorFamily:
         if n < 1:
             raise ValueError("level n must be positive")
         divs = divisors(n)
-        m = np.arange(self.system.offset, self.system.offset + self.dim)
-        at = np.searchsorted(divs, np.gcd((m - j) % n, n))
+        at = np.searchsorted(divs, np.gcd((self._indices - j) % n, n))
         return (divs, *(table[:, at] for table in _divisor_tables(n)))
 
     def c_operator_constructions(self, j: int, n: int) -> dict:
@@ -133,7 +124,7 @@ class OperatorFamily:
         for p, a in factorize(n):
             prime_product = prime_product * (p * p_of[p**a] - p_of[p ** (a - 1)])
         return {
-            "root_of_unity": DiagonalOperator(exact, self.system.offset).distance(root_of_unity),
+            "root_of_unity": DiagonalOperator(exact, self.offset).distance(root_of_unity),
             "moebius_sum": _distance(exact, moebius_sum),
             "prime_product": _distance(exact, prime_product),
         }
@@ -147,9 +138,8 @@ class OperatorFamily:
         if n % r != 0:
             raise ValueError(f"t_operator requires r | n, got r={r}, n={n}")
         target = n // r
-        return DiagonalOperator.periodic(
-            lambda k: np.gcd(k, n) == target, n, j, self.dim, self.system.offset
-        )
+        return DiagonalOperator.periodic(lambda k: np.gcd(k, n) == target,
+                                         n, j, self.dim, self.offset)
 
     def t_top_identities(self, j: int, n: int) -> float:
         """Residual of T_{n,j}(n) = sum_{d|n} mu(d) P_j(d) = prod_{p|n} (e - P_j(p));

@@ -120,7 +120,7 @@ def _suite_axioms(n_max, dim, tol):
     system = IdempotentSystem(dim)
     n_limit = min(n_max, 12)
     n_dft = min(n_max, 24)
-    dft = OperatorFamily(IdempotentSystem(n_dft))
+    dft = OperatorFamily(n_dft)
     rows = [
         _check("idempotent system axioms I/II/III + completeness",
                {"dim": dim, "n_limit": n_limit}, [()],
@@ -128,7 +128,7 @@ def _suite_axioms(n_max, dim, tol):
         _check("congruence-exact vs dft-float provider",
                {"dim": n_dft, "n_limit": n_dft},
                [(j, n) for n in range(1, n_dft + 1) for j in range(n)],
-               lambda j, n: dft.system.projection(j, n).distance(dft.dft_projection(j, n)), tol),
+               lambda j, n: dft.projection(j, n).distance(dft.dft_projection(j, n)), tol),
     ]
     proj_mult_max = max(min(n_max, 32), 2)
     for j in (0, 1, 5):
@@ -156,7 +156,7 @@ def _suite_product_law(n_max, dim, tol):
 
 def _scalar_ramanujan(n):
     coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    sums = OperatorFamily(IdempotentSystem(n)).s_power_sum(0, n, coprime)
+    sums = OperatorFamily(n).s_power_sum(0, n, coprime)
     exact = DiagonalOperator([ramanujan_sum(n, j) for j in range(n)])
     return max(sums.distance(exact),
                abs(ramanujan_sum(n, 1) - mobius(n)), abs(ramanujan_sum(n, n) - totient(n)))
@@ -164,8 +164,8 @@ def _scalar_ramanujan(n):
 
 def _suite_ramanujan(n_max, dim, tol):
     n_cap = min(n_max, 30)
-    family = OperatorFamily(IdempotentSystem(dim))
-    period = OperatorFamily(IdempotentSystem(n_cap))
+    family = OperatorFamily(dim)
+    period = OperatorFamily(n_cap)
     builders = {"C": lambda j, n: family.c_operator(j, n),
                 "T": lambda j, n: family.t_operator(n, j, n)}
     return [
@@ -192,7 +192,7 @@ def _suite_transforms(n_max, dim, tol):
     moduli = [d for d in (1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 40, 48) if d <= max(n_max, 48)]
     alphas = [_random_even(rng, int(rng.choice(moduli))) for _ in range(20)]
     n_cap = min(n_max, 30)
-    period = OperatorFamily(IdempotentSystem(n_cap))
+    period = OperatorFamily(n_cap)
     rows = [
         _check("even-function Fourier coefficients: reconstruction and "
                "factor-of-d between normalizations",
@@ -221,7 +221,7 @@ def _suite_even_identity(n_max, dim, tol):
     rng = np.random.default_rng(SEED)
     moduli = [4, 6, 12, 24]
     alphas = {(n, sample): _random_even(rng, n) for n in moduli for sample in range(5)}
-    periods = {n: OperatorFamily(IdempotentSystem(n)) for n in moduli}
+    periods = {n: OperatorFamily(n) for n in moduli}
     return [
         _check("even-function expansion over Ramanujan operators",
                {"moduli": moduli, "samples": len(alphas), "j": [0, 1, 2], "dim": moduli},
@@ -333,9 +333,8 @@ def _suite_analytic(n_max, dim, tol):
         return _table_distance(scalar_dirichlet([1] * euler_n, scalar_table(fn, euler_n)),
                                scalar_table(expected, euler_n))
 
-    iu = analytic.iu_star_representation(analytic.TruncatedSpace(128, 1))
-    prep = analytic.p_operator_identities(analytic.TruncatedSpace(64, 1), 64,
-                                          pairs=20, seed=SEED)
+    iu = analytic.iu_star_representation(IdempotentSystem(128, 1))
+    prep = analytic.p_operator_identities(IdempotentSystem(64, 1), 64, pairs=20, seed=SEED)
     growth = {"totient": totient, "epsilon": epsilon, "2**n": lambda n: 2**n}
     det_dims, trace_dims = range(1, 65), range(1, 201, 7)
     dets = {n: dict(zip(det_dims, analytic.det_table(n, det_dims)))

@@ -85,13 +85,12 @@ def test_criterion_2_product_law_exhaustive():
 
 
 def test_criterion_3_multiplicative_families():
-    system = IdempotentSystem(2520)
-    family = OperatorFamily(system)
+    family = OperatorFamily(2520)
     ok = True
     detail = []
     for j in (0, 1, 5):
         for name, values in (
-            ("P_j", [system.projection(j, n) for n in range(1, 31)]),
+            ("P_j", [family.projection(j, n) for n in range(1, 31)]),
             ("C_j", [family.c_operator(j, n) for n in range(1, 31)]),
             ("T_nj", [family.t_operator(n, j, n) for n in range(1, 31)]),
         ):
@@ -111,7 +110,7 @@ def test_criterion_4_operator_identity_suite():
     worst_float = 0.0
     worst_exact = 0
     for n in range(1, 31):
-        family = OperatorFamily(IdempotentSystem(n))  # one period of every level used
+        family = OperatorFamily(n)  # one period of every level used
         for j in (0, 1, 2):
             res = family.c_operator_constructions(j, n)
             worst_float = max(worst_float, res["root_of_unity"])
@@ -137,7 +136,7 @@ def test_criterion_5_even_function_identity():
     for i in range(20):
         n = moduli[i % len(moduli)]
         alpha = EvenFunction(n, {r: int(rng.integers(-9, 10)) for r in divisors(n)})
-        family = OperatorFamily(IdempotentSystem(2 * n))
+        family = OperatorFamily(2 * n)
         worst = max(worst, family.even_function_identity(alpha, j=int(rng.integers(0, n)), n=n))
     _report(
         5,

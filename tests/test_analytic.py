@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from idemarith.algebra import DiagonalOperator
 from idemarith.analytic import (
     GrowthDiagnostic,
-    TruncatedSpace,
     c0_t0_diagonals,
     det_c0,
     det_c0_unsigned_form,
@@ -30,12 +29,12 @@ from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
 
-H0_16 = TruncatedSpace(16, 1)
+H0_16 = IdempotentSystem(16, 1)
 
 
 class TestDiagonals:
     def test_c0_alternates_for_n2(self):
-        c0, _ = c0_t0_diagonals(2, TruncatedSpace(4, 1))
+        c0, _ = c0_t0_diagonals(2, IdempotentSystem(4, 1))
         assert c0.entries == (-1, 1, -1, 1)
 
     def test_level_one_both_identity(self):
@@ -44,15 +43,14 @@ class TestDiagonals:
         assert t0.entries == (1,) * 16
 
     def test_entry_at_own_level(self):
-        c0, t0 = c0_t0_diagonals(6, TruncatedSpace(6, 1))
+        c0, t0 = c0_t0_diagonals(6, IdempotentSystem(6, 1))
         assert c0.entries[5] == 2  # c_6(6) = phi(6)
         assert t0.entries[5] == 0  # gcd(6, 6) > 1
 
     def test_agrees_with_operator_family_at_j0(self):
-        space = TruncatedSpace(12, 1)
-        fam = OperatorFamily(IdempotentSystem(12, offset=1))
+        fam = OperatorFamily(12, offset=1)
         for n in (2, 4, 6, 9):
-            c0, t0 = c0_t0_diagonals(n, space)
+            c0, t0 = c0_t0_diagonals(n, fam)
             assert c0.distance(fam.c_operator(0, n)) == 0
             assert t0.distance(fam.t_operator(n, 0, n)) == 0
 
@@ -195,7 +193,7 @@ class TestPerLevelTables:
 
 class TestPOperator:
     def test_totient_gives_euler_diagonal(self):
-        space = TruncatedSpace(64, 1)
+        space = IdempotentSystem(64, 1)
         diag = p_operator(scalar_table(totient, 64), space)
         assert diag.entries == tuple(range(1, 65))
 
@@ -209,10 +207,10 @@ class TestPOperator:
 
     def test_rejects_offset_zero_space(self):
         with pytest.raises(ValueError):
-            p_operator([1] * 8, TruncatedSpace(8, 0))
+            p_operator([1] * 8, IdempotentSystem(8, 0))
 
     def test_algebra_map_property(self):
-        report = p_operator_identities(TruncatedSpace(64, 1), 64)
+        report = p_operator_identities(IdempotentSystem(64, 1), 64)
         assert report["pass"]
         assert report["algebra_map_max_residual"] == 0
         assert report["euler_power_max_residual"] == 0
@@ -227,11 +225,11 @@ class TestShiftOperators:
         assert np.max(np.abs(product - expected)) < 1e-12
 
     def test_theta_diagonal(self):
-        ops = shift_operators(TruncatedSpace(8, 1))
+        ops = shift_operators(IdempotentSystem(8, 1))
         assert ops["theta"].array[2, 2] == 3
 
     def test_integration_compose_backward_shift(self):
-        space = TruncatedSpace(10, 1)
+        space = IdempotentSystem(10, 1)
         ops = shift_operators(space)
         diag = np.diag((ops["integration"] * ops["U_star"]).array)
         assert abs(diag[0]) == 0
@@ -242,8 +240,17 @@ class TestShiftOperators:
 
 class TestIuStarRepresentation:
     def test_candidate_search(self):
-        report = iu_star_representation(TruncatedSpace(128, 1))
+        report = iu_star_representation(IdempotentSystem(128, 1))
         assert report == {"mu*nu_minus1": True, "mu*nu_1": False}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_smallest_windows_refute_mu_nu_1(self, dim):
+        assert iu_star_representation(IdempotentSystem(dim, 1))["mu*nu_1"] is False
+
+    def test_one_entry_window_is_rejected(self):
+        # e_1 is the truncation edge, so dim 1 compares no entry at all
+        with pytest.raises(ValueError, match="dim >= 2"):
+            iu_star_representation(IdempotentSystem(1, 1))
 
 
 class TestGrowthIndicator:

@@ -5,8 +5,22 @@ reads these keys; renaming a keyword or dropping a key breaks the
 benchmark, not just these tests.
 """
 
+import pytest
+
 from idemarith import analytic
 from idemarith.convolution import lehmer_identity_check
+from idemarith.idempotents import IdempotentSystem
+from idemarith.ramanujan_ops import OperatorFamily
+
+
+@pytest.mark.parametrize("window", [IdempotentSystem, OperatorFamily, analytic.TruncatedSpace])
+@pytest.mark.parametrize("dim,offset,message", [(0, 0, "dim must be positive"),
+                                                (5, -1, "offset must be 0 or 1"),
+                                                (5, 2, "offset must be 0 or 1")])
+def test_every_window_rejects_the_same_input(window, dim, offset, message):
+    # the workloads build analytic.TruncatedSpace(n, 1): it is the one window class
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        window(dim, offset)
 
 
 def test_lehmer_identity_check_report():

@@ -5,7 +5,9 @@ import gc
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import weakref
 
@@ -13,10 +15,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import idemarith
 from idemarith import analytic, arith, cli
 from idemarith.algebra import DenseMatrix, element_from_json
 from idemarith.cli import _parse_range, main
-from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
 
 
@@ -248,10 +250,9 @@ class TestCheck:
 
 def _exported(spec: str, dim: int, offset: int):
     """The operator `export SPEC` prints, built through the library."""
-    system = IdempotentSystem(dim, offset)
-    family = OperatorFamily(system)
-    ops = analytic.shift_operators(analytic.TruncatedSpace(dim, 1))
-    return {"P:2:6": system.projection(2, 6), "C:1:12": family.c_operator(1, 12),
+    family = OperatorFamily(dim, offset)
+    ops = analytic.shift_operators(OperatorFamily(dim, 1))
+    return {"P:2:6": family.projection(2, 6), "C:1:12": family.c_operator(1, 12),
             "T:3:1:12": family.t_operator(3, 1, 12), "S:7": family.s_operator(7),
             "theta": ops["theta"], "IU*": ops["integration"] * ops["U_star"]}[spec]
 
@@ -400,3 +401,20 @@ class TestExport:
         result = runner.invoke(main, ["export", "S:2"], env={"IDEMARITH_DIM": value})
         assert result.exit_code == 0
         assert json.loads(result.output)["n"] == 2520
+
+
+@pytest.mark.parametrize("args,target", [
+    (["export", "P:0:3", "--dim", "6"], "missing/x.json"),
+    (["table", "mobius"], "."),
+    (["check", "product-law", "--n-max", "4"], "missing/r.json"),
+], ids=["export", "table", "check"])
+def test_unwritable_out_is_usage_error(tmp_path, args, target):
+    # a missing parent directory or a directory as --out: exit 2, one line, no traceback
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(idemarith.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "idemarith.cli", *args,
+                             "--out", str(tmp_path / target)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert f"Error: cannot write --out {tmp_path / target}" in result.stderr

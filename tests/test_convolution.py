@@ -531,3 +531,8 @@ class TestLehmerIdentity:
         assert report["max_residual"] == 0
         assert report["pass"] is False
         assert [f["m"] for f in report["scalar_failures"]] == list(range(1, 31))
+
+    def test_empty_tables_are_rejected(self):
+        # nothing to evaluate is not a pass
+        with pytest.raises(ValueError, match="length >= 1"):
+            lehmer_identity_check([], [])

@@ -110,7 +110,7 @@ class TestRunSuite:
             return [(2, 1), (3, 1)] if n == 12 else factorize(n)
 
         monkeypatch.setattr(ramanujan_ops, "factorize", wrong)
-        assert ramanujan_ops.OperatorFamily(IdempotentSystem(12)).c_operator_constructions(
+        assert ramanujan_ops.OperatorFamily(12).c_operator_constructions(
             0, 12)["prime_product"] > 0
         row = run_suite("ramanujan", n_max=12, dim=60)["checks"][1]
         assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
@@ -180,9 +180,9 @@ class TestRunSuite:
         where = row["counterexample"]
         assert set(where) == {"j", "n"}
         window = row["params"]["dim"]  # the window the row reports it ran on
-        exact = IdempotentSystem(window)
-        residual = exact.projection(where["j"], where["n"]).distance(
-            ramanujan_ops.OperatorFamily(exact).dft_projection(where["j"], where["n"]))
+        family = ramanujan_ops.OperatorFamily(window)
+        residual = family.projection(where["j"], where["n"]).distance(
+            family.dft_projection(where["j"], where["n"]))
         assert residual == row["max_residual"] > 0
 
 
