@@ -37,7 +37,7 @@ from .convolution import (
     lcm_convolve,
     unitary_convolve,
 )
-from .idempotents import IdempotentSystem, product_law, verify_axioms
+from .idempotents import IdempotentSystem, verify_axioms
 from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 

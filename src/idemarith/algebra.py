@@ -16,8 +16,8 @@ byte-identical to ``json.dumps(..., sort_keys=True)`` of its [re, im]
 entry pairs.  A diagonal built by ``DiagonalOperator.periodic`` keeps the
 length of the block it repeats, so its text formats one period and
 repeats it; any other element formats each distinct float and each
-distinct pair of all its entries once and repeats the text.
-``element_to_json`` parses that text, and ``element_from_json`` inverts it.
+distinct pair of all its entries once and repeats the text.  The package
+writes this form and never reads it back.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ __all__ = [
     "Scalar",
     "ShapeMismatchError",
     "determinant",
-    "element_from_json",
     "element_text",
-    "element_to_json",
     "invert",
     "is_idempotent",
     "operator_norm",
@@ -463,39 +461,3 @@ def element_text(x) -> str:
     else:
         raise TypeError(f"no JSON form for {type(x).__name__}")
     return '{"entries": ' + _entries_text(entries, block) + ', "kind": ' + tail
-
-
-def element_to_json(x) -> dict:
-    """The JSON object of ``element_text(x)``."""
-    return json.loads(element_text(x))
-
-
-def _json_int(data: dict, key: str, low: int, high: float = float("inf")) -> int:
-    value = data.get(key)
-    if type(value) is not int or not low <= value <= high:  # type() rejects bool and float
-        raise ValueError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
-    return value
-
-
-def _json_entries(data: dict, count: int) -> list[complex]:
-    entries = data.get("entries")
-    if not isinstance(entries, list) or len(entries) != count:
-        raise ValueError(f"entries must be a list of {count} [re, im] pairs")
-    for pair in entries:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(type(v) in (int, float) for v in pair)):
-            raise ValueError(f"entry {pair!r} is not an [re, im] pair of numbers")
-    return [complex(re, im) for re, im in entries]
-
-
-def element_from_json(data: dict):
-    """Inverse of element_to_json; raises ValueError on malformed input."""
-    if not isinstance(data, dict):
-        raise ValueError(f"element must be a JSON object, got {type(data).__name__}")
-    kind = data.get("kind")
-    if kind not in ("diag", "dense"):
-        raise ValueError(f"unknown element kind {kind!r}")
-    n = _json_int(data, "n", 1)
-    if kind == "diag":
-        return DiagonalOperator(_json_entries(data, n), _json_int(data, "offset", 0, 1))
-    return DenseMatrix(np.array(_json_entries(data, n * n)).reshape(n, n))

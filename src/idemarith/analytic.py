@@ -1,7 +1,7 @@
 """Truncated monomial-basis model of the analytic function spaces: the
 C_0/T_0 diagonals with their determinant and trace identities, the
-diagonal map P(alpha) with entries (nu0 * alpha)(m), shift/integration
-matrices, and the finite-prefix growth diagnostic, on the basis window
+diagonal map P(alpha) with entries (nu0 * alpha)(m), and the
+finite-prefix growth diagnostic, on the basis window
 e_offset..e_{offset+N-1} of an ``IdempotentSystem`` (offset 1: f(0) = 0).
 
 The identity functions return numbers, and the identity suites judge
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, DenseMatrix, DiagonalOperator
+from .algebra import DEFAULT_TOL, DiagonalOperator
 from .arith import divisors, factorize, jordan_totient, mobius, nu, omega
 from .convolution import scalar_dirichlet, scalar_lcm, scalar_table
 from .idempotents import IdempotentSystem
@@ -39,7 +39,6 @@ __all__ = [
     "iu_star_representation",
     "p_operator",
     "p_operator_identities",
-    "shift_operators",
     "trace_erratum_forms",
     "trace_identities",
     "trace_table",
@@ -208,32 +207,6 @@ def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
         "algebra_map_max_residual": worst,
         "euler_power_max_residual": jordan_residual,
         "pass": worst <= tol and jordan_residual <= tol,
-    }
-
-
-def shift_operators(space: IdempotentSystem) -> dict[str, DenseMatrix]:
-    """Matrix actions on the monomial window: the shift U (e_m -> e_{m+1},
-    top dropped), backward shift U* (e_m -> e_{m-1}, bottom killed),
-    integration (e_m -> e_{m+1}/(m+1), top dropped), and the Euler
-    diagonal theta (e_m -> m e_m).
-    """
-    n = space.dim
-    u = np.zeros((n, n), dtype=complex)
-    u_star = np.zeros((n, n), dtype=complex)
-    integ = np.zeros((n, n), dtype=complex)
-    theta = np.zeros((n, n), dtype=complex)
-    for i, m in enumerate(range(space.offset, space.offset + n)):
-        theta[i, i] = m
-        if i + 1 < n:
-            u[i + 1, i] = 1
-            integ[i + 1, i] = 1 / (m + 1)
-        if i - 1 >= 0:
-            u_star[i - 1, i] = 1
-    return {
-        "U": DenseMatrix(u),
-        "U_star": DenseMatrix(u_star),
-        "integration": DenseMatrix(integ),
-        "theta": DenseMatrix(theta),
     }
 
 

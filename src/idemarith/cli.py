@@ -15,9 +15,10 @@ import math
 import sys
 
 import click
+import numpy as np
 
-from . import analytic, arith
-from .algebra import element_text
+from . import arith
+from .algebra import DenseMatrix, element_text
 from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
@@ -142,6 +143,8 @@ def cmd_check(suite, n_max, dim, tolerance, out):
         raise click.UsageError("tolerance must be a number >= 0")
     if not 1 <= dim <= MAX_TABLE_VALUES:
         raise click.UsageError(f"dim must be between 1 and {MAX_TABLE_VALUES}")
+    if out:
+        _emit("", out)  # an unwritable --out fails here, before any row runs
     report = run_suite(suite, n_max=n_max, dim=dim, tol=tolerance)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     sys.exit(0 if report["pass"] else 1)
@@ -182,11 +185,12 @@ def cmd_export(spec, dim, offset, out):
             raise click.UsageError(f"dim {dim} is smaller than level {n}")
         return n
 
-    # theta and IU* act on e_1..e_dim, whatever the offset
-    family = OperatorFamily(dim, 1 if kind in ("THETA", "IU*") else offset)
+    family = OperatorFamily(dim, offset)
     if kind in ("THETA", "IU*"):
-        ops = analytic.shift_operators(family)
-        element = ops["theta"] if kind == "THETA" else ops["integration"] * ops["U_star"]
+        # diagonal on e_1..e_dim whatever the offset: theta e_m = m e_m, and integration
+        # after the backward shift kills e_1 and sends e_m to e_m/m; the text stays "dense"
+        m = np.arange(1, dim + 1)
+        element = DenseMatrix(np.diag(m if kind == "THETA" else np.append(0.0, 1 / m[1:])))
     elif kind == "P":
         j, n = _ints(2)
         element = family.projection(j, _level(n))

@@ -12,8 +12,8 @@ takes one level pair (n, m) at a time: ``product_law_residual`` multiplies
 the stacks of all P_k(n) and all P_l(m) in one broadcast and compares
 every product with its prediction.
 For n | m that prediction is the divisor rule: P_k(n) P_l(m) is P_l(m)
-when l = k (mod n), else zero.  ``product_law`` is the per-case form,
-P_k(n) P_l(m) built as diagonals, and serves as its oracle.
+when l = k (mod n), else zero.  The tests keep the per-case form,
+P_k(n) P_l(m) built as diagonals, as its oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .convolution import (AlgFunction, dirichlet_convolve, lcm_convolve, scalar_
 
 __all__ = [
     "IdempotentSystem",
-    "product_law",
     "product_law_residual",
     "verify_axioms",
     "weighted_product_identities",
@@ -109,25 +108,6 @@ def verify_axioms(system: IdempotentSystem, n_limit: int) -> tuple[float, tuple]
         if worst is None or level[at] > worst:
             worst, where = float(level[at]), places[at]
     return worst, where
-
-
-def product_law(system: IdempotentSystem, k: int, n: int, l: int,
-                m: int) -> tuple[DiagonalOperator, dict]:
-    """P_k(n) P_l(m): returns the multiplied diagonal together with the
-    symbolic verdict (zero, or P_j(lcm(n, m)) with j from the CRT) and its
-    residual against the product, 0 when the law holds.
-    """
-    product = system.projection(k, n) * system.projection(l, m)
-    j = crt_solve(k, n, l, m)
-    lcm = math.lcm(n, m)
-    if j is None:
-        verdict = {"kind": "zero"}
-        predicted = product.zero()
-    else:
-        verdict = {"kind": "projection", "j": j, "level": lcm}
-        predicted = system.projection(j, lcm)
-    verdict["residual"] = product.distance(predicted)
-    return product, verdict
 
 
 def product_law_residual(system: IdempotentSystem, n: int,

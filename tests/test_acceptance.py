@@ -33,8 +33,9 @@ from idemarith.convolution import (
     scalar_table,
     scalar_unitary,
 )
-from idemarith.idempotents import IdempotentSystem, product_law
+from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
+from oracle_forms import product_law
 
 
 def _report(num: int, label: str, ok: bool):

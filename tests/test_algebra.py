@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idemarith import analytic
 from idemarith.algebra import (
     DenseMatrix,
     DiagonalOperator,
@@ -15,9 +14,7 @@ from idemarith.algebra import (
     Scalar,
     ShapeMismatchError,
     determinant,
-    element_from_json,
     element_text,
-    element_to_json,
     invert,
     is_idempotent,
     operator_norm,
@@ -25,6 +22,7 @@ from idemarith.algebra import (
 )
 from idemarith.arith import divisors
 from idemarith.ramanujan_ops import OperatorFamily
+from oracle_forms import element_from_json, element_to_json, shift_operators
 
 RNG = np.random.default_rng(42)
 
@@ -214,12 +212,12 @@ def json_dumps_oracle(x) -> str:
 
 @st.composite
 def exported_operators(draw):
-    """One operator as `idemarith export` builds it: P, C, T or S at
+    """One operator as `idemarith export` prints it: P, C, T or S at
     dim <= 2520, or the dense theta / IU* at dim <= 60; or the sum of
     two congruence projections of different levels, which keeps no period."""
     kind = draw(st.sampled_from(["P", "C", "T", "S", "theta", "IU*", "P+P"]))
     if kind in ("theta", "IU*"):
-        ops = analytic.shift_operators(OperatorFamily(draw(st.integers(1, 60)), 1))
+        ops = shift_operators(OperatorFamily(draw(st.integers(1, 60)), 1))
         return ops["theta"] if kind == "theta" else ops["integration"] * ops["U_star"]
     dim = draw(st.integers(1, 2520))
     family = OperatorFamily(dim, draw(st.integers(0, 1)))

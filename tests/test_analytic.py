@@ -1,5 +1,5 @@
 """Truncated monomial model: diagonals, determinant/trace identities, the
-diagonal map, and shift operators."""
+diagonal map, and the dense shift-operator oracle."""
 
 import math
 from fractions import Fraction
@@ -19,7 +19,6 @@ from idemarith.analytic import (
     iu_star_representation,
     p_operator,
     p_operator_identities,
-    shift_operators,
     trace_erratum_forms,
     trace_identities,
     trace_table,
@@ -28,6 +27,7 @@ from idemarith.arith import divisors, epsilon, factorize, mobius, omega, ramanuj
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
+from oracle_forms import shift_operators
 
 H0_16 = IdempotentSystem(16, 1)
 

@@ -16,10 +16,11 @@ import pytest
 from click.testing import CliRunner
 
 import idemarith
-from idemarith import analytic, arith, cli
-from idemarith.algebra import DenseMatrix, element_from_json
+from idemarith import arith, cli
+from idemarith.algebra import DenseMatrix
 from idemarith.cli import _parse_range, main
 from idemarith.ramanujan_ops import OperatorFamily
+from oracle_forms import element_from_json, shift_operators
 
 
 @pytest.fixture()
@@ -238,6 +239,15 @@ class TestCheck:
             assert result.exit_code == 2 and not runs
             assert "dim must be between 1 and 1000000" in result.output
 
+    def test_unwritable_out_fails_before_any_row(self, runner, monkeypatch, tmp_path):
+        runs = []
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda suite, **kw: runs.append(kw) or {"pass": True})
+        path = tmp_path / "missing" / "r.json"
+        result = runner.invoke(main, ["check", "all", "--out", str(path)])
+        assert result.exit_code == 2 and not runs
+        assert f"cannot write --out {path}" in result.output
+
     def test_report_to_file(self, runner, tmp_path):
         path = tmp_path / "report.json"
         result = runner.invoke(
@@ -249,9 +259,10 @@ class TestCheck:
 
 
 def _exported(spec: str, dim: int, offset: int):
-    """The operator `export SPEC` prints, built through the library."""
+    """The operator `export SPEC` prints, built through the library; theta
+    and IU* come from the dense shift-matrix oracle."""
     family = OperatorFamily(dim, offset)
-    ops = analytic.shift_operators(OperatorFamily(dim, 1))
+    ops = shift_operators(OperatorFamily(dim, 1))
     return {"P:2:6": family.projection(2, 6), "C:1:12": family.c_operator(1, 12),
             "T:3:1:12": family.t_operator(3, 1, 12), "S:7": family.s_operator(7),
             "theta": ops["theta"], "IU*": ops["integration"] * ops["U_star"]}[spec]
@@ -302,15 +313,19 @@ class TestExport:
     @pytest.mark.parametrize("spec", ["P:2:6", "C:1:12", "T:3:1:12", "S:7", "theta", "IU*"])
     @pytest.mark.parametrize("offset", [0, 1])
     def test_every_kind_round_trips(self, runner, spec, offset):
-        result = runner.invoke(main, ["export", spec, "--dim", "24", "--offset", str(offset)])
-        assert result.exit_code == 0
-        back, want = element_from_json(json.loads(result.output)), _exported(spec, 24, offset)
-        if isinstance(want, DenseMatrix):
-            assert np.array_equal(back.array, want.array)
-        else:
-            assert back.offset == want.offset
-            assert np.array_equal(np.array(back.entries, dtype=complex),
-                                  np.array(want.entries, dtype=complex))
+        # theta and IU* also at the truncation edges: the backward shift kills e_1,
+        # so IU*'s diagonal is [0] at dim 1 and [0, 1/2] at dim 2
+        for dim in (1, 2, 24) if spec in ("theta", "IU*") else (24,):
+            result = runner.invoke(main, ["export", spec, "--dim", str(dim),
+                                          "--offset", str(offset)])
+            assert result.exit_code == 0
+            back, want = element_from_json(json.loads(result.output)), _exported(spec, dim, offset)
+            if isinstance(want, DenseMatrix):
+                assert np.array_equal(back.array, want.array)
+            else:
+                assert back.offset == want.offset
+                assert np.array_equal(np.array(back.entries, dtype=complex),
+                                      np.array(want.entries, dtype=complex))
 
     @pytest.mark.parametrize("args,sha256", [
         (["P:-3:8", "--dim", "360", "--offset", "1"],
@@ -334,6 +349,11 @@ class TestExport:
          "ec9da61f256d044557be79322f4fd6940f24dee6127657c50403c6cfb04a1399"),
         (["P:0:2520", "--dim", "2520"],  # one period fills the window
          "263a091a762977f3bc388328e186da678aaa5aa07e796c09375bba022ade8cd8"),
+        # the largest dense exports, a million entries each
+        (["theta", "--dim", "1000"],
+         "0239ac1116a6a0386b4718185cb1c2c68b3f3ac997665f1b160d5a31af4ac3b7"),
+        (["IU*", "--dim", "1000"],
+         "310344810fc5b6e9ef2c9229ca0dd7395e246330795176579e3c6d92e9b16860"),
     ])
     def test_export_text_is_pinned(self, runner, args, sha256):
         result = runner.invoke(main, ["export", *args])
@@ -344,7 +364,7 @@ class TestExport:
         result = runner.invoke(main, ["export", f"S:{n}", "--dim", "2520", "--offset", "1"])
         assert len({tuple(pair) for pair in json.loads(result.output)["entries"]}) <= n
 
-    @pytest.mark.parametrize("spec,edge", [("P:1:2", 10**6), ("theta", 1000)])
+    @pytest.mark.parametrize("spec,edge", [("P:1:2", 10**6), ("theta", 1000), ("IU*", 1000)])
     def test_more_than_a_million_entries_is_usage_error(self, runner, spec, edge):
         # a diagonal has dim entries, a dense matrix dim^2
         result = runner.invoke(main, ["export", spec, "--dim", str(edge)])

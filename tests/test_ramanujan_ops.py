@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idemarith import ramanujan_ops
-from idemarith.algebra import element_from_json, element_to_json, is_idempotent
+from idemarith.algebra import is_idempotent
 from idemarith.arith import (EvenFunction, divisors, factorize, mobius, ramanujan_sum,
                              rf_transform, tau)
 from idemarith.convolution import AlgFunction, is_multiplicative
 from idemarith.ramanujan_ops import OperatorFamily
+from oracle_forms import element_from_json, element_to_json
 
 
 # The divisor-family identities one operator at a time, from c_operator,
