@@ -9,11 +9,9 @@ from .algebra import (
     NonInvertibleError,
     Scalar,
     ShapeMismatchError,
-    determinant,
     invert,
     is_idempotent,
     operator_norm,
-    trace,
 )
 from .arith import (
     EvenFunction,

@@ -9,7 +9,8 @@ holds its entries in one numpy array: int64 while every value fits,
 complex128 for complex input, and object (exact Python int or Fraction)
 for anything else, including integer results that would overflow int64.
 Exact inputs therefore stay exact through arithmetic, and ``entries``
-returns the values as Python scalars.
+returns the values as Python scalars.  There is no trace or determinant:
+``analytic`` computes those of the Ramanujan diagonals per level.
 
 ``element_text`` serializes a diagonal or dense element to JSON text,
 byte-identical to ``json.dumps(..., sort_keys=True)`` of its [re, im]
@@ -41,12 +42,10 @@ __all__ = [
     "NonInvertibleError",
     "Scalar",
     "ShapeMismatchError",
-    "determinant",
     "element_text",
     "invert",
     "is_idempotent",
     "operator_norm",
-    "trace",
 ]
 
 
@@ -353,33 +352,6 @@ class DenseMatrix:
 def is_idempotent(x, tol: float = DEFAULT_TOL) -> bool:
     """True iff x*x is within tol of x."""
     return (x * x).isclose(x, tol)
-
-
-def trace(x):
-    """Sum of diagonal entries (exact for exact diagonal entries)."""
-    if isinstance(x, DiagonalOperator):
-        return sum(x.entries)
-    if isinstance(x, DenseMatrix):
-        return complex(np.trace(x.array))
-    if isinstance(x, Scalar):
-        return x.value
-    raise TypeError(f"trace not defined for {type(x).__name__}")
-
-
-def determinant(x):
-    """Product of diagonal entries for diagonals (exact for exact entries);
-    ``numpy.linalg.det`` for dense matrices.
-    """
-    if isinstance(x, DiagonalOperator):
-        det = 1
-        for a in x.entries:
-            det = det * a
-        return det
-    if isinstance(x, Scalar):
-        return x.value
-    if isinstance(x, DenseMatrix):
-        return complex(np.linalg.det(x.array))
-    raise TypeError(f"determinant not defined for {type(x).__name__}")
 
 
 def _reciprocal(v):

@@ -1,8 +1,7 @@
-"""Truncated monomial-basis model of the analytic function spaces: the
-C_0/T_0 diagonals with their determinant and trace identities, the
-diagonal map P(alpha) with entries (nu0 * alpha)(m), and the
-finite-prefix growth diagnostic, on the basis window
-e_offset..e_{offset+N-1} of an ``IdempotentSystem`` (offset 1: f(0) = 0).
+"""Truncated monomial-basis model of the analytic function spaces on the
+window e_1..e_N (offset 1: f(0) = 0): the C_0/T_0 determinant and trace
+identities, the map P(alpha) = sum_n alpha(n) P_0(n) with the diagonals
+theta^r and IU* that the suites and ``export`` share, and the growth diagnostic.
 
 The identity functions return numbers, and the identity suites judge
 them.  ``trace_table`` and ``det_table`` answer every window N of a level
@@ -27,18 +26,19 @@ from .algebra import DEFAULT_TOL, DiagonalOperator
 from .arith import divisors, factorize, jordan_totient, mobius, nu, omega
 from .convolution import scalar_dirichlet, scalar_lcm, scalar_table
 from .idempotents import IdempotentSystem
-from .ramanujan_ops import OperatorFamily
 
 __all__ = [
     "GrowthDiagnostic",
     "TruncatedSpace",
-    "c0_t0_diagonals",
     "det_c0",
     "det_table",
+    "euler_power_residual",
     "growth_indicator",
+    "iu_star",
     "iu_star_representation",
     "p_operator",
     "p_operator_identities",
+    "theta_power",
     "trace_erratum_forms",
     "trace_identities",
     "trace_table",
@@ -46,14 +46,6 @@ __all__ = [
 
 
 TruncatedSpace = IdempotentSystem  # the window's former name, still used by bench/workloads.py
-
-
-def c0_t0_diagonals(n: int, space: IdempotentSystem) -> tuple[DiagonalOperator, DiagonalOperator]:
-    """(C_0(n), T_0(n)) on the space: entries c_n(m) and the coprimality
-    indicator of gcd(n, m), exact integers.
-    """
-    family = OperatorFamily(space.dim, space.offset)
-    return family.c_operator(0, n), family.t_operator(n, 0, n)
 
 
 def _c_period(n: int, n_max: int) -> np.ndarray:
@@ -164,42 +156,47 @@ def trace_erratum_forms(n: int, n_dim: int) -> dict:
     }
 
 
-def p_operator(alpha: Sequence, space: IdempotentSystem) -> DiagonalOperator:
-    """The diagonal map built from a scalar table: entry (nu0 * alpha)(m)
-    at index m = 1..N.  Rejects offset-0 spaces, where the constant-term
-    action is a divergent series.
+def p_operator(alpha: Sequence) -> DiagonalOperator:
+    """P(alpha) = sum_{n<=N} alpha(n) P_0(n) on e_1..e_N, N = len(alpha): there
+    P_0(n) indicates the multiples of n, so the entry at e_m is (nu0 * alpha)(m).
+    At e_0 every P_0(n) is 1 and the sum would diverge, so offset 0 has no P.
     """
-    if space.offset != 1:
-        raise ValueError("p_operator requires the offset-1 (f(0) = 0) model")
-    if len(alpha) < space.dim:
-        raise ValueError(f"alpha must be tabulated to {space.dim}")
-    summed = scalar_dirichlet([1] * space.dim, list(alpha[: space.dim]))
-    return DiagonalOperator(summed, space.offset)
+    return DiagonalOperator(scalar_dirichlet([1] * len(alpha), alpha), 1)
+
+
+def theta_power(r: int, n_dim: int) -> DiagonalOperator:
+    """theta^r on e_1..e_N: the Euler operator's power e_m -> m^r e_m, exact."""
+    return DiagonalOperator([m**r for m in range(1, n_dim + 1)], 1)
+
+
+def iu_star(n_dim: int) -> DiagonalOperator:
+    """IU* on e_1..e_N: e_1 -> 0 (the backward shift kills it), e_m -> e_m / m, exact."""
+    return DiagonalOperator([0] + [Fraction(1, m) for m in range(2, n_dim + 1)], 1)
+
+
+def euler_power_residual(r: int, n_dim: int) -> float:
+    """|P(J_r) - theta^r| on e_1..e_N; 0, since sum_{d|m} J_r(d) = m^r."""
+    jordan = scalar_table(lambda n: jordan_totient(r, n), n_dim)
+    return p_operator(jordan).distance(theta_power(r, n_dim))
 
 
 def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
                           pairs: int = 20, seed: int = 7,
                           tol: float = DEFAULT_TOL) -> dict:
     """The algebra-map property P(alpha [] beta) = P(alpha) P(beta) on
-    random integer tables, and the Euler-power identity
-    (nu0 * J_r)(m) = m^r for r <= 3.
+    random integer tables, and the Euler-power identity P(J_r) = theta^r
+    for r <= 3, on e_1..e_{n_max}.
     """
     n_max = min(n_max or space.dim, space.dim)
-    sub = IdempotentSystem(n_max, 1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
         a = [int(v) for v in rng.integers(-5, 6, n_max)]
         b = [int(v) for v in rng.integers(-5, 6, n_max)]
-        lhs = p_operator(scalar_lcm(a, b), sub)
-        rhs = p_operator(a, sub) * p_operator(b, sub)
+        lhs = p_operator(scalar_lcm(a, b))
+        rhs = p_operator(a) * p_operator(b)
         worst = max(worst, lhs.distance(rhs))
-    jordan_residual = 0
-    for r in range(1, 4):
-        table = scalar_table(lambda n, r=r: jordan_totient(r, n), n_max)
-        diag = p_operator(table, sub)
-        theta_r = DiagonalOperator((m**r for m in range(1, n_max + 1)), 1)
-        jordan_residual = max(jordan_residual, diag.distance(theta_r))
+    jordan_residual = max(euler_power_residual(r, n_max) for r in range(1, 4))
     return {
         "identity": "diagonal map is an algebra map for the lcm product",
         "n_max": n_max,
@@ -210,27 +207,19 @@ def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
     }
 
 
-def iu_star_representation(space: IdempotentSystem) -> dict:
-    """Which scalar function represents integration-compose-backward-shift:
-    compares (nu0 * mu * nu_{-1})(m) (exact 1/m) and (nu0 * mu * nu_1)(m)
-    (exact m, the Euler diagonal) against the 1/m target on the space,
-    excluding the truncation edge m = 1 where the backward shift kills e_1.
-    Returns whether each candidate matches, keyed by candidate.
+def iu_star_representation(n_dim: int) -> dict:
+    """Whether each of P(mu * nu_{-1}) (exact 1/m) and P(mu * nu_1) (exact m,
+    the Euler diagonal) equals ``iu_star`` on e_2..e_N, away from the edge
+    e_1 that the backward shift kills; keyed by candidate.
     """
-    if space.offset != 1:
-        raise ValueError("iu_star_representation requires the offset-1 model")
-    if space.dim < 2:
+    if n_dim < 2:
         raise ValueError("iu_star_representation requires dim >= 2: e_1 alone compares nothing")
-    n_max = space.dim
-    ones = [1] * n_max
-    mu_t = scalar_table(mobius, n_max)
-    candidates = {
-        "mu*nu_minus1": scalar_dirichlet(ones, scalar_dirichlet(mu_t, scalar_table(lambda n: nu(-1, n), n_max))),
-        "mu*nu_1": scalar_dirichlet(ones, scalar_dirichlet(mu_t, scalar_table(lambda n: nu(1, n), n_max))),
-    }
+    target = iu_star(n_dim).entries[1:]
+    mu_t = scalar_table(mobius, n_dim)
     return {
-        name: all(vals[m - 1] == Fraction(1, m) for m in range(2, n_max + 1))
-        for name, vals in candidates.items()
+        name: p_operator(scalar_dirichlet(mu_t, scalar_table(lambda n: nu(k, n), n_dim))
+                         ).entries[1:] == target
+        for name, k in (("mu*nu_minus1", -1), ("mu*nu_1", 1))
     }
 
 
@@ -261,7 +250,7 @@ def growth_indicator(alpha: Sequence) -> GrowthDiagnostic:
     prefix = len(alpha)
     if prefix < 4:
         raise ValueError("growth_indicator requires a table of length >= 4")
-    summed = scalar_dirichlet([1] * prefix, alpha)
+    summed = p_operator(alpha).entries
     roots = tuple(float(abs(summed[m - 1])) ** (1.0 / m) for m in range(1, prefix + 1))
     half = -(-prefix // 2)
     upper = roots[half - 1 :]

@@ -243,13 +243,13 @@ def rf_transform(alpha: EvenFunction) -> RFCoefficients:
 
 def rf_residual(alpha: EvenFunction):
     """The worst of |unnormalized(r) - d * orthogonal(r)| over r | d and of
-    the reconstruction error |sum_{r|d} orthogonal(r) c_r(n) - alpha(n)|
-    over n = 1..d; exactly 0 on exact values.
+    the reconstruction error |sum_{r|d} unnormalized(r) c_r(n) - d alpha(n)|
+    over n = 1..d, the latter in integers; exactly 0 on exact values.
     """
     coeffs = rf_transform(alpha)
     d, divs = alpha.modulus, divisors(alpha.modulus)
     return max(
         max(abs(coeffs.unnormalized[r] - d * coeffs.orthogonal[r]) for r in divs),
-        max(abs(sum(coeffs.orthogonal[r] * ramanujan_sum(r, n) for r in divs) - alpha(n))
+        max(abs(sum(coeffs.unnormalized[r] * ramanujan_sum(r, n) for r in divs) - d * alpha(n))
             for n in range(1, d + 1)),
     )

@@ -5,7 +5,7 @@ Exit codes: 0 all checks pass, 1 identity failure, 2 usage error.  The
 truncation dimension is --dim, 2520 by default.  For ``check`` it sets the
 window of the axioms and family-multiplicativity checks; the other
 operator checks run on one period of their levels.  For ``export`` it is
-the length of the exported operator.
+the length of the exported operator, theta and IU* taken from ``analytic``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import click
 import numpy as np
 
-from . import arith
+from . import analytic, arith
 from .algebra import DenseMatrix, element_text
 from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
@@ -187,10 +187,10 @@ def cmd_export(spec, dim, offset, out):
 
     family = OperatorFamily(dim, offset)
     if kind in ("THETA", "IU*"):
-        # diagonal on e_1..e_dim whatever the offset: theta e_m = m e_m, and integration
-        # after the backward shift kills e_1 and sends e_m to e_m/m; the text stays "dense"
-        m = np.arange(1, dim + 1)
-        element = DenseMatrix(np.diag(m if kind == "THETA" else np.append(0.0, 1 / m[1:])))
+        # the diagonals the analytic rows check, on e_1..e_dim whatever the offset; the text
+        # stays "dense", and a float64 diagonal keeps DenseMatrix to one complex copy
+        diag = analytic.theta_power(1, dim) if kind == "THETA" else analytic.iu_star(dim)
+        element = DenseMatrix(np.diag(np.array(diag.entries, dtype=np.float64)))
     elif kind == "P":
         j, n = _ints(2)
         element = family.projection(j, _level(n))

@@ -1,5 +1,6 @@
 """Truncated monomial model: diagonals, determinant/trace identities, the
-diagonal map, and the dense shift-operator oracle."""
+representation map P(alpha) = sum alpha(n) P_0(n) with theta^r and IU*,
+and the dense shift-operator oracle."""
 
 import math
 from fractions import Fraction
@@ -8,22 +9,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from idemarith.algebra import DiagonalOperator
+from idemarith import analytic
+from idemarith.algebra import DiagonalOperator, ShapeMismatchError
 from idemarith.analytic import (
     GrowthDiagnostic,
-    c0_t0_diagonals,
     det_c0,
     det_c0_unsigned_form,
     det_table,
+    euler_power_residual,
     growth_indicator,
+    iu_star,
     iu_star_representation,
     p_operator,
     p_operator_identities,
+    theta_power,
     trace_erratum_forms,
     trace_identities,
     trace_table,
 )
-from idemarith.arith import divisors, epsilon, factorize, mobius, omega, ramanujan_sum, totient
+from idemarith.arith import (divisors, epsilon, factorize, jordan_totient, mobius, omega,
+                             ramanujan_sum, totient)
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
@@ -33,26 +38,31 @@ H0_16 = IdempotentSystem(16, 1)
 
 
 class TestDiagonals:
+    """C_0(n) and T_0(n) on e_1..e_N: OperatorFamily(N, 1) at j = 0."""
+
     def test_c0_alternates_for_n2(self):
-        c0, _ = c0_t0_diagonals(2, IdempotentSystem(4, 1))
-        assert c0.entries == (-1, 1, -1, 1)
+        assert OperatorFamily(4, 1).c_operator(0, 2).entries == (-1, 1, -1, 1)
 
     def test_level_one_both_identity(self):
-        c0, t0 = c0_t0_diagonals(1, H0_16)
-        assert c0.entries == (1,) * 16
-        assert t0.entries == (1,) * 16
+        fam = OperatorFamily(16, 1)
+        assert fam.c_operator(0, 1).entries == (1,) * 16
+        assert fam.t_operator(1, 0, 1).entries == (1,) * 16
 
     def test_entry_at_own_level(self):
-        c0, t0 = c0_t0_diagonals(6, IdempotentSystem(6, 1))
-        assert c0.entries[5] == 2  # c_6(6) = phi(6)
-        assert t0.entries[5] == 0  # gcd(6, 6) > 1
+        fam = OperatorFamily(6, 1)
+        assert fam.c_operator(0, 6).entries[5] == 2  # c_6(6) = phi(6)
+        assert fam.t_operator(6, 0, 6).entries[5] == 0  # gcd(6, 6) > 1
 
     def test_agrees_with_operator_family_at_j0(self):
-        fam = OperatorFamily(12, offset=1)
+        # the per-level tables read the entries of these diagonals: the
+        # determinant is the product of C_0(n)'s, the traces the sums of both
         for n in (2, 4, 6, 9):
-            c0, t0 = c0_t0_diagonals(n, fam)
-            assert c0.distance(fam.c_operator(0, n)) == 0
-            assert t0.distance(fam.t_operator(n, 0, n)) == 0
+            for big_n in range(1, 13):
+                fam = OperatorFamily(big_n, 1)
+                c0, t0 = fam.c_operator(0, n).entries, fam.t_operator(n, 0, n).entries
+                trace_c0, _, trace_t0, _ = trace_table(n, [big_n])[0].tolist()
+                assert (det_table(n, [big_n])[0][0], trace_c0, trace_t0) == (
+                    math.prod(c0), sum(c0), sum(t0))
 
 
 class TestDeterminant:
@@ -193,21 +203,54 @@ class TestPerLevelTables:
 
 class TestPOperator:
     def test_totient_gives_euler_diagonal(self):
-        space = IdempotentSystem(64, 1)
-        diag = p_operator(scalar_table(totient, 64), space)
-        assert diag.entries == tuple(range(1, 65))
+        diag = p_operator(scalar_table(totient, 64))
+        assert diag.entries == tuple(range(1, 65)) == theta_power(1, 64).entries
 
     def test_moebius_gives_rank_one(self):
-        diag = p_operator(scalar_table(mobius, 16), H0_16)
+        diag = p_operator(scalar_table(mobius, 16))
         assert diag.entries == (1,) + (0,) * 15
 
     def test_epsilon_gives_identity(self):
-        diag = p_operator(scalar_table(epsilon, 16), H0_16)
+        diag = p_operator(scalar_table(epsilon, 16))
         assert diag.entries == (1,) * 16
 
     def test_rejects_offset_zero_space(self):
+        # every P_0(n) is 1 at e_0, so the map lives on e_1..e_N alone
+        diag = p_operator([1] * 8)
+        assert diag.offset == 1
+        with pytest.raises(ShapeMismatchError):
+            diag * IdempotentSystem(8, 0).unit()
         with pytest.raises(ValueError):
-            p_operator([1] * 8, IdempotentSystem(8, 0))
+            p_operator([])
+
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=200))
+    def test_is_the_sum_of_idempotents(self, alpha):
+        # the abstract's claim: P(alpha) = sum_{n <= N} alpha(n) P_0(n) on e_1..e_N
+        system = IdempotentSystem(len(alpha), 1)
+        total = system.unit().zero()
+        for n, a in enumerate(alpha, 1):
+            total = total + system.projection(0, n).scale(a)
+        assert p_operator(alpha).entries == total.entries
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_jordan_totients_give_euler_powers(self, r):
+        assert euler_power_residual(r, 300) == 0
+        assert p_operator(scalar_table(lambda n: jordan_totient(r, n), 300)).entries == tuple(
+            m**r for m in range(1, 301))
+
+    def test_euler_power_residual_sees_a_wrong_jordan_value(self, monkeypatch):
+        monkeypatch.setattr(analytic, "jordan_totient",
+                            lambda r, n: jordan_totient(r, n) + (n == 7))
+        assert euler_power_residual(2, 6) == 0  # below the wrong value
+        assert euler_power_residual(2, 7) == euler_power_residual(2, 300) == 1
+
+    def test_theta_power_and_iu_star_entries(self):
+        assert theta_power(2, 5).entries == (1, 4, 9, 16, 25)
+        assert theta_power(0, 3).entries == (1, 1, 1)
+        assert theta_power(1, 1).offset == iu_star(1).offset == 1
+        assert iu_star(1).entries == (0,)
+        assert iu_star(4).entries == (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+        assert theta_power(40, 3).entries[-1] == 3**40  # past int64, exact
 
     def test_algebra_map_property(self):
         report = p_operator_identities(IdempotentSystem(64, 1), 64)
@@ -240,17 +283,23 @@ class TestShiftOperators:
 
 class TestIuStarRepresentation:
     def test_candidate_search(self):
-        report = iu_star_representation(IdempotentSystem(128, 1))
+        report = iu_star_representation(128)
         assert report == {"mu*nu_minus1": True, "mu*nu_1": False}
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_smallest_windows_refute_mu_nu_1(self, dim):
-        assert iu_star_representation(IdempotentSystem(dim, 1))["mu*nu_1"] is False
+        assert iu_star_representation(dim)["mu*nu_1"] is False
 
     def test_one_entry_window_is_rejected(self):
         # e_1 is the truncation edge, so dim 1 compares no entry at all
         with pytest.raises(ValueError, match="dim >= 2"):
-            iu_star_representation(IdempotentSystem(1, 1))
+            iu_star_representation(1)
+
+    def test_iu_star_is_the_oracle_product_on_the_diagonal(self):
+        # integration after the truncated backward shift, as dense matrices
+        ops = shift_operators(IdempotentSystem(10, 1))
+        product = (ops["integration"] * ops["U_star"]).array
+        assert np.array_equal(product, np.diag(np.array(iu_star(10).entries, dtype=float)))
 
 
 class TestGrowthIndicator:

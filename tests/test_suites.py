@@ -1,5 +1,5 @@
 """Identity suites called directly: row contract, suite composition, and
-how a row fails (worst case named, check errors and empty checks)."""
+how a row fails (worst case named, raised exceptions and empty checks)."""
 
 import json
 import math
@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from idemarith import analytic, idempotents, ramanujan_ops
+from idemarith import analytic, idempotents, ramanujan_ops, suites
 from idemarith.algebra import NonInvertibleError
-from idemarith.arith import crt_solve, divisors, factorize
+from idemarith.arith import crt_solve, divisors, factorize, jordan_totient
 from idemarith.convolution import InverseCheckError
 from idemarith.idempotents import IdempotentSystem
+from idemarith.ramanujan_ops import OperatorFamily
 from idemarith.suites import SUITES, _check, run_suite
 
 SMALL = {"n_max": 7, "dim": 60}
@@ -173,6 +174,36 @@ class TestRunSuite:
         assert row["pass"] is False and row["max_residual"] > 0
         assert set(row["counterexample"]) == {"n", "dim"}
 
+    @pytest.mark.parametrize("suite, rows", [("axioms", 3), ("ramanujan", 1)])
+    def test_multiplicativity_rows_reach_the_first_coprime_pair(self, monkeypatch, suite, rows):
+        # every P, C and T of level n > 1 scaled: f(nm) = f(n) f(m) then fails at every
+        # coprime pair, and the first one, (2, 3), needs levels up to 6 even at n-max 5
+        def scaled(build, factor):
+            return lambda self, *args: build(self, *args).scale(factor if args[-1] > 1 else 1)
+
+        monkeypatch.setattr(IdempotentSystem, "projection",
+                            scaled(IdempotentSystem.projection, 3))
+        for name in ("c_operator", "t_operator"):
+            monkeypatch.setattr(OperatorFamily, name, scaled(getattr(OperatorFamily, name), 7))
+        report = run_suite(suite, n_max=5, dim=12)
+        checked = [row for row in report["checks"] if "multiplicativity" in row["identity"]]
+        assert len(checked) == rows
+        for row in checked:
+            assert row["params"]["n_max"] == 6
+            assert row["pass"] is False
+            assert row["counterexample"]["at"] == {"n": 2, "m": 3}
+
+    def test_wrong_jordan_value_fails_both_euler_power_checks(self, monkeypatch):
+        # the Euler row and p_operator_identities compare the same P(J_r) with theta^r
+        monkeypatch.setattr(analytic, "jordan_totient",
+                            lambda r, n: jordan_totient(r, n) + (n == 7))
+        rows = {row["identity"]: row for row in run_suite("analytic", **SMALL)["checks"]}
+        euler = rows["Euler-operator representation of totient and Jordan powers"]
+        assert euler["pass"] is False and euler["max_residual"] == 1.0
+        assert euler["counterexample"] == {"alpha": "totient"}
+        assert rows["diagonal map is an algebra map for the lcm product"]["pass"] is False
+        assert sum(not row["pass"] for row in rows.values()) == 2
+
     def test_failed_row_names_its_worst_case(self):
         report = run_suite("axioms", n_max=6, dim=24, tol=0)
         (row,) = [row for row in report["checks"] if not row["pass"]]
@@ -196,14 +227,26 @@ class TestCheck:
 
         row = _check("probe", {}, [(1,), (2,), (3,)], residual, 1e-9)
         assert row == {"identity": "probe", "params": {}, "max_residual": None,
-                       "pass": False, "error": "broken at n=2"}
+                       "pass": False, "error": f"{error.__name__}: broken at n=2"}
 
-    def test_other_exceptions_propagate(self):
+    def test_any_exception_becomes_failed_row(self):
         def residual(n):
-            raise ValueError("a bug, not a failed identity")
+            raise KeyError(36)  # a kernel bug, not a failed identity
 
-        with pytest.raises(ValueError):
-            _check("probe", {}, [(1,)], residual, 1e-9)
+        row = _check("probe", {}, [(1,)], residual, 1e-9)
+        assert row == {"identity": "probe", "params": {}, "max_residual": None,
+                       "pass": False, "error": "KeyError: 36"}
+
+    def test_raising_kernel_fails_only_its_own_row(self, monkeypatch):
+        def broken(n, l):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(suites, "ramanujan_orthogonality", broken)
+        report = run_suite("transforms", **SMALL)
+        assert report["summary"] == {"total": 3, "passed": 2, "failed": 1}
+        (row,) = [row for row in report["checks"] if not row["pass"]]
+        assert row["identity"] == "Ramanujan sum orthogonality"
+        assert row["error"] == "ZeroDivisionError: division by zero"
 
     def test_nan_residual_fails_and_is_kept_as_worst(self):
         row = _check("probe", {}, [(1,), (2,), (3,)],
