@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, DiagonalOperator
-from .arith import divisors, factorize, jordan_totient, mobius, nu, omega
+from .algebra import _INT64_MAX, DEFAULT_TOL, DiagonalOperator
+from .arith import divisors, factorize, mobius, nu, omega, prime_power_product, prime_power_split
 from .convolution import scalar_dirichlet, scalar_lcm, scalar_table
 from .idempotents import IdempotentSystem
 
@@ -174,10 +174,25 @@ def iu_star(n_dim: int) -> DiagonalOperator:
     return DiagonalOperator([0] + [Fraction(1, m) for m in range(2, n_dim + 1)], 1)
 
 
+def _jordan_table(r: int, n_max: int) -> list[int]:
+    """[J_r(1), ..., J_r(n_max)] from the largest-prime-power split: J_r is
+    multiplicative with J_r(p^a) = p^(ra) - p^(r(a-1)).  int64 while
+    n_max^r fits, since J_r(n) <= n^r; Python ints past that.
+    """
+    if r < 1:
+        raise ValueError(f"J_r requires r >= 1, got {r}")
+    prime, power, _ = prime_power_split(n_max)
+    if n_max**r > _INT64_MAX:
+        prime, power = prime.astype(object), power.astype(object)
+    return prime_power_product(power**r - (power // prime) ** r, 1)[1:].tolist()
+
+
 def euler_power_residual(r: int, n_dim: int) -> float:
-    """|P(J_r) - theta^r| on e_1..e_N; 0, since sum_{d|m} J_r(d) = m^r."""
-    jordan = scalar_table(lambda n: jordan_totient(r, n), n_dim)
-    return p_operator(jordan).distance(theta_power(r, n_dim))
+    """|P(J_r) - theta^r| on e_1..e_N; 0, since sum_{d|m} J_r(d) = m^r.
+    The J_r table comes from one sieve of 1..N (``_jordan_table``);
+    ``arith.jordan_totient`` serves single values and is its test oracle.
+    """
+    return p_operator(_jordan_table(r, n_dim)).distance(theta_power(r, n_dim))
 
 
 def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,

@@ -2,6 +2,11 @@
 functions, Ramanujan sums, the CRT solver, and even-function Fourier
 coefficients with their reconstruction residual.
 
+``prime_power_split`` is a sieve of all of 1..N at once: the largest
+prime of each n, its full power, and the rest of n.  ``prime_power_product``
+walks it to build a multiplicative table, or to rebuild one from its
+prime-power values, in numpy passes rather than one ``factorize`` per n.
+
 Everything here is computed in exact integer or rational arithmetic and
 compared with no tolerance: the identity suites judge ``rf_residual``.
 Complex floats only appear in callers that use root-of-unity oracles.
@@ -14,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 MAX_FACTOR_INPUT = 10**12
 
@@ -30,6 +37,8 @@ __all__ = [
     "mobius",
     "nu",
     "omega",
+    "prime_power_product",
+    "prime_power_split",
     "ramanujan_orthogonality",
     "ramanujan_sum",
     "rf_residual",
@@ -83,6 +92,49 @@ def divisors(n: int) -> tuple[int, ...]:
     for p, a in factorize(n):
         divs = [d * p**k for d in divs for k in range(a + 1)]
     return tuple(sorted(divs))
+
+
+@lru_cache(maxsize=3)
+def prime_power_split(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prime, power, rest), read-only int64 arrays indexed by n = 0..n_max:
+    the largest prime p | n, its power p^a || n and rest(n) = n / p^a, so
+    rest(n) <= n / 2.  Position 1 holds (1, 1, 1), position 0 (1, 1, 0).
+
+    One sieve: each prime p, ascending, marks its multiples with p and the
+    multiples of each p^a with p^a, so the largest prime marks last.
+    """
+    prime = np.ones(n_max + 1, dtype=np.int64)
+    power = np.ones(n_max + 1, dtype=np.int64)
+    for p in range(2, n_max + 1):
+        if prime[p] == 1:  # no smaller prime divides p
+            prime[p::p] = p
+            q = p
+            while q <= n_max:
+                power[q::q] = q
+                q *= p
+    split = prime, power, np.arange(n_max + 1) // power
+    for array in split:
+        array.flags.writeable = False
+    return split
+
+
+def prime_power_product(factor: np.ndarray, unit) -> np.ndarray:
+    """The array acc with acc[1] = unit and acc[n] = acc[rest(n)] * factor[n]
+    for n = 2..N, N = len(factor) - 1, rest as in ``prime_power_split``.
+
+    With factor[n] the value at the power of n's largest prime, acc[n] is
+    unit * f(p1^a1) * ... * f(pk^ak), primes ascending, multiplied left to
+    right.  rest(n) <= n / 2, so each range 2^j <= n < 2^(j+1) is one pass.
+    Position 0 is left at zero.
+    """
+    n_max = len(factor) - 1
+    rest = prime_power_split(n_max)[2]
+    acc = np.zeros_like(factor)
+    acc[1] = unit
+    for j in range(1, n_max.bit_length()):
+        lo, hi = 2**j, min(2 ** (j + 1), n_max + 1)
+        acc[lo:hi] = acc[rest[lo:hi]] * factor[lo:hi]
+    return acc
 
 
 def mobius(n: int) -> int:

@@ -29,18 +29,28 @@ is not computed by Lehmer's sieve mu * ((1*f)(1*g)): that is the identity
 ``lehmer_identity_check`` tests, and a product built from it would make
 that check, and the suite row that runs it, test the identity against
 itself; its operator form on P_j(n) is checked in ``idempotents``.
+
+``is_multiplicative`` reads its coprime pairs (n, m), 2 <= n < m, off the
+unitary index, and rebuilds each f(n) from its prime powers read off
+``arith.prime_power_split``, a sieve of 1..N cached for at most three N,
+multiplying f(p1^a1) ... f(pk^ak) left to right, primes ascending, as a
+per-n loop over ``factorize`` would.  On Scalar tables each of the two
+tests is one array product (``prime_power_product`` for the rebuild) and
+one |x - y| <= tol comparison; other elements form one pair's product,
+or one rebuilt f(n), at a time and call ``isclose``.  Either way the
+verdict and the first counterexample are the loop's.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .algebra import _INT64_MAX, DEFAULT_TOL, Scalar, _store, invert, is_idempotent
-from .arith import factorize
+from .arith import prime_power_product, prime_power_split
 
 __all__ = [
     "AlgFunction",
@@ -265,30 +275,72 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
     return AlgFunction(map(Scalar, g) if scalar else g)
 
 
+def _first_far(fv: np.ndarray, at: np.ndarray, others, scalar: bool, tol: float):
+    """The first position i at which fv[at[i]] is farther than tol from
+    others[i], or None.  Scalar values compare in one array pass, so a NaN
+    fails; elements call isclose one at a time, and others may be lazy.
+    """
+    if scalar:
+        near = np.abs((fv[at] - others).astype(complex)) <= tol
+        return None if near.all() else int(np.argmin(near))
+    return next((i for i, (x, y) in enumerate(zip(fv[at], others))
+                 if not x.isclose(y, tol)), None)
+
+
+def _prime_powers(n: int, power: np.ndarray, rest: np.ndarray) -> list[int]:
+    """The prime powers p^a || n, primes ascending, read off the split."""
+    powers = []
+    while n > 1:
+        powers.append(int(power[n]))
+        n = int(rest[n])
+    return powers[::-1]
+
+
 def is_multiplicative(
     f: AlgFunction, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Check f(nm) = f(n) f(m) on coprime pairs with nm <= n_max, plus the
     prime-power reconstruction f(n) = f(p1^a1) ... f(pk^ak).
 
+    The pairs are the unitary index's terms (n, m) with 2 <= n < m, taken
+    n ascending, then m.  The reconstruction multiplies
+    unit * f(p1^a1) * ... * f(pk^ak), primes ascending, left to right,
+    with the prime powers read off ``arith.prime_power_split``.
+    All-Scalar functions run on their values, rebuilding every n in one
+    ``prime_power_product``; other elements form one pair's product, or
+    one n's rebuilt value, at a time.
+
     Returns (verdict, first counterexample (n, m) or None).
     """
-    n_max = f.n_max
     if not is_idempotent(f(1), tol):  # f(1) = f(1)f(1) is the (1, 1) case
         return False, (1, 1)
-    for n in range(2, n_max + 1):
-        for m in range(n, n_max // n + 1):
-            if math.gcd(n, m) == 1 and not f(n * m).isclose(f(n) * f(m), tol):
-                return False, (n, m)
-    for n in range(2, n_max + 1):
-        fac = factorize(n)
-        if len(fac) > 1:
-            acc = f(1).unit()
-            for p, a in fac:
-                acc = acc * f(p**a)
-            if not f(n).isclose(acc, tol):
-                return False, (fac[0][0] ** fac[0][1], n // fac[0][0] ** fac[0][1])
-    return True, None
+    n_max = f.n_max
+    scalar = all(type(v) is Scalar for v in f.values)
+    fv = np.array([None, *(v.value for v in f.values)] if scalar else [None, *f.values],
+                  dtype=object)  # fv[n] = f(n)
+    left, right, _ = _index("unitary", n_max)
+    pairs = (0 < left) & (left < right)
+    n, m = left[pairs] + 1, right[pairs] + 1
+    order = np.argsort(n, kind="stable")  # the index sorts by n m, so each n's m ascend
+    n, m = n[order], m[order]
+    products = fv[n] * fv[m] if scalar else map(operator.mul, fv[n], fv[m])
+    first = _first_far(fv, n * m, products, scalar, tol)
+    if first is not None:
+        return False, (int(n[first]), int(m[first]))
+    _, power, rest = prime_power_split(n_max)
+    composite = np.flatnonzero(rest > 1)
+    unit = f(1).unit()
+    if scalar:
+        rebuilt = prime_power_product(fv[power], unit.value)[composite]
+    else:
+        rebuilt = (reduce(operator.mul, fv[_prime_powers(k, power, rest)], unit)
+                   for k in composite.tolist())
+    first = _first_far(fv, composite, rebuilt, scalar, tol)
+    if first is None:
+        return True, None
+    whole = int(composite[first])
+    low = _prime_powers(whole, power, rest)[0]
+    return False, (low, whole // low)
 
 
 def lehmer_identity_check(

@@ -5,6 +5,9 @@ independent oracles and returns its report rows and errata.
 evaluated, no case raised, and the worst residual is a number <= tol.  A
 failed row names its worst case ("counterexample"), or carries an "error"
 ("<type>: <message>" of what a case raised) and a null "max_residual".
+What a row shares between its cases (random samples, per-level tables)
+is built inside its residual on first use, so a failure there fails that
+row alone.  An erratum whose data raises carries the "error" instead.
 
 Every operator check on P_j(n), C_j(n) or T_{r,j}(n) runs on a window of
 one period: all entries depend only on the basis index mod the level, so
@@ -21,6 +24,7 @@ data but never count as failures.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import operator
@@ -63,6 +67,10 @@ __all__ = ["SUITES", "run_suite"]
 SEED = 20260826  # fixes every random sample, so identical runs give identical reports
 
 
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _check(identity: str, params: dict, cases, residual, tol: float) -> dict:
     """One report row: the worst of residual(*case) over cases, against tol.
 
@@ -81,7 +89,7 @@ def _check(identity: str, params: dict, cases, residual, tol: float) -> dict:
                 worst, where = value, (case, at)
     except Exception as exc:  # the row fails; the report and its other rows go on
         return {"identity": identity, "params": params, "max_residual": None,
-                "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+                "pass": False, "error": _error(exc)}
     row = {"identity": identity, "params": params, "max_residual": worst,
            "pass": worst is not None and worst <= tol}
     if worst is None:
@@ -92,6 +100,15 @@ def _check(identity: str, params: dict, cases, residual, tol: float) -> dict:
         if at is not None:
             row["counterexample"]["at"] = at
     return row
+
+
+def _erratum(note: dict, data) -> dict:
+    """The erratum note with data() under "data", or what it raised under
+    "error": an erratum never fails a run, nor ends it."""
+    try:
+        return {**note, "data": data()}
+    except Exception as exc:
+        return {**note, "error": _error(exc)}
 
 
 def _multiplicativity(f: AlgFunction, tol: float):
@@ -186,17 +203,22 @@ def _suite_ramanujan(n_max, dim, tol):
 
 
 def _suite_transforms(n_max, dim, tol):
-    rng = np.random.default_rng(SEED)
     moduli = [d for d in (1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 40, 48) if d <= max(n_max, 48)]
-    alphas = [_random_even(rng, int(rng.choice(moduli))) for _ in range(20)]
+    samples = 20
+
+    @functools.cache
+    def alphas():
+        rng = np.random.default_rng(SEED)
+        return [_random_even(rng, int(rng.choice(moduli))) for _ in range(samples)]
+
     n_cap = min(n_max, 30)
     period = OperatorFamily(n_cap)
     rows = [
         _check("even-function Fourier coefficients: reconstruction and "
                "factor-of-d between normalizations",
-               {"samples": len(alphas), "max_modulus": max(moduli)},
-               [(sample,) for sample in range(len(alphas))],
-               lambda sample: rf_residual(alphas[sample]), tol),
+               {"samples": samples, "max_modulus": max(moduli)},
+               [(sample,) for sample in range(samples)],
+               lambda sample: rf_residual(alphas()[sample]), tol),
         _check("Ramanujan sum orthogonality", {"n_max": min(n_max, 100)},
                [(n, l) for n in range(1, min(n_max, 100) + 1) for l in range(1, n + 1)],
                lambda n, l: abs(ramanujan_orthogonality(n, l) - (n if math.gcd(l, n) == 1 else 0)),
@@ -216,15 +238,20 @@ def _suite_transforms(n_max, dim, tol):
 
 
 def _suite_even_identity(n_max, dim, tol):
-    rng = np.random.default_rng(SEED)
     moduli = [4, 6, 12, 24]
-    alphas = {(n, sample): _random_even(rng, n) for n in moduli for sample in range(5)}
+    samples = [(n, sample) for n in moduli for sample in range(5)]
+
+    @functools.cache
+    def alphas():
+        rng = np.random.default_rng(SEED)
+        return {(n, sample): _random_even(rng, n) for n, sample in samples}
+
     periods = {n: OperatorFamily(n) for n in moduli}
     return [
         _check("even-function expansion over Ramanujan operators",
-               {"moduli": moduli, "samples": len(alphas), "j": [0, 1, 2], "dim": moduli},
-               [(n, sample, j) for n, sample in alphas for j in (0, 1, 2)],
-               lambda n, sample, j: periods[n].even_function_identity(alphas[n, sample], j, n),
+               {"moduli": moduli, "samples": len(samples), "j": [0, 1, 2], "dim": moduli},
+               [(n, sample, j) for n, sample in samples for j in (0, 1, 2)],
+               lambda n, sample, j: periods[n].even_function_identity(alphas()[n, sample], j, n),
                tol),
     ], []
 
@@ -290,22 +317,20 @@ def _suite_convolution(n_max, dim, tol):
             "claim": "the displayed left side repeats the same factor twice",
             "observed": "read as (nu0*alpha)(nu0*beta); verified in that form",
         },
-        {
+        _erratum({
             "id": "lcm-tuple-count-display",
             "claim": "the displayed tuple-count product uses (a_s+1)^s in every factor",
             "observed": "the brute-force count matches prod_k ((a_k+1)^s - a_k^s)",
-            "data": {"n": 12, "s": 2, "value": lcm_tuple_count(2, 12)},
-        },
-        {
+        }, lambda: {"n": 12, "s": 2, "value": lcm_tuple_count(2, 12)}),
+        _erratum({
             "id": "norm-multiplicativity",
             "claim": "n -> ||f(n)|| is multiplicative for any norm",
             "observed": "submultiplicative only; counterexample with the max-row-sum norm",
-            "data": {
-                "norm_f2": operator_norm(f2),
-                "norm_f3": operator_norm(f3),
-                "norm_f6": operator_norm(f2 * f3),
-            },
-        },
+        }, lambda: {
+            "norm_f2": operator_norm(f2),
+            "norm_f3": operator_norm(f3),
+            "norm_f6": operator_norm(f2 * f3),
+        }),
     ]
     return rows, errata
 
@@ -327,31 +352,31 @@ def _suite_analytic(n_max, dim, tol):
                 DiagonalOperator(scalar_table(epsilon, euler_n), 1))
         return analytic.euler_power_residual(euler[alpha], euler_n)
 
-    iu = analytic.iu_star_representation(128)
-    prep = analytic.p_operator_identities(IdempotentSystem(64, 1), 64, pairs=20, seed=SEED)
+    iu = functools.cache(lambda: analytic.iu_star_representation(128))
+    prep = functools.cache(lambda: analytic.p_operator_identities(
+        IdempotentSystem(64, 1), 64, pairs=20, seed=SEED))
     growth = {"totient": totient, "epsilon": epsilon, "2**n": lambda n: 2**n}
     det_dims, trace_dims = range(1, 65), range(1, 201, 7)
-    dets = {n: dict(zip(det_dims, analytic.det_table(n, det_dims)))
-            for n in range(2, min(n_max, 30) + 1)}
-    traces = {n: _trace_residuals(n, trace_dims) for n in range(2, min(n_max, 60) + 1)}
+    dets = functools.cache(lambda n: dict(zip(det_dims, analytic.det_table(n, det_dims))))
+    traces = functools.cache(lambda n: _trace_residuals(n, trace_dims))
     rows = [
         _check("determinant of the Ramanujan diagonal: direct vs closed form",
                {"n_max": min(n_max, 30), "dim_max": 64},
-               [(n, d) for n in dets for d in det_dims],
-               lambda n, dim: abs(operator.sub(*dets[n][dim])), tol),
+               [(n, d) for n in range(2, min(n_max, 30) + 1) for d in det_dims],
+               lambda n, dim: abs(operator.sub(*dets(n)[dim])), tol),
         _check("trace identities for both diagonals",
                {"n_max": min(n_max, 60), "dim_max": 200},
-               [(n, d) for n in traces for d in trace_dims],
-               lambda n, dim: traces[n][dim], tol),
+               [(n, d) for n in range(2, min(n_max, 60) + 1) for d in trace_dims],
+               lambda n, dim: traces(n)[dim], tol),
         _check("Euler-operator representation of totient and Jordan powers",
                {"m_max": euler_n, "r_max": 3}, [(alpha,) for alpha in (*euler, "mobius")],
                euler_representation, tol),
         _check("diagonal of integration-compose-backward-shift", {"n_max": 128},
                [("mu*nu_minus1", True), ("mu*nu_1", False)],
-               lambda candidate, matches: float(iu[candidate] != matches), tol),
-        _check(prep["identity"], {"n_max": 64, "pairs": 20}, [()],
-               lambda: max(prep["algebra_map_max_residual"], prep["euler_power_max_residual"]),
-               tol),
+               lambda candidate, matches: float(iu()[candidate] != matches), tol),
+        _check("diagonal map is an algebra map for the lcm product", {"n_max": 64, "pairs": 20},
+               [()], lambda: max(prep()["algebra_map_max_residual"],
+                                 prep()["euler_power_max_residual"]), tol),
         _check("finite-prefix growth diagnostic classification", {"prefix": 64},
                [("totient", "plausibly-continuous"), ("epsilon", "plausibly-continuous"),
                 ("2**n", "not-continuous")],
@@ -359,46 +384,40 @@ def _suite_analytic(n_max, dim, tol):
                    scalar_table(growth[alpha], 64)).classification != expected),
                tol),
     ]
-    chain = analytic.trace_erratum_forms(6, 10)
-    c7 = analytic.trace_erratum_forms(6, 7)
     errata = [
-        {
+        _erratum({
             "id": "determinant-sign",
             "claim": "the determinant equals the bare product of (1-p)^floor(N/p)",
             "observed": "a sign prefactor (-1)^(N*omega(n)) is required; the bare "
                         "product flips sign when N and omega(n) are both odd",
-            "data": {
-                "n": 2, "dim": 3,
-                "direct": analytic.det_c0(2, 3)[0],
-                "unsigned_form": analytic.det_c0_unsigned_form(2, 3),
-            },
-        },
-        {
+        }, lambda: {
+            "n": 2, "dim": 3,
+            "direct": analytic.det_c0(2, 3)[0],
+            "unsigned_form": analytic.det_c0_unsigned_form(2, 3),
+        }),
+        _erratum({
             "id": "trace-floor-chain",
             "claim": "coprime floor sum = N*omega(n) - sum floor(N/p) = sum mu(r) floor(N/r)",
             "observed": "the three expressions disagree at (n, N) = (6, 10)",
-            "data": {
-                "coprime_floor_sum": chain["coprime_floor_sum"],
-                "omega_expression": chain["omega_expression"],
-                "mu_floor_sum": analytic.trace_identities(6, 10)["trace_t0_closed"],
-            },
-        },
-        {
+        }, lambda: {
+            "coprime_floor_sum": analytic.trace_erratum_forms(6, 10)["coprime_floor_sum"],
+            "omega_expression": analytic.trace_erratum_forms(6, 10)["omega_expression"],
+            "mu_floor_sum": analytic.trace_identities(6, 10)["trace_t0_closed"],
+        }),
+        _erratum({
             "id": "trace-prime-power-sum",
             "claim": "sum over prime powers equals the Ramanujan diagonal trace",
             "observed": "disagrees off multiples of n, e.g. (n, N) = (6, 7)",
-            "data": {
-                "prime_power_sum": c7["prime_power_sum"],
-                "trace": analytic.trace_identities(6, 7)["trace_c0"],
-            },
-        },
-        {
+        }, lambda: {
+            "prime_power_sum": analytic.trace_erratum_forms(6, 7)["prime_power_sum"],
+            "trace": analytic.trace_identities(6, 7)["trace_c0"],
+        }),
+        _erratum({
             "id": "iu-star-candidate",
             "claim": "the diagonal map of mu * nu_1 equals integration-compose-backward-shift",
             "observed": "mu * nu_1 gives the Euler diagonal m; mu * nu_{-1} gives 1/m, "
                         "matching away from the m = 1 truncation edge",
-            "data": iu,
-        },
+        }, iu),
     ]
     return rows, errata
 

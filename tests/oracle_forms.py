@@ -5,6 +5,8 @@ package because nothing in it calls them:
   ``algebra.element_text`` back into an element, rejecting malformed input;
 - ``product_law`` is the per-case CRT law, P_k(n) P_l(m) built as
   diagonals, the oracle of ``idempotents.product_law_residual``;
+- ``is_multiplicative_loop`` is the per-pair, per-``factorize`` form of
+  ``convolution.is_multiplicative``, its oracle;
 - ``shift_operators`` builds the dense shift, backward-shift, integration
   and Euler matrices, the oracle of the dense theta and IU* exports.
 """
@@ -16,8 +18,9 @@ import math
 
 import numpy as np
 
-from idemarith.algebra import DenseMatrix, DiagonalOperator, element_text
-from idemarith.arith import crt_solve
+from idemarith.algebra import (DEFAULT_TOL, DenseMatrix, DiagonalOperator, element_text,
+                               is_idempotent)
+from idemarith.arith import crt_solve, factorize
 from idemarith.idempotents import IdempotentSystem
 
 
@@ -55,6 +58,30 @@ def element_from_json(data: dict):
     if kind == "diag":
         return DiagonalOperator(_json_entries(data, n), _json_int(data, "offset", 0, 1))
     return DenseMatrix(np.array(_json_entries(data, n * n)).reshape(n, n))
+
+
+def is_multiplicative_loop(f, tol: float = DEFAULT_TOL):
+    """Check f(nm) = f(n) f(m) on coprime pairs with nm <= n_max, plus the
+    prime-power reconstruction f(n) = f(p1^a1) ... f(pk^ak).
+
+    Returns (verdict, first counterexample (n, m) or None).
+    """
+    n_max = f.n_max
+    if not is_idempotent(f(1), tol):  # f(1) = f(1)f(1) is the (1, 1) case
+        return False, (1, 1)
+    for n in range(2, n_max + 1):
+        for m in range(n, n_max // n + 1):
+            if math.gcd(n, m) == 1 and not f(n * m).isclose(f(n) * f(m), tol):
+                return False, (n, m)
+    for n in range(2, n_max + 1):
+        fac = factorize(n)
+        if len(fac) > 1:
+            acc = f(1).unit()
+            for p, a in fac:
+                acc = acc * f(p**a)
+            if not f(n).isclose(acc, tol):
+                return False, (fac[0][0] ** fac[0][1], n // fac[0][0] ** fac[0][1])
+    return True, None
 
 
 def product_law(system: IdempotentSystem, k: int, n: int, l: int,

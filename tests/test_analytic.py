@@ -238,9 +238,22 @@ class TestPOperator:
         assert p_operator(scalar_table(lambda n: jordan_totient(r, n), 300)).entries == tuple(
             m**r for m in range(1, 301))
 
+    @pytest.mark.parametrize("r, n_max", [(1, 3000), (2, 3000), (3, 3000), (4, 3000),
+                                          (5, 3000), (7, 600), (2, 1), (2, 2)])
+    def test_jordan_table_matches_jordan_totient(self, r, n_max):
+        # 3000^5 fits int64; 600^7 does not, so that table is built from Python ints
+        table = analytic._jordan_table(r, n_max)
+        assert table == [jordan_totient(r, n) for n in range(1, n_max + 1)]
+        assert all(type(value) is int for value in table)
+
+    def test_jordan_table_rejects_r_below_one(self):
+        with pytest.raises(ValueError, match="r >= 1"):
+            euler_power_residual(0, 10)
+
     def test_euler_power_residual_sees_a_wrong_jordan_value(self, monkeypatch):
-        monkeypatch.setattr(analytic, "jordan_totient",
-                            lambda r, n: jordan_totient(r, n) + (n == 7))
+        real = analytic._jordan_table
+        monkeypatch.setattr(analytic, "_jordan_table", lambda r, n_max: [
+            value + (n == 7) for n, value in enumerate(real(r, n_max), 1)])
         assert euler_power_residual(2, 6) == 0  # below the wrong value
         assert euler_power_residual(2, 7) == euler_power_residual(2, 300) == 1
 

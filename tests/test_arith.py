@@ -5,6 +5,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,8 @@ from idemarith.arith import (
     mobius,
     nu,
     omega,
+    prime_power_product,
+    prime_power_split,
     ramanujan_orthogonality,
     ramanujan_sum,
     rf_residual,
@@ -57,6 +60,39 @@ class TestFactorize:
         assert all(p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
         assert all(a >= 1 for _, a in pairs)
         assert math.prod(p**a for p, a in pairs) == n
+
+
+class TestPrimePowerSplit:
+    def test_matches_factorize_up_to_3000(self):
+        prime, power, rest = (a.tolist() for a in prime_power_split(3000))
+        assert (prime[1], power[1], rest[1]) == (1, 1, 1)
+        for n in range(2, 3001):
+            p, a = factorize(n)[-1]
+            assert (prime[n], power[n], rest[n]) == (p, p**a, n // p**a)
+            assert factorize(rest[n]) == factorize(n)[:-1]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 16, 17])
+    def test_small_tables_are_read_only(self, n_max):
+        split = prime_power_split(n_max)
+        assert [a.size for a in split] == [n_max + 1] * 3
+        for array in split:
+            with pytest.raises(ValueError):
+                array[0] = 5
+
+    def test_product_multiplies_in_ascending_prime_order(self):
+        class Word:  # a free monoid: a product spells the order of its factors
+            def __init__(self, text):
+                self.text = text
+
+            def __mul__(self, other):
+                return Word(self.text + other.text)
+
+        _, power, _ = prime_power_split(60)
+        factor = np.array([Word(f"[{q}]") for q in power.tolist()], dtype=object)
+        acc = [w.text for w in prime_power_product(factor, Word("1"))[1:]]
+        assert acc[0] == "1" and acc[7] == "1[8]" and acc[59] == "1[4][3][5]"
+        for n in range(2, 61):
+            assert acc[n - 1] == "1" + "".join(f"[{p**a}]" for p, a in factorize(n))
 
 
 class TestClassicalFunctions:

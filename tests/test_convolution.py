@@ -20,6 +20,7 @@ from idemarith.algebra import (
 from idemarith.arith import (
     divisors,
     epsilon,
+    factorize,
     jordan_totient,
     lcm_tuple_count,
     mobius,
@@ -42,6 +43,7 @@ from idemarith.convolution import (
     unitary_convolve,
 )
 from idemarith.idempotents import IdempotentSystem
+from oracle_forms import is_multiplicative_loop
 
 UNIT = Scalar(1)
 
@@ -494,6 +496,80 @@ class TestMultiplicativity:
             h = dirichlet_convolve(lifted(a, 120), lifted(b, 120))
             ok, _ = is_multiplicative(h)
             assert ok
+
+
+def multiplicative_from(values, unit, n_max):
+    """[h(1), ..., h(n_max)] with h(n) = unit * h(p1^a1) * ... * h(pk^ak),
+    each h(p^a) drawn once from values (a callable)."""
+    at_power = {}
+    table = []
+    for n in range(1, n_max + 1):
+        value = unit
+        for p, a in factorize(n):
+            if p**a not in at_power:
+                at_power[p**a] = values()
+            value = value * at_power[p**a]
+        table.append(value)
+    return table
+
+
+SCALARS = {
+    "int": st.integers(-3, 3),
+    "float": st.floats(-3, 3, allow_nan=False),
+    "fraction": st.fractions(-3, 3, max_denominator=6),
+}
+
+
+class TestMultiplicativityAgainstLoop:
+    """is_multiplicative returns the (verdict, counterexample) of the
+    per-pair, per-factorize loop it replaced."""
+
+    @given(st.sampled_from(sorted(SCALARS)), st.integers(1, 60), st.sampled_from([0, 1e-9]),
+           st.data())
+    def test_scalar_tables(self, kind, n_max, tol, data):
+        table = multiplicative_from(lambda: data.draw(SCALARS[kind]), 1, n_max)
+        if data.draw(st.booleans()):  # one entry corrupted, or set to NaN
+            at = data.draw(st.integers(0, n_max - 1))
+            table[at] = data.draw(SCALARS[kind] | st.just(math.nan))
+        f = AlgFunction(map(Scalar, table))
+        assert is_multiplicative(f, tol) == is_multiplicative_loop(f, tol)
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    @pytest.mark.parametrize("lead", [1, 0, 2, math.nan])
+    def test_shortest_tables(self, n_max, lead):
+        f = AlgFunction([Scalar(lead), Scalar(5)][:n_max])
+        for tol in (0, 1e-9):
+            assert is_multiplicative(f, tol) == is_multiplicative_loop(f, tol)
+
+    def test_nan_tolerance_fails_at_the_lead(self):
+        f = lifted(totient, 30)
+        assert is_multiplicative(f, math.nan) == is_multiplicative_loop(f, math.nan) == (
+            False, (1, 1))
+
+    @given(st.integers(1, 4), st.integers(1, 40), st.data())
+    def test_diagonal_families(self, dim, n_max, data):
+        def diagonal():
+            return DiagonalOperator(data.draw(st.lists(st.integers(-2, 2), min_size=dim,
+                                                       max_size=dim)))
+
+        unit = DiagonalOperator([1] * dim)
+        table = multiplicative_from(diagonal, unit, n_max)
+        if data.draw(st.booleans()):
+            table[data.draw(st.integers(0, n_max - 1))] = diagonal()
+        f = AlgFunction(table)
+        for tol in (0, 1e-9):
+            assert is_multiplicative(f, tol) == is_multiplicative_loop(f, tol)
+
+    def test_non_commuting_family_fails_only_in_the_reconstruction(self):
+        # f(12) = f(3) f(4) passes the pair (3, 4); the reconstruction
+        # multiplies f(4) f(3), primes ascending, and that differs
+        eye = np.eye(2)
+        values = {3: [[1, 1], [0, 1]], 4: [[1, 0], [1, 1]]}
+        f = {n: DenseMatrix(values.get(n, eye)) for n in range(1, 13)}
+        f[6], f[10], f[12] = f[2] * f[3], f[2] * f[5], f[3] * f[4]
+        assert not f[12].isclose(f[4] * f[3])
+        family = AlgFunction(f[n] for n in range(1, 13))
+        assert is_multiplicative(family) == is_multiplicative_loop(family) == (False, (4, 3))
 
 
 class TestLehmerIdentity:

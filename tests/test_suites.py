@@ -9,7 +9,7 @@ import pytest
 
 from idemarith import analytic, idempotents, ramanujan_ops, suites
 from idemarith.algebra import NonInvertibleError
-from idemarith.arith import crt_solve, divisors, factorize, jordan_totient
+from idemarith.arith import crt_solve, divisors, factorize
 from idemarith.convolution import InverseCheckError
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
@@ -69,6 +69,44 @@ class TestRunSuite:
         for row in empty:
             assert row["error"] == "no case evaluated"
             assert row["max_residual"] is None
+
+    def test_failing_level_table_fails_its_rows_alone(self, report_all, monkeypatch):
+        def lost(n, n_max):
+            return {}[n]
+
+        monkeypatch.setattr(analytic, "_c_period", lost)
+        report = run_suite("analytic", **SMALL)
+        failed = [row for row in report["checks"] if not row["pass"]]
+        assert [row["identity"] for row in failed] == [
+            "determinant of the Ramanujan diagonal: direct vs closed form",
+            "trace identities for both diagonals",
+        ]
+        for row in failed:
+            assert row["error"] == "KeyError: 2" and row["max_residual"] is None
+        assert report["summary"] == {"total": 6, "passed": 4, "failed": 2}
+        # the errata that read a level table carry the error; the others keep their data
+        errata = {note["id"]: note for note in report["errata"]}
+        assert errata["determinant-sign"]["error"] == "KeyError: 2"
+        assert errata["trace-floor-chain"]["error"] == "KeyError: 6"
+        assert "data" not in errata["trace-prime-power-sum"]
+        assert errata["iu-star-candidate"] == report_all["errata"][-1]
+
+    def test_failing_sample_draw_fails_the_rf_row_alone(self, report_all, monkeypatch):
+        def broken(rng, d):
+            raise ZeroDivisionError("no sample")
+
+        monkeypatch.setattr(suites, "_random_even", broken)
+        report = run_suite("all", **SMALL)
+        failed = [row for row in report["checks"] if not row["pass"]]
+        assert [row["identity"] for row in failed] == [
+            "even-function Fourier coefficients: reconstruction and "
+            "factor-of-d between normalizations",
+            "even-function expansion over Ramanujan operators",
+        ]
+        for row in failed:
+            assert row["error"] == "ZeroDivisionError: no sample"
+        assert report["summary"]["total"] == 24
+        assert report["errata"] == report_all["errata"]
 
     @pytest.mark.parametrize("name", SUITES)
     @pytest.mark.parametrize("param", ["n_max", "dim"])
@@ -195,8 +233,9 @@ class TestRunSuite:
 
     def test_wrong_jordan_value_fails_both_euler_power_checks(self, monkeypatch):
         # the Euler row and p_operator_identities compare the same P(J_r) with theta^r
-        monkeypatch.setattr(analytic, "jordan_totient",
-                            lambda r, n: jordan_totient(r, n) + (n == 7))
+        real = analytic._jordan_table
+        monkeypatch.setattr(analytic, "_jordan_table", lambda r, n_max: [
+            value + (n == 7) for n, value in enumerate(real(r, n_max), 1)])
         rows = {row["identity"]: row for row in run_suite("analytic", **SMALL)["checks"]}
         euler = rows["Euler-operator representation of totient and Jordan powers"]
         assert euler["pass"] is False and euler["max_residual"] == 1.0
