@@ -16,6 +16,7 @@ section, never asserted.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,13 +47,20 @@ __all__ = [
 
 
 TruncatedSpace = IdempotentSystem  # the window's former name, still used by bench/workloads.py
+_SAMPLE_ENTRIES = tuple(range(-5, 6))  # random.choices indexes a tuple faster than a range
 
 
-def _c_period(n: int, n_max: int) -> np.ndarray:
-    """int64 c_n(k) for k = 1..min(n, n_max): d mu(n/d) at every d-th k, d | n."""
+def _divisor_mobius(n: int) -> dict[int, int]:
+    """{d: mu(d)} for the divisors d of n, ascending: one mobius call each."""
+    return {d: mobius(d) for d in divisors(n)}
+
+
+def _c_period(n: int, n_max: int, mu: dict[int, int]) -> np.ndarray:
+    """int64 c_n(k) for k = 1..min(n, n_max): d mu(n/d) at every d-th k,
+    d | n, with mu = ``_divisor_mobius(n)``."""
     row = np.zeros(min(n, n_max), dtype=np.int64)
-    for d in divisors(n):
-        row[d - 1::d] += d * mobius(n // d)
+    for d in mu:
+        row[d - 1::d] += d * mu[n // d]
     return row
 
 
@@ -75,13 +83,14 @@ def det_table(n: int, n_dims: Sequence[int]) -> list[tuple[int, int]]:
     """
     if n < 2 or min(n_dims, default=0) < 1:
         raise ValueError("det_c0 requires n >= 2 and N >= 1")
-    row = _c_period(n, max(n_dims)).tolist()  # Python ints: the products leave int64
+    mu = _divisor_mobius(n)
+    row = _c_period(n, max(n_dims), mu).tolist()  # Python ints: the products leave int64
     prefix, start = {0: 1}, 0
     for stop in sorted({big_n % n for big_n in n_dims} | {len(row)}):
         prefix[stop] = prefix[start] * math.prod(row[start:stop])
         start = stop
     return [(prefix[len(row)] ** (big_n // n) * prefix[big_n % n],
-             (-1) ** (big_n * omega(n)) * det_c0_unsigned_form(n, big_n) if mobius(n) else 0)
+             (-1) ** (big_n * omega(n)) * det_c0_unsigned_form(n, big_n) if mu[n] else 0)
             for big_n in n_dims]
 
 
@@ -110,14 +119,14 @@ def trace_table(n: int, n_dims: Sequence[int]) -> np.ndarray:
     dims = np.array(n_dims, dtype=np.int64)
     if n < 1 or dims.size == 0 or dims.min() < 1:
         raise ValueError("trace_identities requires n >= 1 and N >= 1")
-    c_row = _c_period(n, int(dims.max()))
+    mu = _divisor_mobius(n)
+    c_row = _c_period(n, int(dims.max()), mu)
     sums = np.zeros((2, c_row.size + 1), dtype=np.int64)
     sums[:, 1:] = np.cumsum([c_row, np.gcd(np.arange(1, c_row.size + 1), n) == 1], axis=1)
     whole, rest = np.divmod(dims, n)
     trace_c0, trace_t0 = sums[:, -1:] * whole + sums[:, rest]
-    divs = divisors(n)
-    return np.column_stack((trace_c0, _floor_sum({d: d * mobius(n // d) for d in divs}, dims),
-                            trace_t0, _floor_sum({r: mobius(r) for r in divs}, dims)))
+    return np.column_stack((trace_c0, _floor_sum({d: d * mu[n // d] for d in mu}, dims),
+                            trace_t0, _floor_sum(mu, dims)))
 
 
 def trace_identities(n: int, n_dim: int) -> dict:
@@ -161,11 +170,17 @@ def p_operator(alpha: Sequence) -> DiagonalOperator:
     P_0(n) indicates the multiples of n, so the entry at e_m is (nu0 * alpha)(m).
     At e_0 every P_0(n) is 1 and the sum would diverge, so offset 0 has no P.
     """
-    return DiagonalOperator(scalar_dirichlet([1] * len(alpha), alpha), 1)
+    return DiagonalOperator(scalar_dirichlet(np.ones(len(alpha), dtype=np.int64), alpha), 1)
 
 
 def theta_power(r: int, n_dim: int) -> DiagonalOperator:
-    """theta^r on e_1..e_N: the Euler operator's power e_m -> m^r e_m, exact."""
+    """theta^r on e_1..e_N: the Euler operator's power e_m -> m^r e_m, exact,
+    for r >= 0.  int64 while N^r fits; Python ints past that.
+    """
+    if r < 0:
+        raise ValueError(f"theta^r requires r >= 0, got {r}")
+    if n_dim**r <= _INT64_MAX:
+        return DiagonalOperator(np.arange(1, n_dim + 1, dtype=np.int64) ** r, 1)
     return DiagonalOperator([m**r for m in range(1, n_dim + 1)], 1)
 
 
@@ -200,14 +215,18 @@ def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
                           tol: float = DEFAULT_TOL) -> dict:
     """The algebra-map property P(alpha [] beta) = P(alpha) P(beta) on
     random integer tables, and the Euler-power identity P(J_r) = theta^r
-    for r <= 3, on e_1..e_{n_max}.
+    for r <= 3, on e_1..e_{n_max} (the whole window when n_max is None).
+    The tables are drawn from ``random.Random(seed)``, entries in -5..5.
     """
-    n_max = min(n_max or space.dim, space.dim)
-    rng = np.random.default_rng(seed)
+    if pairs < 1 or (n_max is not None and n_max < 1):
+        raise ValueError(f"p_operator_identities needs pairs >= 1 and n_max >= 1, "
+                         f"got pairs={pairs}, n_max={n_max}")
+    n_max = min(space.dim if n_max is None else n_max, space.dim)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(pairs):
-        a = [int(v) for v in rng.integers(-5, 6, n_max)]
-        b = [int(v) for v in rng.integers(-5, 6, n_max)]
+        a = rng.choices(_SAMPLE_ENTRIES, k=n_max)
+        b = rng.choices(_SAMPLE_ENTRIES, k=n_max)
         lhs = p_operator(scalar_lcm(a, b))
         rhs = p_operator(a) * p_operator(b)
         worst = max(worst, lhs.distance(rhs))

@@ -30,15 +30,25 @@ is not computed by Lehmer's sieve mu * ((1*f)(1*g)): that is the identity
 that check, and the suite row that runs it, test the identity against
 itself; its operator form on P_j(n) is checked in ``idempotents``.
 
+``dirichlet_inverse`` runs its recursion one dyadic range of n at a time,
+since every proper divisor of an n in [2^k, 2^(k+1)) lies below 2^k.  An
+integer table with f(1) = +-1 takes a range in int64 while
+max|f| max|g so far| (most terms at one n) <= 2^63 - 1, the bound the
+products use; from the first range past it, it goes on to the end on
+object arrays of Python ints.  Any other table runs on object arrays
+throughout.
+
 ``is_multiplicative`` reads its coprime pairs (n, m), 2 <= n < m, off the
 unitary index, and rebuilds each f(n) from its prime powers read off
 ``arith.prime_power_split``, a sieve of 1..N cached for at most three N,
 multiplying f(p1^a1) ... f(pk^ak) left to right, primes ascending, as a
-per-n loop over ``factorize`` would.  On Scalar tables each of the two
-tests is one array product (``prime_power_product`` for the rebuild) and
-one |x - y| <= tol comparison; other elements form one pair's product,
-or one rebuilt f(n), at a time and call ``isclose``.  Either way the
-verdict and the first counterexample are the loop's.
+per-n loop over ``factorize`` would.  On Scalar tables the pairs are
+compared in blocks of 64, 128, ... pairs, each one array product and one
+|x - y| <= tol comparison, stopping at the first block that fails; the
+rebuild is one ``prime_power_product`` and one comparison.  Other
+elements form one pair's product, or one rebuilt f(n), at a time and
+call ``isclose``.  Either way the verdict and the first counterexample
+are the loop's.
 """
 
 from __future__ import annotations
@@ -70,6 +80,7 @@ __all__ = [
 
 _BLOCK = 8192  # terms per kernel step
 _N_BLOCK = 256  # n per index block: about _BLOCK lcm terms at N = 3000
+_PAIR_BLOCK = 64  # the first block of pairs is_multiplicative compares; each next one doubles
 
 
 class InverseCheckError(ArithmeticError):
@@ -242,8 +253,11 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
 
     Every proper divisor of an n in [2^k, 2^(k+1)) is below 2^k, so each
     such range of n is one gather-reduce over its Dirichlet terms with
-    d > 1 (the first term of each n).  On Scalar tables each side of the
-    check is one product of the value lists and one array comparison.
+    d > 1 (the first term of each n).  An int table with f(1) = +-1 runs
+    a range in int64 while max|f| max|g so far| (most terms at one n)
+    <= 2^63 - 1, and from the first range that fails the bound on to the
+    end on object arrays.  On Scalar tables each side of the check is one
+    product of the value tables and one array comparison.
     """
     lead_inv = invert(f(1))  # raises NonInvertibleError when f(1) is singular
     scalar = all(type(v) is Scalar for v in f.values)
@@ -252,19 +266,28 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
     else:
         values, zero = f.values, f(1).zero()
     left, right, starts = _index("dirichlet", f.n_max)
-    fv = _objects(values, _store(values))
-    g = np.empty(f.n_max, dtype=object)
-    g[0] = lead_inv
+    stored = _store(values)
+    exact = stored.bound is not None and type(lead_inv) is int  # so lead_inv = +-1
+    fv = stored.values if exact else _objects(values, stored)
+    g = np.empty(f.n_max, dtype=np.int64 if exact else object)
+    g[0], g_bound = lead_inv, 1
+    terms = np.diff(starts) - 1  # the terms with d > 1 at each n
     for j in range(1, f.n_max.bit_length()):  # positions of n = 2^j .. 2^(j+1) - 1
-        for lo, hi in _blocks(starts, 2**j - 1, min(2 ** (j + 1) - 1, f.n_max)):
-            terms = slice(starts[lo], starts[hi])
-            keep = left[terms] > 0
-            sums = np.add.reduceat(fv[left[terms][keep]] * g[right[terms][keep]],
+        first, stop = 2**j - 1, min(2 ** (j + 1) - 1, f.n_max)
+        if exact and stored.bound * g_bound * int(terms[first:stop].max()) > _INT64_MAX:
+            exact, fv, g = False, fv.astype(object), g.astype(object)
+        for lo, hi in _blocks(starts, first, stop):
+            at = slice(starts[lo], starts[hi])
+            keep = left[at] > 0
+            sums = np.add.reduceat(fv[left[at][keep]] * g[right[at][keep]],
                                    starts[lo:hi] - starts[lo] - np.arange(hi - lo))
-            g[lo:hi] = [-(lead_inv * (zero + s)) for s in sums.tolist()]
-    g = g.tolist()
+            g[lo:hi] = (-lead_inv * sums if exact
+                        else [-(lead_inv * (zero + s)) for s in sums.tolist()])
+        if exact:
+            g_bound = max(g_bound, int(np.abs(g[first:stop]).max()))
     unit = f(1).unit()
-    for name, pair in (("f*g", (values, g)), ("g*f", (g, values))):
+    table = stored.values if stored.bound is not None else values  # int64: _store copies it fast
+    for name, pair in (("f*g", (table, g)), ("g*f", (g, table))):
         prod = _product("dirichlet", *pair, zero)
         if scalar:  # |x - e| <= tol in one pass, so a NaN fails
             ok = np.abs(np.array([prod[0] - 1, *prod[1:]], dtype=complex)) <= tol
@@ -272,7 +295,7 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
             ok = [x.isclose(unit if n == 1 else zero, tol) for n, x in enumerate(prod, 1)]
         if not np.all(ok):
             raise InverseCheckError(f"{name} differs from I at n={int(np.argmin(ok)) + 1}")
-    return AlgFunction(map(Scalar, g) if scalar else g)
+    return AlgFunction(map(Scalar, g.tolist()) if scalar else g.tolist())
 
 
 def _first_far(fv: np.ndarray, at: np.ndarray, others, scalar: bool, tol: float):
@@ -285,6 +308,24 @@ def _first_far(fv: np.ndarray, at: np.ndarray, others, scalar: bool, tol: float)
         return None if near.all() else int(np.argmin(near))
     return next((i for i, (x, y) in enumerate(zip(fv[at], others))
                  if not x.isclose(y, tol)), None)
+
+
+def _first_far_pair(fv: np.ndarray, n: np.ndarray, m: np.ndarray, scalar: bool, tol: float):
+    """The first i at which f(n[i] m[i]) is farther than tol from
+    f(n[i]) f(m[i]), or None.  Scalar pairs go in blocks of 64, 128, ...,
+    so a table that fails early forms few products; elements form one
+    product at a time.
+    """
+    if not scalar:
+        return _first_far(fv, n * m, map(operator.mul, fv[n], fv[m]), False, tol)
+    lo, size = 0, _PAIR_BLOCK
+    while lo < n.size:
+        part = slice(lo, lo + size)
+        first = _first_far(fv, n[part] * m[part], fv[n[part]] * fv[m[part]], True, tol)
+        if first is not None:
+            return lo + first
+        lo, size = lo + size, 2 * size
+    return None
 
 
 def _prime_powers(n: int, power: np.ndarray, rest: np.ndarray) -> list[int]:
@@ -306,9 +347,10 @@ def is_multiplicative(
     n ascending, then m.  The reconstruction multiplies
     unit * f(p1^a1) * ... * f(pk^ak), primes ascending, left to right,
     with the prime powers read off ``arith.prime_power_split``.
-    All-Scalar functions run on their values, rebuilding every n in one
-    ``prime_power_product``; other elements form one pair's product, or
-    one n's rebuilt value, at a time.
+    All-Scalar functions run on their values, comparing the pairs in
+    doubling blocks and rebuilding every n in one ``prime_power_product``;
+    other elements form one pair's product, or one n's rebuilt value, at
+    a time.
 
     Returns (verdict, first counterexample (n, m) or None).
     """
@@ -323,8 +365,7 @@ def is_multiplicative(
     n, m = left[pairs] + 1, right[pairs] + 1
     order = np.argsort(n, kind="stable")  # the index sorts by n m, so each n's m ascend
     n, m = n[order], m[order]
-    products = fv[n] * fv[m] if scalar else map(operator.mul, fv[n], fv[m])
-    first = _first_far(fv, n * m, products, scalar, tol)
+    first = _first_far_pair(fv, n, m, scalar, tol)
     if first is not None:
         return False, (int(n[first]), int(m[first]))
     _, power, rest = prime_power_split(n_max)

@@ -7,6 +7,8 @@ package because nothing in it calls them:
   diagonals, the oracle of ``idempotents.product_law_residual``;
 - ``is_multiplicative_loop`` is the per-pair, per-``factorize`` form of
   ``convolution.is_multiplicative``, its oracle;
+- ``dirichlet_inverse_objects`` is ``convolution.dirichlet_inverse`` with
+  its whole recursion on object arrays, the oracle of the int64 ranges;
 - ``shift_operators`` builds the dense shift, backward-shift, integration
   and Euler matrices, the oracle of the dense theta and IU* exports.
 """
@@ -18,9 +20,11 @@ import math
 
 import numpy as np
 
-from idemarith.algebra import (DEFAULT_TOL, DenseMatrix, DiagonalOperator, element_text,
-                               is_idempotent)
+from idemarith.algebra import (DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar, _store,
+                               element_text, invert, is_idempotent)
 from idemarith.arith import crt_solve, factorize
+from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index, _objects,
+                                   _product)
 from idemarith.idempotents import IdempotentSystem
 
 
@@ -82,6 +86,47 @@ def is_multiplicative_loop(f, tol: float = DEFAULT_TOL):
             if not f(n).isclose(acc, tol):
                 return False, (fac[0][0] ** fac[0][1], n // fac[0][0] ** fac[0][1])
     return True, None
+
+
+def dirichlet_inverse_objects(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
+    """Dirichlet inverse by the right-inverse recursion
+    g(n) = -f(1)^-1 sum_{d | n, d > 1} f(d) g(n/d), then verified to be
+    two-sided within tol (InverseCheckError otherwise; the left check is
+    not a free consequence in a non-commutative algebra).
+
+    Every proper divisor of an n in [2^k, 2^(k+1)) is below 2^k, so each
+    such range of n is one gather-reduce over its Dirichlet terms with
+    d > 1 (the first term of each n).  On Scalar tables each side of the
+    check is one product of the value lists and one array comparison.
+    """
+    lead_inv = invert(f(1))  # raises NonInvertibleError when f(1) is singular
+    scalar = all(type(v) is Scalar for v in f.values)
+    if scalar:
+        values, lead_inv, zero = [v.value for v in f.values], lead_inv.value, 0
+    else:
+        values, zero = f.values, f(1).zero()
+    left, right, starts = _index("dirichlet", f.n_max)
+    fv = _objects(values, _store(values))
+    g = np.empty(f.n_max, dtype=object)
+    g[0] = lead_inv
+    for j in range(1, f.n_max.bit_length()):  # positions of n = 2^j .. 2^(j+1) - 1
+        for lo, hi in _blocks(starts, 2**j - 1, min(2 ** (j + 1) - 1, f.n_max)):
+            terms = slice(starts[lo], starts[hi])
+            keep = left[terms] > 0
+            sums = np.add.reduceat(fv[left[terms][keep]] * g[right[terms][keep]],
+                                   starts[lo:hi] - starts[lo] - np.arange(hi - lo))
+            g[lo:hi] = [-(lead_inv * (zero + s)) for s in sums.tolist()]
+    g = g.tolist()
+    unit = f(1).unit()
+    for name, pair in (("f*g", (values, g)), ("g*f", (g, values))):
+        prod = _product("dirichlet", *pair, zero)
+        if scalar:  # |x - e| <= tol in one pass, so a NaN fails
+            ok = np.abs(np.array([prod[0] - 1, *prod[1:]], dtype=complex)) <= tol
+        else:
+            ok = [x.isclose(unit if n == 1 else zero, tol) for n, x in enumerate(prod, 1)]
+        if not np.all(ok):
+            raise InverseCheckError(f"{name} differs from I at n={int(np.argmin(ok)) + 1}")
+    return AlgFunction(map(Scalar, g) if scalar else g)
 
 
 def product_law(system: IdempotentSystem, k: int, n: int, l: int,

@@ -193,6 +193,19 @@ class TestPerLevelTables:
         if n >= 2:
             assert det_c0(n, big_n) == det_oracle(n, big_n)
 
+    @pytest.mark.parametrize("n", [1, 12, 30, 97, 360])
+    def test_tables_look_up_mobius_once_per_divisor(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analytic, "mobius", lambda d: calls.append(d) or mobius(d))
+        table = trace_table(n, [1, n, 3 * n + 2])
+        assert sorted(calls) == list(divisors(n))
+        assert [tuple(row) for row in table.tolist()] == [
+            trace_oracle(n, d) for d in (1, n, 3 * n + 2)]
+        if n >= 2:
+            calls.clear()
+            assert det_table(n, [1, n + 1]) == [det_oracle(n, 1), det_oracle(n, n + 1)]
+            assert sorted(calls) == list(divisors(n))
+
     @pytest.mark.parametrize("dims", [[], [3, 0], [-1]])
     def test_tables_reject_empty_or_bad_windows(self, dims):
         with pytest.raises(ValueError, match="N >= 1"):
@@ -264,6 +277,31 @@ class TestPOperator:
         assert iu_star(1).entries == (0,)
         assert iu_star(4).entries == (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
         assert theta_power(40, 3).entries[-1] == 3**40  # past int64, exact
+
+    @pytest.mark.parametrize("r", [-1, -3])
+    def test_theta_power_rejects_negative_r(self, r):
+        # theta^-1 gave the floats 1.0, 0.5, ...
+        with pytest.raises(ValueError, match="r >= 0"):
+            theta_power(r, 4)
+
+    @pytest.mark.parametrize("r, n_dim", [(0, 5), (1, 3000), (5, 3000), (6, 3000), (7, 600),
+                                          (2, 1)])
+    def test_theta_power_is_exact_across_int64(self, r, n_dim):
+        # 3000^5 fits int64; 3000^6 and 600^7 do not
+        entries = theta_power(r, n_dim).entries
+        assert entries == tuple(m**r for m in range(1, n_dim + 1))
+        assert all(type(v) is int for v in entries)
+
+    @pytest.mark.parametrize("pairs, n_max", [(0, 8), (-1, 8), (1, 0), (1, -3)])
+    def test_algebra_map_rejects_vacuous_runs(self, pairs, n_max):
+        # pairs=0 passed over no pair, n_max=0 became the whole window
+        with pytest.raises(ValueError, match="pairs >= 1 and n_max >= 1"):
+            p_operator_identities(IdempotentSystem(16, 1), n_max, pairs=pairs)
+
+    def test_algebra_map_defaults_to_the_window(self):
+        report = p_operator_identities(IdempotentSystem(20, 1), pairs=1)
+        assert report["n_max"] == 20 and report["pass"]
+        assert p_operator_identities(IdempotentSystem(20, 1), 40, pairs=1)["n_max"] == 20
 
     def test_algebra_map_property(self):
         report = p_operator_identities(IdempotentSystem(64, 1), 64)

@@ -43,7 +43,7 @@ from idemarith.convolution import (
     unitary_convolve,
 )
 from idemarith.idempotents import IdempotentSystem
-from oracle_forms import is_multiplicative_loop
+from oracle_forms import dirichlet_inverse_objects, is_multiplicative_loop
 
 UNIT = Scalar(1)
 
@@ -335,6 +335,26 @@ class TestAssociativityCommutativity:
             assert prod(a, b) == prod(b, a)
 
 
+def inverse_outcome(inverse, f, tol):
+    """The (type, repr) of each value of inverse(f, tol), or the message of
+    the InverseCheckError it raised."""
+    try:
+        return [(type(v.value), repr(v.value)) for v in inverse(f, tol).values]
+    except InverseCheckError as exc:
+        return str(exc)
+
+
+INVERSE_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]
+INVERSE_ENTRIES = {
+    "int": st.integers(-9, 9),
+    "int near 2^20": st.integers(-(2**20), 2**20),  # leaves int64 a few ranges in
+    "int near 2^40": st.integers(2**39, 2**40) | st.integers(-(2**40), -(2**39)),
+    "int past int64": st.integers(-(2**70), 2**70),
+    "fraction": st.fractions(-3, 3, max_denominator=6),
+    "float": st.floats(-3, 3) | st.just(math.nan),
+}
+
+
 class TestInverse:
     def test_ones_inverts_to_moebius(self):
         inv = dirichlet_inverse(lifted(lambda n: 1, 100))
@@ -451,6 +471,28 @@ class TestInverse:
             with pytest.raises(InverseCheckError, match=f"^{re.escape(expected)}$"):
                 dirichlet_inverse(f, tol)
 
+    @settings(deadline=None)
+    @given(st.sampled_from(sorted(INVERSE_ENTRIES)), st.sampled_from(INVERSE_SIZES),
+           st.sampled_from([1, -1]), st.sampled_from([0, 1e-9]), st.data())
+    def test_matches_object_recursion(self, kind, n_max, lead, tol, data):
+        # int tables with f(1) = +-1 run their first dyadic ranges in int64
+        rest = data.draw(st.lists(INVERSE_ENTRIES[kind], min_size=n_max - 1, max_size=n_max - 1))
+        lead = {"fraction": Fraction, "float": float}.get(kind, int)(lead)
+        f = AlgFunction(map(Scalar, [lead] + rest))
+        assert (inverse_outcome(dirichlet_inverse, f, tol)
+                == inverse_outcome(dirichlet_inverse_objects, f, tol))
+
+    @pytest.mark.parametrize("entry", [2**40, 2_800_000_000])
+    @pytest.mark.parametrize("n_max", [3, 7, 64, 65])
+    def test_leaves_int64_at_a_dyadic_range(self, entry, n_max):
+        # n = 2, 3 run in int64; g(6) = -(f(2) g(3) + f(3) g(2) + f(6)) = 2 F^2 - F leaves
+        # it, and for F = 2.8e9 each of its terms still fits: only the sum would wrap
+        f = AlgFunction(map(Scalar, [1] + [entry] * (n_max - 1)))
+        got = [v.value for v in dirichlet_inverse(f, tol=0).values]
+        assert got == [v.value for v in dirichlet_inverse_objects(f, tol=0).values]
+        assert all(type(v) is int for v in got)
+        assert got[1] == -entry and (n_max < 6 or got[5] == 2 * entry**2 - entry > 2**63)
+
     def test_nan_entry_fails_the_check(self):
         f = AlgFunction([Scalar(1), Scalar(math.nan)] + [Scalar(0)] * 4)
         with pytest.raises(InverseCheckError, match="^f\\*g differs from I at n=2$"):
@@ -559,6 +601,26 @@ class TestMultiplicativityAgainstLoop:
         f = AlgFunction(table)
         for tol in (0, 1e-9):
             assert is_multiplicative(f, tol) == is_multiplicative_loop(f, tol)
+
+    @pytest.mark.parametrize("corrupt, first, positions", [
+        (46, (2, 23), range(0, 64)),
+        (159, (3, 53), range(64, 192)),
+        (185, (5, 37), range(192, 448)),
+        (272, (16, 17), [339]),
+    ], ids=["first block", "second block", "third block", "last pair"])
+    def test_counterexample_in_each_pair_block(self, corrupt, first, positions):
+        # N = 300 has 340 coprime pairs 2 <= n < m, compared 64, 128, 256 at a time
+        n_max = 300
+        pairs = [(n, m) for n in range(2, n_max + 1) for m in range(n + 1, n_max // n + 1)
+                 if math.gcd(n, m) == 1]
+        assert len(pairs) == 340 and pairs.index(first) in positions
+        table = scalar_table(totient, n_max)
+        table[corrupt - 1] += 1
+        for values in (table, [float(v) for v in table]):
+            f = AlgFunction(map(Scalar, values))
+            for tol in (0, 1e-9):
+                assert is_multiplicative(f, tol) == is_multiplicative_loop(f, tol) == (
+                    False, first)
 
     def test_non_commuting_family_fails_only_in_the_reconstruction(self):
         # f(12) = f(3) f(4) passes the pair (3, 4); the reconstruction

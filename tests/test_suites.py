@@ -3,6 +3,11 @@ how a row fails (worst case named, raised exceptions and empty checks)."""
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -71,7 +76,7 @@ class TestRunSuite:
             assert row["max_residual"] is None
 
     def test_failing_level_table_fails_its_rows_alone(self, report_all, monkeypatch):
-        def lost(n, n_max):
+        def lost(n, n_max, mu):
             return {}[n]
 
         monkeypatch.setattr(analytic, "_c_period", lost)
@@ -201,8 +206,8 @@ class TestRunSuite:
     def test_det_prefix_product_off_by_one_entry_fails_the_det_row(self, monkeypatch):
         real = analytic._c_period
 
-        def off(n, n_max):  # c_n(1) = mu(n) read as mu(n) + 1
-            row = real(n, n_max).copy()
+        def off(n, n_max, mu):  # c_n(1) = mu(n) read as mu(n) + 1
+            row = real(n, n_max, mu).copy()
             row[0] += 1
             return row
 
@@ -304,3 +309,24 @@ class TestCheck:
         row = _check("probe", {"k": 1}, [(1,), (2,)], lambda n: 0, 0)
         assert row == {"identity": "probe", "params": {"k": 1}, "max_residual": 0.0,
                        "pass": True}
+
+
+def test_library_path_never_imports_numpy_random():
+    # the samples come from the stdlib random module, which numpy imports anyway
+    script = textwrap.dedent("""
+        import sys
+        from idemarith import analytic, convolution, suites
+        from idemarith.algebra import Scalar
+        from idemarith.idempotents import IdempotentSystem
+
+        suites.run_suite("all")
+        analytic.p_operator_identities(IdempotentSystem(40, 1), 40, pairs=2, seed=3)
+        f = convolution.AlgFunction(map(Scalar, [1, 2, -3] * 20))
+        convolution.dirichlet_inverse(f, tol=0)
+        convolution.is_multiplicative(f, tol=0)
+        print("numpy.random" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(analytic.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "False\n"
