@@ -355,12 +355,13 @@ def is_idempotent(x, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _reciprocal(v):
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, numbers.Rational):  # numpy integers too, so they stay exact
         if v == 0:
             raise NonInvertibleError("zero diagonal entry")
-        if isinstance(v, int) and v in (1, -1):
-            return v  # a unit of Z: keeps integer tables out of Fractions
-        return Fraction(1, 1) / Fraction(v)
+        if isinstance(v, numbers.Integral):
+            v = int(v)
+            return v if v in (1, -1) else Fraction(1, v)  # a unit of Z stays an int
+        return 1 / Fraction(v)
     if abs(v) <= 1e-12:
         raise NonInvertibleError("zero diagonal entry")
     return 1 / v

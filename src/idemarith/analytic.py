@@ -189,17 +189,18 @@ def iu_star(n_dim: int) -> DiagonalOperator:
     return DiagonalOperator([0] + [Fraction(1, m) for m in range(2, n_dim + 1)], 1)
 
 
-def _jordan_table(r: int, n_max: int) -> list[int]:
+def _jordan_table(r: int, n_max: int) -> np.ndarray:
     """[J_r(1), ..., J_r(n_max)] from the largest-prime-power split: J_r is
-    multiplicative with J_r(p^a) = p^(ra) - p^(r(a-1)).  int64 while
-    n_max^r fits, since J_r(n) <= n^r; Python ints past that.
+    multiplicative with J_r(p^a) = p^(ra) - p^(r(a-1)).  An int64 array
+    while n_max^r fits, since J_r(n) <= n^r; an object array of Python
+    ints past that.
     """
     if r < 1:
         raise ValueError(f"J_r requires r >= 1, got {r}")
     prime, power, _ = prime_power_split(n_max)
     if n_max**r > _INT64_MAX:
         prime, power = prime.astype(object), power.astype(object)
-    return prime_power_product(power**r - (power // prime) ** r, 1)[1:].tolist()
+    return prime_power_product(power**r - (power // prime) ** r, 1)[1:]
 
 
 def euler_power_residual(r: int, n_dim: int) -> float:

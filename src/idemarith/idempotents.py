@@ -4,7 +4,7 @@ convolution identities, Lehmer's lcm identity in operator form among them.
 
 The projections are exact 0/1 integer diagonals.  Their discrete-Fourier
 form P_j(n) = (1/n) sum_l eps_n^{-lj} S^l(n) is a float oracle,
-``OperatorFamily.dft_projection``.
+``OperatorFamily.dft_projections``.
 
 Both checks run on the int64 stacks of ``projections``.  The axioms take
 one level at a time, no temporary larger than n rows.  The CRT product law

@@ -56,6 +56,16 @@ def _weighted(weights: list, stack: np.ndarray) -> np.ndarray:
     return (w if fits else np.array(weights, dtype=object)) @ stack
 
 
+def _root_sums(ks, r: np.ndarray, n: int) -> np.ndarray:
+    """sum over k in ks of exp(2 pi i (k r mod n) / n) at each residue in r.
+    The phase is a real float64 before it meets 1j, as in
+    ``cmath.exp(2j * math.pi * x / n)``; dividing the complex 2j * pi * x
+    by n in numpy rounds differently.
+    """
+    ks = np.array(ks, dtype=np.int64).reshape(-1, 1) % n
+    return np.exp(1j * (2 * np.pi * (ks * r % n) / n)).sum(axis=0)
+
+
 def _distance(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
@@ -72,23 +82,24 @@ class OperatorFamily(IdempotentSystem):
 
         The entry at e_m sums exp(2 pi i r / n) over the residues
         r = k (m - j) mod n, so entries at indices congruent mod n are the
-        same float.  The phase is a real float64 before it meets 1j, as in
-        ``cmath.exp(2j * math.pi * r / n)``; dividing the complex
-        2j * pi * r by n in numpy rounds differently.
+        same float.
         """
         if n < 1:
             raise ValueError("level n must be positive")
-        ks = np.array(ks, dtype=np.int64).reshape(-1, 1) % n
-        return DiagonalOperator.periodic(
-            lambda r: np.exp(1j * (2 * np.pi * (ks * r % n) / n)).sum(axis=0),
-            n, j, self.dim, self.offset,
-        )
+        return DiagonalOperator.periodic(lambda r: _root_sums(ks, r, n),
+                                         n, j, self.dim, self.offset)
 
-    def dft_projection(self, j: int, n: int) -> DiagonalOperator:
-        """P_j(n) = (1/n) sum_{l < n} eps_n^{-lj} S(n)^l: the float oracle of
-        the exact ``projection``.
+    def dft_projections(self, js, n: int) -> np.ndarray:
+        """The complex stack (len(js), dim) whose row i is
+        P_{js[i]}(n) = (1/n) sum_{l < n} eps_n^{-l js[i]} S(n)^l: the float
+        oracle of the exact ``projections``, gathered from one period of
+        root-of-unity sums at (m - js[i]) mod n.
         """
-        return self.s_power_sum(j, n, range(n)).scale(1 / n)
+        if n < 1:
+            raise ValueError("level n must be positive")
+        period = _root_sums(range(n), np.arange(n), n) * (1 / n)
+        residues = np.array([j % n for j in js], dtype=np.int64).reshape(-1, 1)
+        return period[(self._indices - residues) % n]
 
     def c_operator(self, j: int, n: int) -> DiagonalOperator:
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""

@@ -11,11 +11,16 @@ row alone.  An erratum whose data raises carries the "error" instead.
 
 Every operator check on P_j(n), C_j(n) or T_{r,j}(n) runs on a window of
 one period: all entries depend only on the basis index mod the level, so
-a window as long as the largest level a check touches (lcm(n, m) for a
-product) decides the identity on the whole basis.  The requested dim is
-the window only of the checks that test the realization at a given
-truncation: the axioms and the projection- and operator-family
-multiplicativity.  Each operator row reports its window under "dim".
+a contiguous window as long as the period of every equation a check
+compares meets each residue of it, and decides the identity on the whole
+basis.  That is lcm(n, m) for a product law.  Axiom level n and its
+refinements n r, r <= 6, repeat every 60 n, so the axioms run on
+min(dim, 60 n_limit).  A multiplicativity row on levels 1..K compares
+f(nm) with f(n) f(m) for nm <= K and rebuilds each f(n) from its prime
+powers, every equation of period at most K, so it runs on min(dim, K).
+Those five rows take the requested dim as their truncation: they report
+it under "dim" and the window they ran on under "window"; every other
+operator row reports its window under "dim".
 
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
@@ -132,25 +137,28 @@ def _random_even(rng: random.Random, d: int) -> EvenFunction:
 
 
 def _suite_axioms(n_max, dim, tol):
-    system = IdempotentSystem(dim)
     n_limit = min(n_max, 12)
+    axioms = IdempotentSystem(min(dim, 60 * n_limit))  # levels n r, r <= 6, repeat every 60 n
     n_dft = min(n_max, 24)
     dft = OperatorFamily(n_dft)
+    dft_residuals = functools.cache(lambda n: np.abs(
+        dft.projections(range(n), n) - dft.dft_projections(range(n), n)).max(axis=1))
     rows = [
         _check("idempotent system axioms I/II/III + completeness",
-               {"dim": dim, "n_limit": n_limit}, [()],
-               lambda: verify_axioms(system, n_limit), tol),
+               {"dim": dim, "window": axioms.dim, "n_limit": n_limit}, [()],
+               lambda: verify_axioms(axioms, n_limit), tol),
         _check("congruence-exact vs dft-float provider",
                {"dim": n_dft, "n_limit": n_dft},
                [(j, n) for n in range(1, n_dft + 1) for j in range(n)],
-               lambda j, n: dft.projection(j, n).distance(dft.dft_projection(j, n)), tol),
+               lambda j, n: dft_residuals(n)[j], tol),
     ]
     proj_mult_max = max(min(n_max, 32), 6)  # 6 = 2 * 3, the first coprime pair
+    system = IdempotentSystem(min(dim, proj_mult_max))
     for j in (0, 1, 5):
         fam = AlgFunction([system.projection(j, n) for n in range(1, proj_mult_max + 1)])
         rows.append(_check("projection family multiplicativity",
-                           {"j": j, "n_max": fam.n_max, "dim": dim}, [()],
-                           lambda: _multiplicativity(fam, tol), tol))
+                           {"j": j, "n_max": fam.n_max, "dim": dim, "window": system.dim},
+                           [()], lambda: _multiplicativity(fam, tol), tol))
     return rows, []
 
 
@@ -180,7 +188,7 @@ def _scalar_ramanujan(n):
 def _suite_ramanujan(n_max, dim, tol):
     n_cap = min(n_max, 30)
     mult_cap = max(n_cap, 6)  # as for the projection families
-    family = OperatorFamily(dim)
+    family = OperatorFamily(min(dim, mult_cap))
     period = OperatorFamily(n_cap)
     builders = {"C": lambda j, n: family.c_operator(j, n),
                 "T": lambda j, n: family.t_operator(n, j, n)}
@@ -195,7 +203,7 @@ def _suite_ramanujan(n_max, dim, tol):
                                 period.t_top_identities(j, n), period.t_decomposition(j, n)),
                tol),
         _check("multiplicativity of operator families",
-               {"n_max": mult_cap, "dim": dim, "j": [0, 1, 5]},
+               {"n_max": mult_cap, "dim": dim, "window": family.dim, "j": [0, 1, 5]},
                [(j, kind) for j in (0, 1, 5) for kind in builders],
                lambda j, kind: _multiplicativity(
                    AlgFunction([builders[kind](j, n) for n in range(1, mult_cap + 1)]), tol),
@@ -204,13 +212,14 @@ def _suite_ramanujan(n_max, dim, tol):
 
 
 def _suite_transforms(n_max, dim, tol):
-    moduli = [d for d in (1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 40, 48) if d <= max(n_max, 48)]
+    moduli = [1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 40, 48]
     samples = 20
 
     @functools.cache
-    def alphas():
+    def alphas():  # every listed modulus once, then random ones
         rng = random.Random(SEED)
-        return [_random_even(rng, rng.choice(moduli)) for _ in range(samples)]
+        return [_random_even(rng, d)
+                for d in moduli + rng.choices(moduli, k=samples - len(moduli))]
 
     n_cap = min(n_max, 30)
     period = OperatorFamily(n_cap)

@@ -83,6 +83,17 @@ def test_invert_diag_exact():
         invert(Scalar(0))
 
 
+def test_invert_numpy_integers_exactly():
+    # numpy integers were taken for floats: 0.5, and np.float64 units
+    assert invert(Scalar(np.int64(2))).value == Fraction(1, 2)
+    assert type(invert(Scalar(np.int64(2))).value) is Fraction
+    for unit in (np.int64(1), np.int32(-1)):
+        value = invert(Scalar(unit)).value
+        assert value == unit and type(value) is int
+    with pytest.raises(NonInvertibleError):
+        invert(Scalar(np.int64(0)))
+
+
 def test_invert_dense():
     x = random_dense(5)
     inv = invert(x)

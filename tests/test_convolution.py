@@ -361,6 +361,13 @@ class TestInverse:
         for n in range(1, 101):
             assert inv(n).value == mobius(n)
 
+    def test_numpy_integer_table_inverts_to_python_ints(self):
+        # numpy integers went the float path: np.float64 values, -0.0 at n = 4
+        inv = dirichlet_inverse(AlgFunction(map(Scalar, np.array([1, 2, 3, 4, 5, 6]))))
+        values = [v.value for v in inv.values]
+        assert values == [1, -2, -3, 0, -5, 6]
+        assert all(type(v) is int for v in values)
+
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_identity_rejects_empty_range(self, n_max):
         # n_max 0 and -1 gave a function with n_max 1

@@ -20,6 +20,7 @@ from idemarith.idempotents import (
     weighted_product_identities,
 )
 from idemarith.ramanujan_ops import OperatorFamily
+from idemarith.suites import _multiplicativity
 from oracle_forms import product_law
 
 
@@ -52,7 +53,8 @@ class TestProjection:
         dft = OperatorFamily(64)
         for n in range(1, 25):
             for j in range(n):
-                assert dft.projection(j, n).distance(dft.dft_projection(j, n)) < 1e-9
+                exact, dft_float = dft.projections([j], n), dft.dft_projections([j], n)
+                assert np.abs(exact - dft_float).max() < 1e-9
 
 
 class TestPeriodRowBuilders:
@@ -118,20 +120,22 @@ def axioms_oracle(system, n_limit):
 
 class Flipped(IdempotentSystem):
     """A wrong provider: the entry at window position ``column`` of every
-    P_j(n) with j = residue (mod level) is flipped between 0 and 1.  Its
-    ``projection`` reads the same stacks, so the per-operator oracle sees
-    the same fault."""
+    P_j(n) with j = residue (mod level) is flipped between 0 and 1, and with
+    ``periodic`` also every level-th entry after it, so the fault repeats
+    with the level.  Its ``projection`` reads the same stacks, so the
+    per-operator oracle sees the same fault."""
 
-    def __init__(self, dim, offset, level, residue, column):
+    def __init__(self, dim, offset, level, residue, column, periodic=False):
         super().__init__(dim, offset)
-        self.fault = level, residue, column
+        self.fault = level, residue, column, periodic
 
     def projections(self, js, n):
         stack = super().projections(js, n).copy()
-        level, residue, column = self.fault
+        level, residue, column, periodic = self.fault
         if n == level and column < self.dim:
             rows = [i for i, j in enumerate(js) if j % n == residue]
-            stack[rows, column] = 1 - stack[rows, column]
+            columns = slice(column, None, level) if periodic else column
+            stack[rows, columns] = 1 - stack[rows, columns]
         return stack
 
     def projection(self, j, n):
@@ -223,6 +227,83 @@ class TestProductLaw:
                     for l in range(m):
                         _, verdict = product_law(system, k, n, l, m)
                         assert verdict["residual"] == 0, (k, n, l, m)
+
+
+def draw_fault(data, top, window, periodic):
+    """A level up to top and a column: inside the window for one entry, or
+    in the level's first period for a fault repeating with the level.
+    Both are drawn from the top down, where a too short window misses them."""
+    level = top - data.draw(st.integers(0, top - 1))
+    end = level if periodic else window
+    return level, end - 1 - data.draw(st.integers(0, end - 1))
+
+
+class TestReducedWindows:
+    """Every entry of P_j(n), C_j(n) and T_{r,j}(n) depends only on the
+    basis index mod n.  So ``check`` runs the axioms on levels up to
+    n_limit on min(dim, 60 n_limit), and a multiplicativity row on levels
+    1..K on min(dim, K): a window meeting every residue of each equation.
+    Both windows must place a fault alike: one flipped entry inside the
+    shorter window, or a fault repeating with its level from anywhere in
+    its first period."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 1), st.integers(1, 300),
+           st.lists(st.integers(-600, 600), min_size=1, max_size=4))
+    def test_projections_tile_their_first_period(self, dim, offset, n, js):
+        first = IdempotentSystem(min(n, dim), offset).projections(js, n)
+        tiled = np.tile(first, -(-dim // first.shape[1]))[:, :dim]
+        assert np.array_equal(IdempotentSystem(dim, offset).projections(js, n), tiled)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 1), st.integers(1, 12), st.booleans(), st.data())
+    def test_axioms_give_the_same_residual_and_place(self, dim, offset, n_limit, periodic,
+                                                     data):
+        window = min(dim, 60 * n_limit)
+        assert verify_axioms(IdempotentSystem(dim, offset), n_limit) == verify_axioms(
+            IdempotentSystem(window, offset), n_limit)
+        level, column = draw_fault(data, 6 * n_limit, window, periodic)
+        fault = level, data.draw(st.integers(0, level - 1)), column, periodic
+        assert verify_axioms(Flipped(dim, offset, *fault), n_limit) == verify_axioms(
+            Flipped(window, offset, *fault), n_limit)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 1), st.integers(6, 32),
+           st.sampled_from([0, 1, 5]), st.booleans(), st.data())
+    def test_projection_family_gives_the_same_residual_and_place(self, dim, offset, k, j,
+                                                                 periodic, data):
+        def residual(system):
+            return _multiplicativity(
+                AlgFunction([system.projection(j, n) for n in range(1, k + 1)]), 1e-9)
+
+        window = min(dim, k)
+        assert residual(IdempotentSystem(dim, offset)) == residual(
+            IdempotentSystem(window, offset)) == 0.0
+        level, column = draw_fault(data, k, window, periodic)
+        fault = level, j % level, column, periodic  # entries of P_j(level)
+        assert residual(Flipped(dim, offset, *fault)) == residual(Flipped(window, offset, *fault))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 1), st.integers(6, 30),
+           st.sampled_from([0, 1, 5]), st.booleans(), st.data())
+    def test_operator_families_give_the_same_residual_and_place(self, dim, offset, k, j,
+                                                                periodic, data):
+        window = min(dim, k)
+        level, column = draw_fault(data, k, window, periodic)
+        at = slice(column, None, level) if periodic else column
+
+        def residual(fam, build, faulty):
+            ops = [build(fam, n) for n in range(1, k + 1)]
+            if faulty:  # entries of the level's operator off by one
+                entries = np.array(ops[level - 1].entries)
+                entries[at] += 1
+                ops[level - 1] = DiagonalOperator(entries, offset)
+            return _multiplicativity(AlgFunction(ops), 1e-9)
+
+        for build in (lambda fam, n: fam.c_operator(j, n), lambda fam, n: fam.t_operator(n, j, n)):
+            full, reduced = OperatorFamily(dim, offset), OperatorFamily(window, offset)
+            assert residual(full, build, False) == residual(reduced, build, False) == 0.0
+            assert residual(full, build, True) == residual(reduced, build, True)
 
 
 class TestOnePeriodDecides:

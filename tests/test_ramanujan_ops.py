@@ -219,6 +219,25 @@ class TestTOperator:
         with pytest.raises(ValueError, match="level n must be positive"):
             getattr(OperatorFamily(8), method)(0, n)
 
+    @settings(max_examples=60, deadline=None)
+    @given(levels, st.lists(st.integers(-80, 80), min_size=1, max_size=5))
+    def test_dft_projections_are_the_per_case_sums(self, level, js):
+        # each row is (1/n) sum_{l < n} eps_n^{-lj} S(n)^l built alone, bit-equal
+        # on a window of a whole period, where both sum the same n x n phases
+        n, _, offset, dim = level
+        fam = OperatorFamily(dim, offset)
+        stack = fam.dft_projections(js, n)
+        assert stack.shape == (len(js), dim)
+        for j, row in zip(js, stack):
+            alone = np.array(fam.s_power_sum(j, n, range(n)).scale(1 / n).entries)
+            if dim >= n:
+                assert row.tobytes() == alone.tobytes()
+            assert np.abs(row - alone).max() <= 1e-15
+
+    def test_dft_projections_reject_level_zero(self):
+        with pytest.raises(ValueError, match="level n must be positive"):
+            OperatorFamily(8).dft_projections([0], 0)
+
     def test_s_power_sum_rejects_level_zero_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

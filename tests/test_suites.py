@@ -12,7 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from idemarith import analytic, idempotents, ramanujan_ops, suites
+from idemarith import analytic, arith, idempotents, ramanujan_ops, suites
 from idemarith.algebra import NonInvertibleError
 from idemarith.arith import crt_solve, divisors, factorize
 from idemarith.convolution import InverseCheckError
@@ -51,6 +51,16 @@ class TestRunSuite:
         windows = [row["params"].get("dim") for row in report_all["checks"]]
         assert windows == [60, 7, 60, 60, 60, 42, 18, None, 7, 60, None, None, 7,
                            [4, 6, 12, 24], None, None, None, 30] + [None] * 6
+        # those five cut it to min(dim, 60 n_limit) and min(dim, the family's levels)
+        reduced = [row["params"].get("window") for row in report_all["checks"]]
+        assert reduced == [60, None, 7, 7, 7] + [None] * 4 + [7] + [None] * 14
+
+    def test_largest_dim_runs_on_short_windows(self):
+        report = run_suite("all", n_max=60, dim=10**6)
+        assert report["pass"] is True
+        reduced = [row["params"]["window"] for row in report["checks"]
+                   if "window" in row["params"]]
+        assert reduced == [720, 32, 32, 32, 30]
 
     def test_nan_tolerance_fails_every_row_without_raising(self):
         report = run_suite("all", **SMALL, tol=float("nan"))
@@ -112,6 +122,23 @@ class TestRunSuite:
             assert row["error"] == "ZeroDivisionError: no sample"
         assert report["summary"]["total"] == 24
         assert report["errata"] == report_all["errata"]
+
+    def test_wrong_transform_at_modulus_six_fails_the_rf_row_alone(self, monkeypatch):
+        # the row samples every listed modulus, 6 among them, before its random draws
+        real = arith.rf_transform
+
+        def wrong(alpha):
+            coeffs = real(alpha)
+            if alpha.modulus == 6:
+                coeffs.unnormalized[1] += 1
+            return coeffs
+
+        monkeypatch.setattr(arith, "rf_transform", wrong)
+        report = run_suite("all", **SMALL)
+        (row,) = [row for row in report["checks"] if not row["pass"]]
+        assert row["identity"] == ("even-function Fourier coefficients: reconstruction and "
+                                   "factor-of-d between normalizations")
+        assert row["counterexample"] == {"sample": 4}  # moduli (1, 2, 3, 4, 6, ...)
 
     @pytest.mark.parametrize("name", SUITES)
     @pytest.mark.parametrize("param", ["n_max", "dim"])
@@ -256,8 +283,8 @@ class TestRunSuite:
         assert set(where) == {"j", "n"}
         window = row["params"]["dim"]  # the window the row reports it ran on
         family = ramanujan_ops.OperatorFamily(window)
-        residual = family.projection(where["j"], where["n"]).distance(
-            family.dft_projection(where["j"], where["n"]))
+        residual = float(np.abs(family.projections([where["j"]], where["n"])
+                                - family.dft_projections([where["j"]], where["n"])).max())
         assert residual == row["max_residual"] > 0
 
 
