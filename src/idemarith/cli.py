@@ -4,10 +4,9 @@ operator exports.
 Exit codes: 0 all checks pass, 1 identity failure, 2 usage error.  The
 truncation dimension is --dim, 2520 by default.  For ``check`` it is the
 truncation of the axioms and family-multiplicativity checks, which run on
-its first min(dim, 60 n_limit) or min(dim, K) entries, K the family's
-largest level, and report both; the other operator checks run on one
-period of their levels.  For ``export`` it is the length of the exported
-operator, theta and IU* taken from ``analytic``.
+its first min(dim, 6 n_limit) or min(dim, K) entries, K the family's
+largest level, and report both.  For ``export`` it is the length of the
+exported operator, theta and IU* taken from ``analytic``.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
 DEFAULT_DIM = 2520
-# `table` holds every row, and `export` every entry, before it writes one;
-# `check` keeps the same cap on dim, though its diagonals stay within 60 * 12
-# entries whatever the dim
+# `table` holds every row, and `export` every entry, before it writes one; `check`
+# keeps the same cap on dim, though its dim-bound windows stay within 6 * 12 entries
 MAX_TABLE_VALUES = 10**6
 
 
@@ -143,8 +141,8 @@ def cmd_check(suite, n_max, dim, tolerance, out):
     Exits 0 iff every check passes; documented errata are reported in a
     separate section and never fail the run.
     """
-    if not tolerance >= 0:  # also rejects nan
-        raise click.UsageError("tolerance must be a number >= 0")
+    if not 0 <= tolerance < math.inf:  # rejects nan and inf too
+        raise click.UsageError("tolerance must be a finite number >= 0")
     if not 1 <= dim <= MAX_TABLE_VALUES:
         raise click.UsageError(f"dim must be between 1 and {MAX_TABLE_VALUES}")
     if out:

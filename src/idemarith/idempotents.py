@@ -2,9 +2,8 @@
 diagonals, with axiom verification, the CRT product law, and the weighted
 convolution identities, Lehmer's lcm identity in operator form among them.
 
-The projections are exact 0/1 integer diagonals.  Their discrete-Fourier
-form P_j(n) = (1/n) sum_l eps_n^{-lj} S^l(n) is a float oracle,
-``OperatorFamily.dft_projections``.
+The projections are exact 0/1 integer diagonals; the axioms suite compares
+them with their float DFT form (1/n) sum_l eps_n^{-lj} S^l(n) on one period.
 
 Both checks run on the int64 stacks of ``projections``.  The axioms take
 one level at a time, no temporary larger than n rows.  The CRT product law
@@ -48,7 +47,6 @@ class IdempotentSystem:
             raise ValueError("offset must be 0 or 1")
         self.dim = dim
         self.offset = offset
-        self._indices = np.arange(offset, offset + dim)
 
     def unit(self) -> DiagonalOperator:
         return DiagonalOperator.periodic(np.ones_like, 1, 0, self.dim, self.offset)
@@ -67,7 +65,7 @@ class IdempotentSystem:
         if n < 1:
             raise ValueError("level n must be positive")
         residues = np.array([j % n for j in js], dtype=np.int64).reshape(-1, 1)
-        stack = (self._indices % n == residues).astype(np.int64)
+        stack = (np.arange(self.offset, self.offset + self.dim) % n == residues).astype(np.int64)
         stack.flags.writeable = False
         return stack
 

@@ -9,18 +9,15 @@ What a row shares between its cases (random samples, per-level tables)
 is built inside its residual on first use, so a failure there fails that
 row alone.  An erratum whose data raises carries the "error" instead.
 
-Every operator check on P_j(n), C_j(n) or T_{r,j}(n) runs on a window of
-one period: all entries depend only on the basis index mod the level, so
-a contiguous window as long as the period of every equation a check
-compares meets each residue of it, and decides the identity on the whole
-basis.  That is lcm(n, m) for a product law.  Axiom level n and its
-refinements n r, r <= 6, repeat every 60 n, so the axioms run on
-min(dim, 60 n_limit).  A multiplicativity row on levels 1..K compares
-f(nm) with f(n) f(m) for nm <= K and rebuilds each f(n) from its prime
-powers, every equation of period at most K, so it runs on min(dim, K).
-Those five rows take the requested dim as their truncation: they report
-it under "dim" and the window they ran on under "window"; every other
-operator row reports its window under "dim".
+The level identities of ``ramanujan_ops`` are decided on their tau(n)
+class tables, and the root-of-unity rows on one period.  Every other
+operator entry depends only on the basis index mod its level, so a window
+as long as the period of each equation a row compares decides it on the
+whole basis: lcm(n, m) for a product law, 6 n_limit for the axioms
+(levels n r, r <= 6), K for a multiplicativity row on levels 1..K (pairs
+nm <= K and prime-power rebuilds).  Those five rows report the requested
+dim under "dim" and min(dim, period) under "window"; the product-law and
+weighted rows report their window under "dim".
 
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
@@ -66,7 +63,9 @@ from .convolution import (
 )
 from .idempotents import (IdempotentSystem, product_law_residual, verify_axioms,
                           weighted_product_identities)
-from .ramanujan_ops import OperatorFamily
+from .ramanujan_ops import (OperatorFamily, _root_sums, c_operator_constructions, c_t_transforms,
+                            even_function_identity, root_of_unity_residual, t_decomposition,
+                            t_top_identities)
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -138,19 +137,17 @@ def _random_even(rng: random.Random, d: int) -> EvenFunction:
 
 def _suite_axioms(n_max, dim, tol):
     n_limit = min(n_max, 12)
-    axioms = IdempotentSystem(min(dim, 60 * n_limit))  # levels n r, r <= 6, repeat every 60 n
+    axioms = IdempotentSystem(min(dim, 6 * n_limit))  # each equation has period n r, r <= 6
     n_dft = min(n_max, 24)
-    dft = OperatorFamily(n_dft)
-    dft_residuals = functools.cache(lambda n: np.abs(
-        dft.projections(range(n), n) - dft.dft_projections(range(n), n)).max(axis=1))
     rows = [
         _check("idempotent system axioms I/II/III + completeness",
                {"dim": dim, "window": axioms.dim, "n_limit": n_limit}, [()],
                lambda: verify_axioms(axioms, n_limit), tol),
-        _check("congruence-exact vs dft-float provider",
-               {"dim": n_dft, "n_limit": n_dft},
-               [(j, n) for n in range(1, n_dft + 1) for j in range(n)],
-               lambda j, n: dft_residuals(n)[j], tol),
+        # P_0(n) against (1/n) sum_{l < n} S(n)^l on one period, which every P_j(n) shifts
+        _check("congruence-exact vs dft-float provider", {"n_limit": n_dft},
+               [(n,) for n in range(1, n_dft + 1)],
+               lambda n: np.abs(IdempotentSystem(n).projections([0], n)[0]
+                                - _root_sums(range(n), np.arange(n), n) / n).max(), tol),
     ]
     proj_mult_max = max(min(n_max, 32), 6)  # 6 = 2 * 3, the first coprime pair
     system = IdempotentSystem(min(dim, proj_mult_max))
@@ -177,31 +174,21 @@ def _suite_product_law(n_max, dim, tol):
     ], []
 
 
-def _scalar_ramanujan(n):
-    coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    sums = OperatorFamily(n).s_power_sum(0, n, coprime)
-    exact = DiagonalOperator([ramanujan_sum(n, j) for j in range(n)])
-    return max(sums.distance(exact),
-               abs(ramanujan_sum(n, 1) - mobius(n)), abs(ramanujan_sum(n, n) - totient(n)))
-
-
 def _suite_ramanujan(n_max, dim, tol):
     n_cap = min(n_max, 30)
     mult_cap = max(n_cap, 6)  # as for the projection families
     family = OperatorFamily(min(dim, mult_cap))
-    period = OperatorFamily(n_cap)
     builders = {"C": lambda j, n: family.c_operator(j, n),
                 "T": lambda j, n: family.t_operator(n, j, n)}
     return [
         _check("scalar Ramanujan sums vs root-of-unity oracle",
                {"n_max": min(n_max, 200)}, [(n,) for n in range(1, min(n_max, 200) + 1)],
-               _scalar_ramanujan, tol),
+               lambda n: max(root_of_unity_residual(n), abs(ramanujan_sum(n, 1) - mobius(n)),
+                             abs(ramanujan_sum(n, n) - totient(n))), tol),
         _check("operator Ramanujan identities (three constructions, partitions)",
-               {"n_max": n_cap, "j": [0, 1, 2], "dim": n_cap},
-               [(n, j) for n in range(1, n_cap + 1) for j in (0, 1, 2)],
-               lambda n, j: max(*period.c_operator_constructions(j, n).values(),
-                                period.t_top_identities(j, n), period.t_decomposition(j, n)),
-               tol),
+               {"n_max": n_cap}, [(n,) for n in range(1, n_cap + 1)],
+               lambda n: max(*c_operator_constructions(n).values(), t_top_identities(n),
+                             t_decomposition(n)), tol),
         _check("multiplicativity of operator families",
                {"n_max": mult_cap, "dim": dim, "window": family.dim, "j": [0, 1, 5]},
                [(j, kind) for j in (0, 1, 5) for kind in builders],
@@ -221,8 +208,6 @@ def _suite_transforms(n_max, dim, tol):
         return [_random_even(rng, d)
                 for d in moduli + rng.choices(moduli, k=samples - len(moduli))]
 
-    n_cap = min(n_max, 30)
-    period = OperatorFamily(n_cap)
     rows = [
         _check("even-function Fourier coefficients: reconstruction and "
                "factor-of-d between normalizations",
@@ -233,10 +218,8 @@ def _suite_transforms(n_max, dim, tol):
                [(n, l) for n in range(1, min(n_max, 100) + 1) for l in range(1, n + 1)],
                lambda n, l: abs(ramanujan_orthogonality(n, l) - (n if math.gcd(l, n) == 1 else 0)),
                tol),
-        _check("operator/idempotent transform pair",
-               {"n_max": n_cap, "j": [0, 1, 2], "dim": n_cap},
-               [(n, j) for n in range(1, n_cap + 1) for j in (0, 1, 2)],
-               lambda n, j: period.c_t_transforms(j, n), tol),
+        _check("operator/idempotent transform pair", {"n_max": min(n_max, 30)},
+               [(n,) for n in range(1, min(n_max, 30) + 1)], c_t_transforms, tol),
     ]
     errata = [{
         "id": "rf-normalization",
@@ -256,13 +239,10 @@ def _suite_even_identity(n_max, dim, tol):
         rng = random.Random(SEED)
         return {(n, sample): _random_even(rng, n) for n, sample in samples}
 
-    periods = {n: OperatorFamily(n) for n in moduli}
     return [
         _check("even-function expansion over Ramanujan operators",
-               {"moduli": moduli, "samples": len(samples), "j": [0, 1, 2], "dim": moduli},
-               [(n, sample, j) for n, sample in samples for j in (0, 1, 2)],
-               lambda n, sample, j: periods[n].even_function_identity(alphas()[n, sample], j, n),
-               tol),
+               {"moduli": moduli, "samples": len(samples)}, samples,
+               lambda n, sample: even_function_identity(alphas()[n, sample]), tol),
     ], []
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from idemarith import ramanujan_ops
 from idemarith.algebra import Scalar
 from idemarith.analytic import det_c0, trace_erratum_forms, trace_identities
 from idemarith.arith import (
@@ -110,21 +111,15 @@ def test_criterion_3_multiplicative_families():
 def test_criterion_4_operator_identity_suite():
     worst_float = 0.0
     worst_exact = 0
-    for n in range(1, 31):
-        family = OperatorFamily(n)  # one period of every level used
-        for j in (0, 1, 2):
-            res = family.c_operator_constructions(j, n)
-            worst_float = max(worst_float, res["root_of_unity"])
-            worst_exact = max(worst_exact, res["moebius_sum"], res["prime_product"])
-            worst_exact = max(
-                worst_exact,
-                family.t_top_identities(j, n),
-                family.t_decomposition(j, n),
-                family.c_t_transforms(j, n),
-            )
+    for n in range(1, 31):  # each level on its tau(n) gcd-class tables, every j at once
+        res = ramanujan_ops.c_operator_constructions(n)
+        worst_float = max(worst_float, res["root_of_unity"])
+        worst_exact = max(worst_exact, res["moebius_sum"], res["prime_product"],
+                          ramanujan_ops.t_top_identities(n), ramanujan_ops.t_decomposition(n),
+                          ramanujan_ops.c_t_transforms(n))
     _report(
         4,
-        f"operator constructions/partitions/transforms, n <= 30, j in {{0, 1, 2}} "
+        f"operator constructions/partitions/transforms, n <= 30, every j "
         f"(float residual {worst_float:.2e}, exact residual {worst_exact})",
         worst_float <= 1e-9 and worst_exact == 0,
     )
@@ -137,11 +132,10 @@ def test_criterion_5_even_function_identity():
     for i in range(20):
         n = moduli[i % len(moduli)]
         alpha = EvenFunction(n, {r: int(rng.integers(-9, 10)) for r in divisors(n)})
-        family = OperatorFamily(2 * n)
-        worst = max(worst, family.even_function_identity(alpha, j=int(rng.integers(0, n)), n=n))
+        worst = max(worst, ramanujan_ops.even_function_identity(alpha))
     _report(
         5,
-        f"even-function expansion identity, 20 random samples, dim 2n "
+        f"even-function expansion identity, 20 random samples, every j "
         f"(max residual {worst:.2e})",
         worst <= 1e-9,
     )

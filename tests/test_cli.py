@@ -177,7 +177,7 @@ class TestCheck:
         assert report["pass"] is False
         (failed,) = [c for c in report["checks"] if not c["pass"]]
         assert failed["identity"] == "congruence-exact vs dft-float provider"
-        assert set(failed["counterexample"]) == {"j", "n"}
+        assert set(failed["counterexample"]) == {"n"}
 
     def test_convolution_suite(self, runner):
         result = runner.invoke(
@@ -225,6 +225,13 @@ class TestCheck:
         result = runner.invoke(main, ["check", "all", "--tolerance", "nan"])
         assert result.exit_code == 2
         assert "tolerance" in result.output
+
+    @pytest.mark.parametrize("tolerance", ["inf", "-inf"])
+    def test_infinite_tolerance_is_usage_error(self, runner, tolerance):
+        # an infinite tolerance would pass every row, a broken one too
+        result = runner.invoke(main, ["check", "axioms", "--tolerance", tolerance])
+        assert result.exit_code == 2
+        assert "tolerance must be a finite number >= 0" in result.output
 
     @pytest.mark.parametrize("dim,accepted", [(0, False), (1, True), (10**6, True),
                                               (10**6 + 1, False)])

@@ -14,13 +14,15 @@ from idemarith.algebra import is_idempotent
 from idemarith.arith import (EvenFunction, divisors, factorize, mobius, ramanujan_sum,
                              rf_transform, tau)
 from idemarith.convolution import AlgFunction, is_multiplicative
-from idemarith.ramanujan_ops import OperatorFamily
+from idemarith.ramanujan_ops import (OperatorFamily, c_operator_constructions, c_t_transforms,
+                                     even_function_identity, t_decomposition, t_top_identities)
 from oracle_forms import element_from_json, element_to_json
 
 
 # The divisor-family identities one operator at a time, from c_operator,
-# t_operator and projection diagonals: the oracles of the stacked forms.
-# They read c_n through the module, so a patched one reaches both forms.
+# t_operator and projection diagonals on a window at one j: the oracles of
+# the class-table forms.  They read c_n through the module, so a patched one
+# reaches both forms.
 
 def constructions_oracle(fam, j, n):
     exact = fam.c_operator(j, n)
@@ -84,10 +86,10 @@ def even_identity_oracle(fam, alpha, j, n):
     return lhs.distance(rhs)
 
 
-# a level, an index j in [-n, 2n], a basis offset and a window shorter or
-# longer than the level
+# a level, an index j in [-n, 2n], a basis offset and a window of at least
+# one period, which meets every gcd class of the level
 levels = st.integers(1, 40).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(-n, 2 * n), st.integers(0, 1), st.integers(1, 90)))
+    st.just(n), st.integers(-n, 2 * n), st.integers(0, 1), st.integers(n, n + 90)))
 
 
 class TestSOperator:
@@ -148,11 +150,11 @@ class TestCOperator:
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 9, 12, 18, 30])
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_three_constructions_agree(self, n, j):
-        fam = OperatorFamily(n)
-        residuals = fam.c_operator_constructions(j, n)
+        residuals = c_operator_constructions(n)
         assert residuals["root_of_unity"] < 1e-9
         assert residuals["moebius_sum"] == 0
         assert residuals["prime_product"] == 0
+        assert residuals == constructions_oracle(OperatorFamily(n), j, n)  # one period at j
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 30, 60])
     @pytest.mark.parametrize("offset", [0, 1])
@@ -183,7 +185,7 @@ class TestTOperator:
     def test_top_selects_coprime_indices(self):
         fam = OperatorFamily(12)
         top = fam.t_operator(6, 0, 6)
-        for m, v in zip(fam._indices, top.entries):
+        for m, v in zip(range(12), top.entries):
             assert v == (1 if math.gcd(m, 6) == 1 else 0)
 
     def test_r_one_is_projection_zero(self):
@@ -199,7 +201,7 @@ class TestTOperator:
     def test_middle_divisor_selection(self):
         fam = OperatorFamily(8)
         t = fam.t_operator(2, 0, 4)
-        selected = [m for m, v in zip(fam._indices, t.entries) if v]
+        selected = [m for m, v in zip(range(8), t.entries) if v]
         assert selected == [2, 6]
 
     def test_requires_divisor(self):
@@ -217,26 +219,7 @@ class TestTOperator:
     @pytest.mark.parametrize("n", [0, -6])
     def test_identities_reject_non_positive_level(self, method, n):
         with pytest.raises(ValueError, match="level n must be positive"):
-            getattr(OperatorFamily(8), method)(0, n)
-
-    @settings(max_examples=60, deadline=None)
-    @given(levels, st.lists(st.integers(-80, 80), min_size=1, max_size=5))
-    def test_dft_projections_are_the_per_case_sums(self, level, js):
-        # each row is (1/n) sum_{l < n} eps_n^{-lj} S(n)^l built alone, bit-equal
-        # on a window of a whole period, where both sum the same n x n phases
-        n, _, offset, dim = level
-        fam = OperatorFamily(dim, offset)
-        stack = fam.dft_projections(js, n)
-        assert stack.shape == (len(js), dim)
-        for j, row in zip(js, stack):
-            alone = np.array(fam.s_power_sum(j, n, range(n)).scale(1 / n).entries)
-            if dim >= n:
-                assert row.tobytes() == alone.tobytes()
-            assert np.abs(row - alone).max() <= 1e-15
-
-    def test_dft_projections_reject_level_zero(self):
-        with pytest.raises(ValueError, match="level n must be positive"):
-            OperatorFamily(8).dft_projections([0], 0)
+            getattr(ramanujan_ops, method)(n)
 
     def test_s_power_sum_rejects_level_zero_without_a_warning(self):
         with warnings.catch_warnings():
@@ -263,15 +246,14 @@ class TestTOperator:
 class TestTopIdentities:
     @pytest.mark.parametrize("n,j", [(1, 0), (6, 0), (7, 1), (12, 2), (30, 1)])
     def test_moebius_and_prime_product(self, n, j):
-        fam = OperatorFamily(n)
-        assert fam.t_top_identities(j, n) == 0
+        assert t_top_identities(n) == t_top_oracle(OperatorFamily(n), j, n) == 0
 
 
 class TestDecomposition:
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 24, 30])
     def test_partition_of_identity(self, n):
-        fam = OperatorFamily(2 * n)
-        assert fam.t_decomposition(0, n) == 0  # includes the tau(n) member count
+        # includes the tau(n) member count
+        assert t_decomposition(n) == t_decomposition_oracle(OperatorFamily(2 * n), 0, n) == 0
 
     def test_members_are_idempotent(self):
         fam = OperatorFamily(24)
@@ -282,24 +264,26 @@ class TestDecomposition:
 class TestTransforms:
     @pytest.mark.parametrize("n,j", [(1, 0), (4, 2), (6, 0), (18, 1), (30, 2)])
     def test_both_directions(self, n, j):
-        fam = OperatorFamily(3 * n)
-        assert fam.c_t_transforms(j, n) == 0
+        assert c_t_transforms(n) == c_t_transforms_oracle(OperatorFamily(3 * n), j, n) == 0
 
 
 class TestDivisorStacks:
-    """The stacked identities against the per-operator oracles above."""
+    """The class-table identities against the per-operator oracles above."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(levels)
-    def test_stack_rows_are_the_operators(self, level):
-        n, j, offset, dim = level
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 1), st.integers(1, 60), st.data())
+    def test_stack_rows_are_the_operators(self, dim, offset, n, data):
+        # the premise of the class tables: for r | n, P_j(r), C_j(r) and T_{r,j}(n)
+        # on any window are their table rows read at the class gcd(m - j, n)
+        j = data.draw(st.integers(-n, 2 * n))
         fam = OperatorFamily(dim, offset)
-        divs, *stacks = fam._stacks(j, n)
+        divs, t, p, c = ramanujan_ops._divisor_tables(n)
         assert divs == divisors(n)
-        for r, t, p, c in zip(divs, *stacks):
-            assert tuple(t.tolist()) == fam.t_operator(r, j, n).entries
-            assert tuple(p.tolist()) == fam.projection(j, r).entries
-            assert tuple(c.tolist()) == fam.c_operator(j, r).entries
+        at = np.searchsorted(divs, np.gcd((np.arange(offset, offset + dim) - j) % n, n))
+        for r, t_row, p_row, c_row in zip(divs, t, p, c):
+            assert fam.t_operator(r, j, n).entries == tuple(t_row[at].tolist())
+            assert fam.projection(j, r).entries == tuple(p_row[at].tolist())
+            assert fam.c_operator(j, r).entries == tuple(c_row[at].tolist())
 
     @settings(max_examples=40, deadline=None)
     @given(levels)
@@ -307,10 +291,10 @@ class TestDivisorStacks:
         n, j, offset, dim = level
         fam = OperatorFamily(dim, offset)
         # the float construction is bit-equal, the exact ones are 0
-        assert fam.c_operator_constructions(j, n) == constructions_oracle(fam, j, n)
-        assert fam.t_top_identities(j, n) == t_top_oracle(fam, j, n) == 0
-        assert fam.t_decomposition(j, n) == t_decomposition_oracle(fam, j, n) == 0
-        assert fam.c_t_transforms(j, n) == c_t_transforms_oracle(fam, j, n) == 0
+        assert c_operator_constructions(n) == constructions_oracle(fam, j, n)
+        assert t_top_identities(n) == t_top_oracle(fam, j, n) == 0
+        assert t_decomposition(n) == t_decomposition_oracle(fam, j, n) == 0
+        assert c_t_transforms(n) == c_t_transforms_oracle(fam, j, n) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([1, 2, 4, 6, 12, 18, 24, 30, 36]), st.integers(0, 1),
@@ -319,8 +303,7 @@ class TestDivisorStacks:
         alpha = EvenFunction(n, {r: data.draw(st.integers(-9, 9)) for r in divisors(n)})
         j = data.draw(st.integers(-n, 2 * n))
         fam = OperatorFamily(dim, offset)
-        assert fam.even_function_identity(alpha, j, n) == even_identity_oracle(
-            fam, alpha, j, n) == 0
+        assert even_function_identity(alpha) == even_identity_oracle(fam, alpha, j, n) == 0
 
     def test_weighted_sum_stays_exact_past_int64(self):
         # int64 would wrap 2^62 + 2^62 to -2^63
@@ -343,42 +326,37 @@ class TestDivisorStacks:
         ramanujan_ops._divisor_tables.cache_clear()  # tables built from the wrong c
         try:
             with mock.patch.object(ramanujan_ops, "ramanujan_sum", wrong):
-                assert fam.c_t_transforms(j, n) == c_t_transforms_oracle(fam, j, n)
-                assert fam.c_operator_constructions(j, n) == constructions_oracle(fam, j, n)
+                assert c_t_transforms(n) == c_t_transforms_oracle(fam, j, n)
+                assert c_operator_constructions(n) == constructions_oracle(fam, j, n)
         finally:
             ramanujan_ops._divisor_tables.cache_clear()
 
 
 class TestOnePeriodDecides:
-    """Every T_{r,j}(n) and C_j(r) with r | n has period n, so window n
-    gives the same residuals as a window of three periods."""
+    """Every T_{r,j}(n) and C_j(r) with r | n has period n, so the window
+    oracles on one period and on three give the class-table residuals."""
 
+    @settings(deadline=None)
     @given(st.integers(1, 40), st.integers(-50, 50), st.integers(0, 1))
     def test_partitions_and_transforms(self, n, j, offset):
         one, three = OperatorFamily(n, offset), OperatorFamily(3 * n, offset)
-        assert one.t_decomposition(j, n) == three.t_decomposition(j, n)
-        assert one.c_t_transforms(j, n) == three.c_t_transforms(j, n)
+        assert t_decomposition_oracle(one, j, n) == t_decomposition_oracle(
+            three, j, n) == t_decomposition(n)
+        assert c_t_transforms_oracle(one, j, n) == c_t_transforms_oracle(
+            three, j, n) == c_t_transforms(n)
 
 
 class TestEvenFunctionIdentity:
     def test_gcd_mod_4(self):
-        fam = OperatorFamily(16)
         alpha = EvenFunction(4, {r: math.gcd(r, 4) for r in divisors(4)})
-        assert fam.even_function_identity(alpha, 0, 4) == 0
+        assert even_function_identity(alpha) == 0
 
     def test_constant_one_mod_6(self):
-        fam = OperatorFamily(12)
         alpha = EvenFunction(6, {r: 1 for r in divisors(6)})
         for j in (0, 1, 2):
-            assert fam.even_function_identity(alpha, j, 6) == 0
+            assert even_function_identity(alpha) == even_identity_oracle(
+                OperatorFamily(12), alpha, j, 6) == 0
 
     def test_trivial_modulus(self):
-        fam = OperatorFamily(6)
         alpha = EvenFunction(1, {1: 3})
-        assert fam.even_function_identity(alpha, 0, 1) == 0
-
-    def test_modulus_mismatch_rejected(self):
-        fam = OperatorFamily(12)
-        alpha = EvenFunction(4, {r: r for r in divisors(4)})
-        with pytest.raises(ValueError):
-            fam.even_function_identity(alpha, 0, 6)
+        assert even_function_identity(alpha) == 0

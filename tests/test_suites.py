@@ -46,21 +46,22 @@ class TestRunSuite:
             assert set(row) == {"identity", "params", "max_residual", "pass"}
 
     def test_rows_report_their_windows(self, report_all):
-        # dim 60 sets the axioms, projection- and operator-family rows;
-        # every other operator row runs on the largest period of its levels
+        # dim 60 sets the axioms, projection- and operator-family rows; the
+        # product-law and weighted rows run on the largest period of their
+        # levels, and the level identities on class tables, with no window
         windows = [row["params"].get("dim") for row in report_all["checks"]]
-        assert windows == [60, 7, 60, 60, 60, 42, 18, None, 7, 60, None, None, 7,
-                           [4, 6, 12, 24], None, None, None, 30] + [None] * 6
-        # those five cut it to min(dim, 60 n_limit) and min(dim, the family's levels)
+        assert windows == [60, None, 60, 60, 60, 42, 18, None, None, 60] + [None] * 7 + [
+            30] + [None] * 6
+        # those five cut it to min(dim, 6 n_limit) and min(dim, the family's levels)
         reduced = [row["params"].get("window") for row in report_all["checks"]]
-        assert reduced == [60, None, 7, 7, 7] + [None] * 4 + [7] + [None] * 14
+        assert reduced == [42, None, 7, 7, 7] + [None] * 4 + [7] + [None] * 14
 
     def test_largest_dim_runs_on_short_windows(self):
         report = run_suite("all", n_max=60, dim=10**6)
         assert report["pass"] is True
         reduced = [row["params"]["window"] for row in report["checks"]
                    if "window" in row["params"]]
-        assert reduced == [720, 32, 32, 32, 30]
+        assert reduced == [72, 32, 32, 32, 30]
 
     def test_nan_tolerance_fails_every_row_without_raising(self):
         report = run_suite("all", **SMALL, tol=float("nan"))
@@ -181,12 +182,11 @@ class TestRunSuite:
             return [(2, 1), (3, 1)] if n == 12 else factorize(n)
 
         monkeypatch.setattr(ramanujan_ops, "factorize", wrong)
-        assert ramanujan_ops.OperatorFamily(12).c_operator_constructions(
-            0, 12)["prime_product"] > 0
+        assert ramanujan_ops.c_operator_constructions(12)["prime_product"] > 0
         row = run_suite("ramanujan", n_max=12, dim=60)["checks"][1]
         assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
         assert row["pass"] is False and row["max_residual"] == 8.0
-        assert row["counterexample"] == {"n": 12, "j": 0}
+        assert row["counterexample"] == {"n": 12}
 
     def test_flipped_projection_entry_fails_the_axioms_row(self, monkeypatch):
         real = IdempotentSystem.projections
@@ -208,8 +208,8 @@ class TestRunSuite:
         real = ramanujan_ops._divisor_tables.__wrapped__
 
         def wrong(n):  # row r of T selects gcd class r instead of n/r
-            divs = np.array(divisors(n))
-            return ((divs == divs[:, None]).astype(np.int64), *real(n)[1:])
+            divs, _, p, c = real(n)
+            return divs, (np.array(divs) == np.array(divs)[:, None]).astype(np.int64), p, c
 
         monkeypatch.setattr(ramanujan_ops, "_divisor_tables", wrong)
         row = run_suite("ramanujan", n_max=12, dim=60)["checks"][1]
@@ -279,13 +279,12 @@ class TestRunSuite:
         report = run_suite("axioms", n_max=6, dim=24, tol=0)
         (row,) = [row for row in report["checks"] if not row["pass"]]
         assert row["identity"] == "congruence-exact vs dft-float provider"
-        where = row["counterexample"]
-        assert set(where) == {"j", "n"}
-        window = row["params"]["dim"]  # the window the row reports it ran on
-        family = ramanujan_ops.OperatorFamily(window)
-        residual = float(np.abs(family.projections([where["j"]], where["n"])
-                                - family.dft_projections([where["j"]], where["n"])).max())
-        assert residual == row["max_residual"] > 0
+        # the worst of the row's cases, P_0(n) against its DFT form on one period
+        residuals = {n: float(np.abs((np.arange(n) == 0) - ramanujan_ops._root_sums(
+            range(n), np.arange(n), n) / n).max()) for n in range(1, 7)}
+        worst = max(residuals, key=residuals.get)
+        assert row["counterexample"] == {"n": worst}
+        assert residuals[worst] == row["max_residual"] > 0
 
 
 class TestCheck:
