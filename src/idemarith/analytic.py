@@ -82,7 +82,7 @@ def det_table(n: int, n_dims: Sequence[int]) -> list[tuple[int, int]]:
     product for erratum reporting.
     """
     if n < 2 or min(n_dims, default=0) < 1:
-        raise ValueError("det_c0 requires n >= 2 and N >= 1")
+        raise ValueError("det_table requires n >= 2 and N >= 1")
     mu = _divisor_mobius(n)
     row = _c_period(n, max(n_dims), mu).tolist()  # Python ints: the products leave int64
     prefix, start = {0: 1}, 0
@@ -118,7 +118,7 @@ def trace_table(n: int, n_dims: Sequence[int]) -> np.ndarray:
     """
     dims = np.array(n_dims, dtype=np.int64)
     if n < 1 or dims.size == 0 or dims.min() < 1:
-        raise ValueError("trace_identities requires n >= 1 and N >= 1")
+        raise ValueError("trace_table requires n >= 1 and N >= 1")
     mu = _divisor_mobius(n)
     c_row = _c_period(n, int(dims.max()), mu)
     sums = np.zeros((2, c_row.size + 1), dtype=np.int64)

@@ -9,7 +9,7 @@ prime-power values, in numpy passes rather than one ``factorize`` per n.
 
 Everything here is computed in exact integer or rational arithmetic and
 compared with no tolerance: the identity suites judge ``rf_residual``.
-Complex floats only appear in callers that use root-of-unity oracles.
+Complex floats appear only in the exported S(n).
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Command-line front end: scalar function tables, identity suites, and
 operator exports.
 
-Exit codes: 0 all checks pass, 1 identity failure, 2 usage error.  The
-truncation dimension is --dim, 2520 by default.  For ``check`` it is the
-truncation of the axioms and family-multiplicativity checks, which run on
-its first min(dim, 6 n_limit) or min(dim, K) entries, K the family's
-largest level, and report both.  For ``export`` it is the length of the
-exported operator, theta and IU* taken from ``analytic``.
+Exit codes: 0 all checks pass (at residual exactly 0), 1 identity failure,
+2 usage error.  The truncation dimension is --dim, 2520 by default.  For
+``check`` it is the truncation of the axioms and family-multiplicativity
+checks, which run on its first min(dim, 6 n_limit) or min(dim, K)
+entries, K the family's largest level, and report both.  For ``export``
+it is the length of the exported operator, theta and IU* from ``analytic``.
 """
 
 from __future__ import annotations
@@ -133,21 +133,18 @@ def cmd_table(function, range_, format_, out):
 @click.option("--dim", type=int, default=DEFAULT_DIM, show_default=True,
               help="Truncation dimension of the axioms and family-multiplicativity "
                    "checks; each runs on the shortest window that decides it.")
-@click.option("--tolerance", type=float, default=1e-9, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Report path (default stdout).")
-def cmd_check(suite, n_max, dim, tolerance, out):
+def cmd_check(suite, n_max, dim, out):
     """Run an identity suite and emit its JSON report.
 
-    Exits 0 iff every check passes; documented errata are reported in a
-    separate section and never fail the run.
+    Exits 0 iff every check has residual exactly 0; documented errata are
+    reported in a separate section and never fail the run.
     """
-    if not 0 <= tolerance < math.inf:  # rejects nan and inf too
-        raise click.UsageError("tolerance must be a finite number >= 0")
     if not 1 <= dim <= MAX_TABLE_VALUES:
         raise click.UsageError(f"dim must be between 1 and {MAX_TABLE_VALUES}")
     if out:
         _emit("", out)  # an unwritable --out fails here, before any row runs
-    report = run_suite(suite, n_max=n_max, dim=dim, tol=tolerance)
+    report = run_suite(suite, n_max=n_max, dim=dim)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     sys.exit(0 if report["pass"] else 1)
 

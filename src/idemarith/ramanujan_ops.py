@@ -6,9 +6,10 @@ on the class g = gcd(m - j, n): it is [g = n/r], [r | g] and c_r(g).
 ``_divisor_tables(n)`` holds each family as a tau(n) x tau(n) table, and a
 window only reads them at its entries' classes, the same map for every
 identity and every j; so each identity of level n is decided on the
-tables, in exact integers.  ``root_of_unity_residual`` is the float
-oracle of c_n over one period.  ``OperatorFamily(dim, offset)``, an
-``IdempotentSystem``, builds S(n), C_j(n) and T_{r,j}(n) on its window.
+tables, in exact integers; sums of powers of eps_n in F_q, through the
+ring map eps_n -> omega of order n (``root_sum_residual``).
+``OperatorFamily(dim, offset)`` builds S(n) (in floats), C_j(n) and
+T_{r,j}(n) on an ``IdempotentSystem`` window.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .arith import (
 from .idempotents import IdempotentSystem
 
 __all__ = ["OperatorFamily", "c_operator_constructions", "c_t_transforms",
-           "even_function_identity", "root_of_unity_residual", "t_decomposition",
-           "t_top_identities"]
+           "even_function_identity", "root_of_unity_residual", "root_sum_residual",
+           "t_decomposition", "t_top_identities"]
 
 
 @lru_cache(maxsize=64)
@@ -60,34 +61,50 @@ def _weighted(weights: list, stack: np.ndarray) -> np.ndarray:
     return (w if fits else np.array(weights, dtype=object)) @ stack
 
 
-def _root_sums(ks, r: np.ndarray, n: int) -> np.ndarray:
-    """sum over k in ks of exp(2 pi i (k r mod n) / n) at each residue in r.
-    The phase is a real float64 before it meets 1j, as in
-    ``cmath.exp(2j * math.pi * x / n)``; dividing the complex 2j * pi * x
-    by n in numpy rounds differently.
-    """
-    ks = np.array(ks, dtype=np.int64).reshape(-1, 1) % n
-    return np.exp(1j * (2 * np.pi * (ks * r % n) / n)).sum(axis=0)
+@lru_cache(maxsize=64)
+def _roots_mod(n: int) -> tuple[int, np.ndarray]:
+    """(q, w): q the least prime above 2n with q = 1 (mod n), and the read-only
+    int64 w[e] = omega^e mod q, e < n, omega of order exactly n in F_q."""
+    if n < 1:
+        raise ValueError("level n must be positive")
+    q = 2 * n + 1
+    while factorize(q) != ((q, 1),):
+        q += n
+    omega = next(w for w in (pow(g, (q - 1) // n, q) for g in range(2, q))
+                 if all(pow(w, n // p, q) != 1 for p, _ in factorize(n)))
+    powers = np.array([pow(omega, e, q) for e in range(n)], dtype=np.int64)
+    powers.flags.writeable = False
+    return q, powers
+
+
+def root_sum_residual(ks, x: np.ndarray, n: int, value) -> int:
+    """max over x of |sum over k in ks of omega^{kx} - value| as a symmetric
+    residue mod q, (q, omega) from ``_roots_mod(n)``.  Over an orbit of units
+    mod n, or all k < n, the sum of eps_n^{kx} is an integer of size <= n < q/2,
+    so against an integer value of size <= n the residual is 0 iff they agree."""
+    q, powers = _roots_mod(n)
+    diff = (powers[np.array(ks, dtype=np.int64)[:, None] * x % n].sum(axis=0) - value) % q
+    return int(np.minimum(diff, q - diff).max())
 
 
 def _distance(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def root_of_unity_residual(n: int) -> float:
-    """max over x < n of |sum over gcd(k, n) = 1 of eps_n^{kx} - c_n(x)|, c_n(x) read
-    off the c table at gcd(x, n): the float oracle of c_n, and of C_j(n) for any j."""
+def root_of_unity_residual(n: int) -> int:
+    """root_sum_residual of sum over gcd(k, n) = 1 of eps_n^{kx} against the c table
+    at gcd(x, n), over x < n: the exact oracle of c_n, and of C_j(n) for any j."""
     divs, _, _, c = _divisor_tables(n)
     x = np.arange(n)
     coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    return _distance(c[-1][np.searchsorted(divs, np.gcd(x, n))], _root_sums(coprime, x, n))
+    return root_sum_residual(coprime, x, n, c[-1][np.searchsorted(divs, np.gcd(x, n))])
 
 
 def c_operator_constructions(n: int) -> dict:
     """Residuals of the three independent constructions of C_j(n), any j,
     against the exact c table, keyed by construction:
 
-    root_of_unity  sum over gcd(k, n) = 1 of eps_n^{-jk} S^k(n) (float)
+    root_of_unity  sum over gcd(k, n) = 1 of eps_n^{-jk} S^k(n), in F_q
     moebius_sum    (mu * nu1 P_j)(n), exact
     prime_product  n/rad(n) * prod over p^a || n of (p P_j(p^a) - P_j(p^{a-1})),
                    the integer form of n * prod (P_j(p^a) - (1/p) P_j(p^{a-1}))
@@ -149,20 +166,11 @@ class OperatorFamily(IdempotentSystem):
     """S(n), C_j(n) and T_{r,j}(n) on an idempotent system's window, with its P_j(n)."""
 
     def s_operator(self, n: int) -> DiagonalOperator:
-        """Root-of-unity diagonal S(n) e_m = eps_n^m e_m; S(n)^n = e."""
-        return self.s_power_sum(0, n, [1])
-
-    def s_power_sum(self, j: int, n: int, ks) -> DiagonalOperator:
-        """sum over k in ks of eps_n^{-jk} S(n)^k, built from one period.
-
-        The entry at e_m sums exp(2 pi i r / n) over the residues
-        r = k (m - j) mod n, so entries at indices congruent mod n are the
-        same float.
-        """
-        if n < 1:
-            raise ValueError("level n must be positive")
-        return DiagonalOperator.periodic(lambda r: _root_sums(ks, r, n),
-                                         n, j, self.dim, self.offset)
+        """Root-of-unity diagonal S(n) e_m = eps_n^m e_m; S(n)^n = e.  The phase
+        is a real float64 before it meets 1j, as in ``cmath.exp(2j * math.pi * x / n)``;
+        dividing the complex 2j * pi * x by n in numpy rounds differently."""
+        return DiagonalOperator.periodic(lambda r: np.exp(1j * (2 * np.pi * r / n)),
+                                         n, 0, self.dim, self.offset)
 
     def c_operator(self, j: int, n: int) -> DiagonalOperator:
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""

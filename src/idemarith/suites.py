@@ -2,9 +2,10 @@
 independent oracles and returns its report rows and errata.
 
 ``_check`` alone decides whether a row passes: at least one case was
-evaluated, no case raised, and the worst residual is a number <= tol.  A
-failed row names its worst case ("counterexample"), or carries an "error"
-("<type>: <message>" of what a case raised) and a null "max_residual".
+evaluated, no case raised, and the worst residual is exactly 0: every
+row is exact, its root-of-unity sums taken in F_q.  A failed row names
+its worst case ("counterexample"), or carries an "error" ("<type>:
+<message>" of what a case raised) and a null "max_residual".
 What a row shares between its cases (random samples, per-level tables)
 is built inside its residual on first use, so a failure there fails that
 row alone.  An erratum whose data raises carries the "error" instead.
@@ -63,9 +64,9 @@ from .convolution import (
 )
 from .idempotents import (IdempotentSystem, product_law_residual, verify_axioms,
                           weighted_product_identities)
-from .ramanujan_ops import (OperatorFamily, _root_sums, c_operator_constructions, c_t_transforms,
-                            even_function_identity, root_of_unity_residual, t_decomposition,
-                            t_top_identities)
+from .ramanujan_ops import (OperatorFamily, c_operator_constructions, c_t_transforms,
+                            even_function_identity, root_of_unity_residual, root_sum_residual,
+                            t_decomposition, t_top_identities)
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -76,8 +77,9 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _check(identity: str, params: dict, cases, residual, tol: float) -> dict:
-    """One report row: the worst of residual(*case) over cases, against tol.
+def _check(identity: str, params: dict, cases, residual) -> dict:
+    """One report row: the worst of residual(*case) over cases, which passes
+    iff it is exactly 0; a NaN is kept as the worst, and fails.
 
     residual returns a number, or (number, location) when it can place its
     worst value more finely than the case; the location then joins the
@@ -95,8 +97,7 @@ def _check(identity: str, params: dict, cases, residual, tol: float) -> dict:
     except Exception as exc:  # the row fails; the report and its other rows go on
         return {"identity": identity, "params": params, "max_residual": None,
                 "pass": False, "error": _error(exc)}
-    row = {"identity": identity, "params": params, "max_residual": worst,
-           "pass": worst is not None and worst <= tol}
+    row = {"identity": identity, "params": params, "max_residual": worst, "pass": worst == 0}
     if worst is None:
         row["error"] = "no case evaluated"
     elif not row["pass"]:
@@ -116,11 +117,10 @@ def _erratum(note: dict, data) -> dict:
         return {**note, "error": _error(exc)}
 
 
-def _multiplicativity(f: AlgFunction, tol: float):
+def _multiplicativity(f: AlgFunction):
     """is_multiplicative as a residual: the distance of f(nm) from f(n) f(m)
-    at its counterexample (n, m), or 0 when it finds none.
-    """
-    ok, where = is_multiplicative(f, tol)
+    at its counterexample (n, m), or 0 when it finds none."""
+    ok, where = is_multiplicative(f, 0)
     if ok:
         return 0.0
     n, m = where
@@ -135,19 +135,19 @@ def _random_even(rng: random.Random, d: int) -> EvenFunction:
     return EvenFunction(d, {r: rng.randint(-9, 9) for r in divisors(d)})
 
 
-def _suite_axioms(n_max, dim, tol):
+def _suite_axioms(n_max, dim):
     n_limit = min(n_max, 12)
     axioms = IdempotentSystem(min(dim, 6 * n_limit))  # each equation has period n r, r <= 6
     n_dft = min(n_max, 24)
     rows = [
         _check("idempotent system axioms I/II/III + completeness",
                {"dim": dim, "window": axioms.dim, "n_limit": n_limit}, [()],
-               lambda: verify_axioms(axioms, n_limit), tol),
-        # P_0(n) against (1/n) sum_{l < n} S(n)^l on one period, which every P_j(n) shifts
-        _check("congruence-exact vs dft-float provider", {"n_limit": n_dft},
+               lambda: verify_axioms(axioms, n_limit)),
+        # n P_0(n) against sum_{l < n} S(n)^l on one period, which every P_j(n) shifts
+        _check("congruence-exact vs DFT provider", {"n_limit": n_dft},
                [(n,) for n in range(1, n_dft + 1)],
-               lambda n: np.abs(IdempotentSystem(n).projections([0], n)[0]
-                                - _root_sums(range(n), np.arange(n), n) / n).max(), tol),
+               lambda n: root_sum_residual(range(n), np.arange(n), n,
+                                           n * IdempotentSystem(n).projections([0], n)[0])),
     ]
     proj_mult_max = max(min(n_max, 32), 6)  # 6 = 2 * 3, the first coprime pair
     system = IdempotentSystem(min(dim, proj_mult_max))
@@ -155,11 +155,11 @@ def _suite_axioms(n_max, dim, tol):
         fam = AlgFunction([system.projection(j, n) for n in range(1, proj_mult_max + 1)])
         rows.append(_check("projection family multiplicativity",
                            {"j": j, "n_max": fam.n_max, "dim": dim, "window": system.dim},
-                           [()], lambda: _multiplicativity(fam, tol), tol))
+                           [()], lambda: _multiplicativity(fam)))
     return rows, []
 
 
-def _suite_product_law(n_max, dim, tol):
+def _suite_product_law(n_max, dim):
     n_cap = min(n_max, 12)
     levels = [(n, m) for n in range(1, n_cap + 1) for m in range(1, n_cap + 1)]
     crt = IdempotentSystem(max(math.lcm(n, m) for n, m in levels))
@@ -168,13 +168,13 @@ def _suite_product_law(n_max, dim, tol):
     return [
         _check("projection product law with CRT index",
                {"n_max": n_cap, "cases": sum(n * m for n, m in levels), "dim": crt.dim},
-               levels, lambda n, m: product_law_residual(crt, n, m), tol),
+               levels, lambda n, m: product_law_residual(crt, n, m)),
         _check("divisor-level product law", {"dim": divisor.dim}, divisor_levels,
-               lambda n, m: product_law_residual(divisor, n, m), tol),
+               lambda n, m: product_law_residual(divisor, n, m)),
     ], []
 
 
-def _suite_ramanujan(n_max, dim, tol):
+def _suite_ramanujan(n_max, dim):
     n_cap = min(n_max, 30)
     mult_cap = max(n_cap, 6)  # as for the projection families
     family = OperatorFamily(min(dim, mult_cap))
@@ -184,21 +184,20 @@ def _suite_ramanujan(n_max, dim, tol):
         _check("scalar Ramanujan sums vs root-of-unity oracle",
                {"n_max": min(n_max, 200)}, [(n,) for n in range(1, min(n_max, 200) + 1)],
                lambda n: max(root_of_unity_residual(n), abs(ramanujan_sum(n, 1) - mobius(n)),
-                             abs(ramanujan_sum(n, n) - totient(n))), tol),
+                             abs(ramanujan_sum(n, n) - totient(n)))),
         _check("operator Ramanujan identities (three constructions, partitions)",
                {"n_max": n_cap}, [(n,) for n in range(1, n_cap + 1)],
                lambda n: max(*c_operator_constructions(n).values(), t_top_identities(n),
-                             t_decomposition(n)), tol),
+                             t_decomposition(n))),
         _check("multiplicativity of operator families",
                {"n_max": mult_cap, "dim": dim, "window": family.dim, "j": [0, 1, 5]},
                [(j, kind) for j in (0, 1, 5) for kind in builders],
                lambda j, kind: _multiplicativity(
-                   AlgFunction([builders[kind](j, n) for n in range(1, mult_cap + 1)]), tol),
-               tol),
+                   AlgFunction([builders[kind](j, n) for n in range(1, mult_cap + 1)]))),
     ], []
 
 
-def _suite_transforms(n_max, dim, tol):
+def _suite_transforms(n_max, dim):
     moduli = [1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 40, 48]
     samples = 20
 
@@ -213,13 +212,13 @@ def _suite_transforms(n_max, dim, tol):
                "factor-of-d between normalizations",
                {"samples": samples, "max_modulus": max(moduli)},
                [(sample,) for sample in range(samples)],
-               lambda sample: rf_residual(alphas()[sample]), tol),
+               lambda sample: rf_residual(alphas()[sample])),
         _check("Ramanujan sum orthogonality", {"n_max": min(n_max, 100)},
                [(n, l) for n in range(1, min(n_max, 100) + 1) for l in range(1, n + 1)],
-               lambda n, l: abs(ramanujan_orthogonality(n, l) - (n if math.gcd(l, n) == 1 else 0)),
-               tol),
+               lambda n, l: abs(ramanujan_orthogonality(n, l)
+                                - (n if math.gcd(l, n) == 1 else 0))),
         _check("operator/idempotent transform pair", {"n_max": min(n_max, 30)},
-               [(n,) for n in range(1, min(n_max, 30) + 1)], c_t_transforms, tol),
+               [(n,) for n in range(1, min(n_max, 30) + 1)], c_t_transforms),
     ]
     errata = [{
         "id": "rf-normalization",
@@ -230,7 +229,7 @@ def _suite_transforms(n_max, dim, tol):
     return rows, errata
 
 
-def _suite_even_identity(n_max, dim, tol):
+def _suite_even_identity(n_max, dim):
     moduli = [4, 6, 12, 24]
     samples = [(n, sample) for n in moduli for sample in range(5)]
 
@@ -242,11 +241,11 @@ def _suite_even_identity(n_max, dim, tol):
     return [
         _check("even-function expansion over Ramanujan operators",
                {"moduli": moduli, "samples": len(samples)}, samples,
-               lambda n, sample: even_function_identity(alphas()[n, sample]), tol),
+               lambda n, sample: even_function_identity(alphas()[n, sample])),
     ], []
 
 
-def _suite_convolution(n_max, dim, tol):
+def _suite_convolution(n_max, dim):
     rng = random.Random(SEED)
     n_assoc = min(n_max, 60)
     triples = [[rng.choices(range(-5, 6), k=n_assoc) for _ in range(3)] for _ in range(3)]
@@ -267,7 +266,7 @@ def _suite_convolution(n_max, dim, tol):
 
     def identity_laws(product):
         if product == "dirichlet inverse":
-            inv = dirichlet_inverse(f, tol)  # raises InverseCheckError past tol
+            inv = dirichlet_inverse(f, 0)  # raises InverseCheckError if not exact
             pairs = [(dirichlet_convolve(f, inv), ident)]
         else:
             prod = products[product]
@@ -280,22 +279,19 @@ def _suite_convolution(n_max, dim, tol):
 
     weighted = IdempotentSystem(30)
     rows = [
-        _check("associativity and commutativity of the three products",
-               {"n_max": n_assoc},
+        _check("associativity and commutativity of the three products", {"n_max": n_assoc},
                [(sample, product) for sample in range(3) for product in scalar_products],
-               algebra_laws, tol),
+               algebra_laws),
         _check("identity laws and Dirichlet inverse round trip", {"n_max": n_assoc},
-               [(product,) for product in (*products, "dirichlet inverse")],
-               identity_laws, tol),
+               [(product,) for product in (*products, "dirichlet inverse")], identity_laws),
         _check("product identity linking the lcm and Dirichlet sums",
                {"n_max": lehmer_n, "pairs": len(lehmer_pairs)},
                [(pair,) for pair in range(len(lehmer_pairs))],
-               lambda pair: lehmer_identity_check(*lehmer_pairs[pair])["max_residual"], tol),
+               lambda pair: lehmer_identity_check(*lehmer_pairs[pair])["max_residual"]),
         _check("weighted convolution identities for alpha,beta against P_j",
                {"j": 1, "n_max": 30, "dim": weighted.dim}, [()],
                lambda: weighted_product_identities(
-                   scalar_table(lambda n: 1, 30), scalar_table(totient, 30), weighted, 1),
-               tol),
+                   scalar_table(lambda n: 1, 30), scalar_table(totient, 30), weighted, 1)),
     ]
     # the norm-multiplicativity claim fails for the max-row-sum norm
     f2 = DenseMatrix([[1, 1], [0, 1]])
@@ -331,7 +327,7 @@ def _trace_residuals(n, dims):
     return dict(zip(dims, worst.tolist()))
 
 
-def _suite_analytic(n_max, dim, tol):
+def _suite_analytic(n_max, dim):
     euler_n = 512
     euler = {"totient": 1, "jordan:2": 2, "jordan:3": 3}  # P(J_r) = theta^r
 
@@ -352,26 +348,25 @@ def _suite_analytic(n_max, dim, tol):
         _check("determinant of the Ramanujan diagonal: direct vs closed form",
                {"n_max": min(n_max, 30), "dim_max": 64},
                [(n, d) for n in range(2, min(n_max, 30) + 1) for d in det_dims],
-               lambda n, dim: abs(operator.sub(*dets(n)[dim])), tol),
+               lambda n, dim: abs(operator.sub(*dets(n)[dim]))),
         _check("trace identities for both diagonals",
                {"n_max": min(n_max, 60), "dim_max": 200},
                [(n, d) for n in range(2, min(n_max, 60) + 1) for d in trace_dims],
-               lambda n, dim: traces(n)[dim], tol),
+               lambda n, dim: traces(n)[dim]),
         _check("Euler-operator representation of totient and Jordan powers",
                {"m_max": euler_n, "r_max": 3}, [(alpha,) for alpha in (*euler, "mobius")],
-               euler_representation, tol),
+               euler_representation),
         _check("diagonal of integration-compose-backward-shift", {"n_max": 128},
                [("mu*nu_minus1", True), ("mu*nu_1", False)],
-               lambda candidate, matches: float(iu()[candidate] != matches), tol),
+               lambda candidate, matches: float(iu()[candidate] != matches)),
         _check("diagonal map is an algebra map for the lcm product", {"n_max": 64, "pairs": 20},
                [()], lambda: max(prep()["algebra_map_max_residual"],
-                                 prep()["euler_power_max_residual"]), tol),
+                                 prep()["euler_power_max_residual"])),
         _check("finite-prefix growth diagnostic classification", {"prefix": 64},
                [("totient", "plausibly-continuous"), ("epsilon", "plausibly-continuous"),
                 ("2**n", "not-continuous")],
                lambda alpha, expected: float(analytic.growth_indicator(
-                   scalar_table(growth[alpha], 64)).classification != expected),
-               tol),
+                   scalar_table(growth[alpha], 64)).classification != expected)),
     ]
     errata = [
         _erratum({
@@ -426,7 +421,7 @@ _RUNNERS = {
 SUITES = tuple(_RUNNERS)
 
 
-def run_suite(name: str, n_max: int = 60, dim: int = 2520, tol: float = 1e-9) -> dict:
+def run_suite(name: str, n_max: int = 60, dim: int = 2520) -> dict:
     """Run one named identity suite and return its report.
 
     The report passes iff every entry in "checks" passes; "errata" entries
@@ -440,13 +435,13 @@ def run_suite(name: str, n_max: int = 60, dim: int = 2520, tol: float = 1e-9) ->
     checks: list[dict] = []
     errata: list[dict] = []
     for runner in _RUNNERS[name]:
-        rows, notes = runner(n_max, dim, tol)
+        rows, notes = runner(n_max, dim)
         checks += rows
         errata += notes
     failed = [c for c in checks if not c["pass"]]
     return {
         "suite": name,
-        "params": {"n_max": n_max, "dim": dim, "tolerance": tol, "seed": SEED},
+        "params": {"n_max": n_max, "dim": dim, "seed": SEED},
         "checks": checks,
         "errata": errata,
         "summary": {"total": len(checks), "passed": len(checks) - len(failed),

@@ -10,11 +10,15 @@ package because nothing in it calls them:
 - ``dirichlet_inverse_objects`` is ``convolution.dirichlet_inverse`` with
   its whole recursion on object arrays, the oracle of the int64 ranges;
 - ``shift_operators`` builds the dense shift, backward-shift, integration
-  and Euler matrices, the oracle of the dense theta and IU* exports.
+  and Euler matrices, the oracle of the dense theta and IU* exports;
+- ``s_power_sum`` is sum over k in ks of eps_n^{-jk} S(n)^k from powers of
+  ``s_operator(n)`` in complex floats, the oracle of the exact F_q sums of
+  ``ramanujan_ops.root_sum_residual``.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -172,3 +176,15 @@ def shift_operators(space: IdempotentSystem) -> dict[str, DenseMatrix]:
         "integration": DenseMatrix(integ),
         "theta": DenseMatrix(theta),
     }
+
+
+def s_power_sum(fam, j: int, n: int, ks) -> DiagonalOperator:
+    """sum over k in ks of eps_n^{-jk} S(n)^k on fam's window, S(n) =
+    ``fam.s_operator(n)`` raised to each k by repeated products."""
+    s = fam.s_operator(n)
+    total, power = s.zero(), fam.unit()
+    for k in range(max(ks, default=-1) + 1):
+        if k in ks:
+            total = total + power.scale(cmath.exp(-2j * math.pi * j * k / n))
+        power = power * s
+    return total

@@ -96,7 +96,7 @@ class TestDeterminant:
     def test_rejects_bad_level_or_window(self, n, big_n):
         # at N = 0 the closed form read 0 for non-squarefree n against the
         # empty product 1; at N < 0 both sides came out as floats
-        with pytest.raises(ValueError, match="n >= 2 and N >= 1"):
+        with pytest.raises(ValueError, match="^det_table requires n >= 2 and N >= 1$"):
             det_c0(n, big_n)
 
 
@@ -140,7 +140,7 @@ class TestTrace:
 
     @pytest.mark.parametrize("n, big_n", [(0, 5), (5, 0), (5, -3)])
     def test_rejects_bad_level_or_window(self, n, big_n):
-        with pytest.raises(ValueError, match="n >= 1 and N >= 1"):
+        with pytest.raises(ValueError, match="^trace_table requires n >= 1 and N >= 1$"):
             trace_identities(n, big_n)
 
 
@@ -208,9 +208,9 @@ class TestPerLevelTables:
 
     @pytest.mark.parametrize("dims", [[], [3, 0], [-1]])
     def test_tables_reject_empty_or_bad_windows(self, dims):
-        with pytest.raises(ValueError, match="N >= 1"):
+        with pytest.raises(ValueError, match="^trace_table requires .* N >= 1$"):
             trace_table(6, dims)
-        with pytest.raises(ValueError, match="N >= 1"):
+        with pytest.raises(ValueError, match="^det_table requires .* N >= 1$"):
             det_table(6, dims)
 
 

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import idemarith
-from idemarith import arith, cli
+from idemarith import arith, cli, ramanujan_ops
 from idemarith.algebra import DenseMatrix
 from idemarith.cli import _parse_range, main
 from idemarith.ramanujan_ops import OperatorFamily
@@ -139,22 +139,13 @@ class TestTable:
 
 class TestCheck:
     def test_default_report_matches_golden(self, runner):
-        # the committed `check all` report at the defaults; only the three
-        # rows whose oracle sums roots of unity in floats may move, by 1e-12
-        float_oracle_rows = {
-            "congruence-exact vs dft-float provider",
-            "scalar Ramanujan sums vs root-of-unity oracle",
-            "operator Ramanujan identities (three constructions, partitions)",
-        }
+        # the committed `check all` report at the defaults, every residual exactly 0
         result = runner.invoke(main, ["check", "all"])
         assert result.exit_code == 0
         report = json.loads(result.output)
         golden = json.loads(pathlib.Path(__file__).with_name("check_all_default.json").read_text())
-        for row, expected in zip(report["checks"], golden["checks"]):
-            if row["identity"] in float_oracle_rows:
-                assert abs(row["max_residual"] - expected["max_residual"]) <= 1e-12
-                row["max_residual"] = expected["max_residual"]
         assert report == golden
+        assert {row["max_residual"] for row in report["checks"]} == {0.0}
 
     def test_product_law_passes(self, runner):
         result = runner.invoke(
@@ -166,18 +157,22 @@ class TestCheck:
         assert report["suite"] == "product-law"
         assert all(c["pass"] for c in report["checks"])
 
-    def test_axioms_zero_tolerance_fails(self, runner):
-        # the dft-float cross-check carries ~1e-16 noise, so tol 0 must fail
-        result = runner.invoke(
-            main,
-            ["check", "axioms", "--n-max", "6", "--dim", "24", "--tolerance", "0"],
-        )
+    def test_axioms_fault_in_the_dft_row_exits_one(self, runner, monkeypatch):
+        real = ramanujan_ops._roots_mod
+
+        def squared(n):  # omega^2, of order 2, in place of omega at level 4
+            q, powers = real(n)
+            return (q, powers[2 * np.arange(n) % n]) if n == 4 else (q, powers)
+
+        monkeypatch.setattr(ramanujan_ops, "_roots_mod", squared)
+        result = runner.invoke(main, ["check", "axioms", "--n-max", "6", "--dim", "24"])
         assert result.exit_code == 1
         report = json.loads(result.output)
         assert report["pass"] is False
         (failed,) = [c for c in report["checks"] if not c["pass"]]
-        assert failed["identity"] == "congruence-exact vs dft-float provider"
-        assert set(failed["counterexample"]) == {"n"}
+        assert failed["identity"] == "congruence-exact vs DFT provider"
+        assert failed["counterexample"] == {"n": 4}
+        assert failed["max_residual"] == 4.0  # sum_l omega^{2l} at x = 2 is 4, 4 P_0(4) is 0
 
     def test_convolution_suite(self, runner):
         result = runner.invoke(
@@ -209,29 +204,37 @@ class TestCheck:
         result = runner.invoke(main, ["check", "nonsense"])
         assert result.exit_code == 2
 
-    def test_negative_tolerance_is_usage_error(self, runner):
-        result = runner.invoke(
-            main, ["check", "ramanujan", "--tolerance", "-1"]
-        )
-        assert result.exit_code == 2
-
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_n_max_below_one_is_usage_error(self, runner, n_max):
         result = runner.invoke(main, ["check", "axioms", "--n-max", n_max])
         assert result.exit_code == 2
         assert "--n-max" in result.output
 
+    # every row passes only at residual 0, so --tolerance is gone and any value of it
+    # is refused as an unknown option, without a traceback
+    @staticmethod
+    def _assert_tolerance_refused(result):
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--tolerance" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("tolerance", ["0", "1e-9"])
+    def test_tolerance_option_is_refused(self, runner, tolerance):
+        result = runner.invoke(main, ["check", "all", "--tolerance", tolerance])
+        self._assert_tolerance_refused(result)
+
+    def test_negative_tolerance_is_usage_error(self, runner):
+        result = runner.invoke(main, ["check", "ramanujan", "--tolerance", "-1"])
+        self._assert_tolerance_refused(result)
+
     def test_nan_tolerance_is_usage_error(self, runner):
         result = runner.invoke(main, ["check", "all", "--tolerance", "nan"])
-        assert result.exit_code == 2
-        assert "tolerance" in result.output
+        self._assert_tolerance_refused(result)
 
     @pytest.mark.parametrize("tolerance", ["inf", "-inf"])
     def test_infinite_tolerance_is_usage_error(self, runner, tolerance):
-        # an infinite tolerance would pass every row, a broken one too
         result = runner.invoke(main, ["check", "axioms", "--tolerance", tolerance])
-        assert result.exit_code == 2
-        assert "tolerance must be a finite number >= 0" in result.output
+        self._assert_tolerance_refused(result)
 
     @pytest.mark.parametrize("dim,accepted", [(0, False), (1, True), (10**6, True),
                                               (10**6 + 1, False)])

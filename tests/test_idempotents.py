@@ -21,7 +21,7 @@ from idemarith.idempotents import (
 )
 from idemarith.ramanujan_ops import OperatorFamily
 from idemarith.suites import _multiplicativity
-from oracle_forms import product_law
+from oracle_forms import product_law, s_power_sum
 
 
 class TestProjection:
@@ -54,7 +54,7 @@ class TestProjection:
         dft = OperatorFamily(64)
         for n in range(1, 25):
             for j in range(n):
-                assert dft.s_power_sum(j, n, range(n)).scale(1 / n).distance(
+                assert s_power_sum(dft, j, n, range(n)).scale(1 / n).distance(
                     dft.projection(j, n)) < 1e-9
 
 
@@ -275,7 +275,7 @@ class TestReducedWindows:
                                                                  periodic, data):
         def residual(system):
             return _multiplicativity(
-                AlgFunction([system.projection(j, n) for n in range(1, k + 1)]), 1e-9)
+                AlgFunction([system.projection(j, n) for n in range(1, k + 1)]))
 
         window = min(dim, k)
         assert residual(IdempotentSystem(dim, offset)) == residual(
@@ -299,7 +299,7 @@ class TestReducedWindows:
                 entries = np.array(ops[level - 1].entries)
                 entries[at] += 1
                 ops[level - 1] = DiagonalOperator(entries, offset)
-            return _multiplicativity(AlgFunction(ops), 1e-9)
+            return _multiplicativity(AlgFunction(ops))
 
         for build in (lambda fam, n: fam.c_operator(j, n), lambda fam, n: fam.t_operator(n, j, n)):
             full, reduced = OperatorFamily(dim, offset), OperatorFamily(window, offset)

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idemarith import ramanujan_ops
-from idemarith.algebra import is_idempotent
+from idemarith.algebra import DiagonalOperator, is_idempotent
 from idemarith.arith import (EvenFunction, divisors, factorize, mobius, ramanujan_sum,
                              rf_transform, tau)
 from idemarith.convolution import AlgFunction, is_multiplicative
 from idemarith.ramanujan_ops import (OperatorFamily, c_operator_constructions, c_t_transforms,
-                                     even_function_identity, t_decomposition, t_top_identities)
-from oracle_forms import element_from_json, element_to_json
+                                     even_function_identity, root_of_unity_residual,
+                                     root_sum_residual, t_decomposition, t_top_identities)
+from idemarith.suites import run_suite
+from oracle_forms import element_from_json, element_to_json, s_power_sum
 
 
 # The divisor-family identities one operator at a time, from c_operator,
@@ -24,9 +26,18 @@ from oracle_forms import element_from_json, element_to_json
 # the class-table forms.  They read c_n through the module, so a patched one
 # reaches both forms.
 
+def rounded(op):
+    """A complex float diagonal within 1e-9 of an integer one, as that one."""
+    values = np.array(op.entries)
+    ints = np.rint(values.real)
+    assert np.abs(values - ints).max() < 1e-9
+    return DiagonalOperator(ints.astype(np.int64), op.offset)
+
+
 def constructions_oracle(fam, j, n):
     exact = fam.c_operator(j, n)
-    root_of_unity = fam.s_power_sum(j, n, [k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+    coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    root_of_unity = rounded(s_power_sum(fam, j, n, coprime))
     moebius_sum = exact.zero()
     for d in divisors(n):
         moebius_sum = moebius_sum + fam.projection(j, n // d).scale(mobius(d) * (n // d))
@@ -151,9 +162,7 @@ class TestCOperator:
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_three_constructions_agree(self, n, j):
         residuals = c_operator_constructions(n)
-        assert residuals["root_of_unity"] < 1e-9
-        assert residuals["moebius_sum"] == 0
-        assert residuals["prime_product"] == 0
+        assert residuals == {"root_of_unity": 0, "moebius_sum": 0, "prime_product": 0}
         assert residuals == constructions_oracle(OperatorFamily(n), j, n)  # one period at j
 
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 30, 60])
@@ -162,7 +171,7 @@ class TestCOperator:
         fam = OperatorFamily(2 * n + 5, offset)
         coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
         for j in (0, 1, n - 1, -3):
-            assert fam.s_power_sum(j, n, coprime).distance(fam.c_operator(j, n)) <= 1e-9
+            assert s_power_sum(fam, j, n, coprime).distance(fam.c_operator(j, n)) <= 1e-9
 
     def test_prime_power_case(self):
         # C_j(p^k) = p^k (P_j(p^k) - (1/p) P_j(p^{k-1}))
@@ -221,11 +230,11 @@ class TestTOperator:
         with pytest.raises(ValueError, match="level n must be positive"):
             getattr(ramanujan_ops, method)(n)
 
-    def test_s_power_sum_rejects_level_zero_without_a_warning(self):
+    def test_s_operator_rejects_level_zero_without_a_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="level n must be positive"):
-                OperatorFamily(8).s_power_sum(1, 0, [1, 2])
+            with pytest.raises(ValueError, match="n must be positive"):
+                OperatorFamily(8).s_operator(0)
 
     def test_prime_power_top_cases(self):
         # the top coprime selector at level p^k only sees the prime:
@@ -290,7 +299,7 @@ class TestDivisorStacks:
     def test_residuals_match_the_oracles(self, level):
         n, j, offset, dim = level
         fam = OperatorFamily(dim, offset)
-        # the float construction is bit-equal, the exact ones are 0
+        # the rounded float construction and the exact ones are all 0
         assert c_operator_constructions(n) == constructions_oracle(fam, j, n)
         assert t_top_identities(n) == t_top_oracle(fam, j, n) == 0
         assert t_decomposition(n) == t_decomposition_oracle(fam, j, n) == 0
@@ -360,3 +369,111 @@ class TestEvenFunctionIdentity:
     def test_trivial_modulus(self):
         alpha = EvenFunction(1, {1: 3})
         assert even_function_identity(alpha) == 0
+
+
+def is_prime(q):
+    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+class TestRootsModQ:
+    """The exact root-of-unity evaluation in F_q, against the float sums."""
+
+    def test_q_is_the_least_prime_above_2n_with_an_element_of_order_n(self):
+        for n in range(1, 201):
+            q, powers = ramanujan_ops._roots_mod(n)
+            assert is_prime(q) and q > 2 * n and (q - 1) % n == 0
+            assert not any(is_prime(p) for p in range(2 * n + 1, q) if (p - 1) % n == 0)
+            omega = int(powers[1 % n])
+            assert powers.tolist() == [pow(omega, e, q) for e in range(n)]
+            assert pow(omega, n, q) == 1
+            assert all(pow(omega, n // p, q) != 1 for p in range(2, n + 1)
+                       if n % p == 0 and is_prime(p))
+            assert powers.dtype == np.int64 and not powers.flags.writeable
+
+    def test_level_below_one_is_refused(self):
+        # q would never leave 2n + 1 at n = 0
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="level n must be positive"):
+                root_sum_residual([1], np.arange(1), n, 0)
+
+    def test_float_sums_round_to_the_exact_c_table(self):
+        for n in range(1, 201):
+            divs, _, _, c = ramanujan_ops._divisor_tables(n)
+            x = np.arange(n)
+            coprime = np.array([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+            sums = np.exp(2j * np.pi * np.outer(coprime, x) / n).sum(axis=0)
+            exact = c[-1][np.searchsorted(divs, np.gcd(x, n))]
+            assert np.abs(sums - exact).max() < 1e-9
+            assert np.rint(sums.real).astype(np.int64).tolist() == exact.tolist()
+            assert root_of_unity_residual(n) == 0
+
+    def test_every_small_change_to_one_c_entry_is_seen(self):
+        # a change d is read back as its symmetric residue mod q, which is |d| unless
+        # n = 1 (q = 3); it is never 0, as 0 < |d| < q
+        for n in range(1, 61):
+            q = ramanujan_ops._roots_mod(n)[0]
+            divs, _, _, c = ramanujan_ops._divisor_tables(n)
+            x = np.arange(n)
+            at = np.searchsorted(divs, np.gcd(x, n))
+            coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+            for g in range(len(divs)):
+                for delta in (-2, -1, 1, 2):
+                    wrong = c[-1].copy()
+                    wrong[g] += delta
+                    assert root_sum_residual(coprime, x, n, wrong[at]) == min(
+                        abs(delta), q - abs(delta)) > 0
+
+    def test_dft_sums_are_n_times_p0(self):
+        for n in range(1, 61):
+            expected = n * (np.arange(n) == 0)
+            assert root_sum_residual(range(n), np.arange(n), n, expected) == 0
+            assert root_sum_residual(range(n), np.arange(n), n, expected + 1) == 1
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_c_entry_fails_the_scalar_row(self, monkeypatch, delta):
+        real = ramanujan_ops._divisor_tables.__wrapped__
+
+        def wrong(n):  # c_12(4) = -2 read as -2 + delta
+            divs, t, p, c = real(n)
+            if n == 12:
+                c = c.copy()
+                c[-1][divs.index(4)] += delta
+            return divs, t, p, c
+
+        monkeypatch.setattr(ramanujan_ops, "_divisor_tables", wrong)
+        row = run_suite("ramanujan", n_max=12, dim=60)["checks"][0]
+        assert row["identity"] == "scalar Ramanujan sums vs root-of-unity oracle"
+        assert row["pass"] is False and row["max_residual"] == 1.0
+        assert row["counterexample"] == {"n": 12}
+
+    def test_omega_squared_at_even_n_fails_the_root_of_unity_rows(self, monkeypatch):
+        real = ramanujan_ops._roots_mod
+
+        def squared(n):  # omega^2 has order n/2 at even n
+            q, powers = real(n)
+            return (q, powers[2 * np.arange(n) % n]) if n % 2 == 0 else (q, powers)
+
+        monkeypatch.setattr(ramanujan_ops, "_roots_mod", squared)
+        assert [root_of_unity_residual(n) for n in range(1, 9)] == [0, 2, 0, 4, 0, 4, 0, 8]
+        rows = run_suite("all", n_max=12, dim=60)["checks"]
+        failed = {row["identity"]: row for row in rows if not row["pass"]}
+        assert list(failed) == ["congruence-exact vs DFT provider",
+                                "scalar Ramanujan sums vs root-of-unity oracle",
+                                "operator Ramanujan identities (three constructions, partitions)"]
+        scalar = failed["scalar Ramanujan sums vs root-of-unity oracle"]
+        assert scalar["max_residual"] == 8.0 and scalar["counterexample"] == {"n": 8}
+
+    def test_flipped_p0_entry_fails_the_dft_row(self, monkeypatch):
+        real = ramanujan_ops.IdempotentSystem.projections
+
+        def flipped(self, js, n):  # P_0(5) reads 1 at e_1
+            stack = real(self, js, n).copy()
+            if n == 5:
+                stack[0, 1] = 1
+            return stack
+
+        monkeypatch.setattr(ramanujan_ops.IdempotentSystem, "projections", flipped)
+        rows = {row["identity"]: row for row in run_suite("axioms", n_max=12, dim=60)["checks"]}
+        row = rows["congruence-exact vs DFT provider"]
+        assert row["pass"] is False and row["max_residual"] == 5.0
+        assert row["counterexample"] == {"n": 5}

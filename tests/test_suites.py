@@ -63,15 +63,22 @@ class TestRunSuite:
                    if "window" in row["params"]]
         assert reduced == [72, 32, 32, 32, 30]
 
-    def test_nan_tolerance_fails_every_row_without_raising(self):
-        report = run_suite("all", **SMALL, tol=float("nan"))
+    def test_nan_residual_fails_its_rows_without_raising(self, monkeypatch):
+        real = ramanujan_ops.root_sum_residual
+
+        def nan_at_4(ks, x, n, value):  # a kernel that gives NaN at level 4 alone
+            return math.nan if n == 4 else real(ks, x, n, value)
+
+        monkeypatch.setattr(ramanujan_ops, "root_sum_residual", nan_at_4)
+        report = run_suite("all", **SMALL)
         assert report["pass"] is False
-        assert report["summary"]["failed"] == 24
-        errors = [row for row in report["checks"] if "error" in row]
-        assert [row["identity"] for row in errors] == [
-            "identity laws and Dirichlet inverse round trip"]
-        assert errors[0]["max_residual"] is None
-        assert "differs from I" in errors[0]["error"]
+        failed = [row for row in report["checks"] if not row["pass"]]
+        assert [row["identity"] for row in failed] == [
+            "scalar Ramanujan sums vs root-of-unity oracle",
+            "operator Ramanujan identities (three constructions, partitions)"]
+        for row in failed:  # levels 5..7 read 0 after it, and NaN stays the worst
+            assert math.isnan(row["max_residual"]) and "error" not in row
+            assert row["counterexample"] == {"n": 4}
         json.dumps(report)  # every counterexample is JSON-ready
 
     def test_check_without_cases_fails(self):
@@ -275,16 +282,26 @@ class TestRunSuite:
         assert rows["diagonal map is an algebra map for the lcm product"]["pass"] is False
         assert sum(not row["pass"] for row in rows.values()) == 2
 
-    def test_failed_row_names_its_worst_case(self):
-        report = run_suite("axioms", n_max=6, dim=24, tol=0)
+    def test_failed_row_names_its_worst_case(self, monkeypatch):
+        real = IdempotentSystem.projections
+
+        def flipped(self, js, n):  # P_0(n) reads 1 at e_1 for n = 3 and 5 (on one period)
+            stack = real(self, js, n).copy()
+            if n in (3, 5) and self.dim == n:
+                stack[0, 1] = 1
+            return stack
+
+        monkeypatch.setattr(IdempotentSystem, "projections", flipped)
+        report = run_suite("axioms", n_max=6, dim=24)
         (row,) = [row for row in report["checks"] if not row["pass"]]
-        assert row["identity"] == "congruence-exact vs dft-float provider"
-        # the worst of the row's cases, P_0(n) against its DFT form on one period
-        residuals = {n: float(np.abs((np.arange(n) == 0) - ramanujan_ops._root_sums(
-            range(n), np.arange(n), n) / n).max()) for n in range(1, 7)}
-        worst = max(residuals, key=residuals.get)
-        assert row["counterexample"] == {"n": worst}
-        assert residuals[worst] == row["max_residual"] > 0
+        assert row["identity"] == "congruence-exact vs DFT provider"
+        # the worst of the row's cases: n P_0(n) is off by n at the flipped entry
+        residuals = {n: ramanujan_ops.root_sum_residual(
+            range(n), np.arange(n), n, n * flipped(IdempotentSystem(n), [0], n)[0])
+            for n in range(1, 7)}
+        assert residuals == {1: 0, 2: 0, 3: 3, 4: 0, 5: 5, 6: 0}
+        assert row["counterexample"] == {"n": 5}
+        assert row["max_residual"] == 5.0
 
 
 class TestCheck:
@@ -295,7 +312,7 @@ class TestCheck:
                 raise error(f"broken at n={n}")
             return 0
 
-        row = _check("probe", {}, [(1,), (2,), (3,)], residual, 1e-9)
+        row = _check("probe", {}, [(1,), (2,), (3,)], residual)
         assert row == {"identity": "probe", "params": {}, "max_residual": None,
                        "pass": False, "error": f"{error.__name__}: broken at n=2"}
 
@@ -303,7 +320,7 @@ class TestCheck:
         def residual(n):
             raise KeyError(36)  # a kernel bug, not a failed identity
 
-        row = _check("probe", {}, [(1,)], residual, 1e-9)
+        row = _check("probe", {}, [(1,)], residual)
         assert row == {"identity": "probe", "params": {}, "max_residual": None,
                        "pass": False, "error": "KeyError: 36"}
 
@@ -319,20 +336,20 @@ class TestCheck:
         assert row["error"] == "ZeroDivisionError: division by zero"
 
     def test_nan_residual_fails_and_is_kept_as_worst(self):
-        row = _check("probe", {}, [(1,), (2,), (3,)],
-                     lambda n: math.nan if n == 2 else n, 10)
+        # a later, larger residual does not replace it
+        row = _check("probe", {}, [(0,), (2,), (3,)], lambda n: math.nan if n == 2 else n)
         assert row["pass"] is False
         assert math.isnan(row["max_residual"])
         assert row["counterexample"] == {"n": 2}
 
     def test_location_joins_counterexample(self):
-        row = _check("probe", {}, [(1,), (2,)], lambda n: (n, ("I", n)), 1)
+        row = _check("probe", {}, [(1,), (2,)], lambda n: (n, ("I", n)))
         assert row["pass"] is False
         assert row["max_residual"] == 2.0
         assert row["counterexample"] == {"n": 2, "at": ("I", 2)}
 
     def test_passing_row_has_no_extra_keys(self):
-        row = _check("probe", {"k": 1}, [(1,), (2,)], lambda n: 0, 0)
+        row = _check("probe", {"k": 1}, [(1,), (2,)], lambda n: 0)
         assert row == {"identity": "probe", "params": {"k": 1}, "max_residual": 0.0,
                        "pass": True}
 
