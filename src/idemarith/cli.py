@@ -1,5 +1,5 @@
-"""Command-line front end: scalar function tables, identity suites, and
-operator exports.
+"""Command-line front end, parsed with argparse: scalar function tables,
+identity suites, and operator exports.
 
 Exit codes: 0 all checks pass (at residual exactly 0), 1 identity failure,
 2 usage error.  The truncation dimension is --dim, 2520 by default.  For
@@ -11,11 +11,11 @@ it is the length of the exported operator, theta and IU* from ``analytic``.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 
-import click
 import numpy as np
 
 from . import analytic, arith
@@ -29,18 +29,22 @@ DEFAULT_DIM = 2520
 MAX_TABLE_VALUES = 10**6
 
 
+class UsageError(Exception):
+    """A bad command line: `main` writes ``Error: <message>`` to stderr and exits 2."""
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise click.UsageError(f"range must look like A..B, got {text!r}")
+        raise UsageError(f"range must look like A..B, got {text!r}")
     if lo < 1 or hi < lo:
-        raise click.UsageError(f"range {text!r} is empty or starts below 1")
+        raise UsageError(f"range {text!r} is empty or starts below 1")
     if hi > arith.MAX_FACTOR_INPUT:
-        raise click.UsageError(f"range {text!r} ends above {arith.MAX_FACTOR_INPUT}")
+        raise UsageError(f"range {text!r} ends above {arith.MAX_FACTOR_INPUT}")
     if hi - lo + 1 > MAX_TABLE_VALUES:
-        raise click.UsageError(f"range {text!r} spans more than {MAX_TABLE_VALUES} values")
+        raise UsageError(f"range {text!r} spans more than {MAX_TABLE_VALUES} values")
     return lo, hi
 
 
@@ -59,20 +63,20 @@ def _table_function(name: str, hi: int):
         return _TABLE_FUNCTIONS[name]
     head, _, arg = name.partition(":")
     if not arg:
-        raise click.UsageError(f"unknown function {name!r}")
+        raise UsageError(f"unknown function {name!r}")
     try:
         k = int(arg)
     except ValueError:
-        raise click.UsageError(f"bad parameter in {name!r}")
+        raise UsageError(f"bad parameter in {name!r}")
     if head in ("jordan", "ramanujan", "lcm-count") and k < 1:
-        raise click.UsageError(f"parameter in {name!r} must be >= 1")
+        raise UsageError(f"parameter in {name!r} must be >= 1")
     if head == "ramanujan" and k > arith.MAX_FACTOR_INPUT:
-        raise click.UsageError(f"parameter in {name!r} is above {arith.MAX_FACTOR_INPUT}")
+        raise UsageError(f"parameter in {name!r} is above {arith.MAX_FACTOR_INPUT}")
     # J_R(n) < n^R, nu_K(n) = n^K and M_S(n) <= n^S, so a value on 1..hi has at
     # most |k| log10(hi) + 1 digits; with no limit set, the default 4300 bounds memory
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if head in ("jordan", "nu", "lcm-count") and hi > 1 and abs(k) >= digits / math.log10(hi):
-        raise click.UsageError(f"{name} at n={hi} has too many digits to print")
+        raise UsageError(f"{name} at n={hi} has too many digits to print")
     if head == "jordan":
         return lambda n: arith.jordan_totient(k, n)
     if head == "ramanujan":
@@ -81,7 +85,7 @@ def _table_function(name: str, hi: int):
         return lambda n: arith.nu(k, n)
     if head == "lcm-count":
         return lambda n: arith.lcm_tuple_count(k, n)
-    raise click.UsageError(f"unknown function {name!r}")
+    raise UsageError(f"unknown function {name!r}")
 
 
 def _emit(text: str, out: str | None):
@@ -90,24 +94,12 @@ def _emit(text: str, out: str | None):
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
-    else:  # not click.echo: it scans the text for ANSI codes and caches each stdout it sees
+            raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
+    else:
         sys.stdout.write(text)
         sys.stdout.flush()
 
 
-@click.group()
-def main():
-    """Arithmetic-function tables, identity suites, and operator exports."""
-
-
-@main.command("table")
-@click.argument("function")
-@click.option("--range", "range_", default="1..60", show_default=True,
-              help="Index range A..B.")
-@click.option("--format", "format_", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 def cmd_table(function, range_, format_, out):
     """Tabulate a scalar arithmetic function.
 
@@ -127,13 +119,6 @@ def cmd_table(function, range_, format_, out):
     _emit(text, out)
 
 
-@main.command("check")
-@click.argument("suite", type=click.Choice(SUITES))
-@click.option("--n-max", type=click.IntRange(min=1), default=60, show_default=True)
-@click.option("--dim", type=int, default=DEFAULT_DIM, show_default=True,
-              help="Truncation dimension of the axioms and family-multiplicativity "
-                   "checks; each runs on the shortest window that decides it.")
-@click.option("--out", type=click.Path(), default=None, help="Report path (default stdout).")
 def cmd_check(suite, n_max, dim, out):
     """Run an identity suite and emit its JSON report.
 
@@ -141,7 +126,7 @@ def cmd_check(suite, n_max, dim, out):
     reported in a separate section and never fail the run.
     """
     if not 1 <= dim <= MAX_TABLE_VALUES:
-        raise click.UsageError(f"dim must be between 1 and {MAX_TABLE_VALUES}")
+        raise UsageError(f"dim must be between 1 and {MAX_TABLE_VALUES}")
     if out:
         _emit("", out)  # an unwritable --out fails here, before any row runs
     report = run_suite(suite, n_max=n_max, dim=dim)
@@ -149,39 +134,33 @@ def cmd_check(suite, n_max, dim, out):
     sys.exit(0 if report["pass"] else 1)
 
 
-@main.command("export")
-@click.argument("spec")
-@click.option("--dim", type=int, default=DEFAULT_DIM, show_default=True,
-              help="Truncation dimension.")
-@click.option("--offset", type=click.IntRange(0, 1), default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 def cmd_export(spec, dim, offset, out):
     """Export one operator as JSON.
 
     SPEC is one of P:j:n, C:j:n, T:r:j:n, S:n, theta, IU*.
     """
     if dim < 1:
-        raise click.UsageError("dim must be positive")
+        raise UsageError("dim must be positive")
     parts = spec.split(":")
     kind = parts[0].upper()
     size = dim * dim if kind in ("THETA", "IU*") else dim
     if size > MAX_TABLE_VALUES:
-        raise click.UsageError(
+        raise UsageError(
             f"{spec} at dim {dim} has {size} entries, more than {MAX_TABLE_VALUES}")
 
     def _ints(expected: int) -> list[int]:
         if len(parts) - 1 != expected:
-            raise click.UsageError(f"{kind} export expects {expected} indices")
+            raise UsageError(f"{kind} export expects {expected} indices")
         try:
             return [int(p) for p in parts[1:]]
         except ValueError:
-            raise click.UsageError(f"non-integer index in {spec!r}")
+            raise UsageError(f"non-integer index in {spec!r}")
 
     def _level(n: int) -> int:
         if n < 1:
-            raise click.UsageError(f"level {n} must be >= 1")
+            raise UsageError(f"level {n} must be >= 1")
         if dim < n:
-            raise click.UsageError(f"dim {dim} is smaller than level {n}")
+            raise UsageError(f"dim {dim} is smaller than level {n}")
         return n
 
     family = OperatorFamily(dim, offset)
@@ -203,12 +182,70 @@ def cmd_export(spec, dim, offset, out):
         r, j, n = _ints(3)
         _level(n)
         if r < 1 or n % r != 0:
-            raise click.UsageError(f"r={r} is not a positive divisor of n={n}")
+            raise UsageError(f"r={r} is not a positive divisor of n={n}")
         element = family.t_operator(r, j, n)
     else:
-        raise click.UsageError(f"unknown operator spec {spec!r}")
+        raise UsageError(f"unknown operator spec {spec!r}")
     _emit(element_text(element) + "\n", out)
 
+
+def _n_max(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not >= 1")
+    return int(text)
+
+
+_OUT = ("--out", dict(metavar="PATH", help="Output path; stdout when not given."))
+# each command's handler, then add_argument's name and keywords for each of its arguments
+_COMMANDS = {
+    "table": (cmd_table, [
+        ("function", dict(metavar="FUNCTION")),
+        ("--range", dict(dest="range_", default="1..60", metavar="A..B", help="Index range.")),
+        ("--format", dict(dest="format_", choices=("csv", "json"), default="csv",
+                          help="Output format.")), _OUT]),
+    "check": (cmd_check, [
+        ("suite", dict(choices=SUITES)),
+        ("--n-max", dict(type=_n_max, default=60, help="Largest level checked.")),
+        ("--dim", dict(type=int, default=DEFAULT_DIM, help="Truncation dimension of the axioms "
+                       "and family-multiplicativity checks.")), _OUT]),
+    "export": (cmd_export, [
+        ("spec", dict(metavar="SPEC")),
+        ("--dim", dict(type=int, default=DEFAULT_DIM, help="Truncation dimension.")),
+        ("--offset", dict(type=int, choices=(0, 1), default=0, help="First basis index.")),
+        _OUT]),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviation (--n for --n-max) and no -h: only the spellings the CLI always took
+    style = dict(allow_abbrev=False, add_help=False,
+                 formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser = argparse.ArgumentParser(prog="idemarith", description=main.__doc__, **style)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (handler, arguments) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=handler.__doc__.partition("\n")[0],
+                                  description=handler.__doc__, **style)
+        for arg, kw in arguments:
+            sub.add_argument(arg, **kw)
+        sub.set_defaults(handler=handler)
+    for sub in [parser, *commands.choices.values()]:
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "idemarith") -> None:
+    """Arithmetic-function tables, identity suites, and operator exports."""
+    options = vars(_PARSER.parse_args(args))
+    try:
+        options.pop("handler")(**options)
+    except UsageError as exc:
+        _PARSER.exit(2, f"Error: {exc}\n")
+
+
+# bench/workloads.py runs each request as main.main(args, prog_name="idemarith");
+# prog_name is unused
+main.main = main
+_PARSER = _build_parser()
 
 if __name__ == "__main__":
     main()
