@@ -15,10 +15,11 @@ returns the values as Python scalars.  There is no trace or determinant:
 ``element_text`` serializes a diagonal or dense element to JSON text,
 byte-identical to ``json.dumps(..., sort_keys=True)`` of its [re, im]
 entry pairs.  A diagonal built by ``DiagonalOperator.periodic`` keeps the
-length of the block it repeats, so its text formats one period and
-repeats it; any other element formats each distinct float and each
-distinct pair of all its entries once and repeats the text.  The package
-writes this form and never reads it back.
+length of the block it repeats, so its text is one ``json.dumps`` of one
+period, repeated; any other element is written in runs of at most 4096
+entries, one ``json.dumps`` each.  A diagonal can also be written as the
+dense matrix it is, straight from its entries.  The package writes this
+form and never reads it back.
 """
 
 from __future__ import annotations
@@ -401,36 +402,37 @@ def operator_norm(x) -> float:
     raise TypeError(f"operator_norm not defined for {type(x).__name__}")
 
 
-def _entries_text(values: np.ndarray, block: int) -> str:
-    """The JSON text of the [re, im] pairs of values as complex128, where
-    values repeats its first block entries: each distinct float and each
-    distinct pair of the block is formatted once, and the block's text repeated.
-    """
-    c = values[:block].astype(np.complex128)
-    # unique by bits, not by value, so -0.0 and 0.0 keep their own text
-    (re_bits, re_of), (im_bits, im_of) = (
-        np.unique(part, return_inverse=True)
-        for part in np.stack((c.real, c.imag)).view(np.uint64))
-    # json's own float text (repr, NaN, Infinity); no float text holds ", "
-    re_text, im_text = (json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-                        for bits in (re_bits, im_bits))
-    width = im_bits.size
-    pairs, pair_of = np.unique(re_of * width + im_of, return_inverse=True)
-    pair_text = np.array([f"[{re_text[k // width]}, {im_text[k % width]}]"
-                          for k in pairs.tolist()], dtype=object)[pair_of].tolist()
-    repeats, rest = divmod(values.size, block)
-    return "[" + ", ".join([", ".join(pair_text)] * repeats + pair_text[:rest]) + "]"
+# entries per json.dumps call, so that tolist() never holds more pairs than this
+_CHUNK = 4096
 
 
-def element_text(x) -> str:
+def _pairs_text(values: np.ndarray) -> str:
+    """The [re, im] pairs of values as complex128, unbracketed, in json's own
+    float text (repr, -0.0, NaN, Infinity): one json.dumps per _CHUNK entries."""
+    return ", ".join(json.dumps(values[k:k + _CHUNK].astype(np.complex128)
+                                .view(np.float64).reshape(-1, 2).tolist())[1:-1]
+                     for k in range(0, values.size, _CHUNK))
+
+
+def element_text(x, dense: bool = False) -> str:
     """Serialize an element to JSON text: diagonal entries or row-major
-    dense entries as [re, im] pairs.  The text is exactly
-    ``json.dumps(..., sort_keys=True)`` of that object.
+    dense entries as [re, im] pairs, exactly ``json.dumps(...,
+    sort_keys=True)`` of that object.  A periodic diagonal's text is its
+    first period's, repeated, then that of the first n mod period entries.
+    With ``dense``, a diagonal is written as the dense matrix with that
+    diagonal, n zero pairs between each two of its pairs, and no matrix built.
     """
-    if isinstance(x, DiagonalOperator):
-        entries, block, tail = x._values, x._block, f'"diag", "n": {x.n}, "offset": {x.offset}}}'
+    if isinstance(x, DiagonalOperator) and dense:
+        # no float text holds "], [", so it is exactly the gap between two pairs
+        entries = _pairs_text(x._values).replace("], [", "], " + "[0.0, 0.0], " * x.n + "[")
+        tail = f'"dense", "n": {x.n}}}'
+    elif isinstance(x, DiagonalOperator):
+        repeats, rest = divmod(x.n, x._block)
+        runs = [_pairs_text(x._values[:x._block])] * repeats
+        entries = ", ".join(runs + [_pairs_text(x._values[:rest])] if rest else runs)
+        tail = f'"diag", "n": {x.n}, "offset": {x.offset}}}'
     elif isinstance(x, DenseMatrix):
-        entries, block, tail = x.array.reshape(-1), x.array.size, f'"dense", "n": {x.n}}}'
+        entries, tail = _pairs_text(x.array.reshape(-1)), f'"dense", "n": {x.n}}}'
     else:
         raise TypeError(f"no JSON form for {type(x).__name__}")
-    return '{"entries": ' + _entries_text(entries, block) + ', "kind": ' + tail
+    return '{"entries": [' + entries + '], "kind": ' + tail

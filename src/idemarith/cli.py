@@ -16,10 +16,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import analytic, arith
-from .algebra import DenseMatrix, element_text
+from .algebra import element_text
 from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
@@ -143,7 +141,8 @@ def cmd_export(spec, dim, offset, out):
         raise UsageError("dim must be positive")
     parts = spec.split(":")
     kind = parts[0].upper()
-    size = dim * dim if kind in ("THETA", "IU*") else dim
+    dense = kind in ("THETA", "IU*")
+    size = dim * dim if dense else dim
     if size > MAX_TABLE_VALUES:
         raise UsageError(
             f"{spec} at dim {dim} has {size} entries, more than {MAX_TABLE_VALUES}")
@@ -164,11 +163,9 @@ def cmd_export(spec, dim, offset, out):
         return n
 
     family = OperatorFamily(dim, offset)
-    if kind in ("THETA", "IU*"):
-        # the diagonals the analytic rows check, on e_1..e_dim whatever the offset; the text
-        # stays "dense", and a float64 diagonal keeps DenseMatrix to one complex copy
-        diag = analytic.theta_power(1, dim) if kind == "THETA" else analytic.iu_star(dim)
-        element = DenseMatrix(np.diag(np.array(diag.entries, dtype=np.float64)))
+    if dense:
+        # the diagonals the analytic rows check, on e_1..e_dim whatever the offset
+        element = analytic.theta_power(1, dim) if kind == "THETA" else analytic.iu_star(dim)
     elif kind == "P":
         j, n = _ints(2)
         element = family.projection(j, _level(n))
@@ -186,7 +183,7 @@ def cmd_export(spec, dim, offset, out):
         element = family.t_operator(r, j, n)
     else:
         raise UsageError(f"unknown operator spec {spec!r}")
-    _emit(element_text(element) + "\n", out)
+    _emit(element_text(element, dense=dense) + "\n", out)
 
 
 def _n_max(text: str) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,13 @@ from idemarith.algebra import (
     NonInvertibleError,
     Scalar,
     ShapeMismatchError,
+    _CHUNK,
     element_text,
     invert,
     is_idempotent,
     operator_norm,
 )
-from idemarith.analytic import det_table
+from idemarith.analytic import det_table, iu_star, theta_power
 from idemarith.arith import divisors, ramanujan_sum
 from idemarith.ramanujan_ops import OperatorFamily
 from oracle_forms import element_from_json, element_to_json, shift_operators
@@ -33,6 +35,11 @@ def random_dense(n):
 
 def random_diag(n, offset=0):
     return DiagonalOperator(RNG.normal(size=n) + 1j * RNG.normal(size=n), offset)
+
+
+def _dense(d: DiagonalOperator) -> DenseMatrix:
+    """The dense matrix with d's diagonal."""
+    return DenseMatrix(np.diag(np.array(d.entries, dtype=complex)))
 
 
 @pytest.mark.parametrize("make", [random_dense, random_diag, lambda n: Scalar(complex(RNG.normal(), RNG.normal()))])
@@ -129,13 +136,10 @@ def test_scalar_sum_needs_a_scalar(other):
 
 
 def test_diag_dense_consistency():
-    def dense(d):
-        return DenseMatrix(np.diag(np.array(d.entries, dtype=complex)))
-
     a = random_diag(6)
     b = random_diag(6)
-    assert dense(a * b).isclose(dense(a) * dense(b), 1e-9)
-    assert dense(a + b).isclose(dense(a) + dense(b), 1e-9)
+    assert _dense(a * b).isclose(_dense(a) * _dense(b), 1e-9)
+    assert _dense(a + b).isclose(_dense(a) + _dense(b), 1e-9)
 
 
 def test_exact_entries_stay_exact():
@@ -267,6 +271,48 @@ _NAN, _INF = float("nan"), float("inf")
     DenseMatrix([[-0.0, 0.0], [complex(0.0, -0.0), _NAN]]),
 ])
 def test_element_text_matches_json_dumps_by_hand(x):
+    assert element_text(x) == json_dumps_oracle(x)
+
+
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, _NAN, _INF, -_INF])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-(2**63 - 1), 2**63 - 1), min_size=1, max_size=60),
+    st.lists(st.fractions() | st.integers(-9, 9), min_size=1, max_size=60),
+    st.lists(st.floats() | _SPECIAL_FLOATS, min_size=1, max_size=60),
+), st.integers(0, 1))
+def test_dense_text_of_a_diagonal_matches_json_dumps(values, offset):
+    # int64, object (Fraction) and object (float) storage; the offset is not in the text
+    x = DiagonalOperator(values, offset)
+    assert element_text(x, dense=True) == json_dumps_oracle(_dense(x))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 24, 1000])
+@pytest.mark.parametrize("build", [lambda dim: theta_power(1, dim), iu_star],
+                         ids=["theta", "IU*"])
+def test_theta_and_iu_star_dense_text_matches_json_dumps(dim, build):
+    x = build(dim)
+    text, want = element_text(x, dense=True), json_dumps_oracle(_dense(x))
+    same = text == want  # outside the assert: pytest would diff megabytes of text
+    assert same, f"first difference at offset {len(os.path.commonprefix([text, want]))}"
+
+
+@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_text_is_the_same_across_chunk_boundaries(size):
+    # a non-periodic diagonal of each storage, and a period longer than one chunk
+    for x in (DiagonalOperator(RNG.normal(size=size) + 1j * RNG.normal(size=size)),
+              DiagonalOperator(np.arange(size) - size // 2, 1),
+              DiagonalOperator([Fraction(m, 3) for m in range(size)]),
+              OperatorFamily(2 * size + 5, 1).projection(1, size)):
+        assert element_text(x) == json_dumps_oracle(x)
+
+
+@pytest.mark.parametrize("n", [math.isqrt(_CHUNK) - 1, math.isqrt(_CHUNK), math.isqrt(_CHUNK) + 1])
+def test_dense_text_is_the_same_across_chunk_boundaries(n):
+    # n^2 entries just below, at and just above one chunk
+    x = random_dense(n)
     assert element_text(x) == json_dumps_oracle(x)
 
 
