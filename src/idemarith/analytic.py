@@ -1,14 +1,17 @@
 """Truncated monomial-basis model of the analytic function spaces on the
 window e_1..e_N (offset 1: f(0) = 0): the C_0/T_0 determinant and trace
 identities, the map P(alpha) = sum_n alpha(n) P_0(n) with the diagonals
-theta^r and IU* that the suites and ``export`` share, and the growth diagnostic.
+theta^r and IU* that the suites and ``export`` share.
 
 The identity functions return numbers, and the identity suites judge
 them.  ``trace_table`` and ``det_table`` answer every window N of a level
 from one period of the c_n and coprimality rows, by prefix sums and
 Python-int prefix products; ``trace_identities`` and ``det_c0`` are their
-one-window calls.  Commonly quoted closed forms of the determinant and
-traces that disagree with the oracle are evaluated by
+one-window calls.  For d | n, floor((N + n)/d) = floor(N/d) + n/d, so
+both sides of each trace identity satisfy T(N + n) = T(N) + T(n), and
+both sides of the determinant identity D(N + n) = D(N) D(n): the windows
+N = 1..n decide every N.  Commonly quoted closed forms of the determinant
+and traces that disagree with the oracle are evaluated by
 ``det_c0_unsigned_form`` and ``trace_erratum_forms`` for the errata
 section, never asserted.
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,12 +31,10 @@ from .convolution import scalar_dirichlet, scalar_lcm, scalar_table
 from .idempotents import IdempotentSystem
 
 __all__ = [
-    "GrowthDiagnostic",
     "TruncatedSpace",
     "det_c0",
     "det_table",
     "euler_power_residual",
-    "growth_indicator",
     "iu_star",
     "iu_star_representation",
     "p_operator",
@@ -256,53 +256,3 @@ def iu_star_representation(n_dim: int) -> dict:
                          ).entries[1:] == target
         for name, k in (("mu*nu_minus1", -1), ("mu*nu_1", 1))
     }
-
-
-@dataclass(frozen=True)
-class GrowthDiagnostic:
-    """Finite-prefix growth data for a diagonal map candidate: the m-th
-    roots |(nu0 * alpha)(m)|^{1/m}, the max over the upper half of the
-    prefix, and a heuristic classification.  This is a diagnostic, not a
-    limsup.
-    """
-
-    prefix: int
-    roots: tuple[float, ...]
-    indicator: float
-    trend_decreasing: bool
-    classification: str
-
-
-def growth_indicator(alpha: Sequence) -> GrowthDiagnostic:
-    """Growth diagnostic for the table alpha over m = 1..len(alpha).
-
-    Classified plausibly-continuous when the upper-half max is <= 1 + 1e-6,
-    or when the upper-half root sequence is non-increasing and its log
-    decays the way m-th roots of a subexponential sequence do (log of the
-    last root at most 3/4 of the log at the half-way point; a sequence
-    with a genuine limit above 1 keeps the two logs equal).
-    """
-    prefix = len(alpha)
-    if prefix < 4:
-        raise ValueError("growth_indicator requires a table of length >= 4")
-    summed = p_operator(alpha).entries
-    roots = tuple(float(abs(summed[m - 1])) ** (1.0 / m) for m in range(1, prefix + 1))
-    half = -(-prefix // 2)
-    upper = roots[half - 1 :]
-    indicator = max(upper)
-    trend = all(a >= b for a, b in zip(upper, upper[1:]))
-    if indicator <= 1 + 1e-6:
-        plausible = True
-    elif trend and roots[-1] <= 1 + 1e-6:
-        plausible = True
-    elif trend and roots[half - 1] > 1 and roots[-1] > 0:
-        plausible = math.log(roots[-1]) <= 0.75 * math.log(roots[half - 1])
-    else:
-        plausible = False
-    return GrowthDiagnostic(
-        prefix=prefix,
-        roots=roots,
-        indicator=indicator,
-        trend_decreasing=trend,
-        classification="plausibly-continuous" if plausible else "not-continuous",
-    )

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 MAX_FACTOR_INPUT = 10**12
+_CACHE_SIZE = 4096  # per scalar lru_cache, so a long `table` run keeps no entry per value
 
 __all__ = [
     "MAX_FACTOR_INPUT",
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Canonical factorization of n as ((p1, a1), (p2, a2), ...), primes
     ascending.  n = 1 gives the empty tuple.
@@ -85,7 +86,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     divs = [1]
@@ -189,7 +190,7 @@ def epsilon(n: int) -> int:
     return 1 if n == 1 else 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _ramanujan_reduced(n: int, g: int) -> int:
     # g = gcd(j, n); c_n(j) = sum_{d | g} d * mu(n/d)
     return sum(d * mobius(n // d) for d in divisors(g))

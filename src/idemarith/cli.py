@@ -164,6 +164,7 @@ def cmd_export(spec, dim, offset, out):
 
     family = OperatorFamily(dim, offset)
     if dense:
+        _ints(0)
         # the diagonals the analytic rows check, on e_1..e_dim whatever the offset
         element = analytic.theta_power(1, dim) if kind == "THETA" else analytic.iu_star(dim)
     elif kind == "P":

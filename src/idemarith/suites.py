@@ -18,7 +18,9 @@ whole basis: lcm(n, m) for a product law, 6 n_limit for the axioms
 (levels n r, r <= 6), K for a multiplicativity row on levels 1..K (pairs
 nm <= K and prime-power rebuilds).  Those five rows report the requested
 dim under "dim" and min(dim, period) under "window"; the product-law and
-weighted rows report their window under "dim".
+weighted rows report their window under "dim".  The trace and determinant
+rows take N = 1..n at each level n, which decides every N (both sides add
+or multiply over a period), and the growth row bounds P(alpha) in integers.
 
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
@@ -30,7 +32,6 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import operator
 import random
 
 import numpy as np
@@ -320,11 +321,20 @@ def _suite_convolution(n_max, dim):
     return rows, errata
 
 
-def _trace_residuals(n, dims):
-    """{N: the worse residual of the two trace identities at (n, N)}."""
-    table = analytic.trace_table(n, dims)
-    worst = np.maximum(abs(table[:, 0] - table[:, 1]), abs(table[:, 2] - table[:, 3]))
-    return dict(zip(dims, worst.tolist()))
+def _first_worst(residuals, name: str) -> tuple:
+    """The largest residual at 1, 2, ... (0 if none is positive), at its first place."""
+    at = max(range(len(residuals)), key=residuals.__getitem__)
+    return max(residuals[at], 0), {name: at + 1}
+
+
+def _growth_excess(alpha, excess) -> tuple:
+    """How far the entries x_m = (nu0 * alpha)(m) of P(alpha), m <= 64, leave the
+    bound excess(m, x_m) <= 0, in Python ints.  Where m-th roots of a finite prefix
+    cannot decide a limsup, these bounds settle the classification: (nu0 * phi)(m) = m
+    and (nu0 * eps)(m) = 1, so |x_m| <= m (continuous), and sum_{d|m} 2^d >= 2^m, so
+    x_m >= 2^m for 2^n (not continuous)."""
+    x = analytic.p_operator(scalar_table(alpha, 64)).entries
+    return _first_worst([excess(m, x_m) for m, x_m in enumerate(x, 1)], "m")
 
 
 def _suite_analytic(n_max, dim):
@@ -340,33 +350,33 @@ def _suite_analytic(n_max, dim):
     iu = functools.cache(lambda: analytic.iu_star_representation(128))
     prep = functools.cache(lambda: analytic.p_operator_identities(
         IdempotentSystem(64, 1), 64, pairs=20, seed=SEED))
-    growth = {"totient": totient, "epsilon": epsilon, "2**n": lambda n: 2**n}
-    det_dims, trace_dims = range(1, 65), range(1, 201, 7)
-    dets = functools.cache(lambda n: dict(zip(det_dims, analytic.det_table(n, det_dims))))
-    traces = functools.cache(lambda n: _trace_residuals(n, trace_dims))
+    growth = {"totient": (totient, lambda m, x: abs(x) - m),
+              "epsilon": (epsilon, lambda m, x: abs(x) - m),
+              "2**n": (lambda n: 2**n, lambda m, x: 2**m - x)}
+    one_period = "1..n, which decides every N"
     rows = [
         _check("determinant of the Ramanujan diagonal: direct vs closed form",
-               {"n_max": min(n_max, 30), "dim_max": 64},
-               [(n, d) for n in range(2, min(n_max, 30) + 1) for d in det_dims],
-               lambda n, dim: abs(operator.sub(*dets(n)[dim]))),
-        _check("trace identities for both diagonals",
-               {"n_max": min(n_max, 60), "dim_max": 200},
-               [(n, d) for n in range(2, min(n_max, 60) + 1) for d in trace_dims],
-               lambda n, dim: traces(n)[dim]),
+               {"n_max": min(n_max, 30), "N": one_period},
+               [(n,) for n in range(2, min(n_max, 30) + 1)],
+               lambda n: _first_worst([abs(direct - closed) for direct, closed
+                                       in analytic.det_table(n, range(1, n + 1))], "N")),
+        _check("trace identities for both diagonals", {"n_max": min(n_max, 60), "N": one_period},
+               [(n,) for n in range(2, min(n_max, 60) + 1)],
+               lambda n: _first_worst(
+                   [max(abs(c0 - c0_closed), abs(t0 - t0_closed)) for c0, c0_closed, t0, t0_closed
+                    in analytic.trace_table(n, range(1, n + 1)).tolist()], "N")),
         _check("Euler-operator representation of totient and Jordan powers",
                {"m_max": euler_n, "r_max": 3}, [(alpha,) for alpha in (*euler, "mobius")],
                euler_representation),
         _check("diagonal of integration-compose-backward-shift", {"n_max": 128},
                [("mu*nu_minus1", True), ("mu*nu_1", False)],
-               lambda candidate, matches: float(iu()[candidate] != matches)),
+               lambda candidate, matches: iu()[candidate] != matches),
         _check("diagonal map is an algebra map for the lcm product", {"n_max": 64, "pairs": 20},
                [()], lambda: max(prep()["algebra_map_max_residual"],
                                  prep()["euler_power_max_residual"])),
-        _check("finite-prefix growth diagnostic classification", {"prefix": 64},
-               [("totient", "plausibly-continuous"), ("epsilon", "plausibly-continuous"),
-                ("2**n", "not-continuous")],
-               lambda alpha, expected: float(analytic.growth_indicator(
-                   scalar_table(growth[alpha], 64)).classification != expected)),
+        _check("growth bounds of the diagonal map: |x_m| <= m for totient and epsilon, "
+               "x_m >= 2^m for 2**n", {"prefix": 64}, [(alpha,) for alpha in growth],
+               lambda alpha: _growth_excess(*growth[alpha])),
     ]
     errata = [
         _erratum({

@@ -12,12 +12,10 @@ from hypothesis import given, strategies as st
 from idemarith import analytic
 from idemarith.algebra import DiagonalOperator, ShapeMismatchError
 from idemarith.analytic import (
-    GrowthDiagnostic,
     det_c0,
     det_c0_unsigned_form,
     det_table,
     euler_power_residual,
-    growth_indicator,
     iu_star,
     iu_star_representation,
     p_operator,
@@ -214,6 +212,30 @@ class TestPerLevelTables:
             det_table(6, dims)
 
 
+# a level n <= 60 and a window N <= 3n
+level_and_window = st.integers(1, 60).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, 3 * n)))
+
+
+class TestOnePeriodDecidesEveryWindow:
+    """The premise of the trace and determinant rows, which check N = 1..n
+    alone: floor((N + n)/d) = floor(N/d) + n/d for d | n, so each side of
+    each identity is additive (traces) or multiplicative (determinant) over
+    one period."""
+
+    @given(level_and_window)
+    def test_each_trace_column_adds_a_period(self, level):
+        n, big_n = level
+        shifted, head, period = trace_table(n, [big_n + n, big_n, n])
+        assert shifted.tolist() == (head + period).tolist()
+
+    @given(level_and_window.filter(lambda level: level[0] >= 2))
+    def test_each_det_side_multiplies_by_a_period(self, level):
+        n, big_n = level
+        shifted, head, period = det_table(n, [big_n + n, big_n, n])
+        assert shifted == (head[0] * period[0], head[1] * period[1])
+
+
 class TestPOperator:
     def test_totient_gives_euler_diagonal(self):
         diag = p_operator(scalar_table(totient, 64))
@@ -352,26 +374,3 @@ class TestIuStarRepresentation:
         ops = shift_operators(IdempotentSystem(10, 1))
         product = (ops["integration"] * ops["U_star"]).array
         assert np.array_equal(product, np.diag(np.array(iu_star(10).entries, dtype=float)))
-
-
-class TestGrowthIndicator:
-    def test_totient_plausibly_continuous(self):
-        diag = growth_indicator(scalar_table(totient, 64))
-        assert isinstance(diag, GrowthDiagnostic)
-        assert abs(diag.indicator - 32 ** (1 / 32)) < 1e-9
-        assert diag.trend_decreasing
-        assert diag.classification == "plausibly-continuous"
-
-    def test_epsilon_constant_one(self):
-        diag = growth_indicator(scalar_table(epsilon, 32))
-        assert all(abs(r - 1) < 1e-12 for r in diag.roots)
-        assert diag.classification == "plausibly-continuous"
-
-    def test_exponential_not_continuous(self):
-        diag = growth_indicator(scalar_table(lambda n: 2**n, 48))
-        assert diag.indicator >= 2
-        assert diag.classification == "not-continuous"
-
-    def test_rejects_short_prefix(self):
-        with pytest.raises(ValueError):
-            growth_indicator([1, 1, 1])

@@ -2,13 +2,17 @@
 
 import cmath
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import idemarith
 from idemarith.arith import (
     EvenFunction,
     crt_solve,
@@ -315,3 +319,25 @@ class TestEvenFunctions:
         monkeypatch.setattr("idemarith.arith.rf_transform", dropped)
         alpha = EvenFunction(4, {r: math.gcd(r, 4) for r in divisors(4)})
         assert rf_residual(alpha) > 0
+
+
+def _cache_holders():
+    """(name, object) for every module-level object of the package, and every
+    attribute of a class defined there, that has a ``cache_info``."""
+    for info in pkgutil.iter_modules(idemarith.__path__):
+        module = importlib.import_module(f"idemarith.{info.name}")
+        for name, obj in vars(module).items():
+            own_class = inspect.isclass(obj) and obj.__module__ == module.__name__
+            members = vars(obj).items() if own_class else ()
+            for label, value in [(name, obj), *((f"{name}.{k}", v) for k, v in members)]:
+                if hasattr(value, "cache_info"):
+                    yield f"{module.__name__}.{label}", value
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # an unbounded cache keeps one entry per distinct argument for the life of the process
+    holders = dict(_cache_holders())
+    assert {"idemarith.arith.factorize", "idemarith.arith.divisors",
+            "idemarith.arith._ramanujan_reduced"} <= holders.keys()
+    assert {name: value.cache_info().maxsize for name, value in holders.items()
+            if value.cache_info().maxsize is None} == {}

@@ -418,6 +418,14 @@ class TestExport:
         code, out, err = invoke(["export", "Q:1:2", "--dim", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec,count", [("theta:5", 0), ("IU*:x", 0), ("theta:", 0),
+                                            ("S:3:4", 1), ("P:1", 2), ("T:1:0:6:6", 3)])
+    def test_wrong_index_count_is_usage_error(self, spec, count):
+        # theta and IU* take no indices: a suffix is refused, not dropped
+        code, out, err = invoke(["export", spec, "--dim", "2"])
+        assert (code, out) == (2, "")
+        assert f"export expects {count} indices" in err
+
     @pytest.mark.parametrize("value", ["6", "abc"])
     def test_dim_is_set_only_by_the_option(self, monkeypatch, value):
         monkeypatch.setenv("IDEMARITH_DIM", value)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from idemarith import analytic, arith, idempotents, ramanujan_ops, suites
-from idemarith.algebra import NonInvertibleError
+from idemarith.algebra import DiagonalOperator, NonInvertibleError
 from idemarith.arith import crt_solve, divisors, factorize
 from idemarith.convolution import InverseCheckError
 from idemarith.idempotents import IdempotentSystem
@@ -234,8 +234,9 @@ class TestRunSuite:
         row = run_suite("analytic", n_max=12)["checks"][1]
         assert row["identity"] == "trace identities for both diagonals"
         assert row["pass"] is False and row["max_residual"] > 0
-        n, dim = row["counterexample"]["n"], row["counterexample"]["dim"]
-        assert dim >= n  # floor(N/n) = 0 below the level
+        # floor(N/n) = 0 below the level, so the lost term shows first at N = n,
+        # and its weight n mu(1) is largest at the top level
+        assert row["counterexample"] == {"n": 12, "at": {"N": 12}}
 
     def test_det_prefix_product_off_by_one_entry_fails_the_det_row(self, monkeypatch):
         real = analytic._c_period
@@ -249,7 +250,27 @@ class TestRunSuite:
         row = run_suite("analytic", n_max=12)["checks"][0]
         assert row["identity"] == "determinant of the Ramanujan diagonal: direct vs closed form"
         assert row["pass"] is False and row["max_residual"] > 0
-        assert set(row["counterexample"]) == {"n", "dim"}
+        n, at = row["counterexample"]["n"], row["counterexample"]["at"]
+        assert set(row["counterexample"]) == {"n", "at"} and set(at) == {"N"}
+        assert 1 <= at["N"] <= n  # one period decides every window
+
+    def test_totient_above_its_bound_fails_the_growth_row(self, monkeypatch):
+        # phi(64) + 1 puts x_64 = (nu0 * phi)(64) at 65, one past |x_m| <= m
+        monkeypatch.setattr(suites, "totient", lambda n: arith.totient(n) + (n == 64))
+        row = run_suite("analytic", n_max=12)["checks"][-1]
+        assert row["identity"].startswith("growth bounds of the diagonal map")
+        assert row["pass"] is False and row["max_residual"] == 1
+        assert row["counterexample"] == {"alpha": "totient", "at": {"m": 64}}
+
+    def test_diagonal_map_without_its_top_term_fails_the_growth_row(self, monkeypatch):
+        # x_m = sum_{d|m, d<m} alpha(d): phi and eps stay within |x_m| <= m, but 2^n
+        # falls below x_m >= 2^m at every m, furthest at m = 64 (by 2^64 - 2^32 - ...)
+        real = analytic.p_operator
+        monkeypatch.setattr(analytic, "p_operator",
+                            lambda alpha: real(alpha) - DiagonalOperator(alpha, 1))
+        row = run_suite("analytic", n_max=12)["checks"][-1]
+        assert row["pass"] is False and row["max_residual"] > 2.0**63
+        assert row["counterexample"] == {"alpha": "2**n", "at": {"m": 64}}
 
     @pytest.mark.parametrize("suite, rows", [("axioms", 3), ("ramanujan", 1)])
     def test_multiplicativity_rows_reach_the_first_coprime_pair(self, monkeypatch, suite, rows):
