@@ -2,11 +2,19 @@
 
     python scripts/report_diff.py OLD.json NEW.json
 
-Prints each row (numbered from 1) whose identity, params, residual or
-verdict changed, each key of it that changed, then whether the rows' count,
-the errata and the run's params and summary are the same.  Rows are paired
-by position, so a renamed row shows as one changed identity.  Exits 1 if any row's verdict or
-residual differs, or if the errata differ; 0 otherwise.
+Rows are paired by identity in report order (``difflib``'s longest
+matching runs); where a run of rows differs, its rows pair by position,
+so a renamed row shows as one changed identity, and any rows left over
+are unpaired.  Prints each paired row (numbered from 1 in NEW) whose
+identity, params, residual or verdict changed, each key of it that
+changed; each unpaired row as "only in OLD" or "only in NEW" with its
+number in that report and its identity; then whether the rows' count,
+the errata and the run's params and summary are the same.
+
+Exits 1 if a paired row's residual, verdict or error differs, if a row
+is unpaired (one report has a row the other lacks), or if the errata
+differ; 0 otherwise, even when only params, identities or the summary
+changed.
 
 To compare the committed default report with an earlier commit's:
 
@@ -14,6 +22,7 @@ To compare the committed default report with an earlier commit's:
     python scripts/report_diff.py old.json tests/check_all_default.json
 """
 
+import difflib
 import json
 import sys
 
@@ -37,16 +46,33 @@ def _text(value) -> str:
     return "(absent)" if value is _ABSENT else json.dumps(value)
 
 
+def _pairs(old_rows: list, new_rows: list):
+    """(i, j) for each paired row, (i, None) or (None, j) for each unpaired
+    one, 0-based, in report order."""
+    matcher = difflib.SequenceMatcher(None, [r["identity"] for r in old_rows],
+                                      [r["identity"] for r in new_rows], autojunk=False)
+    for _, i1, i2, j1, j2 in matcher.get_opcodes():
+        common = min(i2 - i1, j2 - j1)
+        yield from ((i1 + k, j1 + k) for k in range(common))
+        yield from ((i, None) for i in range(i1 + common, i2))
+        yield from ((None, j) for j in range(j1 + common, j2))
+
+
 def main(old_path: str, new_path: str) -> int:
     with open(old_path) as fh:
         old = json.load(fh)
     with open(new_path) as fh:
         new = json.load(fh)
-    verdicts_moved = False
-    for i, (a, b) in enumerate(zip(old["checks"], new["checks"]), 1):
-        changed = _changes(a, b)
+    verdicts_moved = unpaired = False
+    for i, j in _pairs(old["checks"], new["checks"]):
+        if i is None or j is None:
+            which, k, rows = ("OLD", i, old["checks"]) if j is None else ("NEW", j, new["checks"])
+            print(f"row {k + 1} only in {which}: {rows[k]['identity']}")
+            unpaired = True
+            continue
+        changed = _changes(old["checks"][i], new["checks"][j])
         if changed:
-            print(f"row {i}: {b['identity']}")
+            print(f"row {j + 1}: {new['checks'][j]['identity']}")
             for key, (was, now) in changed.items():
                 print(f"  {key}: {_text(was)} -> {_text(now)}")
         verdicts_moved |= bool(changed.keys() & {"max_residual", "pass", "error"})
@@ -56,7 +82,7 @@ def main(old_path: str, new_path: str) -> int:
             "summary": old["summary"] == new["summary"]}
     for what, equal in same.items():
         print(f"{what}: {'same' if equal else 'DIFFERENT'}")
-    return int(verdicts_moved or not same["errata"] or not same["row count"])
+    return int(verdicts_moved or unpaired or not same["errata"])
 
 
 if __name__ == "__main__":

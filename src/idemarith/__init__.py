@@ -16,7 +16,6 @@ from .algebra import (
 from .arith import (
     EvenFunction,
     RFCoefficients,
-    crt_solve,
     divisors,
     factorize,
     jordan_totient,

@@ -1,6 +1,6 @@
 """Exact scalar number theory: factorization, classical multiplicative
-functions, Ramanujan sums, the CRT solver, and even-function Fourier
-coefficients with their reconstruction residual.
+functions, Ramanujan sums, and even-function Fourier coefficients with
+their reconstruction residual.
 
 ``prime_power_split`` is a sieve of all of 1..N at once: the largest
 prime of each n, its full power, and the rest of n.  ``prime_power_product``
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "MAX_FACTOR_INPUT",
     "EvenFunction",
     "RFCoefficients",
-    "crt_solve",
     "divisors",
     "epsilon",
     "factorize",
@@ -40,7 +38,6 @@ __all__ = [
     "omega",
     "prime_power_product",
     "prime_power_split",
-    "ramanujan_orthogonality",
     "ramanujan_sum",
     "rf_residual",
     "rf_transform",
@@ -216,25 +213,6 @@ def lcm_tuple_count(s: int, n: int) -> int:
     for _, a in factorize(n):
         result *= (a + 1) ** s - a**s
     return result
-
-
-def crt_solve(k: int, n: int, l: int, m: int) -> Optional[int]:
-    """The unique j in [0, lcm(n, m)) with j = k (mod n) and j = l (mod m),
-    or None when gcd(n, m) does not divide l - k.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("crt_solve requires positive moduli")
-    g = math.gcd(n, m)
-    if (l - k) % g != 0:
-        return None
-    lcm = n * m // g
-    t = ((l - k) // g) * pow(n // g, -1, m // g) % (m // g)
-    return (k + n * t) % lcm
-
-
-def ramanujan_orthogonality(n: int, l: int) -> int:
-    """sum_{r|n} c_n(n/r) c_r(l): equals n when gcd(l, n) = 1, else 0."""
-    return sum(ramanujan_sum(n, n // r) * ramanujan_sum(r, l) for r in divisors(n))
 
 
 @dataclass(frozen=True)

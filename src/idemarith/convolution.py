@@ -10,14 +10,18 @@ Every product runs on one flat index of its terms over 1..N, cached for
 at most three (product, N) pairs: the 0-based table positions of each
 term's factors, ordered n ascending, then left factor, then right, and
 where each n's terms start.  The kernel gathers both tables at those
-positions, multiplies, and sums each n's terms with ``np.add.reduceat``,
-about 8k terms at a time.  It uses int64 only when both tables are
-integers of int64 size and max|a| max|b| (most terms at one n) <= 2^63 - 1,
-so no sum can wrap.  Anything else (floats, complex, Fractions, big ints,
-algebra elements) runs on object arrays, adding each n's terms in index
-order and then to zero, which gives zero + t_1 + t_2 + ... bit for bit.
-There is no float64 or complex128 reduction: numpy's pairwise summation
-would change the bits.
+positions, multiplies, and sums each n's terms with ``np.add.reduceat``
+along axis 0, about 8k entries at a time.  It uses int64 only when both
+tables are integers of int64 size and max|a| max|b| (most terms at one n)
+<= 2^63 - 1, so no sum can wrap.  Functions whose values are all int64
+diagonals of one shape and offset meet that rule on the bounds of their
+values and run as one (N, dim + 1) stack of entries and bound; the
+bound column sums to the bound the per-element sum would carry.
+Anything else (floats, complex, Fractions, big ints, other elements)
+runs on object arrays, adding each n's terms in index order and then to
+zero, which gives zero + t_1 + t_2 + ... bit for bit.  There is no
+float64 or complex128 reduction: numpy's pairwise summation would change
+the bits.
 
 Cost on a table of size N: the Dirichlet product has the sum of tau(n)
 terms (24,496 at N = 3000), the unitary product those with
@@ -42,24 +46,26 @@ throughout.
 unitary index, and rebuilds each f(n) from its prime powers read off
 ``arith.prime_power_split``, a sieve of 1..N cached for at most three N,
 multiplying f(p1^a1) ... f(pk^ak) left to right, primes ascending, as a
-per-n loop over ``factorize`` would.  On Scalar tables the pairs are
-compared in blocks of 64, 128, ... pairs, each one array product and one
-|x - y| <= tol comparison, stopping at the first block that fails; the
-rebuild is one ``prime_power_product`` and one comparison.  Other
-elements form one pair's product, or one rebuilt f(n), at a time and
-call ``isclose``.  Either way the verdict and the first counterexample
-are the loop's.
+per-n loop over ``factorize`` would.  On Scalar tables and int64 diagonal
+stacks the pairs are compared in blocks of 64, 128, ... pairs, each one
+array product and one |x - y| <= tol comparison, stopping at the first
+block that fails; the rebuild is one ``prime_power_product`` and one
+comparison.  Other elements form one pair's product, or one rebuilt
+f(n), at a time and call ``isclose``.  Either way the verdict and the
+first counterexample are the loop's.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import _INT64_MAX, DEFAULT_TOL, Scalar, _store, invert, is_idempotent
+from .algebra import (_INT64_MAX, DEFAULT_TOL, DiagonalOperator, Scalar, _stack, _store, _Stored,
+                      invert, is_idempotent)
 from .arith import prime_power_product, prime_power_split
 
 __all__ = [
@@ -136,11 +142,11 @@ def _index(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return terms[0], terms[1], np.cumsum(counts, dtype=np.int32)
 
 
-def _blocks(starts: np.ndarray, lo: int, hi: int):
-    """Consecutive ranges of positions lo..hi - 1 holding at most _BLOCK
+def _blocks(starts: np.ndarray, lo: int, hi: int, size: int = _BLOCK):
+    """Consecutive ranges of positions lo..hi - 1 holding at most size
     terms each, or one position's terms when it has more."""
     while lo < hi:
-        cut = int(np.searchsorted(starts, starts[lo] + _BLOCK, "right")) - 1
+        cut = int(np.searchsorted(starts, starts[lo] + size, "right")) - 1
         cut = min(max(cut, lo + 1), hi)
         yield lo, cut
         lo = cut
@@ -153,21 +159,32 @@ def _objects(table, stored) -> np.ndarray:
     return np.array(list(table), dtype=object)
 
 
+def _fits(kind: str, n_max: int, bound_a: int, bound_b: int) -> bool:
+    """Whether no sum of the product ``kind`` on 1..n_max of factors of
+    modulus <= bound_a and <= bound_b can leave int64."""
+    starts = _index(kind, n_max)[2]
+    return bound_a * bound_b * int(np.diff(starts).max(initial=0)) <= _INT64_MAX
+
+
+def _sums(kind: str, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Each n's sum of va[k] * vb[l] over the terms (k, l) of the product
+    ``kind``, along axis 0, about _BLOCK entries at a time."""
+    left, right, starts = _index(kind, len(va))
+    sums = []
+    for lo, hi in _blocks(starts, 0, len(va), _BLOCK // math.prod(va.shape[1:])):
+        terms = slice(starts[lo], starts[hi])
+        sums.append(np.add.reduceat(va[left[terms]] * vb[right[terms]], starts[lo:hi] - starts[lo]))
+    return np.concatenate(sums) if sums else va[:0]
+
+
 def _product(kind: str, a: Sequence, b: Sequence, zero) -> list:
     """The product ``kind`` of two tables of equal length, as a list."""
     if len(a) != len(b):
         raise ValueError(f"table lengths differ: {len(a)} vs {len(b)}")
-    left, right, starts = _index(kind, len(a))
     sa, sb = _store(a), _store(b)
-    exact = (sa.bound is not None and sb.bound is not None
-             and sa.bound * sb.bound * int(np.diff(starts).max(initial=0)) <= _INT64_MAX)
-    va, vb = (sa.values, sb.values) if exact else (_objects(a, sa), _objects(b, sb))
-    sums = []
-    for lo, hi in _blocks(starts, 0, len(a)):
-        terms = slice(starts[lo], starts[hi])
-        sums.append(np.add.reduceat(va[left[terms]] * vb[right[terms]], starts[lo:hi] - starts[lo]))
-    out = np.concatenate(sums or [[]]).tolist()
-    return out if exact else [zero + s for s in out]
+    if sa.bound is not None and sb.bound is not None and _fits(kind, len(a), sa.bound, sb.bound):
+        return _sums(kind, sa.values, sb.values).tolist()
+    return [zero + s for s in _sums(kind, _objects(a, sa), _objects(b, sb)).tolist()]
 
 
 def scalar_dirichlet(a: Sequence, b: Sequence) -> list:
@@ -216,12 +233,18 @@ class AlgFunction:
 
 
 def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
-    """The product ``kind`` of f and g; all-Scalar functions run on their
-    values, whose + and * are the Scalars' own."""
+    """The product ``kind`` of f and g: all-Scalar functions on their values,
+    int64 diagonals that fit on one ``_stack``, anything else element by element."""
     f._check(g)
-    if all(type(v) is Scalar for v in f.values + g.values):
+    values, n = f.values + g.values, f.n_max
+    if all(type(v) is Scalar for v in values):
         values = _product(kind, [v.value for v in f.values], [v.value for v in g.values], 0)
         return AlgFunction(map(Scalar, values))
+    stack = _stack(values)
+    if stack is not None and _fits(kind, n, int(stack[:n, -1].max()), int(stack[n:, -1].max())):
+        sums = _sums(kind, stack[:n], stack[n:])
+        return AlgFunction(DiagonalOperator(_Stored(row[:-1], bound), values[0].offset)
+                           for row, bound in zip(sums, sums[:, -1].tolist()))
     return AlgFunction(_product(kind, f.values, g.values, f.values[0].zero()))
 
 
@@ -298,25 +321,25 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
     return AlgFunction(map(Scalar, g.tolist()) if scalar else g.tolist())
 
 
-def _first_far(fv: np.ndarray, at: np.ndarray, others, scalar: bool, tol: float):
+def _first_far(fv: np.ndarray, at: np.ndarray, others, arrays: bool, tol: float):
     """The first position i at which fv[at[i]] is farther than tol from
-    others[i], or None.  Scalar values compare in one array pass, so a NaN
-    fails; elements call isclose one at a time, and others may be lazy.
+    others[i], or None.  Arrays of values or rows compare in one pass, so a
+    NaN fails; elements call isclose one at a time, and others may be lazy.
     """
-    if scalar:
-        near = np.abs((fv[at] - others).astype(complex)) <= tol
+    if arrays:
+        near = (np.abs((fv[at] - others).astype(complex)) <= tol).all(axis=tuple(range(1, fv.ndim)))
         return None if near.all() else int(np.argmin(near))
     return next((i for i, (x, y) in enumerate(zip(fv[at], others))
                  if not x.isclose(y, tol)), None)
 
 
-def _first_far_pair(fv: np.ndarray, n: np.ndarray, m: np.ndarray, scalar: bool, tol: float):
+def _first_far_pair(fv: np.ndarray, n: np.ndarray, m: np.ndarray, arrays: bool, tol: float):
     """The first i at which f(n[i] m[i]) is farther than tol from
-    f(n[i]) f(m[i]), or None.  Scalar pairs go in blocks of 64, 128, ...,
+    f(n[i]) f(m[i]), or None.  Arrays go in blocks of 64, 128, ... pairs,
     so a table that fails early forms few products; elements form one
     product at a time.
     """
-    if not scalar:
+    if not arrays:
         return _first_far(fv, n * m, map(operator.mul, fv[n], fv[m]), False, tol)
     lo, size = 0, _PAIR_BLOCK
     while lo < n.size:
@@ -347,36 +370,39 @@ def is_multiplicative(
     n ascending, then m.  The reconstruction multiplies
     unit * f(p1^a1) * ... * f(pk^ak), primes ascending, left to right,
     with the prime powers read off ``arith.prime_power_split``.
-    All-Scalar functions run on their values, comparing the pairs in
-    doubling blocks and rebuilding every n in one ``prime_power_product``;
-    other elements form one pair's product, or one n's rebuilt value, at
-    a time.
+    All-Scalar functions, and int64 diagonals on one ``_stack`` when
+    2 bound^max(2, bit_length(n_max)) <= 2^63 - 1 (a rebuild multiplies
+    omega(n) < bit_length(n) factors), compare the pairs in doubling blocks
+    and rebuild every n in one ``prime_power_product``; other elements form
+    one pair's product, or one n's rebuilt value, at a time.
 
     Returns (verdict, first counterexample (n, m) or None).
     """
     if not is_idempotent(f(1), tol):  # f(1) = f(1)f(1) is the (1, 1) case
         return False, (1, 1)
     n_max = f.n_max
-    scalar = all(type(v) is Scalar for v in f.values)
-    fv = np.array([None, *(v.value for v in f.values)] if scalar else [None, *f.values],
+    arrays = all(type(v) is Scalar for v in f.values)
+    fv = np.array([None, *(v.value for v in f.values)] if arrays else [None, *f.values],
                   dtype=object)  # fv[n] = f(n)
+    stack = None if arrays else _stack(f.values)
+    if stack is not None and 2 * int(stack[:, -1].max())**max(2, n_max.bit_length()) <= _INT64_MAX:
+        fv, arrays = np.vstack((np.zeros_like(stack[:1, :-1]), stack[:, :-1])), True  # fv[n] = f(n)
     left, right, _ = _index("unitary", n_max)
     pairs = (0 < left) & (left < right)
     n, m = left[pairs] + 1, right[pairs] + 1
     order = np.argsort(n, kind="stable")  # the index sorts by n m, so each n's m ascend
     n, m = n[order], m[order]
-    first = _first_far_pair(fv, n, m, scalar, tol)
+    first = _first_far_pair(fv, n, m, arrays, tol)
     if first is not None:
         return False, (int(n[first]), int(m[first]))
     _, power, rest = prime_power_split(n_max)
     composite = np.flatnonzero(rest > 1)
-    unit = f(1).unit()
-    if scalar:
-        rebuilt = prime_power_product(fv[power], unit.value)[composite]
+    if arrays:
+        rebuilt = prime_power_product(fv[power], 1)[composite]
     else:
-        rebuilt = (reduce(operator.mul, fv[_prime_powers(k, power, rest)], unit)
+        rebuilt = (reduce(operator.mul, fv[_prime_powers(k, power, rest)], f(1).unit())
                    for k in composite.tolist())
-    first = _first_far(fv, composite, rebuilt, scalar, tol)
+    first = _first_far(fv, composite, rebuilt, arrays, tol)
     if first is None:
         return True, None
     whole = int(composite[first])

@@ -5,14 +5,12 @@ convolution identities, Lehmer's lcm identity in operator form among them.
 The projections are exact 0/1 integer diagonals; the axioms suite compares
 them with their float DFT form (1/n) sum_l eps_n^{-lj} S^l(n) on one period.
 
-Both checks run on the int64 stacks of ``projections``.  The axioms take
-one level at a time, no temporary larger than n rows.  The CRT product law
-takes one level pair (n, m) at a time: ``product_law_residual`` multiplies
-the stacks of all P_k(n) and all P_l(m) in one broadcast and compares
-every product with its prediction.
-For n | m that prediction is the divisor rule: P_k(n) P_l(m) is P_l(m)
-when l = k (mod n), else zero.  The tests keep the per-case form,
-P_k(n) P_l(m) built as diagonals, as its oracle.
+Both checks run on the stacks of ``projections``.  The axioms take one
+level at a time, no temporary larger than n rows.  ``product_law_residuals``
+builds each level's stack once for all its level pairs, and per pair
+compares all P_k(n) P_l(m) in one broadcast with the rows its CRT grid
+predicts (for n | m the divisor rule: P_l(m) when l = k (mod n), else
+zero).  The tests keep the per-case form and ``crt_solve`` as oracles.
 """
 
 from __future__ import annotations
@@ -23,13 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import DiagonalOperator
-from .arith import crt_solve, lcm_tuple_count, omega
+from .arith import lcm_tuple_count, omega
 from .convolution import (AlgFunction, dirichlet_convolve, lcm_convolve, scalar_lcm,
                           scalar_unitary, unitary_convolve)
 
 __all__ = [
     "IdempotentSystem",
-    "product_law_residual",
+    "product_law_residuals",
     "verify_axioms",
     "weighted_product_identities",
 ]
@@ -108,24 +106,38 @@ def verify_axioms(system: IdempotentSystem, n_limit: int) -> tuple[float, tuple]
     return worst, where
 
 
-def product_law_residual(system: IdempotentSystem, n: int,
-                         m: int) -> tuple[float, dict]:
-    """The worst residual of the CRT law over all P_k(n) P_l(m), k < n and
-    l < m, against P_j(lcm(n, m)) with j = crt_solve(k, n, l, m), or zero
-    when there is no such j; 0 when the law holds.
-
-    Returns the residual and its first place in (k, l) order as
-    {"k": k, "l": l}.
-    """
+def _crt_grid(n: int, m: int) -> np.ndarray:
+    """The int64 (n, m) array whose (k, l) entry is the j < lcm(n, m) with
+    j = k (mod n) and j = l (mod m), or lcm(n, m) where there is none: each
+    j < lcm(n, m) is the one solution at (j mod n, j mod m)."""
     lcm = math.lcm(n, m)
-    products = system.projections(range(n), n)[:, None] * system.projections(range(m), m)
+    grid, j = np.full((n, m), lcm), np.arange(lcm)
+    grid[j % n, j % m] = j
+    return grid
+
+
+def product_law_residuals(system: IdempotentSystem, levels) -> dict:
+    """{(n, m): (worst residual, its first place in (k, l) order as
+    {"k": k, "l": l})} of the CRT law for each level pair in levels: P_k(n)
+    P_l(m) against P_j(lcm(n, m)), j from ``_crt_grid``, or zero where there
+    is none, over k < n and l < m; 0 when the law holds.
+
+    Each level's stack is built once, with a zero row last, in int8 when its
+    entries lie within +-10, so that a product of two minus a third stays
+    within +-110.
+    """
     zero = np.zeros((1, system.dim), dtype=np.int64)
-    predictions = np.vstack((system.projections(range(lcm), lcm), zero))  # row lcm is zero
-    rows = [[lcm if j is None else j for j in (crt_solve(k, n, l, m) for l in range(m))]
-            for k in range(n)]
-    residuals = np.abs(products - predictions[rows]).max(axis=2)
-    k, l = np.unravel_index(np.argmax(residuals), residuals.shape)
-    return float(residuals[k, l]), {"k": int(k), "l": int(l)}
+    stacks = {}
+    for size in {size for n, m in levels for size in (n, m, math.lcm(n, m))}:
+        stack = np.vstack((system.projections(range(size), size), zero))
+        stacks[size] = stack.astype(np.int8) if np.abs(stack).max() <= 10 else stack
+    worst = {}
+    for n, m in levels:
+        residuals = np.abs(stacks[n][:-1, None] * stacks[m][:-1]
+                           - stacks[math.lcm(n, m)][_crt_grid(n, m)]).max(axis=2)
+        k, l = divmod(int(np.argmax(residuals)), m)
+        worst[n, m] = float(residuals[k, l]), {"k": k, "l": l}
+    return worst
 
 
 def weighted_product_identities(

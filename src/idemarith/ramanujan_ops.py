@@ -32,8 +32,8 @@ from .arith import (
 from .idempotents import IdempotentSystem
 
 __all__ = ["OperatorFamily", "c_operator_constructions", "c_t_transforms",
-           "even_function_identity", "root_of_unity_residual", "root_sum_residual",
-           "t_decomposition", "t_top_identities"]
+           "even_function_identity", "orthogonality_residual", "root_of_unity_residual",
+           "root_sum_residual", "t_decomposition", "t_top_identities"]
 
 
 @lru_cache(maxsize=64)
@@ -149,6 +149,18 @@ def c_t_transforms(n: int) -> float:
     weights = [ramanujan_sum(n, n // r) for r in divs]
     return max(_distance(c[-1], _weighted(weights, t)),
                _distance(n * t[-1], _weighted(weights, c)))
+
+
+def orthogonality_residual(n: int) -> tuple[int, dict]:
+    """The worst |sum_{r|n} c_n(n/r) c_r(l) - n [gcd(l, n) = 1]| over l = 1..n,
+    at its first l.  For r | n, c_r(l) = c_r(g) with g = gcd(l, n), so the sum
+    is taken once per class g, from the c table, and each l reads its class's."""
+    divs, _, _, c = _divisor_tables(n)
+    by_class = _weighted([ramanujan_sum(n, n // r) for r in divs], c)
+    g = np.gcd(np.arange(1, n + 1), n)
+    residuals = np.abs(by_class[np.searchsorted(divs, g)] - np.where(g == 1, n, 0))
+    at = int(np.argmax(residuals))
+    return int(residuals[at]), {"l": at + 1}
 
 
 def even_function_identity(alpha: EvenFunction) -> float:

@@ -18,9 +18,11 @@ whole basis: lcm(n, m) for a product law, 6 n_limit for the axioms
 (levels n r, r <= 6), K for a multiplicativity row on levels 1..K (pairs
 nm <= K and prime-power rebuilds).  Those five rows report the requested
 dim under "dim" and min(dim, period) under "window"; the product-law and
-weighted rows report their window under "dim".  The trace and determinant
-rows take N = 1..n at each level n, which decides every N (both sides add
-or multiply over a period), and the growth row bounds P(alpha) in integers.
+weighted rows report their window under "dim".  The CRT product law is
+decided for all its level pairs in one call, and orthogonality once per
+class gcd(l, n).  The trace and determinant rows take N = 1..n at each
+level n, which decides every N (both sides add or multiply over a
+period), and the growth row bounds P(alpha) in integers.
 
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
@@ -44,7 +46,6 @@ from .arith import (
     epsilon,
     lcm_tuple_count,
     mobius,
-    ramanujan_orthogonality,
     ramanujan_sum,
     rf_residual,
     totient,
@@ -63,11 +64,12 @@ from .convolution import (
     scalar_unitary,
     unitary_convolve,
 )
-from .idempotents import (IdempotentSystem, product_law_residual, verify_axioms,
+from .idempotents import (IdempotentSystem, product_law_residuals, verify_axioms,
                           weighted_product_identities)
 from .ramanujan_ops import (OperatorFamily, c_operator_constructions, c_t_transforms,
-                            even_function_identity, root_of_unity_residual, root_sum_residual,
-                            t_decomposition, t_top_identities)
+                            even_function_identity, orthogonality_residual,
+                            root_of_unity_residual, root_sum_residual, t_decomposition,
+                            t_top_identities)
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -166,12 +168,14 @@ def _suite_product_law(n_max, dim):
     crt = IdempotentSystem(max(math.lcm(n, m) for n, m in levels))
     divisor_levels = [(n, m) for n in (1, 2, 3, 4, 6) for m in (n * 2, n * 3)]
     divisor = IdempotentSystem(max(m for _, m in divisor_levels))
+    crt_law = functools.cache(lambda: product_law_residuals(crt, levels))
+    divisor_law = functools.cache(lambda: product_law_residuals(divisor, divisor_levels))
     return [
         _check("projection product law with CRT index",
                {"n_max": n_cap, "cases": sum(n * m for n, m in levels), "dim": crt.dim},
-               levels, lambda n, m: product_law_residual(crt, n, m)),
+               levels, lambda n, m: crt_law()[n, m]),
         _check("divisor-level product law", {"dim": divisor.dim}, divisor_levels,
-               lambda n, m: product_law_residual(divisor, n, m)),
+               lambda n, m: divisor_law()[n, m]),
     ], []
 
 
@@ -215,9 +219,7 @@ def _suite_transforms(n_max, dim):
                [(sample,) for sample in range(samples)],
                lambda sample: rf_residual(alphas()[sample])),
         _check("Ramanujan sum orthogonality", {"n_max": min(n_max, 100)},
-               [(n, l) for n in range(1, min(n_max, 100) + 1) for l in range(1, n + 1)],
-               lambda n, l: abs(ramanujan_orthogonality(n, l)
-                                - (n if math.gcd(l, n) == 1 else 0))),
+               [(n,) for n in range(1, min(n_max, 100) + 1)], orthogonality_residual),
         _check("operator/idempotent transform pair", {"n_max": min(n_max, 30)},
                [(n,) for n in range(1, min(n_max, 30) + 1)], c_t_transforms),
     ]

@@ -3,10 +3,16 @@ package because nothing in it calls them:
 
 - ``element_to_json`` and ``element_from_json`` parse the text of
   ``algebra.element_text`` back into an element, rejecting malformed input;
+- ``crt_solve`` is the CRT by extended Euclid, one (k, l) at a time, the
+  oracle of ``idempotents._crt_grid``;
 - ``product_law`` is the per-case CRT law, P_k(n) P_l(m) built as
-  diagonals, the oracle of ``idempotents.product_law_residual``;
+  diagonals, the oracle of ``idempotents.product_law_residuals``;
+- ``convolve_elements`` is the per-element path of the three products,
+  the oracle of their stack path on int64 diagonals;
 - ``is_multiplicative_loop`` is the per-pair, per-``factorize`` form of
   ``convolution.is_multiplicative``, its oracle;
+- ``ramanujan_orthogonality`` is sum_{r|n} c_n(n/r) c_r(l) at one l, the
+  oracle of ``ramanujan_ops.orthogonality_residual``, which sums per class;
 - ``dirichlet_inverse_objects`` is ``convolution.dirichlet_inverse`` with
   its whole recursion on object arrays, the oracle of the int64 ranges;
 - ``shift_operators`` builds the dense shift, backward-shift, integration
@@ -26,7 +32,7 @@ import numpy as np
 
 from idemarith.algebra import (DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar, _store,
                                element_text, invert, is_idempotent)
-from idemarith.arith import crt_solve, factorize
+from idemarith.arith import divisors, factorize, ramanujan_sum
 from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index, _objects,
                                    _product)
 from idemarith.idempotents import IdempotentSystem
@@ -66,6 +72,19 @@ def element_from_json(data: dict):
     if kind == "diag":
         return DiagonalOperator(_json_entries(data, n), _json_int(data, "offset", 0, 1))
     return DenseMatrix(np.array(_json_entries(data, n * n)).reshape(n, n))
+
+
+def convolve_elements(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
+    """The product ``kind`` ("dirichlet", "lcm" or "unitary") of f and g element
+    by element: each term one element product, each n's terms added in index
+    order, then to zero, so each int64 diagonal's bound is the sum of its
+    terms' bounds."""
+    return AlgFunction(_product(kind, f.values, g.values, f.values[0].zero()))
+
+
+def ramanujan_orthogonality(n: int, l: int) -> int:
+    """sum_{r|n} c_n(n/r) c_r(l): equals n when gcd(l, n) = 1, else 0."""
+    return sum(ramanujan_sum(n, n // r) * ramanujan_sum(r, l) for r in divisors(n))
 
 
 def is_multiplicative_loop(f, tol: float = DEFAULT_TOL):
@@ -131,6 +150,20 @@ def dirichlet_inverse_objects(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFu
         if not np.all(ok):
             raise InverseCheckError(f"{name} differs from I at n={int(np.argmin(ok)) + 1}")
     return AlgFunction(map(Scalar, g) if scalar else g)
+
+
+def crt_solve(k: int, n: int, l: int, m: int) -> int | None:
+    """The unique j in [0, lcm(n, m)) with j = k (mod n) and j = l (mod m),
+    or None when gcd(n, m) does not divide l - k.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("crt_solve requires positive moduli")
+    g = math.gcd(n, m)
+    if (l - k) % g != 0:
+        return None
+    lcm = n * m // g
+    t = ((l - k) // g) * pow(n // g, -1, m // g) % (m // g)
+    return (k + n * t) % lcm
 
 
 def product_law(system: IdempotentSystem, k: int, n: int, l: int,

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from idemarith import convolution
 from idemarith.algebra import (
+    _INT64_MAX,
     DenseMatrix,
     DiagonalOperator,
     NonInvertibleError,
     Scalar,
+    ShapeMismatchError,
     invert,
     is_idempotent,
 )
@@ -43,7 +45,7 @@ from idemarith.convolution import (
     unitary_convolve,
 )
 from idemarith.idempotents import IdempotentSystem
-from oracle_forms import dirichlet_inverse_objects, is_multiplicative_loop
+from oracle_forms import convolve_elements, dirichlet_inverse_objects, is_multiplicative_loop
 
 UNIT = Scalar(1)
 
@@ -306,6 +308,54 @@ class TestIndexKernel:
     @pytest.mark.parametrize("kind", KINDS)
     def test_empty_tables(self, kind):
         assert PRODUCTS[kind][0]([], []) == []
+
+
+def stored(values):
+    """Each diagonal's entries, offset, dtype and bound."""
+    return [(x.entries, x.offset, x._values.dtype, x._bound) for x in values]
+
+
+class TestDiagonalStack:
+    """int64 diagonals of one shape and offset convolve on one stack: the
+    entries, dtypes and bounds of the per-element path."""
+
+    @pytest.mark.parametrize("kind", sorted(PRODUCTS))
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 1), st.integers(0, 64),
+           st.data())
+    def test_matches_the_per_element_path(self, kind, n_max, dim, offset, bits, data):
+        # entries up to 2^bits: int64 stacks, sums past int64 and object diagonals
+        entries = st.lists(st.integers(-(2**bits), 2**bits), min_size=dim, max_size=dim)
+        f, g = (AlgFunction([DiagonalOperator(data.draw(entries), offset) for _ in range(n_max)])
+                for _ in range(2))
+        assert stored(convolution._convolve(kind, f, g).values) == stored(
+            convolve_elements(kind, f, g).values)
+
+    @pytest.mark.parametrize("kind", sorted(PRODUCTS))
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_int64_bound_is_the_products(self, kind, past):
+        # a^2 (most terms at one n) <= 2^63 - 1 stays on the stack; at a + 1 the
+        # per-element path takes the family, on Python ints where a sum leaves int64
+        terms = int(np.diff(convolution._index(kind, 12)[2]).max())
+        a = math.isqrt(_INT64_MAX // terms) + past
+        f = AlgFunction([DiagonalOperator([a, -a, 1], 1)] * 12)
+        got = convolution._convolve(kind, f, f).values
+        assert stored(got) == stored(convolve_elements(kind, f, f).values)
+        assert {x._values.dtype for x in got} == ({np.dtype(np.int64), np.dtype(object)} if past
+                                                   else {np.dtype(np.int64)})
+
+    def test_mixed_shapes_and_types_stay_per_element(self):
+        for odd in (DiagonalOperator([1, 2], 1), DiagonalOperator([1, 2, 3]),
+                    DenseMatrix(np.eye(2))):
+            f = AlgFunction([DiagonalOperator([1, 2]), odd])
+            with pytest.raises(ShapeMismatchError):
+                dirichlet_convolve(f, f)
+
+    def test_products_past_int64_leave_the_stack(self):
+        # f(2) f(3) = 2^64 wraps to f(6) = 0 in int64; exactly, they differ
+        big, unit = DiagonalOperator([2**32, 1]), DiagonalOperator([1, 1])
+        f = AlgFunction([unit, big, big, unit, unit, DiagonalOperator([0, 1])])
+        assert is_multiplicative(f, 0) == is_multiplicative_loop(f, 0) == (False, (2, 3))
 
 
 class TestUnitary:
@@ -591,22 +641,26 @@ class TestMultiplicativityAgainstLoop:
             assert is_multiplicative(f, tol) == is_multiplicative_loop(f, tol)
 
     def test_nan_tolerance_fails_at_the_lead(self):
-        f = lifted(totient, 30)
-        assert is_multiplicative(f, math.nan) == is_multiplicative_loop(f, math.nan) == (
-            False, (1, 1))
+        system = IdempotentSystem(12, 1)
+        for f in (lifted(totient, 30), AlgFunction(system.projection(1, n) for n in range(1, 31))):
+            assert is_multiplicative(f, math.nan) == is_multiplicative_loop(f, math.nan) == (
+                False, (1, 1))
 
-    @given(st.integers(1, 4), st.integers(1, 40), st.data())
-    def test_diagonal_families(self, dim, n_max, data):
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(0, 1), st.data())
+    def test_diagonal_families(self, dim, n_max, offset, data):
+        # int64 families run on one stack; one value flipped, or past int64
         def diagonal():
             return DiagonalOperator(data.draw(st.lists(st.integers(-2, 2), min_size=dim,
-                                                       max_size=dim)))
+                                                       max_size=dim)), offset)
 
-        unit = DiagonalOperator([1] * dim)
+        unit = DiagonalOperator([1] * dim, offset)
         table = multiplicative_from(diagonal, unit, n_max)
         if data.draw(st.booleans()):
-            table[data.draw(st.integers(0, n_max - 1))] = diagonal()
+            past = DiagonalOperator([2**63] * dim, offset)
+            table[data.draw(st.integers(0, n_max - 1))] = (
+                past if data.draw(st.booleans()) else diagonal())
         f = AlgFunction(table)
-        for tol in (0, 1e-9):
+        for tol in (0, 1e-9, 0.5, math.nan):
             assert is_multiplicative(f, tol) == is_multiplicative_loop(f, tol)
 
     @pytest.mark.parametrize("corrupt, first, positions", [

@@ -11,17 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from idemarith import idempotents
 from idemarith.algebra import DiagonalOperator, is_idempotent
-from idemarith.arith import crt_solve, divisors, lcm_tuple_count, omega, ramanujan_sum, totient
+from idemarith.arith import divisors, lcm_tuple_count, omega, ramanujan_sum, totient
 from idemarith.convolution import AlgFunction, scalar_table
 from idemarith.idempotents import (
     IdempotentSystem,
-    product_law_residual,
+    product_law_residuals,
     verify_axioms,
     weighted_product_identities,
 )
 from idemarith.ramanujan_ops import OperatorFamily
 from idemarith.suites import _multiplicativity
-from oracle_forms import product_law, s_power_sum
+from oracle_forms import crt_solve, product_law, s_power_sum
 
 
 class TestProjection:
@@ -141,6 +141,18 @@ class Flipped(IdempotentSystem):
 
     def projection(self, j, n):
         return DiagonalOperator(self.projections([j], n)[0], self.offset)
+
+
+class Scaled(Flipped):
+    """Flipped, with every entry of its faulty level's stacks times ``scale``."""
+
+    def __init__(self, dim, offset, level, residue, column, scale):
+        super().__init__(dim, offset, level, residue, column)
+        self.scale = scale
+
+    def projections(self, js, n):
+        stack = super().projections(js, n)
+        return stack * self.scale if n == self.fault[0] else stack
 
 
 class TestVerifyAxioms:
@@ -322,7 +334,7 @@ class TestOnePeriodDecides:
 
 
 class TestProductLawResidual:
-    """The per-level-pair broadcast against the per-case product_law."""
+    """The one pass over many level pairs against the per-case product_law."""
 
     def test_projection_stack(self):
         system = IdempotentSystem(7, offset=1)
@@ -335,18 +347,59 @@ class TestProductLawResidual:
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 1), st.integers(0, 150))
     def test_matches_per_case_oracle(self, n, m, offset, extra):
         system = IdempotentSystem(math.lcm(n, m) + extra, offset)
-        residual, at = product_law_residual(system, n, m)
+        (residual, at), = product_law_residuals(system, [(n, m)]).values()
         per_case = {(k, l): product_law(system, k, n, l, m)[1]["residual"]
                     for k in range(n) for l in range(m)}
         assert residual == max(per_case.values()) == 0
         assert at == {"k": 0, "l": 0}
 
-    def test_wrong_index_is_placed(self, monkeypatch):
-        def wrong(k, n, l, m):  # P_5(6) is P_1(2) P_2(3); predict P_0(6)
-            return 0 if (k, n, l, m) == (1, 2, 2, 3) else crt_solve(k, n, l, m)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), min_size=1, max_size=5,
+                    unique=True),
+           st.integers(0, 1), st.integers(0, 30), st.sampled_from([1, 10, 11, 12, 1000, -11]),
+           st.data())
+    def test_wrong_provider_is_placed_like_the_oracle(self, levels, offset, extra, scale, data):
+        # one level's stack flipped at one entry and scaled, so the residuals span
+        # 0/1 entries, the last int8 bound (10) and past it
+        dim = max(math.lcm(n, m) for n, m in levels) + extra
+        level = data.draw(st.sampled_from(sorted({x for n, m in levels
+                                                  for x in (n, m, math.lcm(n, m))})))
+        system = Scaled(dim, offset, level, data.draw(st.integers(0, level - 1)),
+                        data.draw(st.integers(0, dim - 1)), scale)
+        got = product_law_residuals(system, levels)
+        assert list(got) == levels
+        for n, m in levels:
+            per_case = [[product_law(system, k, n, l, m)[1]["residual"] for l in range(m)]
+                        for k in range(n)]
+            worst = max(map(max, per_case))
+            k, l = next((k, l) for k in range(n) for l in range(m) if per_case[k][l] == worst)
+            assert got[n, m] == (worst, {"k": k, "l": l})
 
-        monkeypatch.setattr(idempotents, "crt_solve", wrong)
-        assert product_law_residual(IdempotentSystem(6), 2, 3) == (1.0, {"k": 1, "l": 2})
+    def test_residuals_past_int8_are_exact(self):
+        # P_0(2) read as -11 at e_2: P_0(2)^2 - P_0(2) is 121 + 11 = 132 there, past int8
+        system = Scaled(4, 0, 2, 0, 0, -11)
+        assert product_law_residuals(system, [(2, 2)]) == {(2, 2): (132.0, {"k": 0, "l": 0})}
+
+    def test_crt_grid_is_crt_solve(self):
+        for n in range(1, 13):
+            for m in range(1, 13):
+                lcm = math.lcm(n, m)
+                assert idempotents._crt_grid(n, m).tolist() == [
+                    [lcm if j is None else j for j in (crt_solve(k, n, l, m) for l in range(m))]
+                    for k in range(n)]
+
+    def test_wrong_index_is_placed(self, monkeypatch):
+        real = idempotents._crt_grid
+
+        def wrong(n, m):  # P_5(6) is P_1(2) P_2(3); predict P_0(6)
+            grid = real(n, m)
+            if (n, m) == (2, 3):
+                grid[1, 2] = 0
+            return grid
+
+        monkeypatch.setattr(idempotents, "_crt_grid", wrong)
+        assert product_law_residuals(IdempotentSystem(6), [(2, 3), (3, 2)]) == {
+            (2, 3): (1.0, {"k": 1, "l": 2}), (3, 2): (0.0, {"k": 0, "l": 0})}
 
 
 class TestDivisorProductLaw:
@@ -371,7 +424,7 @@ class TestDivisorProductLaw:
             result, verdict = product_law(system, 3, 1, k, 5)
             assert result.isclose(system.projection(k, 5), 0)
             assert verdict["residual"] == 0
-        assert product_law_residual(system, 1, 5) == (0.0, {"k": 0, "l": 0})
+        assert product_law_residuals(system, [(1, 5)]) == {(1, 5): (0.0, {"k": 0, "l": 0})}
 
 
 class TestWeightedIdentities:

@@ -15,10 +15,12 @@ from idemarith.arith import (EvenFunction, divisors, factorize, mobius, ramanuja
                              rf_transform, tau)
 from idemarith.convolution import AlgFunction, is_multiplicative
 from idemarith.ramanujan_ops import (OperatorFamily, c_operator_constructions, c_t_transforms,
-                                     even_function_identity, root_of_unity_residual,
-                                     root_sum_residual, t_decomposition, t_top_identities)
+                                     even_function_identity, orthogonality_residual,
+                                     root_of_unity_residual, root_sum_residual, t_decomposition,
+                                     t_top_identities)
 from idemarith.suites import run_suite
-from oracle_forms import element_from_json, element_to_json, s_power_sum
+import oracle_forms
+from oracle_forms import element_from_json, element_to_json, ramanujan_orthogonality, s_power_sum
 
 
 # The divisor-family identities one operator at a time, from c_operator,
@@ -274,6 +276,59 @@ class TestTransforms:
     @pytest.mark.parametrize("n,j", [(1, 0), (4, 2), (6, 0), (18, 1), (30, 2)])
     def test_both_directions(self, n, j):
         assert c_t_transforms(n) == c_t_transforms_oracle(OperatorFamily(3 * n), j, n) == 0
+
+
+class TestOrthogonality:
+    """sum_{r|n} c_n(n/r) c_r(l) = n [gcd(l, n) = 1]: the per-l oracle, and
+    the suite row's class form against it."""
+
+    def test_orthogonality(self):
+        for n in range(1, 101):
+            for l in range(1, n + 1):
+                expected = n if math.gcd(l, n) == 1 else 0
+                assert ramanujan_orthogonality(n, l) == expected
+
+    def test_orthogonality_examples(self):
+        assert ramanujan_orthogonality(6, 5) == 6
+        assert ramanujan_orthogonality(6, 4) == 0
+        assert ramanujan_orthogonality(1, 1) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), st.sampled_from([-1, 1]), st.data())
+    def test_class_form_matches_the_per_l_oracle(self, n, delta, data):
+        # c_r(x) off by delta on one class (r, gcd(x, r)), r | n, seen alike by both forms
+        r_bad = data.draw(st.sampled_from(divisors(n)))
+        g_bad = data.draw(st.sampled_from(divisors(r_bad)))
+
+        def wrong(r, x):
+            return ramanujan_sum(r, x) + (delta if (r, math.gcd(x, r)) == (r_bad, g_bad) else 0)
+
+        with mock.patch.object(ramanujan_ops, "ramanujan_sum", wrong), \
+                mock.patch.object(oracle_forms, "ramanujan_sum", wrong), \
+                mock.patch.object(ramanujan_ops, "_divisor_tables",
+                                  ramanujan_ops._divisor_tables.__wrapped__):
+            residuals = [abs(ramanujan_orthogonality(n, l) - (n if math.gcd(l, n) == 1 else 0))
+                         for l in range(1, n + 1)]
+            got = orthogonality_residual(n)
+        assert got == (max(residuals), {"l": 1 + residuals.index(max(residuals))})
+        assert orthogonality_residual(n) == (0, {"l": 1})
+
+    def test_wrong_class_value_fails_the_orthogonality_row(self, monkeypatch):
+        real = ramanujan_ops._divisor_tables.__wrapped__
+
+        def wrong(n):  # c_3(4) = -1 read as 0 at level 12
+            divs, t, p, c = real(n)
+            if n == 12:
+                c = c.copy()
+                c[divs.index(3)][divs.index(4)] += 1
+            return divs, t, p, c
+
+        monkeypatch.setattr(ramanujan_ops, "_divisor_tables", wrong)
+        row = run_suite("transforms", n_max=12, dim=60)["checks"][1]
+        assert row["identity"] == "Ramanujan sum orthogonality"
+        # r = 3 weighs c_12(4) = -2, so class 4 is off by 2, first met at l = 4
+        assert row["pass"] is False and row["max_residual"] == 2.0
+        assert row["counterexample"] == {"n": 12, "at": {"l": 4}}
 
 
 class TestDivisorStacks:

@@ -14,7 +14,7 @@ import pytest
 
 from idemarith import analytic, arith, idempotents, ramanujan_ops, suites
 from idemarith.algebra import DiagonalOperator, NonInvertibleError
-from idemarith.arith import crt_solve, divisors, factorize
+from idemarith.arith import divisors, factorize
 from idemarith.convolution import InverseCheckError
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
@@ -26,6 +26,19 @@ SMALL = {"n_max": 7, "dim": 60}
 @pytest.fixture(scope="module")
 def report_all():
     return run_suite("all", **SMALL)
+
+
+def wrong_crt_entry(monkeypatch, k, n, l, m, j):
+    """Make the CRT grid of levels (n, m) read j at (k, l)."""
+    real = idempotents._crt_grid
+
+    def wrong(*levels):
+        grid = real(*levels)
+        if levels == (n, m):
+            grid[k, l] = j
+        return grid
+
+    monkeypatch.setattr(idempotents, "_crt_grid", wrong)
 
 
 class TestRunSuite:
@@ -165,20 +178,16 @@ class TestRunSuite:
         ]
 
     def test_wrong_crt_index_fails_the_product_law_row(self, monkeypatch):
-        def wrong(k, n, l, m):  # P_1(4) P_2(6) is zero (no CRT index); predict P_4(12)
-            return 4 if (k, n, l, m) == (1, 4, 2, 6) else crt_solve(k, n, l, m)
-
-        monkeypatch.setattr(idempotents, "crt_solve", wrong)
+        # P_1(4) P_2(6) is zero (no CRT index); predict P_4(12)
+        wrong_crt_entry(monkeypatch, 1, 4, 2, 6, 4)
         row = run_suite("product-law", **SMALL)["checks"][0]
         assert row["identity"] == "projection product law with CRT index"
         assert row["pass"] is False and row["max_residual"] == 1.0
         assert row["counterexample"] == {"n": 4, "m": 6, "at": {"k": 1, "l": 2}}
 
     def test_wrong_crt_index_fails_the_divisor_row(self, monkeypatch):
-        def wrong(k, n, l, m):  # P_1(2) P_2(4) is zero (2 != 1 mod 2); predict P_2(4)
-            return 2 if (k, n, l, m) == (1, 2, 2, 4) else crt_solve(k, n, l, m)
-
-        monkeypatch.setattr(idempotents, "crt_solve", wrong)
+        # P_1(2) P_2(4) is zero (2 != 1 mod 2); predict P_2(4)
+        wrong_crt_entry(monkeypatch, 1, 2, 2, 4, 2)
         row = run_suite("product-law", n_max=1, dim=1)["checks"][1]
         assert row["identity"] == "divisor-level product law"
         assert row["pass"] is False and row["max_residual"] == 1.0
@@ -346,10 +355,10 @@ class TestCheck:
                        "pass": False, "error": "KeyError: 36"}
 
     def test_raising_kernel_fails_only_its_own_row(self, monkeypatch):
-        def broken(n, l):
+        def broken(n):
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr(suites, "ramanujan_orthogonality", broken)
+        monkeypatch.setattr(suites, "orthogonality_residual", broken)
         report = run_suite("transforms", **SMALL)
         assert report["summary"] == {"total": 3, "passed": 2, "failed": 1}
         (row,) = [row for row in report["checks"] if not row["pass"]]
