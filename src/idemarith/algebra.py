@@ -15,11 +15,12 @@ returns the values as Python scalars.  There is no trace or determinant:
 ``element_text`` serializes a diagonal or dense element to JSON text,
 byte-identical to ``json.dumps(..., sort_keys=True)`` of its [re, im]
 entry pairs.  A diagonal built by ``DiagonalOperator.periodic`` keeps the
-length of the block it repeats, so its text is one ``json.dumps`` of one
-period, repeated; any other element is written in runs of at most 4096
-entries, one ``json.dumps`` each.  A diagonal can also be written as the
-dense matrix it is, straight from its entries.  The package writes this
-form and never reads it back.
+length of the block it repeats, so its text is that of one period,
+repeated, and built with one join; any other element is written in runs
+of at most 4096 entries.  Integer entries of modulus at most 2**53 print
+from int text, any others through ``json.dumps``.  A diagonal can also be
+written as the dense matrix it is, straight from its entries.  The package
+writes this form and never reads it back.
 """
 
 from __future__ import annotations
@@ -412,37 +413,48 @@ def operator_norm(x) -> float:
     raise TypeError(f"operator_norm not defined for {type(x).__name__}")
 
 
-# entries per json.dumps call, so that tolist() never holds more pairs than this
+# entries per text run, so that tolist() never holds more values than this
 _CHUNK = 4096
 
 
-def _pairs_text(values: np.ndarray) -> str:
+def _pairs_text(values: np.ndarray, bound: int | None = None) -> str:
     """The [re, im] pairs of values as complex128, unbracketed, in json's own
-    float text (repr, -0.0, NaN, Infinity): one json.dumps per _CHUNK entries."""
-    return ", ".join(json.dumps(values[k:k + _CHUNK].astype(np.complex128)
-                                .view(np.float64).reshape(-1, 2).tolist())[1:-1]
-                     for k in range(0, values.size, _CHUNK))
+    float text (repr, -0.0, NaN, Infinity), one run per _CHUNK entries.  An
+    int64 array whose bound is at most 2**53 is written from int text, as
+    each such integer is a float whose repr is its digits and ".0"; any
+    other array goes through json.dumps."""
+    runs = (values[k:k + _CHUNK] for k in range(0, values.size, _CHUNK))
+    if values.dtype == np.int64 and bound is not None and bound <= 2**53:
+        return ", ".join("[" + ".0, 0.0], [".join(map(str, run.tolist())) + ".0, 0.0]"
+                         for run in runs)
+    return ", ".join(json.dumps(run.astype(np.complex128).view(np.float64)
+                                .reshape(-1, 2).tolist())[1:-1] for run in runs)
 
 
 def element_text(x, dense: bool = False) -> str:
     """Serialize an element to JSON text: diagonal entries or row-major
     dense entries as [re, im] pairs, exactly ``json.dumps(...,
     sort_keys=True)`` of that object.  A periodic diagonal's text is its
-    first period's, repeated, then that of the first n mod period entries.
+    first period's, repeated, then that of the first n mod period entries,
+    joined into the full text once.
     With ``dense``, a diagonal is written as the dense matrix with that
     diagonal, n zero pairs between each two of its pairs, and no matrix built.
     """
     if isinstance(x, DiagonalOperator) and dense:
         # no float text holds "], [", so it is exactly the gap between two pairs
-        entries = _pairs_text(x._values).replace("], [", "], " + "[0.0, 0.0], " * x.n + "[")
+        runs = [_pairs_text(x._values, x._bound)
+                .replace("], [", "], " + "[0.0, 0.0], " * x.n + "[")]
         tail = f'"dense", "n": {x.n}}}'
     elif isinstance(x, DiagonalOperator):
         repeats, rest = divmod(x.n, x._block)
-        runs = [_pairs_text(x._values[:x._block])] * repeats
-        entries = ", ".join(runs + [_pairs_text(x._values[:rest])] if rest else runs)
+        runs = [_pairs_text(x._values[:x._block], x._bound)] * repeats
+        if rest:
+            runs.append(_pairs_text(x._values[:rest], x._bound))
         tail = f'"diag", "n": {x.n}, "offset": {x.offset}}}'
     elif isinstance(x, DenseMatrix):
-        entries, tail = _pairs_text(x.array.reshape(-1)), f'"dense", "n": {x.n}}}'
+        runs, tail = [_pairs_text(x.array.reshape(-1))], f'"dense", "n": {x.n}}}'
     else:
         raise TypeError(f"no JSON form for {type(x).__name__}")
-    return '{"entries": [' + entries + '], "kind": ' + tail
+    runs[0] = '{"entries": [' + runs[0]
+    runs[-1] += '], "kind": ' + tail
+    return ", ".join(runs)

@@ -1,6 +1,11 @@
 """Command-line front end, parsed with argparse: scalar function tables,
 identity suites, and operator exports.
 
+A request is parsed once, by its command's own parser; the top-level parser
+runs only on no arguments, an unknown command or --help.  A CSV table is
+written CSV_ROWS rows at a time, a ramanujan:k table from one period of
+c_k; an export's text is built once and its newline written after it.
+
 Exit codes: 0 all checks pass (at residual exactly 0), 1 identity failure,
 2 usage error.  The truncation dimension is --dim, 2520 by default.  For
 ``check`` it is the truncation of the axioms and family-multiplicativity
@@ -12,6 +17,7 @@ it is the length of the exported operator, theta and IU* from ``analytic``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -22,9 +28,12 @@ from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
 DEFAULT_DIM = 2520
-# `table` holds every row, and `export` every entry, before it writes one; `check`
-# keeps the same cap on dim, though its dim-bound windows stay within 6 * 12 entries
+# `export` holds every entry, and a JSON `table` every row, before it writes one;
+# `check` keeps the same cap on dim, though its dim-bound windows stay within 6 * 12
+# entries
 MAX_TABLE_VALUES = 10**6
+# rows per write of a CSV `table`
+CSV_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -54,11 +63,11 @@ _TABLE_FUNCTIONS = {
 }
 
 
-def _table_function(name: str, hi: int):
-    """The function NAME names, refused up front when a value on 1..hi
-    could not be computed or printed."""
+def _table_values(name: str, lo: int, hi: int):
+    """The values on lo..hi of the function NAME names, refused up front
+    when one could not be computed or printed."""
     if name in _TABLE_FUNCTIONS:
-        return _TABLE_FUNCTIONS[name]
+        return map(_TABLE_FUNCTIONS[name], range(lo, hi + 1))
     head, _, arg = name.partition(":")
     if not arg:
         raise UsageError(f"unknown function {name!r}")
@@ -75,26 +84,25 @@ def _table_function(name: str, hi: int):
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if head in ("jordan", "nu", "lcm-count") and hi > 1 and abs(k) >= digits / math.log10(hi):
         raise UsageError(f"{name} at n={hi} has too many digits to print")
-    if head == "jordan":
-        return lambda n: arith.jordan_totient(k, n)
-    if head == "ramanujan":
-        return lambda n: arith.ramanujan_sum(k, n)
-    if head == "nu":
-        return lambda n: arith.nu(k, n)
-    if head == "lcm-count":
-        return lambda n: arith.lcm_tuple_count(k, n)
+    if head == "ramanujan":  # c_k(n) has period k in n: one period, then repeated
+        period = [arith.ramanujan_sum(k, n) for n in range(lo, lo + min(k, hi - lo + 1))]
+        return itertools.islice(itertools.cycle(period), hi - lo + 1)
+    powers = {"jordan": arith.jordan_totient, "nu": arith.nu, "lcm-count": arith.lcm_tuple_count}
+    if head in powers:
+        return (powers[head](k, n) for n in range(lo, hi + 1))
     raise UsageError(f"unknown function {name!r}")
 
 
-def _emit(text: str, out: str | None):
+def _emit(texts, out: str | None):
+    """Write each of texts in turn to the --out file, or to stdout and flush."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(texts)
         except OSError as exc:
             raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         sys.stdout.flush()
 
 
@@ -105,16 +113,16 @@ def cmd_table(function, range_, format_, out):
     nu:K, lcm-count:S.
     """
     lo, hi = _parse_range(range_)
-    fn = _table_function(function, hi)
-    rows = [(n, str(fn(n))) for n in range(lo, hi + 1)]
+    values = _table_values(function, lo, hi)
     if format_ == "csv":
-        text = "n,value\n" + "".join(f"{n},{v}\n" for n, v in rows)
+        # one write per CSV_ROWS rows; zip draws each row's value from the one iterator
+        _emit(itertools.chain(["n,value\n"], ("".join(
+            f"{n},{v}\n" for n, v in zip(range(a, min(a + CSV_ROWS, hi + 1)), values))
+            for a in range(lo, hi + 1, CSV_ROWS))), out)
     else:
-        text = json.dumps(
-            {"function": function, "range": [lo, hi],
-             "values": {str(n): v for n, v in rows}},
-            indent=2, sort_keys=True) + "\n"
-    _emit(text, out)
+        _emit([json.dumps({"function": function, "range": [lo, hi], "values": {
+            str(n): str(v) for n, v in zip(range(lo, hi + 1), values)}},
+            indent=2, sort_keys=True), "\n"], out)
 
 
 def cmd_check(suite, n_max, dim, out):
@@ -126,9 +134,9 @@ def cmd_check(suite, n_max, dim, out):
     if not 1 <= dim <= MAX_TABLE_VALUES:
         raise UsageError(f"dim must be between 1 and {MAX_TABLE_VALUES}")
     if out:
-        _emit("", out)  # an unwritable --out fails here, before any row runs
+        _emit([], out)  # an unwritable --out fails here, before any row runs
     report = run_suite(suite, n_max=n_max, dim=dim)
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+    _emit([json.dumps(report, indent=2, sort_keys=True), "\n"], out)
     sys.exit(0 if report["pass"] else 1)
 
 
@@ -184,7 +192,7 @@ def cmd_export(spec, dim, offset, out):
         element = family.t_operator(r, j, n)
     else:
         raise UsageError(f"unknown operator spec {spec!r}")
-    _emit(element_text(element, dense=dense) + "\n", out)
+    _emit([element_text(element, dense=dense), "\n"], out)
 
 
 def _n_max(text: str) -> int:
@@ -214,7 +222,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The idemarith parser, and the parser of each command by name."""
     # no abbreviation (--n for --n-max) and no -h: only the spellings the CLI always took
     style = dict(allow_abbrev=False, add_help=False,
                  formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -228,12 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
     for sub in [parser, *commands.choices.values()]:
         sub.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser
+    return parser, commands.choices
 
 
 def main(args: list[str] | None = None, prog_name: str = "idemarith") -> None:
     """Arithmetic-function tables, identity suites, and operator exports."""
-    options = vars(_PARSER.parse_args(args))
+    args = sys.argv[1:] if args is None else args
+    command = _COMMAND_PARSERS.get(args[0]) if args else None
+    options = vars(command.parse_args(args[1:]) if command else _PARSER.parse_args(args))
     try:
         options.pop("handler")(**options)
     except UsageError as exc:
@@ -243,7 +254,7 @@ def main(args: list[str] | None = None, prog_name: str = "idemarith") -> None:
 # bench/workloads.py runs each request as main.main(args, prog_name="idemarith");
 # prog_name is unused
 main.main = main
-_PARSER = _build_parser()
+_PARSER, _COMMAND_PARSERS = _build_parser()
 
 if __name__ == "__main__":
     main()

@@ -326,6 +326,49 @@ def test_element_text_keeps_signed_zeros_and_storage():
         element_text(Scalar(1))
 
 
+_EDGE = 2**53  # the largest bound whose int64 entries print from int text
+
+
+def _periodic(period: list[int], dim: int, offset: int) -> DiagonalOperator:
+    """The int64 diagonal repeating period over dim entries, the last one cut
+    when dim is not a multiple of its length."""
+    return DiagonalOperator.periodic(lambda r: np.array(period)[r], len(period), 0, dim, offset)
+
+
+_AT_EDGE = [[_EDGE, -_EDGE, 0, 1, -1], [-_EDGE, -3, -(2**52) - 1], [-7, 0, 5]]
+_PAST_EDGE = [[_EDGE + 1, -(_EDGE + 1), 0], [-(_EDGE + 1), _EDGE], [10**16, -7], [-(10**16)]]
+
+
+@pytest.mark.parametrize("period", _AT_EDGE + _PAST_EDGE)
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("repeats", [1, 3])
+@pytest.mark.parametrize("cut", [0, 1, 2])
+def test_integer_text_matches_json_on_both_sides_of_2_53(period, offset, repeats, cut):
+    # negative entries, offsets 0 and 1, whole and cut periods, and the dense form;
+    # int text past the edge would print 9007199254740993.0 or 10000000000000000.0
+    dim = len(period) * repeats + cut
+    for x in (_periodic(period, dim, offset), DiagonalOperator(period * repeats, offset)):
+        assert x._values.dtype == np.int64
+        want = json_dumps_oracle(x)
+        assert element_text(x) == json.dumps(element_to_json(x), sort_keys=True) == want
+        assert element_text(x, dense=True) == json_dumps_oracle(_dense(x))
+
+
+@pytest.mark.parametrize("period", _AT_EDGE + _PAST_EDGE)
+def test_integer_text_takes_json_only_past_2_53(monkeypatch, period):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps ran")
+
+    x = _periodic(period, 2 * len(period) + 1, 1)
+    want = json_dumps_oracle(x)
+    monkeypatch.setattr(json, "dumps", refuse)
+    if period in _AT_EDGE:
+        assert element_text(x) == want
+    else:
+        with pytest.raises(AssertionError, match="json.dumps ran"):
+            element_text(x)
+
+
 @pytest.mark.parametrize("data", [
     {"kind": "diag", "n": 2.0, "offset": 0, "entries": [[1, 0], [2, 0]]},
     {"kind": "diag", "n": 2, "offset": True, "entries": [[1, 0], [2, 0]]},

@@ -69,6 +69,41 @@ class TestTable:
         assert code == 0
         assert path.read_text() == "n,value\n1,1\n2,2\n3,2\n"
 
+    @pytest.mark.parametrize("k,range_", [
+        (1, "1..30"), (1000003, "1..50"),  # a period far longer than the range
+        (7, "20..60"), (12, "100..150"),  # ranges starting past k
+        (5, "1..23"), (60, "3..1000"), (1, "999999999990..1000000000000"),  # several periods
+    ])
+    @pytest.mark.parametrize("format_", ["csv", "json"])
+    def test_ramanujan_table_is_one_period_repeated(self, monkeypatch, k, range_, format_):
+        lo, hi = map(int, range_.split(".."))
+        want = {n: arith.ramanujan_sum(k, n) for n in range(lo, hi + 1)}
+        calls = []
+        monkeypatch.setattr(arith, "ramanujan_sum", lambda k, n: calls.append(n) or want[n])
+        code, out, err = invoke(["table", f"ramanujan:{k}", "--range", range_, "--format", format_])
+        assert code == 0
+        if format_ == "csv":
+            assert out == "n,value\n" + "".join(f"{n},{v}\n" for n, v in want.items())
+        else:
+            assert json.loads(out)["values"] == {str(n): str(v) for n, v in want.items()}
+        # c_k on the first min(k, hi - lo + 1) values only: never a list as long as k
+        assert calls == list(range(lo, lo + min(k, hi - lo + 1)))
+
+    def test_csv_is_written_in_chunks_of_rows(self, monkeypatch):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "CSV_ROWS", 7)
+        with contextlib.redirect_stdout(Recorder()) as buf:
+            main(["table", "tau", "--range", "3..24"])
+        assert buf.getvalue() == "n,value\n" + "".join(
+            f"{n},{arith.tau(n)}\n" for n in range(3, 25))
+        assert [text.count("\n") for text in writes] == [1, 7, 7, 7, 1]
+
     def test_unknown_function_is_usage_error(self):
         code, out, err = invoke(["table", "sigma"])
         assert code == 2
@@ -462,6 +497,32 @@ def test_parser_error_is_usage_error(args):
     code, out, err = invoke(args.split())
     assert code == 2 and out == ""
     assert "error: " in err
+
+
+@pytest.mark.parametrize("args", [
+    ["export", "S:7", "--dim", "60"], ["table", "mobius", "--range", "1..6"],
+    ["check", "axioms", "--n-max", "3"], ["table", "ramanujan:4", "--format", "json"],
+])
+def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    code, out, err = invoke(args)
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("args,status", [([], 2), (["sigma"], 2), (["--help"], 0)])
+def test_the_top_level_parser_runs_without_a_command(args, status):
+    code, out, err = invoke(args)
+    assert code == status
+    assert (out if status == 0 else err).startswith("usage: idemarith [--help] COMMAND ...")
+
+
+def test_unrecognized_arguments_are_reported_by_the_command():
+    code, out, err = invoke(["check", "all", "--bogus"])
+    assert code == 2 and out == ""
+    assert "idemarith check: error: unrecognized arguments: --bogus" in err
 
 
 def _help_entries(text: str) -> dict[str, str]:
