@@ -122,9 +122,10 @@ class Scalar:
 
 
 class _Stored(NamedTuple):
-    """Entries already in storage form: a fresh 1-D array of a storage
-    dtype, the bound on |entry| of an int64 array (None otherwise), and
-    the length of the leading block the array repeats (None: all of it)."""
+    """Entries already in storage form: a fresh array (1-D for a diagonal)
+    of a storage dtype, the bound on |entry| of an int64 array (None
+    otherwise), and the length of the leading block the array repeats
+    (None: all of it)."""
 
     values: np.ndarray
     bound: int | None
@@ -139,8 +140,6 @@ def _store(entries) -> _Stored:
     if not isinstance(entries, np.ndarray):
         entries = list(entries)
     values = np.array(entries)
-    if values.ndim != 1:
-        raise ValueError("DiagonalOperator entries must be one-dimensional")
     kind = values.dtype.kind
     if kind in "biu" and values.size:
         bound = max(-int(values.min()), int(values.max()))
@@ -181,6 +180,8 @@ class DiagonalOperator:
         if offset not in (0, 1):
             raise ValueError("offset must be 0 or 1")
         values, bound, block = entries if isinstance(entries, _Stored) else _store(entries)
+        if values.ndim != 1:
+            raise ValueError("DiagonalOperator entries must be one-dimensional")
         if not values.size:
             raise ValueError("DiagonalOperator needs at least one entry")
         values.flags.writeable = False

@@ -5,7 +5,8 @@ theta^r and IU* that the suites and ``export`` share.
 
 The identity functions return numbers, and the identity suites judge
 them.  ``trace_table`` and ``det_table`` answer every window N of a level
-from one period of the c_n and coprimality rows, by prefix sums and
+from one period of the c_n row and of the coprimality row (the multiples
+of each prime of n struck out), by prefix sums and
 Python-int prefix products; ``trace_identities`` and ``det_c0`` are their
 one-window calls.  For d | n, floor((N + n)/d) = floor(N/d) + n/d, so
 both sides of each trace identity satisfy T(N + n) = T(N) + T(n), and
@@ -13,7 +14,8 @@ both sides of the determinant identity D(N + n) = D(N) D(n): the windows
 N = 1..n decide every N.  Commonly quoted closed forms of the determinant
 and traces that disagree with the oracle are evaluated by
 ``det_c0_unsigned_form`` and ``trace_erratum_forms`` for the errata
-section, never asserted.
+section, never asserted.  The IU* candidates are decided in int64, against
+theta IU* = 1, and the algebra-map pairs in one ``lehmer_sides`` call.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import _INT64_MAX, DEFAULT_TOL, DiagonalOperator
-from .arith import divisors, factorize, mobius, nu, omega, prime_power_product, prime_power_split
-from .convolution import scalar_dirichlet, scalar_lcm, scalar_table
+from .arith import divisors, factorize, mobius, omega, prime_power_product, prime_power_split
+from .convolution import lehmer_sides, scalar_dirichlet, scalar_table
 from .idempotents import IdempotentSystem
 
 __all__ = [
@@ -121,8 +123,11 @@ def trace_table(n: int, n_dims: Sequence[int]) -> np.ndarray:
         raise ValueError("trace_table requires n >= 1 and N >= 1")
     mu = _divisor_mobius(n)
     c_row = _c_period(n, int(dims.max()), mu)
+    coprime = np.ones(c_row.size, dtype=np.int64)
+    for p, _ in factorize(n):
+        coprime[p - 1::p] = 0
     sums = np.zeros((2, c_row.size + 1), dtype=np.int64)
-    sums[:, 1:] = np.cumsum([c_row, np.gcd(np.arange(1, c_row.size + 1), n) == 1], axis=1)
+    sums[:, 1:] = np.cumsum([c_row, coprime], axis=1)
     whole, rest = np.divmod(dims, n)
     trace_c0, trace_t0 = sums[:, -1:] * whole + sums[:, rest]
     return np.column_stack((trace_c0, _floor_sum({d: d * mu[n // d] for d in mu}, dims),
@@ -217,20 +222,16 @@ def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
     """The algebra-map property P(alpha [] beta) = P(alpha) P(beta) on
     random integer tables, and the Euler-power identity P(J_r) = theta^r
     for r <= 3, on e_1..e_{n_max} (the whole window when n_max is None).
-    The tables are drawn from ``random.Random(seed)``, entries in -5..5.
+    The tables are drawn from ``random.Random(seed)``, entries in -5..5,
+    alpha then beta for each pair; at e_m the property is Lehmer's identity.
     """
     if pairs < 1 or (n_max is not None and n_max < 1):
         raise ValueError(f"p_operator_identities needs pairs >= 1 and n_max >= 1, "
                          f"got pairs={pairs}, n_max={n_max}")
     n_max = min(space.dim if n_max is None else n_max, space.dim)
     rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        a = rng.choices(_SAMPLE_ENTRIES, k=n_max)
-        b = rng.choices(_SAMPLE_ENTRIES, k=n_max)
-        lhs = p_operator(scalar_lcm(a, b))
-        rhs = p_operator(a) * p_operator(b)
-        worst = max(worst, lhs.distance(rhs))
+    tables = np.array([rng.choices(_SAMPLE_ENTRIES, k=n_max) for _ in range(2 * pairs)]).T
+    worst = float(np.max(lehmer_sides(tables[:, 0::2], tables[:, 1::2])[2]))  # keeps a NaN
     jordan_residual = max(euler_power_residual(r, n_max) for r in range(1, 4))
     return {
         "identity": "diagonal map is an algebra map for the lcm product",
@@ -245,14 +246,16 @@ def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
 def iu_star_representation(n_dim: int) -> dict:
     """Whether each of P(mu * nu_{-1}) (exact 1/m) and P(mu * nu_1) (exact m,
     the Euler diagonal) equals ``iu_star`` on e_2..e_N, away from the edge
-    e_1 that the backward shift kills; keyed by candidate.
+    e_1 that the backward shift kills; keyed by candidate.  Each is decided in
+    int64: m P(mu * nu_k)(m) = (id * ((mu id) * nu_{k+1}))(m), as multiplying by
+    id distributes over the Dirichlet product, against theta IU* = 1.
     """
     if n_dim < 2:
         raise ValueError("iu_star_representation requires dim >= 2: e_1 alone compares nothing")
-    target = iu_star(n_dim).entries[1:]
-    mu_t = scalar_table(mobius, n_dim)
-    return {
-        name: p_operator(scalar_dirichlet(mu_t, scalar_table(lambda n: nu(k, n), n_dim))
-                         ).entries[1:] == target
-        for name, k in (("mu*nu_minus1", -1), ("mu*nu_1", 1))
-    }
+    target = (theta_power(1, n_dim) * iu_star(n_dim)).entries[1:]
+    ids = np.arange(1, n_dim + 1, dtype=np.int64)
+    mu_id = ids * scalar_table(mobius, n_dim)
+    scaled = scalar_dirichlet(np.column_stack((ids, ids)), scalar_dirichlet(
+        np.column_stack((mu_id, mu_id)), np.column_stack((ids**0, ids**2))))
+    return {name: tuple(scaled[1:, k].tolist()) == target
+            for k, name in enumerate(("mu*nu_minus1", "mu*nu_1"))}

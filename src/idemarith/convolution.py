@@ -13,10 +13,13 @@ where each n's terms start.  The kernel gathers both tables at those
 positions, multiplies, and sums each n's terms with ``np.add.reduceat``
 along axis 0, about 8k entries at a time.  It uses int64 only when both
 tables are integers of int64 size and max|a| max|b| (most terms at one n)
-<= 2^63 - 1, so no sum can wrap.  Functions whose values are all int64
-diagonals of one shape and offset meet that rule on the bounds of their
-values and run as one (N, dim + 1) stack of entries and bound; the
-bound column sums to the bound the per-element sum would carry.
+<= 2^63 - 1, so no sum can wrap.  The scalar products also take two
+(N, k) stacks of k tables, one pass for all k columns under the rule on
+each stack's largest entry; ``lehmer_sides`` so checks Lehmer's identity
+on k pairs in one lcm and one Dirichlet pass.  Functions whose values are
+all int64 diagonals of one shape and offset meet that rule on the bounds
+of their values and run as one (N, dim + 1) stack of entries and bound;
+the bound column sums to the bound the per-element sum would carry.
 Anything else (floats, complex, Fractions, big ints, other elements)
 runs on object arrays, adding each n's terms in index order and then to
 zero, which gives zero + t_1 + t_2 + ... bit for bit.  There is no
@@ -30,7 +33,7 @@ gcd(d, n/d) = 1 (16,961), and the lcm product the pairs with lcm <= N
 g <= N/m, since each pair is g = gcd(k, l) times a split of lcm(k, l)/g,
 so it never forms the 320,698 divisor pairs of each n.  The lcm product
 is not computed by Lehmer's sieve mu * ((1*f)(1*g)): that is the identity
-``lehmer_identity_check`` tests, and a product built from it would make
+``lehmer_sides`` tests, and a product built from it would make
 that check, and the suite row that runs it, test the identity against
 itself; its operator form on P_j(n) is checked in ``idempotents``.
 
@@ -77,6 +80,7 @@ __all__ = [
     "is_multiplicative",
     "lcm_convolve",
     "lehmer_identity_check",
+    "lehmer_sides",
     "scalar_dirichlet",
     "scalar_lcm",
     "scalar_table",
@@ -177,28 +181,34 @@ def _sums(kind: str, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     return np.concatenate(sums) if sums else va[:0]
 
 
-def _product(kind: str, a: Sequence, b: Sequence, zero) -> list:
-    """The product ``kind`` of two tables of equal length, as a list."""
+def _product(kind: str, a: Sequence | np.ndarray, b: Sequence | np.ndarray, zero):
+    """The product ``kind`` of two tables of equal length, as a list; or of
+    two (N, k) arrays of k tables each, column j the product of the two j-th
+    tables, as an (N, k) array, int64 when the stack meets the int64 rule."""
     if len(a) != len(b):
         raise ValueError(f"table lengths differ: {len(a)} vs {len(b)}")
     sa, sb = _store(a), _store(b)
+    if sa.values.shape != sb.values.shape:
+        raise ValueError(f"table shapes differ: {sa.values.shape} vs {sb.values.shape}")
     if sa.bound is not None and sb.bound is not None and _fits(kind, len(a), sa.bound, sb.bound):
-        return _sums(kind, sa.values, sb.values).tolist()
-    return [zero + s for s in _sums(kind, _objects(a, sa), _objects(b, sb)).tolist()]
+        sums = _sums(kind, sa.values, sb.values)
+        return sums if sums.ndim == 2 else sums.tolist()
+    sums = _sums(kind, _objects(a, sa), _objects(b, sb))
+    return zero + sums if sums.ndim == 2 else [zero + s for s in sums.tolist()]
 
 
-def scalar_dirichlet(a: Sequence, b: Sequence) -> list:
-    """Dirichlet product of two scalar tables (1-indexed lists)."""
+def scalar_dirichlet(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> list | np.ndarray:
+    """Dirichlet product of two scalar tables (1-indexed lists), or of two (N, k) stacks."""
     return _product("dirichlet", a, b, 0)
 
 
-def scalar_lcm(a: Sequence, b: Sequence) -> list:
-    """lcm product of two scalar tables."""
+def scalar_lcm(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> list | np.ndarray:
+    """lcm product of two scalar tables, or of two (N, k) stacks."""
     return _product("lcm", a, b, 0)
 
 
-def scalar_unitary(a: Sequence, b: Sequence) -> list:
-    """Unitary product of two scalar tables."""
+def scalar_unitary(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> list | np.ndarray:
+    """Unitary product of two scalar tables, or of two (N, k) stacks."""
     return _product("unitary", a, b, 0)
 
 
@@ -410,35 +420,48 @@ def is_multiplicative(
     return False, (low, whole // low)
 
 
-def lehmer_identity_check(
-    alpha: Sequence,
-    beta: Sequence,
-    tol: float = DEFAULT_TOL,
-) -> dict:
+def lehmer_sides(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Both sides of Lehmer's identity (nu0 * alpha)(nu0 * beta) = nu0 * (alpha [] beta)
+    for the k pairs of tables that are the columns of two (N, k) arrays, and each
+    pair's worst residual (a NaN if it has one): one lcm product, then one
+    Dirichlet product of nu0 with the 3k columns alpha, beta, alpha [] beta.
+    The sides stay int64 only while 2 max|nu0 * .|^2 fits, so no side or residual wraps."""
+    k = alpha.shape[1]
+    sums = scalar_dirichlet(np.ones((len(alpha), 3 * k), dtype=np.int64),
+                            np.hstack((alpha, beta, scalar_lcm(alpha, beta))))
+    if sums.dtype != object and 2 * int(np.abs(sums).max(initial=0))**2 > _INT64_MAX:
+        sums = sums.astype(object)
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN residual reported
+        lhs, rhs = sums[:, :k] * sums[:, k:2 * k], sums[:, 2 * k:]
+        residuals = abs(lhs - rhs)
+    nan = residuals != residuals  # max would skip a NaN, and warn over one
+    worst = np.where(nan, 0, residuals).max(axis=0).tolist()
+    return lhs, rhs, [math.nan if bad else top for bad, top in zip(nan.any(axis=0).tolist(), worst)]
+
+
+def lehmer_identity_check(alpha: Sequence, beta: Sequence, tol: float = DEFAULT_TOL) -> dict:
     """Verify (nu0 * alpha)(m) (nu0 * beta)(m) = (nu0 * (alpha [] beta))(m)
-    pointwise.
+    pointwise: ``lehmer_sides`` on the one pair.
 
     alpha and beta are scalar tables of equal length; returns a report dict
-    whose "max_residual" is the worst residual, within tol or not.
+    whose "max_residual" is the worst residual, within tol or not, and a NaN
+    when any residual is one.
     """
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must share n_max")
     n_max = len(alpha)
     if n_max < 1:
         raise ValueError("lehmer_identity_check needs tables of length >= 1")
-    ones = [1] * n_max
-    lhs = [a * b for a, b in zip(scalar_dirichlet(ones, alpha), scalar_dirichlet(ones, beta))]
-    rhs = scalar_dirichlet(ones, scalar_lcm(alpha, beta))
-    residuals = [abs(x - y) for x, y in zip(lhs, rhs)]
-    failures = [
-        {"m": m, "lhs": lhs[m - 1], "rhs": rhs[m - 1]}
-        for m in range(1, n_max + 1)
-        if not residuals[m - 1] <= tol  # a NaN residual or tolerance fails
+    lhs, rhs, worst = lehmer_sides(*(_store(t).values[:, None] for t in (alpha, beta)))
+    failures = [] if worst[0] <= tol else [  # the worst within tol: none fails
+        {"m": m, "lhs": x, "rhs": y}
+        for m, (x, y) in enumerate(zip(lhs[:, 0].tolist(), rhs[:, 0].tolist()), 1)
+        if not abs(x - y) <= tol  # a NaN residual or tolerance fails
     ]
     return {
         "identity": "(nu0*alpha)(nu0*beta) = nu0*(alpha lcm-prod beta)",
         "n_max": n_max,
         "scalar_failures": failures,
-        "max_residual": max(residuals, default=0),
+        "max_residual": worst[0],
         "pass": not failures,
     }

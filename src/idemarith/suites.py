@@ -20,9 +20,12 @@ nm <= K and prime-power rebuilds).  Those five rows report the requested
 dim under "dim" and min(dim, period) under "window"; the product-law and
 weighted rows report their window under "dim".  The CRT product law is
 decided for all its level pairs in one call, and orthogonality once per
-class gcd(l, n).  The trace and determinant rows take N = 1..n at each
-level n, which decides every N (both sides add or multiply over a
-period), and the growth row bounds P(alpha) in integers.
+class gcd(l, n).  The algebra-law, Lehmer and algebra-map rows stack their
+random tables as columns: a product call serves all cases, each its column.
+The trace and determinant rows take N = 1..n at each level n, which
+decides every N (both sides add or multiply over a period), the growth
+row bounds P(alpha) in integers, and the IU* row compares
+m P(mu * nu_k)(m) with 1 in integers.
 
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
@@ -57,7 +60,7 @@ from .convolution import (
     dirichlet_inverse,
     is_multiplicative,
     lcm_convolve,
-    lehmer_identity_check,
+    lehmer_sides,
     scalar_dirichlet,
     scalar_lcm,
     scalar_table,
@@ -128,10 +131,6 @@ def _multiplicativity(f: AlgFunction):
         return 0.0
     n, m = where
     return f(n * m).distance(f(n) * f(m)), {"n": n, "m": m}
-
-
-def _table_distance(a, b):
-    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def _random_even(rng: random.Random, d: int) -> EvenFunction:
@@ -252,14 +251,16 @@ def _suite_convolution(n_max, dim):
     rng = random.Random(SEED)
     n_assoc = min(n_max, 60)
     triples = [[rng.choices(range(-5, 6), k=n_assoc) for _ in range(3)] for _ in range(3)]
+    a, b, c = (np.array(tables).T for tables in zip(*triples))  # column j: sample j
     scalar_products = {"dirichlet": scalar_dirichlet, "lcm": scalar_lcm,
                        "unitary": scalar_unitary}
 
-    def algebra_laws(sample, product):
+    @functools.cache
+    def algebra_laws(product):  # each sample's |(ab)c - a(bc)| and |ab - ba|, as columns
         prod = scalar_products[product]
-        a, b, c = triples[sample]
-        return max(_table_distance(prod(prod(a, b), c), prod(a, prod(b, c))),
-                   _table_distance(prod(a, b), prod(b, a)))
+        ab, ba, bc = np.hsplit(prod(np.hstack((a, b, b)), np.hstack((b, a, c))), 3)
+        ab_c, a_bc = np.hsplit(prod(np.hstack((ab, a)), np.hstack((c, bc))), 2)
+        return np.maximum(abs(ab_c - a_bc), abs(ab - ba))
 
     unit = Scalar(1)
     ident = dirichlet_identity(unit, n_assoc)
@@ -276,21 +277,21 @@ def _suite_convolution(n_max, dim):
             pairs = [(prod(f, ident), f), (prod(ident, f), f)]
         return max(g(n).distance(h(n)) for g, h in pairs for n in range(1, n_assoc + 1))
 
-    lehmer_n = 200
-    lehmer_pairs = [tuple(rng.choices(range(-5, 6), k=lehmer_n) for _ in range(2))
-                    for _ in range(10)]
+    lehmer_n, lehmer_pairs = 200, 10
+    tables = np.array([rng.choices(range(-5, 6), k=lehmer_n)
+                       for _ in range(2 * lehmer_pairs)]).T  # alpha, beta of each pair
+    lehmer = functools.cache(lambda: lehmer_sides(tables[:, 0::2], tables[:, 1::2])[2])
 
     weighted = IdempotentSystem(30)
     rows = [
         _check("associativity and commutativity of the three products", {"n_max": n_assoc},
                [(sample, product) for sample in range(3) for product in scalar_products],
-               algebra_laws),
+               lambda sample, product: algebra_laws(product)[:, sample].max()),
         _check("identity laws and Dirichlet inverse round trip", {"n_max": n_assoc},
                [(product,) for product in (*products, "dirichlet inverse")], identity_laws),
         _check("product identity linking the lcm and Dirichlet sums",
-               {"n_max": lehmer_n, "pairs": len(lehmer_pairs)},
-               [(pair,) for pair in range(len(lehmer_pairs))],
-               lambda pair: lehmer_identity_check(*lehmer_pairs[pair])["max_residual"]),
+               {"n_max": lehmer_n, "pairs": lehmer_pairs},
+               [(pair,) for pair in range(lehmer_pairs)], lambda pair: lehmer()[pair]),
         _check("weighted convolution identities for alpha,beta against P_j",
                {"j": 1, "n_max": 30, "dim": weighted.dim}, [()],
                lambda: weighted_product_identities(

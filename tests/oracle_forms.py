@@ -17,6 +17,9 @@ package because nothing in it calls them:
   its whole recursion on object arrays, the oracle of the int64 ranges;
 - ``shift_operators`` builds the dense shift, backward-shift, integration
   and Euler matrices, the oracle of the dense theta and IU* exports;
+- ``iu_star_fractions`` builds P(mu * nu_k) from tables of Fractions and
+  compares it with ``iu_star``, the oracle of
+  ``analytic.iu_star_representation``, which decides it in int64;
 - ``s_power_sum`` is sum over k in ks of eps_n^{-jk} S(n)^k from powers of
   ``s_operator(n)`` in complex floats, the oracle of the exact F_q sums of
   ``ramanujan_ops.root_sum_residual``.
@@ -32,9 +35,10 @@ import numpy as np
 
 from idemarith.algebra import (DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar, _store,
                                element_text, invert, is_idempotent)
-from idemarith.arith import divisors, factorize, ramanujan_sum
+from idemarith.analytic import iu_star, p_operator
+from idemarith.arith import divisors, factorize, mobius, nu, ramanujan_sum
 from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index, _objects,
-                                   _product)
+                                   _product, scalar_dirichlet, scalar_table)
 from idemarith.idempotents import IdempotentSystem
 
 
@@ -208,6 +212,18 @@ def shift_operators(space: IdempotentSystem) -> dict[str, DenseMatrix]:
         "U_star": DenseMatrix(u_star),
         "integration": DenseMatrix(integ),
         "theta": DenseMatrix(theta),
+    }
+
+
+def iu_star_fractions(n_dim: int) -> dict:
+    """Whether P(mu * nu_{-1}) and P(mu * nu_1) equal ``iu_star`` on e_2..e_N,
+    each P built from the Dirichlet product of the tables of mu and nu_k."""
+    target = iu_star(n_dim).entries[1:]
+    mu_t = scalar_table(mobius, n_dim)
+    return {
+        name: p_operator(scalar_dirichlet(mu_t, scalar_table(lambda n: nu(k, n), n_dim))
+                         ).entries[1:] == target
+        for name, k in (("mu*nu_minus1", -1), ("mu*nu_1", 1))
     }
 
 

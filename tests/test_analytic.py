@@ -30,7 +30,7 @@ from idemarith.arith import (divisors, epsilon, factorize, jordan_totient, mobiu
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
-from oracle_forms import shift_operators
+from oracle_forms import iu_star_fractions, shift_operators
 
 H0_16 = IdempotentSystem(16, 1)
 
@@ -332,6 +332,18 @@ class TestPOperator:
         assert report["algebra_map_max_residual"] == 0
         assert report["euler_power_max_residual"] == 0
 
+    def test_algebra_map_keeps_a_nan_residual(self, monkeypatch):
+        # a NaN after a finite worst residual: max(worst, nan) kept the 0
+        real = analytic.lehmer_sides
+
+        def nan_second(alpha, beta):
+            lhs, rhs, worst = real(alpha, beta)
+            return lhs, rhs, [worst[0], math.nan, *worst[2:]]
+
+        monkeypatch.setattr(analytic, "lehmer_sides", nan_second)
+        report = p_operator_identities(IdempotentSystem(20, 1), pairs=3)
+        assert math.isnan(report["algebra_map_max_residual"]) and report["pass"] is False
+
 
 class TestShiftOperators:
     def test_ustar_u_is_identity_on_retained(self):
@@ -368,6 +380,16 @@ class TestIuStarRepresentation:
         # e_1 is the truncation edge, so dim 1 compares no entry at all
         with pytest.raises(ValueError, match="dim >= 2"):
             iu_star_representation(1)
+
+    def test_integer_form_is_the_fraction_form(self):
+        for n_dim in range(2, 201):
+            assert iu_star_representation(n_dim) == iu_star_fractions(n_dim)
+
+    def test_one_wrong_mobius_value_refutes_mu_nu_minus_1(self, monkeypatch):
+        # m P(mu * nu_{-1})(m) = 1 + 7 at m = 7, where mu(7) = -1 is read as 0
+        monkeypatch.setattr(analytic, "mobius", lambda n: 0 if n == 7 else mobius(n))
+        assert iu_star_representation(7) == {"mu*nu_minus1": False, "mu*nu_1": False}
+        assert iu_star_representation(6) == {"mu*nu_minus1": True, "mu*nu_1": False}
 
     def test_iu_star_is_the_oracle_product_on_the_diagonal(self):
         # integration after the truncated backward shift, as dense matrices

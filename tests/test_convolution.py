@@ -38,6 +38,7 @@ from idemarith.convolution import (
     is_multiplicative,
     lcm_convolve,
     lehmer_identity_check,
+    lehmer_sides,
     scalar_dirichlet,
     scalar_lcm,
     scalar_table,
@@ -260,6 +261,45 @@ class TestIndexKernel:
         got = prod(a, b)
         assert got == loop(a, b, 0)
         assert all(type(v) is Fraction for v in got)
+
+    # per stack kind: the entries of its first column, and of each other column
+    STACK_ENTRIES = {
+        "int64": (st.integers(-10**6, 10**6),) * 2,
+        "past the int64 rule": (st.integers(2**40, 2**62).map(lambda v: v * (-1)**v),
+                                st.integers(-10**6, 10**6) | st.integers(-2**62, 2**62)),
+        "past int64": (st.integers(2**63, 2**70).map(lambda v: v * (-1)**v),
+                       st.integers(-10**6, 10**6) | st.integers(-2**70, 2**70)),
+        "float": (st.floats(-1e100, 1e100) | st.sampled_from([-0.0, math.nan]),) * 2,
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("values", sorted(STACK_ENTRIES))
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 12), st.data())
+    def test_stack_is_each_column_alone(self, kind, values, n_max, k, data):
+        # k tables against the per-table product of each column, in values (bits,
+        # for floats) and types: a stack past the int64 rule gives Python ints,
+        # also in the columns that alone would run in int64
+        first, other = (st.lists(e, min_size=n_max, max_size=n_max)
+                        for e in self.STACK_ENTRIES[values])
+        a, b = (data.draw(st.tuples(first, st.lists(other, min_size=k - 1, max_size=k - 1)))
+                for _ in range(2))
+        a, b = [a[0], *a[1]], [b[0], *b[1]]
+        prod = PRODUCTS[kind][0]
+        dtype = object if values == "past int64" else None
+        got = prod(np.array(a, dtype=dtype).T, np.array(b, dtype=dtype).T)
+        assert got.shape == (n_max, k)
+        assert got.dtype == (np.int64 if values == "int64" else object)
+        for j in range(k):
+            col, want = got[:, j].tolist(), prod(a[j], b[j])
+            assert bits(col) == bits(want) if values == "float" else col == want
+            assert all(type(v) is (float if values == "float" else int) for v in col + want)
+
+    def test_stacks_must_match_in_shape(self):
+        with pytest.raises(ValueError, match=r"\(4, 2\) vs \(4, 3\)"):
+            scalar_lcm(np.ones((4, 2), dtype=np.int64), np.ones((4, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"\(4,\) vs \(4, 1\)"):
+            scalar_dirichlet([1, 2, 3, 4], np.ones((4, 1), dtype=np.int64))
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=20, deadline=None)
@@ -735,3 +775,32 @@ class TestLehmerIdentity:
         # nothing to evaluate is not a pass
         with pytest.raises(ValueError, match="length >= 1"):
             lehmer_identity_check([], [])
+
+    def test_nan_residual_is_the_max_residual(self):
+        # at m = 2 both sides are inf and their residual a NaN, which max() skipped
+        report = lehmer_identity_check([1.0, math.inf], [1.0, 1.0])
+        assert report["scalar_failures"] == [{"m": 2, "lhs": math.inf, "rhs": math.inf}]
+        assert math.isnan(report["max_residual"]) and report["pass"] is False
+
+    def test_stack_is_each_pair_alone(self):
+        # column j of each side is pair j's; a NaN stays its own pair's worst
+        rng = np.random.default_rng(17)
+        alpha, beta = (rng.integers(-5, 6, (90, 4)) for _ in range(2))
+        lhs, rhs, worst = lehmer_sides(alpha, beta)
+        assert lhs.shape == rhs.shape == (90, 4) and worst == [0] * 4
+        for j in range(4):
+            ones = [1] * 90
+            a, b = alpha[:, j].tolist(), beta[:, j].tolist()
+            assert lhs[:, j].tolist() == [x * y for x, y in zip(scalar_dirichlet(ones, a),
+                                                                 scalar_dirichlet(ones, b))]
+            assert rhs[:, j].tolist() == scalar_dirichlet(ones, scalar_lcm(a, b))
+        floats = np.array([[1.0, 1.0], [2.0, math.inf]])
+        assert lehmer_sides(floats, np.ones((2, 2)))[2][0] == 0
+        assert math.isnan(lehmer_sides(floats, np.ones((2, 2)))[2][1])
+
+    def test_sides_leave_int64_before_they_wrap(self, monkeypatch):
+        # a broken lcm product of zeros: the left side 2^32 * 2^32 would wrap
+        # to 0 in int64 and hide the failure
+        monkeypatch.setattr(convolution, "scalar_lcm", lambda a, b: np.zeros_like(a))
+        lhs, rhs, worst = lehmer_sides(np.array([[2**32]]), np.array([[2**32]]))
+        assert lhs.tolist() == [[2**64]] and rhs.tolist() == [[0]] and worst == [2**64]

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -12,10 +13,10 @@ import textwrap
 import numpy as np
 import pytest
 
-from idemarith import analytic, arith, idempotents, ramanujan_ops, suites
+from idemarith import analytic, arith, convolution, idempotents, ramanujan_ops, suites
 from idemarith.algebra import DiagonalOperator, NonInvertibleError
 from idemarith.arith import divisors, factorize
-from idemarith.convolution import InverseCheckError
+from idemarith.convolution import InverseCheckError, scalar_dirichlet, scalar_lcm, scalar_unitary
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
 from idemarith.suites import SUITES, _check, run_suite
@@ -39,6 +40,35 @@ def wrong_crt_entry(monkeypatch, k, n, l, m, j):
         return grid
 
     monkeypatch.setattr(idempotents, "_crt_grid", wrong)
+
+
+def wrong_lcm_term(monkeypatch):
+    """Make the lcm product read b(5) for b(6) in its term a(1) b(6) at n = 6."""
+    real = convolution._index
+
+    def wrong(kind, n_max):
+        left, right, starts = real(kind, n_max)
+        if kind == "lcm" and n_max >= 6:
+            right = right.copy()
+            assert (left[starts[5]], right[starts[5]]) == (0, 5)  # n = 6's first term: (1, 6)
+            right[starts[5]] = 4
+        return left, right, starts
+
+    monkeypatch.setattr(convolution, "_index", wrong)
+
+
+def convolution_samples():
+    """The convolution suite's random tables, drawn one table at a time: the
+    three (a, b, c) triples at n-max 60, then the ten (alpha, beta) pairs."""
+    rng = random.Random(suites.SEED)
+    triples = [[rng.choices(range(-5, 6), k=60) for _ in range(3)] for _ in range(3)]
+    pairs = [[rng.choices(range(-5, 6), k=200) for _ in range(2)] for _ in range(10)]
+    return triples, pairs
+
+
+def first_worst(residuals: dict):
+    """The first case with the largest residual, as ``_check`` picks it."""
+    return max(residuals, key=residuals.get), max(residuals.values())
 
 
 class TestRunSuite:
@@ -192,6 +222,62 @@ class TestRunSuite:
         assert row["identity"] == "divisor-level product law"
         assert row["pass"] is False and row["max_residual"] == 1.0
         assert row["counterexample"] == {"n": 2, "m": 4, "at": {"k": 1, "l": 2}}
+
+    def test_wrong_lcm_term_fails_the_algebra_law_row_at_its_worst_sample(self, monkeypatch):
+        # each case read off its column of the stacks, against the per-table products
+        wrong_lcm_term(monkeypatch)
+        triples, _ = convolution_samples()
+        products = {"dirichlet": scalar_dirichlet, "lcm": scalar_lcm, "unitary": scalar_unitary}
+        residuals = {}
+        for sample, (a, b, c) in enumerate(triples):
+            for name, prod in products.items():
+                residuals[sample, name] = max(abs(x - y) for x, y in [
+                    *zip(prod(prod(a, b), c), prod(a, prod(b, c))),
+                    *zip(prod(a, b), prod(b, a))])
+        (sample, product), worst = first_worst(residuals)
+        assert product == "lcm" and worst > 0
+        row = run_suite("convolution")["checks"][0]
+        assert row["identity"] == "associativity and commutativity of the three products"
+        assert row["pass"] is False and row["max_residual"] == worst
+        assert row["counterexample"] == {"sample": sample, "product": "lcm"}
+
+    def test_wrong_lcm_term_fails_the_lehmer_row_at_its_worst_pair(self, monkeypatch):
+        wrong_lcm_term(monkeypatch)
+        _, pairs = convolution_samples()
+        residuals = {}
+        for pair, (alpha, beta) in enumerate(pairs):
+            ones = [1] * 200
+            lhs = [x * y for x, y in zip(scalar_dirichlet(ones, alpha),
+                                         scalar_dirichlet(ones, beta))]
+            rhs = scalar_dirichlet(ones, scalar_lcm(alpha, beta))
+            residuals[pair] = max(abs(x - y) for x, y in zip(lhs, rhs))
+        pair, worst = first_worst(residuals)
+        assert worst > 0
+        row = run_suite("convolution")["checks"][2]
+        assert row["identity"] == "product identity linking the lcm and Dirichlet sums"
+        assert row["pass"] is False and row["max_residual"] == worst
+        assert row["counterexample"] == {"pair": pair}
+
+    def test_wrong_lcm_term_fails_the_algebra_map_row(self, monkeypatch):
+        # the pairs are drawn alpha then beta, each pair in turn, and the row's
+        # residual is the worst |P(alpha [] beta) - P(alpha) P(beta)| among them
+        wrong_lcm_term(monkeypatch)
+        rng, worst = random.Random(suites.SEED), 0.0
+        for _ in range(20):
+            a, b = (rng.choices(range(-5, 6), k=64) for _ in range(2))
+            p = analytic.p_operator
+            worst = max(worst, p(scalar_lcm(a, b)).distance(p(a) * p(b)))
+        assert worst > 0
+        rows = {row["identity"]: row for row in run_suite("analytic")["checks"]}
+        row = rows["diagonal map is an algebra map for the lcm product"]
+        assert row["pass"] is False and row["max_residual"] == worst
+
+    def test_one_wrong_mobius_value_fails_the_iu_star_row(self, monkeypatch):
+        monkeypatch.setattr(analytic, "mobius", lambda n: 0 if n == 7 else arith.mobius(n))
+        rows = {row["identity"]: row for row in run_suite("analytic")["checks"]}
+        row = rows["diagonal of integration-compose-backward-shift"]
+        assert row["pass"] is False and row["max_residual"] == 1.0
+        assert row["counterexample"] == {"candidate": "mu*nu_minus1", "matches": True}
 
     def test_wrong_prime_power_factor_fails_the_ramanujan_row(self, monkeypatch):
         def wrong(n):  # 12 read as 2 * 3: the prime product uses P_j(2), not P_j(4)
