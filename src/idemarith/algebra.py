@@ -1,16 +1,16 @@
 """Concrete unital associative algebras over the complex numbers: scalars,
 dense matrices, and diagonal operators on a truncated monomial basis.
 
-Elements are immutable values sharing one duck-typed contract: ``+``, ``-``,
-``*`` (algebra product, or scaling when the other operand is a plain
-number), ``scale``, ``unit``/``zero`` companions of the same shape, and a
-``distance`` metric feeding approximate equality.  A diagonal operator
-holds its entries in one numpy array: int64 while every value fits,
-complex128 for complex input, and object (exact Python int or Fraction)
-for anything else, including integer results that would overflow int64.
-Exact inputs therefore stay exact through arithmetic, and ``entries``
-returns the values as Python scalars.  There is no trace or determinant:
-``analytic`` computes those of the Ramanujan diagonals per level.
+Elements are immutable values sharing one contract, written once in the
+private base ``_Element``: a plain number on either side of ``*`` scales,
+``+`` and ``-`` share one sum, ``isclose`` compares ``distance`` with a
+tolerance, and an operand of another type or shape raises
+``ShapeMismatchError``.  A diagonal operator holds its entries in one array:
+int64 while every value fits, complex128 for complex input, and object (exact
+Python int or Fraction) otherwise, integer results past int64 included, so
+exact inputs stay exact; ``entries`` returns Python scalars.  There is no
+trace or determinant: ``analytic`` computes those of the Ramanujan diagonals
+per level.
 
 ``element_text`` serializes a diagonal or dense element to JSON text,
 byte-identical to ``json.dumps(..., sort_keys=True)`` of its [re, im]
@@ -59,11 +59,48 @@ class NonInvertibleError(ArithmeticError):
     """The element has no inverse meeting the residual tolerance."""
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Number)
+class _Element:
+    """The half of the element contract that the three algebras share.  A
+    subclass gives ``_sum`` (``+`` or ``-`` as op, its operand checked),
+    negation, ``_product`` (its operand checked), ``scale``, ``unit``,
+    ``zero``, ``distance`` and, unless it is a scalar, the ``_shape`` that
+    ``_check`` compares and ``repr`` shows.
+    """
+
+    __slots__ = ()
+
+    def _shape(self) -> str:
+        return ""
+
+    def _check(self, other):
+        if not isinstance(other, type(self)) or self._shape() != other._shape():
+            theirs = repr(other) if isinstance(other, _Element) else type(other).__name__
+            raise ShapeMismatchError(f"cannot combine {self!r} with {theirs}")
+
+    def __mul__(self, other):
+        if isinstance(other, numbers.Number):
+            return self.scale(other)
+        return self._product(other)
+
+    def __rmul__(self, c):
+        if isinstance(c, numbers.Number):
+            return self.scale(c)
+        return NotImplemented
+
+    def __add__(self, other):
+        return self._sum(other, operator.add)
+
+    def __sub__(self, other):
+        return self._sum(other, operator.sub)
+
+    def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
+        return self.distance(other) <= tol
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._shape()}"
 
 
-class Scalar:
+class Scalar(_Element):
     """A complex scalar viewed as a one-dimensional algebra element."""
 
     __slots__ = ("value",)
@@ -71,35 +108,16 @@ class Scalar:
     def __init__(self, value):
         self.value = value
 
-    def _check(self, other):
-        if not isinstance(other, Scalar):
-            raise ShapeMismatchError(f"cannot combine Scalar with {type(other).__name__}")
-
-    def __add__(self, other):
-        if type(other) is not Scalar:  # the common case skips the isinstance check
-            self._check(other)
-        return Scalar(self.value + other.value)
-
-    def __sub__(self, other):
-        if type(other) is not Scalar:
-            self._check(other)
-        return Scalar(self.value - other.value)
+    def _sum(self, other, op):
+        self._check(other)
+        return Scalar(op(self.value, other.value))
 
     def __neg__(self):
         return Scalar(-self.value)
 
-    def __mul__(self, other):
-        if type(other) is Scalar:  # the common case, before the slower ABC check
-            return Scalar(self.value * other.value)
-        if _is_number(other):
-            return self.scale(other)
+    def _product(self, other):
         self._check(other)
         return Scalar(self.value * other.value)
-
-    def __rmul__(self, c):
-        if _is_number(c):
-            return self.scale(c)
-        return NotImplemented
 
     def scale(self, c):
         return Scalar(c * self.value)
@@ -113,9 +131,6 @@ class Scalar:
     def distance(self, other) -> float:
         self._check(other)
         return float(abs(complex(self.value - other.value)))
-
-    def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
-        return self.distance(other) <= tol
 
     def __repr__(self):
         return f"Scalar({self.value!r})"
@@ -161,7 +176,7 @@ def _stack(elements) -> np.ndarray | None:
     return None
 
 
-class DiagonalOperator:
+class DiagonalOperator(_Element):
     """Diagonal operator on the monomial basis e_offset..e_{offset+N-1}.
 
     The algebra product of two diagonals of equal shape is the entrywise
@@ -203,6 +218,8 @@ class DiagonalOperator:
         """
         if n < 1:
             raise ValueError("period n must be positive")
+        if dim < 1:
+            raise ValueError("DiagonalOperator needs at least one entry")
         start = (offset - shift) % n
         values, bound, _ = _store(period(np.arange(start, start + min(n, dim)) % n))
         rows = np.repeat(values[np.newaxis], -(-dim // values.size), axis=0)
@@ -217,16 +234,8 @@ class DiagonalOperator:
     def n(self) -> int:
         return self._values.size
 
-    def _check(self, other):
-        if not isinstance(other, DiagonalOperator):
-            raise ShapeMismatchError(
-                f"cannot combine DiagonalOperator with {type(other).__name__}"
-            )
-        if self.n != other.n or self.offset != other.offset:
-            raise ShapeMismatchError(
-                f"shape mismatch: (n={self.n}, offset={self.offset}) vs "
-                f"(n={other.n}, offset={other.offset})"
-            )
+    def _shape(self) -> str:
+        return f"(n={self.n}, offset={self.offset})"
 
     def _operands(self, other, bound_of):
         """Both value arrays for an entrywise operation, and the bound on
@@ -245,27 +254,16 @@ class DiagonalOperator:
     def _new(self, values, bound):
         return DiagonalOperator(_Stored(values, bound), self.offset)
 
-    def __add__(self, other):
+    def _sum(self, other, op):
         a, b, bound = self._operands(other, operator.add)
-        return self._new(a + b, bound)
-
-    def __sub__(self, other):
-        a, b, bound = self._operands(other, operator.add)
-        return self._new(a - b, bound)
+        return self._new(op(a, b), bound)
 
     def __neg__(self):
         return self._new(-self._values, self._bound)
 
-    def __mul__(self, other):
-        if _is_number(other):
-            return self.scale(other)
+    def _product(self, other):
         a, b, bound = self._operands(other, operator.mul)
         return self._new(a * b, bound)
-
-    def __rmul__(self, c):
-        if _is_number(c):
-            return self.scale(c)
-        return NotImplemented
 
     def scale(self, c):
         a, bound = self._values, None
@@ -289,14 +287,8 @@ class DiagonalOperator:
         a, b, _ = self._operands(other, operator.add)
         return float(np.max(np.abs(a - b)))
 
-    def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
-        return self.distance(other) <= tol
 
-    def __repr__(self):
-        return f"DiagonalOperator(n={self.n}, offset={self.offset})"
-
-
-class DenseMatrix:
+class DenseMatrix(_Element):
     """Square complex matrix under ordinary matrix arithmetic."""
 
     __slots__ = ("array",)
@@ -305,6 +297,8 @@ class DenseMatrix:
         a = np.array(array, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"DenseMatrix must be square, got shape {a.shape}")
+        if not a.size:
+            raise ValueError("DenseMatrix needs at least one entry")
         a.flags.writeable = False
         self.array = a
 
@@ -312,35 +306,19 @@ class DenseMatrix:
     def n(self) -> int:
         return self.array.shape[0]
 
-    def _check(self, other):
-        if not isinstance(other, DenseMatrix):
-            raise ShapeMismatchError(
-                f"cannot combine DenseMatrix with {type(other).__name__}"
-            )
-        if self.n != other.n:
-            raise ShapeMismatchError(f"dimension mismatch: {self.n} vs {other.n}")
+    def _shape(self) -> str:
+        return f"(n={self.n})"
 
-    def __add__(self, other):
+    def _sum(self, other, op):
         self._check(other)
-        return DenseMatrix(self.array + other.array)
-
-    def __sub__(self, other):
-        self._check(other)
-        return DenseMatrix(self.array - other.array)
+        return DenseMatrix(op(self.array, other.array))
 
     def __neg__(self):
         return DenseMatrix(-self.array)
 
-    def __mul__(self, other):
-        if _is_number(other):
-            return self.scale(other)
+    def _product(self, other):
         self._check(other)
         return DenseMatrix(self.array @ other.array)
-
-    def __rmul__(self, c):
-        if _is_number(c):
-            return self.scale(c)
-        return NotImplemented
 
     def scale(self, c):
         return DenseMatrix(complex(c) * self.array)
@@ -354,12 +332,6 @@ class DenseMatrix:
     def distance(self, other) -> float:
         self._check(other)
         return float(np.max(np.abs(self.array - other.array)))
-
-    def isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
-        return self.distance(other) <= tol
-
-    def __repr__(self):
-        return f"DenseMatrix(n={self.n})"
 
 
 def is_idempotent(x, tol: float = DEFAULT_TOL) -> bool:

@@ -7,11 +7,12 @@ written CSV_ROWS rows at a time, a ramanujan:k table from one period of
 c_k; an export's text is built once and its newline written after it.
 
 Exit codes: 0 all checks pass (at residual exactly 0), 1 identity failure,
-2 usage error.  The truncation dimension is --dim, 2520 by default.  For
-``check`` it is the truncation of the axioms and family-multiplicativity
-checks, which run on its first min(dim, 6 n_limit) or min(dim, K)
-entries, K the family's largest level, and report both.  For ``export``
-it is the length of the exported operator, theta and IU* from ``analytic``.
+2 usage error or a closed stdout.  The truncation dimension is --dim, 2520
+by default.  For ``check`` it is the truncation of the axioms and
+family-multiplicativity checks, which run on its first min(dim, 6 n_limit)
+or min(dim, K) entries, K the family's largest level, and report both.
+For ``export`` it is the length of the exported operator, theta and IU*
+from ``analytic``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import analytic, arith
@@ -249,6 +251,9 @@ def main(args: list[str] | None = None, prog_name: str = "idemarith") -> None:
         options.pop("handler")(**options)
     except UsageError as exc:
         _PARSER.exit(2, f"Error: {exc}\n")
+    except BrokenPipeError:  # stdout is closed: devnull takes the flush at exit, which cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(2)
 
 
 # bench/workloads.py runs each request as main.main(args, prog_name="idemarith");

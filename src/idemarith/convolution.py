@@ -318,16 +318,13 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
                         else [-(lead_inv * (zero + s)) for s in sums.tolist()])
         if exact:
             g_bound = max(g_bound, int(np.abs(g[first:stop]).max()))
-    unit = f(1).unit()
+    identity = [1 if scalar else f(1).unit()] + [zero] * (f.n_max - 1)
     table = stored.values if stored.bound is not None else values  # int64: _store copies it fast
     for name, pair in (("f*g", (table, g)), ("g*f", (g, table))):
-        prod = _product("dirichlet", *pair, zero)
-        if scalar:  # |x - e| <= tol in one pass, so a NaN fails
-            ok = np.abs(np.array([prod[0] - 1, *prod[1:]], dtype=complex)) <= tol
-        else:
-            ok = [x.isclose(unit if n == 1 else zero, tol) for n, x in enumerate(prod, 1)]
-        if not np.all(ok):
-            raise InverseCheckError(f"{name} differs from I at n={int(np.argmin(ok)) + 1}")
+        prod = np.array(_product("dirichlet", *pair, zero), dtype=None if scalar else object)
+        first = _first_far(prod, np.arange(f.n_max), identity, scalar, tol)
+        if first is not None:
+            raise InverseCheckError(f"{name} differs from I at n={first + 1}")
     return AlgFunction(map(Scalar, g.tolist()) if scalar else g.tolist())
 
 

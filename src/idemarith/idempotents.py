@@ -3,7 +3,8 @@ diagonals, with axiom verification, the CRT product law, and the weighted
 convolution identities, Lehmer's lcm identity in operator form among them.
 
 The projections are exact 0/1 integer diagonals; the axioms suite compares
-them with their float DFT form (1/n) sum_l eps_n^{-lj} S^l(n) on one period.
+them with their DFT form (1/n) sum_l eps_n^{-lj} S^l(n) on one period,
+summed in F_q.
 
 Both checks run on the stacks of ``projections``.  The axioms take one
 level at a time, no temporary larger than n rows.  ``product_law_residuals``

@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -133,6 +134,18 @@ def test_scalar_sum_needs_a_scalar(other):
         Scalar(1) + other
     with pytest.raises(ShapeMismatchError):
         Scalar(1) - other
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DiagonalOperator([]),
+    lambda: DenseMatrix(np.zeros((0, 0))),
+    lambda: DiagonalOperator.periodic(np.ones_like, 1, 0, 0),
+    lambda: DiagonalOperator.periodic(np.ones_like, 3, 0, -2),
+], ids=["diagonal", "dense", "periodic", "periodic-negative-dim"])
+def test_every_element_refuses_no_entries(build):
+    # an empty dense matrix was accepted, and invert or operator_norm then failed in numpy
+    with pytest.raises(ValueError, match="^(DiagonalOperator|DenseMatrix) needs at least one entry$"):
+        build()
 
 
 def test_diag_dense_consistency():
@@ -435,3 +448,46 @@ def test_determinant_of_long_ramanujan_diagonal_is_exact():
     assert c0.n == 3000
     assert math.prod(c0.entries) == det_table(30, [3000])[0][0] == expected
     assert abs(expected) > 2**63  # 30 is squarefree, so no factor c_30(m) is 0
+
+
+# two shapes of each element type; the two scalars share the one scalar shape
+_SHAPES = [
+    ("scalar-int", Scalar(3)),
+    ("scalar-complex", Scalar(2.5 - 1j)),
+    ("diag-3", DiagonalOperator((1, -2, 3))),
+    ("diag-2-offset-1", DiagonalOperator((4, 0), offset=1)),
+    ("dense-2", DenseMatrix([[1, 2], [3, 4]])),
+    ("dense-3", DenseMatrix(np.arange(9).reshape(3, 3) - 4j)),
+]
+_MISMATCHED = [pytest.param(x, y, id=f"{a}-{b}") for a, x in _SHAPES for b, y in _SHAPES
+               if type(x) is not type(y) or (type(x) is not Scalar and x is not y)]
+_NUMBERS = [3, Fraction(-2, 3), 0.5]
+
+
+def _state(x):
+    """An element's type and every entry with its type, so equal states are
+    the same value in the same storage."""
+    if isinstance(x, Scalar):
+        values = [x.value]
+    elif isinstance(x, DiagonalOperator):
+        values = [x.offset, str(x._values.dtype), *x.entries]
+    else:
+        values = x.array.reshape(-1).tolist()
+    return type(x), [(type(v), v) for v in values]
+
+
+@pytest.mark.parametrize("x,y", _MISMATCHED)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                lambda x, y: x.distance(y), lambda x, y: x.isclose(y)],
+                         ids=["add", "sub", "mul", "distance", "isclose"])
+def test_contract_refuses_other_types_and_shapes(x, y, op):
+    with pytest.raises(ShapeMismatchError):
+        op(x, y)
+
+
+@pytest.mark.parametrize("name,x", _SHAPES, ids=[name for name, _ in _SHAPES])
+@pytest.mark.parametrize("c", _NUMBERS, ids=["int", "fraction", "float"])
+def test_contract_number_on_either_side_of_mul_scales(name, x, c):
+    assert _state(c * x) == _state(x * c) == _state(x.scale(c))
+    with pytest.raises(TypeError):
+        c + x

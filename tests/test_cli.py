@@ -486,6 +486,19 @@ def test_unwritable_out_is_usage_error(tmp_path, args, target):
     assert f"Error: cannot write --out {tmp_path / target}" in result.stderr
 
 
+def test_closed_stdout_exits_2_without_a_traceback():
+    # the reader takes the header line of a million-row table and closes the pipe
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(idemarith.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "idemarith.cli", "table", "mobius",
+                           "--range", "1..1000000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline() == b"n,value\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+    assert child.returncode == 2
+    assert "Traceback" not in err
+
+
 # the new spellings argparse would take but the CLI never did (-h, --n for --n-max) are
 # refused too; each error is one usage line and one message on stderr, no traceback
 @pytest.mark.parametrize("args", [
