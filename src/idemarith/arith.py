@@ -4,8 +4,8 @@ their reconstruction residual.
 
 ``prime_power_split`` is a sieve of all of 1..N at once: the largest
 prime of each n, its full power, and the rest of n.  ``prime_power_product``
-walks it to build a multiplicative table, or to rebuild one from its
-prime-power values, in numpy passes rather than one ``factorize`` per n.
+walks it to build a multiplicative table from its prime-power values, in
+numpy passes rather than one ``factorize`` per n.
 
 Everything here is computed in exact integer or rational arithmetic and
 compared with no tolerance: the identity suites judge ``rf_residual``.

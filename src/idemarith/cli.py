@@ -2,9 +2,9 @@
 identity suites, and operator exports.
 
 A request is parsed once, by its command's own parser; the top-level parser
-runs only on no arguments, an unknown command or --help.  A CSV table is
-written CSV_ROWS rows at a time, a ramanujan:k table from one period of
-c_k; an export's text is built once and its newline written after it.
+runs only on no arguments, an unknown command or --help.  A table, CSV or
+JSON, is written CSV_ROWS rows at a time, a ramanujan:k table from one
+period of c_k; an export's text is built once and its newline written after it.
 
 Exit codes: 0 all checks pass (at residual exactly 0), 1 identity failure,
 2 usage error or a closed stdout.  The truncation dimension is --dim, 2520
@@ -18,6 +18,7 @@ from ``analytic``.
 from __future__ import annotations
 
 import argparse
+import heapq
 import itertools
 import json
 import math
@@ -30,11 +31,10 @@ from .ramanujan_ops import OperatorFamily
 from .suites import SUITES, run_suite
 
 DEFAULT_DIM = 2520
-# `export` holds every entry, and a JSON `table` every row, before it writes one;
-# `check` keeps the same cap on dim, though its dim-bound windows stay within 6 * 12
-# entries
+# `export` holds every entry before it writes one; `table` keeps the same cap on its
+# range, and `check` on dim, though its dim-bound windows stay within 6 * 12 entries
 MAX_TABLE_VALUES = 10**6
-# rows per write of a CSV `table`
+# rows per write of a `table`
 CSV_ROWS = 4096
 
 
@@ -66,10 +66,10 @@ _TABLE_FUNCTIONS = {
 
 
 def _table_values(name: str, lo: int, hi: int):
-    """The values on lo..hi of the function NAME names, refused up front
-    when one could not be computed or printed."""
+    """values(a, b), the values on a..b, lo <= a <= b <= hi, of the function
+    NAME names, refused up front when one on lo..hi could not be computed or printed."""
     if name in _TABLE_FUNCTIONS:
-        return map(_TABLE_FUNCTIONS[name], range(lo, hi + 1))
+        return lambda a, b: map(_TABLE_FUNCTIONS[name], range(a, b + 1))
     head, _, arg = name.partition(":")
     if not arg:
         raise UsageError(f"unknown function {name!r}")
@@ -86,13 +86,20 @@ def _table_values(name: str, lo: int, hi: int):
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     if head in ("jordan", "nu", "lcm-count") and hi > 1 and abs(k) >= digits / math.log10(hi):
         raise UsageError(f"{name} at n={hi} has too many digits to print")
-    if head == "ramanujan":  # c_k(n) has period k in n: one period, then repeated
+    if head == "ramanujan":  # c_k(n) has period k in n: one period of lo..hi, then repeated
         period = [arith.ramanujan_sum(k, n) for n in range(lo, lo + min(k, hi - lo + 1))]
-        return itertools.islice(itertools.cycle(period), hi - lo + 1)
+        return lambda a, b: itertools.islice(itertools.cycle(period), (a - lo) % len(period),
+                                             (a - lo) % len(period) + b - a + 1)
     powers = {"jordan": arith.jordan_totient, "nu": arith.nu, "lcm-count": arith.lcm_tuple_count}
     if head in powers:
-        return (powers[head](k, n) for n in range(lo, hi + 1))
+        return lambda a, b: (powers[head](k, n) for n in range(a, b + 1))
     raise UsageError(f"unknown function {name!r}")
+
+
+def _chunks(lines):
+    """The texts of lines, CSV_ROWS lines at a time."""
+    while chunk := "".join(itertools.islice(lines, CSV_ROWS)):
+        yield chunk
 
 
 def _emit(texts, out: str | None):
@@ -117,14 +124,21 @@ def cmd_table(function, range_, format_, out):
     lo, hi = _parse_range(range_)
     values = _table_values(function, lo, hi)
     if format_ == "csv":
-        # one write per CSV_ROWS rows; zip draws each row's value from the one iterator
-        _emit(itertools.chain(["n,value\n"], ("".join(
-            f"{n},{v}\n" for n, v in zip(range(a, min(a + CSV_ROWS, hi + 1)), values))
-            for a in range(lo, hi + 1, CSV_ROWS))), out)
-    else:
-        _emit([json.dumps({"function": function, "range": [lo, hi], "values": {
-            str(n): str(v) for n, v in zip(range(lo, hi + 1), values)}},
-            indent=2, sort_keys=True), "\n"], out)
+        _emit(itertools.chain(["n,value\n"], _chunks(
+            f"{n},{v}\n" for n, v in zip(range(lo, hi + 1), values(lo, hi)))), out)
+        return
+    # json.dumps(sort_keys=True) order, "10" before "2": the n of one digit length
+    # ascend as strings, so the digit lengths' (key, value) streams merge into it.
+    # Integer and fraction text needs no JSON escape
+    lengths = [(max(lo, 10 ** (d - 1)), min(hi, 10**d - 1))
+               for d in range(len(str(lo)), len(str(hi)) + 1)]
+    rows = heapq.merge(*(zip(map(str, range(a, b + 1)), values(a, b)) for a, b in lengths))
+    head, tail = json.dumps({"function": function, "range": [lo, hi], "values": {}},
+                            indent=2, sort_keys=True).rsplit("{}", 1)
+    separators = itertools.chain(["\n"], itertools.repeat(",\n"))
+    _emit(itertools.chain([head + "{"], _chunks(
+        f'{sep}    "{n}": "{v}"' for sep, (n, v) in zip(separators, rows)), ["\n  }" + tail + "\n"]),
+        out)
 
 
 def cmd_check(suite, n_max, dim, out):

@@ -45,31 +45,29 @@ products use; from the first range past it, it goes on to the end on
 object arrays of Python ints.  Any other table runs on object arrays
 throughout.
 
-``is_multiplicative`` reads its coprime pairs (n, m), 2 <= n < m, off the
-unitary index, and rebuilds each f(n) from its prime powers read off
-``arith.prime_power_split``, a sieve of 1..N cached for at most three N,
-multiplying f(p1^a1) ... f(pk^ak) left to right, primes ascending, as a
-per-n loop over ``factorize`` would.  On Scalar tables and int64 diagonal
-stacks the pairs are compared in blocks of 64, 128, ... pairs, each one
-array product and one |x - y| <= tol comparison, stopping at the first
-block that fails; the rebuild is one ``prime_power_product`` and one
-comparison.  Other elements form one pair's product, or one rebuilt
-f(n), at a time and call ``isclose``.  Either way the verdict and the
-first counterexample are the loop's.
+``is_multiplicative`` checks the definition: f(nm) = f(n) f(m) for coprime
+n, m, in both factor orders, since nm = mn (Cashwell and Everett, 1959).
+It reads the pairs (n, m), 2 <= n < m, off the unitary index.  Each pair
+is judged on its own, |f(nm) - f(n) f(m)| within tol; there is no
+accumulated criterion on f(p1^a1) ... f(pk^ak), which the pairs already
+decide exactly, one prime power split off at a time.  Scalar tables and
+int64 diagonal stacks commute, so they compare one order, in blocks of
+64, 128, ... pairs, each one array product and one comparison, stopping
+at the first block that fails.  Other elements form one pair's product at
+a time and call ``isclose``: all of f(n) f(m) first, then f(m) f(n).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (_INT64_MAX, DEFAULT_TOL, DiagonalOperator, Scalar, _stack, _store, _Stored,
                       invert, is_idempotent)
-from .arith import prime_power_product, prime_power_split
 
 __all__ = [
     "AlgFunction",
@@ -358,63 +356,39 @@ def _first_far_pair(fv: np.ndarray, n: np.ndarray, m: np.ndarray, arrays: bool, 
     return None
 
 
-def _prime_powers(n: int, power: np.ndarray, rest: np.ndarray) -> list[int]:
-    """The prime powers p^a || n, primes ascending, read off the split."""
-    powers = []
-    while n > 1:
-        powers.append(int(power[n]))
-        n = int(rest[n])
-    return powers[::-1]
-
-
 def is_multiplicative(
     f: AlgFunction, tol: float = DEFAULT_TOL
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check f(nm) = f(n) f(m) on coprime pairs with nm <= n_max, plus the
-    prime-power reconstruction f(n) = f(p1^a1) ... f(pk^ak).
+    """Check f(nm) = f(n) f(m) and f(nm) = f(m) f(n) on coprime pairs with
+    nm <= n_max, each pair within tol.
 
     The pairs are the unitary index's terms (n, m) with 2 <= n < m, taken
-    n ascending, then m.  The reconstruction multiplies
-    unit * f(p1^a1) * ... * f(pk^ak), primes ascending, left to right,
-    with the prime powers read off ``arith.prime_power_split``.
-    All-Scalar functions, and int64 diagonals on one ``_stack`` when
-    2 bound^max(2, bit_length(n_max)) <= 2^63 - 1 (a rebuild multiplies
-    omega(n) < bit_length(n) factors), compare the pairs in doubling blocks
-    and rebuild every n in one ``prime_power_product``; other elements form
-    one pair's product, or one n's rebuilt value, at a time.
+    n ascending, then m.  All-Scalar functions, and int64 diagonals on one
+    ``_stack`` when 2 bound^2 <= 2^63 - 1, commute, so they compare
+    f(n) f(m) alone, in doubling blocks.  Other elements form one pair's
+    product at a time: every f(n) f(m) first, then every f(m) f(n), whose
+    failure is reported as (m, n).
 
-    Returns (verdict, first counterexample (n, m) or None).
+    Returns (verdict, first counterexample or None).
     """
     if not is_idempotent(f(1), tol):  # f(1) = f(1)f(1) is the (1, 1) case
         return False, (1, 1)
-    n_max = f.n_max
     arrays = all(type(v) is Scalar for v in f.values)
     fv = np.array([None, *(v.value for v in f.values)] if arrays else [None, *f.values],
                   dtype=object)  # fv[n] = f(n)
     stack = None if arrays else _stack(f.values)
-    if stack is not None and 2 * int(stack[:, -1].max())**max(2, n_max.bit_length()) <= _INT64_MAX:
+    if stack is not None and 2 * int(stack[:, -1].max())**2 <= _INT64_MAX:
         fv, arrays = np.vstack((np.zeros_like(stack[:1, :-1]), stack[:, :-1])), True  # fv[n] = f(n)
-    left, right, _ = _index("unitary", n_max)
+    left, right, _ = _index("unitary", f.n_max)
     pairs = (0 < left) & (left < right)
     n, m = left[pairs] + 1, right[pairs] + 1
     order = np.argsort(n, kind="stable")  # the index sorts by n m, so each n's m ascend
     n, m = n[order], m[order]
-    first = _first_far_pair(fv, n, m, arrays, tol)
-    if first is not None:
-        return False, (int(n[first]), int(m[first]))
-    _, power, rest = prime_power_split(n_max)
-    composite = np.flatnonzero(rest > 1)
-    if arrays:
-        rebuilt = prime_power_product(fv[power], 1)[composite]
-    else:
-        rebuilt = (reduce(operator.mul, fv[_prime_powers(k, power, rest)], f(1).unit())
-                   for k in composite.tolist())
-    first = _first_far(fv, composite, rebuilt, arrays, tol)
-    if first is None:
-        return True, None
-    whole = int(composite[first])
-    low = _prime_powers(whole, power, rest)[0]
-    return False, (low, whole // low)
+    for x, y in [(n, m)] if arrays else [(n, m), (m, n)]:
+        first = _first_far_pair(fv, x, y, arrays, tol)
+        if first is not None:
+            return False, (int(x[first]), int(y[first]))
+    return True, None
 
 
 def lehmer_sides(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:

@@ -92,12 +92,12 @@ def _distance(a, b) -> float:
 
 
 def root_of_unity_residual(n: int) -> int:
-    """root_sum_residual of sum over gcd(k, n) = 1 of eps_n^{kx} against the c table
-    at gcd(x, n), over x < n: the exact oracle of c_n, and of C_j(n) for any j."""
+    """root_sum_residual of sum over gcd(k, n) = 1 of eps_n^{kx} against c_n(x): the
+    exact oracle of c_n, and of C_j(n) for any j.  x -> ux, u a unit mod n, permutes
+    the k coprime to n, so the sum depends only on gcd(x, n): one x = g per g | n."""
     divs, _, _, c = _divisor_tables(n)
-    x = np.arange(n)
     coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    return root_sum_residual(coprime, x, n, c[-1][np.searchsorted(divs, np.gcd(x, n))])
+    return root_sum_residual(coprime, np.array(divs), n, c[-1])
 
 
 def c_operator_constructions(n: int) -> dict:

@@ -11,12 +11,13 @@ is built inside its residual on first use, so a failure there fails that
 row alone.  An erratum whose data raises carries the "error" instead.
 
 The level identities of ``ramanujan_ops`` are decided on their tau(n)
-class tables, and the root-of-unity rows on one period.  Every other
+class tables, and the root-of-unity rows on one period, or for c_n on one
+x per class gcd(x, n).  Every other
 operator entry depends only on the basis index mod its level, so a window
 as long as the period of each equation a row compares decides it on the
 whole basis: lcm(n, m) for a product law, 6 n_limit for the axioms
-(levels n r, r <= 6), K for a multiplicativity row on levels 1..K (pairs
-nm <= K and prime-power rebuilds).  Those five rows report the requested
+(levels n r, r <= 6), K for a multiplicativity row on levels 1..K (coprime
+pairs nm <= K).  Those five rows report the requested
 dim under "dim" and min(dim, period) under "window"; the product-law and
 weighted rows report their window under "dim".  The CRT product law is
 decided for all its level pairs in one call, and orthogonality once per

@@ -9,8 +9,9 @@ package because nothing in it calls them:
   diagonals, the oracle of ``idempotents.product_law_residuals``;
 - ``convolve_elements`` is the per-element path of the three products,
   the oracle of their stack path on int64 diagonals;
-- ``is_multiplicative_loop`` is the per-pair, per-``factorize`` form of
-  ``convolution.is_multiplicative``, its oracle;
+- ``is_multiplicative_loop`` is the definition of multiplicativity, one
+  coprime pair and factor order at a time, the oracle of
+  ``convolution.is_multiplicative``;
 - ``ramanujan_orthogonality`` is sum_{r|n} c_n(n/r) c_r(l) at one l, the
   oracle of ``ramanujan_ops.orthogonality_residual``, which sums per class;
 - ``dirichlet_inverse_objects`` is ``convolution.dirichlet_inverse`` with
@@ -36,7 +37,7 @@ import numpy as np
 from idemarith.algebra import (DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar, _store,
                                element_text, invert, is_idempotent)
 from idemarith.analytic import iu_star, p_operator
-from idemarith.arith import divisors, factorize, mobius, nu, ramanujan_sum
+from idemarith.arith import divisors, mobius, nu, ramanujan_sum
 from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index, _objects,
                                    _product, scalar_dirichlet, scalar_table)
 from idemarith.idempotents import IdempotentSystem
@@ -92,26 +93,20 @@ def ramanujan_orthogonality(n: int, l: int) -> int:
 
 
 def is_multiplicative_loop(f, tol: float = DEFAULT_TOL):
-    """Check f(nm) = f(n) f(m) on coprime pairs with nm <= n_max, plus the
-    prime-power reconstruction f(n) = f(p1^a1) ... f(pk^ak).
+    """Check the definition f(nm) = f(n) f(m) = f(m) f(n) on coprime pairs
+    with nm <= n_max: every pair 2 <= n < m in order, then the reversed
+    products, each failure reported as (left factor, right factor).
 
     Returns (verdict, first counterexample (n, m) or None).
     """
     n_max = f.n_max
     if not is_idempotent(f(1), tol):  # f(1) = f(1)f(1) is the (1, 1) case
         return False, (1, 1)
-    for n in range(2, n_max + 1):
-        for m in range(n, n_max // n + 1):
-            if math.gcd(n, m) == 1 and not f(n * m).isclose(f(n) * f(m), tol):
-                return False, (n, m)
-    for n in range(2, n_max + 1):
-        fac = factorize(n)
-        if len(fac) > 1:
-            acc = f(1).unit()
-            for p, a in fac:
-                acc = acc * f(p**a)
-            if not f(n).isclose(acc, tol):
-                return False, (fac[0][0] ** fac[0][1], n // fac[0][0] ** fac[0][1])
+    pairs = [(n, m) for n in range(2, n_max + 1) for m in range(n + 1, n_max // n + 1)
+             if math.gcd(n, m) == 1]
+    for n, m in pairs + [(m, n) for n, m in pairs]:
+        if not f(n * m).isclose(f(n) * f(m), tol):
+            return False, (n, m)
     return True, None
 
 

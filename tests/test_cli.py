@@ -104,6 +104,37 @@ class TestTable:
             f"{n},{arith.tau(n)}\n" for n in range(3, 25))
         assert [text.count("\n") for text in writes] == [1, 7, 7, 7, 1]
 
+    @pytest.mark.parametrize("function, value", [
+        ("mobius", arith.mobius), ("totient", arith.totient), ("tau", arith.tau),
+        ("omega", arith.omega), ("jordan:3", lambda n: arith.jordan_totient(3, n)),
+        ("ramanujan:7", lambda n: arith.ramanujan_sum(7, n)), ("nu:-2", lambda n: arith.nu(-2, n)),
+        ("lcm-count:3", lambda n: arith.lcm_tuple_count(3, n)),
+    ])
+    @pytest.mark.parametrize("lo, hi", [(95, 1005), (8, 12), (1, 1),
+                                        (999999999990, 1000000000000)])
+    def test_json_table_is_the_sorted_dump(self, function, value, lo, hi):
+        # streamed in "10" before "2" order; the ranges cross digit lengths
+        code, out, err = invoke(["table", function, "--range", f"{lo}..{hi}", "--format", "json"])
+        assert code == 0
+        assert out == json.dumps({"function": function, "range": [lo, hi], "values": {
+            str(n): str(value(n)) for n in range(lo, hi + 1)}}, indent=2, sort_keys=True) + "\n"
+
+    def test_json_is_written_in_chunks_of_rows(self, monkeypatch):
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "CSV_ROWS", 7)
+        with contextlib.redirect_stdout(Recorder()) as buf:
+            main(["table", "tau", "--range", "3..24", "--format", "json"])
+        assert json.loads(buf.getvalue())["values"] == {str(n): str(arith.tau(n))
+                                                        for n in range(3, 25)}
+        # the opening text, 22 rows 7 at a time, and the closing text
+        assert [len(re.findall(r'"\d+": ', text)) for text in writes] == [0, 7, 7, 7, 1, 0]
+
     def test_unknown_function_is_usage_error(self):
         code, out, err = invoke(["table", "sigma"])
         assert code == 2

@@ -735,6 +735,37 @@ class TestMultiplicativityAgainstLoop:
         assert is_multiplicative(family) == is_multiplicative_loop(family) == (False, (4, 3))
 
 
+    def test_non_commuting_pair_fails_in_the_reversed_order(self):
+        # f(6) = f(2) f(3) passes the pair (2, 3), but f(3) f(2) differs
+        f = {n: DenseMatrix(np.eye(2)) for n in range(1, 7)}
+        f[2], f[3] = DenseMatrix([[1, 1], [0, 1]]), DenseMatrix([[1, 0], [1, 1]])
+        f[6] = f[2] * f[3]
+        family = AlgFunction(f[n] for n in range(1, 7))
+        assert is_multiplicative(family) == is_multiplicative_loop(family) == (False, (3, 2))
+
+    @pytest.mark.parametrize("corrupt, first", [(None, None), (12, (3, 4))])
+    def test_diagonals_within_the_pair_bound_run_on_the_stack(self, monkeypatch, corrupt, first):
+        # f(p^a) is 2^20 at p's entry and 1 elsewhere, so every value has bound 2^20:
+        # 2 bound^2 fits int64, and the pairs are compared as one int64 array
+        primes = [2, 3, 5, 7, 11]
+        values = [DiagonalOperator([2**20 if n % p == 0 else 1 for p in primes])
+                  for n in range(1, 13)]
+        if corrupt:
+            values[corrupt - 1] = DiagonalOperator([2**20, 2**20 - 1, 1, 1, 1])
+        f = AlgFunction(values)
+        passes = []
+
+        def spy(fv, n, m, arrays, tol):
+            passes.append((fv.dtype, arrays))
+            return first_far_pair(fv, n, m, arrays, tol)
+
+        first_far_pair = convolution._first_far_pair
+        monkeypatch.setattr(convolution, "_first_far_pair", spy)
+        assert is_multiplicative(f, 0) == is_multiplicative_loop(f, 0) == (
+            (True, None) if corrupt is None else (False, first))
+        assert passes == [(np.int64, True)]
+
+
 class TestLehmerIdentity:
     def test_ones_gives_tau_squared(self):
         ones = [1] * 200
