@@ -166,16 +166,6 @@ def _store(entries) -> _Stored:
     return _Stored(values if kind == "O" else np.array(entries, dtype=object), None)
 
 
-def _stack(elements) -> np.ndarray | None:
-    """The int64 array whose row i is elements[i]'s entries, then its bound,
-    when all are int64 diagonals of the first one's shape and offset."""
-    first = elements[0]
-    if all(type(x) is DiagonalOperator and x._bound is not None and x.n == first.n
-           and x.offset == first.offset for x in elements):
-        return np.column_stack(([x._values for x in elements], [x._bound for x in elements]))
-    return None
-
-
 class DiagonalOperator(_Element):
     """Diagonal operator on the monomial basis e_offset..e_{offset+N-1}.
 

@@ -13,18 +13,24 @@ where each n's terms start.  The kernel gathers both tables at those
 positions, multiplies, and sums each n's terms with ``np.add.reduceat``
 along axis 0, about 8k entries at a time.  It uses int64 only when both
 tables are integers of int64 size and max|a| max|b| (most terms at one n)
-<= 2^63 - 1, so no sum can wrap.  The scalar products also take two
-(N, k) stacks of k tables, one pass for all k columns under the rule on
-each stack's largest entry; ``lehmer_sides`` so checks Lehmer's identity
-on k pairs in one lcm and one Dirichlet pass.  Functions whose values are
-all int64 diagonals of one shape and offset meet that rule on the bounds
-of their values and run as one (N, dim + 1) stack of entries and bound;
-the bound column sums to the bound the per-element sum would carry.
-Anything else (floats, complex, Fractions, big ints, other elements)
-runs on object arrays, adding each n's terms in index order and then to
-zero, which gives zero + t_1 + t_2 + ... bit for bit.  There is no
-float64 or complex128 reduction: numpy's pairwise summation would change
-the bits.
+<= 2^63 - 1, so no sum can wrap.  Anything else (floats, complex,
+Fractions, big ints, elements) runs on object arrays, adding each n's
+terms in index order and then to zero, which gives zero + t_1 + t_2 + ...
+bit for bit.  There is no float64 or complex128 reduction: numpy's
+pairwise summation would change the bits.
+
+``scalar_dirichlet``, ``scalar_lcm`` and ``scalar_unitary`` take number
+tables, or two (N, k) stacks of k tables: one pass for all k columns
+under the rule on each stack's largest entry, so ``lehmer_sides`` checks
+Lehmer's identity on k pairs in one lcm and one Dirichlet pass.  The
+``*_convolve`` products, ``dirichlet_inverse`` and ``is_multiplicative``
+take ``AlgFunction``s, which decide once, when built, how their values
+are held: integer Scalars of int64 size, and int64 diagonals of one shape
+and offset, as one int64 stack whose row n - 1 is the entries of f(n),
+then their bound; any other values as elements.  Each operation has one
+stack path and one element path.  A product runs on the stacks when the
+rule holds on their bound columns, whose sums are the bounds the
+per-element sums would carry.
 
 Cost on a table of size N: the Dirichlet product has the sum of tau(n)
 terms (24,496 at N = 3000), the unitary product those with
@@ -38,23 +44,18 @@ that check, and the suite row that runs it, test the identity against
 itself; its operator form on P_j(n) is checked in ``idempotents``.
 
 ``dirichlet_inverse`` runs its recursion one dyadic range of n at a time,
-since every proper divisor of an n in [2^k, 2^(k+1)) lies below 2^k.  An
-integer table with f(1) = +-1 takes a range in int64 while
+since every proper divisor of an n in [2^k, 2^(k+1)) lies below 2^k.  A
+stack whose f(1) entries are all +-1 takes a range in int64 while
 max|f| max|g so far| (most terms at one n) <= 2^63 - 1, the bound the
-products use; from the first range past it, it goes on to the end on
-object arrays of Python ints.  Any other table runs on object arrays
-throughout.
+products use, and from the first range past it goes on in Python ints.
 
 ``is_multiplicative`` checks the definition: f(nm) = f(n) f(m) for coprime
 n, m, in both factor orders, since nm = mn (Cashwell and Everett, 1959).
-It reads the pairs (n, m), 2 <= n < m, off the unitary index.  Each pair
-is judged on its own, |f(nm) - f(n) f(m)| within tol; there is no
-accumulated criterion on f(p1^a1) ... f(pk^ak), which the pairs already
-decide exactly, one prime power split off at a time.  Scalar tables and
-int64 diagonal stacks commute, so they compare one order, in blocks of
-64, 128, ... pairs, each one array product and one comparison, stopping
-at the first block that fails.  Other elements form one pair's product at
-a time and call ``isclose``: all of f(n) f(m) first, then f(m) f(n).
+It reads the pairs (n, m), 2 <= n < m, off the unitary index, each judged
+on its own within tol.  A stack compares them in blocks of 64, 128, ...
+pairs, each one array product and one comparison, stopping at the first
+block that fails; elements form one pair's product at a time.  Only dense
+matrices fail to commute, so only they also compare every f(m) f(n).
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (_INT64_MAX, DEFAULT_TOL, DiagonalOperator, Scalar, _stack, _store, _Stored,
-                      invert, is_idempotent)
+from .algebra import (_INT64_MAX, DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar, _store,
+                      _Stored, invert, is_idempotent)
 
 __all__ = [
     "AlgFunction",
@@ -154,13 +155,6 @@ def _blocks(starts: np.ndarray, lo: int, hi: int, size: int = _BLOCK):
         lo = cut
 
 
-def _objects(table, stored) -> np.ndarray:
-    """The table as an object array: Python ints for int input, else its own values."""
-    if stored.bound is not None:
-        return stored.values.astype(object)
-    return np.array(list(table), dtype=object)
-
-
 def _fits(kind: str, n_max: int, bound_a: int, bound_b: int) -> bool:
     """Whether no sum of the product ``kind`` on 1..n_max of factors of
     modulus <= bound_a and <= bound_b can leave int64."""
@@ -191,7 +185,7 @@ def _product(kind: str, a: Sequence | np.ndarray, b: Sequence | np.ndarray, zero
     if sa.bound is not None and sb.bound is not None and _fits(kind, len(a), sa.bound, sb.bound):
         sums = _sums(kind, sa.values, sb.values)
         return sums if sums.ndim == 2 else sums.tolist()
-    sums = _sums(kind, _objects(a, sa), _objects(b, sb))
+    sums = _sums(kind, sa.values.astype(object), sb.values.astype(object))
     return zero + sums if sums.ndim == 2 else [zero + s for s in sums.tolist()]
 
 
@@ -210,16 +204,38 @@ def scalar_unitary(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> list |
     return _product("unitary", a, b, 0)
 
 
-class AlgFunction:
-    """A tabulated map 1..n_max -> algebra elements of one shared shape."""
+def _held(values: tuple) -> tuple[Optional[np.ndarray], Optional[Callable], bool]:
+    """How an AlgFunction holds its values: (stack, rows, commutes).  Integer
+    Scalars of int64 size, and int64 diagonals of one shape and offset, are
+    one int64 stack, row i values[i]'s entries and then their bound, which
+    ``rows`` turns back into elements of their kind (an object stack, bound
+    None, into Python ints).  All but dense matrices commute."""
+    first = values[0]
+    if all(type(v) is Scalar for v in values):
+        stored = _store([v.value for v in values])
+        if stored.bound is not None:
+            return (np.column_stack((stored.values, np.abs(stored.values))),
+                    lambda stack: map(Scalar, stack[:, 0].tolist()), True)
+    elif all(type(x) is DiagonalOperator and x._bound is not None and x.n == first.n
+             and x.offset == first.offset for x in values):
+        return (np.column_stack(([x._values for x in values], [x._bound for x in values])),
+                lambda stack: (DiagonalOperator(_Stored(row[:-1], bound), first.offset)
+                               for row, bound in zip(stack, stack[:, -1].tolist())), True)
+    return None, None, not any(type(v) is DenseMatrix for v in values)
 
-    __slots__ = ("values",)
+
+class AlgFunction:
+    """A tabulated map 1..n_max -> algebra elements of one shared shape,
+    held as ``_held`` decides when it is built."""
+
+    __slots__ = ("values", "_stack", "_rows", "_commutes")
 
     def __init__(self, values: Sequence):
         values = tuple(values)
         if not values:
             raise ValueError("AlgFunction needs n_max >= 1")
         self.values = values
+        self._stack, self._rows, self._commutes = _held(values)
 
     @property
     def n_max(self) -> int:
@@ -235,25 +251,24 @@ class AlgFunction:
         """Lift a scalar function to n -> alpha(n) * e."""
         return cls([unit.scale(alpha(n)) for n in range(1, n_max + 1)])
 
+    def __reduce__(self):  # pickle and copy the values alone: _rows is a closure
+        return AlgFunction, (self.values,)
+
     def _check(self, other: "AlgFunction"):
         if self.n_max != other.n_max:
             raise ValueError(f"n_max mismatch: {self.n_max} vs {other.n_max}")
+        self(1)._check(other(1))  # one kind and shape, as the first term f(1) g(1) needs
 
 
 def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
-    """The product ``kind`` of f and g: all-Scalar functions on their values,
-    int64 diagonals that fit on one ``_stack``, anything else element by element."""
+    """The product ``kind`` of f and g: on their stacks when both have one
+    and the sums fit int64, else element by element."""
     f._check(g)
-    values, n = f.values + g.values, f.n_max
-    if all(type(v) is Scalar for v in values):
-        values = _product(kind, [v.value for v in f.values], [v.value for v in g.values], 0)
-        return AlgFunction(map(Scalar, values))
-    stack = _stack(values)
-    if stack is not None and _fits(kind, n, int(stack[:n, -1].max()), int(stack[n:, -1].max())):
-        sums = _sums(kind, stack[:n], stack[n:])
-        return AlgFunction(DiagonalOperator(_Stored(row[:-1], bound), values[0].offset)
-                           for row, bound in zip(sums, sums[:, -1].tolist()))
-    return AlgFunction(_product(kind, f.values, g.values, f.values[0].zero()))
+    a, b = f._stack, g._stack
+    if a is not None and b is not None and _fits(kind, f.n_max, int(a[:, -1].max()),
+                                                 int(b[:, -1].max())):
+        return AlgFunction(f._rows(_sums(kind, a, b)))
+    return AlgFunction(_product(kind, f.values, g.values, f(1).zero()))
 
 
 def dirichlet_convolve(f: AlgFunction, g: AlgFunction) -> AlgFunction:
@@ -282,74 +297,71 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
     two-sided within tol (InverseCheckError otherwise; the left check is
     not a free consequence in a non-commutative algebra).
 
-    Every proper divisor of an n in [2^k, 2^(k+1)) is below 2^k, so each
-    such range of n is one gather-reduce over its Dirichlet terms with
-    d > 1 (the first term of each n).  An int table with f(1) = +-1 runs
-    a range in int64 while max|f| max|g so far| (most terms at one n)
-    <= 2^63 - 1, and from the first range that fails the bound on to the
-    end on object arrays.  On Scalar tables each side of the check is one
-    product of the value tables and one array comparison.
+    Each dyadic range of n is one gather-reduce over its terms with d > 1;
+    on a stack each side of the check is one product and one comparison.
     """
     lead_inv = invert(f(1))  # raises NonInvertibleError when f(1) is singular
-    scalar = all(type(v) is Scalar for v in f.values)
-    if scalar:
-        values, lead_inv, zero = [v.value for v in f.values], lead_inv.value, 0
-    else:
-        values, zero = f.values, f(1).zero()
     left, right, starts = _index("dirichlet", f.n_max)
-    stored = _store(values)
-    exact = stored.bound is not None and type(lead_inv) is int  # so lead_inv = +-1
-    fv = stored.values if exact else _objects(values, stored)
-    g = np.empty(f.n_max, dtype=np.int64 if exact else object)
+    stack = f._stack
+    stacked = stack is not None and bool((np.abs(stack[0, :-1]) == 1).all())
+    exact = stacked  # int64 until a range could leave it
+    if stacked:  # f(1) is its own inverse, and I is the column 1, 0, 0, ... under each entry
+        fv, lead_inv, zero = stack[:, :-1], stack[0, :-1], 0
+        identity = np.eye(f.n_max, 1, dtype=np.int64)
+    else:
+        fv, zero = np.array(f.values, dtype=object), f(1).zero()
+        identity = [f(1).unit()] + [zero] * (f.n_max - 1)
+    g = np.empty_like(fv)
     g[0], g_bound = lead_inv, 1
     terms = np.diff(starts) - 1  # the terms with d > 1 at each n
     for j in range(1, f.n_max.bit_length()):  # positions of n = 2^j .. 2^(j+1) - 1
         first, stop = 2**j - 1, min(2 ** (j + 1) - 1, f.n_max)
-        if exact and stored.bound * g_bound * int(terms[first:stop].max()) > _INT64_MAX:
+        if exact and int(stack[:, -1].max()) * g_bound * int(terms[first:stop].max()) > _INT64_MAX:
             exact, fv, g = False, fv.astype(object), g.astype(object)
         for lo, hi in _blocks(starts, first, stop):
             at = slice(starts[lo], starts[hi])
             keep = left[at] > 0
             sums = np.add.reduceat(fv[left[at][keep]] * g[right[at][keep]],
                                    starts[lo:hi] - starts[lo] - np.arange(hi - lo))
-            g[lo:hi] = (-lead_inv * sums if exact
+            g[lo:hi] = (-lead_inv * sums if stacked
                         else [-(lead_inv * (zero + s)) for s in sums.tolist()])
         if exact:
             g_bound = max(g_bound, int(np.abs(g[first:stop]).max()))
-    identity = [1 if scalar else f(1).unit()] + [zero] * (f.n_max - 1)
-    table = stored.values if stored.bound is not None else values  # int64: _store copies it fast
-    for name, pair in (("f*g", (table, g)), ("g*f", (g, table))):
-        prod = np.array(_product("dirichlet", *pair, zero), dtype=None if scalar else object)
-        first = _first_far(prod, np.arange(f.n_max), identity, scalar, tol)
+    for name, pair in (("f*g", (fv, g)), ("g*f", (g, fv))):
+        prod = np.array(_product("dirichlet", *pair, zero), dtype=None if stacked else object)
+        first = _first_far(prod, identity, tol)
         if first is not None:
             raise InverseCheckError(f"{name} differs from I at n={first + 1}")
-    return AlgFunction(map(Scalar, g.tolist()) if scalar else g.tolist())
+    if not stacked:
+        return AlgFunction(g.tolist())
+    return AlgFunction(f._rows(np.column_stack((g, np.abs(g).max(axis=1) if exact
+                                                else [None] * f.n_max))))
 
 
-def _first_far(fv: np.ndarray, at: np.ndarray, others, arrays: bool, tol: float):
-    """The first position i at which fv[at[i]] is farther than tol from
-    others[i], or None.  Arrays of values or rows compare in one pass, so a
-    NaN fails; elements call isclose one at a time, and others may be lazy.
+def _first_far(values: np.ndarray, others, tol: float):
+    """The first position i at which values[i] is farther than tol from
+    others[i], or None.  Rows of a 2-D array compare in one pass, so a NaN
+    fails; elements call isclose one at a time, and others may be lazy.
     """
-    if arrays:
-        near = (np.abs((fv[at] - others).astype(complex)) <= tol).all(axis=tuple(range(1, fv.ndim)))
+    if values.ndim == 2:
+        near = (np.abs((values - others).astype(complex)) <= tol).all(axis=1)
         return None if near.all() else int(np.argmin(near))
-    return next((i for i, (x, y) in enumerate(zip(fv[at], others))
+    return next((i for i, (x, y) in enumerate(zip(values, others))
                  if not x.isclose(y, tol)), None)
 
 
-def _first_far_pair(fv: np.ndarray, n: np.ndarray, m: np.ndarray, arrays: bool, tol: float):
+def _first_far_pair(fv: np.ndarray, n: np.ndarray, m: np.ndarray, tol: float):
     """The first i at which f(n[i] m[i]) is farther than tol from
-    f(n[i]) f(m[i]), or None.  Arrays go in blocks of 64, 128, ... pairs,
-    so a table that fails early forms few products; elements form one
-    product at a time.
+    f(n[i]) f(m[i]), or None, where fv[k - 1] = f(k).  Rows of a 2-D
+    array go in blocks of 64, 128, ... pairs, so a table that fails early
+    forms few products; elements form one product at a time.
     """
-    if not arrays:
-        return _first_far(fv, n * m, map(operator.mul, fv[n], fv[m]), False, tol)
+    if fv.ndim == 1:
+        return _first_far(fv[n * m - 1], map(operator.mul, fv[n - 1], fv[m - 1]), tol)
     lo, size = 0, _PAIR_BLOCK
     while lo < n.size:
-        part = slice(lo, lo + size)
-        first = _first_far(fv, n[part] * m[part], fv[n[part]] * fv[m[part]], True, tol)
+        x, y = n[lo:lo + size], m[lo:lo + size]
+        first = _first_far(fv[x * y - 1], fv[x - 1] * fv[y - 1], tol)
         if first is not None:
             return lo + first
         lo, size = lo + size, 2 * size
@@ -363,29 +375,25 @@ def is_multiplicative(
     nm <= n_max, each pair within tol.
 
     The pairs are the unitary index's terms (n, m) with 2 <= n < m, taken
-    n ascending, then m.  All-Scalar functions, and int64 diagonals on one
-    ``_stack`` when 2 bound^2 <= 2^63 - 1, commute, so they compare
-    f(n) f(m) alone, in doubling blocks.  Other elements form one pair's
-    product at a time: every f(n) f(m) first, then every f(m) f(n), whose
-    failure is reported as (m, n).
+    n ascending, then m.  A stack compares its entries in int64 when
+    2 bound^2 <= 2^63 - 1, else in Python ints.  Dense matrices then
+    compare every f(m) f(n), whose failure is reported as (m, n).
 
     Returns (verdict, first counterexample or None).
     """
     if not is_idempotent(f(1), tol):  # f(1) = f(1)f(1) is the (1, 1) case
         return False, (1, 1)
-    arrays = all(type(v) is Scalar for v in f.values)
-    fv = np.array([None, *(v.value for v in f.values)] if arrays else [None, *f.values],
-                  dtype=object)  # fv[n] = f(n)
-    stack = None if arrays else _stack(f.values)
-    if stack is not None and 2 * int(stack[:, -1].max())**2 <= _INT64_MAX:
-        fv, arrays = np.vstack((np.zeros_like(stack[:1, :-1]), stack[:, :-1])), True  # fv[n] = f(n)
+    stack = f._stack
+    fv = np.array(f.values, dtype=object) if stack is None else stack[:, :-1]  # fv[n - 1] = f(n)
+    if stack is not None and 2 * int(stack[:, -1].max())**2 > _INT64_MAX:
+        fv = fv.astype(object)
     left, right, _ = _index("unitary", f.n_max)
     pairs = (0 < left) & (left < right)
     n, m = left[pairs] + 1, right[pairs] + 1
     order = np.argsort(n, kind="stable")  # the index sorts by n m, so each n's m ascend
     n, m = n[order], m[order]
-    for x, y in [(n, m)] if arrays else [(n, m), (m, n)]:
-        first = _first_far_pair(fv, x, y, arrays, tol)
+    for x, y in [(n, m)] if f._commutes else [(n, m), (m, n)]:
+        first = _first_far_pair(fv, x, y, tol)
         if first is not None:
             return False, (int(x[first]), int(y[first]))
     return True, None

@@ -38,7 +38,7 @@ from idemarith.algebra import (DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scala
                                element_text, invert, is_idempotent)
 from idemarith.analytic import iu_star, p_operator
 from idemarith.arith import divisors, mobius, nu, ramanujan_sum
-from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index, _objects,
+from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index,
                                    _product, scalar_dirichlet, scalar_table)
 from idemarith.idempotents import IdempotentSystem
 
@@ -128,7 +128,7 @@ def dirichlet_inverse_objects(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFu
     else:
         values, zero = f.values, f(1).zero()
     left, right, starts = _index("dirichlet", f.n_max)
-    fv = _objects(values, _store(values))
+    fv = _store(values).values.astype(object)
     g = np.empty(f.n_max, dtype=object)
     g[0] = lead_inv
     for j in range(1, f.n_max.bit_length()):  # positions of n = 2^j .. 2^(j+1) - 1

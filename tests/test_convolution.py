@@ -1,6 +1,9 @@
 """Convolution products against number-theoretic oracles."""
 
+import copy
+import itertools
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -119,6 +122,12 @@ def bits(values):
     return np.array(values, dtype=complex).view(np.uint64).tolist()
 
 
+def convolved(kind, a, b):
+    """The values of the product ``kind`` of a and b as Scalar-valued AlgFunctions."""
+    f, g = (AlgFunction(map(Scalar, table)) for table in (a, b))
+    return [v.value for v in PRODUCTS[kind][1](f, g).values]
+
+
 def lcm_all_pairs(a, b, zero):
     """The lcm product from its definition over all pairs (k, l), k
     ascending then l ascending: a reference for the lcm product that
@@ -224,9 +233,9 @@ class TestIndexKernel:
     def test_ints(self, kind, a, data):
         b = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(a), max_size=len(a)))
         prod, _, loop = PRODUCTS[kind]
-        got = prod(a, b)
-        assert got == loop(a, b, 0)
-        assert all(type(v) is int for v in got)
+        for got in (prod(a, b), convolved(kind, a, b)):
+            assert got == loop(a, b, 0)
+            assert all(type(v) is int for v in got)
 
     @pytest.mark.parametrize("kind", KINDS)
     @given(st.lists(st.integers(2**31, 2**31 + 2**12), min_size=2, max_size=60))
@@ -235,9 +244,9 @@ class TestIndexKernel:
         # two of them: only the term-count factor of the bound sends this
         # to exact ints
         prod, _, loop = PRODUCTS[kind]
-        got = prod(a, a[::-1])
-        assert got == loop(a, a[::-1], 0)
-        assert max(got) > 2**63 - 1
+        for got in (prod(a, a[::-1]), convolved(kind, a, a[::-1])):
+            assert got == loop(a, a[::-1], 0)
+            assert max(got) > 2**63 - 1 and all(type(v) is int for v in got)
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=50)
@@ -250,7 +259,9 @@ class TestIndexKernel:
         b = a[:]
         rnd.shuffle(b)
         prod, _, loop = PRODUCTS[kind]
-        assert bits(prod(a, b)) == bits(loop(a, b, 0))
+        want = loop(a, b, 0)
+        for got in (prod(a, b), convolved(kind, a, b)):
+            assert bits(got) == bits(want) and list(map(type, got)) == list(map(type, want))
 
     @pytest.mark.parametrize("kind", KINDS)
     @given(st.lists(st.fractions(max_denominator=12), min_size=1, max_size=60), st.data())
@@ -258,9 +269,9 @@ class TestIndexKernel:
         b = data.draw(st.lists(st.fractions(max_denominator=12), min_size=len(a),
                                max_size=len(a)))
         prod, _, loop = PRODUCTS[kind]
-        got = prod(a, b)
-        assert got == loop(a, b, 0)
-        assert all(type(v) is Fraction for v in got)
+        for got in (prod(a, b), convolved(kind, a, b)):
+            assert got == loop(a, b, 0)
+            assert all(type(v) is Fraction for v in got)
 
     # per stack kind: the entries of its first column, and of each other column
     STACK_ENTRIES = {
@@ -383,6 +394,26 @@ class TestDiagonalStack:
         assert stored(got) == stored(convolve_elements(kind, f, f).values)
         assert {x._values.dtype for x in got} == ({np.dtype(np.int64), np.dtype(object)} if past
                                                    else {np.dtype(np.int64)})
+
+    @pytest.mark.parametrize("kind", sorted(PRODUCTS))
+    def test_stacks_of_one_shape_but_another_kind_or_offset_raise(self, kind):
+        # each family is an int64 stack of shape (3, 2): only the kind or the offset
+        # tells them apart, and a product of two of them is a product of mismatched elements
+        families = [AlgFunction(map(Scalar, [1, 2, 3])),
+                    *(AlgFunction(DiagonalOperator([v], offset) for v in (1, 2, 3))
+                      for offset in (0, 1))]
+        for f, g in itertools.permutations(families, 2):
+            with pytest.raises(ShapeMismatchError):
+                convolution._convolve(kind, f, g)
+
+    def test_functions_pickle_and_copy_as_their_values(self):
+        # a held function keeps a closure that rebuilds its elements, which pickle refuses
+        scalars = AlgFunction(map(Scalar, [1, -2, 3]))
+        diagonals = AlgFunction([DiagonalOperator([1, 2], 1)] * 3)
+        for f, parts in ((scalars, lambda values: [x.value for x in values]), (diagonals, stored)):
+            for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+                assert parts(g.values) == parts(f.values)
+                assert np.array_equal(g._stack, f._stack)
 
     def test_mixed_shapes_and_types_stay_per_element(self):
         for odd in (DiagonalOperator([1, 2], 1), DiagonalOperator([1, 2, 3]),
@@ -524,12 +555,16 @@ class TestInverse:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
     def test_diagonal_matches_loop(self, n_max, seed):
+        # a lead of entries +-1 runs on the stack: with entries of modulus 2^39..2^40
+        # it leaves int64 at n = 4..7, where g(4) = f(2)^2 - f(4) passes 2^63
         rng = np.random.default_rng(seed)
-        f = AlgFunction([DiagonalOperator([1, -1, 2])]
-                        + [DiagonalOperator(rng.integers(-9, 10, 3).tolist())
-                           for _ in range(n_max - 1)])
-        got = dirichlet_inverse(f, tol=0).values
-        assert [x.entries for x in got] == [y.entries for y in inverse_loop(f)]
+        for lead, low, high in (([1, -1, 2], 0, 9), ([-1, 1, 1], 2**39, 2**40)):
+            rest = [rng.integers(low, high + 1, 3) * rng.choice([-1, 1], 3)
+                    for _ in range(n_max - 1)]
+            f = AlgFunction([DiagonalOperator(lead)] + [DiagonalOperator(e.tolist()) for e in rest])
+            got = [x.entries for x in dirichlet_inverse(f, tol=0).values]
+            assert got == [y.entries for y in inverse_loop(f)]
+            assert high == 9 or n_max < 4 or max(abs(v) for e in got for v in e) > _INT64_MAX
 
     def test_wrong_term_in_recursion_is_caught(self, monkeypatch):
         real = convolution._index
@@ -723,9 +758,9 @@ class TestMultiplicativityAgainstLoop:
                 assert is_multiplicative(f, tol) == is_multiplicative_loop(f, tol) == (
                     False, first)
 
-    def test_non_commuting_family_fails_only_in_the_reconstruction(self):
-        # f(12) = f(3) f(4) passes the pair (3, 4); the reconstruction
-        # multiplies f(4) f(3), primes ascending, and that differs
+    def test_non_commuting_family_fails_at_a_later_reversed_pair(self):
+        # every pair passes in order, f(12) = f(3) f(4) included, and so do the
+        # reversed (3, 2) and (5, 2); the reversed pair (4, 3) fails: f(4) f(3) differs
         eye = np.eye(2)
         values = {3: [[1, 1], [0, 1]], 4: [[1, 0], [1, 1]]}
         f = {n: DenseMatrix(values.get(n, eye)) for n in range(1, 13)}
@@ -733,7 +768,6 @@ class TestMultiplicativityAgainstLoop:
         assert not f[12].isclose(f[4] * f[3])
         family = AlgFunction(f[n] for n in range(1, 13))
         assert is_multiplicative(family) == is_multiplicative_loop(family) == (False, (4, 3))
-
 
     def test_non_commuting_pair_fails_in_the_reversed_order(self):
         # f(6) = f(2) f(3) passes the pair (2, 3), but f(3) f(2) differs
@@ -755,15 +789,33 @@ class TestMultiplicativityAgainstLoop:
         f = AlgFunction(values)
         passes = []
 
-        def spy(fv, n, m, arrays, tol):
-            passes.append((fv.dtype, arrays))
-            return first_far_pair(fv, n, m, arrays, tol)
+        def spy(fv, n, m, tol):
+            passes.append((fv.dtype, fv.ndim))  # a 2-D table is compared as arrays
+            return first_far_pair(fv, n, m, tol)
 
         first_far_pair = convolution._first_far_pair
         monkeypatch.setattr(convolution, "_first_far_pair", spy)
         assert is_multiplicative(f, 0) == is_multiplicative_loop(f, 0) == (
             (True, None) if corrupt is None else (False, first))
-        assert passes == [(np.int64, True)]
+        assert passes == [(np.int64, 2)]
+
+    def test_only_dense_families_compare_the_reversed_order(self, monkeypatch):
+        # diagonals commute, so one element pass over the 340 pairs of N = 300
+        # decides a float family; dense matrices of the same entries take two
+        passes = []
+
+        def spy(fv, n, m, tol):
+            passes.append(fv.ndim)
+            return first_far_pair(fv, n, m, tol)
+
+        first_far_pair = convolution._first_far_pair
+        monkeypatch.setattr(convolution, "_first_far_pair", spy)
+        entries = [[float(totient(n)), float(mobius(n)), 1.0] for n in range(1, 301)]
+        for make, count in ((DiagonalOperator, 1), (lambda e: DenseMatrix(np.diag(e)), 2)):
+            f = AlgFunction(map(make, entries))
+            passes.clear()
+            assert is_multiplicative(f, 0) == is_multiplicative_loop(f, 0) == (True, None)
+            assert passes == [1] * count
 
 
 class TestLehmerIdentity:
