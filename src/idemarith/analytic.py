@@ -4,14 +4,16 @@ identities, the map P(alpha) = sum_n alpha(n) P_0(n) with the diagonals
 theta^r and IU* that the suites and ``export`` share.
 
 The identity functions return numbers, and the identity suites judge
-them.  ``trace_table`` and ``det_table`` answer every window N of a level
-from one period of the c_n row and of the coprimality row (the multiples
-of each prime of n struck out), by prefix sums and
-Python-int prefix products; ``trace_identities`` and ``det_c0`` are their
-one-window calls.  For d | n, floor((N + n)/d) = floor(N/d) + n/d, so
-both sides of each trace identity satisfy T(N + n) = T(N) + T(n), and
-both sides of the determinant identity D(N + n) = D(N) D(n): the windows
-N = 1..n decide every N.  Commonly quoted closed forms of the determinant
+them.  For d | n, floor((N + n)/d) = floor(N/d) + n/d, so both sides of
+each trace identity satisfy T(N + n) = T(N) + T(n), and both sides of the
+determinant identity D(N + n) = D(N) D(n): the windows N = 1..n decide
+every N.  ``trace_residuals`` and ``det_residuals`` decide them for every
+level n <= n_max in one pass over those windows of a
+``ramanujan_ops.LevelTable``, each k <= n reading the value of its class
+gcd(k, n), by running sums and Python-int running products.
+``trace_identities`` and ``det_c0`` answer one window (n, N) from whole
+periods of the c_n row and of the coprimality row (the multiples of each
+prime of n struck out).  Commonly quoted closed forms of the determinant
 and traces that disagree with the oracle are evaluated by
 ``det_c0_unsigned_form`` and ``trace_erratum_forms`` for the errata
 section, never asserted.  The IU* candidates are decided in int64, against
@@ -31,21 +33,11 @@ from .algebra import _INT64_MAX, DEFAULT_TOL, DiagonalOperator
 from .arith import divisors, factorize, mobius, omega, prime_power_product, prime_power_split
 from .convolution import lehmer_sides, scalar_dirichlet, scalar_table
 from .idempotents import IdempotentSystem
+from .ramanujan_ops import LevelTable, _spread, _worst_first
 
-__all__ = [
-    "TruncatedSpace",
-    "det_c0",
-    "det_table",
-    "euler_power_residual",
-    "iu_star",
-    "iu_star_representation",
-    "p_operator",
-    "p_operator_identities",
-    "theta_power",
-    "trace_erratum_forms",
-    "trace_identities",
-    "trace_table",
-]
+__all__ = ["TruncatedSpace", "det_c0", "det_residuals", "euler_power_residual", "iu_star",
+           "iu_star_representation", "p_operator", "p_operator_identities", "theta_power",
+           "trace_erratum_forms", "trace_identities", "trace_residuals"]
 
 
 TruncatedSpace = IdempotentSystem  # the window's former name, still used by bench/workloads.py
@@ -66,39 +58,35 @@ def _c_period(n: int, n_max: int, mu: dict[int, int]) -> np.ndarray:
     return row
 
 
-def _floor_sum(weights: dict, n_dims: np.ndarray) -> np.ndarray:
-    """sum over d of weights[d] floor(N/d), for every N in n_dims."""
-    return (n_dims[:, None] // np.array(list(weights))) @ np.array(list(weights.values()))
-
-
-def det_table(n: int, n_dims: Sequence[int]) -> list[tuple[int, int]]:
-    """det of C_0(n) restricted to e_1..e_N for every N in n_dims, two
-    exact ways: the direct product prod_{k=1}^N c_n(k) and the closed form
-    (-1)^(N omega(n)) prod_{p|n} (1 - p)^{floor(N/p)} for squarefree n
-    (0 otherwise).
-
-    The sign prefactor is required: each prime factor contributes
-    (-1)^(N - floor(N/p)) (p - 1)^(floor(N/p)), so dropping it (as the
-    bare product of (1 - p) powers does) flips the sign whenever N and
-    omega(n) are both odd.  ``det_c0_unsigned_form`` evaluates the bare
-    product for erratum reporting.
-    """
-    if n < 2 or min(n_dims, default=0) < 1:
-        raise ValueError("det_table requires n >= 2 and N >= 1")
-    mu = _divisor_mobius(n)
-    row = _c_period(n, max(n_dims), mu).tolist()  # Python ints: the products leave int64
-    prefix, start = {0: 1}, 0
-    for stop in sorted({big_n % n for big_n in n_dims} | {len(row)}):
-        prefix[stop] = prefix[start] * math.prod(row[start:stop])
-        start = stop
-    return [(prefix[len(row)] ** (big_n // n) * prefix[big_n % n],
-             (-1) ** (big_n * omega(n)) * det_c0_unsigned_form(n, big_n) if mu[n] else 0)
-            for big_n in n_dims]
-
-
 def det_c0(n: int, n_dim: int) -> tuple[int, int]:
-    """``det_table`` at the one window e_1..e_N: (direct, closed)."""
-    return det_table(n, [n_dim])[0]
+    """det of C_0(n) restricted to e_1..e_N, two exact ways: (direct, closed),
+    the product prod_{k=1}^N c_n(k) over whole periods of the c_n row, and
+    (-1)^(N omega(n)) prod_{p|n} (1 - p)^{floor(N/p)} for squarefree n, else 0.
+    The sign is required: each prime contributes (-1)^(N - floor(N/p))
+    (p - 1)^(floor(N/p)), so the bare product (``det_c0_unsigned_form``, for
+    the errata) flips sign whenever N and omega(n) are both odd."""
+    if n < 2 or n_dim < 1:
+        raise ValueError("det_c0 requires n >= 2 and N >= 1")
+    mu = _divisor_mobius(n)
+    row, rest = _c_period(n, n_dim, mu).tolist(), n_dim % n  # Python ints: products leave int64
+    head = math.prod(row[:rest])
+    return ((head * math.prod(row[rest:])) ** (n_dim // n) * head,
+            (-1) ** (n_dim * omega(n)) * det_c0_unsigned_form(n, n_dim) if mu[n] else 0)
+
+
+def det_residuals(levels: LevelTable, n_max: int) -> list[tuple[int, int]]:
+    """Per level n <= n_max, the worst |direct - closed| of ``det_c0`` over the
+    windows N = 1..n, and its first N: the direct side is the running product of
+    c_n(gcd(k, n)), k <= N, in Python ints; the closed side is 0 unless mu(n)."""
+    n, k, e = levels.classes(n_max)
+    worst = [(0, 1)] * n_max
+    squarefree = levels.mu[levels.starts[n - 1]].tolist()
+    for level, big_n, value, mu in zip(n.tolist(), k.tolist(), levels.c[e].tolist(), squarefree):
+        direct = value if big_n == 1 else direct * value
+        closed = (-1) ** (big_n * omega(level)) * det_c0_unsigned_form(level, big_n) if mu else 0
+        if abs(direct - closed) > worst[level - 1][0]:
+            worst[level - 1] = abs(direct - closed), big_n
+    return worst
 
 
 def det_c0_unsigned_form(n: int, n_dim: int) -> int:
@@ -111,41 +99,51 @@ def det_c0_unsigned_form(n: int, n_dim: int) -> int:
     return result
 
 
-def trace_table(n: int, n_dims: Sequence[int]) -> np.ndarray:
-    """Both sides of both trace identities on e_1..e_N for every N in
-    n_dims, one int64 row (trace C_0(n), its closed form, trace T_0(n),
-    its closed form) per N:
-    trace C_0(n) = sum_{d|n} d mu(n/d) floor(N/d) and
-    trace T_0(n) = #{m <= N : gcd(m, n) = 1} = sum_{r|n} mu(r) floor(N/r).
-    """
-    dims = np.array(n_dims, dtype=np.int64)
-    if n < 1 or dims.size == 0 or dims.min() < 1:
-        raise ValueError("trace_table requires n >= 1 and N >= 1")
+def trace_identities(n: int, n_dim: int) -> dict:
+    """Both sides of both trace identities on e_1..e_N, as a report with a
+    verdict: trace C_0(n) = sum_{d|n} d mu(n/d) floor(N/d) and
+    trace T_0(n) = #{m <= N : gcd(m, n) = 1} = sum_{r|n} mu(r) floor(N/r),
+    the traces over whole periods of the c_n row and the coprimality row."""
+    if n < 1 or n_dim < 1:
+        raise ValueError("trace_identities requires n >= 1 and N >= 1")
     mu = _divisor_mobius(n)
-    c_row = _c_period(n, int(dims.max()), mu)
-    coprime = np.ones(c_row.size, dtype=np.int64)
+    c_row, coprime = _c_period(n, n_dim, mu), np.ones(min(n, n_dim), dtype=np.int64)
     for p, _ in factorize(n):
         coprime[p - 1::p] = 0
-    sums = np.zeros((2, c_row.size + 1), dtype=np.int64)
-    sums[:, 1:] = np.cumsum([c_row, coprime], axis=1)
-    whole, rest = np.divmod(dims, n)
-    trace_c0, trace_t0 = sums[:, -1:] * whole + sums[:, rest]
-    return np.column_stack((trace_c0, _floor_sum({d: d * mu[n // d] for d in mu}, dims),
-                            trace_t0, _floor_sum(mu, dims)))
+    whole, rest = divmod(n_dim, n)
+    trace_c0, trace_t0 = (whole * int(x.sum()) + int(x[:rest].sum()) for x in (c_row, coprime))
+    c0_closed = sum(d * mu[n // d] * (n_dim // d) for d in mu)
+    t0_closed = sum(mu[d] * (n_dim // d) for d in mu)
+    return {"n": n, "dim": n_dim, "trace_c0": trace_c0, "trace_c0_closed": c0_closed,
+            "trace_t0": trace_t0, "trace_t0_closed": t0_closed,
+            "pass": trace_c0 == c0_closed and trace_t0 == t0_closed}
 
 
-def trace_identities(n: int, n_dim: int) -> dict:
-    """``trace_table`` at the one window e_1..e_N, as a report with a verdict."""
-    trace_c0, c0_closed, trace_t0, t0_closed = trace_table(n, [n_dim])[0].tolist()
-    return {
-        "n": n,
-        "dim": n_dim,
-        "trace_c0": trace_c0,
-        "trace_c0_closed": c0_closed,
-        "trace_t0": trace_t0,
-        "trace_t0_closed": t0_closed,
-        "pass": trace_c0 == c0_closed and trace_t0 == t0_closed,
-    }
+def _floor_sums(levels: LevelTable, n_max: int) -> np.ndarray:
+    """The closed sides of both trace identities at each window N = 1..n of each
+    level n <= n_max, as ``levels.classes`` lays them out: sum_{d|n} d mu(n/d)
+    floor(N/d) and sum_{d|n} mu(d) floor(N/d), as running sums of steps at N = m d."""
+    top = levels.starts[n_max]
+    entry, m, _ = _spread(levels.n[:top] // levels.g[:top])  # each d | n, each m d <= n
+    level, d = levels.n[entry], levels.g[entry]
+    at = (level - 1) * level // 2 + (m + 1) * d - 1  # (n, N = (m + 1) d)
+    steps = np.zeros((2, n_max * (n_max + 1) // 2), dtype=np.int64)
+    np.add.at(steps[0], at, d * levels.mu[entry])
+    np.add.at(steps[1], at, levels.mu[levels.starts[level] - 1 - entry + levels.starts[level - 1]])
+    return steps
+
+
+def trace_residuals(levels: LevelTable, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per level n <= n_max, the worst residual of both trace identities of
+    ``trace_identities`` over the windows N = 1..n, and its first N: the
+    direct sides are running sums over k <= N of the class value
+    c_n(gcd(k, n)) and of [gcd(k, n) = 1], the closed sides ``_floor_sums``."""
+    n, k, e = levels.classes(n_max)
+    steps = np.vstack((levels.c[e], levels.g[e] == 1, _floor_sums(levels, n_max)))
+    total = np.cumsum(steps, axis=1)
+    running = total - (total - steps)[:, (n - 1) * n // 2]  # each level from its N = 1
+    residual = np.maximum(abs(running[0] - running[2]), abs(running[1] - running[3]))
+    return _worst_first(residual, k, np.arange(n_max) * np.arange(1, n_max + 1) // 2)
 
 
 def trace_erratum_forms(n: int, n_dim: int) -> dict:

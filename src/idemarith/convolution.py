@@ -30,7 +30,7 @@ and offset, as one int64 stack whose row n - 1 is the entries of f(n),
 then their bound; any other values as elements.  Each operation has one
 stack path and one element path.  A product runs on the stacks when the
 rule holds on their bound columns, whose sums are the bounds the
-per-element sums would carry.
+per-element sums would carry; the result is handed the stack it sums.
 
 Cost on a table of size N: the Dirichlet product has the sum of tau(n)
 terms (24,496 at N = 3000), the unitary product those with
@@ -204,6 +204,10 @@ def scalar_unitary(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> list |
     return _product("unitary", a, b, 0)
 
 
+def _scalars(stack: np.ndarray):
+    return map(Scalar, stack[:, 0].tolist())
+
+
 def _held(values: tuple) -> tuple[Optional[np.ndarray], Optional[Callable], bool]:
     """How an AlgFunction holds its values: (stack, rows, commutes).  Integer
     Scalars of int64 size, and int64 diagonals of one shape and offset, are
@@ -214,8 +218,7 @@ def _held(values: tuple) -> tuple[Optional[np.ndarray], Optional[Callable], bool
     if all(type(v) is Scalar for v in values):
         stored = _store([v.value for v in values])
         if stored.bound is not None:
-            return (np.column_stack((stored.values, np.abs(stored.values))),
-                    lambda stack: map(Scalar, stack[:, 0].tolist()), True)
+            return np.column_stack((stored.values, np.abs(stored.values))), _scalars, True
     elif all(type(x) is DiagonalOperator and x._bound is not None and x.n == first.n
              and x.offset == first.offset for x in values):
         return (np.column_stack(([x._values for x in values], [x._bound for x in values])),
@@ -259,6 +262,16 @@ class AlgFunction:
             raise ValueError(f"n_max mismatch: {self.n_max} vs {other.n_max}")
         self(1)._check(other(1))  # one kind and shape, as the first term f(1) g(1) needs
 
+    def _of_stack(self, stack: np.ndarray) -> "AlgFunction":
+        """The function of this one's kind that holds ``stack``, handed over as
+        ``_held`` would build it from the elements it reads off: a Scalar's
+        bound is its modulus, a diagonal's the stack's bound column."""
+        if self._rows is _scalars:
+            stack[:, -1] = np.abs(stack[:, 0])
+        f = AlgFunction.__new__(AlgFunction)
+        f.values, f._stack, f._rows, f._commutes = tuple(self._rows(stack)), stack, self._rows, True
+        return f
+
 
 def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
     """The product ``kind`` of f and g: on their stacks when both have one
@@ -267,7 +280,7 @@ def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
     a, b = f._stack, g._stack
     if a is not None and b is not None and _fits(kind, f.n_max, int(a[:, -1].max()),
                                                  int(b[:, -1].max())):
-        return AlgFunction(f._rows(_sums(kind, a, b)))
+        return f._of_stack(_sums(kind, a, b))
     return AlgFunction(_product(kind, f.values, g.values, f(1).zero()))
 
 
@@ -332,10 +345,11 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
         first = _first_far(prod, identity, tol)
         if first is not None:
             raise InverseCheckError(f"{name} differs from I at n={first + 1}")
+    if exact:
+        return f._of_stack(np.column_stack((g, np.abs(g).max(axis=1))))
     if not stacked:
         return AlgFunction(g.tolist())
-    return AlgFunction(f._rows(np.column_stack((g, np.abs(g).max(axis=1) if exact
-                                                else [None] * f.n_max))))
+    return AlgFunction(f._rows(np.column_stack((g, [None] * f.n_max))))
 
 
 def _first_far(values: np.ndarray, others, tol: float):

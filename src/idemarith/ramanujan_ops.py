@@ -1,64 +1,85 @@
 """Operator-valued Ramanujan sums C_j(n), the divisor-partition idempotents
-T_{r,j}(n), and the identities connecting them.
+T_{r,j}(n), and the identities connecting them, decided for all levels at once.
 
 For r | n, the entry at e_m of T_{r,j}(n), P_j(r) and C_j(r) depends only
-on the class g = gcd(m - j, n): it is [g = n/r], [r | g] and c_r(g).
-``_divisor_tables(n)`` holds each family as a tau(n) x tau(n) table, and a
-window only reads them at its entries' classes, the same map for every
-identity and every j; so each identity of level n is decided on the
-tables, in exact integers; sums of powers of eps_n in F_q, through the
-ring map eps_n -> omega of order n (``root_sum_residual``).
+on the class g = gcd(m - j, n): it is [g = n/r], [r | g] and c_r(g), the
+same map for every window and every j, so each identity of level n is
+decided on its classes, in exact integers.  ``level_table(L)`` lists the
+classes g | n of every level n <= L from the Dirichlet term index of
+``convolution``, with mu(n/g) and Hoelder's c_n(g) = mu(n/g) phi(n)/phi(n/g)
+(mu and phi from one ``prime_power_split`` sieve).  A level identity is one
+array pass of segmented sums over a prefix of it, giving its residual at
+every level n <= n_max: ``scalar_residuals``, ``operator_residuals``,
+``transform_residuals`` and ``orthogonality_residuals``.  Sums of powers of
+eps_n are taken in F_q, through the ring map eps_n -> omega of order n
+(``_roots_mod``): ``root_sums`` sums every level's units in one gather for
+two passes, and ``root_sum_residual`` one level's over a window.  The
+tests keep each pass's per-level form as its oracle.
 ``OperatorFamily(dim, offset)`` builds S(n) (in floats), C_j(n) and
 T_{r,j}(n) on an ``IdempotentSystem`` window.
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate, repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _INT64_MAX, DiagonalOperator
-from .arith import (
-    EvenFunction,
-    divisors,
-    factorize,
-    mobius,
-    ramanujan_sum,
-    rf_unnormalized,
-    tau,
-)
+from .algebra import DiagonalOperator
+from .arith import (EvenFunction, divisors, factorize, prime_power_product, prime_power_split,
+                    ramanujan_sum, rf_unnormalized, tau)
+from .convolution import _blocks, _index
 from .idempotents import IdempotentSystem
 
-__all__ = ["OperatorFamily", "c_operator_constructions", "c_t_transforms",
-           "even_function_identity", "orthogonality_residual", "root_of_unity_residual",
-           "root_sum_residual", "t_decomposition", "t_top_identities"]
+__all__ = ["LevelTable", "OperatorFamily", "even_function_identity", "level_table",
+           "operator_residuals", "orthogonality_residuals", "root_sum_residual", "root_sums",
+           "scalar_residuals", "transform_residuals"]
 
 
-@lru_cache(maxsize=64)
-def _divisor_tables(n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """(divs, t, p, c): the ascending divisors of n and read-only int64
-    tables over them, row i for r = divs[i] and column k for the class
-    g = divs[k], where t is [g = n/r], p is [r | g] and c is c_r(g).
-    """
-    if n < 1:
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, first) of the loop "for i, for j < counts[i]", flat: i's run starts at first[i]."""
+    first = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(len(counts)), counts)
+    return i, np.arange(i.size) - first[i], first
+
+
+class LevelTable(NamedTuple):
+    """The classes g | n of every level n <= L, by n, then g: level n's are
+    starts[n - 1]:starts[n], each with its n, g, mu(n/g) and c_n(g)."""
+
+    starts: np.ndarray
+    n: np.ndarray
+    g: np.ndarray
+    mu: np.ndarray
+    c: np.ndarray
+
+    def at(self, n, g) -> np.ndarray:
+        """The entries of the classes g | n."""
+        stride = len(self.starts)  # L + 1, above every class
+        return np.searchsorted(self.n * stride + self.g, n * stride + g)
+
+    def classes(self, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, k, e), e the entry of the class gcd(k, n), for each k = 1..n of
+        each level n <= n_max; level n's run starts at (n - 1) n / 2."""
+        n, k, _ = _spread(np.arange(1, n_max + 1))
+        return n + 1, k + 1, self.at(n + 1, np.gcd(k + 1, n + 1))
+
+
+def level_table(n_max: int) -> LevelTable:
+    """The ``LevelTable`` of the levels 1..n_max: the Dirichlet terms (g, n/g)
+    of n are its classes, and c_n(g) = mu(n/g) phi(n)/phi(n/g) (Hoelder)."""
+    if n_max < 1:
         raise ValueError("level n must be positive")
-    divs = divisors(n)
-    d = np.array(divs)
-    t = (d == n // d[:, None]).astype(np.int64)
-    p = (d % d[:, None] == 0).astype(np.int64)
-    c = np.array([[ramanujan_sum(r, g) for g in divs] for r in divs])
-    for table in (t, p, c):
-        table.flags.writeable = False
-    return divs, t, p, c
-
-
-def _weighted(weights: list, stack: np.ndarray) -> np.ndarray:
-    """weights @ stack, in int64 only when no sum can leave it, else exact in Python."""
-    w = np.array(weights)
-    fits = w.dtype == np.int64 and len(w) * int(abs(w).max()) * int(abs(stack).max()) <= _INT64_MAX
-    return (w if fits else np.array(weights, dtype=object)) @ stack
+    left, right, starts = _index("dirichlet", n_max)
+    prime, power, _ = prime_power_split(n_max)
+    mu = prime_power_product(np.where(power == prime, -1, 0), 1)
+    phi = prime_power_product(power - power // prime, 1)
+    n, cofactor = np.repeat(np.arange(1, n_max + 1), np.diff(starts)), right + 1
+    return LevelTable(starts.astype(np.int64), n, left.astype(np.int64) + 1, mu[cofactor],
+                      mu[cofactor] * phi[n] // phi[cofactor])
 
 
 @lru_cache(maxsize=64)
@@ -72,9 +93,19 @@ def _roots_mod(n: int) -> tuple[int, np.ndarray]:
         q += n
     omega = next(w for w in (pow(g, (q - 1) // n, q) for g in range(2, q))
                  if all(pow(w, n // p, q) != 1 for p, _ in factorize(n)))
-    powers = np.array([pow(omega, e, q) for e in range(n)], dtype=np.int64)
+    size, powers = min(n, 64), np.empty(n, dtype=np.int64)
+    powers[:size] = list(accumulate(repeat(omega, size - 1), lambda x, w: x * w % q, initial=1))
+    while size < n:  # the powers below size, times omega^size; q^2 < 2^63
+        powers[size:2 * size] = powers[:min(size, n - size)] * pow(omega, size, q) % q
+        size *= 2
     powers.flags.writeable = False
     return q, powers
+
+
+def _fq(sums: np.ndarray, q, values) -> np.ndarray:
+    """|sums - values| as symmetric residues mod q."""
+    diff = (sums - values) % q
+    return np.minimum(diff, q - diff)
 
 
 def root_sum_residual(ks, x: np.ndarray, n: int, value) -> int:
@@ -83,95 +114,121 @@ def root_sum_residual(ks, x: np.ndarray, n: int, value) -> int:
     mod n, or all k < n, the sum of eps_n^{kx} is an integer of size <= n < q/2,
     so against an integer value of size <= n the residual is 0 iff they agree."""
     q, powers = _roots_mod(n)
-    diff = (powers[np.array(ks, dtype=np.int64)[:, None] * x % n].sum(axis=0) - value) % q
-    return int(np.minimum(diff, q - diff).max())
+    return int(_fq(powers[np.array(ks, dtype=np.int64)[:, None] * x % n].sum(axis=0), q,
+                   value).max())
 
 
-def _distance(a, b) -> float:
-    return float(np.max(np.abs(a - b)))
+def root_sums(levels: LevelTable) -> tuple[np.ndarray, np.ndarray]:
+    """(s, q) at each entry (n, g): s = sum over the units k mod n of omega^{kg} in
+    F_q, (q, omega) from ``_roots_mod(n)``, one gather per 2^16 terms k < n.  x -> ux,
+    u a unit, permutes the units, so x = g decides every x of class g."""
+    roots = [_roots_mod(n) for n in range(1, len(levels.starts))]
+    level, k, first = _spread(np.arange(1, len(levels.starts)))  # k < n, level n from first
+    unit, powers = np.gcd(k, level + 1) == 1, np.concatenate([w for _, w in roots])
+    sums = np.empty(len(levels.n), dtype=np.int64)
+    for lo, hi in _blocks(np.concatenate(([0], np.cumsum(levels.n))), 0, len(levels.n), 2**16):
+        entry, k, runs = _spread(levels.n[lo:hi])
+        n, g = levels.n[lo + entry], levels.g[lo + entry]
+        at = first[n - 1]
+        sums[lo:hi] = np.add.reduceat(np.where(unit[at + k], powers[at + k * g % n], 0), runs)
+    q = np.array([q for q, _ in roots])[levels.n - 1]
+    return sums % q, q
 
 
-def root_of_unity_residual(n: int) -> int:
-    """root_sum_residual of sum over gcd(k, n) = 1 of eps_n^{kx} against c_n(x): the
-    exact oracle of c_n, and of C_j(n) for any j.  x -> ux, u a unit mod n, permutes
-    the k coprime to n, so the sum depends only on gcd(x, n): one x = g per g | n."""
-    divs, _, _, c = _divisor_tables(n)
-    coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    return root_sum_residual(coprime, np.array(divs), n, c[-1])
+def _worst_first(residual: np.ndarray, where: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Per run of residual from each of starts: its largest value and the least
+    ``where`` holding it (where ascends within a run)."""
+    worst = np.maximum.reduceat(residual, starts)
+    held = residual == np.repeat(worst, np.diff([*starts, len(residual)]))
+    return worst, np.minimum.reduceat(np.where(held, where, where.max() + 1), starts)
 
 
-def c_operator_constructions(n: int) -> dict:
-    """Residuals of the three independent constructions of C_j(n), any j,
-    against the exact c table, keyed by construction:
-
-    root_of_unity  sum over gcd(k, n) = 1 of eps_n^{-jk} S^k(n), in F_q
-    moebius_sum    (mu * nu1 P_j)(n), exact
-    prime_product  n/rad(n) * prod over p^a || n of (p P_j(p^a) - P_j(p^{a-1})),
-                   the integer form of n * prod (P_j(p^a) - (1/p) P_j(p^{a-1}))
-    """
-    divs, _, p, c = _divisor_tables(n)
-    exact = c[-1]
-    moebius_sum = _weighted([d * mobius(n // d) for d in divs], p)
-    p_of = dict(zip(divs, p))
-    prime_product = np.full_like(exact, n // math.prod(q for q, _ in factorize(n)))
-    for q, a in factorize(n):
-        prime_product = prime_product * (q * p_of[q**a] - p_of[q ** (a - 1)])
-    return {"root_of_unity": root_of_unity_residual(n),
-            "moebius_sum": _distance(exact, moebius_sum),
-            "prime_product": _distance(exact, prime_product)}
+def scalar_residuals(levels: LevelTable, sums: tuple, n_max: int) -> np.ndarray:
+    """Per level n <= n_max, the worst disagreement at its classes g of c_n(g)
+    three ways, pairwise: the table's (Hoelder's; mu(n) at g = 1, phi(n) at
+    g = n), ``ramanujan_sum``'s (the divisor formula) and the ``root_sums``."""
+    top = levels.starts[n_max]
+    s, q, c = sums[0][:top], sums[1][:top], levels.c[:top]
+    divisor = np.array([ramanujan_sum(n, g) for n, g in zip(levels.n[:top].tolist(),
+                                                          levels.g[:top].tolist())])
+    return np.maximum.reduceat(np.maximum.reduce([_fq(s, q, divisor), abs(c - divisor),
+                                                  _fq(s, q, c)]), levels.starts[:n_max])
 
 
-def t_top_identities(n: int) -> float:
-    """Residual of T_{n,j}(n) = sum_{d|n} mu(d) P_j(d) = prod_{p|n} (e - P_j(p))."""
-    divs, t, p, _ = _divisor_tables(n)
-    moebius_sum = _weighted([mobius(d) for d in divs], p)
-    prime_product = np.prod(1 - p[[divs.index(q) for q, _ in factorize(n)]], axis=0)
-    return max(_distance(t[-1], moebius_sum), _distance(t[-1], prime_product))
+# The pairs (class (n, g), r | n), n <= n_max, in table order, then r: entry i's run
+# from first[i] to last[i] (r = n).  At g: t = [g = n/r] of T_{r,j}(n), p = [r | g] of
+# P_j(r) and cr = c_r(g) of C_j(r); and r, w = c_n(n/r), mu_r = mu(r), mu_nr = mu(n/r).
+_Pairs = namedtuple("_Pairs", "first last r w mu_r mu_nr t p cr")
 
 
-def t_decomposition(n: int) -> float:
-    """Residual of {T_{r,j}(n): r | n} being a family of tau(n)
-    orthogonal idempotents summing to the identity; a member count
-    other than tau(n) enters as their difference.
-    """
-    t = _divisor_tables(n)[1]
-    products = t[:, None] * t  # T_r T_r' = T_r when r' = r, else zero
-    products[np.diag_indices(len(t))] -= t
-    return max(_distance(t.sum(axis=0), 1), abs(len(t) - tau(n)), _distance(products, 0))
+def _class_pairs(levels: LevelTable, n_max: int) -> _Pairs:
+    entry, j, first = _spread(np.diff(levels.starts)[levels.n[:levels.starts[n_max]] - 1])
+    n, g = levels.n[entry], levels.g[entry]
+    at, mirror = levels.starts[n - 1] + j, levels.starts[n] - 1 - j  # (n, r) and (n, n/r)
+    r = levels.g[at]
+    return _Pairs(first, np.append(first[1:], len(entry)) - 1, r, levels.c[mirror],
+                  levels.mu[mirror], levels.mu[at], (r * g == n).astype(np.int64),
+                  (g % r == 0).astype(np.int64), levels.c[levels.at(r, np.gcd(r, g))])
 
 
-def c_t_transforms(n: int) -> float:
-    """Residual of both transform directions between C_j and the T_{r,j}
-    family: C_j(n) = sum_{r|n} c_n(n/r) T_{r,j}(n) and
-    n T_{n,j}(n) = sum_{r|n} c_n(n/r) C_j(r), both in integers.
-    """
-    divs, t, _, c = _divisor_tables(n)
-    weights = [ramanujan_sum(n, n // r) for r in divs]
-    return max(_distance(c[-1], _weighted(weights, t)),
-               _distance(n * t[-1], _weighted(weights, c)))
+def _prime_products(n: np.ndarray, g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """At each class (n, g), from ``factorize``: n/rad(n) prod_{p^a||n}
+    (p [p^a | g] - [p^(a-1) | g]) and prod_{p|n} (1 - [p | g]); pads p = 1."""
+    powers = [[(p, p**a, p ** (a - 1)) for p, a in factorize(m)] for m in range(1, n_max + 1)]
+    width = max(1, *map(len, powers))
+    p, hi, lo = np.array([x + [(1, 1, 1)] * (width - len(x)) for x in powers])[n - 1].T
+    c = np.where(p > 1, p * (g % hi == 0) - (g % lo == 0), 1).prod(axis=0) * (n // p.prod(axis=0))
+    return c, np.where(p > 1, 1 - (g % p == 0), 1).prod(axis=0)
 
 
-def orthogonality_residual(n: int) -> tuple[int, dict]:
-    """The worst |sum_{r|n} c_n(n/r) c_r(l) - n [gcd(l, n) = 1]| over l = 1..n,
-    at its first l.  For r | n, c_r(l) = c_r(g) with g = gcd(l, n), so the sum
-    is taken once per class g, from the c table, and each l reads its class's."""
-    divs, _, _, c = _divisor_tables(n)
-    by_class = _weighted([ramanujan_sum(n, n // r) for r in divs], c)
-    g = np.gcd(np.arange(1, n + 1), n)
-    residuals = np.abs(by_class[np.searchsorted(divs, g)] - np.where(g == 1, n, 0))
-    at = int(np.argmax(residuals))
-    return int(residuals[at]), {"l": at + 1}
+def operator_residuals(levels: LevelTable, sums: tuple, n_max: int) -> np.ndarray:
+    """Per level n <= n_max, the worst residual at its classes of three
+    constructions of C_j(n), any j, against c_n(g): sum over gcd(k, n) = 1 of
+    eps_n^{-jk} S^k(n) (in F_q), (mu * nu1 P_j)(n) = sum_{r|n} r mu(n/r) P_j(r)
+    and n/rad(n) prod_{p^a||n} (p P_j(p^a) - P_j(p^{a-1})); of
+    T_{n,j}(n) = sum_{r|n} mu(r) P_j(r) = prod_{p|n} (e - P_j(p)); and of the
+    T_{r,j}(n) being tau(n) orthogonal idempotents summing to e: 0/1 entries,
+    one 1 per class, and the member count's difference from tau(n)."""
+    pairs, top = _class_pairs(levels, n_max), levels.starts[n_max]
+    c, t_top, runs = levels.c[:top], pairs.t[pairs.last], pairs.first
+    prime_c, prime_t = _prime_products(levels.n[:top], levels.g[:top], n_max)
+    residual = np.maximum.reduce([
+        _fq(sums[0][:top], sums[1][:top], c), abs(prime_c - c), abs(prime_t - t_top),
+        abs(np.add.reduceat(pairs.r * pairs.mu_nr * pairs.p, runs) - c),
+        abs(np.add.reduceat(pairs.mu_r * pairs.p, runs) - t_top),
+        abs(np.add.reduceat(pairs.t, runs) - 1),
+        np.maximum.reduceat(abs(pairs.t**2 - pairs.t), runs)])
+    members = np.diff(levels.starts[:n_max + 1]) - [tau(n) for n in range(1, n_max + 1)]
+    return np.maximum(np.maximum.reduceat(residual, levels.starts[:n_max]), abs(members))
 
 
-def even_function_identity(alpha: EvenFunction) -> float:
+def transform_residuals(levels: LevelTable, n_max: int) -> np.ndarray:
+    """Per level n <= n_max, the worst residual at its classes of
+    C_j(n) = sum_{r|n} c_n(n/r) T_{r,j}(n) and n T_{n,j}(n) = sum_{r|n} c_n(n/r) C_j(r)."""
+    pairs, top = _class_pairs(levels, n_max), levels.starts[n_max]
+    forward, backward = (np.add.reduceat(pairs.w * x, pairs.first) for x in (pairs.t, pairs.cr))
+    residual = np.maximum(abs(forward - levels.c[:top]),
+                          abs(backward - levels.n[:top] * pairs.t[pairs.last]))
+    return np.maximum.reduceat(residual, levels.starts[:n_max])
+
+
+def orthogonality_residuals(levels: LevelTable, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per level n <= n_max, the worst |sum_{r|n} c_n(n/r) c_r(l) - n [gcd(l, n) = 1]|
+    over l = 1..n, and its first l.  For r | n, c_r(l) = c_r(g) with g = gcd(l, n),
+    so the sum is taken once per class g, whose first l is g."""
+    pairs, top = _class_pairs(levels, n_max), levels.starts[n_max]
+    n, g = levels.n[:top], levels.g[:top]
+    return _worst_first(abs(np.add.reduceat(pairs.w * pairs.cr, pairs.first) - n * (g == 1)), g,
+                        levels.starts[:n_max])
+
+
+def even_function_identity(alpha: EvenFunction) -> int:
     """Residual of sum_{r|n} alpha(n/r) C_j(r) = sum_{r|n} R(alpha)(r) T_{r,j}(n)
-    at n = alpha.modulus, with R in the un-normalized (double-sum) form.
-    """
-    n = alpha.modulus
-    divs, t, _, c = _divisor_tables(n)
-    coeffs = rf_unnormalized(alpha)
-    return _distance(_weighted([alpha(n // r) for r in divs], c),
-                     _weighted([coeffs[r] for r in divs], t))
+    at n = alpha.modulus, R un-normalized (double-sum), in Python ints at each
+    class g: sum_{r|n} alpha(n/r) c_r(g) against R(alpha)(n/g)."""
+    n, coeffs = alpha.modulus, rf_unnormalized(alpha)
+    return max(abs(sum(alpha(n // r) * ramanujan_sum(r, g) for r in divisors(n)) - coeffs[n // g])
+               for g in divisors(n))
 
 
 class OperatorFamily(IdempotentSystem):

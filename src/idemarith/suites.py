@@ -10,23 +10,24 @@ What a row shares between its cases (random samples, per-level tables)
 is built inside its residual on first use, so a failure there fails that
 row alone.  An erratum whose data raises carries the "error" instead.
 
-The level identities of ``ramanujan_ops`` are decided on their tau(n)
-class tables, and the root-of-unity rows on one period, or for c_n on one
-x per class gcd(x, n).  Every other
-operator entry depends only on the basis index mod its level, so a window
-as long as the period of each equation a row compares decides it on the
-whole basis: lcm(n, m) for a product law, 6 n_limit for the axioms
-(levels n r, r <= 6), K for a multiplicativity row on levels 1..K (coprime
-pairs nm <= K).  Those five rows report the requested
-dim under "dim" and min(dim, period) under "window"; the product-law and
-weighted rows report their window under "dim".  The CRT product law is
-decided for all its level pairs in one call, and orthogonality once per
-class gcd(l, n).  The algebra-law, Lehmer and algebra-map rows stack their
-random tables as columns: a product call serves all cases, each its column.
-The trace and determinant rows take N = 1..n at each level n, which
-decides every N (both sides add or multiply over a period), the growth
-row bounds P(alpha) in integers, and the IU* row compares
-m P(mu * nu_k)(m) with 1 in integers.
+The six level rows (scalar Ramanujan, operator identities, orthogonality,
+transform pair, determinant, trace) read the passes of ``ramanujan_ops``
+and ``analytic`` over prefixes of one ``level_table`` of the levels up to
+min(n_max, TOP_LEVEL), and two of them one ``root_sums``: ``run_suite``
+builds each once per run.  The trace and determinant rows take N = 1..n at
+each level n, which decides every N (both sides add or multiply over a
+period).  Every other operator entry depends only on the basis index mod
+its level, so a window as long as the period of each equation a row
+compares decides it on the whole basis: lcm(n, m) for a product law,
+6 n_limit for the axioms (levels n r, r <= 6), K for a multiplicativity row
+on levels 1..K (coprime pairs nm <= K).  Those five rows report the
+requested dim under "dim" and min(dim, period) under "window"; the
+product-law and weighted rows report their window under "dim".  The CRT
+product law is decided for all its level pairs in one call.  The
+algebra-law, Lehmer and algebra-map rows stack their random tables as
+columns: a product call serves all cases, each its column.  The growth row
+bounds P(alpha) in integers, and the IU* row compares m P(mu * nu_k)(m)
+with 1 in integers.
 
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
@@ -44,40 +45,20 @@ import numpy as np
 
 from . import analytic
 from .algebra import DenseMatrix, DiagonalOperator, Scalar, operator_norm
-from .arith import (
-    EvenFunction,
-    divisors,
-    epsilon,
-    lcm_tuple_count,
-    mobius,
-    ramanujan_sum,
-    rf_residual,
-    totient,
-)
-from .convolution import (
-    AlgFunction,
-    dirichlet_convolve,
-    dirichlet_identity,
-    dirichlet_inverse,
-    is_multiplicative,
-    lcm_convolve,
-    lehmer_sides,
-    scalar_dirichlet,
-    scalar_lcm,
-    scalar_table,
-    scalar_unitary,
-    unitary_convolve,
-)
+from .arith import EvenFunction, divisors, epsilon, lcm_tuple_count, mobius, rf_residual, totient
+from .convolution import (AlgFunction, dirichlet_convolve, dirichlet_identity, dirichlet_inverse,
+                          is_multiplicative, lcm_convolve, lehmer_sides, scalar_dirichlet,
+                          scalar_lcm, scalar_table, scalar_unitary, unitary_convolve)
 from .idempotents import (IdempotentSystem, product_law_residuals, verify_axioms,
                           weighted_product_identities)
-from .ramanujan_ops import (OperatorFamily, c_operator_constructions, c_t_transforms,
-                            even_function_identity, orthogonality_residual,
-                            root_of_unity_residual, root_sum_residual, t_decomposition,
-                            t_top_identities)
+from .ramanujan_ops import (OperatorFamily, even_function_identity, level_table,
+                            operator_residuals, orthogonality_residuals, root_sum_residual,
+                            root_sums, scalar_residuals, transform_residuals)
 
 __all__ = ["SUITES", "run_suite"]
 
 SEED = 20260826  # seeds every random.Random sample, so identical runs give identical reports
+TOP_LEVEL = 200  # the scalar Ramanujan row's cap, the highest level any row reads
 
 
 def _error(exc: Exception) -> str:
@@ -134,6 +115,16 @@ def _multiplicativity(f: AlgFunction):
     return f(n * m).distance(f(n) * f(m)), {"n": n, "m": m}
 
 
+@functools.lru_cache(maxsize=1)  # run_suite clears this and _root_sums: one build each per run
+def _levels(n_max: int):
+    return level_table(min(n_max, TOP_LEVEL))
+
+
+@functools.lru_cache(maxsize=1)
+def _root_sums(n_max: int):
+    return root_sums(_levels(n_max))
+
+
 def _random_even(rng: random.Random, d: int) -> EvenFunction:
     return EvenFunction(d, {r: rng.randint(-9, 9) for r in divisors(d)})
 
@@ -185,15 +176,18 @@ def _suite_ramanujan(n_max, dim):
     family = OperatorFamily(min(dim, mult_cap))
     builders = {"C": lambda j, n: family.c_operator(j, n),
                 "T": lambda j, n: family.t_operator(n, j, n)}
+    n_scalar = min(n_max, TOP_LEVEL)
+    scalar = functools.cache(lambda: scalar_residuals(_levels(n_max), _root_sums(n_max),
+                                                      n_scalar))
+    operators = functools.cache(lambda: operator_residuals(_levels(n_max), _root_sums(n_max),
+                                                           n_cap))
     return [
         _check("scalar Ramanujan sums vs root-of-unity oracle",
-               {"n_max": min(n_max, 200)}, [(n,) for n in range(1, min(n_max, 200) + 1)],
-               lambda n: max(root_of_unity_residual(n), abs(ramanujan_sum(n, 1) - mobius(n)),
-                             abs(ramanujan_sum(n, n) - totient(n)))),
+               {"n_max": n_scalar}, [(n,) for n in range(1, n_scalar + 1)],
+               lambda n: scalar()[n - 1]),
         _check("operator Ramanujan identities (three constructions, partitions)",
                {"n_max": n_cap}, [(n,) for n in range(1, n_cap + 1)],
-               lambda n: max(*c_operator_constructions(n).values(), t_top_identities(n),
-                             t_decomposition(n))),
+               lambda n: operators()[n - 1]),
         _check("multiplicativity of operator families",
                {"n_max": mult_cap, "dim": dim, "window": family.dim, "j": [0, 1, 5]},
                [(j, kind) for j in (0, 1, 5) for kind in builders],
@@ -212,16 +206,20 @@ def _suite_transforms(n_max, dim):
         return [_random_even(rng, d)
                 for d in moduli + rng.choices(moduli, k=samples - len(moduli))]
 
+    n_orth, n_pair = min(n_max, 100), min(n_max, 30)
+    orthogonality = functools.cache(lambda: orthogonality_residuals(_levels(n_max), n_orth))
+    pair = functools.cache(lambda: transform_residuals(_levels(n_max), n_pair))
     rows = [
         _check("even-function Fourier coefficients: reconstruction and "
                "factor-of-d between normalizations",
                {"samples": samples, "max_modulus": max(moduli)},
                [(sample,) for sample in range(samples)],
                lambda sample: rf_residual(alphas()[sample])),
-        _check("Ramanujan sum orthogonality", {"n_max": min(n_max, 100)},
-               [(n,) for n in range(1, min(n_max, 100) + 1)], orthogonality_residual),
-        _check("operator/idempotent transform pair", {"n_max": min(n_max, 30)},
-               [(n,) for n in range(1, min(n_max, 30) + 1)], c_t_transforms),
+        _check("Ramanujan sum orthogonality", {"n_max": n_orth},
+               [(n,) for n in range(1, n_orth + 1)],
+               lambda n: (orthogonality()[0][n - 1], {"l": int(orthogonality()[1][n - 1])})),
+        _check("operator/idempotent transform pair", {"n_max": n_pair},
+               [(n,) for n in range(1, n_pair + 1)], lambda n: pair()[n - 1]),
     ]
     errata = [{
         "id": "rf-normalization",
@@ -358,17 +356,16 @@ def _suite_analytic(n_max, dim):
               "epsilon": (epsilon, lambda m, x: abs(x) - m),
               "2**n": (lambda n: 2**n, lambda m, x: 2**m - x)}
     one_period = "1..n, which decides every N"
+    n_det, n_trace = min(n_max, 30), min(n_max, 60)
+    dets = functools.cache(lambda: analytic.det_residuals(_levels(n_max), n_det))
+    traces = functools.cache(lambda: analytic.trace_residuals(_levels(n_max), n_trace))
     rows = [
         _check("determinant of the Ramanujan diagonal: direct vs closed form",
-               {"n_max": min(n_max, 30), "N": one_period},
-               [(n,) for n in range(2, min(n_max, 30) + 1)],
-               lambda n: _first_worst([abs(direct - closed) for direct, closed
-                                       in analytic.det_table(n, range(1, n + 1))], "N")),
-        _check("trace identities for both diagonals", {"n_max": min(n_max, 60), "N": one_period},
-               [(n,) for n in range(2, min(n_max, 60) + 1)],
-               lambda n: _first_worst(
-                   [max(abs(c0 - c0_closed), abs(t0 - t0_closed)) for c0, c0_closed, t0, t0_closed
-                    in analytic.trace_table(n, range(1, n + 1)).tolist()], "N")),
+               {"n_max": n_det, "N": one_period}, [(n,) for n in range(2, n_det + 1)],
+               lambda n: (dets()[n - 1][0], {"N": dets()[n - 1][1]})),
+        _check("trace identities for both diagonals", {"n_max": n_trace, "N": one_period},
+               [(n,) for n in range(2, n_trace + 1)],
+               lambda n: (traces()[0][n - 1], {"N": int(traces()[1][n - 1])})),
         _check("Euler-operator representation of totient and Jordan powers",
                {"m_max": euler_n, "r_max": 3}, [(alpha,) for alpha in (*euler, "mobius")],
                euler_representation),
@@ -446,6 +443,8 @@ def run_suite(name: str, n_max: int = 60, dim: int = 2520) -> dict:
     for param, value in (("n_max", n_max), ("dim", dim)):
         if value < 1:
             raise ValueError(f"{param} must be at least 1, got {value}")
+    _levels.cache_clear()
+    _root_sums.cache_clear()
     checks: list[dict] = []
     errata: list[dict] = []
     for runner in _RUNNERS[name]:

@@ -13,7 +13,18 @@ package because nothing in it calls them:
   coprime pair and factor order at a time, the oracle of
   ``convolution.is_multiplicative``;
 - ``ramanujan_orthogonality`` is sum_{r|n} c_n(n/r) c_r(l) at one l, the
-  oracle of ``ramanujan_ops.orthogonality_residual``, which sums per class;
+  oracle of ``orthogonality_residual``, which sums per class;
+- ``root_of_unity_residual``, ``c_operator_constructions``,
+  ``t_top_identities``, ``t_decomposition``, ``c_t_transforms`` and
+  ``orthogonality_residual`` decide one level's identities on the tau(n) x
+  tau(n) class tables of ``_divisor_tables(n)``: the per-level
+  oracles of the level passes of ``ramanujan_ops``.  They read the tables,
+  ``ramanujan_sum`` and ``factorize`` through that module, so a patched one
+  reaches both forms;
+- ``trace_table`` and ``det_table`` answer chosen windows N of one level
+  from prefix sums and Python-int prefix products of one period, the
+  per-level oracles of ``analytic.trace_residuals`` and ``det_residuals``
+  and of the one-window ``trace_identities`` and ``det_c0``;
 - ``dirichlet_inverse_objects`` is ``convolution.dirichlet_inverse`` with
   its whole recursion on object arrays, the oracle of the int64 ranges;
 - ``shift_operators`` builds the dense shift, backward-shift, integration
@@ -31,16 +42,19 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from idemarith.algebra import (DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar, _store,
-                               element_text, invert, is_idempotent)
-from idemarith.analytic import iu_star, p_operator
-from idemarith.arith import divisors, mobius, nu, ramanujan_sum
+from idemarith import analytic, ramanujan_ops
+from idemarith.algebra import (_INT64_MAX, DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar,
+                               _store, element_text, invert, is_idempotent)
+from idemarith.analytic import det_c0_unsigned_form, iu_star, p_operator
+from idemarith.arith import divisors, factorize, mobius, nu, omega, ramanujan_sum, tau
 from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index,
                                    _product, scalar_dirichlet, scalar_table)
 from idemarith.idempotents import IdempotentSystem
+from idemarith.ramanujan_ops import root_sum_residual
 
 
 def element_to_json(x) -> dict:
@@ -90,6 +104,150 @@ def convolve_elements(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
 def ramanujan_orthogonality(n: int, l: int) -> int:
     """sum_{r|n} c_n(n/r) c_r(l): equals n when gcd(l, n) = 1, else 0."""
     return sum(ramanujan_sum(n, n // r) * ramanujan_sum(r, l) for r in divisors(n))
+
+
+@lru_cache(maxsize=64)
+def _divisor_tables(n: int) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """(divs, t, p, c): the ascending divisors of n and read-only int64
+    tables over them, row i for r = divs[i] and column k for the class
+    g = divs[k], where t is [g = n/r], p is [r | g] and c is c_r(g).
+    """
+    if n < 1:
+        raise ValueError("level n must be positive")
+    divs = divisors(n)
+    d = np.array(divs)
+    t = (d == n // d[:, None]).astype(np.int64)
+    p = (d % d[:, None] == 0).astype(np.int64)
+    c = np.array([[ramanujan_ops.ramanujan_sum(r, g) for g in divs] for r in divs])
+    for table in (t, p, c):
+        table.flags.writeable = False
+    return divs, t, p, c
+
+
+def _weighted(weights: list, stack: np.ndarray) -> np.ndarray:
+    """weights @ stack, in int64 only when no sum can leave it, else exact in Python."""
+    w = np.array(weights)
+    fits = w.dtype == np.int64 and len(w) * int(abs(w).max()) * int(abs(stack).max()) <= _INT64_MAX
+    return (w if fits else np.array(weights, dtype=object)) @ stack
+
+
+def _distance(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def root_of_unity_residual(n: int) -> int:
+    """root_sum_residual of sum over gcd(k, n) = 1 of eps_n^{kx} against c_n(x): the
+    exact oracle of c_n, and of C_j(n) for any j.  x -> ux, u a unit mod n, permutes
+    the k coprime to n, so the sum depends only on gcd(x, n): one x = g per g | n."""
+    divs, _, _, c = _divisor_tables(n)
+    coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    return root_sum_residual(coprime, np.array(divs), n, c[-1])
+
+
+def c_operator_constructions(n: int) -> dict:
+    """Residuals of the three independent constructions of C_j(n), any j,
+    against the exact c table, keyed by construction:
+
+    root_of_unity  sum over gcd(k, n) = 1 of eps_n^{-jk} S^k(n), in F_q
+    moebius_sum    (mu * nu1 P_j)(n), exact
+    prime_product  n/rad(n) * prod over p^a || n of (p P_j(p^a) - P_j(p^{a-1})),
+                   the integer form of n * prod (P_j(p^a) - (1/p) P_j(p^{a-1}))
+    """
+    divs, _, p, c = _divisor_tables(n)
+    exact = c[-1]
+    moebius_sum = _weighted([d * mobius(n // d) for d in divs], p)
+    p_of = dict(zip(divs, p))
+    factors = ramanujan_ops.factorize(n)
+    prime_product = np.full_like(exact, n // math.prod(q for q, _ in factors))
+    for q, a in factors:
+        prime_product = prime_product * (q * p_of[q**a] - p_of[q ** (a - 1)])
+    return {"root_of_unity": root_of_unity_residual(n),
+            "moebius_sum": _distance(exact, moebius_sum),
+            "prime_product": _distance(exact, prime_product)}
+
+
+def t_top_identities(n: int) -> float:
+    """Residual of T_{n,j}(n) = sum_{d|n} mu(d) P_j(d) = prod_{p|n} (e - P_j(p))."""
+    divs, t, p, _ = _divisor_tables(n)
+    moebius_sum = _weighted([mobius(d) for d in divs], p)
+    prime_product = np.prod(1 - p[[divs.index(q) for q, _ in ramanujan_ops.factorize(n)]],
+                            axis=0)
+    return max(_distance(t[-1], moebius_sum), _distance(t[-1], prime_product))
+
+
+def t_decomposition(n: int) -> float:
+    """Residual of {T_{r,j}(n): r | n} being a family of tau(n)
+    orthogonal idempotents summing to the identity; a member count
+    other than tau(n) enters as their difference.
+    """
+    t = _divisor_tables(n)[1]
+    products = t[:, None] * t  # T_r T_r' = T_r when r' = r, else zero
+    products[np.diag_indices(len(t))] -= t
+    return max(_distance(t.sum(axis=0), 1), abs(len(t) - tau(n)), _distance(products, 0))
+
+
+def c_t_transforms(n: int) -> float:
+    """Residual of both transform directions between C_j and the T_{r,j}
+    family: C_j(n) = sum_{r|n} c_n(n/r) T_{r,j}(n) and
+    n T_{n,j}(n) = sum_{r|n} c_n(n/r) C_j(r), both in integers.
+    """
+    divs, t, _, c = _divisor_tables(n)
+    weights = [ramanujan_ops.ramanujan_sum(n, n // r) for r in divs]
+    return max(_distance(c[-1], _weighted(weights, t)),
+               _distance(n * t[-1], _weighted(weights, c)))
+
+
+def orthogonality_residual(n: int) -> tuple[int, dict]:
+    """The worst |sum_{r|n} c_n(n/r) c_r(l) - n [gcd(l, n) = 1]| over l = 1..n,
+    at its first l.  For r | n, c_r(l) = c_r(g) with g = gcd(l, n), so the sum
+    is taken once per class g, from the c table, and each l reads its class's."""
+    divs, _, _, c = _divisor_tables(n)
+    by_class = _weighted([ramanujan_ops.ramanujan_sum(n, n // r) for r in divs], c)
+    g = np.gcd(np.arange(1, n + 1), n)
+    residuals = np.abs(by_class[np.searchsorted(divs, g)] - np.where(g == 1, n, 0))
+    at = int(np.argmax(residuals))
+    return int(residuals[at]), {"l": at + 1}
+
+
+def _floor_sum(weights: dict, n_dims: np.ndarray) -> np.ndarray:
+    """sum over d of weights[d] floor(N/d), for every N in n_dims."""
+    return (n_dims[:, None] // np.array(list(weights))) @ np.array(list(weights.values()))
+
+
+def det_table(n: int, n_dims) -> list[tuple[int, int]]:
+    """(direct, closed) of ``analytic.det_c0`` for every N in n_dims: the
+    prefix products of one period of the c_n row, in Python ints."""
+    if n < 2 or min(n_dims, default=0) < 1:
+        raise ValueError("det_table requires n >= 2 and N >= 1")
+    mu = analytic._divisor_mobius(n)
+    row = analytic._c_period(n, max(n_dims), mu).tolist()  # Python ints: the products leave int64
+    prefix, start = {0: 1}, 0
+    for stop in sorted({big_n % n for big_n in n_dims} | {len(row)}):
+        prefix[stop] = prefix[start] * math.prod(row[start:stop])
+        start = stop
+    return [(prefix[len(row)] ** (big_n // n) * prefix[big_n % n],
+             (-1) ** (big_n * omega(n)) * det_c0_unsigned_form(n, big_n) if mu[n] else 0)
+            for big_n in n_dims]
+
+
+def trace_table(n: int, n_dims) -> np.ndarray:
+    """Both sides of both trace identities of ``analytic.trace_identities``
+    for every N in n_dims, one int64 row (trace C_0(n), its closed form,
+    trace T_0(n), its closed form) per N, from prefix sums of one period."""
+    dims = np.array(n_dims, dtype=np.int64)
+    if n < 1 or dims.size == 0 or dims.min() < 1:
+        raise ValueError("trace_table requires n >= 1 and N >= 1")
+    mu = analytic._divisor_mobius(n)
+    c_row = analytic._c_period(n, int(dims.max()), mu)
+    coprime = np.ones(c_row.size, dtype=np.int64)
+    for p, _ in factorize(n):
+        coprime[p - 1::p] = 0
+    sums = np.zeros((2, c_row.size + 1), dtype=np.int64)
+    sums[:, 1:] = np.cumsum([c_row, coprime], axis=1)
+    whole, rest = np.divmod(dims, n)
+    trace_c0, trace_t0 = sums[:, -1:] * whole + sums[:, rest]
+    return np.column_stack((trace_c0, _floor_sum({d: d * mu[n // d] for d in mu}, dims),
+                            trace_t0, _floor_sum(mu, dims)))
 
 
 def is_multiplicative_loop(f, tol: float = DEFAULT_TOL):

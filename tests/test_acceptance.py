@@ -109,19 +109,16 @@ def test_criterion_3_multiplicative_families():
 
 
 def test_criterion_4_operator_identity_suite():
-    worst_float = 0.0
-    worst_exact = 0
-    for n in range(1, 31):  # each level on its tau(n) gcd-class tables, every j at once
-        res = ramanujan_ops.c_operator_constructions(n)
-        worst_float = max(worst_float, res["root_of_unity"])
-        worst_exact = max(worst_exact, res["moebius_sum"], res["prime_product"],
-                          ramanujan_ops.t_top_identities(n), ramanujan_ops.t_decomposition(n),
-                          ramanujan_ops.c_t_transforms(n))
+    # every level n <= 30 on its gcd classes, every j at once; root sums in F_q
+    levels = ramanujan_ops.level_table(30)
+    constructions = ramanujan_ops.operator_residuals(levels, ramanujan_ops.root_sums(levels), 30)
+    transforms = ramanujan_ops.transform_residuals(levels, 30)
+    worst = int(max(constructions.max(), transforms.max()))
     _report(
         4,
         f"operator constructions/partitions/transforms, n <= 30, every j "
-        f"(float residual {worst_float:.2e}, exact residual {worst_exact})",
-        worst_float <= 1e-9 and worst_exact == 0,
+        f"(exact residual {worst})",
+        worst == 0,
     )
 
 

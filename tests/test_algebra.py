@@ -22,10 +22,10 @@ from idemarith.algebra import (
     is_idempotent,
     operator_norm,
 )
-from idemarith.analytic import det_table, iu_star, theta_power
+from idemarith.analytic import iu_star, theta_power
 from idemarith.arith import divisors, ramanujan_sum
 from idemarith.ramanujan_ops import OperatorFamily
-from oracle_forms import element_from_json, element_to_json, shift_operators
+from oracle_forms import det_table, element_from_json, element_to_json, shift_operators
 
 RNG = np.random.default_rng(42)
 

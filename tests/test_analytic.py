@@ -14,7 +14,6 @@ from idemarith.algebra import DiagonalOperator, ShapeMismatchError
 from idemarith.analytic import (
     det_c0,
     det_c0_unsigned_form,
-    det_table,
     euler_power_residual,
     iu_star,
     iu_star_representation,
@@ -23,14 +22,13 @@ from idemarith.analytic import (
     theta_power,
     trace_erratum_forms,
     trace_identities,
-    trace_table,
 )
 from idemarith.arith import (divisors, epsilon, factorize, jordan_totient, mobius, omega,
                              ramanujan_sum, totient)
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
-from oracle_forms import iu_star_fractions, shift_operators
+from oracle_forms import det_table, iu_star_fractions, shift_operators, trace_table
 
 H0_16 = IdempotentSystem(16, 1)
 
@@ -94,7 +92,7 @@ class TestDeterminant:
     def test_rejects_bad_level_or_window(self, n, big_n):
         # at N = 0 the closed form read 0 for non-squarefree n against the
         # empty product 1; at N < 0 both sides came out as floats
-        with pytest.raises(ValueError, match="^det_table requires n >= 2 and N >= 1$"):
+        with pytest.raises(ValueError, match="^det_c0 requires n >= 2 and N >= 1$"):
             det_c0(n, big_n)
 
 
@@ -138,7 +136,7 @@ class TestTrace:
 
     @pytest.mark.parametrize("n, big_n", [(0, 5), (5, 0), (5, -3)])
     def test_rejects_bad_level_or_window(self, n, big_n):
-        with pytest.raises(ValueError, match="^trace_table requires n >= 1 and N >= 1$"):
+        with pytest.raises(ValueError, match="^trace_identities requires n >= 1 and N >= 1$"):
             trace_identities(n, big_n)
 
 

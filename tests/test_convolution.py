@@ -415,6 +415,29 @@ class TestDiagonalStack:
                 assert parts(g.values) == parts(f.values)
                 assert np.array_equal(g._stack, f._stack)
 
+    @pytest.mark.parametrize("kind", [*sorted(PRODUCTS), "inverse"])
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 3), st.booleans(), st.integers(0, 40), st.data())
+    def test_results_hold_the_stack_their_values_would_build(self, kind, n_max, dim,
+                                                              scalars, bits, data):
+        # a result on the stack path is handed its stack; it must be the one _held
+        # builds from its values, bound column and all, and read off them alone
+        entries = st.lists(st.integers(-(2**bits), 2**bits), min_size=dim, max_size=dim)
+        tables = [[data.draw(entries) for _ in range(n_max)] for _ in range(2)]
+        if kind == "inverse":
+            tables[0][0] = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=dim,
+                                              max_size=dim))
+        f, g = (AlgFunction(Scalar(row[0]) if scalars else DiagonalOperator(row, 1)
+                            for row in table) for table in tables)
+        got = (convolution.dirichlet_inverse(f, 0) if kind == "inverse"
+               else convolution._convolve(kind, f, g))
+        held = convolution._held(got.values)[0]
+        if held is None:  # a sum left int64: the result holds elements
+            assert got._stack is None
+        else:
+            assert got._stack.dtype == np.int64 and np.array_equal(got._stack, held)
+        assert AlgFunction(got.values).values == got.values
+
     def test_mixed_shapes_and_types_stay_per_element(self):
         for odd in (DiagonalOperator([1, 2], 1), DiagonalOperator([1, 2, 3]),
                     DenseMatrix(np.eye(2))):

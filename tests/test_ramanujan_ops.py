@@ -9,18 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idemarith import ramanujan_ops
+from idemarith import ramanujan_ops, suites
 from idemarith.algebra import DiagonalOperator, is_idempotent
 from idemarith.arith import (EvenFunction, divisors, factorize, mobius, ramanujan_sum,
                              rf_transform, tau)
 from idemarith.convolution import AlgFunction, is_multiplicative
-from idemarith.ramanujan_ops import (OperatorFamily, c_operator_constructions, c_t_transforms,
-                                     even_function_identity, orthogonality_residual,
-                                     root_of_unity_residual, root_sum_residual, t_decomposition,
-                                     t_top_identities)
+from idemarith.ramanujan_ops import OperatorFamily, even_function_identity, root_sum_residual
 from idemarith.suites import run_suite
 import oracle_forms
-from oracle_forms import element_from_json, element_to_json, ramanujan_orthogonality, s_power_sum
+from oracle_forms import (c_operator_constructions, c_t_transforms, element_from_json,
+                          element_to_json, orthogonality_residual, ramanujan_orthogonality,
+                          root_of_unity_residual, s_power_sum, t_decomposition, t_top_identities)
 
 
 # The divisor-family identities one operator at a time, from c_operator,
@@ -230,7 +229,7 @@ class TestTOperator:
     @pytest.mark.parametrize("n", [0, -6])
     def test_identities_reject_non_positive_level(self, method, n):
         with pytest.raises(ValueError, match="level n must be positive"):
-            getattr(ramanujan_ops, method)(n)
+            getattr(oracle_forms, method)(n)
 
     def test_s_operator_rejects_level_zero_without_a_warning(self):
         with warnings.catch_warnings():
@@ -305,8 +304,8 @@ class TestOrthogonality:
 
         with mock.patch.object(ramanujan_ops, "ramanujan_sum", wrong), \
                 mock.patch.object(oracle_forms, "ramanujan_sum", wrong), \
-                mock.patch.object(ramanujan_ops, "_divisor_tables",
-                                  ramanujan_ops._divisor_tables.__wrapped__):
+                mock.patch.object(oracle_forms, "_divisor_tables",
+                                  oracle_forms._divisor_tables.__wrapped__):
             residuals = [abs(ramanujan_orthogonality(n, l) - (n if math.gcd(l, n) == 1 else 0))
                          for l in range(1, n + 1)]
             got = orthogonality_residual(n)
@@ -314,16 +313,18 @@ class TestOrthogonality:
         assert orthogonality_residual(n) == (0, {"l": 1})
 
     def test_wrong_class_value_fails_the_orthogonality_row(self, monkeypatch):
-        real = ramanujan_ops._divisor_tables.__wrapped__
+        real = ramanujan_ops._class_pairs
 
-        def wrong(n):  # c_3(4) = -1 read as 0 at level 12
-            divs, t, p, c = real(n)
-            if n == 12:
-                c = c.copy()
-                c[divs.index(3)][divs.index(4)] += 1
-            return divs, t, p, c
+        def wrong(levels, n_max):  # c_3(4) = -1 read as 0 at level 12
+            pairs = real(levels, n_max)
+            if n_max >= 12:
+                at = pairs.first[levels.at(12, 4)] + divisors(12).index(3)  # (n, g, r) = (12, 4, 3)
+                assert pairs.r[at] == 3 and pairs.cr[at] == -1
+                pairs = pairs._replace(cr=pairs.cr.copy())
+                pairs.cr[at] += 1
+            return pairs
 
-        monkeypatch.setattr(ramanujan_ops, "_divisor_tables", wrong)
+        monkeypatch.setattr(ramanujan_ops, "_class_pairs", wrong)
         row = run_suite("transforms", n_max=12, dim=60)["checks"][1]
         assert row["identity"] == "Ramanujan sum orthogonality"
         # r = 3 weighs c_12(4) = -2, so class 4 is off by 2, first met at l = 4
@@ -341,7 +342,7 @@ class TestDivisorStacks:
         # on any window are their table rows read at the class gcd(m - j, n)
         j = data.draw(st.integers(-n, 2 * n))
         fam = OperatorFamily(dim, offset)
-        divs, t, p, c = ramanujan_ops._divisor_tables(n)
+        divs, t, p, c = oracle_forms._divisor_tables(n)
         assert divs == divisors(n)
         at = np.searchsorted(divs, np.gcd((np.arange(offset, offset + dim) - j) % n, n))
         for r, t_row, p_row, c_row in zip(divs, t, p, c):
@@ -372,8 +373,8 @@ class TestDivisorStacks:
     def test_weighted_sum_stays_exact_past_int64(self):
         # int64 would wrap 2^62 + 2^62 to -2^63
         stack = np.ones((2, 3), dtype=np.int64)
-        assert ramanujan_ops._weighted([2**62, 2**62], stack).tolist() == [2**63] * 3
-        assert ramanujan_ops._weighted([2, -3], stack).dtype == np.int64
+        assert oracle_forms._weighted([2**62, 2**62], stack).tolist() == [2**63] * 3
+        assert oracle_forms._weighted([2, -3], stack).dtype == np.int64
 
     @settings(max_examples=30, deadline=None)
     @given(levels, st.data())
@@ -387,13 +388,13 @@ class TestDivisorStacks:
             return ramanujan_sum(q, x) + ((q, math.gcd(x % q, q)) == (r, g))
 
         fam = OperatorFamily(dim, offset)
-        ramanujan_ops._divisor_tables.cache_clear()  # tables built from the wrong c
+        oracle_forms._divisor_tables.cache_clear()  # tables built from the wrong c
         try:
             with mock.patch.object(ramanujan_ops, "ramanujan_sum", wrong):
                 assert c_t_transforms(n) == c_t_transforms_oracle(fam, j, n)
                 assert c_operator_constructions(n) == constructions_oracle(fam, j, n)
         finally:
-            ramanujan_ops._divisor_tables.cache_clear()
+            oracle_forms._divisor_tables.cache_clear()
 
 
 class TestOnePeriodDecides:
@@ -453,7 +454,7 @@ class TestRootsModQ:
 
     def test_float_sums_round_to_the_exact_c_table(self):
         for n in range(1, 201):
-            divs, _, _, c = ramanujan_ops._divisor_tables(n)
+            divs, _, _, c = oracle_forms._divisor_tables(n)
             x = np.arange(n)
             coprime = np.array([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
             sums = np.exp(2j * np.pi * np.outer(coprime, x) / n).sum(axis=0)
@@ -467,7 +468,7 @@ class TestRootsModQ:
         # n = 1 (q = 3); it is never 0, as 0 < |d| < q
         for n in range(1, 61):
             q = ramanujan_ops._roots_mod(n)[0]
-            divs, _, _, c = ramanujan_ops._divisor_tables(n)
+            divs, _, _, c = oracle_forms._divisor_tables(n)
             x = np.arange(n)
             at = np.searchsorted(divs, np.gcd(x, n))
             coprime = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
@@ -486,16 +487,13 @@ class TestRootsModQ:
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_wrong_c_entry_fails_the_scalar_row(self, monkeypatch, delta):
-        real = ramanujan_ops._divisor_tables.__wrapped__
+        def wrong(n_max):  # c_12(4) = -2 read as -2 + delta
+            levels = ramanujan_ops.level_table(n_max)
+            c = levels.c.copy()
+            c[levels.at(12, 4)] += delta
+            return levels._replace(c=c)
 
-        def wrong(n):  # c_12(4) = -2 read as -2 + delta
-            divs, t, p, c = real(n)
-            if n == 12:
-                c = c.copy()
-                c[-1][divs.index(4)] += delta
-            return divs, t, p, c
-
-        monkeypatch.setattr(ramanujan_ops, "_divisor_tables", wrong)
+        monkeypatch.setattr(suites, "level_table", wrong)
         row = run_suite("ramanujan", n_max=12, dim=60)["checks"][0]
         assert row["identity"] == "scalar Ramanujan sums vs root-of-unity oracle"
         assert row["pass"] is False and row["max_residual"] == 1.0

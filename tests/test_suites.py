@@ -20,6 +20,7 @@ from idemarith.convolution import InverseCheckError, scalar_dirichlet, scalar_lc
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
 from idemarith.suites import SUITES, _check, run_suite
+import oracle_forms
 
 SMALL = {"n_max": 7, "dim": 60}
 
@@ -55,6 +56,15 @@ def wrong_lcm_term(monkeypatch):
         return left, right, starts
 
     monkeypatch.setattr(convolution, "_index", wrong)
+
+
+def wrong_class_values(monkeypatch, change):
+    """Make the level table the suites read hold change(table) as its class values."""
+    def wrong(n_max):
+        levels = ramanujan_ops.level_table(n_max)
+        return levels._replace(c=change(levels))
+
+    monkeypatch.setattr(suites, "level_table", wrong)
 
 
 def convolution_samples():
@@ -107,12 +117,13 @@ class TestRunSuite:
         assert reduced == [72, 32, 32, 32, 30]
 
     def test_nan_residual_fails_its_rows_without_raising(self, monkeypatch):
-        real = ramanujan_ops.root_sum_residual
+        real = suites.root_sums
 
-        def nan_at_4(ks, x, n, value):  # a kernel that gives NaN at level 4 alone
-            return math.nan if n == 4 else real(ks, x, n, value)
+        def nan_at_4(levels):  # root sums that read NaN at level 4 alone
+            sums, q = real(levels)
+            return np.where(levels.n == 4, math.nan, sums), q
 
-        monkeypatch.setattr(ramanujan_ops, "root_sum_residual", nan_at_4)
+        monkeypatch.setattr(suites, "root_sums", nan_at_4)
         report = run_suite("all", **SMALL)
         assert report["pass"] is False
         failed = [row for row in report["checks"] if not row["pass"]]
@@ -137,10 +148,11 @@ class TestRunSuite:
             assert row["max_residual"] is None
 
     def test_failing_level_table_fails_its_rows_alone(self, report_all, monkeypatch):
-        def lost(n, n_max, mu):
+        def lost(n, *args):
             return {}[n]
 
-        monkeypatch.setattr(analytic, "_c_period", lost)
+        monkeypatch.setattr(suites, "level_table", lost)  # the rows' table of levels 1..7
+        monkeypatch.setattr(analytic, "_c_period", lost)  # the one-window forms the errata read
         report = run_suite("analytic", **SMALL)
         failed = [row for row in report["checks"] if not row["pass"]]
         assert [row["identity"] for row in failed] == [
@@ -148,9 +160,9 @@ class TestRunSuite:
             "trace identities for both diagonals",
         ]
         for row in failed:
-            assert row["error"] == "KeyError: 2" and row["max_residual"] is None
+            assert row["error"] == "KeyError: 7" and row["max_residual"] is None
         assert report["summary"] == {"total": 6, "passed": 4, "failed": 2}
-        # the errata that read a level table carry the error; the others keep their data
+        # the errata that read a one-period c_n row carry the error; the others keep their data
         errata = {note["id"]: note for note in report["errata"]}
         assert errata["determinant-sign"]["error"] == "KeyError: 2"
         assert errata["trace-floor-chain"]["error"] == "KeyError: 6"
@@ -284,7 +296,7 @@ class TestRunSuite:
             return [(2, 1), (3, 1)] if n == 12 else factorize(n)
 
         monkeypatch.setattr(ramanujan_ops, "factorize", wrong)
-        assert ramanujan_ops.c_operator_constructions(12)["prime_product"] > 0
+        assert oracle_forms.c_operator_constructions(12)["prime_product"] == 8
         row = run_suite("ramanujan", n_max=12, dim=60)["checks"][1]
         assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
         assert row["pass"] is False and row["max_residual"] == 8.0
@@ -307,25 +319,29 @@ class TestRunSuite:
         assert row["counterexample"] == {"at": ("III", 1, 0, 3)}
 
     def test_wrong_r_in_the_t_stack_fails_the_ramanujan_row(self, monkeypatch):
-        real = ramanujan_ops._divisor_tables.__wrapped__
+        real = ramanujan_ops._class_pairs
 
-        def wrong(n):  # row r of T selects gcd class r instead of n/r
-            divs, _, p, c = real(n)
-            return divs, (np.array(divs) == np.array(divs)[:, None]).astype(np.int64), p, c
+        def wrong(levels, n_max):  # T_{r,j}(n) selects the gcd class r instead of n/r
+            pairs = real(levels, n_max)
+            g = np.repeat(levels.g[:len(pairs.first)], np.diff([*pairs.first, len(pairs.t)]))
+            return pairs._replace(t=(pairs.r == g).astype(np.int64))
 
-        monkeypatch.setattr(ramanujan_ops, "_divisor_tables", wrong)
+        monkeypatch.setattr(ramanujan_ops, "_class_pairs", wrong)
         row = run_suite("ramanujan", n_max=12, dim=60)["checks"][1]
         assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
         assert row["pass"] is False and row["max_residual"] > 0
         assert row["counterexample"]["n"] > 1  # level 1 has the one class r = n/r = 1
 
     def test_closed_trace_dropping_a_divisor_fails_the_trace_row(self, monkeypatch):
-        real = analytic._floor_sum
+        real = analytic._floor_sums
 
-        def dropped(weights, n_dims):  # the term of d = n is lost
-            return real(dict(list(weights.items())[:-1]), n_dims)
+        def dropped(levels, n_max):  # the term of d = n is lost: n mu(1) and mu(n) at N = n
+            steps = real(levels, n_max).copy()
+            for n in range(1, n_max + 1):
+                steps[:, n * (n + 1) // 2 - 1] -= n, arith.mobius(n)
+            return steps
 
-        monkeypatch.setattr(analytic, "_floor_sum", dropped)
+        monkeypatch.setattr(analytic, "_floor_sums", dropped)
         row = run_suite("analytic", n_max=12)["checks"][1]
         assert row["identity"] == "trace identities for both diagonals"
         assert row["pass"] is False and row["max_residual"] > 0
@@ -334,14 +350,8 @@ class TestRunSuite:
         assert row["counterexample"] == {"n": 12, "at": {"N": 12}}
 
     def test_det_prefix_product_off_by_one_entry_fails_the_det_row(self, monkeypatch):
-        real = analytic._c_period
-
-        def off(n, n_max, mu):  # c_n(1) = mu(n) read as mu(n) + 1
-            row = real(n, n_max, mu).copy()
-            row[0] += 1
-            return row
-
-        monkeypatch.setattr(analytic, "_c_period", off)
+        # c_n(1) = mu(n) read as mu(n) + 1
+        wrong_class_values(monkeypatch, lambda levels: levels.c + (levels.g == 1))
         row = run_suite("analytic", n_max=12)["checks"][0]
         assert row["identity"] == "determinant of the Ramanujan diagonal: direct vs closed form"
         assert row["pass"] is False and row["max_residual"] > 0
@@ -441,10 +451,10 @@ class TestCheck:
                        "pass": False, "error": "KeyError: 36"}
 
     def test_raising_kernel_fails_only_its_own_row(self, monkeypatch):
-        def broken(n):
+        def broken(*args):
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr(suites, "orthogonality_residual", broken)
+        monkeypatch.setattr(suites, "orthogonality_residuals", broken)
         report = run_suite("transforms", **SMALL)
         assert report["summary"] == {"total": 3, "passed": 2, "failed": 1}
         (row,) = [row for row in report["checks"] if not row["pass"]]
