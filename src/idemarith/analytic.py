@@ -31,9 +31,9 @@ import numpy as np
 
 from .algebra import _INT64_MAX, DEFAULT_TOL, DiagonalOperator
 from .arith import divisors, factorize, mobius, omega, prime_power_product, prime_power_split
-from .convolution import lehmer_sides, scalar_dirichlet, scalar_table
+from .convolution import _spread, _worst_first, lehmer_sides, scalar_dirichlet, scalar_table
 from .idempotents import IdempotentSystem
-from .ramanujan_ops import LevelTable, _spread, _worst_first
+from .ramanujan_ops import LevelTable
 
 __all__ = ["TruncatedSpace", "det_c0", "det_residuals", "euler_power_residual", "iu_star",
            "iu_star_representation", "p_operator", "p_operator_identities", "theta_power",

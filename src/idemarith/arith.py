@@ -8,8 +8,8 @@ walks it to build a multiplicative table from its prime-power values, in
 numpy passes rather than one ``factorize`` per n.
 
 Everything here is computed in exact integer or rational arithmetic and
-compared with no tolerance: the identity suites judge ``rf_residual``.
-Complex floats appear only in the exported S(n).
+compared with no tolerance: the identity suites judge ``rf_residual``, which
+sums per class gcd(k, d).  Complex floats appear only in the exported S(n).
 """
 
 from __future__ import annotations
@@ -262,12 +262,13 @@ def rf_unnormalized(alpha: EvenFunction) -> dict:
 
 
 def rf_transform(alpha: EvenFunction) -> RFCoefficients:
-    """Both Ramanujan-Fourier coefficient normalizations of an even function."""
-    d = alpha.modulus
+    """Both Ramanujan-Fourier coefficient normalizations of an even function, the
+    orthogonal sum over k = 1..d taken once per class g = gcd(k, d), times phi(d/g)."""
+    d, divs = alpha.modulus, divisors(alpha.modulus)
     orthogonal = {
-        r: Fraction(1, d * totient(r))
-        * sum(alpha(k) * ramanujan_sum(r, k) for k in range(1, d + 1))
-        for r in divisors(d)
+        r: Fraction(sum(totient(d // g) * alpha(g) * ramanujan_sum(r, g) for g in divs),
+                    d * totient(r))
+        for r in divs
     }
     return RFCoefficients(d, rf_unnormalized(alpha), orthogonal)
 
@@ -275,12 +276,12 @@ def rf_transform(alpha: EvenFunction) -> RFCoefficients:
 def rf_residual(alpha: EvenFunction):
     """The worst of |unnormalized(r) - d * orthogonal(r)| over r | d and of
     the reconstruction error |sum_{r|d} unnormalized(r) c_r(n) - d alpha(n)|
-    over n = 1..d, the latter in integers; exactly 0 on exact values.
+    over n = 1..d, in integers at one n per class gcd(n, d); exactly 0 on exact values.
     """
     coeffs = rf_transform(alpha)
     d, divs = alpha.modulus, divisors(alpha.modulus)
     return max(
         max(abs(coeffs.unnormalized[r] - d * coeffs.orthogonal[r]) for r in divs),
-        max(abs(sum(coeffs.unnormalized[r] * ramanujan_sum(r, n) for r in divs) - d * alpha(n))
-            for n in range(1, d + 1)),
+        max(abs(sum(coeffs.unnormalized[r] * ramanujan_sum(r, g) for r in divs) - d * alpha(g))
+            for g in divs),
     )

@@ -30,7 +30,9 @@ and offset, as one int64 stack whose row n - 1 is the entries of f(n),
 then their bound; any other values as elements.  Each operation has one
 stack path and one element path.  A product runs on the stacks when the
 rule holds on their bound columns, whose sums are the bounds the
-per-element sums would carry; the result is handed the stack it sums.
+per-element sums would carry.  Its result, an inverse on the stack path,
+and ``AlgFunction.diagonals`` of an (N, dim) array hold the stack alone:
+``values`` is built on its first read, and f(n) from row n - 1.
 
 Cost on a table of size N: the Dirichlet product has the sum of tau(n)
 terms (24,496 at N = 3000), the unitary product those with
@@ -155,6 +157,21 @@ def _blocks(starts: np.ndarray, lo: int, hi: int, size: int = _BLOCK):
         lo = cut
 
 
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, first) of the loop "for i, for j < counts[i]", flat: i's run starts at first[i]."""
+    first = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(len(counts)), counts)
+    return i, np.arange(i.size) - first[i], first
+
+
+def _worst_first(residual: np.ndarray, where: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Per run of residual from each of starts: its largest value and the least
+    ``where`` holding it (where ascends within a run)."""
+    worst = np.maximum.reduceat(residual, starts)
+    held = residual == np.repeat(worst, np.diff([*starts, len(residual)]))
+    return worst, np.minimum.reduceat(np.where(held, where, where.max() + 1), starts)
+
+
 def _fits(kind: str, n_max: int, bound_a: int, bound_b: int) -> bool:
     """Whether no sum of the product ``kind`` on 1..n_max of factors of
     modulus <= bound_a and <= bound_b can leave int64."""
@@ -204,73 +221,88 @@ def scalar_unitary(a: Sequence | np.ndarray, b: Sequence | np.ndarray) -> list |
     return _product("unitary", a, b, 0)
 
 
-def _scalars(stack: np.ndarray):
-    return map(Scalar, stack[:, 0].tolist())
-
-
-def _held(values: tuple) -> tuple[Optional[np.ndarray], Optional[Callable], bool]:
-    """How an AlgFunction holds its values: (stack, rows, commutes).  Integer
+def _held(values: tuple) -> tuple[Optional[np.ndarray], Optional[int], bool]:
+    """How an AlgFunction holds its values: (stack, offset, commutes).  Integer
     Scalars of int64 size, and int64 diagonals of one shape and offset, are
-    one int64 stack, row i values[i]'s entries and then their bound, which
-    ``rows`` turns back into elements of their kind (an object stack, bound
-    None, into Python ints).  All but dense matrices commute."""
+    one int64 stack, row i values[i]'s entries and then their bound, with
+    the diagonals' offset (None for Scalars), from which ``AlgFunction._rows``
+    builds elements of their kind again.  All but dense matrices commute."""
     first = values[0]
     if all(type(v) is Scalar for v in values):
         stored = _store([v.value for v in values])
         if stored.bound is not None:
-            return np.column_stack((stored.values, np.abs(stored.values))), _scalars, True
+            return np.column_stack((stored.values, np.abs(stored.values))), None, True
     elif all(type(x) is DiagonalOperator and x._bound is not None and x.n == first.n
              and x.offset == first.offset for x in values):
         return (np.column_stack(([x._values for x in values], [x._bound for x in values])),
-                lambda stack: (DiagonalOperator(_Stored(row[:-1], bound), first.offset)
-                               for row, bound in zip(stack, stack[:, -1].tolist())), True)
+                first.offset, True)
     return None, None, not any(type(v) is DenseMatrix for v in values)
 
 
 class AlgFunction:
     """A tabulated map 1..n_max -> algebra elements of one shared shape,
-    held as ``_held`` decides when it is built."""
+    held as ``_held`` decides when it is built.  One held only as a stack
+    builds its ``values`` when they are first read, and f(n) from row n - 1."""
 
-    __slots__ = ("values", "_stack", "_rows", "_commutes")
+    __slots__ = ("_values", "_stack", "_offset", "_commutes")
 
     def __init__(self, values: Sequence):
         values = tuple(values)
         if not values:
             raise ValueError("AlgFunction needs n_max >= 1")
-        self.values = values
-        self._stack, self._rows, self._commutes = _held(values)
+        self._values = values
+        self._stack, self._offset, self._commutes = _held(values)
+
+    @classmethod
+    def _of(cls, stack: np.ndarray, offset: Optional[int]) -> "AlgFunction":
+        """The commuting function of Scalars (offset None) or of diagonals on
+        offset held as ``stack`` alone, as ``_held`` would build it from its
+        elements: a Scalar's bound is its modulus, a diagonal's the stack's."""
+        if offset is None:
+            stack[:, -1] = np.abs(stack[:, 0])
+        f = cls.__new__(cls)
+        f._values, f._stack, f._offset, f._commutes = None, stack, offset, True
+        return f
+
+    def _rows(self, stack: np.ndarray):
+        """The elements of a stack's rows, of this function's kind (Python ints
+        from an object stack whose bounds are None)."""
+        if self._offset is None:
+            return map(Scalar, stack[:, 0].tolist())
+        return (DiagonalOperator(_Stored(row[:-1], bound), self._offset)
+                for row, bound in zip(stack, stack[:, -1].tolist()))
+
+    @classmethod
+    def diagonals(cls, entries: np.ndarray, offset: int) -> "AlgFunction":
+        """n -> the diagonal on e_offset.. whose entries are row n - 1 of an int64 array."""
+        return cls._of(np.column_stack((entries, np.abs(entries).max(axis=1))), offset)
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(self._rows(self._stack))
+        return self._values
 
     @property
     def n_max(self) -> int:
-        return len(self.values)
+        return len(self._values if self._stack is None else self._stack)
 
     def __call__(self, n: int):
         if not 1 <= n <= self.n_max:
             raise IndexError(f"n={n} outside tabulated range 1..{self.n_max}")
-        return self.values[n - 1]
+        if self._values is None:  # one element, from row n - 1
+            return next(self._rows(self._stack[n - 1:n]))
+        return self._values[n - 1]
 
     @classmethod
     def lift(cls, alpha: Callable[[int], object], unit, n_max: int) -> "AlgFunction":
         """Lift a scalar function to n -> alpha(n) * e."""
         return cls([unit.scale(alpha(n)) for n in range(1, n_max + 1)])
 
-    def __reduce__(self):  # pickle and copy the values alone: _rows is a closure
-        return AlgFunction, (self.values,)
-
     def _check(self, other: "AlgFunction"):
         if self.n_max != other.n_max:
             raise ValueError(f"n_max mismatch: {self.n_max} vs {other.n_max}")
         self(1)._check(other(1))  # one kind and shape, as the first term f(1) g(1) needs
-
-    def _of_stack(self, stack: np.ndarray) -> "AlgFunction":
-        """The function of this one's kind that holds ``stack``, handed over as
-        ``_held`` would build it from the elements it reads off: a Scalar's
-        bound is its modulus, a diagonal's the stack's bound column."""
-        if self._rows is _scalars:
-            stack[:, -1] = np.abs(stack[:, 0])
-        f = AlgFunction.__new__(AlgFunction)
-        f.values, f._stack, f._rows, f._commutes = tuple(self._rows(stack)), stack, self._rows, True
-        return f
 
 
 def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
@@ -280,7 +312,7 @@ def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
     a, b = f._stack, g._stack
     if a is not None and b is not None and _fits(kind, f.n_max, int(a[:, -1].max()),
                                                  int(b[:, -1].max())):
-        return f._of_stack(_sums(kind, a, b))
+        return AlgFunction._of(_sums(kind, a, b), f._offset)
     return AlgFunction(_product(kind, f.values, g.values, f(1).zero()))
 
 
@@ -346,7 +378,7 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
         if first is not None:
             raise InverseCheckError(f"{name} differs from I at n={first + 1}")
     if exact:
-        return f._of_stack(np.column_stack((g, np.abs(g).max(axis=1))))
+        return AlgFunction._of(np.column_stack((g, np.abs(g).max(axis=1))), f._offset)
     if not stacked:
         return AlgFunction(g.tolist())
     return AlgFunction(f._rows(np.column_stack((g, [None] * f.n_max))))

@@ -6,12 +6,13 @@ The projections are exact 0/1 integer diagonals; the axioms suite compares
 them with their DFT form (1/n) sum_l eps_n^{-lj} S^l(n) on one period,
 summed in F_q.
 
-Both checks run on the stacks of ``projections``.  The axioms take one
-level at a time, no temporary larger than n rows.  ``product_law_residuals``
-builds each level's stack once for all its level pairs, and per pair
-compares all P_k(n) P_l(m) in one broadcast with the rows its CRT grid
-predicts (for n | m the divisor rule: P_l(m) when l = k (mod n), else
-zero).  The tests keep the per-case form and ``crt_solve`` as oracles.
+Both checks run on the stacks of ``projections``, in int8 where ``_small``
+allows.  The axioms take one level at a time, axiom I in one n x n
+broadcast.  ``product_law_residuals`` builds each level's stack once and
+compares every P_k(n) P_l(m) of every pair in one gather with the row its
+CRT grid predicts (for n | m the divisor rule: P_l(m) when l = k (mod n),
+else zero).  The weighted identities compare (N, dim) stacks of the P_j(n).
+The tests keep the per-case and per-element forms and ``crt_solve`` as oracles.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DiagonalOperator
+from .algebra import DiagonalOperator, _store
 from .arith import lcm_tuple_count, omega
-from .convolution import (AlgFunction, dirichlet_convolve, lcm_convolve, scalar_lcm,
-                          scalar_unitary, unitary_convolve)
+from .convolution import _spread, _worst_first, lehmer_sides, scalar_lcm, scalar_unitary
 
 __all__ = [
     "IdempotentSystem",
@@ -69,6 +69,11 @@ class IdempotentSystem:
         return stack
 
 
+def _small(stack: np.ndarray) -> np.ndarray:
+    """stack in int8 when |entries| <= 10, so a product of two minus a third fits; else as is."""
+    return stack.astype(np.int8) if np.abs(stack).max(initial=0) <= 10 else stack
+
+
 def verify_axioms(system: IdempotentSystem, n_limit: int) -> tuple[float, tuple]:
     """Residuals of orthogonality (I), periodicity (II), refinement (III)
     by the factors r <= 6, and the completeness sum for all levels
@@ -85,25 +90,20 @@ def verify_axioms(system: IdempotentSystem, n_limit: int) -> tuple[float, tuple]
     worst = where = None
     for n in range(1, n_limit + 1):
         projs = system.projections(range(n), n)
-        residuals, places = [], []
-        for i in range(n):
-            products = projs[i] * projs
-            products[i] -= projs[i]  # P_i P_j = P_i when j = i, else zero
-            residuals.append(np.abs(products).max(axis=1))
-            places += [("I", n, (i, j), None) for j in range(n)]
-        residuals.append(np.abs(system.projections(range(n, 2 * n), n) - projs).max(axis=1))
-        places += [("II", n, j, None) for j in range(n)]
-        residuals.append(np.abs(projs.sum(axis=0, keepdims=True) - 1).max(axis=1))
-        places.append(("completeness", n, None, None))
-        for r in range(1, 7):
-            refined = sum(system.projections(range(k * n, k * n + n), n * r)
-                          for k in range(1, r + 1))
-            residuals.append(np.abs(refined - projs).max(axis=1))
-            places += [("III", n, j, r) for j in range(n)]
-        level = np.concatenate(residuals)
+        small = _small(projs)  # axiom I: P_i P_j = P_i when j = i, else zero
+        products = small[:, None] * (small - np.eye(n, dtype=small.dtype)[..., None])
+        level = np.concatenate([
+            np.abs(products).max(axis=2).ravel(),
+            np.abs(system.projections(range(n, 2 * n), n) - projs).max(axis=1),
+            [np.abs(projs.sum(axis=0) - 1).max()],
+            *(np.abs(sum(system.projections(range(k * n, k * n + n), n * r)
+                         for k in range(1, r + 1)) - projs).max(axis=1) for r in range(1, 7))])
         at = int(np.argmax(level))
         if worst is None or level[at] > worst:
-            worst, where = float(level[at]), places[at]
+            worst, k = float(level[at]), at - n * n  # k: the place past axiom I's n x n
+            where = (("I", n, divmod(at, n), None) if k < 0 else ("II", n, k, None) if k < n
+                     else ("completeness", n, None, None) if k == n
+                     else ("III", n, (k - n - 1) % n, (k - n - 1) // n + 1))
     return worst, where
 
 
@@ -123,22 +123,28 @@ def product_law_residuals(system: IdempotentSystem, levels) -> dict:
     P_l(m) against P_j(lcm(n, m)), j from ``_crt_grid``, or zero where there
     is none, over k < n and l < m; 0 when the law holds.
 
-    Each level's stack is built once, with a zero row last, in int8 when its
-    entries lie within +-10, so that a product of two minus a third stays
-    within +-110.
+    Each level's stack is built once, a zero row after it, into one stack
+    under ``_small``'s rule, and every case of every pair is one row of a
+    gather from it, about 2^16 entries at a time.
     """
-    zero = np.zeros((1, system.dim), dtype=np.int64)
-    stacks = {}
-    for size in {size for n, m in levels for size in (n, m, math.lcm(n, m))}:
-        stack = np.vstack((system.projections(range(size), size), zero))
-        stacks[size] = stack.astype(np.int8) if np.abs(stack).max() <= 10 else stack
-    worst = {}
-    for n, m in levels:
-        residuals = np.abs(stacks[n][:-1, None] * stacks[m][:-1]
-                           - stacks[math.lcm(n, m)][_crt_grid(n, m)]).max(axis=2)
-        k, l = divmod(int(np.argmax(residuals)), m)
-        worst[n, m] = float(residuals[k, l]), {"k": k, "l": l}
-    return worst
+    if not levels:
+        return {}
+    sizes = sorted({size for n, m in levels for size in (n, m, math.lcm(n, m))})
+    stack = np.concatenate([x for size in sizes for x in (
+        _small(system.projections(range(size), size)), np.zeros((1, system.dim), np.int8))])
+    first = np.zeros(sizes[-1] + 1, dtype=np.int64)  # each level's first row
+    first[sizes] = np.cumsum([0, *sizes[:-1]]) + np.arange(len(sizes))
+    n, m = np.array(levels, dtype=np.int64).T
+    pair, km, starts = _spread(n * m)  # km = k m + l at each case (k, l) of each pair
+    j = np.concatenate([_crt_grid(*pair_levels).ravel() for pair_levels in levels])
+    at = (first[np.stack((n, m, np.lcm(n, m)))[:, pair]]  # the rows of P_k(n), P_l(m), P_j
+          + np.stack((km // m[pair], km % m[pair], j)))
+    step = max(1, 2**16 // system.dim)
+    residuals = np.concatenate([np.abs(stack[x] * stack[y] - stack[z]).max(axis=1)
+                                for x, y, z in np.split(at, range(step, len(pair), step), axis=1)])
+    worst, at = _worst_first(residuals, km, starts)
+    return {pair: (float(w), {"k": x // y, "l": x % y})
+            for pair, w, x, y in zip(levels, worst.tolist(), at.tolist(), m.tolist())}
 
 
 def weighted_product_identities(
@@ -153,24 +159,21 @@ def weighted_product_identities(
     2^omega(n) P_j(n), and Lehmer's identity in operator form:
     (nu0 * alpha P_j)(m) (nu0 * beta P_j)(m) = (nu0 * (alpha P_j [] beta P_j))(m).
 
-    Returns the worst of the five residuals, 0 on exact tables.
+    Returns the worst of the five residuals, 0 on exact tables.  Each side is
+    one (n_max, dim) stack, row n - 1 its value at n: alpha P_j is alpha times
+    the stack of the P_j(n), the products are the scalar ones on those stacks,
+    and Lehmer's identity is ``lehmer_sides`` on them, column by column.
     """
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must share n_max")
     levels = range(1, len(alpha) + 1)
-    proj = [system.projection(j, n) for n in levels]
-    f_a = AlgFunction([p.scale(a) for p, a in zip(proj, alpha)])
-    f_b = AlgFunction([p.scale(b) for p, b in zip(proj, beta)])
-    ones = AlgFunction(proj)
-    box = lcm_convolve(f_a, f_b)
+    proj = np.vstack([system.projections([j], n) for n in levels])
+    a, b = (_store(table).values[:, None] * proj for table in (alpha, beta))
     sides = [  # (operator-valued product, scalar table whose multiples of P_j it equals)
-        (box, scalar_lcm(alpha, beta)),
-        (unitary_convolve(f_a, f_b), scalar_unitary(alpha, beta)),
-        (lcm_convolve(ones, ones), [lcm_tuple_count(2, n) for n in levels]),
-        (unitary_convolve(ones, ones), [2 ** omega(n) for n in levels]),
+        (scalar_lcm(a, b), scalar_lcm(alpha, beta)),
+        (scalar_unitary(a, b), scalar_unitary(alpha, beta)),
+        (scalar_lcm(proj, proj), [lcm_tuple_count(2, n) for n in levels]),
+        (scalar_unitary(proj, proj), [2 ** omega(n) for n in levels]),
     ]
-    nu0 = AlgFunction([system.unit()] * len(alpha))
-    sum_a, sum_b, sum_box = (dirichlet_convolve(nu0, f) for f in (f_a, f_b, box))
-    return max(max(ops(n).distance(proj[n - 1].scale(table[n - 1]))
-                   for ops, table in sides for n in levels),
-               max((sum_a(m) * sum_b(m)).distance(sum_box(m)) for m in levels))
+    return float(max(*(np.abs(ops - _store(table).values[:, None] * proj).max()
+                       for ops, table in sides), *lehmer_sides(a, b)[2]))

@@ -16,7 +16,8 @@ eps_n are taken in F_q, through the ring map eps_n -> omega of order n
 two passes, and ``root_sum_residual`` one level's over a window.  The
 tests keep each pass's per-level form as its oracle.
 ``OperatorFamily(dim, offset)`` builds S(n) (in floats), C_j(n) and
-T_{r,j}(n) on an ``IdempotentSystem`` window.
+T_{r,j}(n) on an ``IdempotentSystem`` window, and ``family`` the stack of
+P_j, C_j or T_{n,j} over levels 1..K, C from one ``ramanujan_sum`` per class.
 """
 
 from __future__ import annotations
@@ -31,19 +32,12 @@ import numpy as np
 from .algebra import DiagonalOperator
 from .arith import (EvenFunction, divisors, factorize, prime_power_product, prime_power_split,
                     ramanujan_sum, rf_unnormalized, tau)
-from .convolution import _blocks, _index
+from .convolution import _blocks, _index, _spread, _worst_first
 from .idempotents import IdempotentSystem
 
 __all__ = ["LevelTable", "OperatorFamily", "even_function_identity", "level_table",
            "operator_residuals", "orthogonality_residuals", "root_sum_residual", "root_sums",
            "scalar_residuals", "transform_residuals"]
-
-
-def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, first) of the loop "for i, for j < counts[i]", flat: i's run starts at first[i]."""
-    first = np.cumsum(counts) - counts
-    i = np.repeat(np.arange(len(counts)), counts)
-    return i, np.arange(i.size) - first[i], first
 
 
 class LevelTable(NamedTuple):
@@ -135,14 +129,6 @@ def root_sums(levels: LevelTable) -> tuple[np.ndarray, np.ndarray]:
     return sums % q, q
 
 
-def _worst_first(residual: np.ndarray, where: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Per run of residual from each of starts: its largest value and the least
-    ``where`` holding it (where ascends within a run)."""
-    worst = np.maximum.reduceat(residual, starts)
-    held = residual == np.repeat(worst, np.diff([*starts, len(residual)]))
-    return worst, np.minimum.reduceat(np.where(held, where, where.max() + 1), starts)
-
-
 def scalar_residuals(levels: LevelTable, sums: tuple, n_max: int) -> np.ndarray:
     """Per level n <= n_max, the worst disagreement at its classes g of c_n(g)
     three ways, pairwise: the table's (Hoelder's; mu(n) at g = 1, phi(n) at
@@ -231,6 +217,12 @@ def even_function_identity(alpha: EvenFunction) -> int:
                for g in divisors(n))
 
 
+def _ramanujan_classes(n: int, g: np.ndarray) -> np.ndarray:
+    """The int64 c_n(g) at each class g | n in g: one ``ramanujan_sum`` per divisor of n."""
+    divs = divisors(n)
+    return np.array([ramanujan_sum(n, d) for d in divs], dtype=np.int64)[np.searchsorted(divs, g)]
+
+
 class OperatorFamily(IdempotentSystem):
     """S(n), C_j(n) and T_{r,j}(n) on an idempotent system's window, with its P_j(n)."""
 
@@ -243,8 +235,18 @@ class OperatorFamily(IdempotentSystem):
 
     def c_operator(self, j: int, n: int) -> DiagonalOperator:
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""
-        return DiagonalOperator.periodic(lambda k: [ramanujan_sum(n, x) for x in k.tolist()],
+        return DiagonalOperator.periodic(lambda k: _ramanujan_classes(n, np.gcd(k, n)),
                                          n, j, self.dim, self.offset)
+
+    def family(self, j: int, n_max: int, kind: str) -> np.ndarray:
+        """The int64 stack (n_max, dim) whose row n - 1 is P_j(n), C_j(n) or
+        T_{n,j}(n), by kind "P", "C" or "T": at e_m, [g = n], c_n(g) or [g = 1]
+        of its class g = gcd(m - j, n)."""
+        levels = np.arange(1, n_max + 1).reshape(-1, 1)
+        g = np.gcd(np.arange(self.offset, self.offset + self.dim) - j, levels)
+        if kind == "C":
+            return np.vstack([_ramanujan_classes(n, row) for n, row in enumerate(g, 1)])
+        return (g == (levels if kind == "P" else 1)).astype(np.int64)
 
     def t_operator(self, r: int, j: int, n: int) -> DiagonalOperator:
         """T_{r,j}(n): the 0/1 diagonal selecting basis indices m with

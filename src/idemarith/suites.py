@@ -23,11 +23,12 @@ compares decides it on the whole basis: lcm(n, m) for a product law,
 on levels 1..K (coprime pairs nm <= K).  Those five rows report the
 requested dim under "dim" and min(dim, period) under "window"; the
 product-law and weighted rows report their window under "dim".  The CRT
-product law is decided for all its level pairs in one call.  The
-algebra-law, Lehmer and algebra-map rows stack their random tables as
-columns: a product call serves all cases, each its column.  The growth row
-bounds P(alpha) in integers, and the IU* row compares m P(mu * nu_k)(m)
-with 1 in integers.
+product law is decided for all its level pairs in one call, and each
+multiplicativity row on its family's (K, window) stack.  The algebra-law,
+Lehmer and algebra-map rows stack their random tables as columns: a
+product call serves all cases, each its column.  The growth row bounds
+P(alpha) in integers, the IU* row compares m P(mu * nu_k)(m) with 1 in
+integers, and the Euler row reads mu off one sieve.
 
 Known discrepancies in the source material (documented typos) are
 evaluated and quarantined in the report's "errata" section; they carry
@@ -45,7 +46,8 @@ import numpy as np
 
 from . import analytic
 from .algebra import DenseMatrix, DiagonalOperator, Scalar, operator_norm
-from .arith import EvenFunction, divisors, epsilon, lcm_tuple_count, mobius, rf_residual, totient
+from .arith import (EvenFunction, divisors, epsilon, lcm_tuple_count, prime_power_product,
+                    prime_power_split, rf_residual, totient)
 from .convolution import (AlgFunction, dirichlet_convolve, dirichlet_identity, dirichlet_inverse,
                           is_multiplicative, lcm_convolve, lehmer_sides, scalar_dirichlet,
                           scalar_lcm, scalar_table, scalar_unitary, unitary_convolve)
@@ -144,12 +146,12 @@ def _suite_axioms(n_max, dim):
                                            n * IdempotentSystem(n).projections([0], n)[0])),
     ]
     proj_mult_max = max(min(n_max, 32), 6)  # 6 = 2 * 3, the first coprime pair
-    system = IdempotentSystem(min(dim, proj_mult_max))
+    ops = OperatorFamily(min(dim, proj_mult_max))
     for j in (0, 1, 5):
-        fam = AlgFunction([system.projection(j, n) for n in range(1, proj_mult_max + 1)])
         rows.append(_check("projection family multiplicativity",
-                           {"j": j, "n_max": fam.n_max, "dim": dim, "window": system.dim},
-                           [()], lambda: _multiplicativity(fam)))
+                           {"j": j, "n_max": proj_mult_max, "dim": dim, "window": ops.dim},
+                           [()], lambda: _multiplicativity(AlgFunction.diagonals(
+                               ops.family(j, proj_mult_max, "P"), ops.offset))))
     return rows, []
 
 
@@ -173,9 +175,7 @@ def _suite_product_law(n_max, dim):
 def _suite_ramanujan(n_max, dim):
     n_cap = min(n_max, 30)
     mult_cap = max(n_cap, 6)  # as for the projection families
-    family = OperatorFamily(min(dim, mult_cap))
-    builders = {"C": lambda j, n: family.c_operator(j, n),
-                "T": lambda j, n: family.t_operator(n, j, n)}
+    ops = OperatorFamily(min(dim, mult_cap))
     n_scalar = min(n_max, TOP_LEVEL)
     scalar = functools.cache(lambda: scalar_residuals(_levels(n_max), _root_sums(n_max),
                                                       n_scalar))
@@ -189,10 +189,10 @@ def _suite_ramanujan(n_max, dim):
                {"n_max": n_cap}, [(n,) for n in range(1, n_cap + 1)],
                lambda n: operators()[n - 1]),
         _check("multiplicativity of operator families",
-               {"n_max": mult_cap, "dim": dim, "window": family.dim, "j": [0, 1, 5]},
-               [(j, kind) for j in (0, 1, 5) for kind in builders],
+               {"n_max": mult_cap, "dim": dim, "window": ops.dim, "j": [0, 1, 5]},
+               [(j, kind) for j in (0, 1, 5) for kind in "CT"],
                lambda j, kind: _multiplicativity(
-                   AlgFunction([builders[kind](j, n) for n in range(1, mult_cap + 1)]))),
+                   AlgFunction.diagonals(ops.family(j, mult_cap, kind), ops.offset))),
     ], []
 
 
@@ -344,8 +344,10 @@ def _suite_analytic(n_max, dim):
     euler = {"totient": 1, "jordan:2": 2, "jordan:3": 3}  # P(J_r) = theta^r
 
     def euler_representation(alpha):
-        if alpha == "mobius":  # P(mu) = diag(eps), the projection onto e_1
-            return analytic.p_operator(scalar_table(mobius, euler_n)).distance(
+        if alpha == "mobius":  # P(mu) = diag(eps), the projection onto e_1; mu from one sieve
+            prime, power, _ = prime_power_split(euler_n)
+            mu = prime_power_product(np.where(power == prime, -1, 0), 1)[1:]
+            return analytic.p_operator(mu).distance(
                 DiagonalOperator(scalar_table(epsilon, euler_n), 1))
         return analytic.euler_power_residual(euler[alpha], euler_n)
 

@@ -34,7 +34,13 @@ package because nothing in it calls them:
   ``analytic.iu_star_representation``, which decides it in int64;
 - ``s_power_sum`` is sum over k in ks of eps_n^{-jk} S(n)^k from powers of
   ``s_operator(n)`` in complex floats, the oracle of the exact F_q sums of
-  ``ramanujan_ops.root_sum_residual``.
+  ``ramanujan_ops.root_sum_residual``;
+- ``rf_transform_per_k`` and ``rf_residual_per_k`` sum over k = 1..d and
+  compare at every n = 1..d, the oracles of ``arith.rf_transform`` and
+  ``rf_residual``, which take one k or n per class gcd(k, d);
+- ``weighted_identities_elements`` builds alpha P_j(n) as diagonals and
+  compares each side at each n by ``distance``, the oracle of the stack form
+  ``idempotents.weighted_product_identities``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -50,9 +57,11 @@ from idemarith import analytic, ramanujan_ops
 from idemarith.algebra import (_INT64_MAX, DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar,
                                _store, element_text, invert, is_idempotent)
 from idemarith.analytic import det_c0_unsigned_form, iu_star, p_operator
-from idemarith.arith import divisors, factorize, mobius, nu, omega, ramanujan_sum, tau
-from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index,
-                                   _product, scalar_dirichlet, scalar_table)
+from idemarith.arith import (RFCoefficients, divisors, factorize, lcm_tuple_count, mobius, nu,
+                             omega, ramanujan_sum, rf_unnormalized, tau, totient)
+from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index, _product,
+                                   dirichlet_convolve, lcm_convolve, scalar_dirichlet,
+                                   scalar_lcm, scalar_table, scalar_unitary, unitary_convolve)
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import root_sum_residual
 
@@ -390,3 +399,47 @@ def s_power_sum(fam, j: int, n: int, ks) -> DiagonalOperator:
             total = total + power.scale(cmath.exp(-2j * math.pi * j * k / n))
         power = power * s
     return total
+
+
+def rf_transform_per_k(alpha) -> RFCoefficients:
+    """``arith.rf_transform`` with its orthogonal sum taken over every k = 1..d."""
+    d = alpha.modulus
+    orthogonal = {r: Fraction(1, d * totient(r))
+                  * sum(alpha(k) * ramanujan_sum(r, k) for k in range(1, d + 1))
+                  for r in divisors(d)}
+    return RFCoefficients(d, rf_unnormalized(alpha), orthogonal)
+
+
+def rf_residual_per_k(alpha, coeffs: RFCoefficients | None = None):
+    """``arith.rf_residual`` on coeffs (``rf_transform_per_k``'s by default),
+    reconstructing at every n = 1..d."""
+    coeffs = rf_transform_per_k(alpha) if coeffs is None else coeffs
+    d, divs = alpha.modulus, divisors(alpha.modulus)
+    return max(
+        max(abs(coeffs.unnormalized[r] - d * coeffs.orthogonal[r]) for r in divs),
+        max(abs(sum(coeffs.unnormalized[r] * ramanujan_sum(r, n) for r in divs) - d * alpha(n))
+            for n in range(1, d + 1)),
+    )
+
+
+def weighted_identities_elements(alpha, beta, system: IdempotentSystem, j: int) -> float:
+    """``idempotents.weighted_product_identities`` element by element: alpha(n) P_j(n)
+    as scaled ``projection`` diagonals, the operator products and nu0 * f by
+    ``*_convolve``, and each side at each n compared by ``distance``."""
+    levels = range(1, len(alpha) + 1)
+    proj = [system.projection(j, n) for n in levels]
+    f_a = AlgFunction([p.scale(a) for p, a in zip(proj, alpha)])
+    f_b = AlgFunction([p.scale(b) for p, b in zip(proj, beta)])
+    ones = AlgFunction(proj)
+    box = lcm_convolve(f_a, f_b)
+    sides = [
+        (box, scalar_lcm(alpha, beta)),
+        (unitary_convolve(f_a, f_b), scalar_unitary(alpha, beta)),
+        (lcm_convolve(ones, ones), [lcm_tuple_count(2, n) for n in levels]),
+        (unitary_convolve(ones, ones), [2 ** omega(n) for n in levels]),
+    ]
+    nu0 = AlgFunction([system.unit()] * len(alpha))
+    sum_a, sum_b, sum_box = (dirichlet_convolve(nu0, f) for f in (f_a, f_b, box))
+    return max(max(ops(n).distance(proj[n - 1].scale(table[n - 1]))
+                   for ops, table in sides for n in levels),
+               max((sum_a(m) * sum_b(m)).distance(sum_box(m)) for m in levels))

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from idemarith.arith import (
     tau,
     totient,
 )
-from oracle_forms import crt_solve
+from oracle_forms import crt_solve, rf_residual_per_k, rf_transform_per_k
 
 
 def root_of_unity_sum(n, j):
@@ -292,6 +293,28 @@ class TestEvenFunctions:
     def test_rf_residual_is_zero_on_exact_values(self, d, data):
         values = {r: data.draw(st.integers(-9, 9)) for r in divisors(d)}
         assert rf_residual(EvenFunction(d, values)) == 0
+
+    @pytest.mark.parametrize("d", range(1, 61))
+    def test_class_form_is_the_per_k_form(self, monkeypatch, d):
+        # the premise of the class sums: alpha(k) c_r(k), r | d, depends on
+        # g = gcd(k, d) alone, and phi(d/g) of the k = 1..d have that g
+        rng = random.Random(d)
+        for values in ({r: r + 1 for r in divisors(d)},
+                       {r: rng.randint(-9, 9) for r in divisors(d)}):
+            alpha = EvenFunction(d, values)
+            coeffs = rf_transform(alpha)
+            assert coeffs == rf_transform_per_k(alpha)
+            assert rf_residual(alpha) == rf_residual_per_k(alpha) == 0
+            # both normalizations off by one term, consistently: only the
+            # reconstruction fails, and its worst over the classes is its worst
+            # over n = 1..d
+            r, delta = rng.choice(divisors(d)), rng.choice([-2, 1, 3])
+            wrong = dataclasses.replace(
+                coeffs, unnormalized={**coeffs.unnormalized, r: coeffs.unnormalized[r] + delta},
+                orthogonal={**coeffs.orthogonal, r: coeffs.orthogonal[r] + Fraction(delta, d)})
+            monkeypatch.setattr("idemarith.arith.rf_transform", lambda alpha: wrong)
+            assert rf_residual(alpha) == rf_residual_per_k(alpha, wrong) == abs(delta) * totient(r)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("normalization", ["unnormalized", "orthogonal"])
     def test_rf_residual_sees_a_dropped_divisor_term(self, monkeypatch, normalization):

@@ -407,7 +407,7 @@ class TestDiagonalStack:
                 convolution._convolve(kind, f, g)
 
     def test_functions_pickle_and_copy_as_their_values(self):
-        # a held function keeps a closure that rebuilds its elements, which pickle refuses
+        # a held function pickles and copies its values and its stack alike
         scalars = AlgFunction(map(Scalar, [1, -2, 3]))
         diagonals = AlgFunction([DiagonalOperator([1, 2], 1)] * 3)
         for f, parts in ((scalars, lambda values: [x.value for x in values]), (diagonals, stored)):
@@ -450,6 +450,58 @@ class TestDiagonalStack:
         big, unit = DiagonalOperator([2**32, 1]), DiagonalOperator([1, 1])
         f = AlgFunction([unit, big, big, unit, unit, DiagonalOperator([0, 1])])
         assert is_multiplicative(f, 0) == is_multiplicative_loop(f, 0) == (False, (2, 3))
+
+
+def view(x):
+    """A Scalar's value, or a diagonal's entries and offset."""
+    return x.value if isinstance(x, Scalar) else (x.entries, x.offset)
+
+
+class TestLazyResults:
+    """A result on the stack path holds its stack alone and builds elements
+    only when read: each read gives what the function built eagerly from the
+    per-element path's elements gives."""
+
+    @pytest.mark.parametrize("kind", [*sorted(PRODUCTS), "inverse"])
+    @pytest.mark.parametrize("scalars", [True, False])
+    def test_reads_match_an_eager_function(self, kind, scalars):
+        rng = np.random.default_rng(7)
+        tables = rng.integers(-9, 10, size=(2, 12, 3)).tolist()
+        tables[0][0] = [1, -1, 1]  # f(1) a unit, so f has an int64 inverse
+        f, g = (AlgFunction(Scalar(row[0]) if scalars else DiagonalOperator(row, 1)
+                            for row in table) for table in tables)
+        if kind == "inverse":
+            lazy, eager = dirichlet_inverse(f, 0), dirichlet_inverse_objects(f, 0)
+        else:
+            lazy, eager = convolution._convolve(kind, f, g), convolve_elements(kind, f, g)
+        assert lazy._values is None and lazy._stack is not None
+        assert lazy.n_max == eager.n_max == 12
+        assert [view(lazy(n)) for n in range(1, 13)] == [view(eager(n)) for n in range(1, 13)]
+        for n in (0, 13):
+            with pytest.raises(IndexError, match=re.escape(f"n={n} outside tabulated range 1..12")):
+                lazy(n)
+        lazy._check(eager)
+        eager._check(lazy)
+        for other, error in ((AlgFunction(eager.values[:5]), ValueError),
+                             (AlgFunction([DenseMatrix(np.eye(2))] * 12), ShapeMismatchError)):
+            for h in (lazy, eager):
+                with pytest.raises(error):
+                    h._check(other)
+        assert lazy._values is None  # reading f(n) and checking built no values tuple
+        for copied in (pickle.loads(pickle.dumps(lazy)), copy.deepcopy(lazy), copy.copy(lazy)):
+            assert [view(x) for x in copied.values] == [view(x) for x in eager.values]
+            assert np.array_equal(copied._stack, lazy._stack)
+        assert [view(x) for x in lazy.values] == [view(x) for x in eager.values]
+        assert lazy.values is lazy.values  # built once, on the first read
+        if kind != "inverse" and not scalars:  # entries, dtypes and bounds alike
+            assert stored(lazy.values) == stored(eager.values)
+
+    def test_diagonals_hold_the_stack_held_builds(self):
+        entries = np.array([[1, 0, -3], [2, 2, 0]])
+        f = AlgFunction.diagonals(entries, 1)
+        eager = AlgFunction([DiagonalOperator(row, 1) for row in entries.tolist()])
+        assert f._values is None and np.array_equal(f._stack, eager._stack)
+        assert stored(f.values) == stored(eager.values)
 
 
 class TestUnitary:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idemarith import idempotents
+from idemarith import convolution, idempotents
 from idemarith.algebra import DiagonalOperator, is_idempotent
 from idemarith.arith import divisors, lcm_tuple_count, omega, ramanujan_sum, totient
 from idemarith.convolution import AlgFunction, scalar_table
@@ -21,7 +21,7 @@ from idemarith.idempotents import (
 )
 from idemarith.ramanujan_ops import OperatorFamily
 from idemarith.suites import _multiplicativity
-from oracle_forms import crt_solve, product_law, s_power_sum
+from oracle_forms import crt_solve, product_law, s_power_sum, weighted_identities_elements
 
 
 class TestProjection:
@@ -198,8 +198,9 @@ class TestVerifyAxioms:
         assert verify_axioms(system, n_limit) == axioms_oracle(system, n_limit)
 
     def test_memory_stays_near_a_few_level_stacks(self):
-        # each temporary is at most n x dim int64 (242 KB at n 12, dim 2520);
-        # the n x n x dim product of a whole level would be 2.9 MB alone
+        # axiom I is one n x n x dim int8 broadcast (0.36 MB at n 12, dim 2520),
+        # and every other temporary at most n x dim int64 (242 KB); the same
+        # broadcast in int64 would be 2.9 MB alone
         system = IdempotentSystem(2520)
         verify_axioms(system, 12)
         tracemalloc.start()
@@ -448,15 +449,36 @@ class TestWeightedIdentities:
         phi, ones = scalar_table(totient, 30), [1] * 30
         system = IdempotentSystem(36)
         assert weighted_product_identities(phi, ones, system, 1) == 0
-        # fault injection: every nu0 * f loses its d = 1 term at m = 6
-        exact = idempotents.dirichlet_convolve
+        # fault injection: every nu0 * f loses its d = 1 term at m = 6, in the
+        # one Dirichlet pass of lehmer_sides that forms all three nu0 * f
+        exact = convolution.scalar_dirichlet
 
-        def dropped(f, g):
-            h = exact(f, g)
-            return AlgFunction(h.values[:5] + (h(6) - f(1) * g(6),) + h.values[6:])
+        def dropped(nu0, f):
+            h = exact(nu0, f)
+            h[5] -= nu0[0] * f[5]
+            return h
 
-        monkeypatch.setattr(idempotents, "dirichlet_convolve", dropped)
+        monkeypatch.setattr(convolution, "scalar_dirichlet", dropped)
         assert weighted_product_identities(phi, ones, system, 1) > 0
+
+
+class TestWeightedStacks:
+    """The stack form of the weighted row against its element form."""
+
+    @pytest.mark.parametrize("n_max, dim, j", [(30, 30, 1), (12, 24, 0), (15, 7, 5)])
+    def test_matches_the_element_form(self, n_max, dim, j):
+        alpha, beta = scalar_table(totient, n_max), scalar_table(lambda n: n % 5 - 2, n_max)
+        system = IdempotentSystem(dim)
+        assert weighted_product_identities(alpha, beta, system, j) == 0
+        assert weighted_identities_elements(alpha, beta, system, j) == 0
+
+    @pytest.mark.parametrize("level, column", [(2, 4), (6, 5), (7, 3), (30, 29)])
+    def test_one_corrupted_entry_gives_the_element_forms_residual(self, level, column):
+        # one entry of P_1(level) flipped, in the stack and the diagonal alike
+        alpha, beta = scalar_table(totient, 30), scalar_table(lambda n: n % 5 - 2, 30)
+        system = Flipped(30, 0, level, 1 % level, column)
+        residual = weighted_product_identities(alpha, beta, system, 1)
+        assert residual == weighted_identities_elements(alpha, beta, system, 1) > 0
 
 
 class TestMultiplicativityOfProjections:

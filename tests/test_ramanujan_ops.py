@@ -350,6 +350,37 @@ class TestDivisorStacks:
             assert fam.projection(j, r).entries == tuple(p_row[at].tolist())
             assert fam.c_operator(j, r).entries == tuple(c_row[at].tolist())
 
+    @pytest.mark.parametrize("dim", [5, 30, 72])
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("j", [0, 1, 5])
+    def test_family_stacks_are_the_operators(self, dim, offset, j):
+        # the premise of the family rows: row n - 1 of each stack is P_j(n),
+        # C_j(n) or T_{n,j}(n) as its element builder makes it, and as the
+        # definitions give it at each e_m: [m = j (mod n)], c_n(m - j), [gcd(m - j, n) = 1]
+        fam = OperatorFamily(dim, offset)
+        stacks = {kind: fam.family(j, 30, kind) for kind in "PCT"}
+        window = range(offset, offset + dim)
+        for kind, build, entry in (
+                ("P", lambda n: fam.projection(j, n), lambda n, x: int(x % n == 0)),
+                ("C", lambda n: fam.c_operator(j, n), ramanujan_sum),
+                ("T", lambda n: fam.t_operator(n, j, n), lambda n, x: int(math.gcd(x, n) == 1))):
+            assert stacks[kind].dtype == np.int64 and stacks[kind].shape == (30, dim)
+            assert stacks[kind].tolist() == [list(build(n).entries) for n in range(1, 31)]
+            assert stacks[kind].tolist() == [[entry(n, m - j) for m in window]
+                                             for n in range(1, 31)]
+
+    def test_c_operator_and_the_c_stack_read_one_value_per_class(self, monkeypatch):
+        # c_n(g) is asked of ramanujan_sum once per class (n, g) the window meets
+        calls = []
+        monkeypatch.setattr(ramanujan_ops, "ramanujan_sum",
+                            lambda n, g: calls.append((n, g)) or ramanujan_sum(n, g))
+        fam = OperatorFamily(72, 1)
+        fam.c_operator(5, 12)
+        assert sorted(calls) == [(12, g) for g in divisors(12)]
+        calls.clear()
+        fam.family(5, 30, "C")
+        assert sorted(calls) == [(n, g) for n in range(1, 31) for g in divisors(n)]
+
     @settings(max_examples=40, deadline=None)
     @given(levels)
     def test_residuals_match_the_oracles(self, level):

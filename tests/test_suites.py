@@ -109,6 +109,17 @@ class TestRunSuite:
         reduced = [row["params"].get("window") for row in report_all["checks"]]
         assert reduced == [42, None, 7, 7, 7] + [None] * 4 + [7] + [None] * 14
 
+    def test_all_builds_few_diagonals(self, monkeypatch):
+        # the family, weighted, product-law and axiom rows run on stacks, and a
+        # stack result builds its elements only when read: 38 diagonals at the
+        # defaults, against 756 when each row built its operators one at a time
+        built = []
+        real = DiagonalOperator.__init__
+        monkeypatch.setattr(DiagonalOperator, "__init__",
+                            lambda self, *args: built.append(1) or real(self, *args))
+        assert run_suite("all")["pass"] is True
+        assert len(built) <= 60
+
     def test_largest_dim_runs_on_short_windows(self):
         report = run_suite("all", n_max=60, dim=10**6)
         assert report["pass"] is True
@@ -379,15 +390,17 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("suite, rows", [("axioms", 3), ("ramanujan", 1)])
     def test_multiplicativity_rows_reach_the_first_coprime_pair(self, monkeypatch, suite, rows):
-        # every P, C and T of level n > 1 scaled: f(nm) = f(n) f(m) then fails at every
-        # coprime pair, and the first one, (2, 3), needs levels up to 6 even at n-max 5
-        def scaled(build, factor):
-            return lambda self, *args: build(self, *args).scale(factor if args[-1] > 1 else 1)
+        # every P, C and T of level n > 1 scaled, in the family stacks the rows read:
+        # f(nm) = f(n) f(m) then fails at every coprime pair, and the first one,
+        # (2, 3), needs levels up to 6 even at n-max 5
+        real = OperatorFamily.family
 
-        monkeypatch.setattr(IdempotentSystem, "projection",
-                            scaled(IdempotentSystem.projection, 3))
-        for name in ("c_operator", "t_operator"):
-            monkeypatch.setattr(OperatorFamily, name, scaled(getattr(OperatorFamily, name), 7))
+        def scaled(self, j, n_max, kind):
+            stack = real(self, j, n_max, kind).copy()
+            stack[1:] *= 3 if kind == "P" else 7
+            return stack
+
+        monkeypatch.setattr(OperatorFamily, "family", scaled)
         report = run_suite(suite, n_max=5, dim=12)
         checked = [row for row in report["checks"] if "multiplicativity" in row["identity"]]
         assert len(checked) == rows
