@@ -17,7 +17,8 @@ prime of n struck out).  Commonly quoted closed forms of the determinant
 and traces that disagree with the oracle are evaluated by
 ``det_c0_unsigned_form`` and ``trace_erratum_forms`` for the errata
 section, never asserted.  The IU* candidates are decided in int64, against
-theta IU* = 1, and the algebra-map pairs in one ``lehmer_sides`` call.
+theta IU* = 1, the algebra-map pairs in one ``lehmer_sides`` call, and
+P(J_r) = theta^r, r <= 3, with P(mu) = diag(eps) in one stacked pass.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .convolution import _spread, _worst_first, lehmer_sides, scalar_dirichlet, 
 from .idempotents import IdempotentSystem
 from .ramanujan_ops import LevelTable
 
-__all__ = ["TruncatedSpace", "det_c0", "det_residuals", "euler_power_residual", "iu_star",
+__all__ = ["TruncatedSpace", "det_c0", "det_residuals", "euler_residuals", "iu_star",
            "iu_star_representation", "p_operator", "p_operator_identities", "theta_power",
            "trace_erratum_forms", "trace_identities", "trace_residuals"]
 
@@ -178,13 +179,11 @@ def p_operator(alpha: Sequence) -> DiagonalOperator:
 
 def theta_power(r: int, n_dim: int) -> DiagonalOperator:
     """theta^r on e_1..e_N: the Euler operator's power e_m -> m^r e_m, exact,
-    for r >= 0.  int64 while N^r fits; Python ints past that.
-    """
+    for r >= 0.  int64 while N^r fits; Python ints past that."""
     if r < 0:
         raise ValueError(f"theta^r requires r >= 0, got {r}")
-    if n_dim**r <= _INT64_MAX:
-        return DiagonalOperator(np.arange(1, n_dim + 1, dtype=np.int64) ** r, 1)
-    return DiagonalOperator([m**r for m in range(1, n_dim + 1)], 1)
+    m = np.arange(1, n_dim + 1, dtype=np.int64 if n_dim**r <= _INT64_MAX else object)
+    return DiagonalOperator(m**r, 1)
 
 
 def iu_star(n_dim: int) -> DiagonalOperator:
@@ -195,9 +194,7 @@ def iu_star(n_dim: int) -> DiagonalOperator:
 def _jordan_table(r: int, n_max: int) -> np.ndarray:
     """[J_r(1), ..., J_r(n_max)] from the largest-prime-power split: J_r is
     multiplicative with J_r(p^a) = p^(ra) - p^(r(a-1)).  An int64 array
-    while n_max^r fits, since J_r(n) <= n^r; an object array of Python
-    ints past that.
-    """
+    while n_max^r fits, since J_r(n) <= n^r; an object array past that."""
     if r < 1:
         raise ValueError(f"J_r requires r >= 1, got {r}")
     prime, power, _ = prime_power_split(n_max)
@@ -206,23 +203,26 @@ def _jordan_table(r: int, n_max: int) -> np.ndarray:
     return prime_power_product(power**r - (power // prime) ** r, 1)[1:]
 
 
-def euler_power_residual(r: int, n_dim: int) -> float:
-    """|P(J_r) - theta^r| on e_1..e_N; 0, since sum_{d|m} J_r(d) = m^r.
-    The J_r table comes from one sieve of 1..N (``_jordan_table``);
-    ``arith.jordan_totient`` serves single values and is its test oracle.
-    """
-    return p_operator(_jordan_table(r, n_dim)).distance(theta_power(r, n_dim))
+def euler_residuals(n_dim: int) -> list:
+    """[|P(J_r) - theta^r| for r = 1, 2, 3, then |P(mu) - diag(eps)|] on e_1..e_N,
+    all 0 (sum_{d|m} J_r(d) = m^r, sum_{d|m} mu(d) = eps(m)): one Dirichlet pass
+    of nu0 with the four tables, read off one sieve, as the columns of a stack."""
+    prime, power, _ = prime_power_split(n_dim)
+    mu = prime_power_product(np.where(power == prime, -1, 0), 1)[1:]
+    tables = np.column_stack([*(_jordan_table(r, n_dim) for r in (1, 2, 3)), mu])
+    m = np.arange(1, n_dim + 1, dtype=np.int64 if n_dim**3 <= _INT64_MAX else object)
+    sums = scalar_dirichlet(np.ones(tables.shape, dtype=np.int64), tables)
+    return np.abs(sums - np.column_stack((m, m**2, m**3, m == 1))).max(axis=0).tolist()
 
 
 def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
                           pairs: int = 20, seed: int = 7,
                           tol: float = DEFAULT_TOL) -> dict:
     """The algebra-map property P(alpha [] beta) = P(alpha) P(beta) on
-    random integer tables, and the Euler-power identity P(J_r) = theta^r
-    for r <= 3, on e_1..e_{n_max} (the whole window when n_max is None).
-    The tables are drawn from ``random.Random(seed)``, entries in -5..5,
-    alpha then beta for each pair; at e_m the property is Lehmer's identity.
-    """
+    random integer tables, and P(J_r) = theta^r for r <= 3 (``euler_residuals``),
+    on e_1..e_{n_max} (the whole window when n_max is None).  The tables are
+    drawn from ``random.Random(seed)``, entries in -5..5, alpha then beta for
+    each pair; at e_m the property is Lehmer's identity."""
     if pairs < 1 or (n_max is not None and n_max < 1):
         raise ValueError(f"p_operator_identities needs pairs >= 1 and n_max >= 1, "
                          f"got pairs={pairs}, n_max={n_max}")
@@ -230,7 +230,7 @@ def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
     rng = random.Random(seed)
     tables = np.array([rng.choices(_SAMPLE_ENTRIES, k=n_max) for _ in range(2 * pairs)]).T
     worst = float(np.max(lehmer_sides(tables[:, 0::2], tables[:, 1::2])[2]))  # keeps a NaN
-    jordan_residual = max(euler_power_residual(r, n_max) for r in range(1, 4))
+    jordan_residual = float(max(euler_residuals(n_max)[:3]))
     return {
         "identity": "diagonal map is an algebra map for the lcm product",
         "n_max": n_max,

@@ -23,15 +23,17 @@ pairwise summation would change the bits.
 tables, or two (N, k) stacks of k tables: one pass for all k columns
 under the rule on each stack's largest entry, so ``lehmer_sides`` checks
 Lehmer's identity on k pairs in one lcm and one Dirichlet pass.  The
-``*_convolve`` products, ``dirichlet_inverse`` and ``is_multiplicative``
-take ``AlgFunction``s, which decide once, when built, how their values
-are held: integer Scalars of int64 size, and int64 diagonals of one shape
-and offset, as one int64 stack whose row n - 1 is the entries of f(n),
-then their bound; any other values as elements.  Each operation has one
-stack path and one element path.  A product runs on the stacks when the
-rule holds on their bound columns, whose sums are the bounds the
-per-element sums would carry.  Its result, an inverse on the stack path,
-and ``AlgFunction.diagonals`` of an (N, dim) array hold the stack alone:
+``*_convolve`` products, ``dirichlet_inverse``, ``is_multiplicative`` and
+``AlgFunction.distance`` take ``AlgFunction``s, which decide once, when
+built, how their values are held: integer Scalars of int64 size, and int64
+diagonals of one shape and offset, as one int64 stack whose row n - 1 is
+the entries of f(n), then their bound; any other values as elements.  Each
+operation has one stack path and one element path.  A product runs on the
+stacks when the rule holds on their bound columns, whose sums are the
+bounds the per-element sums would carry; a distance (the worst f(n)
+against g(n)) is one array difference, in int64 while the bounds' sum fits.
+A product's result, an inverse on the stack path, and
+``AlgFunction.diagonals`` of an (N, dim) array hold the stack alone:
 ``values`` is built on its first read, and f(n) from row n - 1.
 
 Cost on a table of size N: the Dirichlet product has the sum of tau(n)
@@ -303,6 +305,17 @@ class AlgFunction:
         if self.n_max != other.n_max:
             raise ValueError(f"n_max mismatch: {self.n_max} vs {other.n_max}")
         self(1)._check(other(1))  # one kind and shape, as the first term f(1) g(1) needs
+
+    def distance(self, other: "AlgFunction") -> float:
+        """The worst f(n).distance(g(n)) over n: one array difference of two stacks,
+        in int64 while their bounds' sum fits; else one element at a time."""
+        self._check(other)
+        a, b = self._stack, other._stack
+        if a is None or b is None:
+            return max(x.distance(y) for x, y in zip(self.values, other.values))
+        if int(a[:, -1].max()) + int(b[:, -1].max()) > _INT64_MAX:
+            a, b = a.astype(object), b.astype(object)
+        return float(abs(a[:, :-1] - b[:, :-1]).max())
 
 
 def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:

@@ -7,10 +7,11 @@ them with their DFT form (1/n) sum_l eps_n^{-lj} S^l(n) on one period,
 summed in F_q.
 
 Both checks run on the stacks of ``projections``, in int8 where ``_small``
-allows.  The axioms take one level at a time, axiom I in one n x n
-broadcast.  ``product_law_residuals`` builds each level's stack once and
-compares every P_k(n) P_l(m) of every pair in one gather with the row its
-CRT grid predicts (for n | m the divisor rule: P_l(m) when l = k (mod n),
+allows.  The axioms take one level n at a time, axiom I in one n x n
+broadcast, III one stack per (n, r), 2 <= r <= 6 (r = 1 is II itself).
+``product_law_residuals`` builds each level's stack once and compares every
+P_k(n) P_l(m) of every pair in one gather with the row one CRT grid of all
+pairs predicts (for n | m the divisor rule: P_l(m) when l = k (mod n),
 else zero).  The weighted identities compare (N, dim) stacks of the P_j(n).
 The tests keep the per-case and per-element forms and ``crt_solve`` as oracles.
 """
@@ -77,9 +78,10 @@ def _small(stack: np.ndarray) -> np.ndarray:
 def verify_axioms(system: IdempotentSystem, n_limit: int) -> tuple[float, tuple]:
     """Residuals of orthogonality (I), periodicity (II), refinement (III)
     by the factors r <= 6, and the completeness sum for all levels
-    n <= n_limit, each level against its stack P_0..P_{n-1}(n): (I) row i
-    times the stack, (II) the stack of P_{j+n}(n), completeness as the
-    column sums, (III) the sum over k <= r of the stacks of P_{j+kn}(nr).
+    n <= n_limit, each level against its stack P_0..P_{n-1}(n), under
+    ``_small``'s rule: (I) row i times the stack, (II) the stack of
+    P_{j+n}(n), completeness as the column sums, (III) at r >= 2 one stack of
+    P_{j+kn}(nr) over js n..(r+1)n - 1, summed over k <= r; r = 1 is II.
 
     Returns the worst residual, 0 on the exact provider, and its first
     place in the order I, II, completeness, III at each n, as
@@ -89,38 +91,37 @@ def verify_axioms(system: IdempotentSystem, n_limit: int) -> tuple[float, tuple]
         raise ValueError(f"verify_axioms needs n_limit >= 1, got {n_limit}")
     worst = where = None
     for n in range(1, n_limit + 1):
-        projs = system.projections(range(n), n)
-        small = _small(projs)  # axiom I: P_i P_j = P_i when j = i, else zero
-        products = small[:, None] * (small - np.eye(n, dtype=small.dtype)[..., None])
-        level = np.concatenate([
-            np.abs(products).max(axis=2).ravel(),
+        projs = _small(system.projections(range(n), n))
+        level = np.concatenate([  # axiom I: P_i P_j = P_i when j = i, else zero
+            np.abs(projs[:, None] * (projs - np.eye(n, dtype=projs.dtype)[..., None]))
+            .max(axis=2).ravel(),
             np.abs(system.projections(range(n, 2 * n), n) - projs).max(axis=1),
             [np.abs(projs.sum(axis=0) - 1).max()],
-            *(np.abs(sum(system.projections(range(k * n, k * n + n), n * r)
-                         for k in range(1, r + 1)) - projs).max(axis=1) for r in range(1, 7))])
+            *(np.abs(system.projections(range(n, (r + 1) * n), n * r).reshape(r, n, -1)
+                     .sum(axis=0) - projs).max(axis=1) for r in range(2, 7))])
         at = int(np.argmax(level))
         if worst is None or level[at] > worst:
             worst, k = float(level[at]), at - n * n  # k: the place past axiom I's n x n
             where = (("I", n, divmod(at, n), None) if k < 0 else ("II", n, k, None) if k < n
                      else ("completeness", n, None, None) if k == n
-                     else ("III", n, (k - n - 1) % n, (k - n - 1) // n + 1))
+                     else ("III", n, (k - n - 1) % n, (k - n - 1) // n + 2))
     return worst, where
 
 
-def _crt_grid(n: int, m: int) -> np.ndarray:
-    """The int64 (n, m) array whose (k, l) entry is the j < lcm(n, m) with
-    j = k (mod n) and j = l (mod m), or lcm(n, m) where there is none: each
-    j < lcm(n, m) is the one solution at (j mod n, j mod m)."""
-    lcm = math.lcm(n, m)
-    grid, j = np.full((n, m), lcm), np.arange(lcm)
-    grid[j % n, j % m] = j
-    return grid
+def _crt_grids(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The int64 (n[i], m[i]) grids of the level pairs i, flat, one after another:
+    (k, l) holds the j < lcm with j = k (mod n[i]), j = l (mod m[i]), else the
+    lcm; one scatter puts each j < lcm at (j mod n, j mod m) of every pair."""
+    lcm = np.lcm(n, m)
+    grids, (i, j, _) = np.repeat(lcm, n * m), _spread(lcm)
+    grids[(np.cumsum(n * m) - n * m)[i] + j % n[i] * m[i] + j % m[i]] = j
+    return grids
 
 
 def product_law_residuals(system: IdempotentSystem, levels) -> dict:
     """{(n, m): (worst residual, its first place in (k, l) order as
     {"k": k, "l": l})} of the CRT law for each level pair in levels: P_k(n)
-    P_l(m) against P_j(lcm(n, m)), j from ``_crt_grid``, or zero where there
+    P_l(m) against P_j(lcm(n, m)), j from ``_crt_grids``, or zero where there
     is none, over k < n and l < m; 0 when the law holds.
 
     Each level's stack is built once, a zero row after it, into one stack
@@ -136,9 +137,8 @@ def product_law_residuals(system: IdempotentSystem, levels) -> dict:
     first[sizes] = np.cumsum([0, *sizes[:-1]]) + np.arange(len(sizes))
     n, m = np.array(levels, dtype=np.int64).T
     pair, km, starts = _spread(n * m)  # km = k m + l at each case (k, l) of each pair
-    j = np.concatenate([_crt_grid(*pair_levels).ravel() for pair_levels in levels])
     at = (first[np.stack((n, m, np.lcm(n, m)))[:, pair]]  # the rows of P_k(n), P_l(m), P_j
-          + np.stack((km // m[pair], km % m[pair], j)))
+          + np.stack((km // m[pair], km % m[pair], _crt_grids(n, m))))
     step = max(1, 2**16 // system.dim)
     residuals = np.concatenate([np.abs(stack[x] * stack[y] - stack[z]).max(axis=1)
                                 for x, y, z in np.split(at, range(step, len(pair), step), axis=1)])

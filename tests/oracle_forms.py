@@ -4,7 +4,7 @@ package because nothing in it calls them:
 - ``element_to_json`` and ``element_from_json`` parse the text of
   ``algebra.element_text`` back into an element, rejecting malformed input;
 - ``crt_solve`` is the CRT by extended Euclid, one (k, l) at a time, the
-  oracle of ``idempotents._crt_grid``;
+  oracle of ``idempotents._crt_grids``;
 - ``product_law`` is the per-case CRT law, P_k(n) P_l(m) built as
   diagonals, the oracle of ``idempotents.product_law_residuals``;
 - ``convolve_elements`` is the per-element path of the three products,
@@ -38,6 +38,9 @@ package because nothing in it calls them:
 - ``rf_transform_per_k`` and ``rf_residual_per_k`` sum over k = 1..d and
   compare at every n = 1..d, the oracles of ``arith.rf_transform`` and
   ``rf_residual``, which take one k or n per class gcd(k, d);
+- ``euler_power_residual`` is |P(J_r) - theta^r| for one r, from the diagonals
+  ``p_operator`` and ``theta_power`` build, the oracle of the stacked pass
+  ``analytic.euler_residuals``;
 - ``weighted_identities_elements`` builds alpha P_j(n) as diagonals and
   compares each side at each n by ``distance``, the oracle of the stack form
   ``idempotents.weighted_product_identities``.
@@ -56,7 +59,7 @@ import numpy as np
 from idemarith import analytic, ramanujan_ops
 from idemarith.algebra import (_INT64_MAX, DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar,
                                _store, element_text, invert, is_idempotent)
-from idemarith.analytic import det_c0_unsigned_form, iu_star, p_operator
+from idemarith.analytic import det_c0_unsigned_form, iu_star, p_operator, theta_power
 from idemarith.arith import (RFCoefficients, divisors, factorize, lcm_tuple_count, mobius, nu,
                              omega, ramanujan_sum, rf_unnormalized, tau, totient)
 from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index, _product,
@@ -443,3 +446,10 @@ def weighted_identities_elements(alpha, beta, system: IdempotentSystem, j: int) 
     return max(max(ops(n).distance(proj[n - 1].scale(table[n - 1]))
                    for ops, table in sides for n in levels),
                max((sum_a(m) * sum_b(m)).distance(sum_box(m)) for m in levels))
+
+
+def euler_power_residual(r: int, n_dim: int) -> float:
+    """|P(J_r) - theta^r| on e_1..e_N, the two diagonals built and compared;
+    the J_r table is read through ``analytic._jordan_table``, so a patched
+    one reaches both forms."""
+    return p_operator(analytic._jordan_table(r, n_dim)).distance(theta_power(r, n_dim))

@@ -14,7 +14,7 @@ from idemarith.algebra import DiagonalOperator, ShapeMismatchError
 from idemarith.analytic import (
     det_c0,
     det_c0_unsigned_form,
-    euler_power_residual,
+    euler_residuals,
     iu_star,
     iu_star_representation,
     p_operator,
@@ -28,7 +28,8 @@ from idemarith.arith import (divisors, epsilon, factorize, jordan_totient, mobiu
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
-from oracle_forms import det_table, iu_star_fractions, shift_operators, trace_table
+from oracle_forms import (det_table, euler_power_residual, iu_star_fractions,
+                          shift_operators, trace_table)
 
 H0_16 = IdempotentSystem(16, 1)
 
@@ -290,6 +291,30 @@ class TestPOperator:
             value + (n == 7) for n, value in enumerate(real(r, n_max), 1)])
         assert euler_power_residual(2, 6) == 0  # below the wrong value
         assert euler_power_residual(2, 7) == euler_power_residual(2, 300) == 1
+        # the stacked pass reads the same table: J_1..J_3 all off at 7, mu not
+        assert euler_residuals(6) == [0, 0, 0, 0]
+        assert euler_residuals(7) == euler_residuals(300) == [1, 1, 1, 0]
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 64, 512, 3000])
+    def test_stacked_euler_pass_is_the_per_power_form(self, n_dim):
+        # each column against its own diagonals: P(J_r) with theta^r, P(mu) with diag(eps)
+        mu = scalar_table(mobius, n_dim)
+        eps = DiagonalOperator(scalar_table(epsilon, n_dim), 1)
+        assert euler_residuals(n_dim) == [
+            *(euler_power_residual(r, n_dim) for r in (1, 2, 3)),
+            p_operator(mu).distance(eps)] == [0, 0, 0, 0]
+
+    def test_stacked_euler_pass_places_a_wrong_mobius_value(self, monkeypatch):
+        # mu(6) = 1 read as 0 by the sieve: P(mu) is off by 1 at every multiple of 6
+        real = analytic.prime_power_product
+
+        def wrong(factor, unit):  # only mu's factors are negative, the J_r's never
+            acc = real(factor, unit)
+            return np.where(np.arange(acc.size) == 6, 0, acc) if factor.min() < 0 else acc
+
+        monkeypatch.setattr(analytic, "prime_power_product", wrong)
+        assert euler_residuals(5) == [0, 0, 0, 0]
+        assert euler_residuals(6) == euler_residuals(64) == [0, 0, 0, 1]
 
     def test_theta_power_and_iu_star_entries(self):
         assert theta_power(2, 5).entries == (1, 4, 9, 16, 25)

@@ -504,6 +504,71 @@ class TestLazyResults:
         assert stored(f.values) == stored(eager.values)
 
 
+def per_n_distance(f, g):
+    return max(f(n).distance(g(n)) for n in range(1, f.n_max + 1))
+
+
+class TestDistance:
+    """AlgFunction.distance is the worst f(n).distance(g(n)) over n: one array
+    difference on two stacks, element by element on anything else."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 1), st.integers(1, 3), st.integers(0, 63),
+           st.data())
+    def test_stacks_match_the_per_n_distance(self, n_max, scalars, dim, bits, data):
+        # bits up to 63: int64 stacks whose bounds' sum fits, and ones whose sum leaves it
+        entries = st.lists(st.integers(-(2**bits) + 1, 2**bits - 1), min_size=dim, max_size=dim)
+        f, g = (AlgFunction(Scalar(row[0]) if scalars else DiagonalOperator(row, 1)
+                            for row in (data.draw(entries) for _ in range(n_max)))
+                for _ in range(2))
+        assert f._stack is not None and g._stack is not None
+        assert f.distance(g) == g.distance(f) == per_n_distance(f, g)
+
+    @pytest.mark.parametrize("scalars", [True, False])
+    def test_bounds_past_int64_compare_exactly(self, scalars):
+        # 2^63 - 1 against -2^62: the difference 3 * 2^62 - 1 would wrap to -2^62 - 1
+        rows = [[_INT64_MAX, 1], [-(2**62), 1]]
+        f, g = (AlgFunction([Scalar(row[0]) if scalars else DiagonalOperator(row)] * 3)
+                for row in rows)
+        assert f._stack.dtype == g._stack.dtype == np.int64
+        assert f.distance(g) == g.distance(f) == per_n_distance(f, g) == float(3 * 2**62 - 1)
+
+    def test_one_corrupted_entry_is_found(self):
+        entries = np.arange(60).reshape(12, 5) % 7 - 3
+        f = AlgFunction.diagonals(entries, 0)
+        for n, k in ((1, 0), (7, 3), (12, 4)):
+            wrong = entries.copy()
+            wrong[n - 1, k] += 4
+            assert f.distance(AlgFunction.diagonals(wrong, 0)) == 4.0
+        assert f.distance(AlgFunction([DiagonalOperator(row) for row in entries])) == 0.0
+
+    def test_dense_and_mixed_functions_take_the_element_path(self):
+        rng = np.random.default_rng(3)
+        f, g = (AlgFunction([DenseMatrix(rng.integers(-3, 4, (2, 2))) for _ in range(6)])
+                for _ in range(2))
+        assert f._stack is None and f.distance(g) == per_n_distance(f, g) > 0
+        floats = AlgFunction(map(Scalar, [0.5, 1.0, 2.0]))  # no stack: floats are elements
+        ints = AlgFunction(map(Scalar, [1, 1, 1]))
+        assert floats._stack is None and floats.distance(ints) == ints.distance(floats) == 1.0
+
+    def test_mismatched_n_max_or_kind_raises_as_check_does(self):
+        f = AlgFunction(map(Scalar, [1, 2, 3]))
+        for other, error in ((AlgFunction(map(Scalar, [1, 2])), ValueError),
+                             (AlgFunction(DiagonalOperator([v]) for v in (1, 2, 3)),
+                              ShapeMismatchError),
+                             (AlgFunction(DiagonalOperator([v], 1) for v in (1, 2, 3)),
+                              ShapeMismatchError),
+                             (AlgFunction([DenseMatrix(np.eye(1))] * 3), ShapeMismatchError)):
+            for x, y in ((f, other), (other, f)):
+                with pytest.raises(error):
+                    x._check(y)
+                with pytest.raises(error):
+                    x.distance(y)
+        diagonals = AlgFunction(DiagonalOperator([v]) for v in (1, 2, 3))
+        with pytest.raises(ShapeMismatchError):  # one kind and stack shape, another offset
+            diagonals.distance(AlgFunction(DiagonalOperator([v], 1) for v in (1, 2, 3)))
+
+
 class TestUnitary:
     def test_ones_counts_coprime_splits(self):
         f = unitary_convolve(lifted(lambda n: 1, 60), lifted(lambda n: 1, 60))

@@ -90,32 +90,35 @@ class TestPeriodRowBuilders:
         assert built.entries == expected and built.offset == offset
 
 
-def axioms_oracle(system, n_limit):
-    """verify_axioms one operator at a time: every axiom instance built
-    from ``system.projection`` diagonals, in the order I, II,
-    completeness, III at each n; the first instance with the worst
-    residual wins."""
-    def instances():
-        for n in range(1, n_limit + 1):
-            projs = [system.projection(j, n) for j in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    expected = projs[i] if i == j else projs[i].zero()
-                    yield projs[i] * projs[j], expected, ("I", n, (i, j), None)
+def axioms_instances(system, n_limit):
+    """Every axiom instance (lhs, rhs, (axiom, n, j, r)) built from
+    ``system.projection`` diagonals, in the order I, II, completeness, III
+    at each n, III from r = 1."""
+    for n in range(1, n_limit + 1):
+        projs = [system.projection(j, n) for j in range(n)]
+        for i in range(n):
             for j in range(n):
-                yield system.projection(j + n, n), projs[j], ("II", n, j, None)
-            total = projs[0].zero()
-            for p in projs:
-                total = total + p
-            yield total, system.unit(), ("completeness", n, None, None)
-            for r in range(1, 7):
-                for j in range(n):
-                    acc = projs[0].zero()
-                    for k in range(1, r + 1):
-                        acc = acc + system.projection(j + k * n, n * r)
-                    yield acc, projs[j], ("III", n, j, r)
+                expected = projs[i] if i == j else projs[i].zero()
+                yield projs[i] * projs[j], expected, ("I", n, (i, j), None)
+        for j in range(n):
+            yield system.projection(j + n, n), projs[j], ("II", n, j, None)
+        total = projs[0].zero()
+        for p in projs:
+            total = total + p
+        yield total, system.unit(), ("completeness", n, None, None)
+        for r in range(1, 7):
+            for j in range(n):
+                acc = projs[0].zero()
+                for k in range(1, r + 1):
+                    acc = acc + system.projection(j + k * n, n * r)
+                yield acc, projs[j], ("III", n, j, r)
 
-    return max(((lhs.distance(rhs), where) for lhs, rhs, where in instances()),
+
+def axioms_oracle(system, n_limit):
+    """verify_axioms one operator at a time: the first of ``axioms_instances``
+    with the worst residual wins."""
+    return max(((lhs.distance(rhs), where)
+                for lhs, rhs, where in axioms_instances(system, n_limit)),
                key=operator.itemgetter(0))
 
 
@@ -137,6 +140,25 @@ class Flipped(IdempotentSystem):
             rows = [i for i, j in enumerate(js) if j % n == residue]
             columns = slice(column, None, level) if periodic else column
             stack[rows, columns] = 1 - stack[rows, columns]
+        return stack
+
+    def projection(self, j, n):
+        return DiagonalOperator(self.projections([j], n)[0], self.offset)
+
+
+class Aperiodic(IdempotentSystem):
+    """A provider that breaks periodicity: P_j(n) with n <= j < 2n, for the
+    given level, is scaled by ``scale`` at window position ``column``."""
+
+    def __init__(self, dim, offset, level, column, scale=3):
+        super().__init__(dim, offset)
+        self.fault = level, column, scale
+
+    def projections(self, js, n):
+        stack = super().projections(js, n).copy()
+        level, column, scale = self.fault
+        if n == level:
+            stack[[n <= j < 2 * n for j in js], column] *= scale
         return stack
 
     def projection(self, j, n):
@@ -197,9 +219,34 @@ class TestVerifyAxioms:
                          data.draw(st.integers(0, dim - 1)))
         assert verify_axioms(system, n_limit) == axioms_oracle(system, n_limit)
 
+    @pytest.mark.parametrize("dim", [5, 72, 2520])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_one_call_refinement_sum_is_the_per_k_sum(self, dim, offset):
+        # axiom III's premise: rows n..(r+1)n - 1 of one call at level n r, as (r, n),
+        # hold P_{j+kn}(nr) at [k - 1, j], so their sum over k is sum_{k<=r} P_{j+kn}(nr)
+        system = IdempotentSystem(dim, offset)
+        for n in range(1, 13):
+            for r in range(2, 7):
+                one_call = system.projections(range(n, (r + 1) * n), n * r).reshape(r, n, -1)
+                per_k = sum(system.projections(range(k * n, k * n + n), n * r)
+                            for k in range(1, r + 1))
+                assert np.array_equal(one_call.sum(axis=0), per_k)
+
+    @pytest.mark.parametrize("system", [IdempotentSystem(72, 1), Aperiodic(72, 0, 5, 3),
+                                        Aperiodic(40, 1, 8, 1)])
+    def test_refinement_by_one_repeats_periodicity(self, system):
+        # III at r = 1 is sum_{k=1}^{1} P_{j+kn}(n) = P_{j+n}(n) against P_j(n), II itself:
+        # its residuals are II's, which come first in the argmax order, so
+        # verify_axioms leaves r = 1 out and places every worst case alike
+        rows = {where: lhs.distance(rhs) for lhs, rhs, where in axioms_instances(system, 12)}
+        assert [rows["III", n, j, 1] for n in range(1, 13) for j in range(n)] == [
+            rows["II", n, j, None] for n in range(1, 13) for j in range(n)]
+        assert verify_axioms(system, 12) == axioms_oracle(system, 12)
+
     def test_memory_stays_near_a_few_level_stacks(self):
         # axiom I is one n x n x dim int8 broadcast (0.36 MB at n 12, dim 2520),
-        # and every other temporary at most n x dim int64 (242 KB); the same
+        # and axiom III's largest temporary the 6n x dim int64 stack of one
+        # refinement (1.45 MB), summed over k before the next is built; the same
         # broadcast in int64 would be 2.9 MB alone
         system = IdempotentSystem(2520)
         verify_axioms(system, 12)
@@ -382,23 +429,25 @@ class TestProductLawResidual:
         assert product_law_residuals(system, [(2, 2)]) == {(2, 2): (132.0, {"k": 0, "l": 0})}
 
     def test_crt_grid_is_crt_solve(self):
-        for n in range(1, 13):
-            for m in range(1, 13):
-                lcm = math.lcm(n, m)
-                assert idempotents._crt_grid(n, m).tolist() == [
-                    [lcm if j is None else j for j in (crt_solve(k, n, l, m) for l in range(m))]
-                    for k in range(n)]
+        # every pair n, m <= 12 in one call, and the divisor-level pairs in another
+        for levels in ([(n, m) for n in range(1, 13) for m in range(1, 13)],
+                       [(n, m) for n in (1, 2, 3, 4, 6) for m in (n * 2, n * 3)]):
+            ns, ms = np.array(levels, dtype=np.int64).T
+            assert idempotents._crt_grids(ns, ms).tolist() == [
+                math.lcm(n, m) if j is None else j
+                for n, m in levels for k in range(n) for l in range(m)
+                for j in [crt_solve(k, n, l, m)]]
 
     def test_wrong_index_is_placed(self, monkeypatch):
-        real = idempotents._crt_grid
+        real = idempotents._crt_grids
 
         def wrong(n, m):  # P_5(6) is P_1(2) P_2(3); predict P_0(6)
-            grid = real(n, m)
-            if (n, m) == (2, 3):
-                grid[1, 2] = 0
-            return grid
+            grids = real(n, m)
+            assert (n[0], m[0]) == (2, 3) and grids[1 * 3 + 2] == 5  # pair (2, 3) comes first
+            grids[1 * 3 + 2] = 0
+            return grids
 
-        monkeypatch.setattr(idempotents, "_crt_grid", wrong)
+        monkeypatch.setattr(idempotents, "_crt_grids", wrong)
         assert product_law_residuals(IdempotentSystem(6), [(2, 3), (3, 2)]) == {
             (2, 3): (1.0, {"k": 1, "l": 2}), (3, 2): (0.0, {"k": 0, "l": 0})}
 

@@ -16,7 +16,8 @@ import pytest
 from idemarith import analytic, arith, convolution, idempotents, ramanujan_ops, suites
 from idemarith.algebra import DiagonalOperator, NonInvertibleError
 from idemarith.arith import divisors, factorize
-from idemarith.convolution import InverseCheckError, scalar_dirichlet, scalar_lcm, scalar_unitary
+from idemarith.convolution import (InverseCheckError, scalar_dirichlet, scalar_lcm,
+                                   scalar_table, scalar_unitary)
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
 from idemarith.suites import SUITES, _check, run_suite
@@ -31,16 +32,17 @@ def report_all():
 
 
 def wrong_crt_entry(monkeypatch, k, n, l, m, j):
-    """Make the CRT grid of levels (n, m) read j at (k, l)."""
-    real = idempotents._crt_grid
+    """Make the CRT grid of levels (n, m) read j at (k, l), in the grids of all pairs."""
+    real = idempotents._crt_grids
 
-    def wrong(*levels):
-        grid = real(*levels)
-        if levels == (n, m):
-            grid[k, l] = j
-        return grid
+    def wrong(ns, ms):
+        grids = real(ns, ms)
+        at = np.flatnonzero((ns == n) & (ms == m))
+        if at.size:
+            grids[int((ns * ms)[:at[0]].sum()) + k * m + l] = j
+        return grids
 
-    monkeypatch.setattr(idempotents, "_crt_grid", wrong)
+    monkeypatch.setattr(idempotents, "_crt_grids", wrong)
 
 
 def wrong_lcm_term(monkeypatch):
@@ -420,6 +422,43 @@ class TestRunSuite:
         assert euler["counterexample"] == {"alpha": "totient"}
         assert rows["diagonal map is an algebra map for the lcm product"]["pass"] is False
         assert sum(not row["pass"] for row in rows.values()) == 2
+
+    @pytest.mark.parametrize("alpha", ["jordan:3", "mobius"])
+    def test_one_wrong_euler_table_fails_its_own_case(self, monkeypatch, alpha):
+        # each case reads its own column of the one stacked pass: J_3 off at 7, or the
+        # sieve's mu(6) = 1 read as 0 (mu's factors are the only negative ones)
+        jordan, product = analytic._jordan_table, analytic.prime_power_product
+
+        def wrong_mu(factor, unit):
+            acc = product(factor, unit)
+            return np.where(np.arange(acc.size) == 6, 0, acc) if factor.min() < 0 else acc
+
+        if alpha == "jordan:3":
+            monkeypatch.setattr(analytic, "_jordan_table", lambda r, n_max: [
+                value + (r == 3 and n == 7) for n, value in enumerate(jordan(r, n_max), 1)])
+        else:
+            monkeypatch.setattr(analytic, "prime_power_product", wrong_mu)
+        rows = {row["identity"]: row for row in run_suite("analytic", **SMALL)["checks"]}
+        euler = rows["Euler-operator representation of totient and Jordan powers"]
+        assert euler["pass"] is False and euler["max_residual"] == 1.0
+        assert euler["counterexample"] == {"alpha": alpha}
+        # the algebra-map row reads the J_r columns alone
+        algebra_map = rows["diagonal map is an algebra map for the lcm product"]
+        assert algebra_map["pass"] is (alpha == "mobius")
+
+    def test_wrong_lcm_term_fails_the_identity_law_row_on_the_left_identity(self,
+                                                                            monkeypatch):
+        # the term (1, 6) of the lcm product reads b(5): I [] phi is off at 6 by
+        # phi(6) - phi(5), while phi [] I never reads that term
+        wrong_lcm_term(monkeypatch)
+        phi, ident = scalar_table(arith.totient, 60), [1] + [0] * 59
+        left, right = (max(abs(x - y) for x, y in zip(product, phi))
+                       for product in (scalar_lcm(ident, phi), scalar_lcm(phi, ident)))
+        assert (left, right) == (2, 0)
+        row = run_suite("convolution")["checks"][1]
+        assert row["identity"] == "identity laws and Dirichlet inverse round trip"
+        assert row["pass"] is False and row["max_residual"] == 2.0
+        assert row["counterexample"] == {"product": "lcm"}
 
     def test_failed_row_names_its_worst_case(self, monkeypatch):
         real = IdempotentSystem.projections
