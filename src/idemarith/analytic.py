@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import _INT64_MAX, DEFAULT_TOL, DiagonalOperator
-from .arith import divisors, factorize, mobius, omega, prime_power_product, prime_power_split
+from .arith import (divisors, factorize, mobius, mobius_table, omega, prime_power_product,
+                    prime_power_split)
 from .convolution import _spread, _worst_first, lehmer_sides, scalar_dirichlet, scalar_table
 from .idempotents import IdempotentSystem
 from .ramanujan_ops import LevelTable
@@ -42,7 +43,7 @@ __all__ = ["TruncatedSpace", "det_c0", "det_residuals", "euler_residuals", "iu_s
 
 
 TruncatedSpace = IdempotentSystem  # the window's former name, still used by bench/workloads.py
-_SAMPLE_ENTRIES = tuple(range(-5, 6))  # random.choices indexes a tuple faster than a range
+SAMPLE_ENTRIES = tuple(range(-5, 6))  # the entries of every random table (a tuple: fast to index)
 
 
 def _divisor_mobius(n: int) -> dict[int, int]:
@@ -207,9 +208,8 @@ def euler_residuals(n_dim: int) -> list:
     """[|P(J_r) - theta^r| for r = 1, 2, 3, then |P(mu) - diag(eps)|] on e_1..e_N,
     all 0 (sum_{d|m} J_r(d) = m^r, sum_{d|m} mu(d) = eps(m)): one Dirichlet pass
     of nu0 with the four tables, read off one sieve, as the columns of a stack."""
-    prime, power, _ = prime_power_split(n_dim)
-    mu = prime_power_product(np.where(power == prime, -1, 0), 1)[1:]
-    tables = np.column_stack([*(_jordan_table(r, n_dim) for r in (1, 2, 3)), mu])
+    tables = np.column_stack([*(_jordan_table(r, n_dim) for r in (1, 2, 3)),
+                              mobius_table(n_dim)[1:]])
     m = np.arange(1, n_dim + 1, dtype=np.int64 if n_dim**3 <= _INT64_MAX else object)
     sums = scalar_dirichlet(np.ones(tables.shape, dtype=np.int64), tables)
     return np.abs(sums - np.column_stack((m, m**2, m**3, m == 1))).max(axis=0).tolist()
@@ -228,7 +228,7 @@ def p_operator_identities(space: IdempotentSystem, n_max: int | None = None,
                          f"got pairs={pairs}, n_max={n_max}")
     n_max = min(space.dim if n_max is None else n_max, space.dim)
     rng = random.Random(seed)
-    tables = np.array([rng.choices(_SAMPLE_ENTRIES, k=n_max) for _ in range(2 * pairs)]).T
+    tables = np.array([rng.choices(SAMPLE_ENTRIES, k=n_max) for _ in range(2 * pairs)]).T
     worst = float(np.max(lehmer_sides(tables[:, 0::2], tables[:, 1::2])[2]))  # keeps a NaN
     jordan_residual = float(max(euler_residuals(n_max)[:3]))
     return {

@@ -1,15 +1,14 @@
 """Exact scalar number theory: factorization, classical multiplicative
-functions, Ramanujan sums, and even-function Fourier coefficients with
-their reconstruction residual.
+functions, Ramanujan sums, and even-function Fourier coefficients.
 
 ``prime_power_split`` is a sieve of all of 1..N at once: the largest
 prime of each n, its full power, and the rest of n.  ``prime_power_product``
 walks it to build a multiplicative table from its prime-power values, in
-numpy passes rather than one ``factorize`` per n.
+numpy passes rather than one ``factorize`` per n (``mobius_table`` is mu).
 
 Everything here is computed in exact integer or rational arithmetic and
-compared with no tolerance: the identity suites judge ``rf_residual``, which
-sums per class gcd(k, d).  Complex floats appear only in the exported S(n).
+compared with no tolerance: the identity suites judge the batched
+``ramanujan_ops.rf_residuals``.  Complex floats appear only in the exported S(n).
 """
 
 from __future__ import annotations
@@ -34,14 +33,13 @@ __all__ = [
     "jordan_totient",
     "lcm_tuple_count",
     "mobius",
+    "mobius_table",
     "nu",
     "omega",
     "prime_power_product",
     "prime_power_split",
     "ramanujan_sum",
-    "rf_residual",
     "rf_transform",
-    "rf_unnormalized",
     "tau",
     "totient",
 ]
@@ -133,6 +131,12 @@ def prime_power_product(factor: np.ndarray, unit) -> np.ndarray:
         lo, hi = 2**j, min(2 ** (j + 1), n_max + 1)
         acc[lo:hi] = acc[rest[lo:hi]] * factor[lo:hi]
     return acc
+
+
+def mobius_table(n_max: int) -> np.ndarray:
+    """int64 mu(n), n = 0..n_max (mu(0) = 0): mu(p^a) = -[a = 1] off the sieve."""
+    prime, power, _ = prime_power_split(n_max)
+    return prime_power_product(np.where(power == prime, -1, 0), 1)
 
 
 def mobius(n: int) -> int:
@@ -244,8 +248,7 @@ class RFCoefficients:
     ``orthogonal`` reconstructs: alpha(n) = sum_{r|d} a(r) c_r(n).
     ``unnormalized`` is the double-sum form R(alpha)(r) = sum_{delta|d}
     alpha(d/delta) c_delta(d/r), which works out to d times the
-    orthogonal coefficients; both are exposed, and ``rf_residual``
-    measures both the factor of d and the reconstruction.
+    orthogonal coefficients; both are exposed.
     """
 
     modulus: int
@@ -253,35 +256,16 @@ class RFCoefficients:
     orthogonal: dict = field(hash=False)
 
 
-def rf_unnormalized(alpha: EvenFunction) -> dict:
-    """The un-normalized coefficients R(alpha)(r), r | d, of ``rf_transform``."""
-    d = alpha.modulus
-    divs = divisors(d)
-    return {r: sum(alpha(d // delta) * ramanujan_sum(delta, d // r) for delta in divs)
-            for r in divs}
-
-
 def rf_transform(alpha: EvenFunction) -> RFCoefficients:
     """Both Ramanujan-Fourier coefficient normalizations of an even function, the
     orthogonal sum over k = 1..d taken once per class g = gcd(k, d), times phi(d/g)."""
     d, divs = alpha.modulus, divisors(alpha.modulus)
+    unnormalized = {r: sum(alpha(d // delta) * ramanujan_sum(delta, d // r) for delta in divs)
+                    for r in divs}
     orthogonal = {
         r: Fraction(sum(totient(d // g) * alpha(g) * ramanujan_sum(r, g) for g in divs),
                     d * totient(r))
         for r in divs
     }
-    return RFCoefficients(d, rf_unnormalized(alpha), orthogonal)
+    return RFCoefficients(d, unnormalized, orthogonal)
 
-
-def rf_residual(alpha: EvenFunction):
-    """The worst of |unnormalized(r) - d * orthogonal(r)| over r | d and of
-    the reconstruction error |sum_{r|d} unnormalized(r) c_r(n) - d alpha(n)|
-    over n = 1..d, in integers at one n per class gcd(n, d); exactly 0 on exact values.
-    """
-    coeffs = rf_transform(alpha)
-    d, divs = alpha.modulus, divisors(alpha.modulus)
-    return max(
-        max(abs(coeffs.unnormalized[r] - d * coeffs.orthogonal[r]) for r in divs),
-        max(abs(sum(coeffs.unnormalized[r] * ramanujan_sum(r, g) for r in divs) - d * alpha(g))
-            for g in divs),
-    )

@@ -7,22 +7,24 @@ same map for every window and every j, so each identity of level n is
 decided on its classes, in exact integers.  ``level_table(L)`` lists the
 classes g | n of every level n <= L from the Dirichlet term index of
 ``convolution``, with mu(n/g) and Hoelder's c_n(g) = mu(n/g) phi(n)/phi(n/g)
-(mu and phi from one ``prime_power_split`` sieve).  A level identity is one
-array pass of segmented sums over a prefix of it, giving its residual at
-every level n <= n_max: ``scalar_residuals``, ``operator_residuals``,
-``transform_residuals`` and ``orthogonality_residuals``.  Sums of powers of
-eps_n are taken in F_q, through the ring map eps_n -> omega of order n
-(``_roots_mod``): ``root_sums`` sums every level's units in one gather for
-two passes, and ``root_sum_residual`` one level's over a window.  The
-tests keep each pass's per-level form as its oracle.
+(mu and phi from one sieve), and ``class_table(L)`` with the divisor formula's
+c_n(g).  A level identity is one array pass of segmented sums over a prefix
+of one, giving its residual at every level n <= n_max: ``scalar_residuals``,
+``operator_residuals``, ``transform_residuals`` and ``orthogonality_residuals``;
+``rf_residuals`` and ``even_residuals`` take even functions, one matrix per
+modulus.  Sums of powers of eps_n are taken in F_q, through the ring map
+eps_n -> omega of order n (``_roots_mod``): ``root_sums`` sums every level's
+units in one gather for two passes, and ``root_sum_residual`` one level's
+over a window.  The tests keep each pass's per-level or per-sample form as its oracle.
 ``OperatorFamily(dim, offset)`` builds S(n) (in floats), C_j(n) and
 T_{r,j}(n) on an ``IdempotentSystem`` window, and ``family`` the stack of
-P_j, C_j or T_{n,j} over levels 1..K, C from one ``ramanujan_sum`` per class.
+P_j, C_j or T_{n,j} over levels 1..K, C read off a class table.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import NamedTuple
@@ -30,14 +32,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DiagonalOperator
-from .arith import (EvenFunction, divisors, factorize, prime_power_product, prime_power_split,
-                    ramanujan_sum, rf_unnormalized, tau)
+from .arith import (divisors, factorize, mobius_table, prime_power_product, prime_power_split,
+                    ramanujan_sum, tau, totient)
 from .convolution import _blocks, _index, _spread, _worst_first
 from .idempotents import IdempotentSystem
 
-__all__ = ["LevelTable", "OperatorFamily", "even_function_identity", "level_table",
-           "operator_residuals", "orthogonality_residuals", "root_sum_residual", "root_sums",
-           "scalar_residuals", "transform_residuals"]
+__all__ = ["LevelTable", "OperatorFamily", "class_table", "even_residuals", "level_table",
+           "operator_residuals", "orthogonality_residuals", "rf_residuals", "root_sum_residual",
+           "root_sums", "scalar_residuals", "transform_residuals"]
 
 
 class LevelTable(NamedTuple):
@@ -69,11 +71,19 @@ def level_table(n_max: int) -> LevelTable:
         raise ValueError("level n must be positive")
     left, right, starts = _index("dirichlet", n_max)
     prime, power, _ = prime_power_split(n_max)
-    mu = prime_power_product(np.where(power == prime, -1, 0), 1)
-    phi = prime_power_product(power - power // prime, 1)
+    mu, phi = mobius_table(n_max), prime_power_product(power - power // prime, 1)
     n, cofactor = np.repeat(np.arange(1, n_max + 1), np.diff(starts)), right + 1
     return LevelTable(starts.astype(np.int64), n, left.astype(np.int64) + 1, mu[cofactor],
                       mu[cofactor] * phi[n] // phi[cofactor])
+
+
+def class_table(n_max: int) -> LevelTable:
+    """``level_table(n_max)`` with c_n(g) by the divisor formula sum_{e|g} e mu(n/e),
+    one term per divisor e of g: the Dirichlet term row of g."""
+    levels, (left, _, starts) = level_table(n_max), _index("dirichlet", n_max)
+    entry, k, first = _spread(np.diff(starts)[levels.g - 1])
+    e = left[starts[levels.g[entry] - 1] + k].astype(np.int64) + 1
+    return levels._replace(c=np.add.reduceat(e * mobius_table(n_max)[levels.n[entry] // e], first))
 
 
 @lru_cache(maxsize=64)
@@ -129,14 +139,12 @@ def root_sums(levels: LevelTable) -> tuple[np.ndarray, np.ndarray]:
     return sums % q, q
 
 
-def scalar_residuals(levels: LevelTable, sums: tuple, n_max: int) -> np.ndarray:
+def scalar_residuals(levels: LevelTable, sums: tuple, table: LevelTable, n_max: int) -> np.ndarray:
     """Per level n <= n_max, the worst disagreement at its classes g of c_n(g)
-    three ways, pairwise: the table's (Hoelder's; mu(n) at g = 1, phi(n) at
-    g = n), ``ramanujan_sum``'s (the divisor formula) and the ``root_sums``."""
+    three ways, pairwise: the levels' (Hoelder's; mu(n) at g = 1, phi(n) at
+    g = n), the divisor formula's (``table``, a ``class_table``) and the ``root_sums``."""
     top = levels.starts[n_max]
-    s, q, c = sums[0][:top], sums[1][:top], levels.c[:top]
-    divisor = np.array([ramanujan_sum(n, g) for n, g in zip(levels.n[:top].tolist(),
-                                                          levels.g[:top].tolist())])
+    s, q, c, divisor = sums[0][:top], sums[1][:top], levels.c[:top], table.c[:top]
     return np.maximum.reduceat(np.maximum.reduce([_fq(s, q, divisor), abs(c - divisor),
                                                   _fq(s, q, c)]), levels.starts[:n_max])
 
@@ -208,13 +216,51 @@ def orthogonality_residuals(levels: LevelTable, n_max: int) -> tuple[np.ndarray,
                         levels.starts[:n_max])
 
 
-def even_function_identity(alpha: EvenFunction) -> int:
-    """Residual of sum_{r|n} alpha(n/r) C_j(r) = sum_{r|n} R(alpha)(r) T_{r,j}(n)
-    at n = alpha.modulus, R un-normalized (double-sum), in Python ints at each
-    class g: sum_{r|n} alpha(n/r) c_r(g) against R(alpha)(n/g)."""
-    n, coeffs = alpha.modulus, rf_unnormalized(alpha)
-    return max(abs(sum(alpha(n // r) * ramanujan_sum(r, g) for r in divisors(n)) - coeffs[n // g])
-               for g in divisors(n))
+def _by_modulus(classes: LevelTable, alphas: list):
+    """(samples, d, a, c, phi) per modulus d of alphas: row s of a is alpha(g), g | d
+    ascending, of its s-th sample, c[r, g] = c_r(gcd(r, g)) off classes, phi(r), r | d."""
+    for d in dict.fromkeys(alpha.modulus for alpha in alphas):
+        at = [s for s, alpha in enumerate(alphas) if alpha.modulus == d]
+        divs = classes.g[classes.starts[d - 1]:classes.starts[d]]
+        c = classes.c[classes.at(divs[:, None], np.gcd(divs[:, None], divs))]
+        a = np.array([[alphas[s].values[g] for g in divs.tolist()] for s in at], dtype=np.int64)
+        yield at, d, a, c, [totient(r) for r in divs.tolist()]
+
+
+def _transforms(a: np.ndarray, c: np.ndarray, phi: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a: R(alpha)(r) = sum_{delta|d} alpha(d/delta) c_delta(d/r), r | d, and
+    the orthogonal numerators sum_{g|d} phi(d/g) alpha(g) c_r(g) = d phi(r) a(r)."""
+    return (a[:, ::-1] @ c)[:, ::-1], (a * phi[::-1]) @ c.T
+
+
+def _worst_quotients(x: np.ndarray, phi: list) -> list:
+    """Per row of |x|, its largest |x| / phi as a Fraction, or 0 when the row is 0."""
+    return [max(map(Fraction, row, phi)) if any(row) else 0 for row in abs(x).tolist()]
+
+
+def rf_residuals(classes: LevelTable, alphas: list) -> list:
+    """Per integer-valued even function in alphas, moduli within classes, the worst
+    |R(alpha)(r) - d a(r)|, r | d, and |sum_{r|d} R(alpha)(r) c_r(g) - d alpha(g)|, g | d:
+    R(alpha), the numerators and the reconstruction are one matrix product each."""
+    residuals = [0] * len(alphas)
+    for at, d, a, c, phi in _by_modulus(classes, alphas):
+        coeffs, numerators = _transforms(a, c, phi)
+        rebuilt = abs(coeffs @ c - d * a).max(axis=1).tolist()
+        for s, off, miss in zip(at, _worst_quotients(coeffs * phi - numerators, phi), rebuilt):
+            residuals[s] = max(off, miss)
+    return residuals
+
+
+def even_residuals(classes: LevelTable, alphas: list) -> list:
+    """Per even function in alphas, as ``rf_residuals`` takes them, the worst residual of
+    sum_{r|d} alpha(d/r) C_j(r) = sum_{r|d} R(alpha)(r) T_{r,j}(d) at the classes g | d,
+    R(alpha)(d/g) taken as d a(d/g): the double sum is the left side again, term by term."""
+    residuals = [0] * len(alphas)
+    for at, _, a, c, phi in _by_modulus(classes, alphas):
+        left, right = a[:, ::-1] @ c, _transforms(a, c, phi)[1][:, ::-1]  # d phi(d/g) a(d/g)
+        for s, off in zip(at, _worst_quotients(left * phi[::-1] - right, phi[::-1])):
+            residuals[s] = off
+    return residuals
 
 
 def _ramanujan_classes(n: int, g: np.ndarray) -> np.ndarray:
@@ -238,14 +284,14 @@ class OperatorFamily(IdempotentSystem):
         return DiagonalOperator.periodic(lambda k: _ramanujan_classes(n, np.gcd(k, n)),
                                          n, j, self.dim, self.offset)
 
-    def family(self, j: int, n_max: int, kind: str) -> np.ndarray:
+    def family(self, j: int, n_max: int, kind: str, table: LevelTable | None = None) -> np.ndarray:
         """The int64 stack (n_max, dim) whose row n - 1 is P_j(n), C_j(n) or
         T_{n,j}(n), by kind "P", "C" or "T": at e_m, [g = n], c_n(g) or [g = 1]
-        of its class g = gcd(m - j, n)."""
+        of its class g = gcd(m - j, n), c_n(g) off a class table of n_max levels or more."""
         levels = np.arange(1, n_max + 1).reshape(-1, 1)
         g = np.gcd(np.arange(self.offset, self.offset + self.dim) - j, levels)
         if kind == "C":
-            return np.vstack([_ramanujan_classes(n, row) for n, row in enumerate(g, 1)])
+            return table.c[table.at(levels, g)]
         return (g == (levels if kind == "P" else 1)).astype(np.int64)
 
     def t_operator(self, r: int, j: int, n: int) -> DiagonalOperator:

@@ -13,11 +13,12 @@ row alone.  An erratum whose data raises carries the "error" instead.
 The six level rows (scalar Ramanujan, operator identities, orthogonality,
 transform pair, determinant, trace) read the passes of ``ramanujan_ops``
 and ``analytic`` over prefixes of one ``level_table`` of the levels up to
-min(n_max, TOP_LEVEL), and two of them one ``root_sums``: ``run_suite``
-builds each once per run.  The trace and determinant rows take N = 1..n at
-each level n, which decides every N (both sides add or multiply over a
-period).  Every other operator entry depends only on the basis index mod
-its level, so a window as long as the period of each equation a row
+min(n_max, TOP_LEVEL), two of them one ``root_sums``, and the scalar,
+C-family and even-function rows one ``class_table``: ``run_suite`` builds
+each once per run.  The trace and determinant rows take N = 1..n at each
+level n, which decides every N (both sides add or multiply over a period).
+Every other operator entry depends only on the basis index mod its level,
+so a window as long as the period of each equation a row
 compares decides it on the whole basis: lcm(n, m) for a product law,
 6 n_limit for the axioms (levels n r, r <= 6), K for a multiplicativity row
 on levels 1..K (coprime pairs nm <= K).  Those five rows report the
@@ -25,8 +26,8 @@ requested dim under "dim" and min(dim, period) under "window"; the
 product-law and weighted rows report their window under "dim".  The CRT
 product law is decided for all its level pairs in one call, and each
 multiplicativity row on its family's (K, window) stack.  The algebra-law,
-Lehmer and algebra-map rows stack their random tables as columns: a
-product call serves all cases, each its column.  The growth row bounds
+Lehmer and algebra-map rows stack their random tables as columns, the
+even-function rows as rows, one matrix per modulus.  The growth row bounds
 P(alpha) in integers, the IU* row compares m P(mu * nu_k)(m) with 1 in
 integers, the Euler row is one stacked pass, and the identity-law row
 compares whole functions.
@@ -47,15 +48,15 @@ import numpy as np
 
 from . import analytic
 from .algebra import DenseMatrix, Scalar, operator_norm
-from .arith import EvenFunction, divisors, epsilon, lcm_tuple_count, rf_residual, totient
+from .arith import EvenFunction, divisors, epsilon, lcm_tuple_count, totient
 from .convolution import (AlgFunction, dirichlet_convolve, dirichlet_identity, dirichlet_inverse,
                           is_multiplicative, lcm_convolve, lehmer_sides, scalar_dirichlet,
                           scalar_lcm, scalar_table, scalar_unitary, unitary_convolve)
 from .idempotents import (IdempotentSystem, product_law_residuals, verify_axioms,
                           weighted_product_identities)
-from .ramanujan_ops import (OperatorFamily, even_function_identity, level_table,
-                            operator_residuals, orthogonality_residuals, root_sum_residual,
-                            root_sums, scalar_residuals, transform_residuals)
+from .ramanujan_ops import (OperatorFamily, class_table, even_residuals, level_table,
+                            operator_residuals, orthogonality_residuals, rf_residuals,
+                            root_sum_residual, root_sums, scalar_residuals, transform_residuals)
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -117,7 +118,7 @@ def _multiplicativity(f: AlgFunction):
     return f(n * m).distance(f(n) * f(m)), {"n": n, "m": m}
 
 
-@functools.lru_cache(maxsize=1)  # run_suite clears this and _root_sums: one build each per run
+@functools.lru_cache(maxsize=1)  # run_suite clears this, _root_sums and _classes: one build each
 def _levels(n_max: int):
     return level_table(min(n_max, TOP_LEVEL))
 
@@ -125,6 +126,11 @@ def _levels(n_max: int):
 @functools.lru_cache(maxsize=1)
 def _root_sums(n_max: int):
     return root_sums(_levels(n_max))
+
+
+@functools.lru_cache(maxsize=1)
+def _classes(n_max: int):
+    return class_table(max(min(n_max, TOP_LEVEL), 48))  # 48: the largest rf modulus
 
 
 def _random_even(rng: random.Random, d: int) -> EvenFunction:
@@ -178,7 +184,7 @@ def _suite_ramanujan(n_max, dim):
     ops = OperatorFamily(min(dim, mult_cap))
     n_scalar = min(n_max, TOP_LEVEL)
     scalar = functools.cache(lambda: scalar_residuals(_levels(n_max), _root_sums(n_max),
-                                                      n_scalar))
+                                                      _classes(n_max), n_scalar))
     operators = functools.cache(lambda: operator_residuals(_levels(n_max), _root_sums(n_max),
                                                            n_cap))
     return [
@@ -192,7 +198,8 @@ def _suite_ramanujan(n_max, dim):
                {"n_max": mult_cap, "dim": dim, "window": ops.dim, "j": [0, 1, 5]},
                [(j, kind) for j in (0, 1, 5) for kind in "CT"],
                lambda j, kind: _multiplicativity(
-                   AlgFunction.diagonals(ops.family(j, mult_cap, kind), ops.offset))),
+                   AlgFunction.diagonals(ops.family(j, mult_cap, kind, _classes(n_max)),
+                                         ops.offset))),
     ], []
 
 
@@ -206,6 +213,7 @@ def _suite_transforms(n_max, dim):
         return [_random_even(rng, d)
                 for d in moduli + rng.choices(moduli, k=samples - len(moduli))]
 
+    rf = functools.cache(lambda: rf_residuals(_classes(n_max), alphas()))
     n_orth, n_pair = min(n_max, 100), min(n_max, 30)
     orthogonality = functools.cache(lambda: orthogonality_residuals(_levels(n_max), n_orth))
     pair = functools.cache(lambda: transform_residuals(_levels(n_max), n_pair))
@@ -214,7 +222,7 @@ def _suite_transforms(n_max, dim):
                "factor-of-d between normalizations",
                {"samples": samples, "max_modulus": max(moduli)},
                [(sample,) for sample in range(samples)],
-               lambda sample: rf_residual(alphas()[sample])),
+               lambda sample: rf()[sample]),
         _check("Ramanujan sum orthogonality", {"n_max": n_orth},
                [(n,) for n in range(1, n_orth + 1)],
                lambda n: (orthogonality()[0][n - 1], {"l": int(orthogonality()[1][n - 1])})),
@@ -235,21 +243,23 @@ def _suite_even_identity(n_max, dim):
     samples = [(n, sample) for n in moduli for sample in range(5)]
 
     @functools.cache
-    def alphas():
+    def residuals():
         rng = random.Random(SEED)
-        return {(n, sample): _random_even(rng, n) for n, sample in samples}
+        alphas = [_random_even(rng, n) for n, _ in samples]
+        return dict(zip(samples, even_residuals(_classes(n_max), alphas)))
 
     return [
         _check("even-function expansion over Ramanujan operators",
                {"moduli": moduli, "samples": len(samples)}, samples,
-               lambda n, sample: even_function_identity(alphas()[n, sample])),
+               lambda n, sample: residuals()[n, sample]),
     ], []
 
 
 def _suite_convolution(n_max, dim):
     rng = random.Random(SEED)
     n_assoc = min(n_max, 60)
-    triples = [[rng.choices(range(-5, 6), k=n_assoc) for _ in range(3)] for _ in range(3)]
+    triples = [[rng.choices(analytic.SAMPLE_ENTRIES, k=n_assoc) for _ in range(3)]
+               for _ in range(3)]
     a, b, c = (np.array(tables).T for tables in zip(*triples))  # column j: sample j
     scalar_products = {"dirichlet": scalar_dirichlet, "lcm": scalar_lcm,
                        "unitary": scalar_unitary}
@@ -272,7 +282,7 @@ def _suite_convolution(n_max, dim):
         return max(prod(f, ident).distance(f), prod(ident, f).distance(f))
 
     lehmer_n, lehmer_pairs = 200, 10
-    tables = np.array([rng.choices(range(-5, 6), k=lehmer_n)
+    tables = np.array([rng.choices(analytic.SAMPLE_ENTRIES, k=lehmer_n)
                        for _ in range(2 * lehmer_pairs)]).T  # alpha, beta of each pair
     lehmer = functools.cache(lambda: lehmer_sides(tables[:, 0::2], tables[:, 1::2])[2])
 
@@ -431,8 +441,8 @@ def run_suite(name: str, n_max: int = 60, dim: int = 2520) -> dict:
     for param, value in (("n_max", n_max), ("dim", dim)):
         if value < 1:
             raise ValueError(f"{param} must be at least 1, got {value}")
-    _levels.cache_clear()
-    _root_sums.cache_clear()
+    for table in (_levels, _root_sums, _classes):
+        table.cache_clear()
     checks: list[dict] = []
     errata: list[dict] = []
     for runner in _RUNNERS[name]:

@@ -35,9 +35,14 @@ package because nothing in it calls them:
 - ``s_power_sum`` is sum over k in ks of eps_n^{-jk} S(n)^k from powers of
   ``s_operator(n)`` in complex floats, the oracle of the exact F_q sums of
   ``ramanujan_ops.root_sum_residual``;
+- ``rf_residual`` and ``even_function_identity`` decide one even function in
+  Python ints and Fractions, one class gcd(k, d) at a time, the per-sample
+  oracles of ``ramanujan_ops.rf_residuals`` and ``even_residuals``.  They
+  read ``rf_transform`` and ``ramanujan_sum`` through ``arith``, so a patched
+  one reaches them;
 - ``rf_transform_per_k`` and ``rf_residual_per_k`` sum over k = 1..d and
   compare at every n = 1..d, the oracles of ``arith.rf_transform`` and
-  ``rf_residual``, which take one k or n per class gcd(k, d);
+  ``rf_residual``;
 - ``euler_power_residual`` is |P(J_r) - theta^r| for one r, from the diagonals
   ``p_operator`` and ``theta_power`` build, the oracle of the stacked pass
   ``analytic.euler_residuals``;
@@ -56,12 +61,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from idemarith import analytic, ramanujan_ops
+from idemarith import analytic, arith, ramanujan_ops
 from idemarith.algebra import (_INT64_MAX, DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar,
                                _store, element_text, invert, is_idempotent)
 from idemarith.analytic import det_c0_unsigned_form, iu_star, p_operator, theta_power
 from idemarith.arith import (RFCoefficients, divisors, factorize, lcm_tuple_count, mobius, nu,
-                             omega, ramanujan_sum, rf_unnormalized, tau, totient)
+                             omega, ramanujan_sum, tau, totient)
 from idemarith.convolution import (AlgFunction, InverseCheckError, _blocks, _index, _product,
                                    dirichlet_convolve, lcm_convolve, scalar_dirichlet,
                                    scalar_lcm, scalar_table, scalar_unitary, unitary_convolve)
@@ -404,13 +409,35 @@ def s_power_sum(fam, j: int, n: int, ks) -> DiagonalOperator:
     return total
 
 
+def rf_residual(alpha):
+    """The worst of |unnormalized(r) - d * orthogonal(r)| over r | d and of the
+    reconstruction error |sum_{r|d} unnormalized(r) c_r(n) - d alpha(n)| at one n
+    per class gcd(n, d), of ``arith.rf_transform``'s coefficients."""
+    coeffs = arith.rf_transform(alpha)
+    d, divs = alpha.modulus, divisors(alpha.modulus)
+    return max(
+        max(abs(coeffs.unnormalized[r] - d * coeffs.orthogonal[r]) for r in divs),
+        max(abs(sum(coeffs.unnormalized[r] * arith.ramanujan_sum(r, g) for r in divs)
+                - d * alpha(g)) for g in divs),
+    )
+
+
+def even_function_identity(alpha):
+    """Residual of sum_{r|n} alpha(n/r) C_j(r) = sum_{r|n} R(alpha)(r) T_{r,j}(n) at
+    n = alpha.modulus, at each class g: sum_{r|n} alpha(n/r) c_r(g) against
+    R(alpha)(n/g), taken as n times ``arith.rf_transform``'s orthogonal coefficient."""
+    n, coeffs = alpha.modulus, arith.rf_transform(alpha).orthogonal
+    return max(abs(sum(alpha(n // r) * arith.ramanujan_sum(r, g) for r in divisors(n))
+                   - n * coeffs[n // g]) for g in divisors(n))
+
+
 def rf_transform_per_k(alpha) -> RFCoefficients:
     """``arith.rf_transform`` with its orthogonal sum taken over every k = 1..d."""
     d = alpha.modulus
     orthogonal = {r: Fraction(1, d * totient(r))
                   * sum(alpha(k) * ramanujan_sum(r, k) for k in range(1, d + 1))
                   for r in divisors(d)}
-    return RFCoefficients(d, rf_unnormalized(alpha), orthogonal)
+    return RFCoefficients(d, arith.rf_transform(alpha).unnormalized, orthogonal)
 
 
 def rf_residual_per_k(alpha, coeffs: RFCoefficients | None = None):

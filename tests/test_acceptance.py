@@ -36,7 +36,7 @@ from idemarith.convolution import (
 )
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
-from oracle_forms import product_law
+from oracle_forms import even_function_identity, product_law
 
 
 def _report(num: int, label: str, ok: bool):
@@ -129,7 +129,7 @@ def test_criterion_5_even_function_identity():
     for i in range(20):
         n = moduli[i % len(moduli)]
         alpha = EvenFunction(n, {r: int(rng.integers(-9, 10)) for r in divisors(n)})
-        worst = max(worst, ramanujan_ops.even_function_identity(alpha))
+        worst = max(worst, even_function_identity(alpha))
     _report(
         5,
         f"even-function expansion identity, 20 random samples, every j "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from idemarith import analytic
+from idemarith import analytic, arith
 from idemarith.algebra import DiagonalOperator, ShapeMismatchError
 from idemarith.analytic import (
     det_c0,
@@ -305,14 +305,14 @@ class TestPOperator:
             p_operator(mu).distance(eps)] == [0, 0, 0, 0]
 
     def test_stacked_euler_pass_places_a_wrong_mobius_value(self, monkeypatch):
-        # mu(6) = 1 read as 0 by the sieve: P(mu) is off by 1 at every multiple of 6
-        real = analytic.prime_power_product
+        # mu(6) = 1 read as 0 by the sieve: P(mu) is off by 1 at every multiple of 6.
+        # arith's product serves mobius_table alone, the J_r tables never
+        real = arith.prime_power_product
 
-        def wrong(factor, unit):  # only mu's factors are negative, the J_r's never
-            acc = real(factor, unit)
-            return np.where(np.arange(acc.size) == 6, 0, acc) if factor.min() < 0 else acc
+        def wrong(factor, unit):
+            return np.where(np.arange(len(factor)) == 6, 0, real(factor, unit))
 
-        monkeypatch.setattr(analytic, "prime_power_product", wrong)
+        monkeypatch.setattr(arith, "prime_power_product", wrong)
         assert euler_residuals(5) == [0, 0, 0, 0]
         assert euler_residuals(6) == euler_residuals(64) == [0, 0, 0, 1]
 

@@ -27,12 +27,11 @@ from idemarith.arith import (
     prime_power_product,
     prime_power_split,
     ramanujan_sum,
-    rf_residual,
     rf_transform,
     tau,
     totient,
 )
-from oracle_forms import crt_solve, rf_residual_per_k, rf_transform_per_k
+from oracle_forms import crt_solve, rf_residual, rf_residual_per_k, rf_transform_per_k
 
 
 def root_of_unity_sum(n, j):

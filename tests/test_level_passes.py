@@ -1,7 +1,7 @@
 """The level passes of ``ramanujan_ops`` and ``analytic`` against their
-per-level oracles in ``oracle_forms``, the level table against the scalar
-functions, faults that each pass must see, and how often a run builds its
-tables.
+per-level oracles in ``oracle_forms``, the level and class tables against
+the scalar functions, faults that each pass must see, and how often a run
+builds its tables.
 
 ``assert_passes_match_oracles(n_max)`` is the comparison at one n-max; the
 tests run it up to 200, and CI at 1000.
@@ -14,9 +14,9 @@ import pytest
 
 import oracle_forms
 from idemarith import analytic, arith, ramanujan_ops, suites
-from idemarith.ramanujan_ops import (OperatorFamily, level_table, operator_residuals,
-                                     orthogonality_residuals, root_sums, scalar_residuals,
-                                     transform_residuals)
+from idemarith.ramanujan_ops import (OperatorFamily, class_table, level_table,
+                                     operator_residuals, orthogonality_residuals, root_sums,
+                                     scalar_residuals, transform_residuals)
 from idemarith.suites import run_suite
 
 ROWS = ("scalar", "operators", "transforms", "orthogonality", "trace", "det")
@@ -28,12 +28,18 @@ def first_worst(residuals):
     return worst, residuals.index(worst) + 1
 
 
-def pass_rows(levels, n_max):
+def divisor_formula(n_max):
+    """c_n(g) of ``ramanujan_sum`` at every class g | n of every level n <= n_max."""
+    return [arith.ramanujan_sum(n, g) for n in range(1, n_max + 1) for g in arith.divisors(n)]
+
+
+def pass_rows(levels, n_max, classes=None):
     """Each row's (residual, location) at every level n <= n_max, from its pass
-    over the table levels; the determinant from level 2, as its oracle."""
-    sums = root_sums(levels)
+    over the table levels (and classes, by default ``class_table(n_max)``); the
+    determinant from level 2, as its oracle."""
+    sums, classes = root_sums(levels), class_table(n_max) if classes is None else classes
     return {
-        "scalar": [(int(x), None) for x in scalar_residuals(levels, sums, n_max)],
+        "scalar": [(int(x), None) for x in scalar_residuals(levels, sums, classes, n_max)],
         "operators": [(int(x), None) for x in operator_residuals(levels, sums, n_max)],
         "transforms": [(int(x), None) for x in transform_residuals(levels, n_max)],
         "orthogonality": [(int(x), int(l))
@@ -74,11 +80,13 @@ def failed_levels(n_max):
 
 def assert_passes_match_oracles(n_max: int):
     """Every pass equals its per-level oracle at every level n <= n_max, in
-    residual and location, and every residual is 0."""
+    residual and location, and every residual is 0; and the class table is
+    ``ramanujan_sum`` at every class of those levels."""
     got, expected = pass_rows(level_table(n_max), n_max), oracle_rows(n_max)
     for row in ROWS:
         assert got[row] == expected[row], row
         assert {residual for residual, _ in got[row]} <= {0}, row
+    assert class_table(n_max).c.tolist() == divisor_formula(n_max)
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +114,9 @@ def test_passes_match_the_oracles_at_n_max_200():
 
 @pytest.mark.parametrize("n0, g0, delta", [(12, 4, 1), (30, 6, -2), (7, 1, 3), (16, 16, 1)])
 def test_passes_and_oracles_see_a_wrong_class_value_alike(monkeypatch, n0, g0, delta):
-    # c_{n0}(g0) off by delta in the level table, in ramanujan_sum (which builds the
-    # oracles' class tables) and in the one-period c_n rows of trace_table and det_table
+    # c_{n0}(g0) off by delta in the level and class tables, in ramanujan_sum (which
+    # builds the oracles' class tables) and in the one-period c_n rows of trace_table
+    # and det_table
     def wrong_sum(r, x):
         return arith.ramanujan_sum(r, x) + delta * ((r, math.gcd(x % r, r)) == (n0, g0))
 
@@ -123,10 +132,11 @@ def test_passes_and_oracles_see_a_wrong_class_value_alike(monkeypatch, n0, g0, d
     monkeypatch.setattr(analytic, "_c_period", wrong_period)
     oracle_forms._divisor_tables.cache_clear()  # tables built from the wrong c
     try:
-        levels = level_table(40)
-        c = levels.c.copy()
-        c[levels.at(n0, g0)] += delta
-        got, expected = pass_rows(levels._replace(c=c), 40), oracle_rows(40)
+        levels, classes = level_table(40), class_table(40)
+        wrong = [table._replace(c=table.c.copy()) for table in (levels, classes)]
+        for table in wrong:
+            table.c[table.at(n0, g0)] += delta
+        got, expected = pass_rows(wrong[0], 40, wrong[1]), oracle_rows(40)
     finally:
         oracle_forms._divisor_tables.cache_clear()
     assert got == expected
@@ -144,6 +154,13 @@ class TestLevelTable:
         assert levels.c.tolist() == [arith.ramanujan_sum(m, d) for m, d in zip(n, g)]
         assert levels.mu.tolist() == [arith.mobius(m // d) for m, d in zip(n, g)]
         assert levels.at(levels.n, levels.g).tolist() == list(range(len(n)))
+
+    @pytest.mark.parametrize("n_max", [1, 200])
+    def test_class_table_is_the_divisor_formula(self, n_max):
+        classes, levels = class_table(n_max), level_table(n_max)
+        assert classes.c.tolist() == divisor_formula(n_max)
+        for field in ("starts", "n", "g", "mu"):
+            assert getattr(classes, field).tolist() == getattr(levels, field).tolist()
 
     @pytest.mark.parametrize("n_max", [1, 2, 12, 61])
     def test_classes_list_every_k_of_every_level(self, n_max):
@@ -237,18 +254,35 @@ class TestFaultsFailTheirRows:
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_a_wrong_divisor_formula_alone_fails_the_scalar_row(self, monkeypatch, delta):
-        # ramanujan_sum off at c_12(4) alone: the table and the root sums still agree,
-        # so of the level rows only the comparison with the divisor formula can see
-        # it (C_12 built entry by entry from it breaks its family's multiplicativity)
-        def wrong(n, x):
-            return arith.ramanujan_sum(n, x) + delta * ((n, math.gcd(x, n)) == (12, 4))
+        # the class table off at c_12(4) alone: the level table and the root sums still
+        # agree, so of the level rows only the comparison with the divisor formula can
+        # see it (C_12 gathered from the class table breaks its family's multiplicativity)
+        def wrong(n_max):
+            classes = class_table(n_max)
+            c = classes.c.copy()
+            c[classes.at(12, 4)] += delta
+            return classes._replace(c=c)
 
-        monkeypatch.setattr(ramanujan_ops, "ramanujan_sum", wrong)
+        monkeypatch.setattr(suites, "class_table", wrong)
         failed = [row for row in run_suite("ramanujan", n_max=12)["checks"] if not row["pass"]]
         assert [row["identity"] for row in failed] == [
             "scalar Ramanujan sums vs root-of-unity oracle",
             "multiplicativity of operator families"]
         assert failed[0]["max_residual"] == 1.0 and failed[0]["counterexample"] == {"n": 12}
+
+    def test_one_wrong_mobius_value_fails_the_scalar_row(self, monkeypatch):
+        # mu(6) = 1 read as 0 by the one sieve that the level table's Hoelder values and
+        # the class table's divisor formula share: they still agree where they both
+        # weigh mu(6), at (6, 1) by 0 in place of 1, but the root sums do not
+        real = arith.prime_power_product
+        monkeypatch.setattr(arith, "prime_power_product", lambda factor, unit: np.where(
+            np.arange(len(factor)) == 6, 0, real(factor, unit)))
+        assert arith.mobius_table(12)[1:].tolist() == [
+            0 if n == 6 else arith.mobius(n) for n in range(1, 13)]
+        assert failed_levels(12)["scalar"] == [6, 12]
+        row = run_suite("ramanujan", n_max=12)["checks"][0]
+        assert row["identity"] == "scalar Ramanujan sums vs root-of-unity oracle"
+        assert (row["max_residual"], row["counterexample"]) == (2.0, {"n": 12})
 
     @pytest.mark.parametrize("field, pair, value, rows", [
         # a value at the pair (class (n, g), r) = ((12, 4), r) of _class_pairs
@@ -292,7 +326,8 @@ class TestFaultsFailTheirRows:
 
 def test_a_run_builds_its_level_table_and_root_sums_once(monkeypatch):
     # every level row reads one table and two of them one set of root sums; the
-    # scalar row's 200 levels would overrun any per-level cache of 64
+    # scalar row's 200 levels would overrun any per-level cache of 64.  The class
+    # table serves the scalar, C-family and even-function rows, to level 48 at least
     built = []
 
     def spy(name, real):
@@ -301,8 +336,20 @@ def test_a_run_builds_its_level_table_and_root_sums_once(monkeypatch):
             return real(arg)
         monkeypatch.setattr(suites, name, counted)
 
-    spy("level_table", suites.level_table)
-    spy("root_sums", suites.root_sums)
-    for _ in range(2):
-        assert run_suite("all", n_max=200)["pass"] is True
-    assert built == [("level_table", 200), ("root_sums", 200)] * 2
+    for name in ("level_table", "root_sums", "class_table"):
+        spy(name, getattr(suites, name))
+    for n_max in (200, 200, 12):
+        assert run_suite("all", n_max=n_max)["pass"] is True
+    assert built == [("level_table", 200), ("root_sums", 200), ("class_table", 200)] * 2 + [
+        ("level_table", 12), ("root_sums", 12), ("class_table", 48)]
+
+
+def test_a_run_makes_no_ramanujan_sum_call(monkeypatch):
+    # every class value a run reads comes from the level table, the class table or the
+    # root sums; ramanujan_sum stays the scalar API and the tests' oracle
+    def refused(n, j):
+        raise AssertionError(f"ramanujan_sum({n}, {j}) called")
+
+    for module in (arith, ramanujan_ops):
+        monkeypatch.setattr(module, "ramanujan_sum", refused)
+    assert run_suite("all")["pass"] is True

@@ -2,24 +2,27 @@
 
 import cmath
 import math
+import random
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idemarith import ramanujan_ops, suites
+from idemarith import arith, ramanujan_ops, suites
 from idemarith.algebra import DiagonalOperator, is_idempotent
 from idemarith.arith import (EvenFunction, divisors, factorize, mobius, ramanujan_sum,
-                             rf_transform, tau)
+                             rf_transform, tau, totient)
 from idemarith.convolution import AlgFunction, is_multiplicative
-from idemarith.ramanujan_ops import OperatorFamily, even_function_identity, root_sum_residual
+from idemarith.ramanujan_ops import OperatorFamily, class_table, root_sum_residual
 from idemarith.suites import run_suite
 import oracle_forms
 from oracle_forms import (c_operator_constructions, c_t_transforms, element_from_json,
-                          element_to_json, orthogonality_residual, ramanujan_orthogonality,
-                          root_of_unity_residual, s_power_sum, t_decomposition, t_top_identities)
+                          element_to_json, even_function_identity, orthogonality_residual,
+                          ramanujan_orthogonality, rf_residual, root_of_unity_residual,
+                          s_power_sum, t_decomposition, t_top_identities)
 
 
 # The divisor-family identities one operator at a time, from c_operator,
@@ -89,7 +92,8 @@ def c_t_transforms_oracle(fam, j, n):
 
 
 def even_identity_oracle(fam, alpha, j, n):
-    coeffs = rf_transform(alpha).unnormalized
+    # R(alpha)(r) as n times the orthogonal coefficient, as even_function_identity takes it
+    coeffs = {r: n * x for r, x in rf_transform(alpha).orthogonal.items()}
     lhs = fam.c_operator(j, n).zero()
     rhs = lhs
     for r in divisors(n):
@@ -358,7 +362,7 @@ class TestDivisorStacks:
         # C_j(n) or T_{n,j}(n) as its element builder makes it, and as the
         # definitions give it at each e_m: [m = j (mod n)], c_n(m - j), [gcd(m - j, n) = 1]
         fam = OperatorFamily(dim, offset)
-        stacks = {kind: fam.family(j, 30, kind) for kind in "PCT"}
+        stacks = {kind: fam.family(j, 30, kind, class_table(30)) for kind in "PCT"}
         window = range(offset, offset + dim)
         for kind, build, entry in (
                 ("P", lambda n: fam.projection(j, n), lambda n, x: int(x % n == 0)),
@@ -370,7 +374,8 @@ class TestDivisorStacks:
                                              for n in range(1, 31)]
 
     def test_c_operator_and_the_c_stack_read_one_value_per_class(self, monkeypatch):
-        # c_n(g) is asked of ramanujan_sum once per class (n, g) the window meets
+        # c_operator asks ramanujan_sum for c_n(g) once per class (n, g) the window
+        # meets; the C stack asks it nothing, and reads each class's entry of the table
         calls = []
         monkeypatch.setattr(ramanujan_ops, "ramanujan_sum",
                             lambda n, g: calls.append((n, g)) or ramanujan_sum(n, g))
@@ -378,8 +383,11 @@ class TestDivisorStacks:
         fam.c_operator(5, 12)
         assert sorted(calls) == [(12, g) for g in divisors(12)]
         calls.clear()
-        fam.family(5, 30, "C")
-        assert sorted(calls) == [(n, g) for n in range(1, 31) for g in divisors(n)]
+        classes = class_table(48)
+        entries = fam.family(5, 30, "C", classes._replace(c=np.arange(len(classes.c))))
+        assert calls == []
+        for n, row in enumerate(entries.tolist(), 1):
+            assert sorted(set(row)) == list(range(classes.starts[n - 1], classes.starts[n]))
 
     @settings(max_examples=40, deadline=None)
     @given(levels)
@@ -456,6 +464,105 @@ class TestEvenFunctionIdentity:
     def test_trivial_modulus(self):
         alpha = EvenFunction(1, {1: 3})
         assert even_function_identity(alpha) == 0
+
+
+def random_evens(d, count, seed=1):
+    rng = random.Random(seed)
+    return [EvenFunction(d, {r: rng.randint(-9, 9) for r in divisors(d)}) for _ in range(count)]
+
+
+class TestBatchedEvenPasses:
+    """rf_residuals and even_residuals, one matrix product per modulus, against the
+    per-sample oracles rf_residual and even_function_identity, value for value."""
+
+    def test_intact_samples_of_mixed_moduli(self):
+        alphas = [alpha for d in (48, 1, 6, 12, 6, 40) for alpha in random_evens(d, 2, d)]
+        classes = class_table(48)
+        assert ramanujan_ops.rf_residuals(classes, alphas) == [0] * len(alphas)
+        assert ramanujan_ops.even_residuals(classes, alphas) == [0] * len(alphas)
+        assert [rf_residual(alpha) for alpha in alphas] == [0] * len(alphas)
+        assert [even_function_identity(alpha) for alpha in alphas] == [0] * len(alphas)
+
+    @pytest.mark.parametrize("d", [1, 6, 12, 24])
+    def test_one_wrong_class_value(self, d):
+        # c_r(g) off by delta at one class of one level r | d: the table for the passes,
+        # ramanujan_sum for the oracles.  At the class g' = d/r the expansion's two sides
+        # weigh it by alpha(d/r) and by sum alpha(h) phi(d/h) / phi(r) over the h | d with
+        # gcd(r, h) = g, and at every other g' only its left side reads it: so it is blind
+        # to it only when that h is d/r alone, as for c_d(1) = mu(d)
+        alphas, classes = random_evens(d, 3), class_table(48)
+        for r in divisors(d):
+            for g in divisors(r):
+                for delta in (1, -7):
+                    c = classes.c.copy()
+                    c[classes.at(r, g)] += delta
+
+                    def wrong(q, x):
+                        return ramanujan_sum(q, x) + delta * ((q, math.gcd(x % q, q)) == (r, g))
+
+                    with mock.patch.object(arith, "ramanujan_sum", wrong):
+                        rf = [rf_residual(alpha) for alpha in alphas]
+                        even = [even_function_identity(alpha) for alpha in alphas]
+                    assert ramanujan_ops.rf_residuals(classes._replace(c=c), alphas) == rf
+                    assert ramanujan_ops.even_residuals(classes._replace(c=c), alphas) == even
+                    blind = [h for h in divisors(d) if math.gcd(r, h) == g] == [d // r]
+                    assert max(rf) > 0 and (max(even) == 0) == blind, (r, g, delta)
+
+    @pytest.mark.parametrize("d", [6, 12, 48])
+    @pytest.mark.parametrize("field", [0, 1])
+    @pytest.mark.parametrize("delta", [1, -3])
+    def test_one_wrong_coefficient(self, monkeypatch, d, field, delta):
+        # R(alpha)(r) (field 0) or d phi(r) a(r) (field 1) off by delta at one r | d:
+        # the second leaves a residual delta / phi(r), a Fraction where phi(r) > 1
+        alphas, classes = random_evens(d, 3), class_table(48)
+        real_transform, real_pass = rf_transform, ramanujan_ops._transforms
+        for i, r in enumerate(divisors(d)):
+            def wrong_transform(alpha):
+                coeffs = real_transform(alpha)
+                if field:
+                    coeffs.orthogonal[r] += Fraction(delta, d * totient(r))
+                else:
+                    coeffs.unnormalized[r] += delta
+                return coeffs
+
+            def wrong_pass(a, c, phi):
+                sums = [x.copy() for x in real_pass(a, c, phi)]
+                sums[field][:, i] += delta
+                return tuple(sums)
+
+            monkeypatch.setattr(arith, "rf_transform", wrong_transform)
+            rf = [rf_residual(alpha) for alpha in alphas]
+            even = [even_function_identity(alpha) for alpha in alphas]
+            monkeypatch.setattr(ramanujan_ops, "_transforms", wrong_pass)
+            assert ramanujan_ops.rf_residuals(classes, alphas) == rf
+            assert ramanujan_ops.even_residuals(classes, alphas) == even
+            assert min(rf) >= abs(delta) / totient(r) > 0
+            assert even == ([Fraction(abs(delta), totient(r))] * len(alphas) if field else [0] * 3)
+            monkeypatch.undo()
+
+    def test_one_wrong_class_value_fails_this_row(self, monkeypatch):
+        # the expansion row compares its left side, summed over c_r(g), with R(alpha)
+        # taken from the orthogonal coefficients (the double-sum R(alpha) would be the
+        # left side again): each class value its moduli 4, 6, 12 and 24 read, off by 7,
+        # fails it, but c_24(1) = mu(24), which both sides weigh by alpha(1) alone
+        real, passed = suites.class_table, []
+        for r in divisors(24):
+            for g in divisors(r):
+                def wrong(n_max):
+                    classes = real(n_max)
+                    c = classes.c.copy()
+                    c[classes.at(r, g)] += 7
+                    return classes._replace(c=c)
+
+                monkeypatch.setattr(suites, "class_table", wrong)
+                (row,) = run_suite("even-identity")["checks"]
+                if row["pass"]:
+                    passed.append((r, g))
+                else:
+                    assert row["max_residual"] > 0
+        assert passed == [(24, 1)]
+        monkeypatch.undo()
+        assert run_suite("even-identity")["pass"] is True
 
 
 def is_prime(q):

@@ -200,21 +200,25 @@ class TestRunSuite:
         assert report["errata"] == report_all["errata"]
 
     def test_wrong_transform_at_modulus_six_fails_the_rf_row_alone(self, monkeypatch):
-        # the row samples every listed modulus, 6 among them, before its random draws
-        real = arith.rf_transform
+        # the row samples every listed modulus, 6 among them, before its random draws;
+        # R(alpha)(1) off by one in the batched pass, whose phi(r), r | 6, are 1, 1, 2, 2.
+        # The expansion row reads only the orthogonal numerators of the transform
+        real = ramanujan_ops._transforms
 
-        def wrong(alpha):
-            coeffs = real(alpha)
-            if alpha.modulus == 6:
-                coeffs.unnormalized[1] += 1
-            return coeffs
+        def wrong(a, c, phi):
+            coeffs, numerators = real(a, c, phi)
+            if phi == [1, 1, 2, 2]:
+                coeffs = coeffs.copy()
+                coeffs[:, 0] += 1
+            return coeffs, numerators
 
-        monkeypatch.setattr(arith, "rf_transform", wrong)
+        monkeypatch.setattr(ramanujan_ops, "_transforms", wrong)
         report = run_suite("all", **SMALL)
         (row,) = [row for row in report["checks"] if not row["pass"]]
         assert row["identity"] == ("even-function Fourier coefficients: reconstruction and "
                                    "factor-of-d between normalizations")
         assert row["counterexample"] == {"sample": 4}  # moduli (1, 2, 3, 4, 6, ...)
+        assert row["max_residual"] == 1.0
 
     @pytest.mark.parametrize("name", SUITES)
     @pytest.mark.parametrize("param", ["n_max", "dim"])
@@ -397,8 +401,8 @@ class TestRunSuite:
         # (2, 3), needs levels up to 6 even at n-max 5
         real = OperatorFamily.family
 
-        def scaled(self, j, n_max, kind):
-            stack = real(self, j, n_max, kind).copy()
+        def scaled(self, j, n_max, kind, classes=None):
+            stack = real(self, j, n_max, kind, classes).copy()
             stack[1:] *= 3 if kind == "P" else 7
             return stack
 
@@ -426,18 +430,17 @@ class TestRunSuite:
     @pytest.mark.parametrize("alpha", ["jordan:3", "mobius"])
     def test_one_wrong_euler_table_fails_its_own_case(self, monkeypatch, alpha):
         # each case reads its own column of the one stacked pass: J_3 off at 7, or the
-        # sieve's mu(6) = 1 read as 0 (mu's factors are the only negative ones)
-        jordan, product = analytic._jordan_table, analytic.prime_power_product
+        # sieve's mu(6) = 1 read as 0 (arith's product serves mobius_table alone)
+        jordan, product = analytic._jordan_table, arith.prime_power_product
 
         def wrong_mu(factor, unit):
-            acc = product(factor, unit)
-            return np.where(np.arange(acc.size) == 6, 0, acc) if factor.min() < 0 else acc
+            return np.where(np.arange(len(factor)) == 6, 0, product(factor, unit))
 
         if alpha == "jordan:3":
             monkeypatch.setattr(analytic, "_jordan_table", lambda r, n_max: [
                 value + (r == 3 and n == 7) for n, value in enumerate(jordan(r, n_max), 1)])
         else:
-            monkeypatch.setattr(analytic, "prime_power_product", wrong_mu)
+            monkeypatch.setattr(arith, "prime_power_product", wrong_mu)
         rows = {row["identity"]: row for row in run_suite("analytic", **SMALL)["checks"]}
         euler = rows["Euler-operator representation of totient and Jordan powers"]
         assert euler["pass"] is False and euler["max_residual"] == 1.0
