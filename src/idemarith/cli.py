@@ -8,11 +8,10 @@ period of c_k; an export's text is built once and its newline written after it.
 
 Exit codes: 0 all checks pass (at residual exactly 0), 1 identity failure,
 2 usage error or a closed stdout.  The truncation dimension is --dim, 2520
-by default.  For ``check`` it is the truncation of the axioms and
-family-multiplicativity checks, which run on its first min(dim, 6 n_limit)
-or min(dim, K) entries, K the family's largest level, and report both.
-For ``export`` it is the length of the exported operator, theta and IU*
-from ``analytic``.
+by default.  For ``check`` it is the truncation of the axioms check, which
+runs on its first min(dim, 6 n_limit) entries and reports both.  For
+``export`` it is the length of the exported operator, theta and IU* from
+``analytic``.
 """
 
 from __future__ import annotations
@@ -229,7 +228,7 @@ _COMMANDS = {
         ("suite", dict(choices=SUITES)),
         ("--n-max", dict(type=_n_max, default=60, help="Largest level checked.")),
         ("--dim", dict(type=int, default=DEFAULT_DIM, help="Truncation dimension of the axioms "
-                       "and family-multiplicativity checks.")), _OUT]),
+                       "check.")), _OUT]),
     "export": (cmd_export, [
         ("spec", dict(metavar="SPEC")),
         ("--dim", dict(type=int, default=DEFAULT_DIM, help="Truncation dimension.")),

@@ -32,8 +32,7 @@ operation has one stack path and one element path.  A product runs on the
 stacks when the rule holds on their bound columns, whose sums are the
 bounds the per-element sums would carry; a distance (the worst f(n)
 against g(n)) is one array difference, in int64 while the bounds' sum fits.
-A product's result, an inverse on the stack path, and
-``AlgFunction.diagonals`` of an (N, dim) array hold the stack alone:
+A product's result and an inverse on the stack path hold the stack alone:
 ``values`` is built on its first read, and f(n) from row n - 1.
 
 Cost on a table of size N: the Dirichlet product has the sum of tau(n)
@@ -273,11 +272,6 @@ class AlgFunction:
             return map(Scalar, stack[:, 0].tolist())
         return (DiagonalOperator(_Stored(row[:-1], bound), self._offset)
                 for row, bound in zip(stack, stack[:, -1].tolist()))
-
-    @classmethod
-    def diagonals(cls, entries: np.ndarray, offset: int) -> "AlgFunction":
-        """n -> the diagonal on e_offset.. whose entries are row n - 1 of an int64 array."""
-        return cls._of(np.column_stack((entries, np.abs(entries).max(axis=1))), offset)
 
     @property
     def values(self) -> tuple:

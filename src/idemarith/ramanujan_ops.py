@@ -7,18 +7,18 @@ same map for every window and every j, so each identity of level n is
 decided on its classes, in exact integers.  ``level_table(L)`` lists the
 classes g | n of every level n <= L from the Dirichlet term index of
 ``convolution``, with mu(n/g) and Hoelder's c_n(g) = mu(n/g) phi(n)/phi(n/g)
-(mu and phi from one sieve), and ``class_table(L)`` with the divisor formula's
-c_n(g).  A level identity is one array pass of segmented sums over a prefix
-of one, giving its residual at every level n <= n_max: ``scalar_residuals``,
+(mu and phi from one sieve), and ``class_table(levels)`` with the divisor
+formula's c_n(g).  A level identity is one array pass of segmented sums over a
+prefix of one, giving its residual at every level n <= n_max: ``scalar_residuals``,
 ``operator_residuals``, ``transform_residuals`` and ``orthogonality_residuals``;
-``rf_residuals`` and ``even_residuals`` take even functions, one matrix per
-modulus.  Sums of powers of eps_n are taken in F_q, through the ring map
-eps_n -> omega of order n (``_roots_mod``): ``root_sums`` sums every level's
-units in one gather for two passes, and ``root_sum_residual`` one level's
-over a window.  The tests keep each pass's per-level or per-sample form as its oracle.
+``family_residuals`` takes the class pairs of every coprime split nm <= n_max, and
+``rf_residuals`` and ``even_residuals`` even functions, one matrix per modulus.
+Sums of powers of eps_n are taken in F_q, through the ring map eps_n -> omega of
+order n (``_roots_mod``): ``root_sums`` sums every level's units in one gather
+for two passes, and ``root_sum_residual`` one level's over a window.  The tests
+keep each pass's per-level, per-split or per-sample form as its oracle.
 ``OperatorFamily(dim, offset)`` builds S(n) (in floats), C_j(n) and
-T_{r,j}(n) on an ``IdempotentSystem`` window, and ``family`` the stack of
-P_j, C_j or T_{n,j} over levels 1..K, C read off a class table.
+T_{r,j}(n) on an ``IdempotentSystem`` window.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .arith import (divisors, factorize, mobius_table, prime_power_product, prim
 from .convolution import _blocks, _index, _spread, _worst_first
 from .idempotents import IdempotentSystem
 
-__all__ = ["LevelTable", "OperatorFamily", "class_table", "even_residuals", "level_table",
-           "operator_residuals", "orthogonality_residuals", "rf_residuals", "root_sum_residual",
-           "root_sums", "scalar_residuals", "transform_residuals"]
+__all__ = ["LevelTable", "OperatorFamily", "class_table", "even_residuals", "family_residuals",
+           "level_table", "operator_residuals", "orthogonality_residuals", "rf_residuals",
+           "root_sum_residual", "root_sums", "scalar_residuals", "transform_residuals"]
 
 
 class LevelTable(NamedTuple):
@@ -77,12 +77,12 @@ def level_table(n_max: int) -> LevelTable:
                       mu[cofactor] * phi[n] // phi[cofactor])
 
 
-def class_table(n_max: int) -> LevelTable:
-    """``level_table(n_max)`` with c_n(g) by the divisor formula sum_{e|g} e mu(n/e),
-    one term per divisor e of g: the Dirichlet term row of g."""
-    levels, (left, _, starts) = level_table(n_max), _index("dirichlet", n_max)
+def class_table(levels: LevelTable) -> LevelTable:
+    """``levels`` with c_n(g) by the divisor formula sum_{e|g} e mu(n/e), one term
+    per divisor e of g: the classes of level g, mu off its own sieve."""
+    starts, n_max = levels.starts, len(levels.starts) - 1
     entry, k, first = _spread(np.diff(starts)[levels.g - 1])
-    e = left[starts[levels.g[entry] - 1] + k].astype(np.int64) + 1
+    e = levels.g[starts[levels.g[entry] - 1] + k]
     return levels._replace(c=np.add.reduceat(e * mobius_table(n_max)[levels.n[entry] // e], first))
 
 
@@ -216,6 +216,26 @@ def orthogonality_residuals(levels: LevelTable, n_max: int) -> tuple[np.ndarray,
                         levels.starts[:n_max])
 
 
+def family_residuals(classes: LevelTable, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, m, residuals) per split nm <= n_max of the unitary index, 2 <= n < m, and
+    1 = 1 * 1: rows P, C, T of residuals hold the worst |f_nm(G) - f_n(gcd(G, n)) f_m(gcd(G, m))|
+    over the classes G | nm of f_n(g) = [g = n], c_n(g) off ``classes`` and [g = 1], the
+    entries of P_j(n), C_j(n) and T_{n,j}(n) at their class g.  Every basis index meets
+    one class G, so a family is multiplicative for every j and window iff its row is 0."""
+    left, right, _ = _index("unitary", n_max)
+    keep = (0 < left) & (left < right) | (left + right == 0)
+    n, m = left[keep] + 1, right[keep] + 1
+    split, k, first = _spread(np.diff(classes.starts)[n * m - 1])
+    x, y = n[split], m[split]
+    g = classes.g[classes.starts[x * y - 1] + k]
+
+    def entries(level, g):
+        return np.array([g == level, classes.c[classes.at(level, g)], g == 1], dtype=np.int64)
+
+    residual = abs(entries(x * y, g) - entries(x, np.gcd(g, x)) * entries(y, np.gcd(g, y)))
+    return n, m, np.maximum.reduceat(residual, first, axis=1)
+
+
 def _by_modulus(classes: LevelTable, alphas: list):
     """(samples, d, a, c, phi) per modulus d of alphas: row s of a is alpha(g), g | d
     ascending, of its s-th sample, c[r, g] = c_r(gcd(r, g)) off classes, phi(r), r | d."""
@@ -283,16 +303,6 @@ class OperatorFamily(IdempotentSystem):
         """C_j(n) on the exact path: entry at basis index m is c_n(m - j)."""
         return DiagonalOperator.periodic(lambda k: _ramanujan_classes(n, np.gcd(k, n)),
                                          n, j, self.dim, self.offset)
-
-    def family(self, j: int, n_max: int, kind: str, table: LevelTable | None = None) -> np.ndarray:
-        """The int64 stack (n_max, dim) whose row n - 1 is P_j(n), C_j(n) or
-        T_{n,j}(n), by kind "P", "C" or "T": at e_m, [g = n], c_n(g) or [g = 1]
-        of its class g = gcd(m - j, n), c_n(g) off a class table of n_max levels or more."""
-        levels = np.arange(1, n_max + 1).reshape(-1, 1)
-        g = np.gcd(np.arange(self.offset, self.offset + self.dim) - j, levels)
-        if kind == "C":
-            return table.c[table.at(levels, g)]
-        return (g == (levels if kind == "P" else 1)).astype(np.int64)
 
     def t_operator(self, r: int, j: int, n: int) -> DiagonalOperator:
         """T_{r,j}(n): the 0/1 diagonal selecting basis indices m with

@@ -13,19 +13,19 @@ row alone.  An erratum whose data raises carries the "error" instead.
 The six level rows (scalar Ramanujan, operator identities, orthogonality,
 transform pair, determinant, trace) read the passes of ``ramanujan_ops``
 and ``analytic`` over prefixes of one ``level_table`` of the levels up to
-min(n_max, TOP_LEVEL), two of them one ``root_sums``, and the scalar,
-C-family and even-function rows one ``class_table``: ``run_suite`` builds
-each once per run.  The trace and determinant rows take N = 1..n at each
-level n, which decides every N (both sides add or multiply over a period).
-Every other operator entry depends only on the basis index mod its level,
-so a window as long as the period of each equation a row
-compares decides it on the whole basis: lcm(n, m) for a product law,
-6 n_limit for the axioms (levels n r, r <= 6), K for a multiplicativity row
-on levels 1..K (coprime pairs nm <= K).  Those five rows report the
-requested dim under "dim" and min(dim, period) under "window"; the
-product-law and weighted rows report their window under "dim".  The CRT
-product law is decided for all its level pairs in one call, and each
-multiplicativity row on its family's (K, window) stack.  The algebra-law,
+max(min(n_max, TOP_LEVEL), 48), two of them one ``root_sums``, and the scalar,
+even-function and multiplicativity rows its ``class_table``: ``run_suite``
+builds each once per run.  The four multiplicativity rows read one
+``family_residuals`` pass, which decides every j and window on the coprime
+splits nm <= max(min(n_max, TOP_LEVEL), 6), each naming its worst split.  The
+trace and determinant rows take N = 1..n at each level n, which decides every N
+(both sides add or multiply over a period).  Every other operator entry
+depends only on the basis index mod its level, so a window of one period of
+each equation a row compares decides it on the whole basis: lcm(n, m) for a
+product law, 6 n_limit for the axioms (levels n r, r <= 6), which report dim
+under "dim" and min(dim, 6 n_limit) under "window"; the product-law and
+weighted rows report their window under "dim".  The CRT product law is decided
+for all its level pairs in one call.  The algebra-law,
 Lehmer and algebra-map rows stack their random tables as columns, the
 even-function rows as rows, one matrix per modulus.  The growth row bounds
 P(alpha) in integers, the IU* row compares m P(mu * nu_k)(m) with 1 in
@@ -50,11 +50,11 @@ from . import analytic
 from .algebra import DenseMatrix, Scalar, operator_norm
 from .arith import EvenFunction, divisors, epsilon, lcm_tuple_count, totient
 from .convolution import (AlgFunction, dirichlet_convolve, dirichlet_identity, dirichlet_inverse,
-                          is_multiplicative, lcm_convolve, lehmer_sides, scalar_dirichlet,
-                          scalar_lcm, scalar_table, scalar_unitary, unitary_convolve)
+                          lcm_convolve, lehmer_sides, scalar_dirichlet, scalar_lcm, scalar_table,
+                          scalar_unitary, unitary_convolve)
 from .idempotents import (IdempotentSystem, product_law_residuals, verify_axioms,
                           weighted_product_identities)
-from .ramanujan_ops import (OperatorFamily, class_table, even_residuals, level_table,
+from .ramanujan_ops import (class_table, even_residuals, family_residuals, level_table,
                             operator_residuals, orthogonality_residuals, rf_residuals,
                             root_sum_residual, root_sums, scalar_residuals, transform_residuals)
 
@@ -108,19 +108,13 @@ def _erratum(note: dict, data) -> dict:
         return {**note, "error": _error(exc)}
 
 
-def _multiplicativity(f: AlgFunction):
-    """is_multiplicative as a residual: the distance of f(nm) from f(n) f(m)
-    at its counterexample (n, m), or 0 when it finds none."""
-    ok, where = is_multiplicative(f, 0)
-    if ok:
-        return 0.0
-    n, m = where
-    return f(n * m).distance(f(n) * f(m)), {"n": n, "m": m}
+def _family_levels(n_max: int) -> int:
+    return max(min(n_max, TOP_LEVEL), 6)  # 6 = 2 * 3, the first coprime split
 
 
-@functools.lru_cache(maxsize=1)  # run_suite clears this, _root_sums and _classes: one build each
+@functools.lru_cache(maxsize=1)  # run_suite clears the four tables: one build of each
 def _levels(n_max: int):
-    return level_table(min(n_max, TOP_LEVEL))
+    return level_table(max(min(n_max, TOP_LEVEL), 48))  # 48: the largest rf modulus
 
 
 @functools.lru_cache(maxsize=1)
@@ -130,7 +124,16 @@ def _root_sums(n_max: int):
 
 @functools.lru_cache(maxsize=1)
 def _classes(n_max: int):
-    return class_table(max(min(n_max, TOP_LEVEL), 48))  # 48: the largest rf modulus
+    return class_table(_levels(n_max))
+
+
+@functools.lru_cache(maxsize=1)
+def _families(n_max: int) -> dict:
+    """Per family, "P", "C" or "T", its worst residual over the coprime splits of
+    ``family_residuals`` and the first split (n, m) that holds it."""
+    n, m, residuals = family_residuals(_classes(n_max), _family_levels(n_max))
+    return {kind: (int(row.max()), {"n": int(n[row.argmax()]), "m": int(m[row.argmax()])})
+            for kind, row in zip("PCT", residuals)}
 
 
 def _random_even(rng: random.Random, d: int) -> EvenFunction:
@@ -151,13 +154,10 @@ def _suite_axioms(n_max, dim):
                lambda n: root_sum_residual(range(n), np.arange(n), n,
                                            n * IdempotentSystem(n).projections([0], n)[0])),
     ]
-    proj_mult_max = max(min(n_max, 32), 6)  # 6 = 2 * 3, the first coprime pair
-    ops = OperatorFamily(min(dim, proj_mult_max))
-    for j in (0, 1, 5):
+    for j in (0, 1, 5):  # one pass decides every j
         rows.append(_check("projection family multiplicativity",
-                           {"j": j, "n_max": proj_mult_max, "dim": dim, "window": ops.dim},
-                           [()], lambda: _multiplicativity(AlgFunction.diagonals(
-                               ops.family(j, proj_mult_max, "P"), ops.offset))))
+                           {"j": j, "n_max": _family_levels(n_max)}, [()],
+                           lambda: _families(n_max)["P"]))
     return rows, []
 
 
@@ -180,8 +180,6 @@ def _suite_product_law(n_max, dim):
 
 def _suite_ramanujan(n_max, dim):
     n_cap = min(n_max, 30)
-    mult_cap = max(n_cap, 6)  # as for the projection families
-    ops = OperatorFamily(min(dim, mult_cap))
     n_scalar = min(n_max, TOP_LEVEL)
     scalar = functools.cache(lambda: scalar_residuals(_levels(n_max), _root_sums(n_max),
                                                       _classes(n_max), n_scalar))
@@ -195,11 +193,8 @@ def _suite_ramanujan(n_max, dim):
                {"n_max": n_cap}, [(n,) for n in range(1, n_cap + 1)],
                lambda n: operators()[n - 1]),
         _check("multiplicativity of operator families",
-               {"n_max": mult_cap, "dim": dim, "window": ops.dim, "j": [0, 1, 5]},
-               [(j, kind) for j in (0, 1, 5) for kind in "CT"],
-               lambda j, kind: _multiplicativity(
-                   AlgFunction.diagonals(ops.family(j, mult_cap, kind, _classes(n_max)),
-                                         ops.offset))),
+               {"n_max": _family_levels(n_max), "j": [0, 1, 5]}, [(kind,) for kind in "CT"],
+               lambda kind: _families(n_max)[kind]),
     ], []
 
 
@@ -441,7 +436,7 @@ def run_suite(name: str, n_max: int = 60, dim: int = 2520) -> dict:
     for param, value in (("n_max", n_max), ("dim", dim)):
         if value < 1:
             raise ValueError(f"{param} must be at least 1, got {value}")
-    for table in (_levels, _root_sums, _classes):
+    for table in (_levels, _root_sums, _classes, _families):
         table.cache_clear()
     checks: list[dict] = []
     errata: list[dict] = []

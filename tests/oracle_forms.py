@@ -12,6 +12,11 @@ package because nothing in it calls them:
 - ``is_multiplicative_loop`` is the definition of multiplicativity, one
   coprime pair and factor order at a time, the oracle of
   ``convolution.is_multiplicative``;
+- ``family`` is the (K, dim) int64 stack of P_j(n), C_j(n) or T_{n,j}(n),
+  n = 1..K, on a window, read at each entry's class off a class table, on
+  which ``is_multiplicative`` is the oracle of
+  ``ramanujan_ops.family_residuals``; ``family_residuals_loop`` is that pass
+  one coprime split and class at a time, from ``ramanujan_sum``;
 - ``ramanujan_orthogonality`` is sum_{r|n} c_n(n/r) c_r(l) at one l, the
   oracle of ``orthogonality_residual``, which sums per class;
 - ``root_of_unity_residual``, ``c_operator_constructions``,
@@ -283,6 +288,29 @@ def is_multiplicative_loop(f, tol: float = DEFAULT_TOL):
         if not f(n * m).isclose(f(n) * f(m), tol):
             return False, (n, m)
     return True, None
+
+
+def family(j: int, n_max: int, kind: str, table, dim: int, offset: int = 0) -> np.ndarray:
+    """The int64 stack (n_max, dim) on e_offset.. whose row n - 1 is P_j(n), C_j(n) or
+    T_{n,j}(n), by kind "P", "C" or "T": at e_m, [g = n], c_n(g) or [g = 1] of its class
+    g = gcd(m - j, n), c_n(g) off ``table``, a class table of n_max levels or more."""
+    levels = np.arange(1, n_max + 1).reshape(-1, 1)
+    g = np.gcd(np.arange(offset, offset + dim) - j, levels)
+    if kind == "C":
+        return table.c[table.at(levels, g)]
+    return (g == (levels if kind == "P" else 1)).astype(np.int64)
+
+
+def family_residuals_loop(n_max: int) -> tuple[list, list, list]:
+    """(n, m, rows): ``ramanujan_ops.family_residuals`` one coprime split (n, m),
+    nm <= n_max, and one class G | nm at a time, in the pass's order (nm, then n),
+    with c_n(g) from ``ramanujan_sum``: rows P, C and T, each per split."""
+    splits = [(n, big // n) for big in range(1, n_max + 1) for n in divisors(big)
+              if 1 < n < big // n and math.gcd(n, big // n) == 1 or big == 1]
+    families = (lambda n, g: int(g == n), ramanujan_ops.ramanujan_sum, lambda n, g: int(g == 1))
+    rows = [[max(abs(f(n * m, g) - f(n, math.gcd(g, n)) * f(m, math.gcd(g, m)))
+                 for g in divisors(n * m)) for n, m in splits] for f in families]
+    return [n for n, _ in splits], [m for _, m in splits], rows
 
 
 def dirichlet_inverse_objects(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:

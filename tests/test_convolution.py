@@ -457,6 +457,12 @@ def view(x):
     return x.value if isinstance(x, Scalar) else (x.entries, x.offset)
 
 
+def stacked(entries: np.ndarray, offset: int) -> AlgFunction:
+    """n -> the diagonal on e_offset.. of row n - 1 of an int64 array, held as
+    that array and its bounds alone, as a product's result on the stack path is."""
+    return AlgFunction._of(np.column_stack((entries, abs(entries).max(axis=1))), offset)
+
+
 class TestLazyResults:
     """A result on the stack path holds its stack alone and builds elements
     only when read: each read gives what the function built eagerly from the
@@ -498,7 +504,7 @@ class TestLazyResults:
 
     def test_diagonals_hold_the_stack_held_builds(self):
         entries = np.array([[1, 0, -3], [2, 2, 0]])
-        f = AlgFunction.diagonals(entries, 1)
+        f = stacked(entries, 1)
         eager = AlgFunction([DiagonalOperator(row, 1) for row in entries.tolist()])
         assert f._values is None and np.array_equal(f._stack, eager._stack)
         assert stored(f.values) == stored(eager.values)
@@ -535,11 +541,11 @@ class TestDistance:
 
     def test_one_corrupted_entry_is_found(self):
         entries = np.arange(60).reshape(12, 5) % 7 - 3
-        f = AlgFunction.diagonals(entries, 0)
+        f = stacked(entries, 0)
         for n, k in ((1, 0), (7, 3), (12, 4)):
             wrong = entries.copy()
             wrong[n - 1, k] += 4
-            assert f.distance(AlgFunction.diagonals(wrong, 0)) == 4.0
+            assert f.distance(stacked(wrong, 0)) == 4.0
         assert f.distance(AlgFunction([DiagonalOperator(row) for row in entries])) == 0.0
 
     def test_dense_and_mixed_functions_take_the_element_path(self):

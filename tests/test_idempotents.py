@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from idemarith import convolution, idempotents
 from idemarith.algebra import DiagonalOperator, is_idempotent
 from idemarith.arith import divisors, lcm_tuple_count, omega, ramanujan_sum, totient
-from idemarith.convolution import AlgFunction, scalar_table
+from idemarith.convolution import AlgFunction, is_multiplicative, scalar_table
 from idemarith.idempotents import (
     IdempotentSystem,
     product_law_residuals,
@@ -20,7 +20,6 @@ from idemarith.idempotents import (
     weighted_product_identities,
 )
 from idemarith.ramanujan_ops import OperatorFamily
-from idemarith.suites import _multiplicativity
 from oracle_forms import crt_solve, product_law, s_power_sum, weighted_identities_elements
 
 
@@ -290,6 +289,16 @@ class TestProductLaw:
                         assert verdict["residual"] == 0, (k, n, l, m)
 
 
+def multiplicativity(f: AlgFunction):
+    """is_multiplicative as a residual: the distance of f(nm) from f(n) f(m)
+    at its counterexample (n, m), or 0 when it finds none."""
+    ok, where = is_multiplicative(f, 0)
+    if ok:
+        return 0.0
+    n, m = where
+    return f(n * m).distance(f(n) * f(m)), {"n": n, "m": m}
+
+
 def draw_fault(data, top, window, periodic):
     """A level up to top and a column: inside the window for one entry, or
     in the level's first period for a fault repeating with the level.
@@ -302,8 +311,8 @@ def draw_fault(data, top, window, periodic):
 class TestReducedWindows:
     """Every entry of P_j(n), C_j(n) and T_{r,j}(n) depends only on the
     basis index mod n.  So ``check`` runs the axioms on levels up to
-    n_limit on min(dim, 6 n_limit), and a multiplicativity row on levels
-    1..K on min(dim, K): a window meeting every residue of each equation.
+    n_limit on min(dim, 6 n_limit), and is_multiplicative decides a family
+    on levels 1..K on min(dim, K): a window meeting every residue of each equation.
     Both windows must place a fault alike: one flipped entry inside the
     shorter window, or a fault repeating with its level from anywhere in
     its first period."""
@@ -334,7 +343,7 @@ class TestReducedWindows:
     def test_projection_family_gives_the_same_residual_and_place(self, dim, offset, k, j,
                                                                  periodic, data):
         def residual(system):
-            return _multiplicativity(
+            return multiplicativity(
                 AlgFunction([system.projection(j, n) for n in range(1, k + 1)]))
 
         window = min(dim, k)
@@ -359,7 +368,7 @@ class TestReducedWindows:
                 entries = np.array(ops[level - 1].entries)
                 entries[at] += 1
                 ops[level - 1] = DiagonalOperator(entries, offset)
-            return _multiplicativity(AlgFunction(ops))
+            return multiplicativity(AlgFunction(ops))
 
         for build in (lambda fam, n: fam.c_operator(j, n), lambda fam, n: fam.t_operator(n, j, n)):
             full, reduced = OperatorFamily(dim, offset), OperatorFamily(window, offset)

@@ -35,9 +35,9 @@ def divisor_formula(n_max):
 
 def pass_rows(levels, n_max, classes=None):
     """Each row's (residual, location) at every level n <= n_max, from its pass
-    over the table levels (and classes, by default ``class_table(n_max)``); the
+    over the table levels (and classes, by default its ``class_table``); the
     determinant from level 2, as its oracle."""
-    sums, classes = root_sums(levels), class_table(n_max) if classes is None else classes
+    sums, classes = root_sums(levels), class_table(levels) if classes is None else classes
     return {
         "scalar": [(int(x), None) for x in scalar_residuals(levels, sums, classes, n_max)],
         "operators": [(int(x), None) for x in operator_residuals(levels, sums, n_max)],
@@ -80,13 +80,19 @@ def failed_levels(n_max):
 
 def assert_passes_match_oracles(n_max: int):
     """Every pass equals its per-level oracle at every level n <= n_max, in
-    residual and location, and every residual is 0; and the class table is
-    ``ramanujan_sum`` at every class of those levels."""
-    got, expected = pass_rows(level_table(n_max), n_max), oracle_rows(n_max)
+    residual and location, and every residual is 0; the class table is
+    ``ramanujan_sum`` at every class of those levels; and the family pass is
+    its per-split loop at every coprime split nm <= n_max, every residual 0."""
+    levels = level_table(n_max)
+    got, expected = pass_rows(levels, n_max), oracle_rows(n_max)
     for row in ROWS:
         assert got[row] == expected[row], row
         assert {residual for residual, _ in got[row]} <= {0}, row
-    assert class_table(n_max).c.tolist() == divisor_formula(n_max)
+    classes = class_table(levels)
+    assert classes.c.tolist() == divisor_formula(n_max)
+    n, m, families = ramanujan_ops.family_residuals(classes, n_max)
+    assert (n.tolist(), m.tolist(), families.tolist()) == oracle_forms.family_residuals_loop(n_max)
+    assert not families.any()
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +138,8 @@ def test_passes_and_oracles_see_a_wrong_class_value_alike(monkeypatch, n0, g0, d
     monkeypatch.setattr(analytic, "_c_period", wrong_period)
     oracle_forms._divisor_tables.cache_clear()  # tables built from the wrong c
     try:
-        levels, classes = level_table(40), class_table(40)
+        levels = level_table(40)
+        classes = class_table(levels)
         wrong = [table._replace(c=table.c.copy()) for table in (levels, classes)]
         for table in wrong:
             table.c[table.at(n0, g0)] += delta
@@ -157,7 +164,8 @@ class TestLevelTable:
 
     @pytest.mark.parametrize("n_max", [1, 200])
     def test_class_table_is_the_divisor_formula(self, n_max):
-        classes, levels = class_table(n_max), level_table(n_max)
+        levels = level_table(n_max)
+        classes = class_table(levels)
         assert classes.c.tolist() == divisor_formula(n_max)
         for field in ("starts", "n", "g", "mu"):
             assert getattr(classes, field).tolist() == getattr(levels, field).tolist()
@@ -256,9 +264,9 @@ class TestFaultsFailTheirRows:
     def test_a_wrong_divisor_formula_alone_fails_the_scalar_row(self, monkeypatch, delta):
         # the class table off at c_12(4) alone: the level table and the root sums still
         # agree, so of the level rows only the comparison with the divisor formula can
-        # see it (C_12 gathered from the class table breaks its family's multiplicativity)
-        def wrong(n_max):
-            classes = class_table(n_max)
+        # see it (c_12(4) breaks the C family's multiplicativity at the split (3, 4))
+        def wrong(levels):
+            classes = class_table(levels)
             c = classes.c.copy()
             c[classes.at(12, 4)] += delta
             return classes._replace(c=c)
@@ -269,6 +277,8 @@ class TestFaultsFailTheirRows:
             "scalar Ramanujan sums vs root-of-unity oracle",
             "multiplicativity of operator families"]
         assert failed[0]["max_residual"] == 1.0 and failed[0]["counterexample"] == {"n": 12}
+        assert failed[1]["max_residual"] == 1.0
+        assert failed[1]["counterexample"] == {"kind": "C", "at": {"n": 3, "m": 4}}
 
     def test_one_wrong_mobius_value_fails_the_scalar_row(self, monkeypatch):
         # mu(6) = 1 read as 0 by the one sieve that the level table's Hoelder values and
@@ -325,23 +335,27 @@ class TestFaultsFailTheirRows:
 
 
 def test_a_run_builds_its_level_table_and_root_sums_once(monkeypatch):
-    # every level row reads one table and two of them one set of root sums; the
-    # scalar row's 200 levels would overrun any per-level cache of 64.  The class
-    # table serves the scalar, C-family and even-function rows, to level 48 at least
+    # every level row reads one table, to level 48 at least, and two of them one set
+    # of root sums; the scalar row's 200 levels would overrun any per-level cache of
+    # 64.  The class table, built from the level table, serves the scalar,
+    # family-multiplicativity and even-function rows
     built = []
 
-    def spy(name, real):
-        def counted(arg):
-            built.append((name, len(arg.starts) - 1 if name == "root_sums" else arg))
-            return real(arg)
-        monkeypatch.setattr(suites, name, counted)
+    def spy(module, name):
+        real = getattr(module, name)
 
-    for name in ("level_table", "root_sums", "class_table"):
-        spy(name, getattr(suites, name))
+        def counted(arg):
+            built.append((name, arg if name == "level_table" else len(arg.starts) - 1))
+            return real(arg)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (suites, ramanujan_ops):  # a package call of either name is seen
+        for name in ("level_table", "root_sums", "class_table"):
+            spy(module, name)
     for n_max in (200, 200, 12):
         assert run_suite("all", n_max=n_max)["pass"] is True
-    assert built == [("level_table", 200), ("root_sums", 200), ("class_table", 200)] * 2 + [
-        ("level_table", 12), ("root_sums", 12), ("class_table", 48)]
+    assert built == [("level_table", 200), ("class_table", 200), ("root_sums", 200)] * 2 + [
+        ("level_table", 48), ("class_table", 48), ("root_sums", 48)]
 
 
 def test_a_run_makes_no_ramanujan_sum_call(monkeypatch):

@@ -1,6 +1,8 @@
 """Operator-valued Ramanujan sums and the divisor-partition idempotents."""
 
 import cmath
+import inspect
+import itertools
 import math
 import random
 import warnings
@@ -16,7 +18,8 @@ from idemarith.algebra import DiagonalOperator, is_idempotent
 from idemarith.arith import (EvenFunction, divisors, factorize, mobius, ramanujan_sum,
                              rf_transform, tau, totient)
 from idemarith.convolution import AlgFunction, is_multiplicative
-from idemarith.ramanujan_ops import OperatorFamily, class_table, root_sum_residual
+from idemarith import convolution
+from idemarith.ramanujan_ops import OperatorFamily, class_table, level_table, root_sum_residual
 from idemarith.suites import run_suite
 import oracle_forms
 from oracle_forms import (c_operator_constructions, c_t_transforms, element_from_json,
@@ -358,11 +361,12 @@ class TestDivisorStacks:
     @pytest.mark.parametrize("offset", [0, 1])
     @pytest.mark.parametrize("j", [0, 1, 5])
     def test_family_stacks_are_the_operators(self, dim, offset, j):
-        # the premise of the family rows: row n - 1 of each stack is P_j(n),
+        # the premise of the family pass's oracle: row n - 1 of each stack is P_j(n),
         # C_j(n) or T_{n,j}(n) as its element builder makes it, and as the
         # definitions give it at each e_m: [m = j (mod n)], c_n(m - j), [gcd(m - j, n) = 1]
         fam = OperatorFamily(dim, offset)
-        stacks = {kind: fam.family(j, 30, kind, class_table(30)) for kind in "PCT"}
+        classes = class_table(level_table(30))
+        stacks = {kind: oracle_forms.family(j, 30, kind, classes, dim, offset) for kind in "PCT"}
         window = range(offset, offset + dim)
         for kind, build, entry in (
                 ("P", lambda n: fam.projection(j, n), lambda n, x: int(x % n == 0)),
@@ -383,8 +387,9 @@ class TestDivisorStacks:
         fam.c_operator(5, 12)
         assert sorted(calls) == [(12, g) for g in divisors(12)]
         calls.clear()
-        classes = class_table(48)
-        entries = fam.family(5, 30, "C", classes._replace(c=np.arange(len(classes.c))))
+        classes = class_table(level_table(48))
+        entries = oracle_forms.family(5, 30, "C", classes._replace(c=np.arange(len(classes.c))),
+                                      72, 1)
         assert calls == []
         for n, row in enumerate(entries.tolist(), 1):
             assert sorted(set(row)) == list(range(classes.starts[n - 1], classes.starts[n]))
@@ -436,6 +441,70 @@ class TestDivisorStacks:
             oracle_forms._divisor_tables.cache_clear()
 
 
+def family_disagreements(classes, residuals=ramanujan_ops.family_residuals):
+    """The cases (K, j, offset, kind), K <= 60 and j <= 12, at which the pass over
+    levels 1..K and ``is_multiplicative`` on the oracle's stack of that kind, on a
+    window of K + j entries, give other verdicts, or a split the pass fails holds on
+    the stack; and how many cases the pass failed."""
+    found, failed = [], 0
+    for k in range(1, 61):
+        n, m, rows = residuals(classes, k)
+        for j, offset, (kind, row) in itertools.product(range(13), (0, 1), zip("PCT", rows)):
+            stack = oracle_forms.family(j, k, kind, classes, k + j, offset)
+            f = AlgFunction._of(np.column_stack((stack, abs(stack).max(axis=1))), offset)
+            x, y = n[row > 0], m[row > 0]
+            named_fail = (stack[x * y - 1] != stack[x - 1] * stack[y - 1]).any(axis=1).all()
+            if is_multiplicative(f)[0] != (not x.size) or not named_fail:
+                found.append((k, j, offset, kind))
+            failed += bool(x.size)
+    return found, failed
+
+
+class TestFamilyPass:
+    """family_residuals decides P_j, C_j and T_{n,j} on class pairs: it gives
+    is_multiplicative's verdict on every window that meets every class, intact
+    and under a wrong class value or splits that are not coprime, which both
+    read; a pass that reads g1 = G in place of gcd(G, n) disagrees with it."""
+
+    def test_intact(self):
+        assert family_disagreements(class_table(level_table(60))) == ([], 0)
+
+    @pytest.mark.parametrize("n, g, delta", [(12, 4, 7), (1, 1, 1), (60, 60, -1)])
+    def test_one_wrong_class_value(self, n, g, delta):
+        # c_1(1) = 2 fails the split 1 = 1 * 1, as f(1) = f(1)^2 fails is_multiplicative
+        classes = class_table(level_table(60))
+        classes.c[classes.at(n, g)] += delta
+        found, failed = family_disagreements(classes)
+        assert found == [] and failed > 0
+
+    def test_splits_that_are_not_coprime(self, monkeypatch):
+        # the unitary index read as the Dirichlet one, by the pass and by is_multiplicative
+        real = convolution._index
+
+        def wrong(kind, n_max):
+            return real("dirichlet" if kind == "unitary" else kind, n_max)
+
+        for module in (convolution, ramanujan_ops):
+            monkeypatch.setattr(module, "_index", wrong)
+        found, failed = family_disagreements(class_table(level_table(60)))
+        assert found == [] and failed > 0
+
+    def test_g1_read_as_g_is_seen(self):
+        source = inspect.getsource(ramanujan_ops.family_residuals)
+        assert source.count("entries(x, np.gcd(g, x))") == 1
+        namespace = dict(vars(ramanujan_ops))
+        exec(source.replace("entries(x, np.gcd(g, x))", "entries(x, g)"), namespace)
+        found, _ = family_disagreements(class_table(level_table(60)),
+                                        namespace["family_residuals"])
+        assert found
+
+    @pytest.mark.parametrize("n_max", [1, 6, 200])
+    def test_matches_the_per_split_loop(self, n_max):
+        n, m, rows = ramanujan_ops.family_residuals(class_table(level_table(n_max)), n_max)
+        assert (n.tolist(), m.tolist(), rows.tolist()) == oracle_forms.family_residuals_loop(n_max)
+        assert not rows.any()
+
+
 class TestOnePeriodDecides:
     """Every T_{r,j}(n) and C_j(r) with r | n has period n, so the window
     oracles on one period and on three give the class-table residuals."""
@@ -477,7 +546,7 @@ class TestBatchedEvenPasses:
 
     def test_intact_samples_of_mixed_moduli(self):
         alphas = [alpha for d in (48, 1, 6, 12, 6, 40) for alpha in random_evens(d, 2, d)]
-        classes = class_table(48)
+        classes = class_table(level_table(48))
         assert ramanujan_ops.rf_residuals(classes, alphas) == [0] * len(alphas)
         assert ramanujan_ops.even_residuals(classes, alphas) == [0] * len(alphas)
         assert [rf_residual(alpha) for alpha in alphas] == [0] * len(alphas)
@@ -490,7 +559,7 @@ class TestBatchedEvenPasses:
         # weigh it by alpha(d/r) and by sum alpha(h) phi(d/h) / phi(r) over the h | d with
         # gcd(r, h) = g, and at every other g' only its left side reads it: so it is blind
         # to it only when that h is d/r alone, as for c_d(1) = mu(d)
-        alphas, classes = random_evens(d, 3), class_table(48)
+        alphas, classes = random_evens(d, 3), class_table(level_table(48))
         for r in divisors(d):
             for g in divisors(r):
                 for delta in (1, -7):
@@ -514,7 +583,7 @@ class TestBatchedEvenPasses:
     def test_one_wrong_coefficient(self, monkeypatch, d, field, delta):
         # R(alpha)(r) (field 0) or d phi(r) a(r) (field 1) off by delta at one r | d:
         # the second leaves a residual delta / phi(r), a Fraction where phi(r) > 1
-        alphas, classes = random_evens(d, 3), class_table(48)
+        alphas, classes = random_evens(d, 3), class_table(level_table(48))
         real_transform, real_pass = rf_transform, ramanujan_ops._transforms
         for i, r in enumerate(divisors(d)):
             def wrong_transform(alpha):
@@ -548,8 +617,8 @@ class TestBatchedEvenPasses:
         real, passed = suites.class_table, []
         for r in divisors(24):
             for g in divisors(r):
-                def wrong(n_max):
-                    classes = real(n_max)
+                def wrong(levels):
+                    classes = real(levels)
                     c = classes.c.copy()
                     c[classes.at(r, g)] += 7
                     return classes._replace(c=c)

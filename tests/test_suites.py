@@ -19,7 +19,6 @@ from idemarith.arith import divisors, factorize
 from idemarith.convolution import (InverseCheckError, scalar_dirichlet, scalar_lcm,
                                    scalar_table, scalar_unitary)
 from idemarith.idempotents import IdempotentSystem
-from idemarith.ramanujan_ops import OperatorFamily
 from idemarith.suites import SUITES, _check, run_suite
 import oracle_forms
 
@@ -101,15 +100,14 @@ class TestRunSuite:
             assert set(row) == {"identity", "params", "max_residual", "pass"}
 
     def test_rows_report_their_windows(self, report_all):
-        # dim 60 sets the axioms, projection- and operator-family rows; the
-        # product-law and weighted rows run on the largest period of their
-        # levels, and the level identities on class tables, with no window
+        # dim 60 sets the axioms row alone; the product-law and weighted rows run on
+        # the largest period of their levels, and the level identities and family
+        # multiplicativity on class tables, with no window
         windows = [row["params"].get("dim") for row in report_all["checks"]]
-        assert windows == [60, None, 60, 60, 60, 42, 18, None, None, 60] + [None] * 7 + [
-            30] + [None] * 6
-        # those five cut it to min(dim, 6 n_limit) and min(dim, the family's levels)
+        assert windows == [60, None, None, None, None, 42, 18] + [None] * 10 + [30] + [None] * 6
+        # the axioms cut it to min(dim, 6 n_limit)
         reduced = [row["params"].get("window") for row in report_all["checks"]]
-        assert reduced == [42, None, 7, 7, 7] + [None] * 4 + [7] + [None] * 14
+        assert reduced == [42] + [None] * 23
 
     def test_all_builds_few_diagonals(self, monkeypatch):
         # the family, weighted, product-law and axiom rows run on stacks, and a
@@ -127,7 +125,7 @@ class TestRunSuite:
         assert report["pass"] is True
         reduced = [row["params"]["window"] for row in report["checks"]
                    if "window" in row["params"]]
-        assert reduced == [72, 32, 32, 32, 30]
+        assert reduced == [72]
 
     def test_nan_residual_fails_its_rows_without_raising(self, monkeypatch):
         real = suites.root_sums
@@ -164,7 +162,8 @@ class TestRunSuite:
         def lost(n, *args):
             return {}[n]
 
-        monkeypatch.setattr(suites, "level_table", lost)  # the rows' table of levels 1..7
+        # the rows' table of levels 1..48 (at least 48, the largest rf modulus)
+        monkeypatch.setattr(suites, "level_table", lost)
         monkeypatch.setattr(analytic, "_c_period", lost)  # the one-window forms the errata read
         report = run_suite("analytic", **SMALL)
         failed = [row for row in report["checks"] if not row["pass"]]
@@ -173,7 +172,7 @@ class TestRunSuite:
             "trace identities for both diagonals",
         ]
         for row in failed:
-            assert row["error"] == "KeyError: 7" and row["max_residual"] is None
+            assert row["error"] == "KeyError: 48" and row["max_residual"] is None
         assert report["summary"] == {"total": 6, "passed": 4, "failed": 2}
         # the errata that read a one-period c_n row carry the error; the others keep their data
         errata = {note["id"]: note for note in report["errata"]}
@@ -396,17 +395,15 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("suite, rows", [("axioms", 3), ("ramanujan", 1)])
     def test_multiplicativity_rows_reach_the_first_coprime_pair(self, monkeypatch, suite, rows):
-        # every P, C and T of level n > 1 scaled, in the family stacks the rows read:
-        # f(nm) = f(n) f(m) then fails at every coprime pair, and the first one,
-        # (2, 3), needs levels up to 6 even at n-max 5
-        real = OperatorFamily.family
+        # every family failing at every coprime split but 1 = 1 * 1, in the pass the
+        # rows read: the first of them, (2, 3), needs levels up to 6 even at n-max 5
+        real = suites.family_residuals
 
-        def scaled(self, j, n_max, kind, classes=None):
-            stack = real(self, j, n_max, kind, classes).copy()
-            stack[1:] *= 3 if kind == "P" else 7
-            return stack
+        def failing(classes, n_max):
+            n, m, residuals = real(classes, n_max)
+            return n, m, residuals + (n > 1)
 
-        monkeypatch.setattr(OperatorFamily, "family", scaled)
+        monkeypatch.setattr(suites, "family_residuals", failing)
         report = run_suite(suite, n_max=5, dim=12)
         checked = [row for row in report["checks"] if "multiplicativity" in row["identity"]]
         assert len(checked) == rows
