@@ -1,10 +1,10 @@
-"""Command-line front end, parsed with argparse: scalar function tables,
-identity suites, and operator exports.
+"""Command-line front end: scalar function tables, identity suites, and operator exports.
 
-A request is parsed once, by its command's own parser; the top-level parser
-runs only on no arguments, an unknown command or --help.  A table, CSV or
-JSON, is written CSV_ROWS rows at a time, a ramanujan:k table from one
-period of c_k; an export's text is built once and its newline written after it.
+A request is read in one walk of its command's _COMMANDS entry; argparse parses only
+what the walk leaves (help, usage errors), the top-level parser only on no arguments,
+an unknown command or --help.  A table, CSV or JSON, is written CSV_ROWS rows at a
+time, a ramanujan:k table from one period of c_k; an export's text is built once and
+its newline written after it.
 
 Exit codes: 0 all checks pass (at residual exactly 0), 1 identity failure,
 2 usage error or a closed stdout.  The truncation dimension is --dim, 2520
@@ -103,7 +103,7 @@ def _chunks(lines):
 
 def _emit(texts, out: str | None):
     """Write each of texts in turn to the --out file, or to stdout and flush."""
-    if out:
+    if out is not None:  # an empty path is unwritable, not stdout
         try:
             with open(out, "w") as fh:
                 fh.writelines(texts)
@@ -148,7 +148,7 @@ def cmd_check(suite, n_max, dim, out):
     """
     if not 1 <= dim <= MAX_TABLE_VALUES:
         raise UsageError(f"dim must be between 1 and {MAX_TABLE_VALUES}")
-    if out:
+    if out is not None:
         _emit([], out)  # an unwritable --out fails here, before any row runs
     report = run_suite(suite, n_max=n_max, dim=dim)
     _emit([json.dumps(report, indent=2, sort_keys=True), "\n"], out)
@@ -211,9 +211,13 @@ def cmd_export(spec, dim, offset, out):
 
 
 def _n_max(text: str) -> int:
-    if int(text) < 1:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if n < 1:
         raise argparse.ArgumentTypeError(f"{text} is not >= 1")
-    return int(text)
+    return n
 
 
 _OUT = ("--out", dict(metavar="PATH", help="Output path; stdout when not given."))
@@ -255,11 +259,37 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands.choices
 
 
+def _options(name: str, argv: list[str]) -> dict | None:
+    """vars(parse_args(argv)) of command NAME's parser, read off _COMMANDS in one walk
+    (the last repeat wins); None, for the parser to decide, on help, `--`, any other
+    token or option value starting with "-", a bad value, or other than one positional."""
+    handler, args = _COMMANDS[name]
+    declared = {arg: (kw.get("dest", arg.strip("-").replace("-", "_")), kw) for arg, kw in args}
+    options = {dest: kw.get("default") for dest, kw in declared.values()}
+    positional, positionals, tokens = args[0][0], 0, iter(argv)  # the positional comes first
+    for token in tokens:  # "--opt=VALUE", "--opt VALUE", or the positional's VALUE
+        arg, eq, value = token.partition("=") if token[:1] == "-" else (positional, "=", token)
+        value = value if eq else next(tokens, "-")
+        if arg not in declared or value.startswith("-"):
+            return None
+        dest, kw = declared[arg]
+        try:
+            options[dest] = kw.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kw and options[dest] not in kw["choices"]:
+            return None
+        positionals += arg == positional
+    return {"handler": handler, **options} if positionals == 1 else None
+
+
 def main(args: list[str] | None = None, prog_name: str = "idemarith") -> None:
     """Arithmetic-function tables, identity suites, and operator exports."""
     args = sys.argv[1:] if args is None else args
     command = _COMMAND_PARSERS.get(args[0]) if args else None
-    options = vars(command.parse_args(args[1:]) if command else _PARSER.parse_args(args))
+    options = _options(args[0], args[1:]) if command else None
+    if options is None:  # help, a usage error, or a spelling only argparse decides
+        options = vars(command.parse_args(args[1:]) if command else _PARSER.parse_args(args))
     try:
         options.pop("handler")(**options)
     except UsageError as exc:

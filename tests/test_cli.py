@@ -15,6 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import idemarith
 from idemarith import arith, cli, ramanujan_ops
@@ -517,6 +518,17 @@ def test_unwritable_out_is_usage_error(tmp_path, args, target):
     assert f"Error: cannot write --out {tmp_path / target}" in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["export", "P:0:3", "--dim", "6"], ["table", "mobius"], ["check", "product-law", "--n-max", "4"],
+], ids=["export", "table", "check"])
+@pytest.mark.parametrize("out", [["--out", ""], ["--out="]], ids=["spaced", "equals"])
+def test_empty_out_is_usage_error(args, out):
+    # an empty path (an unset shell variable) is unwritable, not stdout
+    code, stdout, err = invoke([*args, *out])
+    assert (code, stdout) == (2, "")
+    assert err.startswith("Error: cannot write --out : ") and err.count("\n") == 1
+
+
 def test_closed_stdout_exits_2_without_a_traceback():
     # the reader takes the header line of a million-row table and closes the pipe
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(idemarith.__file__).parents[1])}
@@ -543,17 +555,75 @@ def test_parser_error_is_usage_error(args):
     assert "error: " in err
 
 
+@pytest.mark.parametrize("spelling", [["--n-max", "abc"], ["--n-max=abc"]])
+def test_n_max_that_is_not_an_integer_names_the_option(spelling):
+    code, out, err = invoke(["check", "all", *spelling])
+    assert (code, out) == (2, "")
+    assert "error: argument --n-max: 'abc' is not an integer" in err and "_n_max" not in err
+
+
+# the last seven are the request shapes of the README and the cli-requests workload
 @pytest.mark.parametrize("args", [
     ["export", "S:7", "--dim", "60"], ["table", "mobius", "--range", "1..6"],
     ["check", "axioms", "--n-max", "3"], ["table", "ramanujan:4", "--format", "json"],
+    ["export", "P:-3:7", "--dim", "60", "--offset", "1"],
+    ["export", "C:5:12", "--dim", "60", "--offset", "0"],
+    ["export", "T:2:-1:6", "--dim", "60", "--offset", "1"],
+    ["export", "S:5", "--dim", "60", "--offset", "0"],
+    ["export", "theta", "--dim", "8"], ["export", "IU*", "--dim", "8"],
+    ["table", "ramanujan:6", "--range", "3..20"],
 ])
 def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, args):
+    # a well-formed request is read off the argument table: no argparse parser runs
     def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser ran")
+        raise AssertionError("an argparse parser ran")
 
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    for parser in [cli._PARSER, *cli._COMMAND_PARSERS.values()]:
+        monkeypatch.setattr(parser, "parse_args", refuse)
     code, out, err = invoke(args)
     assert code == 0 and out and err == ""
+
+
+# each command's spellings, good and bad: its positionals, its options' values, and
+# the tokens argparse alone decides
+_OUT_VALUES = ["r.json", "", "-", "--dim", "-h"]
+_VALUES = {
+    "table": (["mobius", "ramanujan:4", "", "x=y", "-", "-3"],
+              {"--range": ["1..6", "3..2", "", "-1..3"], "--format": ["csv", "json", "xml", ""],
+               "--out": _OUT_VALUES}),
+    "check": (["all", "axioms", "nonsense", "", "-1"],
+              {"--n-max": ["5", "0", "-3", "abc", "", " 7", "1_0"],
+               "--dim": ["72", "0", "-5", "abc", "5.0"], "--out": _OUT_VALUES}),
+    "export": (["P:0:3", "theta", "IU*", "", "-5"],
+               {"--dim": ["6", "-6", "x", ""], "--offset": ["0", "1", "2", "-1", "01", " 1"],
+                "--out": _OUT_VALUES}),
+}
+_TOKENS = ["--", "--help", "-h", "-", "", "--bogus", "--n", "--out", "--dim", "--out="]
+
+
+@st.composite
+def _argvs(draw, name):
+    """An argv of command NAME in any order: repeated options spelt with and without
+    "=", a positional, and at most one more token, positionals or _TOKENS."""
+    positionals, options = _VALUES[name]
+    option = st.sampled_from(sorted(options)).flatmap(
+        lambda opt: st.sampled_from(options[opt]).flatmap(
+            lambda value: st.sampled_from([[opt, value], [f"{opt}={value}"]])))
+    pieces = [*draw(st.lists(option, max_size=4)), [draw(st.sampled_from(positionals))],
+              *draw(st.lists(st.sampled_from(_TOKENS + positionals).map(lambda t: [t]),
+                             max_size=1))]
+    return [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_the_walk_reads_what_argparse_reads(name, data):
+    # whatever the walk accepts, the command's parser reads the same; the rest it leaves
+    argv = data.draw(_argvs(name))
+    options = cli._options(name, argv)
+    if options is not None:
+        assert options == vars(cli._COMMAND_PARSERS[name].parse_args(argv))
 
 
 @pytest.mark.parametrize("args,status", [([], 2), (["sigma"], 2), (["--help"], 0)])
