@@ -10,7 +10,8 @@ determinant identity D(N + n) = D(N) D(n): the windows N = 1..n decide
 every N.  ``trace_residuals`` and ``det_residuals`` decide them for every
 level n <= n_max in one pass over those windows of a
 ``ramanujan_ops.LevelTable``, each k <= n reading the value of its class
-gcd(k, n), by running sums and Python-int running products.
+gcd(k, n), by running sums and Python-int running products; the primes
+and mu of each level come off ``arith.number_table``.
 ``trace_identities`` and ``det_c0`` answer one window (n, N) from whole
 periods of the c_n row and of the coprimality row (the multiples of each
 prime of n struck out).  Commonly quoted closed forms of the determinant
@@ -18,7 +19,8 @@ and traces that disagree with the oracle are evaluated by
 ``det_c0_unsigned_form`` and ``trace_erratum_forms`` for the errata
 section, never asserted.  The IU* candidates are decided in int64, against
 theta IU* = 1, the algebra-map pairs in one ``lehmer_sides`` call, and
-P(J_r) = theta^r, r <= 3, with P(mu) = diag(eps) in one stacked pass.
+P(J_r) = theta^r, r <= 3, with P(mu) = diag(eps) in one stacked pass, every
+table of mu and J_r read off the number table.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import _INT64_MAX, DEFAULT_TOL, DiagonalOperator
-from .arith import (divisors, factorize, mobius, mobius_table, omega, prime_power_product,
-                    prime_power_split)
-from .convolution import _spread, _worst_first, lehmer_sides, scalar_dirichlet, scalar_table
+from .arith import divisors, factorize, mobius, number_table, omega
+from .convolution import _spread, _worst_first, lehmer_sides, scalar_dirichlet
 from .idempotents import IdempotentSystem
 from .ramanujan_ops import LevelTable
 
@@ -79,13 +80,18 @@ def det_c0(n: int, n_dim: int) -> tuple[int, int]:
 def det_residuals(levels: LevelTable, n_max: int) -> list[tuple[int, int]]:
     """Per level n <= n_max, the worst |direct - closed| of ``det_c0`` over the
     windows N = 1..n, and its first N: the direct side is the running product of
-    c_n(gcd(k, n)), k <= N, in Python ints; the closed side is 0 unless mu(n)."""
+    c_n(gcd(k, n)), k <= N, in Python ints; the closed side takes the primes of n
+    off the number table, its sign mu(n)^N = (-1)^(N omega(n)), or 0 unless mu(n)."""
     n, k, e = levels.classes(n_max)
     worst = [(0, 1)] * n_max
-    squarefree = levels.mu[levels.starts[n - 1]].tolist()
-    for level, big_n, value, mu in zip(n.tolist(), k.tolist(), levels.c[e].tolist(), squarefree):
+    numbers = number_table(n_max)
+    primes = [[], []]  # the primes of each m <= n_max, ascending
+    for m in range(2, n_max + 1):
+        primes.append(primes[numbers.rest[m]] + [int(numbers.prime[m])])
+    mu_n = numbers.mu[n].tolist()
+    for level, big_n, value, mu in zip(n.tolist(), k.tolist(), levels.c[e].tolist(), mu_n):
         direct = value if big_n == 1 else direct * value
-        closed = (-1) ** (big_n * omega(level)) * det_c0_unsigned_form(level, big_n) if mu else 0
+        closed = mu**big_n * math.prod((1 - p) ** (big_n // p) for p in primes[level])
         if abs(direct - closed) > worst[level - 1][0]:
             worst[level - 1] = abs(direct - closed), big_n
     return worst
@@ -192,25 +198,17 @@ def iu_star(n_dim: int) -> DiagonalOperator:
     return DiagonalOperator([0] + [Fraction(1, m) for m in range(2, n_dim + 1)], 1)
 
 
-def _jordan_table(r: int, n_max: int) -> np.ndarray:
-    """[J_r(1), ..., J_r(n_max)] from the largest-prime-power split: J_r is
-    multiplicative with J_r(p^a) = p^(ra) - p^(r(a-1)).  An int64 array
-    while n_max^r fits, since J_r(n) <= n^r; an object array past that."""
-    if r < 1:
-        raise ValueError(f"J_r requires r >= 1, got {r}")
-    prime, power, _ = prime_power_split(n_max)
-    if n_max**r > _INT64_MAX:
-        prime, power = prime.astype(object), power.astype(object)
-    return prime_power_product(power**r - (power // prime) ** r, 1)[1:]
-
-
 def euler_residuals(n_dim: int) -> list:
     """[|P(J_r) - theta^r| for r = 1, 2, 3, then |P(mu) - diag(eps)|] on e_1..e_N,
-    all 0 (sum_{d|m} J_r(d) = m^r, sum_{d|m} mu(d) = eps(m)): one Dirichlet pass
-    of nu0 with the four tables, read off one sieve, as the columns of a stack."""
-    tables = np.column_stack([*(_jordan_table(r, n_dim) for r in (1, 2, 3)),
-                              mobius_table(n_dim)[1:]])
-    m = np.arange(1, n_dim + 1, dtype=np.int64 if n_dim**3 <= _INT64_MAX else object)
+    all 0 (sum_{d|m} J_r(d) = m^r, sum_{d|m} mu(d) = eps(m)): one Dirichlet pass of
+    nu0 with the four tables off the number table, J_r(p^a) = p^(ra) - p^(r(a-1)), as
+    the columns of a stack: int64 while N^3 fits, as J_r(m) <= m^r, else Python ints."""
+    numbers = number_table(n_dim)
+    dtype = np.int64 if n_dim**3 <= _INT64_MAX else object
+    prime, power = numbers.prime.astype(dtype), numbers.power.astype(dtype)
+    tables = np.column_stack([*(numbers.multiplicative(power**r - (power // prime) ** r, 1)[1:]
+                                for r in (1, 2, 3)), numbers.mu[1:]])
+    m = np.arange(1, n_dim + 1, dtype=dtype)
     sums = scalar_dirichlet(np.ones(tables.shape, dtype=np.int64), tables)
     return np.abs(sums - np.column_stack((m, m**2, m**3, m == 1))).max(axis=0).tolist()
 
@@ -252,7 +250,7 @@ def iu_star_representation(n_dim: int) -> dict:
         raise ValueError("iu_star_representation requires dim >= 2: e_1 alone compares nothing")
     target = (theta_power(1, n_dim) * iu_star(n_dim)).entries[1:]
     ids = np.arange(1, n_dim + 1, dtype=np.int64)
-    mu_id = ids * scalar_table(mobius, n_dim)
+    mu_id = ids * number_table(n_dim).mu[1:]
     scaled = scalar_dirichlet(np.column_stack((ids, ids)), scalar_dirichlet(
         np.column_stack((mu_id, mu_id)), np.column_stack((ids**0, ids**2))))
     return {name: tuple(scaled[1:, k].tolist()) == target

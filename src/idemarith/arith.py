@@ -1,10 +1,11 @@
 """Exact scalar number theory: factorization, classical multiplicative
 functions, Ramanujan sums, and even-function Fourier coefficients.
 
-``prime_power_split`` is a sieve of all of 1..N at once: the largest
-prime of each n, its full power, and the rest of n.  ``prime_power_product``
-walks it to build a multiplicative table from its prime-power values, in
-numpy passes rather than one ``factorize`` per n (``mobius_table`` is mu).
+``number_table(L)`` is one sieve of all of 0..L at once: the largest prime
+of each n, its full power and the rest of n, with mu, phi and tau.
+``NumberTable.multiplicative`` walks it to build any multiplicative table
+from its prime-power values, in numpy passes rather than one ``factorize``
+per n.  One table is held, and smaller requests read a prefix of it.
 
 Everything here is computed in exact integer or rational arithmetic and
 compared with no tolerance: the identity suites judge the batched
@@ -17,15 +18,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 MAX_FACTOR_INPUT = 10**12
 _CACHE_SIZE = 4096  # per scalar lru_cache, so a long `table` run keeps no entry per value
+_held: list = [None]  # number_table's cache: the one NumberTable it holds
 
 __all__ = [
     "MAX_FACTOR_INPUT",
     "EvenFunction",
+    "NumberTable",
     "RFCoefficients",
     "divisors",
     "epsilon",
@@ -33,11 +37,9 @@ __all__ = [
     "jordan_totient",
     "lcm_tuple_count",
     "mobius",
-    "mobius_table",
     "nu",
+    "number_table",
     "omega",
-    "prime_power_product",
-    "prime_power_split",
     "ramanujan_sum",
     "rf_transform",
     "tau",
@@ -90,53 +92,59 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@lru_cache(maxsize=3)
-def prime_power_split(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prime, power, rest), read-only int64 arrays indexed by n = 0..n_max:
-    the largest prime p | n, its power p^a || n and rest(n) = n / p^a, so
-    rest(n) <= n / 2.  Position 1 holds (1, 1, 1), position 0 (1, 1, 0).
+class NumberTable(NamedTuple):
+    """Read-only int64 columns indexed by n = 0..L: the largest prime p | n, its
+    power p^a || n, the rest n / p^a <= n / 2, mu, phi and tau.  Position 1 holds
+    1 in each column; position 0 holds 1, 1, 0, 0, 0, 0."""
 
-    One sieve: each prime p, ascending, marks its multiples with p and the
-    multiples of each p^a with p^a, so the largest prime marks last.
-    """
-    prime = np.ones(n_max + 1, dtype=np.int64)
-    power = np.ones(n_max + 1, dtype=np.int64)
+    prime: np.ndarray
+    power: np.ndarray
+    rest: np.ndarray
+    mu: np.ndarray
+    phi: np.ndarray
+    tau: np.ndarray
+
+    def multiplicative(self, at_power: np.ndarray, unit) -> np.ndarray:
+        """acc[n] = unit * f(p1^a1) * ... * f(pk^ak), primes ascending, multiplied left
+        to right, from at_power[n] = f at the power of n's largest prime: acc[1] = unit,
+        acc[n] = acc[rest(n)] * at_power[n], one pass per range 2^j <= n < 2^(j+1)
+        since rest(n) <= n / 2, and acc[0] = 0."""
+        acc = np.zeros_like(at_power)
+        acc[1] = unit
+        for j in range(1, (len(acc) - 1).bit_length()):
+            lo, hi = 2**j, 2 ** (j + 1)
+            acc[lo:hi] = acc[self.rest[lo:hi]] * at_power[lo:hi]
+        return acc
+
+
+def _sieve(n_max: int) -> NumberTable:
+    """The ``NumberTable`` of 0..n_max: each prime p, ascending, marks its multiples with
+    p, and those of each p^a with p^a and a + 1, so the largest prime marks last."""
+    prime, power, count = (np.ones(n_max + 1, dtype=np.int64) for _ in range(3))
     for p in range(2, n_max + 1):
         if prime[p] == 1:  # no smaller prime divides p
             prime[p::p] = p
-            q = p
+            q, a = p, 1
             while q <= n_max:
-                power[q::q] = q
-                q *= p
-    split = prime, power, np.arange(n_max + 1) // power
-    for array in split:
-        array.flags.writeable = False
-    return split
+                power[q::q], count[q::q] = q, a + 1
+                q, a = q * p, a + 1
+    split = NumberTable(prime, power, np.arange(n_max + 1) // power, None, None, None)
+    table = split._replace(mu=split.multiplicative(np.where(power == prime, -1, 0), 1),
+                           phi=split.multiplicative(power - power // prime, 1),
+                           tau=split.multiplicative(count, 1))
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
-def prime_power_product(factor: np.ndarray, unit) -> np.ndarray:
-    """The array acc with acc[1] = unit and acc[n] = acc[rest(n)] * factor[n]
-    for n = 2..N, N = len(factor) - 1, rest as in ``prime_power_split``.
-
-    With factor[n] the value at the power of n's largest prime, acc[n] is
-    unit * f(p1^a1) * ... * f(pk^ak), primes ascending, multiplied left to
-    right.  rest(n) <= n / 2, so each range 2^j <= n < 2^(j+1) is one pass.
-    Position 0 is left at zero.
-    """
-    n_max = len(factor) - 1
-    rest = prime_power_split(n_max)[2]
-    acc = np.zeros_like(factor)
-    acc[1] = unit
-    for j in range(1, n_max.bit_length()):
-        lo, hi = 2**j, min(2 ** (j + 1), n_max + 1)
-        acc[lo:hi] = acc[rest[lo:hi]] * factor[lo:hi]
-    return acc
-
-
-def mobius_table(n_max: int) -> np.ndarray:
-    """int64 mu(n), n = 0..n_max (mu(0) = 0): mu(p^a) = -[a = 1] off the sieve."""
-    prime, power, _ = prime_power_split(n_max)
-    return prime_power_product(np.where(power == prime, -1, 0), 1)
+def number_table(n_max: int) -> NumberTable:
+    """The ``NumberTable`` of 0..n_max.  One table is held: a request within it
+    reads a prefix of its columns, and a larger one sieves anew in its place."""
+    if n_max < 1:
+        raise ValueError(f"number_table requires n_max >= 1, got {n_max}")
+    if _held[0] is None or len(_held[0].rest) <= n_max:
+        _held[0] = _sieve(n_max)
+    return NumberTable(*(column[:n_max + 1] for column in _held[0]))
 
 
 def mobius(n: int) -> int:

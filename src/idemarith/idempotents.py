@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import DiagonalOperator, _store
-from .arith import lcm_tuple_count, omega
+from .arith import number_table
 from .convolution import _spread, _worst_first, lehmer_sides, scalar_lcm, scalar_unitary
 
 __all__ = [
@@ -166,14 +166,15 @@ def weighted_product_identities(
     """
     if len(alpha) != len(beta):
         raise ValueError("alpha and beta must share n_max")
-    levels = range(1, len(alpha) + 1)
-    proj = np.vstack([system.projections([j], n) for n in levels])
+    numbers = number_table(len(alpha))
+    proj = np.vstack([system.projections([j], n) for n in range(1, len(alpha) + 1)])
     a, b = (_store(table).values[:, None] * proj for table in (alpha, beta))
     sides = [  # (operator-valued product, scalar table whose multiples of P_j it equals)
         (scalar_lcm(a, b), scalar_lcm(alpha, beta)),
         (scalar_unitary(a, b), scalar_unitary(alpha, beta)),
-        (scalar_lcm(proj, proj), [lcm_tuple_count(2, n) for n in levels]),
-        (scalar_unitary(proj, proj), [2 ** omega(n) for n in levels]),
+        # M_2(p^a) = (a + 1)^2 - a^2 = 2 tau(p^a) - 1, and 2^omega(p^a) = 2
+        (scalar_lcm(proj, proj), numbers.multiplicative(2 * numbers.tau[numbers.power] - 1, 1)[1:]),
+        (scalar_unitary(proj, proj), numbers.multiplicative(np.full_like(numbers.tau, 2), 1)[1:]),
     ]
     return float(max(*(np.abs(ops - _store(table).values[:, None] * proj).max()
                        for ops, table in sides), *lehmer_sides(a, b)[2]))

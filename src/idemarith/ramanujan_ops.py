@@ -6,10 +6,11 @@ on the class g = gcd(m - j, n): it is [g = n/r], [r | g] and c_r(g), the
 same map for every window and every j, so each identity of level n is
 decided on its classes, in exact integers.  ``level_table(L)`` lists the
 classes g | n of every level n <= L from the Dirichlet term index of
-``convolution``, with mu(n/g) and Hoelder's c_n(g) = mu(n/g) phi(n)/phi(n/g)
-(mu and phi from one sieve), and ``class_table(levels)`` with the divisor
-formula's c_n(g).  A level identity is one array pass of segmented sums over a
-prefix of one, giving its residual at every level n <= n_max: ``scalar_residuals``,
+``convolution``, with mu(n/g) and Hoelder's c_n(g) = mu(n/g) phi(n)/phi(n/g),
+and ``class_table(levels)`` with the divisor formula's c_n(g): mu, phi, tau and
+the prime powers of each n come off ``arith.number_table``.  A level identity
+is one array pass of segmented sums over a prefix of one, giving its residual
+at every level n <= n_max: ``scalar_residuals``,
 ``operator_residuals``, ``transform_residuals`` and ``orthogonality_residuals``;
 ``family_residuals`` takes the class pairs of every coprime split nm <= n_max, and
 ``rf_residuals`` and ``even_residuals`` even functions, one matrix per modulus.
@@ -32,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DiagonalOperator
-from .arith import (divisors, factorize, mobius_table, prime_power_product, prime_power_split,
-                    ramanujan_sum, tau, totient)
+from .arith import divisors, factorize, number_table, ramanujan_sum
 from .convolution import _blocks, _index, _spread, _worst_first
 from .idempotents import IdempotentSystem
 
@@ -70,8 +70,8 @@ def level_table(n_max: int) -> LevelTable:
     if n_max < 1:
         raise ValueError("level n must be positive")
     left, right, starts = _index("dirichlet", n_max)
-    prime, power, _ = prime_power_split(n_max)
-    mu, phi = mobius_table(n_max), prime_power_product(power - power // prime, 1)
+    numbers = number_table(n_max)
+    mu, phi = numbers.mu, numbers.phi
     n, cofactor = np.repeat(np.arange(1, n_max + 1), np.diff(starts)), right + 1
     return LevelTable(starts.astype(np.int64), n, left.astype(np.int64) + 1, mu[cofactor],
                       mu[cofactor] * phi[n] // phi[cofactor])
@@ -79,11 +79,11 @@ def level_table(n_max: int) -> LevelTable:
 
 def class_table(levels: LevelTable) -> LevelTable:
     """``levels`` with c_n(g) by the divisor formula sum_{e|g} e mu(n/e), one term
-    per divisor e of g: the classes of level g, mu off its own sieve."""
-    starts, n_max = levels.starts, len(levels.starts) - 1
+    per divisor e of g: the classes of level g, mu off the number table."""
+    starts, mu = levels.starts, number_table(len(levels.starts) - 1).mu
     entry, k, first = _spread(np.diff(starts)[levels.g - 1])
     e = levels.g[starts[levels.g[entry] - 1] + k]
-    return levels._replace(c=np.add.reduceat(e * mobius_table(n_max)[levels.n[entry] // e], first))
+    return levels._replace(c=np.add.reduceat(e * mu[levels.n[entry] // e], first))
 
 
 @lru_cache(maxsize=64)
@@ -166,13 +166,16 @@ def _class_pairs(levels: LevelTable, n_max: int) -> _Pairs:
 
 
 def _prime_products(n: np.ndarray, g: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """At each class (n, g), from ``factorize``: n/rad(n) prod_{p^a||n}
-    (p [p^a | g] - [p^(a-1) | g]) and prod_{p|n} (1 - [p | g]); pads p = 1."""
-    powers = [[(p, p**a, p ** (a - 1)) for p, a in factorize(m)] for m in range(1, n_max + 1)]
-    width = max(1, *map(len, powers))
-    p, hi, lo = np.array([x + [(1, 1, 1)] * (width - len(x)) for x in powers])[n - 1].T
-    c = np.where(p > 1, p * (g % hi == 0) - (g % lo == 0), 1).prod(axis=0) * (n // p.prod(axis=0))
-    return c, np.where(p > 1, 1 - (g % p == 0), 1).prod(axis=0)
+    """At each class (n, g): n/rad(n) prod_{p^a||n} (p [p^a | g] - [p^(a-1) | g]) and
+    prod_{p|n} (1 - [p | g]), one factor per p^a || n, walked off the number table."""
+    numbers, m = number_table(n_max), n
+    c, t, rad = np.ones((3, len(n)), dtype=np.int64)
+    while (m > 1).any():
+        p, hi = numbers.prime[m], numbers.power[m]  # 1 and 1 once m is 1
+        c *= np.where(m > 1, p * (g % hi == 0) - (g % (hi // p) == 0), 1)
+        t *= np.where(m > 1, 1 - (g % p == 0), 1)
+        rad, m = rad * p, numbers.rest[m]
+    return c * (n // rad), t
 
 
 def operator_residuals(levels: LevelTable, sums: tuple, n_max: int) -> np.ndarray:
@@ -192,7 +195,7 @@ def operator_residuals(levels: LevelTable, sums: tuple, n_max: int) -> np.ndarra
         abs(np.add.reduceat(pairs.mu_r * pairs.p, runs) - t_top),
         abs(np.add.reduceat(pairs.t, runs) - 1),
         np.maximum.reduceat(abs(pairs.t**2 - pairs.t), runs)])
-    members = np.diff(levels.starts[:n_max + 1]) - [tau(n) for n in range(1, n_max + 1)]
+    members = np.diff(levels.starts[:n_max + 1]) - number_table(n_max).tau[1:]
     return np.maximum(np.maximum.reduceat(residual, levels.starts[:n_max]), abs(members))
 
 
@@ -244,7 +247,7 @@ def _by_modulus(classes: LevelTable, alphas: list):
         divs = classes.g[classes.starts[d - 1]:classes.starts[d]]
         c = classes.c[classes.at(divs[:, None], np.gcd(divs[:, None], divs))]
         a = np.array([[alphas[s].values[g] for g in divs.tolist()] for s in at], dtype=np.int64)
-        yield at, d, a, c, [totient(r) for r in divs.tolist()]
+        yield at, d, a, c, number_table(d).phi[divs].tolist()
 
 
 def _transforms(a: np.ndarray, c: np.ndarray, phi: list) -> tuple[np.ndarray, np.ndarray]:

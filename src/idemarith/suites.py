@@ -15,7 +15,9 @@ transform pair, determinant, trace) read the passes of ``ramanujan_ops``
 and ``analytic`` over prefixes of one ``level_table`` of the levels up to
 max(min(n_max, TOP_LEVEL), 48), two of them one ``root_sums``, and the scalar,
 even-function and multiplicativity rows its ``class_table``: ``run_suite``
-builds each once per run.  The four multiplicativity rows read one
+builds each once per run, the level table after sieving ``arith.number_table``
+to the Euler row's 512: every table of mu, phi, tau, J_r, M_2 and 2^omega a row
+reads is a prefix of the one number table.  The four multiplicativity rows read one
 ``family_residuals`` pass, which decides every j and window on the coprime
 splits nm <= max(min(n_max, TOP_LEVEL), 6), each naming its worst split.  The
 trace and determinant rows take N = 1..n at each level n, which decides every N
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import analytic
 from .algebra import DenseMatrix, Scalar, operator_norm
-from .arith import EvenFunction, divisors, epsilon, lcm_tuple_count, totient
+from .arith import EvenFunction, divisors, epsilon, lcm_tuple_count, number_table
 from .convolution import (AlgFunction, dirichlet_convolve, dirichlet_identity, dirichlet_inverse,
                           lcm_convolve, lehmer_sides, scalar_dirichlet, scalar_lcm, scalar_table,
                           scalar_unitary, unitary_convolve)
@@ -114,6 +116,7 @@ def _family_levels(n_max: int) -> int:
 
 @functools.lru_cache(maxsize=1)  # run_suite clears the four tables: one build of each
 def _levels(n_max: int):
+    number_table(512)  # the Euler row's m_max first: every later table of the run is a prefix
     return level_table(max(min(n_max, TOP_LEVEL), 48))  # 48: the largest rf modulus
 
 
@@ -251,37 +254,41 @@ def _suite_even_identity(n_max, dim):
 
 
 def _suite_convolution(n_max, dim):
-    rng = random.Random(SEED)
     n_assoc = min(n_max, 60)
-    triples = [[rng.choices(analytic.SAMPLE_ENTRIES, k=n_assoc) for _ in range(3)]
-               for _ in range(3)]
-    a, b, c = (np.array(tables).T for tables in zip(*triples))  # column j: sample j
+    lehmer_n, lehmer_pairs = 200, 10
+
+    @functools.cache
+    def samples():  # the stacks a, b, c (column j: sample j), then Lehmer's alphas and betas
+        rng = random.Random(SEED)
+        triples = [[rng.choices(analytic.SAMPLE_ENTRIES, k=n_assoc) for _ in range(3)]
+                   for _ in range(3)]
+        tables = np.array([rng.choices(analytic.SAMPLE_ENTRIES, k=lehmer_n)
+                           for _ in range(2 * lehmer_pairs)]).T  # alpha, beta of each pair
+        return [np.array(stack).T for stack in zip(*triples)], tables[:, 0::2], tables[:, 1::2]
+
     scalar_products = {"dirichlet": scalar_dirichlet, "lcm": scalar_lcm,
                        "unitary": scalar_unitary}
 
     @functools.cache
     def algebra_laws(product):  # each sample's |(ab)c - a(bc)| and |ab - ba|, as columns
         prod = scalar_products[product]
+        a, b, c = samples()[0]
         ab, ba, bc = np.hsplit(prod(np.hstack((a, b, b)), np.hstack((b, a, c))), 3)
         ab_c, a_bc = np.hsplit(prod(np.hstack((ab, a)), np.hstack((c, bc))), 2)
         return np.maximum(abs(ab_c - a_bc), abs(ab - ba))
 
-    unit = Scalar(1)
-    ident, f = dirichlet_identity(unit, n_assoc), AlgFunction.lift(totient, unit, n_assoc)
+    phi = functools.cache(lambda: AlgFunction.lift(
+        number_table(n_assoc).phi.tolist().__getitem__, Scalar(1), n_assoc))
     products = {"dirichlet": dirichlet_convolve, "lcm": lcm_convolve, "unitary": unitary_convolve}
 
     def identity_laws(product):
+        f, ident = phi(), dirichlet_identity(Scalar(1), n_assoc)
         if product == "dirichlet inverse":  # raises InverseCheckError if not exact
             return dirichlet_convolve(f, dirichlet_inverse(f, 0)).distance(ident)
         prod = products[product]
         return max(prod(f, ident).distance(f), prod(ident, f).distance(f))
 
-    lehmer_n, lehmer_pairs = 200, 10
-    tables = np.array([rng.choices(analytic.SAMPLE_ENTRIES, k=lehmer_n)
-                       for _ in range(2 * lehmer_pairs)]).T  # alpha, beta of each pair
-    lehmer = functools.cache(lambda: lehmer_sides(tables[:, 0::2], tables[:, 1::2])[2])
-
-    weighted = IdempotentSystem(30)
+    lehmer = functools.cache(lambda: lehmer_sides(*samples()[1:])[2])
     rows = [
         _check("associativity and commutativity of the three products", {"n_max": n_assoc},
                [(sample, product) for sample in range(3) for product in scalar_products],
@@ -292,9 +299,9 @@ def _suite_convolution(n_max, dim):
                {"n_max": lehmer_n, "pairs": lehmer_pairs},
                [(pair,) for pair in range(lehmer_pairs)], lambda pair: lehmer()[pair]),
         _check("weighted convolution identities for alpha,beta against P_j",
-               {"j": 1, "n_max": 30, "dim": weighted.dim}, [()],
-               lambda: weighted_product_identities(
-                   scalar_table(lambda n: 1, 30), scalar_table(totient, 30), weighted, 1)),
+               {"j": 1, "n_max": 30, "dim": 30}, [()],
+               lambda: weighted_product_identities([1] * 30, number_table(30).phi[1:],
+                                                   IdempotentSystem(30), 1)),
     ]
     # the norm-multiplicativity claim fails for the max-row-sum norm
     f2 = DenseMatrix([[1, 1], [0, 1]])
@@ -331,11 +338,11 @@ def _first_worst(residuals, name: str) -> tuple:
 
 def _growth_excess(alpha, excess) -> tuple:
     """How far the entries x_m = (nu0 * alpha)(m) of P(alpha), m <= 64, leave the
-    bound excess(m, x_m) <= 0, in Python ints.  Where m-th roots of a finite prefix
-    cannot decide a limsup, these bounds settle the classification: (nu0 * phi)(m) = m
-    and (nu0 * eps)(m) = 1, so |x_m| <= m (continuous), and sum_{d|m} 2^d >= 2^m, so
-    x_m >= 2^m for 2^n (not continuous)."""
-    x = analytic.p_operator(scalar_table(alpha, 64)).entries
+    bound excess(m, x_m) <= 0, in Python ints, alpha() the table of alpha(1..64).
+    Where m-th roots of a finite prefix cannot decide a limsup, these bounds settle
+    the classification: (nu0 * phi)(m) = m and (nu0 * eps)(m) = 1, so |x_m| <= m
+    (continuous), and sum_{d|m} 2^d >= 2^m, so x_m >= 2^m for 2^n (not continuous)."""
+    x = analytic.p_operator(alpha()).entries
     return _first_worst([excess(m, x_m) for m, x_m in enumerate(x, 1)], "m")
 
 
@@ -345,9 +352,9 @@ def _suite_analytic(n_max, dim):
     iu = functools.cache(lambda: analytic.iu_star_representation(128))
     prep = functools.cache(lambda: analytic.p_operator_identities(
         IdempotentSystem(64, 1), 64, pairs=20, seed=SEED))
-    growth = {"totient": (totient, lambda m, x: abs(x) - m),
-              "epsilon": (epsilon, lambda m, x: abs(x) - m),
-              "2**n": (lambda n: 2**n, lambda m, x: 2**m - x)}
+    growth = {"totient": (lambda: number_table(64).phi[1:].tolist(), lambda m, x: abs(x) - m),
+              "epsilon": (lambda: scalar_table(epsilon, 64), lambda m, x: abs(x) - m),
+              "2**n": (lambda: [2**n for n in range(1, 65)], lambda m, x: 2**m - x)}
     one_period = "1..n, which decides every N"
     n_det, n_trace = min(n_max, 30), min(n_max, 60)
     dets = functools.cache(lambda: analytic.det_residuals(_levels(n_max), n_det))

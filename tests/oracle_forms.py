@@ -50,10 +50,14 @@ package because nothing in it calls them:
   ``rf_residual``;
 - ``euler_power_residual`` is |P(J_r) - theta^r| for one r, from the diagonals
   ``p_operator`` and ``theta_power`` build, the oracle of the stacked pass
-  ``analytic.euler_residuals``;
+  ``analytic.euler_residuals``; ``jordan_table`` is its J_r;
 - ``weighted_identities_elements`` builds alpha P_j(n) as diagonals and
   compares each side at each n by ``distance``, the oracle of the stack form
   ``idempotents.weighted_product_identities``.
+
+``serve_numbers`` is no oracle: it serves a changed ``NumberTable`` to every
+module of the package that reads one, so a test can corrupt one column
+(``serve_wrong_value``) or the product walk (``serve_wrong_product``).
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from idemarith import analytic, arith, ramanujan_ops
+from idemarith import analytic, arith, idempotents, ramanujan_ops, suites
 from idemarith.algebra import (_INT64_MAX, DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar,
                                _store, element_text, invert, is_idempotent)
 from idemarith.analytic import det_c0_unsigned_form, iu_star, p_operator, theta_power
@@ -503,8 +507,50 @@ def weighted_identities_elements(alpha, beta, system: IdempotentSystem, j: int) 
                max((sum_a(m) * sum_b(m)).distance(sum_box(m)) for m in levels))
 
 
+def jordan_table(r: int, n_max: int) -> np.ndarray:
+    """[J_r(1), ..., J_r(n_max)] by ``NumberTable.multiplicative`` on the factor
+    J_r(p^a) = p^(ra) - p^(r(a-1)): int64 while n_max^r fits, since J_r(n) <= n^r,
+    Python ints past that.  The table is read through ``analytic``, so a table
+    served there reaches both this and ``euler_residuals``."""
+    table = analytic.number_table(n_max)
+    dtype = np.int64 if n_max**r <= _INT64_MAX else object
+    prime, power = table.prime.astype(dtype), table.power.astype(dtype)
+    return table.multiplicative(power**r - (power // prime) ** r, 1)[1:]
+
+
 def euler_power_residual(r: int, n_dim: int) -> float:
-    """|P(J_r) - theta^r| on e_1..e_N, the two diagonals built and compared;
-    the J_r table is read through ``analytic._jordan_table``, so a patched
-    one reaches both forms."""
-    return p_operator(analytic._jordan_table(r, n_dim)).distance(theta_power(r, n_dim))
+    """|P(J_r) - theta^r| on e_1..e_N, the two diagonals built and compared."""
+    return p_operator(jordan_table(r, n_dim)).distance(theta_power(r, n_dim))
+
+
+def serve_numbers(monkeypatch, change):
+    """Serve change(table) for every table ``number_table`` returns to the modules
+    of the package that read one, each a prefix of the one table held."""
+    real = arith.number_table
+    for module in (ramanujan_ops, analytic, idempotents, suites):
+        monkeypatch.setattr(module, "number_table", lambda n_max: change(real(n_max)))
+
+
+def serve_wrong_value(monkeypatch, column: str, n: int, value):
+    """``serve_numbers`` with value in place of column[n], in tables that reach n."""
+    def change(table):
+        if len(table.rest) <= n:
+            return table
+        wrong = getattr(table, column).copy()
+        wrong[n] = value
+        return table._replace(**{column: wrong})
+
+    serve_numbers(monkeypatch, change)
+
+
+def serve_wrong_product(monkeypatch, n: int, factor=None):
+    """``serve_numbers`` with a product walk one too high at n, for every factor or
+    only where the factor's value at n is factor: no column holds J_r."""
+    class Wrong(arith.NumberTable):
+        def multiplicative(self, at_power, unit):
+            acc = super().multiplicative(at_power, unit)
+            if len(acc) > n and factor in (None, at_power[n]):
+                acc[n] += 1
+            return acc
+
+    serve_numbers(monkeypatch, lambda table: Wrong(*table))

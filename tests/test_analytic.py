@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from idemarith import analytic, arith
+from idemarith import analytic
 from idemarith.algebra import DiagonalOperator, ShapeMismatchError
 from idemarith.analytic import (
     det_c0,
@@ -28,8 +28,8 @@ from idemarith.arith import (divisors, epsilon, factorize, jordan_totient, mobiu
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
-from oracle_forms import (det_table, euler_power_residual, iu_star_fractions,
-                          shift_operators, trace_table)
+from oracle_forms import (det_table, euler_power_residual, iu_star_fractions, jordan_table,
+                          serve_wrong_product, serve_wrong_value, shift_operators, trace_table)
 
 H0_16 = IdempotentSystem(16, 1)
 
@@ -275,20 +275,15 @@ class TestPOperator:
     @pytest.mark.parametrize("r, n_max", [(1, 3000), (2, 3000), (3, 3000), (4, 3000),
                                           (5, 3000), (7, 600), (2, 1), (2, 2)])
     def test_jordan_table_matches_jordan_totient(self, r, n_max):
-        # 3000^5 fits int64; 600^7 does not, so that table is built from Python ints
-        table = analytic._jordan_table(r, n_max)
+        # the number table's product walk on J_r's prime-power factor: 3000^5 fits
+        # int64; 600^7 does not, so that table is built from Python ints
+        table = jordan_table(r, n_max)
         assert table.dtype == (np.int64 if n_max**r <= 2**63 - 1 else object)
         assert table.tolist() == [jordan_totient(r, n) for n in range(1, n_max + 1)]
         assert all(type(value) is int for value in table.tolist())
 
-    def test_jordan_table_rejects_r_below_one(self):
-        with pytest.raises(ValueError, match="r >= 1"):
-            euler_power_residual(0, 10)
-
     def test_euler_power_residual_sees_a_wrong_jordan_value(self, monkeypatch):
-        real = analytic._jordan_table
-        monkeypatch.setattr(analytic, "_jordan_table", lambda r, n_max: [
-            value + (n == 7) for n, value in enumerate(real(r, n_max), 1)])
+        serve_wrong_product(monkeypatch, 7)  # every J_r(7) one too high
         assert euler_power_residual(2, 6) == 0  # below the wrong value
         assert euler_power_residual(2, 7) == euler_power_residual(2, 300) == 1
         # the stacked pass reads the same table: J_1..J_3 all off at 7, mu not
@@ -305,14 +300,9 @@ class TestPOperator:
             p_operator(mu).distance(eps)] == [0, 0, 0, 0]
 
     def test_stacked_euler_pass_places_a_wrong_mobius_value(self, monkeypatch):
-        # mu(6) = 1 read as 0 by the sieve: P(mu) is off by 1 at every multiple of 6.
-        # arith's product serves mobius_table alone, the J_r tables never
-        real = arith.prime_power_product
-
-        def wrong(factor, unit):
-            return np.where(np.arange(len(factor)) == 6, 0, real(factor, unit))
-
-        monkeypatch.setattr(arith, "prime_power_product", wrong)
+        # mu(6) = 1 read as 0 in the number table: P(mu) is off by 1 at every multiple
+        # of 6; the J_r tables never read the mu column
+        serve_wrong_value(monkeypatch, "mu", 6, 0)
         assert euler_residuals(5) == [0, 0, 0, 0]
         assert euler_residuals(6) == euler_residuals(64) == [0, 0, 0, 1]
 
@@ -410,7 +400,7 @@ class TestIuStarRepresentation:
 
     def test_one_wrong_mobius_value_refutes_mu_nu_minus_1(self, monkeypatch):
         # m P(mu * nu_{-1})(m) = 1 + 7 at m = 7, where mu(7) = -1 is read as 0
-        monkeypatch.setattr(analytic, "mobius", lambda n: 0 if n == 7 else mobius(n))
+        serve_wrong_value(monkeypatch, "mu", 7, 0)
         assert iu_star_representation(7) == {"mu*nu_minus1": False, "mu*nu_1": False}
         assert iu_star_representation(6) == {"mu*nu_minus1": True, "mu*nu_1": False}
 

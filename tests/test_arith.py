@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idemarith
+from idemarith import arith
 from idemarith.arith import (
     EvenFunction,
     divisors,
@@ -22,16 +23,16 @@ from idemarith.arith import (
     jordan_totient,
     lcm_tuple_count,
     mobius,
+    number_table,
     nu,
     omega,
-    prime_power_product,
-    prime_power_split,
     ramanujan_sum,
     rf_transform,
     tau,
     totient,
 )
-from oracle_forms import crt_solve, rf_residual, rf_residual_per_k, rf_transform_per_k
+from oracle_forms import (crt_solve, jordan_table, rf_residual, rf_residual_per_k,
+                          rf_transform_per_k)
 
 
 def root_of_unity_sum(n, j):
@@ -65,22 +66,60 @@ class TestFactorize:
         assert math.prod(p**a for p, a in pairs) == n
 
 
+def assert_number_table_matches_scalars(n_max: int):
+    """``number_table(n_max)`` against the scalar functions at every n <= n_max:
+    its largest prime, power and rest against ``factorize``, its mu, phi and tau,
+    J_1..J_3 (``jordan_table``) and M_2 by ``NumberTable.multiplicative``, and
+    omega by the walk n -> rest(n).  The tests run it at 20,000, and CI at 10^5."""
+    table = number_table(n_max)
+    got = {name: getattr(table, name).tolist() for name in table._fields}
+    for r in (1, 2, 3):
+        got[f"J_{r}"] = [0, *jordan_table(r, n_max).tolist()]
+    got["M_2"] = table.multiplicative(2 * table.tau[table.power] - 1, 1).tolist()
+    got["omega"] = [0, 0]
+    for n in range(2, n_max + 1):
+        got["omega"].append(got["omega"][got["rest"][n]] + 1)
+    assert [column[0] for column in table] == [1, 1, 0, 0, 0, 0]
+    for n in range(1, n_max + 1):
+        p, a = factorize(n)[-1] if n > 1 else (1, 0)
+        expected = {"prime": p, "power": p**a, "rest": n // p**a, "mu": mobius(n),
+                    "phi": totient(n), "tau": tau(n), "J_1": jordan_totient(1, n),
+                    "J_2": jordan_totient(2, n), "J_3": jordan_totient(3, n),
+                    "M_2": lcm_tuple_count(2, n), "omega": omega(n)}
+        assert {name: column[n] for name, column in got.items()} == expected, n
+
+
 class TestPrimePowerSplit:
-    def test_matches_factorize_up_to_3000(self):
-        prime, power, rest = (a.tolist() for a in prime_power_split(3000))
-        assert (prime[1], power[1], rest[1]) == (1, 1, 1)
-        for n in range(2, 3001):
-            p, a = factorize(n)[-1]
-            assert (prime[n], power[n], rest[n]) == (p, p**a, n // p**a)
-            assert factorize(rest[n]) == factorize(n)[:-1]
+    def test_matches_the_scalar_functions_up_to_20000(self):
+        assert_number_table_matches_scalars(20_000)
+
+    def test_a_smaller_request_reads_a_prefix_of_the_held_table(self, monkeypatch):
+        built = []
+
+        def counted(n_max):
+            built.append(n_max)
+            return real(n_max)
+
+        real = arith._sieve
+        monkeypatch.setattr(arith, "_sieve", counted)
+        monkeypatch.setattr(arith, "_held", [None])
+        big, small = number_table(100), number_table(30)
+        assert built == [100] and len(small.mu) == 31
+        assert all(np.shares_memory(x, y) and (x[:31] == y).all() for x, y in zip(big, small))
+        assert number_table(101).mu.size == 102 and built == [100, 101]
+        assert arith._held[0].mu.size == 102  # the one table held
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 16, 17])
     def test_small_tables_are_read_only(self, n_max):
-        split = prime_power_split(n_max)
-        assert [a.size for a in split] == [n_max + 1] * 3
-        for array in split:
-            with pytest.raises(ValueError):
-                array[0] = 5
+        for table in (arith._sieve(n_max), number_table(n_max)):
+            assert [a.size for a in table] == [n_max + 1] * 6
+            for array in table:
+                with pytest.raises(ValueError):
+                    array[0] = 5
+
+    def test_rejects_a_table_below_one(self):
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            number_table(0)
 
     def test_product_multiplies_in_ascending_prime_order(self):
         class Word:  # a free monoid: a product spells the order of its factors
@@ -90,9 +129,9 @@ class TestPrimePowerSplit:
             def __mul__(self, other):
                 return Word(self.text + other.text)
 
-        _, power, _ = prime_power_split(60)
-        factor = np.array([Word(f"[{q}]") for q in power.tolist()], dtype=object)
-        acc = [w.text for w in prime_power_product(factor, Word("1"))[1:]]
+        table = number_table(60)
+        factor = np.array([Word(f"[{q}]") for q in table.power.tolist()], dtype=object)
+        acc = [w.text for w in table.multiplicative(factor, Word("1"))[1:]]
         assert acc[0] == "1" and acc[7] == "1[8]" and acc[59] == "1[4][3][5]"
         for n in range(2, 61):
             assert acc[n - 1] == "1" + "".join(f"[{p**a}]" for p, a in factorize(n))

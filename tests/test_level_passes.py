@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle_forms
-from idemarith import analytic, arith, ramanujan_ops, suites
+from idemarith import analytic, arith, idempotents, ramanujan_ops, suites
 from idemarith.ramanujan_ops import (OperatorFamily, class_table, level_table,
                                      operator_residuals, orthogonality_residuals, root_sums,
                                      scalar_residuals, transform_residuals)
@@ -281,18 +281,35 @@ class TestFaultsFailTheirRows:
         assert failed[1]["counterexample"] == {"kind": "C", "at": {"n": 3, "m": 4}}
 
     def test_one_wrong_mobius_value_fails_the_scalar_row(self, monkeypatch):
-        # mu(6) = 1 read as 0 by the one sieve that the level table's Hoelder values and
-        # the class table's divisor formula share: they still agree where they both
-        # weigh mu(6), at (6, 1) by 0 in place of 1, but the root sums do not
-        real = arith.prime_power_product
-        monkeypatch.setattr(arith, "prime_power_product", lambda factor, unit: np.where(
-            np.arange(len(factor)) == 6, 0, real(factor, unit)))
-        assert arith.mobius_table(12)[1:].tolist() == [
+        # mu(6) = 1 read as 0 in the one number table that the level table's Hoelder
+        # values and the class table's divisor formula share: they still agree where
+        # they both weigh mu(6), at (6, 1) by 0 in place of 1, but the root sums do not
+        oracle_forms.serve_wrong_value(monkeypatch, "mu", 6, 0)
+        assert ramanujan_ops.number_table(12).mu[1:].tolist() == [
             0 if n == 6 else arith.mobius(n) for n in range(1, 13)]
         assert failed_levels(12)["scalar"] == [6, 12]
         row = run_suite("ramanujan", n_max=12)["checks"][0]
         assert row["identity"] == "scalar Ramanujan sums vs root-of-unity oracle"
         assert (row["max_residual"], row["counterexample"]) == (2.0, {"n": 12})
+
+    def test_one_wrong_totient_value_fails_the_scalar_row(self, monkeypatch):
+        # phi(12) = 4 read as 5: Hoelder's c_12(g) = mu(12/g) phi(12)/phi(12/g) is off by
+        # 1 at the classes 4, 6 and 12, which every pass over level 12 reads; the divisor
+        # formula of the class table reads no phi
+        oracle_forms.serve_wrong_value(monkeypatch, "phi", 12, 5)
+        assert failed_levels(12) == {row: [12] for row in
+                                     ("scalar", "operators", "transforms", "orthogonality")}
+        row = run_suite("ramanujan", n_max=12)["checks"][0]
+        assert row["identity"] == "scalar Ramanujan sums vs root-of-unity oracle"
+        assert (row["max_residual"], row["counterexample"]) == (1.0, {"n": 12})
+
+    def test_one_wrong_divisor_count_fails_the_operator_row(self, monkeypatch):
+        # tau(12) = 6 read as 7: the six idempotents T_{r,j}(12) no longer count tau(12)
+        oracle_forms.serve_wrong_value(monkeypatch, "tau", 12, 7)
+        assert failed_levels(12) == {"operators": [12]}
+        row = run_suite("ramanujan", n_max=12)["checks"][1]
+        assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
+        assert (row["max_residual"], row["counterexample"]) == (1.0, {"n": 12})
 
     @pytest.mark.parametrize("field, pair, value, rows", [
         # a value at the pair (class (n, g), r) = ((12, 4), r) of _class_pairs
@@ -333,6 +350,14 @@ class TestFaultsFailTheirRows:
         monkeypatch.setattr(ramanujan_ops, "_prime_products", wrong)
         assert failed_levels(12) == {"operators": [12]}
 
+    @pytest.mark.parametrize("column, value", [("prime", 2), ("power", 9), ("rest", 2)])
+    def test_a_wrong_prime_power_walk_fails_the_operator_row(self, monkeypatch, column, value):
+        # the walk over the prime powers of 12 = 4 * 3 that the prime-product forms of
+        # C_j(12) and T_{12,j}(12) take: its largest prime read as 2, its power as 9, or
+        # its rest as 2; only the operator row reads those columns
+        oracle_forms.serve_wrong_value(monkeypatch, column, 12, value)
+        assert failed_levels(12) == {"operators": [12]}
+
 
 def test_a_run_builds_its_level_table_and_root_sums_once(monkeypatch):
     # every level row reads one table, to level 48 at least, and two of them one set
@@ -352,8 +377,29 @@ def test_a_run_builds_its_level_table_and_root_sums_once(monkeypatch):
     for module in (suites, ramanujan_ops):  # a package call of either name is seen
         for name in ("level_table", "root_sums", "class_table"):
             spy(module, name)
+    # one number table, sieved to the Euler row's 512 before any row reads it: every
+    # other table a run reads is a prefix of it, and so is every table of a later run
+    sieved, sieve = [], arith._sieve
+    monkeypatch.setattr(arith, "_held", [None])
+    monkeypatch.setattr(arith, "_sieve", lambda n_max: sieved.append(n_max) or sieve(n_max))
+    # outside the errata's one-window forms, a run reads every value of mu, phi, tau,
+    # omega, J_r and M_2 off that table: each scalar function raises if called
+    scalars = ("mobius", "totient", "tau", "omega", "jordan_totient", "lcm_tuple_count")
+    for name in scalars:
+        real = getattr(arith, name)
+
+        def refused(*args, name=name):
+            raise AssertionError(f"{name}{args} called")
+
+        for module in (arith, ramanujan_ops, analytic, idempotents, suites):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, refused)
     for n_max in (200, 200, 12):
-        assert run_suite("all", n_max=n_max)["pass"] is True
+        report = run_suite("all", n_max=n_max)
+        assert report["pass"] is True and sieved == [512]
+        assert [note["id"] for note in report["errata"] if "error" in note] == [
+            "lcm-tuple-count-display", "determinant-sign", "trace-floor-chain",
+            "trace-prime-power-sum"]
     assert built == [("level_table", 200), ("class_table", 200), ("root_sums", 200)] * 2 + [
         ("level_table", 48), ("class_table", 48), ("root_sums", 48)]
 

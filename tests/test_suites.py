@@ -301,18 +301,21 @@ class TestRunSuite:
         assert row["pass"] is False and row["max_residual"] == worst
 
     def test_one_wrong_mobius_value_fails_the_iu_star_row(self, monkeypatch):
-        monkeypatch.setattr(analytic, "mobius", lambda n: 0 if n == 7 else arith.mobius(n))
+        oracle_forms.serve_wrong_value(monkeypatch, "mu", 7, 0)
         rows = {row["identity"]: row for row in run_suite("analytic")["checks"]}
         row = rows["diagonal of integration-compose-backward-shift"]
         assert row["pass"] is False and row["max_residual"] == 1.0
         assert row["counterexample"] == {"candidate": "mu*nu_minus1", "matches": True}
 
     def test_wrong_prime_power_factor_fails_the_ramanujan_row(self, monkeypatch):
-        def wrong(n):  # 12 read as 2 * 3: the prime product uses P_j(2), not P_j(4)
+        # 12 read as 2 * 3: the prime product uses P_j(2), not P_j(4).  The oracle
+        # reads factorize through ramanujan_ops, the pass the number table's rest column
+        def wrong(n):
             return [(2, 1), (3, 1)] if n == 12 else factorize(n)
 
         monkeypatch.setattr(ramanujan_ops, "factorize", wrong)
         assert oracle_forms.c_operator_constructions(12)["prime_product"] == 8
+        oracle_forms.serve_wrong_value(monkeypatch, "rest", 12, 2)  # 12 = 3 * 2, not 3 * 4
         row = run_suite("ramanujan", n_max=12, dim=60)["checks"][1]
         assert row["identity"] == "operator Ramanujan identities (three constructions, partitions)"
         assert row["pass"] is False and row["max_residual"] == 8.0
@@ -377,7 +380,7 @@ class TestRunSuite:
 
     def test_totient_above_its_bound_fails_the_growth_row(self, monkeypatch):
         # phi(64) + 1 puts x_64 = (nu0 * phi)(64) at 65, one past |x_m| <= m
-        monkeypatch.setattr(suites, "totient", lambda n: arith.totient(n) + (n == 64))
+        oracle_forms.serve_wrong_value(monkeypatch, "phi", 64, arith.totient(64) + 1)
         row = run_suite("analytic", n_max=12)["checks"][-1]
         assert row["identity"].startswith("growth bounds of the diagonal map")
         assert row["pass"] is False and row["max_residual"] == 1
@@ -413,10 +416,9 @@ class TestRunSuite:
             assert row["counterexample"]["at"] == {"n": 2, "m": 3}
 
     def test_wrong_jordan_value_fails_both_euler_power_checks(self, monkeypatch):
-        # the Euler row and p_operator_identities compare the same P(J_r) with theta^r
-        real = analytic._jordan_table
-        monkeypatch.setattr(analytic, "_jordan_table", lambda r, n_max: [
-            value + (n == 7) for n, value in enumerate(real(r, n_max), 1)])
+        # the Euler row and p_operator_identities compare the same P(J_r) with theta^r;
+        # J_r is no column, so the number table's product walk is one too high at 7
+        oracle_forms.serve_wrong_product(monkeypatch, 7)
         rows = {row["identity"]: row for row in run_suite("analytic", **SMALL)["checks"]}
         euler = rows["Euler-operator representation of totient and Jordan powers"]
         assert euler["pass"] is False and euler["max_residual"] == 1.0
@@ -426,18 +428,13 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("alpha", ["jordan:3", "mobius"])
     def test_one_wrong_euler_table_fails_its_own_case(self, monkeypatch, alpha):
-        # each case reads its own column of the one stacked pass: J_3 off at 7, or the
-        # sieve's mu(6) = 1 read as 0 (arith's product serves mobius_table alone)
-        jordan, product = analytic._jordan_table, arith.prime_power_product
-
-        def wrong_mu(factor, unit):
-            return np.where(np.arange(len(factor)) == 6, 0, product(factor, unit))
-
+        # each case reads its own column of the one stacked pass: J_3 off at 7 (the walk
+        # one too high where its factor is J_3(7) = 7^3 - 1), or the number table's
+        # mu(6) = 1 read as 0
         if alpha == "jordan:3":
-            monkeypatch.setattr(analytic, "_jordan_table", lambda r, n_max: [
-                value + (r == 3 and n == 7) for n, value in enumerate(jordan(r, n_max), 1)])
+            oracle_forms.serve_wrong_product(monkeypatch, 7, 7**3 - 1)
         else:
-            monkeypatch.setattr(arith, "prime_power_product", wrong_mu)
+            oracle_forms.serve_wrong_value(monkeypatch, "mu", 6, 0)
         rows = {row["identity"]: row for row in run_suite("analytic", **SMALL)["checks"]}
         euler = rows["Euler-operator representation of totient and Jordan powers"]
         assert euler["pass"] is False and euler["max_residual"] == 1.0
@@ -459,6 +456,32 @@ class TestRunSuite:
         assert row["identity"] == "identity laws and Dirichlet inverse round trip"
         assert row["pass"] is False and row["max_residual"] == 2.0
         assert row["counterexample"] == {"product": "lcm"}
+
+    @pytest.mark.parametrize("read", ["lift", "column"])
+    def test_a_failed_phi_read_fails_only_the_rows_that_read_it(self, monkeypatch, read):
+        # the convolution suite builds its inputs inside its rows: a failed lift of phi
+        # fails the identity-law row alone, and a failed read of the number table's phi
+        # column the two rows that read it; the run still reports every row and erratum
+        def refused(*args):
+            raise ValueError("phi refused")
+
+        rows = ["identity laws and Dirichlet inverse round trip"]
+        if read == "lift":
+            monkeypatch.setattr(suites.AlgFunction, "lift", classmethod(refused))
+        else:
+            rows.append("weighted convolution identities for alpha,beta against P_j")
+            class NoPhi(arith.NumberTable):
+                phi = property(refused)
+
+            oracle_forms.serve_numbers(monkeypatch, lambda table: NoPhi(*table))
+        report = run_suite("convolution")
+        failed = [row for row in report["checks"] if not row["pass"]]
+        assert [row["identity"] for row in failed] == rows
+        assert all(row["error"] == "ValueError: phi refused" for row in failed)
+        assert report["summary"] == {"total": 4, "passed": 4 - len(rows), "failed": len(rows)}
+        assert [note["id"] for note in report["errata"]] == [
+            "lehmer-display", "lcm-tuple-count-display", "norm-multiplicativity"]
+        assert not any("error" in note for note in report["errata"])
 
     def test_failed_row_names_its_worst_case(self, monkeypatch):
         real = IdempotentSystem.projections
