@@ -14,8 +14,9 @@ gcd(k, n), by running sums and Python-int running products; the primes
 and mu of each level come off ``arith.number_table``.
 ``trace_identities`` and ``det_c0`` answer one window (n, N) from whole
 periods of the c_n row and of the coprimality row (the multiples of each
-prime of n struck out).  Commonly quoted closed forms of the determinant
-and traces that disagree with the oracle are evaluated by
+prime of n struck out) and its 2^omega(n) squarefree divisors, one
+``factorize(n)``.  Commonly quoted closed forms of the determinant and
+traces that disagree with the oracle are evaluated by
 ``det_c0_unsigned_form`` and ``trace_erratum_forms`` for the errata
 section, never asserted.  The IU* candidates are decided in int64, against
 theta IU* = 1, the algebra-map pairs in one ``lehmer_sides`` call, and
@@ -28,12 +29,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .algebra import _INT64_MAX, DEFAULT_TOL, DiagonalOperator
-from .arith import divisors, factorize, mobius, number_table, omega
+from .arith import factorize, number_table, omega
 from .convolution import _spread, _worst_first, lehmer_sides, scalar_dirichlet
 from .idempotents import IdempotentSystem
 from .ramanujan_ops import LevelTable
@@ -47,17 +48,21 @@ TruncatedSpace = IdempotentSystem  # the window's former name, still used by ben
 SAMPLE_ENTRIES = tuple(range(-5, 6))  # the entries of every random table (a tuple: fast to index)
 
 
-def _divisor_mobius(n: int) -> dict[int, int]:
-    """{d: mu(d)} for the divisors d of n, ascending: one mobius call each."""
-    return {d: mobius(d) for d in divisors(n)}
+def _squarefree(primes: list[int]) -> list[tuple[int, int]]:
+    """(e, mu(e)) for the 2^omega(n) squarefree divisors e of n, the only ones
+    with mu(e) != 0, from the primes of n: their products, the last all of them."""
+    terms = [(1, 1)]
+    for p in primes:
+        terms += [(e * p, -mu) for e, mu in terms]
+    return terms
 
 
-def _c_period(n: int, n_max: int, mu: dict[int, int]) -> np.ndarray:
+def _c_period(n: int, n_max: int, terms: Iterable[tuple[int, int]]) -> np.ndarray:
     """int64 c_n(k) for k = 1..min(n, n_max): d mu(n/d) at every d-th k,
-    d | n, with mu = ``_divisor_mobius(n)``."""
+    d = n/e for each (e, mu(e)) in terms, as ``_squarefree`` lists them."""
     row = np.zeros(min(n, n_max), dtype=np.int64)
-    for d in mu:
-        row[d - 1::d] += d * mu[n // d]
+    for e, mu in terms:
+        row[n // e - 1::n // e] += n // e * mu
     return row
 
 
@@ -70,11 +75,12 @@ def det_c0(n: int, n_dim: int) -> tuple[int, int]:
     the errata) flips sign whenever N and omega(n) are both odd."""
     if n < 2 or n_dim < 1:
         raise ValueError("det_c0 requires n >= 2 and N >= 1")
-    mu = _divisor_mobius(n)
-    row, rest = _c_period(n, n_dim, mu).tolist(), n_dim % n  # Python ints: products leave int64
-    head = math.prod(row[:rest])
-    return ((head * math.prod(row[rest:])) ** (n_dim // n) * head,
-            (-1) ** (n_dim * omega(n)) * det_c0_unsigned_form(n, n_dim) if mu[n] else 0)
+    primes = [p for p, _ in factorize(n)]
+    row = _c_period(n, n_dim, _squarefree(primes)).tolist()  # Python ints: products leave int64
+    head = math.prod(row[:n_dim % n])
+    return ((head * math.prod(row[n_dim % n:])) ** (n_dim // n) * head,
+            math.prod((-1) ** n_dim * (1 - p) ** (n_dim // p) for p in primes)
+            if math.prod(primes) == n else 0)
 
 
 def det_residuals(levels: LevelTable, n_max: int) -> list[tuple[int, int]]:
@@ -114,14 +120,15 @@ def trace_identities(n: int, n_dim: int) -> dict:
     the traces over whole periods of the c_n row and the coprimality row."""
     if n < 1 or n_dim < 1:
         raise ValueError("trace_identities requires n >= 1 and N >= 1")
-    mu = _divisor_mobius(n)
-    c_row, coprime = _c_period(n, n_dim, mu), np.ones(min(n, n_dim), dtype=np.int64)
-    for p, _ in factorize(n):
+    primes = [p for p, _ in factorize(n)]
+    terms = _squarefree(primes)
+    c_row, coprime = _c_period(n, n_dim, terms), np.ones(min(n, n_dim), dtype=np.int64)
+    for p in primes:
         coprime[p - 1::p] = 0
     whole, rest = divmod(n_dim, n)
     trace_c0, trace_t0 = (whole * int(x.sum()) + int(x[:rest].sum()) for x in (c_row, coprime))
-    c0_closed = sum(d * mu[n // d] * (n_dim // d) for d in mu)
-    t0_closed = sum(mu[d] * (n_dim // d) for d in mu)
+    c0_closed = sum(n // e * mu * (n_dim // (n // e)) for e, mu in terms)
+    t0_closed = sum(mu * (n_dim // e) for e, mu in terms)
     return {"n": n, "dim": n_dim, "trace_c0": trace_c0, "trace_c0_closed": c0_closed,
             "trace_t0": trace_t0, "trace_t0_closed": t0_closed,
             "pass": trace_c0 == c0_closed and trace_t0 == t0_closed}

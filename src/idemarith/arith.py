@@ -118,16 +118,22 @@ class NumberTable(NamedTuple):
 
 
 def _sieve(n_max: int) -> NumberTable:
-    """The ``NumberTable`` of 0..n_max: each prime p, ascending, marks its multiples with
-    p, and those of each p^a with p^a and a + 1, so the largest prime marks last."""
+    """The ``NumberTable`` of 0..n_max: each prime p <= sqrt(n_max), ascending, marks its
+    multiples with p, and those of each p^a with p^a and a + 1; then, as no n <= n_max has
+    two larger primes or the square of one, those mark their multiples with p, p and 2."""
     prime, power, count = (np.ones(n_max + 1, dtype=np.int64) for _ in range(3))
-    for p in range(2, n_max + 1):
+    for p in range(2, math.isqrt(n_max) + 1):
         if prime[p] == 1:  # no smaller prime divides p
             prime[p::p] = p
             q, a = p, 1
             while q <= n_max:
                 power[q::q], count[q::q] = q, a + 1
                 q, a = q * p, a + 1
+    big = np.flatnonzero(prime[2:] == 1) + 2  # the primes above sqrt(n_max): no mark yet
+    runs = n_max // big
+    p = np.repeat(big, runs)  # p k for k = 1..n_max // p, each p's run after the last
+    multiples = p * (np.arange(1, p.size + 1) - np.repeat(np.cumsum(runs) - runs, runs))
+    prime[multiples], power[multiples], count[multiples] = p, p, 2
     split = NumberTable(prime, power, np.arange(n_max + 1) // power, None, None, None)
     table = split._replace(mu=split.multiplicative(np.where(power == prime, -1, 0), 1),
                            phi=split.multiplicative(power - power // prime, 1),

@@ -6,12 +6,12 @@ Functions are finite tables over 1..n_max so every product is exact and
 brute-force checkable.  In the non-commutative case the order convention
 is fixed: (f . g)(n) sums f(k) * g(l) with k the left factor.
 
-Every product runs on one flat index of its terms over 1..N, cached for
-at most three (product, N) pairs: the 0-based table positions of each
-term's factors, ordered n ascending, then left factor, then right, and
-where each n's terms start.  The kernel gathers both tables at those
-positions, multiplies, and sums each n's terms with ``np.add.reduceat``
-along axis 0, about 8k entries at a time.  It uses int64 only when both
+Every product runs on one flat index of its terms over 1..N, one held per
+product and grown as N grows: the 0-based table positions of each term's
+factors, ordered n ascending, then left factor, then right, and where each
+n's terms start.  The kernel gathers both tables at those positions,
+multiplies, and sums each n's terms with ``np.add.reduceat`` along axis 0,
+about 8k entries at a time.  It uses int64 only when both
 tables are integers of int64 size and max|a| max|b| (most terms at one n)
 <= 2^63 - 1, so no sum can wrap.  Anything else (floats, complex,
 Fractions, big ints, elements) runs on object arrays, adding each n's
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -93,10 +92,13 @@ __all__ = [
 _BLOCK = 8192  # terms per kernel step
 _N_BLOCK = 256  # n per index block: about _BLOCK lcm terms at N = 3000
 _PAIR_BLOCK = 64  # the first block of pairs is_multiplicative compares; each next one doubles
+_BASE = {"unitary": "dirichlet", "lcm": "unitary"}  # the index each product's terms are read off
+_NO_TERMS = (np.zeros(0, dtype=np.int32),) * 2 + (np.zeros(1, dtype=np.int32),)  # the index on 1..0
+_indexes: dict = {}  # kind -> the one (left, right, starts) held, grown by _index
 
 
 class InverseCheckError(ArithmeticError):
-    """The two-sided verification of a Dirichlet inverse failed."""
+    """The verification of a Dirichlet inverse failed: f*g or g*f is not I."""
 
 
 def scalar_table(fn: Callable[[int], object], n_max: int) -> list:
@@ -115,37 +117,46 @@ def _cofactors(lo: int, hi: int, split_starts) -> tuple[np.ndarray, np.ndarray, 
     return g, split_starts[first - 1], split_starts[last - 1]
 
 
-@lru_cache(maxsize=3)
-def _index(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(left, right, starts) of the product ``kind`` on 1..n_max: the
-    0-based positions of each term's factors, and where each n's terms
-    start (n_max + 1 entries, the last one the term count).
-    """
-    counts = np.zeros(n_max + 1, dtype=np.int32)  # counts[n]: the terms at n
+def _terms(kind: str, lo: int, hi: int, base) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, counts) of the product ``kind`` at n = lo..hi - 1, as ``_index``
+    holds them, read off base: the index on 1..hi - 1 or more of the product
+    below it (Dirichlet for unitary, unitary for lcm)."""
     if kind == "unitary":  # the Dirichlet terms (d, n/d) with gcd(d, n/d) = 1
-        left, right, starts = _index("dirichlet", n_max)
-        keep = np.gcd(left + 1, right + 1) == 1
-        counts[1:] = np.bincount(np.repeat(np.arange(n_max), np.diff(starts))[keep],
-                                 minlength=n_max)
-        return left[keep], right[keep], np.cumsum(counts, dtype=np.int32)
+        left, right, starts = base
+        at = slice(starts[lo - 1], starts[hi - 1])
+        keep = np.gcd(left[at] + 1, right[at] + 1) == 1
+        n = np.repeat(np.arange(hi - lo), np.diff(starts[lo - 1:hi]))
+        return left[at][keep], right[at][keep], np.bincount(n[keep], minlength=hi - lo)
     # Dirichlet: the terms (g, q) at n = g q.  lcm: (g x, g y) at n = g x y
     # for each unitary split (x, y) of each q, so g = gcd of the pair.
-    x, y, splits = _index("unitary", n_max) if kind == "lcm" else (None, None, None)
-    _, first, last = _cofactors(1, n_max + 1, splits)
-    terms = np.empty((2, int((last - first).sum())), dtype=np.int32)
-    for lo in range(1, n_max + 1, _N_BLOCK):
-        hi = min(lo + _N_BLOCK, n_max + 1)
-        g, first, last = _cofactors(lo, hi, splits)
-        count = last - first
-        g = np.repeat(g, count)  # q: the cofactor, or for lcm a split's position
-        q = np.arange(g.size) + np.repeat(first - np.cumsum(count) + count, count)
-        left, right = (g, q) if splits is None else (g * (x[q] + 1), g * (y[q] + 1))
-        n = left * right if splits is None else left * right // g
-        order = np.argsort(((n - lo) * (n_max + 1) + left) * (n_max + 1) + right)
-        at = counts.sum()
-        terms[:, at:at + g.size] = left[order] - 1, right[order] - 1
-        counts[lo:hi] = np.bincount(n - lo, minlength=hi - lo)
-    return terms[0], terms[1], np.cumsum(counts, dtype=np.int32)
+    x, y, splits = (None, None, None) if base is None else base
+    g, first, last = _cofactors(lo, hi, splits)
+    count = last - first
+    g = np.repeat(g, count)  # q: the cofactor, or for lcm a split's position
+    q = np.arange(g.size) + np.repeat(first - np.cumsum(count) + count, count)
+    left, right = (g, q) if splits is None else (g * (x[q] + 1), g * (y[q] + 1))
+    n = left * right if splits is None else left * right // g
+    order = np.argsort(((n - lo) * hi + left) * hi + right)
+    return ((left[order] - 1).astype(np.int32), (right[order] - 1).astype(np.int32),
+            np.bincount(n - lo, minlength=hi - lo))
+
+
+def _index(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, starts) of the product ``kind`` on 1..n_max, int32: the
+    0-based positions of each term's factors, and where each n's terms start
+    (n_max + 1 entries, the last the term count).  It is a prefix of the one
+    index held per product, which a larger n_max first grows by its blocks."""
+    left, right, starts = _indexes.get(kind, _NO_TERMS)
+    if len(starts) <= n_max or kind not in _indexes:  # _NO_TERMS is held as a read-only copy
+        base = None if kind == "dirichlet" else _index(_BASE[kind], n_max)
+        blocks = [_terms(kind, lo, min(lo + _N_BLOCK, n_max + 1), base)
+                  for lo in range(len(starts), n_max + 1, _N_BLOCK)]
+        left, right, counts = map(np.concatenate, zip((left, right, starts[:0]), *blocks))
+        starts = np.concatenate([starts, starts[-1] + np.cumsum(counts, dtype=np.int32)])
+        _indexes[kind] = left, right, starts
+        for array in _indexes[kind]:  # every caller reads the held arrays
+            array.flags.writeable = False
+    return left[:starts[n_max]], right[:starts[n_max]], starts[:n_max + 1]
 
 
 def _blocks(starts: np.ndarray, lo: int, hi: int, size: int = _BLOCK):
@@ -346,11 +357,12 @@ def dirichlet_identity(unit, n_max: int) -> AlgFunction:
 def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
     """Dirichlet inverse by the right-inverse recursion
     g(n) = -f(1)^-1 sum_{d | n, d > 1} f(d) g(n/d), then verified to be
-    two-sided within tol (InverseCheckError otherwise; the left check is
-    not a free consequence in a non-commutative algebra).
+    two-sided within tol (InverseCheckError otherwise): on a stack with
+    f(1) entries +-1 by f*g alone, since (d, n/d) pairs with (n/d, d) and
+    g*f sums the same integer products; on elements by both products, as
+    the left check is not a free consequence in a non-commutative algebra.
 
-    Each dyadic range of n is one gather-reduce over its terms with d > 1;
-    on a stack each side of the check is one product and one comparison.
+    Each dyadic range of n is one gather-reduce over its terms with d > 1.
     """
     lead_inv = invert(f(1))  # raises NonInvertibleError when f(1) is singular
     left, right, starts = _index("dirichlet", f.n_max)
@@ -379,7 +391,7 @@ def dirichlet_inverse(f: AlgFunction, tol: float = DEFAULT_TOL) -> AlgFunction:
                         else [-(lead_inv * (zero + s)) for s in sums.tolist()])
         if exact:
             g_bound = max(g_bound, int(np.abs(g[first:stop]).max()))
-    for name, pair in (("f*g", (fv, g)), ("g*f", (g, fv))):
+    for name, pair in [("f*g", (fv, g))] if stacked else [("f*g", (fv, g)), ("g*f", (g, fv))]:
         prod = np.array(_product("dirichlet", *pair, zero), dtype=None if stacked else object)
         first = _first_far(prod, identity, tol)
         if first is not None:

@@ -48,6 +48,9 @@ package because nothing in it calls them:
 - ``rf_transform_per_k`` and ``rf_residual_per_k`` sum over k = 1..d and
   compare at every n = 1..d, the oracles of ``arith.rf_transform`` and
   ``rf_residual``;
+- ``sieve`` is the number table with every prime <= L marking its
+  multiples in turn, the oracle of ``arith._sieve``, which loops over the
+  primes <= sqrt(L) and marks the multiples of the larger ones at once;
 - ``euler_power_residual`` is |P(J_r) - theta^r| for one r, from the diagonals
   ``p_operator`` and ``theta_power`` build, the oracle of the stacked pass
   ``analytic.euler_residuals``; ``jordan_table`` is its J_r;
@@ -240,13 +243,18 @@ def _floor_sum(weights: dict, n_dims: np.ndarray) -> np.ndarray:
     return (n_dims[:, None] // np.array(list(weights))) @ np.array(list(weights.values()))
 
 
+def _divisor_mobius(n: int) -> dict[int, int]:
+    """{d: mu(d)} for every divisor d of n, one ``mobius`` call each."""
+    return {d: mobius(d) for d in divisors(n)}
+
+
 def det_table(n: int, n_dims) -> list[tuple[int, int]]:
     """(direct, closed) of ``analytic.det_c0`` for every N in n_dims: the
     prefix products of one period of the c_n row, in Python ints."""
     if n < 2 or min(n_dims, default=0) < 1:
         raise ValueError("det_table requires n >= 2 and N >= 1")
-    mu = analytic._divisor_mobius(n)
-    row = analytic._c_period(n, max(n_dims), mu).tolist()  # Python ints: the products leave int64
+    mu = _divisor_mobius(n)
+    row = analytic._c_period(n, max(n_dims), mu.items()).tolist()  # products leave int64
     prefix, start = {0: 1}, 0
     for stop in sorted({big_n % n for big_n in n_dims} | {len(row)}):
         prefix[stop] = prefix[start] * math.prod(row[start:stop])
@@ -263,8 +271,8 @@ def trace_table(n: int, n_dims) -> np.ndarray:
     dims = np.array(n_dims, dtype=np.int64)
     if n < 1 or dims.size == 0 or dims.min() < 1:
         raise ValueError("trace_table requires n >= 1 and N >= 1")
-    mu = analytic._divisor_mobius(n)
-    c_row = analytic._c_period(n, int(dims.max()), mu)
+    mu = _divisor_mobius(n)
+    c_row = analytic._c_period(n, int(dims.max()), mu.items())
     coprime = np.ones(c_row.size, dtype=np.int64)
     for p, _ in factorize(n):
         coprime[p - 1::p] = 0
@@ -516,6 +524,25 @@ def jordan_table(r: int, n_max: int) -> np.ndarray:
     dtype = np.int64 if n_max**r <= _INT64_MAX else object
     prime, power = table.prime.astype(dtype), table.power.astype(dtype)
     return table.multiplicative(power**r - (power // prime) ** r, 1)[1:]
+
+
+def sieve(n_max: int) -> arith.NumberTable:
+    """The ``NumberTable`` of 0..n_max with every prime p <= n_max, ascending,
+    marking its multiples with p, and those of each p^a with p^a and a + 1, so
+    the largest prime marks last: the oracle of ``arith._sieve``, whose loop
+    stops at sqrt(n_max)."""
+    prime, power, count = (np.ones(n_max + 1, dtype=np.int64) for _ in range(3))
+    for p in range(2, n_max + 1):
+        if prime[p] == 1:  # no smaller prime divides p
+            prime[p::p] = p
+            q, a = p, 1
+            while q <= n_max:
+                power[q::q], count[q::q] = q, a + 1
+                q, a = q * p, a + 1
+    split = arith.NumberTable(prime, power, np.arange(n_max + 1) // power, None, None, None)
+    return split._replace(mu=split.multiplicative(np.where(power == prime, -1, 0), 1),
+                          phi=split.multiplicative(power - power // prime, 1),
+                          tau=split.multiplicative(count, 1))
 
 
 def euler_power_residual(r: int, n_dim: int) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from idemarith import analytic
+from idemarith import analytic, arith
 from idemarith.algebra import DiagonalOperator, ShapeMismatchError
 from idemarith.analytic import (
     det_c0,
@@ -28,6 +28,7 @@ from idemarith.arith import (divisors, epsilon, factorize, jordan_totient, mobiu
 from idemarith.convolution import scalar_table
 from idemarith.idempotents import IdempotentSystem
 from idemarith.ramanujan_ops import OperatorFamily
+import oracle_forms
 from oracle_forms import (det_table, euler_power_residual, iu_star_fractions, jordan_table,
                           serve_wrong_product, serve_wrong_value, shift_operators, trace_table)
 
@@ -190,10 +191,36 @@ class TestPerLevelTables:
         if n >= 2:
             assert det_c0(n, big_n) == det_oracle(n, big_n)
 
+    def test_one_window_forms_match_their_definitions(self, monkeypatch):
+        # both sides of each identity against the sum and product of c_n(k) over k <= N
+        # and the count of k <= N coprime to n, at windows about one and two periods
+        rows = {n: [ramanujan_sum(n, k) for k in range(1, 2 * n + 4)] for n in range(1, 121)}
+
+        def refused(*args):
+            raise AssertionError(f"called with {args}")
+
+        for name in ("mobius", "divisors"):  # neither is reachable from analytic
+            assert not hasattr(analytic, name)
+            monkeypatch.setattr(arith, name, refused)
+        factorized = []
+        monkeypatch.setattr(analytic, "factorize", lambda n: factorized.append(n) or factorize(n))
+        for n, c in rows.items():
+            for big_n in sorted({1, n - 1, n, n + 1, 2 * n + 3} - {0}):
+                c_sum = sum(c[:big_n])
+                coprime = sum(math.gcd(k, n) == 1 for k in range(1, big_n + 1))
+                factorized.clear()
+                report = trace_identities(n, big_n)
+                assert (report["trace_c0"], report["trace_c0_closed"], report["trace_t0"],
+                        report["trace_t0_closed"]) == (c_sum, c_sum, coprime, coprime)
+                assert report["pass"] is True
+                if n >= 2:
+                    assert det_c0(n, big_n) == (math.prod(c[:big_n]),) * 2
+                assert factorized == [n] * (1 + (n >= 2))  # one factorization per call
+
     @pytest.mark.parametrize("n", [1, 12, 30, 97, 360])
     def test_tables_look_up_mobius_once_per_divisor(self, n, monkeypatch):
         calls = []
-        monkeypatch.setattr(analytic, "mobius", lambda d: calls.append(d) or mobius(d))
+        monkeypatch.setattr(oracle_forms, "mobius", lambda d: calls.append(d) or mobius(d))
         table = trace_table(n, [1, n, 3 * n + 2])
         assert sorted(calls) == list(divisors(n))
         assert [tuple(row) for row in table.tolist()] == [

@@ -32,7 +32,7 @@ from idemarith.arith import (
     totient,
 )
 from oracle_forms import (crt_solve, jordan_table, rf_residual, rf_residual_per_k,
-                          rf_transform_per_k)
+                          rf_transform_per_k, sieve)
 
 
 def root_of_unity_sum(n, j):
@@ -89,7 +89,21 @@ def assert_number_table_matches_scalars(n_max: int):
         assert {name: column[n] for name, column in got.items()} == expected, n
 
 
+def assert_sieve_matches_oracle(n_max: int):
+    """All six columns of ``arith._sieve(n_max)`` equal those of the per-prime
+    oracle ``oracle_forms.sieve``.  The tests run it up to 10,007, and CI at 10^6."""
+    got, expected = arith._sieve(n_max), sieve(n_max)
+    for name, x, y in zip(got._fields, got, expected):
+        assert x.dtype == y.dtype and x.tolist() == y.tolist(), (n_max, name)
+
+
 class TestPrimePowerSplit:
+    # the squares of primes and their neighbours: the edges of the sqrt(L) loop
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 8, 9, 16, 17, 24, 25, 48, 49, 255, 256, 257,
+                                       3000, 10007])
+    def test_sieve_matches_the_per_prime_oracle(self, n_max):
+        assert_sieve_matches_oracle(n_max)
+
     def test_matches_the_scalar_functions_up_to_20000(self):
         assert_number_table_matches_scalars(20_000)
 

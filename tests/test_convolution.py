@@ -219,6 +219,47 @@ class TestLcm:
                 assert f(n).value == jordan_totient(r, n)
 
 
+TERM_COUNTS = [  # each product's terms at n, and their total on 1..3000
+    ("dirichlet", lambda n: len(divisors(n)), 24496),
+    ("lcm", lambda n: lcm_tuple_count(2, n), 86212),
+    ("unitary", lambda n: 2 ** omega(n), 16961),
+]
+GROWTH = (1, 2, 255, 256, 257, 1000, 3000)  # the sizes an index is grown through, and past
+
+
+def assert_holds_each_term_once(index, terms, total):
+    left, right, starts = index
+    assert np.diff(starts).tolist() == [terms(n) for n in range(1, len(starts))]
+    assert starts[-1] == left.size == right.size == total
+    assert left.dtype == right.dtype == starts.dtype == np.int32
+
+
+def assert_grown_index_matches_one_shot(n_max: int, kinds=sorted(PRODUCTS)):
+    """Each product's index grown through the GROWTH sizes below n_max, then to
+    n_max, equals at every size the index built for that size at once."""
+    sizes = [size for size in (*GROWTH, n_max) if size <= n_max]
+    for kind in kinds:
+        convolution._indexes.clear()
+        grown = [convolution._index(kind, size) for size in sizes]
+        for size, index in zip(sizes, grown):
+            convolution._indexes.clear()
+            one_shot = convolution._index(kind, size)
+            assert all(x.tolist() == y.tolist() and x.dtype == y.dtype
+                       for x, y in zip(index, one_shot)), (kind, size)
+
+
+def spy_blocks(monkeypatch) -> list:
+    """Record (kind, lo, hi) of each block of terms ``convolution._index`` builds."""
+    built, real = [], convolution._terms
+
+    def counted(kind, lo, hi, base):
+        built.append((kind, lo, hi))
+        return real(kind, lo, hi, base)
+
+    monkeypatch.setattr(convolution, "_terms", counted)
+    return built
+
+
 def random_dense(rng, scale=1.0):
     return DenseMatrix(scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))
 
@@ -335,19 +376,59 @@ class TestIndexKernel:
         assert [x.entries for x in got] == [y.entries for y in loop(f.values, g.values,
                                                                      f(1).zero())]
 
-    @pytest.mark.parametrize("kind, terms, total", [
-        ("dirichlet", lambda n: len(divisors(n)), 24496),
-        ("lcm", lambda n: lcm_tuple_count(2, n), 86212),
-        ("unitary", lambda n: 2 ** omega(n), 16961),
-    ])
+    @pytest.mark.parametrize("kind, terms, total", TERM_COUNTS)
     def test_index_holds_each_term_once(self, kind, terms, total):
-        left, right, starts = convolution._index(kind, 3000)
-        assert np.diff(starts).tolist() == [terms(n) for n in range(1, 3001)]
-        assert starts[-1] == left.size == right.size == total
-        assert left.dtype == right.dtype == starts.dtype == np.int32
+        assert_holds_each_term_once(convolution._index(kind, 3000), terms, total)
 
-    def test_index_cache_is_bounded(self):
-        assert 1 <= convolution._index.cache_info().maxsize <= 3
+    @pytest.mark.parametrize("kind, terms, total", TERM_COUNTS)
+    def test_grown_index_is_the_one_shot_index(self, kind, terms, total):
+        # grown across the block edges 256/257 to 3000, and read at every step
+        assert_grown_index_matches_one_shot(3000, kinds=(kind,))
+        assert_holds_each_term_once(convolution._index(kind, 3000), terms, total)
+
+    def test_one_index_is_held_per_product(self):
+        for kind, n_max in (("lcm", 100), ("dirichlet", 300), ("lcm", 50), ("unitary", 20)):
+            convolution._index(kind, n_max)
+        # lcm reads the unitary index, which reads the Dirichlet one, each at its own N
+        assert {kind: len(held[2]) - 1 for kind, held in convolution._indexes.items()} == {
+            "dirichlet": 300, "unitary": 100, "lcm": 100}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_request_within_the_held_index_builds_nothing(self, kind, monkeypatch):
+        big = convolution._index(kind, 600)
+        built = spy_blocks(monkeypatch)
+        for n_max in (600, 257, 1, 0):
+            small = convolution._index(kind, n_max)
+            assert built == []
+            assert all(np.shares_memory(x, y) or x.size == 0 for x, y in zip(small, big))
+            assert small[2].tolist() == big[2][:n_max + 1].tolist()
+            assert small[0].size == small[1].size == small[2][-1]
+
+    def test_a_larger_request_builds_only_past_the_held_n(self, monkeypatch):
+        convolution._index("lcm", 300)
+        built = spy_blocks(monkeypatch)
+        convolution._index("lcm", 600)
+        assert sorted(built) == sorted((kind, lo, hi) for kind in self.KINDS
+                                       for lo, hi in ((301, 557), (557, 601)))
+        built.clear()
+        convolution._index("dirichlet", 601)
+        assert built == [("dirichlet", 601, 602)]
+
+    def test_a_patched_index_grows_a_wrong_index_held(self, monkeypatch):
+        # the hazard tests/conftest.py guards against: the unitary index read as the
+        # Dirichlet one leaves an lcm index held that is wrong after the patch is gone
+        real = convolution._index
+        monkeypatch.setattr(convolution, "_index", lambda kind, n_max: real(
+            "dirichlet" if kind == "unitary" else kind, n_max))
+        real("lcm", 30)
+        monkeypatch.setattr(convolution, "_index", real)
+        assert convolution._index("lcm", 30)[2][-1] != sum(lcm_tuple_count(2, n)
+                                                           for n in range(1, 31))
+
+    def test_each_test_starts_with_no_index_held(self):
+        assert convolution._indexes == {}
+        assert_holds_each_term_once(convolution._index("lcm", 30), lambda n: lcm_tuple_count(2, n),
+                                    sum(lcm_tuple_count(2, n) for n in range(1, 31)))
 
     @pytest.mark.parametrize("prod", [scalar_dirichlet, scalar_lcm, scalar_unitary])
     @pytest.mark.parametrize("a, b", [([1], [1, 2, 3]), ([1, 2, 3], [1])])
@@ -623,6 +704,35 @@ INVERSE_ENTRIES = {
 
 
 class TestInverse:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 3), st.sampled_from([4, 40, 70]), st.data())
+    def test_reversed_product_of_a_stack_is_the_same_sum(self, n_max, k, bits, data):
+        # the premise of one verification product on the stack path: the Dirichlet terms
+        # (d, n/d) pair with (n/d, d), so g*f adds f*g's integer products, in int64 and past it
+        entries = st.integers(-(2**bits), 2**bits)
+        f, g = (np.array([[data.draw(st.sampled_from([-1, 1])) for _ in range(k)]]
+                         + [[data.draw(entries) for _ in range(k)] for _ in range(n_max - 1)])
+                for _ in range(2))
+        fg, gf = (convolution._product("dirichlet", *pair, 0) for pair in ((f, g), (g, f)))
+        assert fg.dtype == gf.dtype and fg.tolist() == gf.tolist()
+
+    @pytest.mark.parametrize("family, products", [
+        ([Scalar(1)] + [Scalar(v) for v in range(-5, 6)], 1),
+        ([DiagonalOperator([1, -1])] + [DiagonalOperator([v, 2**40]) for v in range(12)], 1),
+        ([Scalar(Fraction(1))] + [Scalar(Fraction(v, 3)) for v in range(-5, 6)], 2),
+        ([Scalar(1.0)] + [Scalar(v / 4) for v in range(-5, 6)], 2),
+        ([DenseMatrix(np.eye(2))] + [DenseMatrix(np.full((2, 2), v / 8)) for v in range(12)], 2),
+    ], ids=["int", "int past int64", "fraction", "float", "dense"])
+    def test_a_stack_is_verified_by_one_product(self, family, products, monkeypatch):
+        formed, real = [], convolution._product
+        monkeypatch.setattr(convolution, "_product", lambda *args: formed.append(1) or real(*args))
+        f = AlgFunction(family)
+        got = dirichlet_inverse(f, tol=1e-9)
+        assert len(formed) == products
+        identity = dirichlet_identity(f(1).unit(), f.n_max)
+        for product in (dirichlet_convolve(f, got), dirichlet_convolve(got, f)):
+            assert product.distance(identity) <= 1e-9
+
     def test_ones_inverts_to_moebius(self):
         inv = dirichlet_inverse(lifted(lambda n: 1, 100))
         for n in range(1, 101):
