@@ -6,6 +6,9 @@ of each n, its full power and the rest of n, with mu, phi and tau.
 ``NumberTable.multiplicative`` walks it to build any multiplicative table
 from its prime-power values, in numpy passes rather than one ``factorize``
 per n.  One table is held, and smaller requests read a prefix of it.
+``_hold`` is the rule of every table kept between calls, this one and each
+product index of ``convolution``: it is kept only while its arrays total at
+most HELD_BYTES; a larger one is returned, not kept, and a smaller one stays.
 
 Everything here is computed in exact integer or rational arithmetic and
 compared with no tolerance: the identity suites judge the batched
@@ -24,6 +27,7 @@ import numpy as np
 
 MAX_FACTOR_INPUT = 10**12
 _CACHE_SIZE = 4096  # per scalar lru_cache, so a long `table` run keeps no entry per value
+HELD_BYTES = 16 * 2**20  # the most a table kept between calls may hold, in bytes
 _held: list = [None]  # number_table's cache: the one NumberTable it holds
 
 __all__ = [
@@ -143,14 +147,22 @@ def _sieve(n_max: int) -> NumberTable:
     return table
 
 
+def _hold(store, key, table: tuple) -> tuple:
+    """table, kept as store[key] only if its arrays total at most HELD_BYTES."""
+    if sum(array.nbytes for array in table) <= HELD_BYTES:
+        store[key] = table
+    return table
+
+
 def number_table(n_max: int) -> NumberTable:
     """The ``NumberTable`` of 0..n_max.  One table is held: a request within it
-    reads a prefix of its columns, and a larger one sieves anew in its place."""
+    reads a prefix of its columns, and a larger one sieves anew, held if ``_hold`` keeps it."""
     if n_max < 1:
         raise ValueError(f"number_table requires n_max >= 1, got {n_max}")
-    if _held[0] is None or len(_held[0].rest) <= n_max:
-        _held[0] = _sieve(n_max)
-    return NumberTable(*(column[:n_max + 1] for column in _held[0]))
+    table = _held[0]
+    if table is None or len(table.rest) <= n_max:
+        table = _hold(_held, 0, _sieve(n_max))
+    return NumberTable(*(column[:n_max + 1] for column in table))
 
 
 def mobius(n: int) -> int:
@@ -172,10 +184,7 @@ def jordan_totient(r: int, n: int) -> int:
     """J_r(n) = n^r * prod_{p|n} (1 - p^{-r}), exact; J_1 = totient."""
     if r < 1:
         raise ValueError("jordan_totient requires r >= 1")
-    result = 1
-    for p, a in factorize(n):
-        result *= p ** (r * (a - 1)) * (p**r - 1)
-    return result
+    return math.prod(p ** (r * (a - 1)) * (p**r - 1) for p, a in factorize(n))
 
 
 def omega(n: int) -> int:
@@ -185,10 +194,7 @@ def omega(n: int) -> int:
 
 def tau(n: int) -> int:
     """Number of divisors."""
-    result = 1
-    for _, a in factorize(n):
-        result *= a + 1
-    return result
+    return math.prod(a + 1 for _, a in factorize(n))
 
 
 def nu(k: int, n: int):
@@ -227,10 +233,7 @@ def lcm_tuple_count(s: int, n: int) -> int:
     """
     if s < 1:
         raise ValueError("lcm_tuple_count requires s >= 1")
-    result = 1
-    for _, a in factorize(n):
-        result *= (a + 1) ** s - a**s
-    return result
+    return math.prod((a + 1) ** s - a**s for _, a in factorize(n))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Command-line front end: scalar function tables, identity suites, and operator exports.
 
-A request is read in one walk of its command's _COMMANDS entry; argparse parses only
-what the walk leaves (help, usage errors), the top-level parser only on no arguments,
-an unknown command or --help.  A table, CSV or JSON, is written CSV_ROWS rows at a
-time, a ramanujan:k table from one period of c_k; an export's text is built once and
-its newline written after it.
+A request is read in one walk of its command's _COMMANDS entry; the argparse parsers
+are built, and parse, only for what the walk leaves (help, usage errors), the top-level
+one only on no arguments, an unknown command or --help; ``main`` writes a UsageError.
+A table, CSV or JSON, is written CSV_ROWS rows at a time, a ramanujan:k table from one
+period of c_k; an export's text is built once and its newline written after it.
 
 Exit codes: 0 all checks pass (at residual exactly 0), 1 identity failure,
 2 usage error or a closed stdout.  The truncation dimension is --dim, 2520
@@ -17,6 +17,7 @@ runs on its first min(dim, 6 n_limit) entries and reports both.  For
 from __future__ import annotations
 
 import argparse
+import functools
 import heapq
 import itertools
 import json
@@ -241,8 +242,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The idemarith parser, and the parser of each command by name."""
+@functools.lru_cache(maxsize=1)  # built on first use: only help and usage errors need them
+def _parsers() -> dict:
+    """The parser of each command by name, and the idemarith parser under None."""
     # no abbreviation (--n for --n-max) and no -h: only the spellings the CLI always took
     style = dict(allow_abbrev=False, add_help=False,
                  formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -256,7 +258,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sub.set_defaults(handler=handler)
     for sub in [parser, *commands.choices.values()]:
         sub.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser, commands.choices
+    return {None: parser, **commands.choices}
 
 
 def _options(name: str, argv: list[str]) -> dict | None:
@@ -286,14 +288,15 @@ def _options(name: str, argv: list[str]) -> dict | None:
 def main(args: list[str] | None = None, prog_name: str = "idemarith") -> None:
     """Arithmetic-function tables, identity suites, and operator exports."""
     args = sys.argv[1:] if args is None else args
-    command = _COMMAND_PARSERS.get(args[0]) if args else None
-    options = _options(args[0], args[1:]) if command else None
+    command = args[0] if args and args[0] in _COMMANDS else None
+    options = _options(command, args[1:]) if command else None
     if options is None:  # help, a usage error, or a spelling only argparse decides
-        options = vars(command.parse_args(args[1:]) if command else _PARSER.parse_args(args))
+        options = vars(_parsers()[command].parse_args(args[1:] if command else args))
     try:
         options.pop("handler")(**options)
     except UsageError as exc:
-        _PARSER.exit(2, f"Error: {exc}\n")
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
     except BrokenPipeError:  # stdout is closed: devnull takes the flush at exit, which cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(2)
@@ -302,7 +305,6 @@ def main(args: list[str] | None = None, prog_name: str = "idemarith") -> None:
 # bench/workloads.py runs each request as main.main(args, prog_name="idemarith");
 # prog_name is unused
 main.main = main
-_PARSER, _COMMAND_PARSERS = _build_parser()
 
 if __name__ == "__main__":
     main()

@@ -7,14 +7,14 @@ brute-force checkable.  In the non-commutative case the order convention
 is fixed: (f . g)(n) sums f(k) * g(l) with k the left factor.
 
 Every product runs on one flat index of its terms over 1..N, one held per
-product and grown as N grows: the 0-based table positions of each term's
-factors, ordered n ascending, then left factor, then right, and where each
-n's terms start.  The kernel gathers both tables at those positions,
-multiplies, and sums each n's terms with ``np.add.reduceat`` along axis 0,
-about 8k entries at a time.  It uses int64 only when both
-tables are integers of int64 size and max|a| max|b| (most terms at one n)
-<= 2^63 - 1, so no sum can wrap.  Anything else (floats, complex,
-Fractions, big ints, elements) runs on object arrays, adding each n's
+product and grown as N grows, while ``arith._hold`` keeps it (the lcm index
+to N = 44,099): the 0-based table positions of each term's factors, ordered n
+ascending, then left factor, then right, and where each n's terms start.  The
+kernel gathers both tables at those positions, multiplies, and sums each n's
+terms with ``np.add.reduceat`` along axis 0, about 8k entries at a time.  It
+uses int64 only when both tables are integers of int64 size and max|a| max|b|
+(most terms at one n) <= 2^63 - 1, so no sum can wrap.  Anything else (floats,
+complex, Fractions, big ints, elements) runs on object arrays, adding each n's
 terms in index order and then to zero, which gives zero + t_1 + t_2 + ...
 bit for bit.  There is no float64 or complex128 reduction: numpy's
 pairwise summation would change the bits.
@@ -71,6 +71,7 @@ import numpy as np
 
 from .algebra import (_INT64_MAX, DEFAULT_TOL, DenseMatrix, DiagonalOperator, Scalar, _store,
                       _Stored, invert, is_idempotent)
+from .arith import _hold
 
 __all__ = [
     "AlgFunction",
@@ -94,7 +95,7 @@ _N_BLOCK = 256  # n per index block: about _BLOCK lcm terms at N = 3000
 _PAIR_BLOCK = 64  # the first block of pairs is_multiplicative compares; each next one doubles
 _BASE = {"unitary": "dirichlet", "lcm": "unitary"}  # the index each product's terms are read off
 _NO_TERMS = (np.zeros(0, dtype=np.int32),) * 2 + (np.zeros(1, dtype=np.int32),)  # the index on 1..0
-_indexes: dict = {}  # kind -> the one (left, right, starts) held, grown by _index
+_indexes: dict = {}  # kind -> the one (left, right, starts) held, grown by _index, under _hold
 
 
 class InverseCheckError(ArithmeticError):
@@ -144,8 +145,8 @@ def _terms(kind: str, lo: int, hi: int, base) -> tuple[np.ndarray, np.ndarray, n
 def _index(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(left, right, starts) of the product ``kind`` on 1..n_max, int32: the
     0-based positions of each term's factors, and where each n's terms start
-    (n_max + 1 entries, the last the term count).  It is a prefix of the one
-    index held per product, which a larger n_max first grows by its blocks."""
+    (n_max + 1 entries, the last the term count): a prefix of the one index held
+    per product, or that index grown by the blocks past it, then kept if ``_hold`` keeps it."""
     left, right, starts = _indexes.get(kind, _NO_TERMS)
     if len(starts) <= n_max or kind not in _indexes:  # _NO_TERMS is held as a read-only copy
         base = None if kind == "dirichlet" else _index(_BASE[kind], n_max)
@@ -153,9 +154,9 @@ def _index(kind: str, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                   for lo in range(len(starts), n_max + 1, _N_BLOCK)]
         left, right, counts = map(np.concatenate, zip((left, right, starts[:0]), *blocks))
         starts = np.concatenate([starts, starts[-1] + np.cumsum(counts, dtype=np.int32)])
-        _indexes[kind] = left, right, starts
-        for array in _indexes[kind]:  # every caller reads the held arrays
+        for array in (left, right, starts):  # every caller reads these arrays, held or not
             array.flags.writeable = False
+        _hold(_indexes, kind, (left, right, starts))
     return left[:starts[n_max]], right[:starts[n_max]], starts[:n_max + 1]
 
 
@@ -184,17 +185,16 @@ def _worst_first(residual: np.ndarray, where: np.ndarray, starts) -> tuple[np.nd
     return worst, np.minimum.reduceat(np.where(held, where, where.max() + 1), starts)
 
 
-def _fits(kind: str, n_max: int, bound_a: int, bound_b: int) -> bool:
-    """Whether no sum of the product ``kind`` on 1..n_max of factors of
-    modulus <= bound_a and <= bound_b can leave int64."""
-    starts = _index(kind, n_max)[2]
-    return bound_a * bound_b * int(np.diff(starts).max(initial=0)) <= _INT64_MAX
+def _fits(index: tuple, bound_a: int, bound_b: int) -> bool:
+    """Whether no sum over the terms of an index of factors of modulus
+    <= bound_a and <= bound_b can leave int64."""
+    return bound_a * bound_b * int(np.diff(index[2]).max(initial=0)) <= _INT64_MAX
 
 
-def _sums(kind: str, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Each n's sum of va[k] * vb[l] over the terms (k, l) of the product
-    ``kind``, along axis 0, about _BLOCK entries at a time."""
-    left, right, starts = _index(kind, len(va))
+def _sums(index: tuple, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Each n's sum of va[k] * vb[l] over the terms (k, l) of the index on
+    1..len(va), along axis 0, about _BLOCK entries at a time."""
+    left, right, starts = index
     sums = []
     for lo, hi in _blocks(starts, 0, len(va), _BLOCK // math.prod(va.shape[1:])):
         terms = slice(starts[lo], starts[hi])
@@ -211,10 +211,11 @@ def _product(kind: str, a: Sequence | np.ndarray, b: Sequence | np.ndarray, zero
     sa, sb = _store(a), _store(b)
     if sa.values.shape != sb.values.shape:
         raise ValueError(f"table shapes differ: {sa.values.shape} vs {sb.values.shape}")
-    if sa.bound is not None and sb.bound is not None and _fits(kind, len(a), sa.bound, sb.bound):
-        sums = _sums(kind, sa.values, sb.values)
+    index = _index(kind, len(a))
+    if sa.bound is not None and sb.bound is not None and _fits(index, sa.bound, sb.bound):
+        sums = _sums(index, sa.values, sb.values)
         return sums if sums.ndim == 2 else sums.tolist()
-    sums = _sums(kind, sa.values.astype(object), sb.values.astype(object))
+    sums = _sums(index, sa.values.astype(object), sb.values.astype(object))
     return zero + sums if sums.ndim == 2 else [zero + s for s in sums.tolist()]
 
 
@@ -328,9 +329,9 @@ def _convolve(kind: str, f: AlgFunction, g: AlgFunction) -> AlgFunction:
     and the sums fit int64, else element by element."""
     f._check(g)
     a, b = f._stack, g._stack
-    if a is not None and b is not None and _fits(kind, f.n_max, int(a[:, -1].max()),
-                                                 int(b[:, -1].max())):
-        return AlgFunction._of(_sums(kind, a, b), f._offset)
+    if a is not None and b is not None and _fits(index := _index(kind, f.n_max),
+                                                 int(a[:, -1].max()), int(b[:, -1].max())):
+        return AlgFunction._of(_sums(index, a, b), f._offset)
     return AlgFunction(_product(kind, f.values, g.values, f(1).zero()))
 
 

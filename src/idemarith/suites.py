@@ -14,11 +14,12 @@ The six level rows (scalar Ramanujan, operator identities, orthogonality,
 transform pair, determinant, trace) read the passes of ``ramanujan_ops``
 and ``analytic`` over prefixes of one ``level_table`` of the levels up to
 max(min(n_max, TOP_LEVEL), 48), two of them one ``root_sums``, and the scalar,
-even-function and multiplicativity rows its ``class_table``: ``run_suite``
-builds each once per run, the level table after sieving ``arith.number_table``
-to the Euler row's 512: every table of mu, phi, tau, J_r, M_2 and 2^omega a row
-reads is a prefix of the one number table.  The four multiplicativity rows read one
-``family_residuals`` pass, which decides every j and window on the coprime
+even-function and multiplicativity rows its ``class_table``: the runners read
+them off one ``_Run`` that ``run_suite`` builds and drops with the report, each
+built on first read, the level table after sieving ``arith.number_table`` to
+the Euler row's 512: every table of mu, phi, tau, J_r, M_2 and 2^omega a row
+reads is a prefix of the one number table.  The four multiplicativity rows read
+one ``family_residuals`` pass, which decides every j and window on the coprime
 splits nm <= max(min(n_max, TOP_LEVEL), 6), each naming its worst split.  The
 trace and determinant rows take N = 1..n at each level n, which decides every N
 (both sides add or multiply over a period).  Every other operator entry
@@ -110,46 +111,42 @@ def _erratum(note: dict, data) -> dict:
         return {**note, "error": _error(exc)}
 
 
-def _family_levels(n_max: int) -> int:
-    return max(min(n_max, TOP_LEVEL), 6)  # 6 = 2 * 3, the first coprime split
+class _Run:
+    """One run's n_max and dim, and the tables its rows share, each built on its
+    first read; a table that raises is not kept, so it fails only the rows that read it."""
 
+    def __init__(self, n_max: int, dim: int):
+        self.n_max, self.dim = n_max, dim
+        self.family_levels = max(min(n_max, TOP_LEVEL), 6)  # 6 = 2 * 3, the first coprime split
 
-@functools.lru_cache(maxsize=1)  # run_suite clears the four tables: one build of each
-def _levels(n_max: int):
-    number_table(512)  # the Euler row's m_max first: every later table of the run is a prefix
-    return level_table(max(min(n_max, TOP_LEVEL), 48))  # 48: the largest rf modulus
+    @functools.cached_property
+    def levels(self):
+        number_table(512)  # the Euler row's m_max first: every later table of the run is a prefix
+        return level_table(max(min(self.n_max, TOP_LEVEL), 48))  # 48: the largest rf modulus
 
+    sums = functools.cached_property(lambda self: root_sums(self.levels))
+    classes = functools.cached_property(lambda self: class_table(self.levels))
 
-@functools.lru_cache(maxsize=1)
-def _root_sums(n_max: int):
-    return root_sums(_levels(n_max))
-
-
-@functools.lru_cache(maxsize=1)
-def _classes(n_max: int):
-    return class_table(_levels(n_max))
-
-
-@functools.lru_cache(maxsize=1)
-def _families(n_max: int) -> dict:
-    """Per family, "P", "C" or "T", its worst residual over the coprime splits of
-    ``family_residuals`` and the first split (n, m) that holds it."""
-    n, m, residuals = family_residuals(_classes(n_max), _family_levels(n_max))
-    return {kind: (int(row.max()), {"n": int(n[row.argmax()]), "m": int(m[row.argmax()])})
-            for kind, row in zip("PCT", residuals)}
+    @functools.cached_property
+    def families(self) -> dict:
+        """Per family, "P", "C" or "T", its worst residual over the coprime splits of
+        ``family_residuals`` and the first split (n, m) that holds it."""
+        n, m, residuals = family_residuals(self.classes, self.family_levels)
+        return {kind: (int(row.max()), {"n": int(n[row.argmax()]), "m": int(m[row.argmax()])})
+                for kind, row in zip("PCT", residuals)}
 
 
 def _random_even(rng: random.Random, d: int) -> EvenFunction:
     return EvenFunction(d, {r: rng.randint(-9, 9) for r in divisors(d)})
 
 
-def _suite_axioms(n_max, dim):
-    n_limit = min(n_max, 12)
-    axioms = IdempotentSystem(min(dim, 6 * n_limit))  # each equation has period n r, r <= 6
-    n_dft = min(n_max, 24)
+def _suite_axioms(run):
+    n_limit = min(run.n_max, 12)
+    axioms = IdempotentSystem(min(run.dim, 6 * n_limit))  # each equation has period n r, r <= 6
+    n_dft = min(run.n_max, 24)
     rows = [
         _check("idempotent system axioms I/II/III + completeness",
-               {"dim": dim, "window": axioms.dim, "n_limit": n_limit}, [()],
+               {"dim": run.dim, "window": axioms.dim, "n_limit": n_limit}, [()],
                lambda: verify_axioms(axioms, n_limit)),
         # n P_0(n) against sum_{l < n} S(n)^l on one period, which every P_j(n) shifts
         _check("congruence-exact vs DFT provider", {"n_limit": n_dft},
@@ -159,13 +156,13 @@ def _suite_axioms(n_max, dim):
     ]
     for j in (0, 1, 5):  # one pass decides every j
         rows.append(_check("projection family multiplicativity",
-                           {"j": j, "n_max": _family_levels(n_max)}, [()],
-                           lambda: _families(n_max)["P"]))
+                           {"j": j, "n_max": run.family_levels}, [()],
+                           lambda: run.families["P"]))
     return rows, []
 
 
-def _suite_product_law(n_max, dim):
-    n_cap = min(n_max, 12)
+def _suite_product_law(run):
+    n_cap = min(run.n_max, 12)
     levels = [(n, m) for n in range(1, n_cap + 1) for m in range(1, n_cap + 1)]
     crt = IdempotentSystem(max(math.lcm(n, m) for n, m in levels))
     divisor_levels = [(n, m) for n in (1, 2, 3, 4, 6) for m in (n * 2, n * 3)]
@@ -181,13 +178,11 @@ def _suite_product_law(n_max, dim):
     ], []
 
 
-def _suite_ramanujan(n_max, dim):
-    n_cap = min(n_max, 30)
-    n_scalar = min(n_max, TOP_LEVEL)
-    scalar = functools.cache(lambda: scalar_residuals(_levels(n_max), _root_sums(n_max),
-                                                      _classes(n_max), n_scalar))
-    operators = functools.cache(lambda: operator_residuals(_levels(n_max), _root_sums(n_max),
-                                                           n_cap))
+def _suite_ramanujan(run):
+    n_cap = min(run.n_max, 30)
+    n_scalar = min(run.n_max, TOP_LEVEL)
+    scalar = functools.cache(lambda: scalar_residuals(run.levels, run.sums, run.classes, n_scalar))
+    operators = functools.cache(lambda: operator_residuals(run.levels, run.sums, n_cap))
     return [
         _check("scalar Ramanujan sums vs root-of-unity oracle",
                {"n_max": n_scalar}, [(n,) for n in range(1, n_scalar + 1)],
@@ -196,12 +191,12 @@ def _suite_ramanujan(n_max, dim):
                {"n_max": n_cap}, [(n,) for n in range(1, n_cap + 1)],
                lambda n: operators()[n - 1]),
         _check("multiplicativity of operator families",
-               {"n_max": _family_levels(n_max), "j": [0, 1, 5]}, [(kind,) for kind in "CT"],
-               lambda kind: _families(n_max)[kind]),
+               {"n_max": run.family_levels, "j": [0, 1, 5]}, [(kind,) for kind in "CT"],
+               lambda kind: run.families[kind]),
     ], []
 
 
-def _suite_transforms(n_max, dim):
+def _suite_transforms(run):
     moduli = [1, 2, 3, 4, 6, 8, 12, 16, 18, 24, 30, 36, 40, 48]
     samples = 20
 
@@ -211,10 +206,10 @@ def _suite_transforms(n_max, dim):
         return [_random_even(rng, d)
                 for d in moduli + rng.choices(moduli, k=samples - len(moduli))]
 
-    rf = functools.cache(lambda: rf_residuals(_classes(n_max), alphas()))
-    n_orth, n_pair = min(n_max, 100), min(n_max, 30)
-    orthogonality = functools.cache(lambda: orthogonality_residuals(_levels(n_max), n_orth))
-    pair = functools.cache(lambda: transform_residuals(_levels(n_max), n_pair))
+    rf = functools.cache(lambda: rf_residuals(run.classes, alphas()))
+    n_orth, n_pair = min(run.n_max, 100), min(run.n_max, 30)
+    orthogonality = functools.cache(lambda: orthogonality_residuals(run.levels, n_orth))
+    pair = functools.cache(lambda: transform_residuals(run.levels, n_pair))
     rows = [
         _check("even-function Fourier coefficients: reconstruction and "
                "factor-of-d between normalizations",
@@ -236,7 +231,7 @@ def _suite_transforms(n_max, dim):
     return rows, errata
 
 
-def _suite_even_identity(n_max, dim):
+def _suite_even_identity(run):
     moduli = [4, 6, 12, 24]
     samples = [(n, sample) for n in moduli for sample in range(5)]
 
@@ -244,7 +239,7 @@ def _suite_even_identity(n_max, dim):
     def residuals():
         rng = random.Random(SEED)
         alphas = [_random_even(rng, n) for n, _ in samples]
-        return dict(zip(samples, even_residuals(_classes(n_max), alphas)))
+        return dict(zip(samples, even_residuals(run.classes, alphas)))
 
     return [
         _check("even-function expansion over Ramanujan operators",
@@ -253,8 +248,8 @@ def _suite_even_identity(n_max, dim):
     ], []
 
 
-def _suite_convolution(n_max, dim):
-    n_assoc = min(n_max, 60)
+def _suite_convolution(run):
+    n_assoc = min(run.n_max, 60)
     lehmer_n, lehmer_pairs = 200, 10
 
     @functools.cache
@@ -346,7 +341,7 @@ def _growth_excess(alpha, excess) -> tuple:
     return _first_worst([excess(m, x_m) for m, x_m in enumerate(x, 1)], "m")
 
 
-def _suite_analytic(n_max, dim):
+def _suite_analytic(run):
     euler = {"totient": 0, "jordan:2": 1, "jordan:3": 2, "mobius": 3}  # columns of one pass
     euler_residuals = functools.cache(lambda: analytic.euler_residuals(512))
     iu = functools.cache(lambda: analytic.iu_star_representation(128))
@@ -356,9 +351,9 @@ def _suite_analytic(n_max, dim):
               "epsilon": (lambda: scalar_table(epsilon, 64), lambda m, x: abs(x) - m),
               "2**n": (lambda: [2**n for n in range(1, 65)], lambda m, x: 2**m - x)}
     one_period = "1..n, which decides every N"
-    n_det, n_trace = min(n_max, 30), min(n_max, 60)
-    dets = functools.cache(lambda: analytic.det_residuals(_levels(n_max), n_det))
-    traces = functools.cache(lambda: analytic.trace_residuals(_levels(n_max), n_trace))
+    n_det, n_trace = min(run.n_max, 30), min(run.n_max, 60)
+    dets = functools.cache(lambda: analytic.det_residuals(run.levels, n_det))
+    traces = functools.cache(lambda: analytic.trace_residuals(run.levels, n_trace))
     rows = [
         _check("determinant of the Ramanujan diagonal: direct vs closed form",
                {"n_max": n_det, "N": one_period}, [(n,) for n in range(2, n_det + 1)],
@@ -443,12 +438,11 @@ def run_suite(name: str, n_max: int = 60, dim: int = 2520) -> dict:
     for param, value in (("n_max", n_max), ("dim", dim)):
         if value < 1:
             raise ValueError(f"{param} must be at least 1, got {value}")
-    for table in (_levels, _root_sums, _classes, _families):
-        table.cache_clear()
+    run = _Run(n_max, dim)  # dropped with the report: the module keeps no table of a run
     checks: list[dict] = []
     errata: list[dict] = []
     for runner in _RUNNERS[name]:
-        rows, notes = runner(n_max, dim)
+        rows, notes = runner(run)
         checks += rows
         errata += notes
     failed = [c for c in checks if not c["pass"]]

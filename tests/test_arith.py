@@ -116,12 +116,25 @@ class TestPrimePowerSplit:
 
         real = arith._sieve
         monkeypatch.setattr(arith, "_sieve", counted)
-        monkeypatch.setattr(arith, "_held", [None])
         big, small = number_table(100), number_table(30)
         assert built == [100] and len(small.mu) == 31
         assert all(np.shares_memory(x, y) and (x[:31] == y).all() for x, y in zip(big, small))
         assert number_table(101).mu.size == 102 and built == [100, 101]
         assert arith._held[0].mu.size == 102  # the one table held
+
+    def test_a_table_past_the_cap_is_returned_and_not_held(self, monkeypatch):
+        # six int64 columns of 0..199 are the cap: n_max 199 is kept, and 200 not
+        monkeypatch.setattr(arith, "HELD_BYTES", 6 * 8 * 200)
+        held = number_table(100)
+        for n_max in (300, 200):
+            got = number_table(n_max)
+            assert all(x.tolist() == y.tolist() for x, y in zip(got, arith._sieve(n_max)))
+            assert arith._held[0].mu.size == 101  # the smaller table held stays
+        assert all(np.shares_memory(x, y) for x, y in zip(number_table(100), held))
+        assert number_table(199).mu.size == arith._held[0].mu.size == 200
+
+    def test_each_test_starts_with_no_table_held(self):
+        assert arith._held == [None]
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 16, 17])
     def test_small_tables_are_read_only(self, n_max):

@@ -578,10 +578,23 @@ def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, args):
     def refuse(*args, **kwargs):
         raise AssertionError("an argparse parser ran")
 
-    for parser in [cli._PARSER, *cli._COMMAND_PARSERS.values()]:
+    for parser in cli._parsers().values():
         monkeypatch.setattr(parser, "parse_args", refuse)
     code, out, err = invoke(args)
     assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("args, status", [
+    (["table", "mobius", "--range", "1..6"], 0), (["export", "S:7", "--dim", "60"], 0),
+    (["check", "all", "--dim", "0"], 2), (["export", "S:0", "--dim", "4"], 2),
+])
+def test_a_request_the_walk_reads_builds_no_parser(args, status):
+    # the parsers are built on first use, by help or an error only argparse words; a
+    # UsageError of a handler is written by main itself
+    cli._parsers.cache_clear()
+    code, _, err = invoke(args)
+    assert code == status and err.startswith("Error: " if status else "")
+    assert cli._parsers.cache_info().misses == 0
 
 
 # each command's spellings, good and bad: its positionals, its options' values, and
@@ -623,7 +636,7 @@ def test_the_walk_reads_what_argparse_reads(name, data):
     argv = data.draw(_argvs(name))
     options = cli._options(name, argv)
     if options is not None:
-        assert options == vars(cli._COMMAND_PARSERS[name].parse_args(argv))
+        assert options == vars(cli._parsers()[name].parse_args(argv))
 
 
 @pytest.mark.parametrize("args,status", [([], 2), (["sigma"], 2), (["--help"], 0)])

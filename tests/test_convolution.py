@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idemarith import convolution
+from idemarith import arith, convolution
 from idemarith.algebra import (
     _INT64_MAX,
     DenseMatrix,
@@ -424,6 +424,26 @@ class TestIndexKernel:
         monkeypatch.setattr(convolution, "_index", real)
         assert convolution._index("lcm", 30)[2][-1] != sum(lcm_tuple_count(2, n)
                                                            for n in range(1, 31))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_index_grown_past_the_cap_is_returned_and_not_held(self, kind, monkeypatch):
+        one_shot = convolution._index(kind, 600)
+        convolution._indexes.clear()
+        held = convolution._index(kind, 300)
+        kept = convolution._indexes[kind]
+        # the cap is the held index's bytes: it stays kept, and the index on 1..600 passes it
+        monkeypatch.setattr(arith, "HELD_BYTES", sum(array.nbytes for array in kept))
+        built = spy_blocks(monkeypatch)
+        grown = convolution._index(kind, 600)
+        assert [(lo, hi) for k, lo, hi in built if k == kind] == [(301, 557), (557, 601)]
+        assert all(x.tolist() == y.tolist() and x.dtype == y.dtype for x, y in zip(grown, one_shot))
+        assert convolution._indexes[kind] is kept  # the smaller index held stays, unchanged
+        built.clear()
+        for n_max in (300, 257, 1):
+            small = convolution._index(kind, n_max)
+            assert built == []
+            assert all(np.shares_memory(x, y) or x.size == 0 for x, y in zip(small, held))
+            assert small[2].tolist() == held[2][:n_max + 1].tolist()
 
     def test_each_test_starts_with_no_index_held(self):
         assert convolution._indexes == {}

@@ -380,7 +380,6 @@ def test_a_run_builds_its_level_table_and_root_sums_once(monkeypatch):
     # one number table, sieved to the Euler row's 512 before any row reads it: every
     # other table a run reads is a prefix of it, and so is every table of a later run
     sieved, sieve = [], arith._sieve
-    monkeypatch.setattr(arith, "_held", [None])
     monkeypatch.setattr(arith, "_sieve", lambda n_max: sieved.append(n_max) or sieve(n_max))
     # outside the errata's one-window forms, a run reads every value of mu, phi, tau,
     # omega, J_r and M_2 off that table: each scalar function raises if called
